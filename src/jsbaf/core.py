@@ -139,12 +139,6 @@ class ArgumentationSystem:
                     f"undercut name defined on {rule_id!r}, which is not a defeasible rule"
                 )
 
-    def rule_by_id(self, rule_id: str) -> Rule:
-        for rule in self.strict_rules + self.defeasible_rules:
-            if rule.id == rule_id:
-                return rule
-        raise KeyError(rule_id)
-
     @property
     def atoms(self) -> frozenset[str]:
         """Atom vocabulary actually mentioned by the rules."""

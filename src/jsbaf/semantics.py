@@ -1,13 +1,17 @@
 """Extension computation for AFs and, through flattening, for JSBAFs.
 
-The engine enumerates complete labellings (in / out / undecided) with unit
-propagation and branch-and-prune, then derives the four admissibility-based
-semantics from them:
+The engine enumerates complete labellings (in / out / undecided) by a search
+over label domains: each node keeps the set of labels still possible for it,
+propagation narrows a node and its attackers until every domain agrees with
+its attackers' domains (in iff all attackers are out, out iff some attacker
+is in, undecided otherwise), and the search splits the first domain in
+canonical order that still holds more than one label.  The four admissibility-based semantics are:
 
 * grounded  — least fixpoint of the characteristic function (computed
               directly, no search needed),
 * complete  — in-sets of all complete labellings,
-* stable    — complete extensions that attack every outside node,
+* stable    — the same search with every domain starting as {in, out}, so
+              it finds the complete labellings with no undecided node,
 * preferred — subset-maximal complete extensions.
 
 A node-count bound guards the exponential searches; ``oracle.py`` provides
@@ -25,7 +29,7 @@ SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
 DEFAULT_NODE_BOUND = 24
 
-_UNKNOWN, _IN, _OUT, _UNDEC = 0, 1, 2, 3
+_IN, _OUT, _UNDEC = 1, 2, 4  # label bits of a domain
 
 
 def is_conflict_free(af: AF, s: Iterable[NodeId]) -> bool:
@@ -57,13 +61,15 @@ def grounded_extension(af: AF) -> frozenset[NodeId]:
         current = nxt
 
 
-class _LabellingSearch:
-    """Enumerates all complete labellings of a finite AF.
+class _DomainSearch:
+    """Enumerates the complete labellings of a finite AF within given domains.
 
-    Branches over unknown nodes in canonical order, trying in, out,
-    undecided; propagation assigns forced labels and prunes contradictory
-    branches.  Every full assignment is re-verified against the labelling
-    conditions, so propagation only needs to be sound, not complete.
+    Each node holds a bitmask of the labels still possible for it.
+    Propagation narrows a node and its attackers until every domain agrees
+    with its attackers' domains under the complete-labelling rule; the search
+    then splits the first non-singleton node in canonical order into its
+    lowest label against the rest.  Every full labelling is re-verified, so
+    propagation only needs to be sound.
     """
 
     def __init__(self, af: AF):
@@ -73,85 +79,79 @@ class _LabellingSearch:
         self.attackers = [sorted(index[a] for a in af.attackers[n]) for n in self.order]
         self.targets = [sorted(index[t] for t in af.targets[n]) for n in self.order]
 
-    def run(self) -> list[frozenset[NodeId]]:
-        results: list[tuple[int, ...]] = []
-        self._search([_UNKNOWN] * self.n, set(range(self.n)), results)
-        extensions = [
-            frozenset(self.order[i] for i in range(self.n) if labels[i] == _IN)
-            for labels in results
-        ]
-        return canonical_extension_order(extensions)
+    def run(self, domain: int) -> list[frozenset[NodeId]]:
+        """In-sets of all complete labellings whose labels lie in ``domain``."""
+        results = []
+        stack = [([domain] * self.n, set(range(self.n)))]
+        while stack:
+            doms, dirty = stack.pop()
+            if not self._propagate(doms, dirty):
+                continue
+            pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
+            if pivot is None:
+                if self._verify(doms):
+                    results.append(frozenset(n for n, d in zip(self.order, doms) if d == _IN))
+                continue
+            rest = doms.copy()
+            low = doms[pivot] & -doms[pivot]
+            rest[pivot] ^= low
+            doms[pivot] = low
+            stack.append((rest, {pivot, *self.targets[pivot]}))
+            stack.append((doms, {pivot, *self.targets[pivot]}))
+        return canonical_extension_order(results)
 
-    def _search(self, labels: list[int], dirty: set[int], results: list):
-        if not self._propagate(labels, dirty):
-            return
-        try:
-            pivot = labels.index(_UNKNOWN)
-        except ValueError:
-            if self._verify(labels):
-                results.append(tuple(labels))
-            return
-        for value in (_IN, _OUT, _UNDEC):
-            branch = labels.copy()
-            branch[pivot] = value
-            self._search(branch, {pivot, *self.targets[pivot]}, results)
+    def _propagate(self, doms: list[int], dirty: set[int]) -> bool:
+        """Narrow domains until quiescent; False once one becomes empty."""
 
-    def _propagate(self, labels: list[int], dirty: set[int]) -> bool:
-        """Apply forced assignments until quiescent; False on contradiction."""
-
-        def assign(x: int, value: int) -> bool:
-            if labels[x] == value:
-                return True
-            if labels[x] != _UNKNOWN:
-                return False
-            labels[x] = value
-            dirty.add(x)
-            dirty.update(self.targets[x])
-            return True
+        def narrow(x: int, mask: int) -> bool:
+            new = doms[x] & mask
+            if new != doms[x]:
+                doms[x] = new
+                dirty.add(x)
+                dirty.update(self.targets[x])
+            return new != 0
 
         while dirty:
             y = dirty.pop()
-            n_in = n_out = n_undec = 0
-            unknown = -1
-            n_unknown = 0
-            for a in self.attackers[y]:
-                la = labels[a]
-                if la == _IN:
-                    n_in += 1
-                elif la == _OUT:
-                    n_out += 1
-                elif la == _UNDEC:
-                    n_undec += 1
-                else:
-                    n_unknown += 1
-                    unknown = a
-            if n_in > 0 and not assign(y, _OUT):
+            atk = self.attackers[y]
+            seen = {doms[a] for a in atk}  # the distinct attacker domains
+            union, common = 0, _IN | _OUT | _UNDEC
+            for d in seen:
+                union |= d
+                common &= d
+            allowed = 0
+            if common & _OUT:  # every attacker can be out
+                allowed |= _IN
+            if union & _IN:  # some attacker can be in
+                allowed |= _OUT
+            if _IN not in seen and union & _UNDEC:  # none is in, some can be undecided
+                allowed |= _UNDEC
+            if not narrow(y, allowed):
                 return False
-            if n_in == 0 and n_undec == 0 and n_unknown == 0 and not assign(y, _IN):
-                return False
-            ly = labels[y]
-            if ly == _IN:
-                for a in self.attackers[y]:
-                    if not assign(a, _OUT):
+            dy = doms[y]
+            # Narrow the attackers, skipping rules that ``seen`` shows to hold.
+            if dy == _IN:  # every attacker out
+                if union != _OUT and not all(narrow(a, _OUT) for a in atk):
+                    return False
+            elif dy == _OUT:  # some attacker in
+                if _IN not in seen:
+                    can_in = [a for a in atk if doms[a] & _IN]
+                    if len(can_in) == 1 and not narrow(can_in[0], _IN):
                         return False
-            elif ly == _OUT:
-                if n_in == 0:
-                    if n_unknown == 0:
+            else:
+                if not dy & _OUT:  # no attacker in
+                    if union & _IN and not all(narrow(a, _OUT | _UNDEC) for a in atk):
                         return False
-                    if n_unknown == 1 and not assign(unknown, _IN):
-                        return False
-            elif ly == _UNDEC:
-                if n_undec == 0:
-                    if n_unknown == 0:
-                        return False
-                    if n_unknown == 1 and not assign(unknown, _UNDEC):
+                if not dy & _IN and common & _OUT:  # some attacker not out
+                    not_out = [a for a in atk if doms[a] != _OUT]
+                    if len(not_out) == 1 and not narrow(not_out[0], _IN | _UNDEC):
                         return False
         return True
 
-    def _verify(self, labels: list[int]) -> bool:
+    def _verify(self, doms: list[int]) -> bool:
         for y in range(self.n):
-            atk = [labels[a] for a in self.attackers[y]]
-            ly = labels[y]
+            atk = [doms[a] for a in self.attackers[y]]
+            ly = doms[y]
             if ly == _IN and not all(la == _OUT for la in atk):
                 return False
             if ly == _OUT and not any(la == _IN for la in atk):
@@ -176,19 +176,14 @@ def _check_bound(af: AF, max_nodes: int):
 def complete_extensions(af: AF, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:
     """All admissible sets that contain exactly the nodes they defend."""
     _check_bound(af, max_nodes)
-    return _LabellingSearch(af).run()
+    return _DomainSearch(af).run(_IN | _OUT | _UNDEC)
 
 
 def stable_extensions(af: AF, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:
-    """Complete extensions that attack every node outside themselves."""
-    out = []
-    for ext in complete_extensions(af, max_nodes):
-        attacked = set()
-        for m in ext:
-            attacked |= af.targets[m]
-        if af.nodes - ext <= attacked:
-            out.append(ext)
-    return out
+    """Complete extensions that attack every node outside themselves, i.e.
+    complete labellings with no undecided node."""
+    _check_bound(af, max_nodes)
+    return _DomainSearch(af).run(_IN | _OUT)
 
 
 def preferred_extensions(af: AF, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:

@@ -1,9 +1,18 @@
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from jsbaf import AF, JSBAF, SourceDocument, base, construct_arguments, parse_system
+from jsbaf import (
+    AF,
+    JSBAF,
+    SourceDocument,
+    base,
+    complete_extensions,
+    construct_arguments,
+    parse_system,
+)
 
 TANDEM_PATH = Path(__file__).resolve().parents[1] / "demos" / "tandem.rules"
 
@@ -53,3 +62,48 @@ def random_af(seed: int, max_nodes: int, attack_prob: float) -> AF:
     nodes = [base(f"n{i}") for i in range(1, n + 1)]
     attacks = {(a, b) for a in nodes for b in nodes if rng.random() < attack_prob}
     return AF(frozenset(nodes), frozenset(attacks))
+
+
+def tandem_rules(n: int, k: int) -> str:
+    """The paper's tandem example generalised to n riders and k seats.
+
+    Rider i wants to ride (``w_i``) and so presumably rides (``w_i => r_i``);
+    whenever a k-subset of riders rides, every other rider does not.
+    tandem(3, 2) is ``demos/tandem.rules`` up to renaming.
+    """
+    riders = range(1, n + 1)
+    lines = ["atoms " + " ".join([f"w{i}" for i in riders] + [f"r{i}" for i in riders])]
+    lines += [f"strict a{i}: -> w{i}" for i in riders]
+    count = 0
+    for seated in itertools.combinations(riders, k):
+        body = ", ".join(f"r{i}" for i in seated)
+        for x in riders:
+            if x not in seated:
+                count += 1
+                lines.append(f"strict c{count}: {body} -> ~r{x}")
+    lines += [f"defeasible d{i}: w{i} => r{i}" for i in riders]
+    return "\n".join(lines) + "\n"
+
+
+def assert_sound_extensions(af: AF, semantics: str, extensions_list) -> None:
+    """Polynomial self-check of extensions returned by the engine.
+
+    Complete (and grounded, preferred, stable) extensions must be
+    conflict-free, defend each member and contain every node they defend;
+    stable ones must attack every outsider; preferred ones must have no
+    strict superset among the complete extensions.
+    """
+    complete = None
+    for ext in extensions_list:
+        attacked = set()
+        for m in ext:
+            attacked |= af.targets[m]
+        defended = {x for x in af.nodes if af.attackers[x] <= attacked}
+        assert not ext & attacked, f"{semantics}: not conflict-free"
+        assert ext == defended, f"{semantics}: defends {sorted(map(str, defended ^ ext))} wrongly"
+        if semantics == "stable":
+            assert af.nodes - ext <= attacked, "stable: an outsider is not attacked"
+        if semantics == "preferred":
+            if complete is None:
+                complete = complete_extensions(af, max_nodes=len(af.nodes))
+            assert not any(ext < other for other in complete), "preferred: not maximal"

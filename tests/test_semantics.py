@@ -6,12 +6,17 @@ from jsbaf import (
     AF,
     SEMANTICS,
     SearchLimitExceededError,
+    SourceDocument,
+    SystemParams,
     base,
     brute_force_extensions,
     build_aspic_minus_af,
     build_da_jsbaf,
     complete_extensions,
+    conclusion_sets,
+    construct_arguments,
     defends,
+    evaluate_postulates,
     extensions,
     flattened_af,
     grounded_extension,
@@ -19,10 +24,20 @@ from jsbaf import (
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,
+    parse_system,
     preferred_extensions,
+    random_system,
     stable_extensions,
+    strict_argument_nodes,
 )
-from conftest import labelled_extensions, node_labels, random_af
+from jsbaf.oracle import ORACLE_NODE_CAP
+from conftest import (
+    assert_sound_extensions,
+    labelled_extensions,
+    node_labels,
+    random_af,
+    tandem_rules,
+)
 
 
 def chain(*labels):
@@ -145,8 +160,9 @@ class TestSearchLimit:
         af = random_af(5, 12, 0.2)
         with pytest.raises(SearchLimitExceededError):
             complete_extensions(af, max_nodes=3)
-        with pytest.raises(SearchLimitExceededError):
-            extensions(af, "grounded", max_nodes=3)
+        for sem in SEMANTICS:
+            with pytest.raises(SearchLimitExceededError):
+                extensions(af, sem, max_nodes=3)
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
@@ -206,6 +222,14 @@ class TestOracleAgreementAndInclusions:
         for sem in SEMANTICS:
             assert extensions(af, sem) == brute_force_extensions(af, sem), sem
 
+    @pytest.mark.parametrize("density", [0.1, 0.25, 0.4])
+    @pytest.mark.parametrize("seed", range(25))
+    def test_engine_matches_brute_force_up_to_12_nodes(self, seed, density):
+        # random_af draws self-attacks too, at the same density
+        af = random_af(2000 + seed, 12, density)
+        for sem in SEMANTICS:
+            assert extensions(af, sem) == brute_force_extensions(af, sem), sem
+
     @pytest.mark.parametrize("seed", range(40))
     def test_semantics_inclusions(self, seed):
         af = random_af(1000 + seed, 9, 0.25)
@@ -217,3 +241,78 @@ class TestOracleAgreementAndInclusions:
         assert grounded in complete
         assert set(preferred) <= set(complete)
         assert set(stable) <= set(preferred)
+
+
+def _deductive_flattening(system):
+    store = construct_arguments(system)
+    j = build_da_jsbaf(system, store=store)
+    return flattened_af(j, shielded=strict_argument_nodes(store))
+
+
+def _stable_by_filter(af, complete):
+    out = []
+    for ext in complete:
+        attacked = set()
+        for m in ext:
+            attacked |= af.targets[m]
+        if af.nodes - ext <= attacked:
+            out.append(ext)
+    return out
+
+
+class TestBeyondOracleCap:
+    """Frameworks too large for ``brute_force_extensions``: every returned
+    extension passes the polynomial self-check, and the stable search agrees
+    with filtering the complete extensions."""
+
+    def test_random_system_flattenings(self):
+        checked = 0
+        for seed in range(40):
+            system = random_system(SystemParams(10, 12, 12), seed).system
+            flat = _deductive_flattening(system)
+            if len(flat.nodes) <= ORACLE_NODE_CAP:
+                continue
+            checked += 1
+            bound = len(flat.nodes)
+            for sem in SEMANTICS:
+                exts = extensions(flat, sem, bound)
+                assert_sound_extensions(flat, sem, exts)
+            complete = complete_extensions(flat, bound)
+            assert stable_extensions(flat, bound) == _stable_by_filter(flat, complete), seed
+        assert checked == 24
+
+
+class TestRegressionInstances:
+    """The two search regression instances: deductive tandem(5, 3) and the
+    seed-38 random system, both far beyond the oracle cap."""
+
+    @staticmethod
+    def _check(system, expected):
+        flat = _deductive_flattening(system)
+        bound = len(flat.nodes)
+        for sem, count in expected.items():
+            exts = extensions(flat, sem, bound)
+            assert_sound_extensions(flat, sem, exts)
+            sets = conclusion_sets(system, sem, "deductive", max_nodes=bound)
+            assert (len(exts), len(sets)) == (count, count), sem
+            for cs in sets:
+                assert evaluate_postulates(system, cs.formulas).all_satisfied, sem
+        return flat
+
+    def test_tandem_5_3(self):
+        """One stable extension per seating of 3 of the 5 riders, C(5, 3) =
+        10, and the grounded one besides for complete.  The preferred report
+        also matches the benchmark's reference digest for this instance,
+        recorded with the earlier three-way labelling search."""
+        system = parse_system(SourceDocument(tandem_rules(5, 3), "tandem-5-3.rules"))
+        flat = self._check(system, {"complete": 11, "stable": 10, "preferred": 10})
+        assert len(flat.nodes) == 100
+
+    def test_seed_38(self):
+        """The counts were first produced by the domain search.  The earlier
+        three-way labelling search did not finish complete search on this
+        system within 25 minutes, so no independent check of them exists;
+        grounded, which does not search, is the exception."""
+        system = random_system(SystemParams(12, 14, 14), 38).system
+        flat = self._check(system, {"grounded": 1, "complete": 6, "stable": 0, "preferred": 2})
+        assert (len(construct_arguments(system).arguments), len(flat.nodes)) == (61, 143)
