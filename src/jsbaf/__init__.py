@@ -65,6 +65,7 @@ from .postulates import (
     MODES,
     POSTULATES,
     ConclusionSet,
+    Evaluation,
     GeneratedSystem,
     JsbafParams,
     ModeComparison,
@@ -76,6 +77,7 @@ from .postulates import (
     check_indirect_consistency,
     compare_modes,
     conclusion_sets,
+    evaluate,
     evaluate_postulates,
     random_jsbaf,
     random_system,

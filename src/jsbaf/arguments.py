@@ -13,11 +13,18 @@ rule, pointwise-equal subs) coincides with object identity.  Canonical ids
 A1, A2, ... are assigned breadth-first by derivation depth, then
 lexicographically by rule id and sub ids, so two runs over the same system
 label every argument identically.
+
+Attacks are found through indexes, not by testing every pair of arguments:
+defeasible sub-arguments by conclusion, undercuttable ones by the name of
+their top rule, and sub-arguments by the arguments containing them.  An
+attacker concluding ``(atom, n)`` looks up only ``(atom, n ± 1)``, so the work
+grows with the number of attack witnesses.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .core import ArgumentationSystem, DefeasibleRule, Formula, Rule, StrictRule, complement
@@ -168,6 +175,8 @@ def construct_arguments(
                     pruned = True
                     continue
                 candidates.append((rule.id, key[1], rule, subs))
+                if len(arguments) + len(candidates) > limits.max_arguments:
+                    raise LimitExceededError(limits.max_arguments)
         if not candidates:
             break
         for _, _, rule, subs in sorted(candidates, key=lambda c: (c[0], c[1])):
@@ -218,36 +227,74 @@ class AttackWitness:
 
 
 def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
-    """All undercut and rebuttal occurrences between stored arguments,
-    ordered deterministically.  Several witnesses may share an
-    (attacker, target) pair; the attack edge counts once."""
+    """All undercut and rebuttal occurrences between stored arguments, in the
+    order of a double loop over ``undercuts`` and ``rebuts_unrestricted``:
+    by attacker, target, kind (undercuts first), then attacked sub-argument.
+    Several witnesses may share an (attacker, target) pair; the attack edge
+    counts once.
+
+    Three indexes replace the pairwise test: defeasible sub-arguments by
+    conclusion ``(atom, negations)``, undercuttable sub-arguments by their
+    name formula, and each sub-argument's super-arguments (itself included).
+    Hits depend only on the attacker's conclusion; each is looked up once.
+    """
+    args, names = store.arguments, store.system.undercut_names
+    rebuttable: dict[tuple[str, int], list[Argument]] = {}
+    undercuttable: dict[tuple[str, int], list[Argument]] = {}
+    supers: dict[Argument, list[Argument]] = {}
+    for arg in args:
+        if arg.def_rule_ids:
+            key = (arg.conclusion.atom, arg.conclusion.negations)
+            rebuttable.setdefault(key, []).append(arg)
+        if isinstance(arg.rule, DefeasibleRule) and arg.rule.id in names:
+            name = names[arg.rule.id]
+            undercuttable.setdefault((name.atom, name.negations), []).append(arg)
+        for sub in arg.sub_arguments:
+            supers.setdefault(sub, []).append(arg)
+
+    hits_by_conclusion: dict[Formula, list[tuple[str, str, str]]] = {}
     out: list[AttackWitness] = []
-    for a in store.arguments:
-        for b in store.arguments:
-            for sub in undercuts(a, b, store.system):
-                out.append(AttackWitness(a.canonical_id, b.canonical_id, "undercut", sub.canonical_id))
-            for sub in rebuts_unrestricted(a, b):
-                out.append(AttackWitness(a.canonical_id, b.canonical_id, "rebut", sub.canonical_id))
+    for a in args:
+        hits = hits_by_conclusion.get(a.conclusion)
+        if hits is None:
+            atom, n = a.conclusion.atom, a.conclusion.negations
+            found = sorted(
+                (b.ordinal, rank, sub.ordinal)
+                for rank, index in enumerate((undercuttable, rebuttable))
+                for key in ((atom, n - 1), (atom, n + 1))
+                for sub in index.get(key, ())
+                for b in supers[sub]
+            )
+            hits = [
+                (args[b].canonical_id, ("undercut", "rebut")[rank], args[on].canonical_id)
+                for b, rank, on in found
+            ]
+            hits_by_conclusion[a.conclusion] = hits
+        out.extend(AttackWitness(a.canonical_id, b, kind, on) for b, kind, on in hits)
     return out
 
 
-def _attack_edges(store: ArgumentStore) -> frozenset[tuple[NodeId, NodeId]]:
-    return frozenset(
-        (base(w.attacker), base(w.target)) for w in attack_witnesses(store)
-    )
+def _attack_edges(
+    store: ArgumentStore, witnesses: Sequence[AttackWitness] | None
+) -> frozenset[tuple[NodeId, NodeId]]:
+    if witnesses is None:
+        witnesses = attack_witnesses(store)
+    return frozenset((base(w.attacker), base(w.target)) for w in witnesses)
 
 
 def build_aspic_minus_af(
     system: ArgumentationSystem,
     limits: EnumerationLimits = EnumerationLimits(),
     store: ArgumentStore | None = None,
+    witnesses: Sequence[AttackWitness] | None = None,
 ) -> AF:
     """The AF whose nodes are all arguments of ``system`` and whose edges
-    are exactly the undercut and unrestricted-rebuttal pairs."""
+    are exactly the undercut and unrestricted-rebuttal pairs.  ``store`` and
+    ``witnesses``, when given, must be those of ``system``."""
     if store is None:
         store = construct_arguments(system, limits)
     nodes = frozenset(base(arg.canonical_id) for arg in store.arguments)
-    return AF(nodes, _attack_edges(store))
+    return AF(nodes, _attack_edges(store, witnesses))
 
 
 def support_pairs(store: ArgumentStore) -> frozenset[tuple[frozenset[NodeId], NodeId]]:
@@ -264,13 +311,14 @@ def build_da_jsbaf(
     system: ArgumentationSystem,
     limits: EnumerationLimits = EnumerationLimits(),
     store: ArgumentStore | None = None,
+    witnesses: Sequence[AttackWitness] | None = None,
 ) -> JSBAF:
     """Same nodes and attacks as ``build_aspic_minus_af``, plus the joint
     support of every strict-top argument by its immediate sub-arguments."""
     if store is None:
         store = construct_arguments(system, limits)
     nodes = frozenset(base(arg.canonical_id) for arg in store.arguments)
-    return JSBAF(nodes, _attack_edges(store), support_pairs(store))
+    return JSBAF(nodes, _attack_edges(store, witnesses), support_pairs(store))
 
 
 def strict_argument_nodes(store: ArgumentStore) -> frozenset[NodeId]:

@@ -7,15 +7,10 @@ Exit codes: 0 success, 1 postulate violation (or oracle mismatch) found,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
-from .arguments import (
-    EnumerationLimits,
-    build_aspic_minus_af,
-    build_da_jsbaf,
-    construct_arguments,
-    strict_argument_nodes,
-)
+from .arguments import EnumerationLimits, construct_arguments
 from .core import ArgumentationSystem, is_consistent
 from .dsl import SourceDocument, parse_system, print_system
 from .errors import (
@@ -29,9 +24,9 @@ from .errors import (
 )
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
-from .postulates import MODES, POSTULATES, SystemParams, compare_modes, random_system
+from .postulates import MODES, POSTULATES, SystemParams, compare_modes, evaluate, random_system
 from .reporting import build_report, emit_apx, emit_dot, emit_report, limit_error_report
-from .semantics import DEFAULT_NODE_BOUND, SEMANTICS, extensions, flattened_af
+from .semantics import DEFAULT_NODE_BOUND, SEMANTICS, flattened_af
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -61,7 +56,9 @@ def _add_common(parser: argparse.ArgumentParser, with_semantics: bool = True):
     parser.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BOUND)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="jsbaf",
         description="Structured argumentation solver with deductive joint support.",
@@ -143,19 +140,18 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    system = _load_system(args)
-    limits = EnumerationLimits(args.max_arguments)
-    store = construct_arguments(system, limits)
-    j = build_da_jsbaf(system, limits, store=store)
-    shield = strict_argument_nodes(store)
+    ev = evaluate(
+        _load_system(args), None, "deductive", EnumerationLimits(args.max_arguments),
+        require_consistent=False,
+    )
     if args.stage == "one-step":
-        framework = flatten_one_step(j, shield)
+        framework = flatten_one_step(ev.framework, ev.shielded)
         if args.emit == "apx":
             raise ValidationError("APX cannot represent joint attacks; use --emit dot")
     elif args.stage == "two-step":
-        framework = flatten_joint_attacks(flatten_one_step(j, shield))
+        framework = flatten_joint_attacks(flatten_one_step(ev.framework, ev.shielded))
     else:
-        framework = flattened_af(j, args.flatten, shielded=shield)
+        framework = flattened_af(ev.framework, args.flatten, shielded=ev.shielded)
     sys.stdout.write(emit_dot(framework) if args.emit == "dot" else emit_apx(framework))
     return EXIT_OK
 
@@ -211,23 +207,18 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    system = _load_system(args)
-    limits = EnumerationLimits(args.max_arguments)
-    store = construct_arguments(system, limits)
-    if args.mode == "aspic-minus":
-        af = build_aspic_minus_af(system, limits, store=store)
-    else:
-        af = flattened_af(
-            build_da_jsbaf(system, limits, store=store),
-            args.flatten,
-            shielded=strict_argument_nodes(store),
+    try:
+        ev = evaluate(
+            _load_system(args), args.semantics, args.mode,
+            EnumerationLimits(args.max_arguments), args.flatten,
+            max_nodes=args.oracle_cap, require_consistent=False,
         )
-    if len(af.nodes) > args.oracle_cap:
+    except SearchLimitExceededError as exc:
         raise ValidationError(
-            f"framework has {len(af.nodes)} nodes, above --oracle-cap {args.oracle_cap}"
-        )
-    engine = extensions(af, args.semantics, max_nodes=max(args.max_nodes, len(af.nodes)))
-    brute = brute_force_extensions(af, args.semantics)
+            f"framework has {exc.nodes} nodes, above --oracle-cap {args.oracle_cap}"
+        ) from exc
+    engine = list(ev.raw_extensions)
+    brute = brute_force_extensions(ev.framework if ev.flat is None else ev.flat, args.semantics)
     if engine == brute:
         sys.stdout.write(f"{args.semantics}: OK ({len(engine)} extensions agree)\n")
         return EXIT_OK

@@ -1,4 +1,8 @@
-"""Conclusion sets, rationality postulates, mode comparison, generators.
+"""The evaluation pass, conclusion sets, rationality postulates, mode
+comparison, generators.
+
+``evaluate`` runs each stage of the pipeline once; reports, conclusion sets
+and mode comparisons all read the ``Evaluation`` it returns.
 
 A conclusion set collects the conclusions of one extension's arguments.  The
 three postulates are properties of such sets: closure under the strict
@@ -17,7 +21,10 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .arguments import (
+    ArgumentStore,
+    AttackWitness,
     EnumerationLimits,
+    attack_witnesses,
     build_aspic_minus_af,
     build_da_jsbaf,
     construct_arguments,
@@ -33,8 +40,8 @@ from .core import (
     strict_closure,
 )
 from .errors import GenerationFailedError, InconsistentSystemError
-from .frameworks import JSBAF, base
-from .semantics import DEFAULT_NODE_BOUND, extensions, jsbaf_extensions
+from .frameworks import AF, JSBAF, NodeId, base, project
+from .semantics import DEFAULT_NODE_BOUND, canonical_extension_order, extensions, flattened_af
 
 MODES = ("aspic-minus", "deductive")
 POSTULATES = ("closure", "direct_consistency", "indirect_consistency")
@@ -111,6 +118,73 @@ def evaluate_postulates(
     )
 
 
+@dataclass(frozen=True)
+class Evaluation:
+    """The result of every stage of one run, each computed once."""
+
+    consistent: bool
+    store: ArgumentStore
+    witnesses: tuple[AttackWitness, ...]
+    framework: AF | JSBAF  # the AF in aspic-minus mode, the JSBAF in deductive mode
+    shielded: frozenset[NodeId]  # strict arguments, in deductive mode
+    flat: AF | None  # the flattened JSBAF, in deductive mode
+    raw_extensions: tuple[frozenset[NodeId], ...]  # of ``flat``, else of ``framework``
+    extensions: tuple[frozenset[NodeId], ...]  # projected onto the arguments
+    conclusion_sets: tuple[ConclusionSet, ...]
+    postulates: tuple[PostulateReport, ...]  # one per conclusion set
+
+
+def evaluate(
+    system: ArgumentationSystem,
+    semantics: str | None,
+    mode: str,
+    limits: EnumerationLimits = EnumerationLimits(),
+    flatten_mode: str = "literal",
+    max_nodes: int = DEFAULT_NODE_BOUND,
+    require_consistent: bool = True,
+) -> Evaluation:
+    """Run each stage once under the requested mode.
+
+    ``aspic-minus`` runs the semantics on the plain attack framework;
+    ``deductive`` runs it on the flattened joint-support framework and
+    projects the extensions back onto the arguments.  With ``semantics``
+    None the run stops after building the framework: nothing is flattened
+    or searched, and every later field is empty.
+    """
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    consistent = is_consistent(system)
+    if require_consistent and not consistent:
+        raise InconsistentSystemError(
+            find_complement_pair(strict_closure((), system.strict_rules))
+        )
+    store = construct_arguments(system, limits)
+    witnesses = tuple(attack_witnesses(store))
+    shielded: frozenset[NodeId] = frozenset()
+    if mode == "aspic-minus":
+        framework = build_aspic_minus_af(system, limits, store, witnesses)
+    else:
+        framework = build_da_jsbaf(system, limits, store, witnesses)
+        shielded = strict_argument_nodes(store)
+    flat, raw, exts = None, [], []
+    if semantics is not None and mode == "aspic-minus":
+        raw = exts = extensions(framework, semantics, max_nodes)
+    elif semantics is not None:
+        flat = flattened_af(framework, flatten_mode, shielded)
+        raw = extensions(flat, semantics, max_nodes)
+        exts = canonical_extension_order(project(ext, framework.nodes) for ext in raw)
+    sets = []
+    for ext in exts:
+        ids = tuple(sorted((n.label for n in ext), key=lambda i: int(i[1:])))
+        formulas = frozenset(store.by_id(i).conclusion for i in ids)
+        sets.append(ConclusionSet(formulas, ids, mode, semantics))
+    verdicts = tuple(evaluate_postulates(system, cs.formulas) for cs in sets)
+    return Evaluation(
+        consistent, store, witnesses, framework, shielded, flat, tuple(raw), tuple(exts),
+        tuple(sets), verdicts,
+    )
+
+
 def conclusion_sets(
     system: ArgumentationSystem,
     semantics: str,
@@ -120,39 +194,13 @@ def conclusion_sets(
     max_nodes: int = DEFAULT_NODE_BOUND,
     require_consistent: bool = True,
 ) -> list[ConclusionSet]:
-    """One conclusion set per extension under the requested mode.
-
-    ``aspic-minus`` runs the semantics on the plain attack framework;
-    ``deductive`` runs it on the flattened joint-support framework and uses
-    the projected extensions.
-    """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if require_consistent and not is_consistent(system):
-        raise InconsistentSystemError(
-            find_complement_pair(strict_closure((), system.strict_rules))
-        )
-    store = construct_arguments(system, limits)
-    if mode == "aspic-minus":
-        af = build_aspic_minus_af(system, limits, store=store)
-        exts = extensions(af, semantics, max_nodes)
-    else:
-        j = build_da_jsbaf(system, limits, store=store)
-        exts = jsbaf_extensions(
-            j, semantics, flatten_mode, max_nodes, shielded=strict_argument_nodes(store)
-        )
-    out = []
-    for ext in exts:
-        ids = sorted((n.label for n in ext), key=lambda i: int(i[1:]))
-        out.append(
-            ConclusionSet(
-                formulas=frozenset(store.by_id(i).conclusion for i in ids),
-                extension=tuple(ids),
-                mode=mode,
-                semantics=semantics,
-            )
-        )
-    return out
+    """One conclusion set per extension under the requested mode (see
+    ``evaluate``)."""
+    return list(
+        evaluate(
+            system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
+        ).conclusion_sets
+    )
 
 
 @dataclass(frozen=True)
@@ -175,10 +223,10 @@ def compare_modes(
 ) -> ModeComparison:
     evaluated = {}
     for mode in MODES:
-        sets = conclusion_sets(
+        ev = evaluate(
             system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
         )
-        evaluated[mode] = tuple((cs, evaluate_postulates(system, cs.formulas)) for cs in sets)
+        evaluated[mode] = tuple(zip(ev.conclusion_sets, ev.postulates))
     summary = {
         postulate: {
             mode: all(getattr(report, postulate).satisfied for _, report in evaluated[mode])

@@ -10,27 +10,11 @@ import json
 import re
 from typing import Iterable
 
-from .arguments import (
-    EnumerationLimits,
-    attack_witnesses,
-    build_aspic_minus_af,
-    build_da_jsbaf,
-    construct_arguments,
-    strict_argument_nodes,
-)
-from .core import ArgumentationSystem, StrictRule, find_complement_pair, is_consistent, strict_closure
-from .errors import InconsistentSystemError
+from .arguments import EnumerationLimits
+from .core import ArgumentationSystem, StrictRule
 from .frameworks import AF, JSBAF, HigherLevelAF, NodeId, is_meta, sort_nodes
-from .postulates import (
-    MODES,
-    POSTULATES,
-    PostulateReport,
-    Verdict,
-    conclusion_sets,
-    evaluate_postulates,
-)
-from .semantics import DEFAULT_NODE_BOUND, extensions, flattened_af, project
-
+from .postulates import POSTULATES, PostulateReport, Verdict, evaluate
+from .semantics import DEFAULT_NODE_BOUND
 
 def _formula_list(formulas) -> list[str]:
     return sorted(str(f) for f in formulas)
@@ -80,14 +64,9 @@ def build_report(
 ) -> dict:
     """Full evaluation of one (system, semantics, mode) run as a plain dict
     ready for canonical serialisation."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    consistent = is_consistent(system)
-    if require_consistent and not consistent:
-        raise InconsistentSystemError(
-            find_complement_pair(strict_closure((), system.strict_rules))
-        )
-    store = construct_arguments(system, limits)
+    ev = evaluate(
+        system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
+    )
     report: dict = {
         "input": {
             "source": source,
@@ -95,7 +74,7 @@ def build_report(
             "strict_rules": len(system.strict_rules),
             "defeasible_rules": len(system.defeasible_rules),
             "undercut_names": len(system.undercut_names),
-            "consistent": consistent,
+            "consistent": ev.consistent,
         },
         "settings": {
             "semantics": semantics,
@@ -114,63 +93,37 @@ def build_report(
                 "form": arg.form,
                 "structure": arg.structure,
             }
-            for arg in store.arguments
+            for arg in ev.store.arguments
         ],
         "enumeration": {
-            "count": len(store),
-            "acyclicity_pruned": store.acyclicity_pruned,
+            "count": len(ev.store),
+            "acyclicity_pruned": ev.store.acyclicity_pruned,
         },
         "status": "ok",
+        "framework": {
+            "attacks": _edge_list(ev.framework.attacks),
+            "attack_witnesses": [
+                {"attacker": w.attacker, "target": w.target, "kind": w.kind, "on": w.on}
+                for w in ev.witnesses
+            ],
+        },
     }
-
-    if mode == "aspic-minus":
-        af = build_aspic_minus_af(system, limits, store=store)
-        report["framework"] = {
-            "attacks": _edge_list(af.attacks),
-            "attack_witnesses": [
-                {"attacker": w.attacker, "target": w.target, "kind": w.kind, "on": w.on}
-                for w in attack_witnesses(store)
-            ],
-        }
-        exts = extensions(af, semantics, max_nodes)
-    else:
-        j = build_da_jsbaf(system, limits, store=store)
-        report["framework"] = {
-            "attacks": _edge_list(j.attacks),
-            "attack_witnesses": [
-                {"attacker": w.attacker, "target": w.target, "kind": w.kind, "on": w.on}
-                for w in attack_witnesses(store)
-            ],
-            "supports": _support_list(j.supports),
-        }
-        flat = flattened_af(j, flatten_mode, shielded=strict_argument_nodes(store))
-        flat_exts = extensions(flat, semantics, max_nodes)
+    if mode == "deductive":
+        report["framework"]["supports"] = _support_list(ev.framework.supports)
         report["flattened"] = {
             "mode": flatten_mode,
-            "nodes": _node_list(flat.nodes),
-            "attacks": _edge_list(flat.attacks),
-            "extensions": sorted(_node_list(e) for e in flat_exts),
+            "nodes": _node_list(ev.flat.nodes),
+            "attacks": _edge_list(ev.flat.attacks),
+            "extensions": sorted(_node_list(e) for e in ev.raw_extensions),
         }
-        seen = set()
-        exts = []
-        for ext in flat_exts:
-            projected = project(ext, j.nodes)
-            if projected not in seen:
-                seen.add(projected)
-                exts.append(projected)
-
-    report["extensions"] = sorted(_node_list(e) for e in exts)
-
-    sets = conclusion_sets(
-        system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
-    )
+    report["extensions"] = sorted(_node_list(e) for e in ev.extensions)
     report["conclusion_sets"] = [
         {
             "extension": list(cs.extension),
             "conclusions": _formula_list(cs.formulas),
-            "postulates": _postulates_json(evaluate_postulates(system, cs.formulas)),
+            "postulates": _postulates_json(verdicts),
         }
-        for cs in sets
+        for cs, verdicts in zip(ev.conclusion_sets, ev.postulates)
     ]
     report["postulate_summary"] = {
         name: (
@@ -180,7 +133,7 @@ def build_report(
         )
         for name in POSTULATES
     }
-    report["postulates_in_scope"] = consistent
+    report["postulates_in_scope"] = ev.consistent
     return report
 
 

@@ -85,6 +85,16 @@ def tandem_rules(n: int, k: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def wide_join_rules(width: int = 30) -> str:
+    """A strict rule ``x, y, z, u -> w`` over four literals with ``width``
+    arguments each, so the next enumeration depth has ``width ** 4``
+    candidates (810k at the default width)."""
+    lines = [f"strict a{i}: -> a{i}" for i in range(1, width + 1)]
+    lines += [f"strict {v}{i}: a{i} -> {v}" for v in "xyzu" for i in range(1, width + 1)]
+    lines.append("strict join: x, y, z, u -> w")
+    return "\n".join(lines) + "\n"
+
+
 def assert_sound_extensions(af: AF, semantics: str, extensions_list) -> None:
     """Polynomial self-check of extensions returned by the engine.
 

@@ -4,18 +4,26 @@ import pytest
 
 from jsbaf import (
     ArgumentationSystem,
+    AttackWitness,
     EnumerationLimits,
     LimitExceededError,
+    SourceDocument,
+    SystemParams,
     atom,
+    attack_witnesses,
     build_aspic_minus_af,
     build_da_jsbaf,
     construct_arguments,
     defeasible_rule,
     neg,
+    parse_system,
+    random_system,
     rebuts_unrestricted,
     strict_rule,
     undercuts,
 )
+
+from conftest import tandem_rules, wide_join_rules
 
 TANDEM_FORMS = [
     "A1: -> hw",
@@ -91,6 +99,14 @@ class TestEnumeration:
         with pytest.raises(LimitExceededError):
             construct_arguments(ArgumentationSystem(tuple(rules), ()), EnumerationLimits(3))
 
+    def test_limit_stops_before_building_every_candidate(self):
+        # 150 arguments, then 810k candidates at the next depth; the cap is
+        # reached after the first 96 of them
+        system = parse_system(SourceDocument(wide_join_rules(), "wide-join"))
+        with pytest.raises(LimitExceededError) as info:
+            construct_arguments(system, EnumerationLimits(245))
+        assert info.value.limit == 245
+
     def test_defeasibility_is_inherited(self, tandem_store):
         by_id = {a.canonical_id: a for a in tandem_store.arguments}
         assert not by_id["A1"].defeasible
@@ -145,6 +161,64 @@ class TestRebuttal:
         store = construct_arguments(system)
         by_conc = {str(a.conclusion): a for a in store.arguments}
         assert rebuts_unrestricted(by_conc["~hw"], by_conc["hw"]) == ()
+
+
+def pairwise_witnesses(store):
+    """The definition of ``attack_witnesses``: a double loop over every
+    (attacker, target) pair."""
+    out = []
+    for a in store.arguments:
+        for b in store.arguments:
+            for sub in undercuts(a, b, store.system):
+                out.append(AttackWitness(a.canonical_id, b.canonical_id, "undercut", sub.canonical_id))
+            for sub in rebuts_unrestricted(a, b):
+                out.append(AttackWitness(a.canonical_id, b.canonical_id, "rebut", sub.canonical_id))
+    return out
+
+
+NESTED_NEGATIONS = """
+strict s1: -> p
+strict s2: ~~q -> ~r
+defeasible d1: p => ~q
+defeasible d2: p => ~~q
+defeasible d3: ~~q => ~~~q
+defeasible d4: p => q
+defeasible d5: p => r
+defeasible d6: p => ~~~n
+defeasible d7: q => ~n
+defeasible d8: ~r => ~~n
+name d2 = ~~n
+name d5 = n
+"""
+
+
+class TestIndexedAttackWitnesses:
+    """``attack_witnesses`` finds its witnesses through indexes; it must
+    list exactly the pairwise definition's witnesses, in the same order."""
+
+    def test_tandem(self, tandem_store):
+        assert attack_witnesses(tandem_store) == pairwise_witnesses(tandem_store)
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+    def test_generalised_tandem(self, n, k):
+        store = construct_arguments(parse_system(SourceDocument(tandem_rules(n, k), "tandem")))
+        assert attack_witnesses(store) == pairwise_witnesses(store)
+
+    def test_nested_negations(self):
+        store = construct_arguments(parse_system(SourceDocument(NESTED_NEGATIONS, "nested")))
+        witnesses = attack_witnesses(store)
+        assert witnesses == pairwise_witnesses(store)
+        assert {w.kind for w in witnesses} == {"undercut", "rebut"}
+
+    def test_random_systems_with_undercuts(self):
+        params = SystemParams(n_atoms=4, n_strict=6, n_defeasible=8, undercut_density=0.6)
+        kinds = set()
+        for seed in range(100):
+            store = construct_arguments(random_system(params, seed).system)
+            witnesses = attack_witnesses(store)
+            assert witnesses == pairwise_witnesses(store), f"seed {seed}"
+            kinds |= {w.kind for w in witnesses}
+        assert kinds == {"undercut", "rebut"}
 
 
 class TestFrameworkConstruction:

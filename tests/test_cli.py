@@ -4,7 +4,7 @@ import json
 
 from jsbaf.cli import main
 
-from conftest import TANDEM_PATH
+from conftest import TANDEM_PATH, wide_join_rules
 
 
 def run_cli(capsys, *argv):
@@ -47,6 +47,20 @@ class TestEval:
         )
         assert code == 3
         assert json.loads(out)["status"] == "limit-exceeded"
+
+    def test_argument_cap_refuses_a_wide_join(self, capsys, tmp_path):
+        rules = tmp_path / "wide.rules"
+        rules.write_text(wide_join_rules())
+        code, out, _ = run_cli(
+            capsys, "eval", "--file", str(rules), "--max-arguments", "245",
+        )
+        report = json.loads(out)
+        assert code == 3 and report["status"] == "limit-exceeded"
+        assert report["error"] == {
+            "type": "LimitExceededError",
+            "message": "argument store would exceed max_arguments=245",
+            "limit": 245,
+        }
 
     def test_search_bound_exceeded(self, capsys):
         code, out, _ = run_cli(

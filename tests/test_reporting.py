@@ -1,19 +1,30 @@
 """Report assembly, DOT, and APX emission."""
 
+import collections
+import importlib
 import json
+import sys
+
+import pytest
 
 from jsbaf import (
     AF,
+    MODES,
+    SEMANTICS,
     LimitExceededError,
     base,
     build_da_jsbaf,
     build_report,
+    conclusion_sets,
     emit_apx,
     emit_dot,
     emit_report,
     flatten_simplified,
 )
+from jsbaf.cli import main
 from jsbaf.reporting import limit_error_report
+
+from conftest import TANDEM_PATH
 
 
 class TestApx:
@@ -134,3 +145,61 @@ class TestReports:
         assert len(flat["nodes"]) == 18
         assert len(flat["extensions"]) == 3
         assert report["enumeration"] == {"count": 9, "acyclicity_pruned": False}
+
+
+STAGES = {
+    "core": ("is_consistent",),
+    "arguments": ("construct_arguments", "attack_witnesses"),
+    "semantics": ("flattened_af", "extensions"),
+}
+
+
+@pytest.fixture
+def stage_calls(monkeypatch):
+    """Counts the calls of each stage function, through every name a
+    ``jsbaf`` module binds it to."""
+    counts = collections.Counter()
+    holders = [m for n, m in sys.modules.items() if n == "jsbaf" or n.startswith("jsbaf.")]
+    for module_name, names in STAGES.items():
+        module = importlib.import_module(f"jsbaf.{module_name}")
+        for name in names:
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for holder in holders:
+                for attr, value in list(vars(holder).items()):
+                    if value is original:
+                        monkeypatch.setattr(holder, attr, counted)
+    return counts
+
+
+class TestOneEvaluationPass:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eval_runs_each_stage_once(self, stage_calls, capsys, mode):
+        code = main(["eval", "--file", str(TANDEM_PATH), "--mode", mode])
+        assert code in (0, 1) and json.loads(capsys.readouterr().out)["status"] == "ok"
+        assert stage_calls == {
+            "is_consistent": 1,
+            "construct_arguments": 1,
+            "attack_witnesses": 1,
+            "extensions": 1,
+            **({"flattened_af": 1} if mode == "deductive" else {}),
+        }
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_agrees_with_conclusion_sets(self, tandem_system, capsys, mode, semantics):
+        main(["eval", "--file", str(TANDEM_PATH), "--mode", mode, "--semantics", semantics])
+        report = json.loads(capsys.readouterr().out)
+        expected = [
+            {"extension": list(cs.extension), "conclusions": sorted(map(str, cs.formulas))}
+            for cs in conclusion_sets(tandem_system, semantics, mode)
+        ]
+        got = [
+            {"extension": e["extension"], "conclusions": e["conclusions"]}
+            for e in report["conclusion_sets"]
+        ]
+        assert got == expected
