@@ -17,8 +17,8 @@ from jsbaf import (
     build_aspic_minus_af,
     build_da_jsbaf,
     compare_modes,
-    conclusion_sets,
     construct_arguments,
+    evaluate,
     evaluate_postulates,
     extensions,
     flattened_af,
@@ -50,7 +50,7 @@ def main():
 
     show_extensions("Preferred extensions, attacks only:", extensions(af, "preferred"))
     print("The first one accepts A4, A5 and A6 together: everyone rides.")
-    for cs in conclusion_sets(system, "preferred", "aspic-minus"):
+    for cs in evaluate(system, "preferred", "aspic-minus").conclusion_sets:
         report = evaluate_postulates(system, cs.formulas)
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         verdict = "closed" if report.closure.satisfied else "NOT closed under the strict rules"
@@ -70,7 +70,7 @@ def main():
     )
 
     print("\nConclusion sets with deductive joint support (preferred):")
-    for cs in conclusion_sets(system, "preferred", "deductive"):
+    for cs in evaluate(system, "preferred", "deductive").conclusion_sets:
         report = evaluate_postulates(system, cs.formulas)
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         assert report.all_satisfied

@@ -13,7 +13,7 @@ from jsbaf import (
     SEMANTICS,
     base,
     brute_force_extensions,
-    conclusion_sets,
+    evaluate,
     evaluate_postulates,
     extensions,
     is_conflict_free_jsbaf,
@@ -49,7 +49,7 @@ def main():
     for seed in range(100):
         j = random_jsbaf(params, seed)
         for semantics in SEMANTICS:
-            for ext in jsbaf_extensions(j, semantics, max_nodes=99):
+            for ext in jsbaf_extensions(j, semantics):
                 assert is_deductive_extension(j, ext)[0]
                 assert is_conflict_free_jsbaf(j, ext)[0]
     print("   zero violations")
@@ -59,7 +59,8 @@ def main():
     for seed in range(100):
         generated = random_system(sys_params, seed)
         for semantics in SEMANTICS:
-            for cs in conclusion_sets(generated.system, semantics, "deductive", max_nodes=200):
+            ev = evaluate(generated.system, semantics, "deductive", max_nodes=200)
+            for cs in ev.conclusion_sets:
                 assert evaluate_postulates(generated.system, cs.formulas).all_satisfied
     print("   zero violations")
 

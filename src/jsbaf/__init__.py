@@ -62,6 +62,7 @@ from .frameworks import (
 )
 from .oracle import brute_force_extensions
 from .postulates import (
+    DEFAULT_NODE_BOUND,
     MODES,
     POSTULATES,
     ConclusionSet,
@@ -76,7 +77,6 @@ from .postulates import (
     check_direct_consistency,
     check_indirect_consistency,
     compare_modes,
-    conclusion_sets,
     evaluate,
     evaluate_postulates,
     random_jsbaf,
@@ -84,7 +84,6 @@ from .postulates import (
 )
 from .reporting import build_report, emit_apx, emit_dot, emit_report
 from .semantics import (
-    DEFAULT_NODE_BOUND,
     SEMANTICS,
     complete_extensions,
     defends,

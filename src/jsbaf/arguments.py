@@ -117,7 +117,6 @@ class ArgumentStore:
 
     system: ArgumentationSystem
     arguments: tuple[Argument, ...]
-    limits: EnumerationLimits
     acyclicity_pruned: bool
 
     def by_id(self, canonical_id: str) -> Argument:
@@ -183,7 +182,7 @@ def construct_arguments(
             create(rule, subs)
         depth += 1
 
-    return ArgumentStore(system, tuple(arguments), limits, pruned)
+    return ArgumentStore(system, tuple(arguments), pruned)
 
 
 def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> tuple[Argument, ...]:

@@ -24,9 +24,12 @@ from .errors import (
 )
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
-from .postulates import MODES, POSTULATES, SystemParams, compare_modes, evaluate, random_system
+from .postulates import (
+    DEFAULT_NODE_BOUND, MODES, POSTULATES, SystemParams, compare_modes, evaluate, random_system,
+)
 from .reporting import build_report, emit_apx, emit_dot, emit_report, limit_error_report
-from .semantics import DEFAULT_NODE_BOUND, SEMANTICS, flattened_af
+from .reporting import report_settings
+from .semantics import FLATTEN_MODES, SEMANTICS, flattened_af
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -44,16 +47,23 @@ def _read_source(path: str) -> SourceDocument:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
 
 
-def _add_common(parser: argparse.ArgumentParser, with_semantics: bool = True):
+def _add_common(parser, *, semantics=False, flatten=False, max_nodes=False):
+    """--file and --max-arguments, plus those of the other shared options
+    that the command reads."""
     parser.add_argument("--file", required=True, help="rule file, or - for stdin")
-    if with_semantics:
+    if semantics:
         parser.add_argument("--semantics", choices=SEMANTICS, default="preferred")
-    parser.add_argument(
-        "--flatten", choices=("literal", "prune-inert"), default="literal",
-        help="how empty-source support bars are treated after flattening",
-    )
+    if flatten:
+        parser.add_argument(
+            "--flatten", choices=FLATTEN_MODES, default="literal",
+            help="how empty-source support bars are treated after flattening",
+        )
     parser.add_argument("--max-arguments", type=int, default=5000)
-    parser.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BOUND)
+    if max_nodes:
+        parser.add_argument(
+            "--max-nodes", type=int, default=DEFAULT_NODE_BOUND,
+            help="refuse complete, stable and preferred search above this node count",
+        )
 
 
 @functools.cache
@@ -66,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="compute extensions, conclusions, postulates")
-    _add_common(p_eval)
+    _add_common(p_eval, semantics=True, flatten=True, max_nodes=True)
     p_eval.add_argument("--mode", choices=MODES, default="deductive")
     p_eval.add_argument("--report", choices=("json", "text"), default="json")
     p_eval.add_argument(
@@ -75,15 +85,15 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_flat = sub.add_parser("flatten", help="flatten the joint-support framework of a system")
-    _add_common(p_flat, with_semantics=False)
+    _add_common(p_flat, flatten=True)
     p_flat.add_argument("--stage", choices=("one-step", "two-step", "simplified"), default="simplified")
     p_flat.add_argument("--emit", choices=("dot", "apx"), default="dot")
 
     p_args = sub.add_parser("arguments", help="list the argument store")
-    _add_common(p_args, with_semantics=False)
+    _add_common(p_args)
 
     p_check = sub.add_parser("check-postulates", help="both modes, all four semantics")
-    _add_common(p_check, with_semantics=False)
+    _add_common(p_check, flatten=True, max_nodes=True)
     p_check.add_argument("--allow-inconsistent", action="store_true")
 
     p_rand = sub.add_parser("random", help="emit a seeded random consistent system")
@@ -95,7 +105,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--undercut-density", type=float, default=0.2)
 
     p_oracle = sub.add_parser("oracle", help="cross-check the engine against brute force")
-    _add_common(p_oracle)
+    _add_common(p_oracle, semantics=True, flatten=True)
     p_oracle.add_argument("--mode", choices=MODES, default="deductive")
     p_oracle.add_argument(
         "--oracle-cap", type=int, default=12,
@@ -112,13 +122,6 @@ def _load_system(args) -> ArgumentationSystem:
 def _cmd_eval(args) -> int:
     system = _load_system(args)
     limits = EnumerationLimits(args.max_arguments)
-    settings = {
-        "semantics": args.semantics,
-        "mode": args.mode,
-        "flatten": args.flatten if args.mode == "deductive" else None,
-        "max_arguments": limits.max_arguments,
-        "max_nodes": args.max_nodes,
-    }
     try:
         report = build_report(
             system,
@@ -131,6 +134,7 @@ def _cmd_eval(args) -> int:
             require_consistent=not args.allow_inconsistent,
         )
     except (LimitExceededError, SearchLimitExceededError) as exc:
+        settings = report_settings(args.semantics, args.mode, args.flatten, limits, args.max_nodes)
         sys.stdout.write(emit_report(limit_error_report(args.file, settings, exc), args.report))
         return EXIT_LIMIT
     sys.stdout.write(emit_report(report, args.report))
@@ -207,18 +211,23 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    cap = args.oracle_cap
+    if cap > ORACLE_NODE_CAP:
+        raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")
     try:
         ev = evaluate(
             _load_system(args), args.semantics, args.mode,
             EnumerationLimits(args.max_arguments), args.flatten,
-            max_nodes=args.oracle_cap, require_consistent=False,
+            max_nodes=cap, require_consistent=False,
         )
+        searched = ev.framework if ev.flat is None else ev.flat
+        nodes = len(searched.nodes)
     except SearchLimitExceededError as exc:
-        raise ValidationError(
-            f"framework has {exc.nodes} nodes, above --oracle-cap {args.oracle_cap}"
-        ) from exc
+        nodes = exc.nodes
+    if nodes > cap:  # evaluate never refuses grounded, so it is caught only here
+        raise ValidationError(f"framework has {nodes} nodes, above --oracle-cap {cap}")
     engine = list(ev.raw_extensions)
-    brute = brute_force_extensions(ev.framework if ev.flat is None else ev.flat, args.semantics)
+    brute = brute_force_extensions(searched, args.semantics)
     if engine == brute:
         sys.stdout.write(f"{args.semantics}: OK ({len(engine)} extensions agree)\n")
         return EXIT_OK

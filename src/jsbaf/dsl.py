@@ -183,7 +183,7 @@ def parse_system(source: SourceDocument | str) -> ArgumentationSystem:
     for target, lit in name_decls:
         if target.text in strict_ids:
             raise ValidationError(
-                f"n defined on strict rule {target.text!r}", target.line, target.column
+                f"name defined on strict rule {target.text!r}", target.line, target.column
             )
         if target.text not in defeasible_ids:
             raise ValidationError(

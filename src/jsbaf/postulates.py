@@ -2,7 +2,8 @@
 comparison, generators.
 
 ``evaluate`` runs each stage of the pipeline once; reports, conclusion sets
-and mode comparisons all read the ``Evaluation`` it returns.
+and mode comparisons all read the ``Evaluation`` it returns.  It is also the
+one place that checks the node-count bound on the exponential searches.
 
 A conclusion set collects the conclusions of one extension's arguments.  The
 three postulates are properties of such sets: closure under the strict
@@ -39,12 +40,13 @@ from .core import (
     is_consistent,
     strict_closure,
 )
-from .errors import GenerationFailedError, InconsistentSystemError
+from .errors import GenerationFailedError, InconsistentSystemError, SearchLimitExceededError
 from .frameworks import AF, JSBAF, NodeId, base, project
-from .semantics import DEFAULT_NODE_BOUND, canonical_extension_order, extensions, flattened_af
+from .semantics import SEMANTICS, canonical_extension_order, extensions, flattened_af
 
 MODES = ("aspic-minus", "deductive")
 POSTULATES = ("closure", "direct_consistency", "indirect_consistency")
+DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
 
 
 @dataclass(frozen=True)
@@ -150,9 +152,15 @@ def evaluate(
     projects the extensions back onto the arguments.  With ``semantics``
     None the run stops after building the framework: nothing is flattened
     or searched, and every later field is empty.
+
+    Complete, stable and preferred search is exponential, so it is refused
+    with SearchLimitExceededError on a framework of more than ``max_nodes``
+    nodes; grounded is a polynomial fixpoint and is never refused.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    if semantics not in (None, *SEMANTICS):
+        raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
     consistent = is_consistent(system)
     if require_consistent and not consistent:
         raise InconsistentSystemError(
@@ -167,12 +175,15 @@ def evaluate(
         framework = build_da_jsbaf(system, limits, store, witnesses)
         shielded = strict_argument_nodes(store)
     flat, raw, exts = None, [], []
-    if semantics is not None and mode == "aspic-minus":
-        raw = exts = extensions(framework, semantics, max_nodes)
-    elif semantics is not None:
-        flat = flattened_af(framework, flatten_mode, shielded)
-        raw = extensions(flat, semantics, max_nodes)
-        exts = canonical_extension_order(project(ext, framework.nodes) for ext in raw)
+    if semantics is not None:
+        if mode == "deductive":
+            flat = flattened_af(framework, flatten_mode, shielded)
+        searched = framework if flat is None else flat
+        if semantics != "grounded" and len(searched.nodes) > max_nodes:
+            raise SearchLimitExceededError(len(searched.nodes), max_nodes)
+        raw = exts = extensions(searched, semantics)
+        if flat is not None:
+            exts = canonical_extension_order(project(ext, framework.nodes) for ext in raw)
     sets = []
     for ext in exts:
         ids = tuple(sorted((n.label for n in ext), key=lambda i: int(i[1:])))
@@ -182,24 +193,6 @@ def evaluate(
     return Evaluation(
         consistent, store, witnesses, framework, shielded, flat, tuple(raw), tuple(exts),
         tuple(sets), verdicts,
-    )
-
-
-def conclusion_sets(
-    system: ArgumentationSystem,
-    semantics: str,
-    mode: str,
-    limits: EnumerationLimits = EnumerationLimits(),
-    flatten_mode: str = "literal",
-    max_nodes: int = DEFAULT_NODE_BOUND,
-    require_consistent: bool = True,
-) -> list[ConclusionSet]:
-    """One conclusion set per extension under the requested mode (see
-    ``evaluate``)."""
-    return list(
-        evaluate(
-            system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
-        ).conclusion_sets
     )
 
 

@@ -13,8 +13,7 @@ from typing import Iterable
 from .arguments import EnumerationLimits
 from .core import ArgumentationSystem, StrictRule
 from .frameworks import AF, JSBAF, HigherLevelAF, NodeId, is_meta, sort_nodes
-from .postulates import POSTULATES, PostulateReport, Verdict, evaluate
-from .semantics import DEFAULT_NODE_BOUND
+from .postulates import DEFAULT_NODE_BOUND, POSTULATES, PostulateReport, Verdict, evaluate
 
 def _formula_list(formulas) -> list[str]:
     return sorted(str(f) for f in formulas)
@@ -52,6 +51,19 @@ def _postulates_json(report: PostulateReport) -> dict:
     return {name: _verdict_json(name, getattr(report, name)) for name in POSTULATES}
 
 
+def report_settings(
+    semantics: str, mode: str, flatten_mode: str, limits: EnumerationLimits, max_nodes: int
+) -> dict:
+    """The ``settings`` block of a full report and of a limit report."""
+    return {
+        "semantics": semantics,
+        "mode": mode,
+        "flatten": flatten_mode if mode == "deductive" else None,
+        "max_arguments": limits.max_arguments,
+        "max_nodes": max_nodes,
+    }
+
+
 def build_report(
     system: ArgumentationSystem,
     source: str,
@@ -76,13 +88,7 @@ def build_report(
             "undercut_names": len(system.undercut_names),
             "consistent": ev.consistent,
         },
-        "settings": {
-            "semantics": semantics,
-            "mode": mode,
-            "flatten": flatten_mode if mode == "deductive" else None,
-            "max_arguments": limits.max_arguments,
-            "max_nodes": max_nodes,
-        },
+        "settings": report_settings(semantics, mode, flatten_mode, limits, max_nodes),
         "arguments": [
             {
                 "id": arg.canonical_id,

@@ -14,20 +14,20 @@ canonical order that still holds more than one label.  The four admissibility-ba
               it finds the complete labellings with no undecided node,
 * preferred — subset-maximal complete extensions.
 
-A node-count bound guards the exponential searches; ``oracle.py`` provides
-the independent brute-force cross-check used by the test suite.
+The functions here search whatever framework they are given; the node-count
+bound on the exponential searches is checked once, by ``postulates.evaluate``.
+``oracle.py`` provides the independent brute-force cross-check used by the
+test suite.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .errors import SearchLimitExceededError
 from .frameworks import AF, JSBAF, NodeId, flatten_simplified, project, prune_inert, sort_nodes
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
-DEFAULT_NODE_BOUND = 24
 
 _IN, _OUT, _UNDEC = 1, 2, 4  # label bits of a domain
 
@@ -168,43 +168,35 @@ def canonical_extension_order(extensions: Iterable[frozenset[NodeId]]) -> list[f
     )
 
 
-def _check_bound(af: AF, max_nodes: int):
-    if len(af.nodes) > max_nodes:
-        raise SearchLimitExceededError(len(af.nodes), max_nodes)
-
-
-def complete_extensions(af: AF, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:
+def complete_extensions(af: AF) -> list[frozenset[NodeId]]:
     """All admissible sets that contain exactly the nodes they defend."""
-    _check_bound(af, max_nodes)
     return _DomainSearch(af).run(_IN | _OUT | _UNDEC)
 
 
-def stable_extensions(af: AF, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:
+def stable_extensions(af: AF) -> list[frozenset[NodeId]]:
     """Complete extensions that attack every node outside themselves, i.e.
     complete labellings with no undecided node."""
-    _check_bound(af, max_nodes)
     return _DomainSearch(af).run(_IN | _OUT)
 
 
-def preferred_extensions(af: AF, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:
+def preferred_extensions(af: AF) -> list[frozenset[NodeId]]:
     """Subset-maximal complete extensions."""
-    complete = complete_extensions(af, max_nodes)
+    complete = complete_extensions(af)
     return canonical_extension_order(
         ext for ext in complete if not any(ext < other for other in complete)
     )
 
 
-def extensions(af: AF, semantics: str, max_nodes: int = DEFAULT_NODE_BOUND) -> list[frozenset[NodeId]]:
+def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     """Dispatch on the semantics name; grounded yields a one-element list."""
     if semantics == "grounded":
-        _check_bound(af, max_nodes)
         return [grounded_extension(af)]
     if semantics == "complete":
-        return complete_extensions(af, max_nodes)
+        return complete_extensions(af)
     if semantics == "stable":
-        return stable_extensions(af, max_nodes)
+        return stable_extensions(af)
     if semantics == "preferred":
-        return preferred_extensions(af, max_nodes)
+        return preferred_extensions(af)
     raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
 
 
@@ -225,13 +217,12 @@ def jsbaf_extensions(
     j: JSBAF,
     semantics: str,
     flatten_mode: str = "literal",
-    max_nodes: int = DEFAULT_NODE_BOUND,
     shielded: frozenset[NodeId] = frozenset(),
 ) -> list[frozenset[NodeId]]:
     """Extensions of a JSBAF: flatten, run the semantics, project each
     extension onto the original nodes, deduplicate."""
     af = flattened_af(j, flatten_mode, shielded)
-    projected = [project(ext, j.nodes) for ext in extensions(af, semantics, max_nodes)]
+    projected = [project(ext, j.nodes) for ext in extensions(af, semantics)]
     return canonical_extension_order(projected)
 
 

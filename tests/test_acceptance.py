@@ -20,8 +20,8 @@ from jsbaf import (
     check_closure,
     check_direct_consistency,
     check_indirect_consistency,
-    conclusion_sets,
     construct_arguments,
+    evaluate,
     evaluate_postulates,
     extensions,
     flatten_joint_attacks,
@@ -95,7 +95,7 @@ def test_criterion_03_tandem_flattening_preferred(tandem_system):
     results = {}
     for mode in ("literal", "prune-inert"):
         flat = flattened_af(j, mode)
-        results[mode] = extensions(flat, "preferred", max_nodes=24)
+        results[mode] = extensions(flat, "preferred")
         assert sorted(labelled_extensions(results[mode])) == sorted(expected), mode
     elapsed = time.time() - started
     assert results["literal"] == results["prune-inert"]
@@ -104,7 +104,7 @@ def test_criterion_03_tandem_flattening_preferred(tandem_system):
 
 
 def test_criterion_04_tandem_conclusions(tandem_system):
-    sets = conclusion_sets(tandem_system, "preferred", "deductive")
+    sets = evaluate(tandem_system, "preferred", "deductive").conclusion_sets
     got = sorted(sorted(str(f) for f in cs.formulas) for cs in sets)
     assert got == [
         sorted(["hw", "sw", "tw", "~tt", "ht", "st"]),
@@ -135,7 +135,7 @@ def test_criterion_05_aspic_minus_baseline_contrast(tandem_system):
     assert check_direct_consistency(violating_conclusions).satisfied
 
     # then the engine must reproduce it
-    engine_sets = conclusion_sets(tandem_system, "preferred", "aspic-minus")
+    engine_sets = evaluate(tandem_system, "preferred", "aspic-minus").conclusion_sets
     flagged = [
         cs for cs in engine_sets
         if not check_closure(tandem_system, cs.formulas).satisfied
@@ -175,7 +175,7 @@ def test_criterion_07_lemma_property_suite():
     for seed in range(500):
         j = random_jsbaf(params, seed)
         for semantics in SEMANTICS:
-            for ext in jsbaf_extensions(j, semantics, max_nodes=99):
+            for ext in jsbaf_extensions(j, semantics):
                 deductive, witness = is_deductive_extension(j, ext)
                 assert deductive, f"seed={seed} semantics={semantics} witness={witness}"
                 conflict_free, witness = is_conflict_free_jsbaf(j, ext)
@@ -190,10 +190,10 @@ def test_criterion_08_theorem_property_suite():
     for seed in range(500):
         generated = random_system(params, seed)
         for semantics in SEMANTICS:
-            for cs in conclusion_sets(
+            for cs in evaluate(
                 generated.system, semantics, "deductive",
                 EnumerationLimits(2000), max_nodes=200,
-            ):
+            ).conclusion_sets:
                 report = evaluate_postulates(generated.system, cs.formulas)
                 assert report.all_satisfied, (
                     f"seed={seed} semantics={semantics} "
@@ -216,10 +216,10 @@ def test_criterion_09_simplified_flattening_equivalence():
         two_step = flatten_joint_attacks(flatten_one_step(j))
         for semantics in SEMANTICS:
             lhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(simplified, semantics, max_nodes=99)
+                project(e, j.nodes) for e in extensions(simplified, semantics)
             )
             rhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(two_step, semantics, max_nodes=99)
+                project(e, j.nodes) for e in extensions(two_step, semantics)
             )
             assert lhs == rhs, f"seed={seed} semantics={semantics}"
     ok(9, "500 JSBAFs: projected extensions of the simplified and two-step flattenings agree")

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from jsbaf.cli import main
 
 from conftest import TANDEM_PATH, wide_join_rules
@@ -151,6 +153,14 @@ class TestCheckPostulates:
         code, out, _ = run_cli(capsys, "check-postulates", "--file", str(rules))
         assert code == 0 and "VIOLATED" not in out
 
+    def test_search_bound_stops_after_grounded(self, capsys):
+        code, out, err = run_cli(
+            capsys, "check-postulates", "--file", str(TANDEM_PATH), "--max-nodes", "5",
+        )
+        assert code == 3 and "above the search bound 5" in err
+        lines = out.splitlines()
+        assert len(lines) == 6 and all(l.startswith("grounded ") for l in lines)
+
 
 class TestRandom:
     def test_deterministic_and_parseable(self, capsys):
@@ -192,6 +202,39 @@ class TestOracle:
             "--semantics", "stable", "--flatten", "prune-inert", "--oracle-cap", "18",
         )
         assert code == 0 and out.startswith("stable: OK")
+
+    def test_grounded_is_held_to_the_oracle_cap(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--file", str(TANDEM_PATH), "--semantics", "grounded",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: framework has 21 nodes, above --oracle-cap 12\n"
+
+    def test_cap_above_the_hard_cap_is_an_input_error(self, capsys):
+        code, out, err = run_cli(
+            capsys, "oracle", "--file", str(TANDEM_PATH), "--oracle-cap", "25",
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: --oracle-cap 25 is above the hard cap 20\n"
+
+
+class TestOptions:
+    """Each command takes only the options it reads."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["flatten", "--max-nodes", "1"],
+            ["arguments", "--max-nodes", "1"],
+            ["oracle", "--max-nodes", "1"],
+            ["arguments", "--flatten", "literal"],
+        ],
+    )
+    def test_unread_option_is_an_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], "--file", str(TANDEM_PATH), *argv[1:]])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
 
 
 class TestStdin:

@@ -56,7 +56,8 @@ class TestDiagnostics:
     def test_name_on_strict_rule(self):
         with pytest.raises(ValidationError) as err:
             parse_system("strict r4: -> a\nname r4 = x")
-        assert "strict rule 'r4'" in str(err.value)
+        assert str(err.value) == "2:6: name defined on strict rule 'r4'"
+        assert (err.value.line, err.value.column) == (2, 6)
 
     def test_undeclared_atom_when_vocabulary_present(self):
         with pytest.raises(ValidationError) as err:

@@ -216,10 +216,10 @@ class TestSimplifiedFlattening:
         two = flatten_joint_attacks(flatten_one_step(j))
         for sem in SEMANTICS:
             lhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(af, sem, max_nodes=99)
+                project(e, j.nodes) for e in extensions(af, sem)
             )
             rhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(two, sem, max_nodes=99)
+                project(e, j.nodes) for e in extensions(two, sem)
             )
             assert lhs == rhs
 
@@ -239,10 +239,10 @@ class TestSimplifiedFlattening:
         two = flatten_joint_attacks(flatten_one_step(j))
         for sem in SEMANTICS:
             lhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(af, sem, max_nodes=99)
+                project(e, j.nodes) for e in extensions(af, sem)
             )
             rhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(two, sem, max_nodes=99)
+                project(e, j.nodes) for e in extensions(two, sem)
             )
             assert lhs == rhs
 

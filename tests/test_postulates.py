@@ -13,8 +13,8 @@ from jsbaf import (
     check_direct_consistency,
     check_indirect_consistency,
     compare_modes,
-    conclusion_sets,
     defeasible_rule,
+    evaluate,
     evaluate_postulates,
     is_consistent,
     neg,
@@ -39,17 +39,17 @@ ASPIC_VIOLATOR = ["ht", "hw", "st", "sw", "tt", "tw"]
 
 class TestConclusionSets:
     def test_tandem_deductive_preferred(self, tandem_system):
-        sets = conclusion_sets(tandem_system, "preferred", "deductive")
+        sets = evaluate(tandem_system, "preferred", "deductive").conclusion_sets
         assert sorted(formula_strings(cs.formulas) for cs in sets) == DA_PREFERRED
 
     def test_tandem_aspic_grounded(self, tandem_system):
-        (only,) = conclusion_sets(tandem_system, "grounded", "aspic-minus")
+        (only,) = evaluate(tandem_system, "grounded", "aspic-minus").conclusion_sets
         assert formula_strings(only.formulas) == ["hw", "sw", "tw"]
         assert only.extension == ("A1", "A2", "A3")
 
     def test_empty_system_single_empty_set(self):
         for mode in ("aspic-minus", "deductive"):
-            sets = conclusion_sets(ArgumentationSystem((), ()), "preferred", mode)
+            sets = evaluate(ArgumentationSystem((), ()), "preferred", mode).conclusion_sets
             assert [cs.formulas for cs in sets] == [frozenset()]
 
     def test_inconsistent_system_is_refused(self):
@@ -57,15 +57,15 @@ class TestConclusionSets:
             (strict_rule("s1", [], atom("a")), strict_rule("s2", [], neg("a"))), ()
         )
         with pytest.raises(InconsistentSystemError):
-            conclusion_sets(bad, "grounded", "deductive")
+            evaluate(bad, "grounded", "deductive").conclusion_sets
         # explicit override still computes
-        sets = conclusion_sets(bad, "grounded", "deductive", require_consistent=False)
+        sets = evaluate(bad, "grounded", "deductive", require_consistent=False).conclusion_sets
         assert sets and formula_strings(sets[0].formulas) == ["a", "~a"]
 
 
 class TestClosure:
     def test_tandem_deductive_sets_are_closed(self, tandem_system):
-        for cs in conclusion_sets(tandem_system, "preferred", "deductive"):
+        for cs in evaluate(tandem_system, "preferred", "deductive").conclusion_sets:
             assert check_closure(tandem_system, cs.formulas).satisfied
 
     def test_all_defeasibles_set_is_not_closed(self, tandem_system):
@@ -84,7 +84,7 @@ class TestClosure:
 
 class TestDirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
-        for cs in conclusion_sets(tandem_system, "preferred", "deductive"):
+        for cs in evaluate(tandem_system, "preferred", "deductive").conclusion_sets:
             assert check_direct_consistency(cs.formulas).satisfied
 
     def test_complementary_pair_is_witnessed(self):
@@ -97,7 +97,7 @@ class TestDirectConsistency:
 
 class TestIndirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
-        for cs in conclusion_sets(tandem_system, "preferred", "deductive"):
+        for cs in evaluate(tandem_system, "preferred", "deductive").conclusion_sets:
             assert check_indirect_consistency(tandem_system, cs.formulas).satisfied
 
     def test_closure_smuggles_in_the_complement(self, tandem_system):
@@ -114,7 +114,7 @@ class TestIndirectConsistency:
     def test_closure_and_direct_imply_indirect(self, tandem_system):
         for sem in ("grounded", "preferred", "stable", "complete"):
             for mode in ("aspic-minus", "deductive"):
-                for cs in conclusion_sets(tandem_system, sem, mode):
+                for cs in evaluate(tandem_system, sem, mode).conclusion_sets:
                     report = evaluate_postulates(tandem_system, cs.formulas)
                     if report.closure.satisfied and report.direct_consistency.satisfied:
                         assert report.indirect_consistency.satisfied
@@ -122,7 +122,7 @@ class TestIndirectConsistency:
 
 class TestWitnessRoundTrip:
     def test_witnesses_reproduce_their_violation(self, tandem_system):
-        for cs in conclusion_sets(tandem_system, "preferred", "aspic-minus"):
+        for cs in evaluate(tandem_system, "preferred", "aspic-minus").conclusion_sets:
             report = evaluate_postulates(tandem_system, cs.formulas)
             if not report.closure.satisfied:
                 rule = report.closure.witness

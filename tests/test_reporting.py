@@ -15,10 +15,10 @@ from jsbaf import (
     base,
     build_da_jsbaf,
     build_report,
-    conclusion_sets,
     emit_apx,
     emit_dot,
     emit_report,
+    evaluate,
     flatten_simplified,
 )
 from jsbaf.cli import main
@@ -196,7 +196,7 @@ class TestOneEvaluationPass:
         report = json.loads(capsys.readouterr().out)
         expected = [
             {"extension": list(cs.extension), "conclusions": sorted(map(str, cs.formulas))}
-            for cs in conclusion_sets(tandem_system, semantics, mode)
+            for cs in evaluate(tandem_system, semantics, mode).conclusion_sets
         ]
         got = [
             {"extension": e["extension"], "conclusions": e["conclusions"]}

@@ -1,5 +1,7 @@
 """Extension engine: textbook cases, worked frameworks, oracle agreement."""
 
+import json
+
 import pytest
 
 from jsbaf import (
@@ -13,9 +15,9 @@ from jsbaf import (
     build_aspic_minus_af,
     build_da_jsbaf,
     complete_extensions,
-    conclusion_sets,
     construct_arguments,
     defends,
+    evaluate,
     evaluate_postulates,
     extensions,
     flattened_af,
@@ -30,8 +32,10 @@ from jsbaf import (
     stable_extensions,
     strict_argument_nodes,
 )
+from jsbaf.cli import main
 from jsbaf.oracle import ORACLE_NODE_CAP
 from conftest import (
+    TANDEM_PATH,
     assert_sound_extensions,
     labelled_extensions,
     node_labels,
@@ -156,13 +160,28 @@ class TestPreferred:
 
 
 class TestSearchLimit:
-    def test_node_bound_is_enforced(self):
-        af = random_af(5, 12, 0.2)
-        with pytest.raises(SearchLimitExceededError):
-            complete_extensions(af, max_nodes=3)
-        for sem in SEMANTICS:
-            with pytest.raises(SearchLimitExceededError):
-                extensions(af, sem, max_nodes=3)
+    """``evaluate`` checks the node bound right before the search; grounded
+    is a polynomial fixpoint and is never refused."""
+
+    def test_node_bound_is_enforced(self, tandem_system, capsys):
+        for mode, nodes in (("aspic-minus", 9), ("deductive", 21)):
+            argv = ["eval", "--file", str(TANDEM_PATH), "--mode", mode, "--max-nodes", "5"]
+            for sem in ("complete", "stable", "preferred"):
+                with pytest.raises(SearchLimitExceededError) as err:
+                    evaluate(tandem_system, sem, mode, max_nodes=5)
+                assert str(err.value) == f"framework has {nodes} nodes, above the search bound 5"
+                assert main([*argv, "--semantics", sem]) == 3
+                error = json.loads(capsys.readouterr().out)["error"]
+                assert (error["type"], error["nodes"], error["bound"]) == (
+                    "SearchLimitExceededError", nodes, 5
+                )
+            assert len(evaluate(tandem_system, "grounded", mode, max_nodes=5).extensions) == 1
+            assert main([*argv, "--semantics", "grounded"]) in (0, 1)
+            assert json.loads(capsys.readouterr().out)["status"] == "ok"
+
+    def test_evaluate_rejects_unknown_semantics_before_the_bound(self, tandem_system):
+        with pytest.raises(ValueError, match="unknown semantics"):
+            evaluate(tandem_system, "semi-stable", "deductive", max_nodes=5)
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
@@ -275,10 +294,10 @@ class TestBeyondOracleCap:
             checked += 1
             bound = len(flat.nodes)
             for sem in SEMANTICS:
-                exts = extensions(flat, sem, bound)
+                exts = extensions(flat, sem)
                 assert_sound_extensions(flat, sem, exts)
-            complete = complete_extensions(flat, bound)
-            assert stable_extensions(flat, bound) == _stable_by_filter(flat, complete), seed
+            complete = complete_extensions(flat)
+            assert stable_extensions(flat) == _stable_by_filter(flat, complete), seed
         assert checked == 24
 
 
@@ -291,9 +310,9 @@ class TestRegressionInstances:
         flat = _deductive_flattening(system)
         bound = len(flat.nodes)
         for sem, count in expected.items():
-            exts = extensions(flat, sem, bound)
+            exts = extensions(flat, sem)
             assert_sound_extensions(flat, sem, exts)
-            sets = conclusion_sets(system, sem, "deductive", max_nodes=bound)
+            sets = evaluate(system, sem, "deductive", max_nodes=bound).conclusion_sets
             assert (len(exts), len(sets)) == (count, count), sem
             for cs in sets:
                 assert evaluate_postulates(system, cs.formulas).all_satisfied, sem
