@@ -23,6 +23,7 @@ from jsbaf import (
     extensions,
     flattened_af,
     parse_system,
+    prepare,
     strict_argument_nodes,
 )
 
@@ -38,6 +39,7 @@ def show_extensions(title, exts):
 def main():
     system = parse_system(RULES.read_text())
     store = construct_arguments(system)
+    prepared = prepare(system)
 
     print("Arguments on the basis of the tandem system:")
     for arg in store.arguments:
@@ -50,7 +52,7 @@ def main():
 
     show_extensions("Preferred extensions, attacks only:", extensions(af, "preferred"))
     print("The first one accepts A4, A5 and A6 together: everyone rides.")
-    for cs in evaluate(system, "preferred", "aspic-minus").conclusion_sets:
+    for cs in evaluate(prepared, "preferred", "aspic-minus").conclusion_sets:
         report = evaluate_postulates(system, cs.formulas)
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         verdict = "closed" if report.closure.satisfied else "NOT closed under the strict rules"
@@ -70,13 +72,13 @@ def main():
     )
 
     print("\nConclusion sets with deductive joint support (preferred):")
-    for cs in evaluate(system, "preferred", "deductive").conclusion_sets:
+    for cs in evaluate(prepared, "preferred", "deductive").conclusion_sets:
         report = evaluate_postulates(system, cs.formulas)
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         assert report.all_satisfied
         print(f"   {conclusions:<42} all postulates satisfied")
 
-    comparison = compare_modes(system, "preferred")
+    comparison = compare_modes(prepared, "preferred")
     print("\nPostulates that differ between the modes:", ", ".join(comparison.differing))
 
 

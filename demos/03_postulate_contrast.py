@@ -9,17 +9,17 @@ deductive joint support repairs both.
 
 from pathlib import Path
 
-from jsbaf import SEMANTICS, compare_modes, parse_system
+from jsbaf import SEMANTICS, compare_modes, parse_system, prepare
 from jsbaf.postulates import MODES, POSTULATES
 
 RULES = Path(__file__).with_name("tandem.rules")
 
 
 def main():
-    system = parse_system(RULES.read_text())
+    prepared = prepare(parse_system(RULES.read_text()))
     width = max(len(p) for p in POSTULATES)
     for semantics in SEMANTICS:
-        comparison = compare_modes(system, semantics)
+        comparison = compare_modes(prepared, semantics)
         print(f"\n{semantics} semantics")
         for postulate in POSTULATES:
             cells = []

@@ -19,6 +19,7 @@ from jsbaf import (
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,
+    prepare,
     print_system,
     random_jsbaf,
     random_system,
@@ -58,8 +59,9 @@ def main():
     sys_params = SystemParams(n_atoms=5, n_strict=4, n_defeasible=3)
     for seed in range(100):
         generated = random_system(sys_params, seed)
+        prepared = prepare(generated.system)
         for semantics in SEMANTICS:
-            ev = evaluate(generated.system, semantics, "deductive", max_nodes=200)
+            ev = evaluate(prepared, semantics, "deductive", max_nodes=200)
             for cs in ev.conclusion_sets:
                 assert evaluate_postulates(generated.system, cs.formulas).all_satisfied
     print("   zero violations")

@@ -71,6 +71,7 @@ from .postulates import (
     JsbafParams,
     ModeComparison,
     PostulateReport,
+    Prepared,
     SystemParams,
     Verdict,
     check_closure,
@@ -79,6 +80,7 @@ from .postulates import (
     compare_modes,
     evaluate,
     evaluate_postulates,
+    prepare,
     random_jsbaf,
     random_system,
 )

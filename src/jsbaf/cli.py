@@ -11,7 +11,6 @@ import functools
 import sys
 
 from .arguments import EnumerationLimits, construct_arguments
-from .core import ArgumentationSystem, is_consistent
 from .dsl import SourceDocument, parse_system, print_system
 from .errors import (
     GenerationFailedError,
@@ -25,11 +24,12 @@ from .errors import (
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
 from .postulates import (
-    DEFAULT_NODE_BOUND, MODES, POSTULATES, SystemParams, compare_modes, evaluate, random_system,
+    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, compare_modes, evaluate,
+    prepare, random_system,
 )
 from .reporting import build_report, emit_apx, emit_dot, emit_report, limit_error_report
 from .reporting import report_settings
-from .semantics import FLATTEN_MODES, SEMANTICS, flattened_af
+from .semantics import FLATTEN_MODES, SEMANTICS
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -47,6 +47,17 @@ def _read_source(path: str) -> SourceDocument:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
 
 
+def _non_negative_int(text: str) -> int:
+    """The argparse type of the size limits."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must not be negative, got {value}")
+    return value
+
+
 def _add_common(parser, *, semantics=False, flatten=False, max_nodes=False):
     """--file and --max-arguments, plus those of the other shared options
     that the command reads."""
@@ -58,10 +69,10 @@ def _add_common(parser, *, semantics=False, flatten=False, max_nodes=False):
             "--flatten", choices=FLATTEN_MODES, default="literal",
             help="how empty-source support bars are treated after flattening",
         )
-    parser.add_argument("--max-arguments", type=int, default=5000)
+    parser.add_argument("--max-arguments", type=_non_negative_int, default=5000)
     if max_nodes:
         parser.add_argument(
-            "--max-nodes", type=int, default=DEFAULT_NODE_BOUND,
+            "--max-nodes", type=_non_negative_int, default=DEFAULT_NODE_BOUND,
             help="refuse complete, stable and preferred search above this node count",
         )
 
@@ -108,35 +119,30 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_oracle, semantics=True, flatten=True)
     p_oracle.add_argument("--mode", choices=MODES, default="deductive")
     p_oracle.add_argument(
-        "--oracle-cap", type=int, default=12,
+        "--oracle-cap", type=_non_negative_int, default=12,
         help=f"refuse frameworks above this node count (hard cap {ORACLE_NODE_CAP})",
     )
 
     return parser
 
 
-def _load_system(args) -> ArgumentationSystem:
-    return parse_system(_read_source(args.file))
+def _prepare(args, require_consistent: bool) -> Prepared:
+    system = parse_system(_read_source(args.file))
+    return prepare(system, EnumerationLimits(args.max_arguments), args.flatten, require_consistent)
 
 
 def _cmd_eval(args) -> int:
-    system = _load_system(args)
-    limits = EnumerationLimits(args.max_arguments)
+    settings = report_settings(
+        args.semantics, args.mode, args.flatten, args.max_arguments, args.max_nodes
+    )
     try:
-        report = build_report(
-            system,
-            source=args.file,
-            semantics=args.semantics,
-            mode=args.mode,
-            flatten_mode=args.flatten,
-            limits=limits,
-            max_nodes=args.max_nodes,
-            require_consistent=not args.allow_inconsistent,
-        )
+        prepared = _prepare(args, not args.allow_inconsistent)
+        ev = evaluate(prepared, args.semantics, args.mode, args.max_nodes)
     except (LimitExceededError, SearchLimitExceededError) as exc:
-        settings = report_settings(args.semantics, args.mode, args.flatten, limits, args.max_nodes)
         sys.stdout.write(emit_report(limit_error_report(args.file, settings, exc), args.report))
         return EXIT_LIMIT
+    report = build_report(ev, args.file, settings)
+    del prepared, ev  # the frameworks are not needed to emit the report; free them first
     sys.stdout.write(emit_report(report, args.report))
     if any(v == "violated" for v in report["postulate_summary"].values()):
         return EXIT_VIOLATION
@@ -144,24 +150,21 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_flatten(args) -> int:
-    ev = evaluate(
-        _load_system(args), None, "deductive", EnumerationLimits(args.max_arguments),
-        require_consistent=False,
-    )
+    prepared = _prepare(args, False)
     if args.stage == "one-step":
-        framework = flatten_one_step(ev.framework, ev.shielded)
+        framework = flatten_one_step(prepared.jsbaf, prepared.shielded)
         if args.emit == "apx":
             raise ValidationError("APX cannot represent joint attacks; use --emit dot")
     elif args.stage == "two-step":
-        framework = flatten_joint_attacks(flatten_one_step(ev.framework, ev.shielded))
+        framework = flatten_joint_attacks(flatten_one_step(prepared.jsbaf, prepared.shielded))
     else:
-        framework = flattened_af(ev.framework, args.flatten, shielded=ev.shielded)
+        framework = prepared.flat
     sys.stdout.write(emit_dot(framework) if args.emit == "dot" else emit_apx(framework))
     return EXIT_OK
 
 
 def _cmd_arguments(args) -> int:
-    system = _load_system(args)
+    system = parse_system(_read_source(args.file))
     store = construct_arguments(system, EnumerationLimits(args.max_arguments))
     for arg in store.arguments:
         sys.stdout.write(
@@ -173,25 +176,17 @@ def _cmd_arguments(args) -> int:
 
 
 def _cmd_check_postulates(args) -> int:
-    system = _load_system(args)
-    limits = EnumerationLimits(args.max_arguments)
+    prepared = _prepare(args, not args.allow_inconsistent)
     violated = False
     for semantics in SEMANTICS:
-        comparison = compare_modes(
-            system,
-            semantics,
-            limits,
-            flatten_mode=args.flatten,
-            max_nodes=args.max_nodes,
-            require_consistent=not args.allow_inconsistent,
-        )
+        comparison = compare_modes(prepared, semantics, args.max_nodes)
         for mode in MODES:
             for postulate in POSTULATES:
                 holds = comparison.summary[postulate][mode]
                 violated = violated or not holds
                 state = "satisfied" if holds else "VIOLATED"
                 sys.stdout.write(f"{semantics:<9} {mode:<12} {postulate:<21} {state}\n")
-    if args.allow_inconsistent and not is_consistent(system):
+    if not prepared.consistent:  # prepare refused it unless --allow-inconsistent
         sys.stdout.write("# note: system is inconsistent; verdicts are out of postulate scope\n")
     return EXIT_VIOLATION if violated else EXIT_OK
 
@@ -214,19 +209,11 @@ def _cmd_oracle(args) -> int:
     cap = args.oracle_cap
     if cap > ORACLE_NODE_CAP:
         raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")
-    try:
-        ev = evaluate(
-            _load_system(args), args.semantics, args.mode,
-            EnumerationLimits(args.max_arguments), args.flatten,
-            max_nodes=cap, require_consistent=False,
-        )
-        searched = ev.framework if ev.flat is None else ev.flat
-        nodes = len(searched.nodes)
-    except SearchLimitExceededError as exc:
-        nodes = exc.nodes
-    if nodes > cap:  # evaluate never refuses grounded, so it is caught only here
+    prepared = _prepare(args, False)
+    searched = prepared.searched(args.mode)
+    if (nodes := len(searched.nodes)) > cap:
         raise ValidationError(f"framework has {nodes} nodes, above --oracle-cap {cap}")
-    engine = list(ev.raw_extensions)
+    engine = list(evaluate(prepared, args.semantics, args.mode, cap).raw_extensions)
     brute = brute_force_extensions(searched, args.semantics)
     if engine == brute:
         sys.stdout.write(f"{args.semantics}: OK ({len(engine)} extensions agree)\n")

@@ -34,17 +34,6 @@ class Formula:
         """The formula ``~self``."""
         return Formula(self.atom, self.negations + 1)
 
-    @property
-    def is_negation(self) -> bool:
-        return self.negations > 0
-
-    @property
-    def inner(self) -> "Formula":
-        """Strip one negation; only defined when ``is_negation``."""
-        if not self.is_negation:
-            raise ValueError(f"{self} is not a negation")
-        return Formula(self.atom, self.negations - 1)
-
     def __str__(self) -> str:
         return "~" * self.negations + self.atom
 

@@ -1,9 +1,11 @@
-"""The evaluation pass, conclusion sets, rationality postulates, mode
+"""The evaluation pipeline, conclusion sets, rationality postulates, mode
 comparison, generators.
 
-``evaluate`` runs each stage of the pipeline once; reports, conclusion sets
-and mode comparisons all read the ``Evaluation`` it returns.  It is also the
-one place that checks the node-count bound on the exponential searches.
+``prepare`` runs the stages that depend on the system alone and builds each
+framework the first time it is read; ``evaluate`` searches a prepared system
+under one semantics and mode.  Reports, mode comparisons and every command
+read these two stages.  ``evaluate`` is also the one place that checks the
+node-count bound on the exponential searches.
 
 A conclusion set collects the conclusions of one extension's arguments.  The
 three postulates are properties of such sets: closure under the strict
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .arguments import (
@@ -40,7 +43,9 @@ from .core import (
     is_consistent,
     strict_closure,
 )
-from .errors import GenerationFailedError, InconsistentSystemError, SearchLimitExceededError
+from .errors import (
+    GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
+)
 from .frameworks import AF, JSBAF, NodeId, base, project
 from .semantics import SEMANTICS, canonical_extension_order, extensions, flattened_af
 
@@ -121,8 +126,56 @@ def evaluate_postulates(
 
 
 @dataclass(frozen=True)
+class Prepared:
+    """What depends on the system alone, shared by each of its evaluations.
+    Each framework is built the first time it is read."""
+
+    consistent: bool
+    store: ArgumentStore
+    witnesses: tuple[AttackWitness, ...]
+    flatten_mode: str
+
+    @cached_property
+    def af(self) -> AF:
+        return build_aspic_minus_af(self.store.system, store=self.store, witnesses=self.witnesses)
+
+    @cached_property
+    def jsbaf(self) -> JSBAF:
+        return build_da_jsbaf(self.store.system, store=self.store, witnesses=self.witnesses)
+
+    @cached_property
+    def shielded(self) -> frozenset[NodeId]:
+        """The strict arguments, which the flattening shields."""
+        return strict_argument_nodes(self.store)
+
+    @cached_property
+    def flat(self) -> AF:
+        return flattened_af(self.jsbaf, self.flatten_mode, self.shielded)
+
+    def searched(self, mode: str) -> AF:
+        """The AF that ``evaluate`` searches in ``mode``."""
+        return self.af if mode == "aspic-minus" else self.flat
+
+
+def prepare(
+    system: ArgumentationSystem,
+    limits: EnumerationLimits = EnumerationLimits(),
+    flatten_mode: str = "literal",
+    require_consistent: bool = True,
+) -> Prepared:
+    """Check consistency, enumerate the arguments and find the attack
+    witnesses of ``system``."""
+    consistent = is_consistent(system)
+    if require_consistent and not consistent:
+        pair = find_complement_pair(strict_closure((), system.strict_rules))
+        raise InconsistentSystemError(pair)
+    store = construct_arguments(system, limits)
+    return Prepared(consistent, store, tuple(attack_witnesses(store)), flatten_mode)
+
+
+@dataclass(frozen=True)
 class Evaluation:
-    """The result of every stage of one run, each computed once."""
+    """The result of every stage of one run."""
 
     consistent: bool
     store: ArgumentStore
@@ -137,21 +190,14 @@ class Evaluation:
 
 
 def evaluate(
-    system: ArgumentationSystem,
-    semantics: str | None,
-    mode: str,
-    limits: EnumerationLimits = EnumerationLimits(),
-    flatten_mode: str = "literal",
-    max_nodes: int = DEFAULT_NODE_BOUND,
-    require_consistent: bool = True,
+    prepared: Prepared, semantics: str, mode: str, max_nodes: int = DEFAULT_NODE_BOUND
 ) -> Evaluation:
-    """Run each stage once under the requested mode.
+    """Search ``prepared`` under the requested semantics and mode, then
+    collect the conclusion sets and their postulate verdicts.
 
     ``aspic-minus`` runs the semantics on the plain attack framework;
     ``deductive`` runs it on the flattened joint-support framework and
-    projects the extensions back onto the arguments.  With ``semantics``
-    None the run stops after building the framework: nothing is flattened
-    or searched, and every later field is empty.
+    projects the extensions back onto the arguments.
 
     Complete, stable and preferred search is exponential, so it is refused
     with SearchLimitExceededError on a framework of more than ``max_nodes``
@@ -159,40 +205,26 @@ def evaluate(
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
-    if semantics not in (None, *SEMANTICS):
+    if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
-    consistent = is_consistent(system)
-    if require_consistent and not consistent:
-        raise InconsistentSystemError(
-            find_complement_pair(strict_closure((), system.strict_rules))
-        )
-    store = construct_arguments(system, limits)
-    witnesses = tuple(attack_witnesses(store))
-    shielded: frozenset[NodeId] = frozenset()
+    searched = prepared.searched(mode)
+    if semantics != "grounded" and len(searched.nodes) > max_nodes:
+        raise SearchLimitExceededError(len(searched.nodes), max_nodes)
+    raw = exts = extensions(searched, semantics)
     if mode == "aspic-minus":
-        framework = build_aspic_minus_af(system, limits, store, witnesses)
+        framework, shielded, flat = searched, frozenset(), None
     else:
-        framework = build_da_jsbaf(system, limits, store, witnesses)
-        shielded = strict_argument_nodes(store)
-    flat, raw, exts = None, [], []
-    if semantics is not None:
-        if mode == "deductive":
-            flat = flattened_af(framework, flatten_mode, shielded)
-        searched = framework if flat is None else flat
-        if semantics != "grounded" and len(searched.nodes) > max_nodes:
-            raise SearchLimitExceededError(len(searched.nodes), max_nodes)
-        raw = exts = extensions(searched, semantics)
-        if flat is not None:
-            exts = canonical_extension_order(project(ext, framework.nodes) for ext in raw)
+        framework, shielded, flat = prepared.jsbaf, prepared.shielded, searched
+        exts = canonical_extension_order(project(ext, framework.nodes) for ext in raw)
     sets = []
     for ext in exts:
         ids = tuple(sorted((n.label for n in ext), key=lambda i: int(i[1:])))
-        formulas = frozenset(store.by_id(i).conclusion for i in ids)
+        formulas = frozenset(prepared.store.by_id(i).conclusion for i in ids)
         sets.append(ConclusionSet(formulas, ids, mode, semantics))
-    verdicts = tuple(evaluate_postulates(system, cs.formulas) for cs in sets)
+    verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
     return Evaluation(
-        consistent, store, witnesses, framework, shielded, flat, tuple(raw), tuple(exts),
-        tuple(sets), verdicts,
+        prepared.consistent, prepared.store, prepared.witnesses, framework, shielded, flat,
+        tuple(raw), tuple(exts), tuple(sets), verdicts,
     )
 
 
@@ -207,18 +239,11 @@ class ModeComparison:
 
 
 def compare_modes(
-    system: ArgumentationSystem,
-    semantics: str,
-    limits: EnumerationLimits = EnumerationLimits(),
-    flatten_mode: str = "literal",
-    max_nodes: int = DEFAULT_NODE_BOUND,
-    require_consistent: bool = True,
+    prepared: Prepared, semantics: str, max_nodes: int = DEFAULT_NODE_BOUND
 ) -> ModeComparison:
     evaluated = {}
     for mode in MODES:
-        ev = evaluate(
-            system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
-        )
+        ev = evaluate(prepared, semantics, mode, max_nodes)
         evaluated[mode] = tuple(zip(ev.conclusion_sets, ev.postulates))
     summary = {
         postulate: {
@@ -247,6 +272,14 @@ class SystemParams:
     max_body: int = 2
     undercut_density: float = 0.2
     retries: int = 200
+
+    def __post_init__(self):
+        minima = {"n_atoms": 1, "n_strict": 0, "n_defeasible": 0, "max_body": 0, "retries": 1}
+        for name, low in minima.items():
+            if (value := getattr(self, name)) < low:
+                raise ValidationError(f"{name} must be at least {low}, got {value}")
+        if not 0 <= (density := self.undercut_density) <= 1:
+            raise ValidationError(f"undercut_density must lie in [0, 1], got {density}")
 
 
 @dataclass(frozen=True)

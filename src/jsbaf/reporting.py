@@ -10,10 +10,9 @@ import json
 import re
 from typing import Iterable
 
-from .arguments import EnumerationLimits
-from .core import ArgumentationSystem, StrictRule
+from .core import StrictRule
 from .frameworks import AF, JSBAF, HigherLevelAF, NodeId, is_meta, sort_nodes
-from .postulates import DEFAULT_NODE_BOUND, POSTULATES, PostulateReport, Verdict, evaluate
+from .postulates import POSTULATES, Evaluation, PostulateReport, Verdict
 
 def _formula_list(formulas) -> list[str]:
     return sorted(str(f) for f in formulas)
@@ -52,33 +51,22 @@ def _postulates_json(report: PostulateReport) -> dict:
 
 
 def report_settings(
-    semantics: str, mode: str, flatten_mode: str, limits: EnumerationLimits, max_nodes: int
+    semantics: str, mode: str, flatten_mode: str, max_arguments: int, max_nodes: int
 ) -> dict:
     """The ``settings`` block of a full report and of a limit report."""
     return {
         "semantics": semantics,
         "mode": mode,
         "flatten": flatten_mode if mode == "deductive" else None,
-        "max_arguments": limits.max_arguments,
+        "max_arguments": max_arguments,
         "max_nodes": max_nodes,
     }
 
 
-def build_report(
-    system: ArgumentationSystem,
-    source: str,
-    semantics: str,
-    mode: str,
-    flatten_mode: str = "literal",
-    limits: EnumerationLimits = EnumerationLimits(),
-    max_nodes: int = DEFAULT_NODE_BOUND,
-    require_consistent: bool = True,
-) -> dict:
-    """Full evaluation of one (system, semantics, mode) run as a plain dict
-    ready for canonical serialisation."""
-    ev = evaluate(
-        system, semantics, mode, limits, flatten_mode, max_nodes, require_consistent
-    )
+def build_report(ev: Evaluation, source: str, settings: dict) -> dict:
+    """One evaluation as a plain dict ready for canonical serialisation;
+    ``settings`` is its ``report_settings`` block."""
+    system = ev.store.system
     report: dict = {
         "input": {
             "source": source,
@@ -88,7 +76,7 @@ def build_report(
             "undercut_names": len(system.undercut_names),
             "consistent": ev.consistent,
         },
-        "settings": report_settings(semantics, mode, flatten_mode, limits, max_nodes),
+        "settings": settings,
         "arguments": [
             {
                 "id": arg.canonical_id,
@@ -114,10 +102,10 @@ def build_report(
             ],
         },
     }
-    if mode == "deductive":
+    if ev.flat is not None:
         report["framework"]["supports"] = _support_list(ev.framework.supports)
         report["flattened"] = {
-            "mode": flatten_mode,
+            "mode": settings["flatten"],
             "nodes": _node_list(ev.flat.nodes),
             "attacks": _edge_list(ev.flat.attacks),
             "extensions": sorted(_node_list(e) for e in ev.raw_extensions),

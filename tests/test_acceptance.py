@@ -7,6 +7,7 @@ derived by hand (commented where so).
 """
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -30,6 +31,7 @@ from jsbaf import (
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,
+    prepare,
     project,
     random_jsbaf,
     random_system,
@@ -104,7 +106,7 @@ def test_criterion_03_tandem_flattening_preferred(tandem_system):
 
 
 def test_criterion_04_tandem_conclusions(tandem_system):
-    sets = evaluate(tandem_system, "preferred", "deductive").conclusion_sets
+    sets = evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets
     got = sorted(sorted(str(f) for f in cs.formulas) for cs in sets)
     assert got == [
         sorted(["hw", "sw", "tw", "~tt", "ht", "st"]),
@@ -135,7 +137,7 @@ def test_criterion_05_aspic_minus_baseline_contrast(tandem_system):
     assert check_direct_consistency(violating_conclusions).satisfied
 
     # then the engine must reproduce it
-    engine_sets = evaluate(tandem_system, "preferred", "aspic-minus").conclusion_sets
+    engine_sets = evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets
     flagged = [
         cs for cs in engine_sets
         if not check_closure(tandem_system, cs.formulas).satisfied
@@ -189,11 +191,9 @@ def test_criterion_08_theorem_property_suite():
     )
     for seed in range(500):
         generated = random_system(params, seed)
+        prepared = prepare(generated.system, EnumerationLimits(2000))
         for semantics in SEMANTICS:
-            for cs in evaluate(
-                generated.system, semantics, "deductive",
-                EnumerationLimits(2000), max_nodes=200,
-            ).conclusion_sets:
+            for cs in evaluate(prepared, semantics, "deductive", max_nodes=200).conclusion_sets:
                 report = evaluate_postulates(generated.system, cs.formulas)
                 assert report.all_satisfied, (
                     f"seed={seed} semantics={semantics} "
@@ -231,8 +231,9 @@ def test_criterion_10_eval_determinism():
         "--file", str(TANDEM_PATH), "--semantics", "preferred",
         "--mode", "deductive", "--report", "json",
     ]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    env = {**os.environ, "PYTHONPATH": str(TANDEM_PATH.parents[1] / "src")}
+    first = subprocess.run(command, capture_output=True, check=True, env=env)
+    second = subprocess.run(command, capture_output=True, check=True, env=env)
     assert first.stdout == second.stdout
     assert first.stdout.strip()
     report = json.loads(first.stdout)

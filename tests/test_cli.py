@@ -179,6 +179,19 @@ class TestRandom:
         )
         assert code == 2 and "no consistent system" in err
 
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--atoms", "0", "n_atoms must be at least 1, got 0"),
+            ("--max-body", "-1", "max_body must be at least 0, got -1"),
+            ("--strict", "-2", "n_strict must be at least 0, got -2"),
+            ("--undercut-density", "7", "undercut_density must lie in [0, 1], got 7.0"),
+        ],
+    )
+    def test_out_of_range_shape_is_an_input_error(self, capsys, option, value, message):
+        code, out, err = run_cli(capsys, "random", "--seed", "1", option, value)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestOracle:
     def test_aspic_agreement(self, capsys):
@@ -235,6 +248,30 @@ class TestOptions:
             main([argv[0], "--file", str(TANDEM_PATH), *argv[1:]])
         assert exit_.value.code == 2
         assert "unrecognized arguments: " + " ".join(argv[1:]) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "--max-arguments", "-1"],
+            ["eval", "--max-nodes", "-1"],
+            ["check-postulates", "--max-nodes", "-1"],
+            ["arguments", "--max-arguments", "-1"],
+            ["oracle", "--oracle-cap", "-3"],
+        ],
+    )
+    def test_negative_limit_is_an_input_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exit_:
+            main([argv[0], "--file", str(TANDEM_PATH), *argv[1:]])
+        assert exit_.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"argument {argv[1]}: must not be negative, got {argv[2]}" in captured.err
+
+    def test_non_integer_limit_keeps_the_argparse_message(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["eval", "--file", str(TANDEM_PATH), "--max-nodes", "many"])
+        assert exit_.value.code == 2
+        assert "argument --max-nodes: invalid int value: 'many'" in capsys.readouterr().err
 
 
 class TestStdin:

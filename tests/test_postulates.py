@@ -18,6 +18,7 @@ from jsbaf import (
     evaluate_postulates,
     is_consistent,
     neg,
+    prepare,
     random_jsbaf,
     random_system,
     strict_closure,
@@ -39,17 +40,18 @@ ASPIC_VIOLATOR = ["ht", "hw", "st", "sw", "tt", "tw"]
 
 class TestConclusionSets:
     def test_tandem_deductive_preferred(self, tandem_system):
-        sets = evaluate(tandem_system, "preferred", "deductive").conclusion_sets
+        sets = evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets
         assert sorted(formula_strings(cs.formulas) for cs in sets) == DA_PREFERRED
 
     def test_tandem_aspic_grounded(self, tandem_system):
-        (only,) = evaluate(tandem_system, "grounded", "aspic-minus").conclusion_sets
+        (only,) = evaluate(prepare(tandem_system), "grounded", "aspic-minus").conclusion_sets
         assert formula_strings(only.formulas) == ["hw", "sw", "tw"]
         assert only.extension == ("A1", "A2", "A3")
 
     def test_empty_system_single_empty_set(self):
         for mode in ("aspic-minus", "deductive"):
-            sets = evaluate(ArgumentationSystem((), ()), "preferred", mode).conclusion_sets
+            prepared = prepare(ArgumentationSystem((), ()))
+            sets = evaluate(prepared, "preferred", mode).conclusion_sets
             assert [cs.formulas for cs in sets] == [frozenset()]
 
     def test_inconsistent_system_is_refused(self):
@@ -57,15 +59,16 @@ class TestConclusionSets:
             (strict_rule("s1", [], atom("a")), strict_rule("s2", [], neg("a"))), ()
         )
         with pytest.raises(InconsistentSystemError):
-            evaluate(bad, "grounded", "deductive").conclusion_sets
+            evaluate(prepare(bad), "grounded", "deductive").conclusion_sets
         # explicit override still computes
-        sets = evaluate(bad, "grounded", "deductive", require_consistent=False).conclusion_sets
+        prepared = prepare(bad, require_consistent=False)
+        sets = evaluate(prepared, "grounded", "deductive").conclusion_sets
         assert sets and formula_strings(sets[0].formulas) == ["a", "~a"]
 
 
 class TestClosure:
     def test_tandem_deductive_sets_are_closed(self, tandem_system):
-        for cs in evaluate(tandem_system, "preferred", "deductive").conclusion_sets:
+        for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
             assert check_closure(tandem_system, cs.formulas).satisfied
 
     def test_all_defeasibles_set_is_not_closed(self, tandem_system):
@@ -84,7 +87,7 @@ class TestClosure:
 
 class TestDirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
-        for cs in evaluate(tandem_system, "preferred", "deductive").conclusion_sets:
+        for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
             assert check_direct_consistency(cs.formulas).satisfied
 
     def test_complementary_pair_is_witnessed(self):
@@ -97,7 +100,7 @@ class TestDirectConsistency:
 
 class TestIndirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
-        for cs in evaluate(tandem_system, "preferred", "deductive").conclusion_sets:
+        for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
             assert check_indirect_consistency(tandem_system, cs.formulas).satisfied
 
     def test_closure_smuggles_in_the_complement(self, tandem_system):
@@ -114,7 +117,7 @@ class TestIndirectConsistency:
     def test_closure_and_direct_imply_indirect(self, tandem_system):
         for sem in ("grounded", "preferred", "stable", "complete"):
             for mode in ("aspic-minus", "deductive"):
-                for cs in evaluate(tandem_system, sem, mode).conclusion_sets:
+                for cs in evaluate(prepare(tandem_system), sem, mode).conclusion_sets:
                     report = evaluate_postulates(tandem_system, cs.formulas)
                     if report.closure.satisfied and report.direct_consistency.satisfied:
                         assert report.indirect_consistency.satisfied
@@ -122,7 +125,7 @@ class TestIndirectConsistency:
 
 class TestWitnessRoundTrip:
     def test_witnesses_reproduce_their_violation(self, tandem_system):
-        for cs in evaluate(tandem_system, "preferred", "aspic-minus").conclusion_sets:
+        for cs in evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets:
             report = evaluate_postulates(tandem_system, cs.formulas)
             if not report.closure.satisfied:
                 rule = report.closure.witness
@@ -135,7 +138,7 @@ class TestWitnessRoundTrip:
 
 class TestCompareModes:
     def test_tandem_preferred_contrast(self, tandem_system):
-        comparison = compare_modes(tandem_system, "preferred")
+        comparison = compare_modes(prepare(tandem_system), "preferred")
         assert comparison.summary["closure"] == {"aspic-minus": False, "deductive": True}
         assert comparison.summary["indirect_consistency"] == {
             "aspic-minus": False,
@@ -148,7 +151,7 @@ class TestCompareModes:
         assert set(comparison.differing) == {"closure", "indirect_consistency"}
 
     def test_tandem_grounded_modes_coincide(self, tandem_system):
-        comparison = compare_modes(tandem_system, "grounded")
+        comparison = compare_modes(prepare(tandem_system), "grounded")
         assert comparison.differing == ()
         for mode in ("aspic-minus", "deductive"):
             ((cs, report),) = comparison.evaluated[mode]
@@ -156,7 +159,7 @@ class TestCompareModes:
             assert report.all_satisfied
 
     def test_empty_system_trivially_satisfies_everything(self):
-        comparison = compare_modes(ArgumentationSystem((), ()), "stable")
+        comparison = compare_modes(prepare(ArgumentationSystem((), ())), "stable")
         assert comparison.differing == ()
         assert all(all(held.values()) for held in comparison.summary.values())
 

@@ -9,8 +9,10 @@ import pytest
 
 from jsbaf import (
     AF,
+    DEFAULT_NODE_BOUND,
     MODES,
     SEMANTICS,
+    EnumerationLimits,
     LimitExceededError,
     base,
     build_da_jsbaf,
@@ -20,9 +22,10 @@ from jsbaf import (
     emit_report,
     evaluate,
     flatten_simplified,
+    prepare,
 )
 from jsbaf.cli import main
-from jsbaf.reporting import limit_error_report
+from jsbaf.reporting import limit_error_report, report_settings
 
 from conftest import TANDEM_PATH
 
@@ -87,18 +90,27 @@ class TestDot:
         assert dot.count("shape=point") == 2  # the two binary joint attacks
 
 
+def preferred_report(system, mode, flatten_mode="literal"):
+    """The report of one preferred evaluation under the default limits."""
+    ev = evaluate(prepare(system, flatten_mode=flatten_mode), "preferred", mode)
+    settings = report_settings(
+        "preferred", mode, flatten_mode, EnumerationLimits().max_arguments, DEFAULT_NODE_BOUND
+    )
+    return build_report(ev, "tandem", settings)
+
+
 class TestReports:
     def test_json_report_is_deterministic(self, tandem_system):
         runs = [
             emit_report(
-                build_report(tandem_system, "tandem", "preferred", "deductive"), "json"
+                preferred_report(tandem_system, "deductive"), "json"
             )
             for _ in range(2)
         ]
         assert runs[0] == runs[1]
 
     def test_deductive_report_carries_the_paper_conclusions(self, tandem_system):
-        report = build_report(tandem_system, "tandem", "preferred", "deductive")
+        report = preferred_report(tandem_system, "deductive")
         conclusions = sorted(e["conclusions"] for e in report["conclusion_sets"])
         assert conclusions == [
             ["ht", "hw", "st", "sw", "tw", "~tt"],
@@ -112,7 +124,7 @@ class TestReports:
         }
 
     def test_aspic_report_flags_the_violation_with_witness(self, tandem_system):
-        report = build_report(tandem_system, "tandem", "preferred", "aspic-minus")
+        report = preferred_report(tandem_system, "aspic-minus")
         assert report["postulate_summary"]["closure"] == "violated"
         violating = [
             e for e in report["conclusion_sets"]
@@ -124,7 +136,7 @@ class TestReports:
         assert "supports" not in report["framework"]
 
     def test_text_report_renders_the_same_content(self, tandem_system):
-        report = build_report(tandem_system, "tandem", "preferred", "deductive")
+        report = preferred_report(tandem_system, "deductive")
         text = emit_report(report, "text")
         assert "A7: A5,A6 -> ~ht" in text
         assert "{A1,A2,A3,A4,A5,A9}" in text
@@ -138,9 +150,7 @@ class TestReports:
         assert json.loads(rendered)["error"]["type"] == "LimitExceededError"
 
     def test_flattened_section_lists_extensions(self, tandem_system):
-        report = build_report(
-            tandem_system, "tandem", "preferred", "deductive", flatten_mode="prune-inert"
-        )
+        report = preferred_report(tandem_system, "deductive", "prune-inert")
         flat = report["flattened"]
         assert len(flat["nodes"]) == 18
         assert len(flat["extensions"]) == 3
@@ -189,6 +199,41 @@ class TestOneEvaluationPass:
             **({"flattened_af": 1} if mode == "deductive" else {}),
         }
 
+    def test_check_postulates_prepares_once(self, stage_calls, capsys):
+        assert main(["check-postulates", "--file", str(TANDEM_PATH)]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 24
+        assert stage_calls == {
+            "is_consistent": 1,
+            "construct_arguments": 1,
+            "attack_witnesses": 1,
+            "flattened_af": 1,
+            "extensions": 8,  # 4 semantics x 2 modes
+        }
+
+    @pytest.mark.parametrize("stage", ("one-step", "two-step", "simplified"))
+    def test_flatten_flattens_at_most_once(self, stage_calls, capsys, stage):
+        assert main(["flatten", "--file", str(TANDEM_PATH), "--stage", stage]) == 0
+        assert capsys.readouterr().out.startswith("digraph framework {")
+        assert stage_calls == {
+            "is_consistent": 1,
+            "construct_arguments": 1,
+            "attack_witnesses": 1,
+            **({"flattened_af": 1} if stage == "simplified" else {}),
+        }
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_oracle_runs_each_stage_once(self, stage_calls, capsys, mode):
+        argv = ["oracle", "--file", str(TANDEM_PATH), "--mode", mode, "--semantics", "stable"]
+        assert main([*argv, "--flatten", "prune-inert", "--oracle-cap", "18"]) == 0
+        assert capsys.readouterr().out.startswith("stable: OK")
+        assert stage_calls == {
+            "is_consistent": 1,
+            "construct_arguments": 1,
+            "attack_witnesses": 1,
+            "extensions": 1,
+            **({"flattened_af": 1} if mode == "deductive" else {}),
+        }
+
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("mode", MODES)
     def test_report_agrees_with_conclusion_sets(self, tandem_system, capsys, mode, semantics):
@@ -196,7 +241,7 @@ class TestOneEvaluationPass:
         report = json.loads(capsys.readouterr().out)
         expected = [
             {"extension": list(cs.extension), "conclusions": sorted(map(str, cs.formulas))}
-            for cs in evaluate(tandem_system, semantics, mode).conclusion_sets
+            for cs in evaluate(prepare(tandem_system), semantics, mode).conclusion_sets
         ]
         got = [
             {"extension": e["extension"], "conclusions": e["conclusions"]}

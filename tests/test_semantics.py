@@ -28,6 +28,7 @@ from jsbaf import (
     jsbaf_extensions,
     parse_system,
     preferred_extensions,
+    prepare,
     random_system,
     stable_extensions,
     strict_argument_nodes,
@@ -168,20 +169,21 @@ class TestSearchLimit:
             argv = ["eval", "--file", str(TANDEM_PATH), "--mode", mode, "--max-nodes", "5"]
             for sem in ("complete", "stable", "preferred"):
                 with pytest.raises(SearchLimitExceededError) as err:
-                    evaluate(tandem_system, sem, mode, max_nodes=5)
+                    evaluate(prepare(tandem_system), sem, mode, max_nodes=5)
                 assert str(err.value) == f"framework has {nodes} nodes, above the search bound 5"
                 assert main([*argv, "--semantics", sem]) == 3
                 error = json.loads(capsys.readouterr().out)["error"]
                 assert (error["type"], error["nodes"], error["bound"]) == (
                     "SearchLimitExceededError", nodes, 5
                 )
-            assert len(evaluate(tandem_system, "grounded", mode, max_nodes=5).extensions) == 1
+            ev = evaluate(prepare(tandem_system), "grounded", mode, max_nodes=5)
+            assert len(ev.extensions) == 1
             assert main([*argv, "--semantics", "grounded"]) in (0, 1)
             assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
     def test_evaluate_rejects_unknown_semantics_before_the_bound(self, tandem_system):
         with pytest.raises(ValueError, match="unknown semantics"):
-            evaluate(tandem_system, "semi-stable", "deductive", max_nodes=5)
+            evaluate(prepare(tandem_system), "semi-stable", "deductive", max_nodes=5)
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
@@ -309,10 +311,11 @@ class TestRegressionInstances:
     def _check(system, expected):
         flat = _deductive_flattening(system)
         bound = len(flat.nodes)
+        prepared = prepare(system)
         for sem, count in expected.items():
             exts = extensions(flat, sem)
             assert_sound_extensions(flat, sem, exts)
-            sets = evaluate(system, sem, "deductive", max_nodes=bound).conclusion_sets
+            sets = evaluate(prepared, sem, "deductive", max_nodes=bound).conclusion_sets
             assert (len(exts), len(sets)) == (count, count), sem
             for cs in sets:
                 assert evaluate_postulates(system, cs.formulas).all_satisfied, sem
