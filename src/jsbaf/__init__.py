@@ -84,7 +84,7 @@ from .postulates import (
     random_jsbaf,
     random_system,
 )
-from .reporting import build_report, emit_apx, emit_dot, emit_report
+from .reporting import emit_apx, emit_dot, write_report
 from .semantics import (
     SEMANTICS,
     complete_extensions,

@@ -24,11 +24,12 @@ from .errors import (
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
 from .postulates import (
-    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, compare_modes, evaluate,
-    prepare, random_system,
+    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_shape, compare_modes,
+    evaluate, prepare, random_system,
 )
-from .reporting import build_report, emit_apx, emit_dot, emit_report, limit_error_report
-from .reporting import report_settings
+from .reporting import (
+    REPORT_FORMATS, emit_apx, emit_dot, report_settings, write_limit_report, write_report,
+)
 from .semantics import FLATTEN_MODES, SEMANTICS
 
 EXIT_OK = 0
@@ -89,7 +90,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="compute extensions, conclusions, postulates")
     _add_common(p_eval, semantics=True, flatten=True, max_nodes=True)
     p_eval.add_argument("--mode", choices=MODES, default="deductive")
-    p_eval.add_argument("--report", choices=("json", "text"), default="json")
+    p_eval.add_argument("--report", choices=REPORT_FORMATS, default="json")
     p_eval.add_argument(
         "--allow-inconsistent", action="store_true",
         help="evaluate anyway; postulate verdicts are then out of scope",
@@ -139,22 +140,19 @@ def _cmd_eval(args) -> int:
         prepared = _prepare(args, not args.allow_inconsistent)
         ev = evaluate(prepared, args.semantics, args.mode, args.max_nodes)
     except (LimitExceededError, SearchLimitExceededError) as exc:
-        sys.stdout.write(emit_report(limit_error_report(args.file, settings, exc), args.report))
+        write_limit_report(args.file, settings, exc, args.report, sys.stdout.write)
         return EXIT_LIMIT
-    report = build_report(ev, args.file, settings)
-    del prepared, ev  # the frameworks are not needed to emit the report; free them first
-    sys.stdout.write(emit_report(report, args.report))
-    if any(v == "violated" for v in report["postulate_summary"].values()):
-        return EXIT_VIOLATION
-    return EXIT_OK
+    if write_report(ev, args.file, settings, args.report, sys.stdout.write):
+        return EXIT_OK
+    return EXIT_VIOLATION
 
 
 def _cmd_flatten(args) -> int:
+    if args.stage == "one-step" and args.emit == "apx":
+        raise ValidationError("APX cannot represent joint attacks; use --emit dot")
     prepared = _prepare(args, False)
     if args.stage == "one-step":
         framework = flatten_one_step(prepared.jsbaf, prepared.shielded)
-        if args.emit == "apx":
-            raise ValidationError("APX cannot represent joint attacks; use --emit dot")
     elif args.stage == "two-step":
         framework = flatten_joint_attacks(flatten_one_step(prepared.jsbaf, prepared.shielded))
     else:
@@ -191,15 +189,22 @@ def _cmd_check_postulates(args) -> int:
     return EXIT_VIOLATION if violated else EXIT_OK
 
 
+# The options of ``random`` and the ``SystemParams`` fields they set.
+_SHAPE_OPTIONS = {
+    "--atoms": "n_atoms",
+    "--strict": "n_strict",
+    "--defeasible": "n_defeasible",
+    "--max-body": "max_body",
+    "--undercut-density": "undercut_density",
+}
+
+
 def _cmd_random(args) -> int:
-    params = SystemParams(
-        n_atoms=args.atoms,
-        n_strict=args.strict,
-        n_defeasible=args.defeasible,
-        max_body=args.max_body,
-        undercut_density=args.undercut_density,
-    )
-    generated = random_system(params, args.seed)
+    shape = {}
+    for option, field in _SHAPE_OPTIONS.items():
+        shape[field] = getattr(args, option[2:].replace("-", "_"))
+        check_shape(field, shape[field], option)
+    generated = random_system(SystemParams(**shape), args.seed)
     sys.stdout.write(f"# seed {generated.seed}, attempt {generated.attempts}\n")
     sys.stdout.write(print_system(generated.system))
     return EXIT_OK

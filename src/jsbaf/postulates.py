@@ -274,12 +274,29 @@ class SystemParams:
     retries: int = 200
 
     def __post_init__(self):
-        minima = {"n_atoms": 1, "n_strict": 0, "n_defeasible": 0, "max_body": 0, "retries": 1}
-        for name, low in minima.items():
-            if (value := getattr(self, name)) < low:
-                raise ValidationError(f"{name} must be at least {low}, got {value}")
-        if not 0 <= (density := self.undercut_density) <= 1:
-            raise ValidationError(f"undercut_density must lie in [0, 1], got {density}")
+        for field in SHAPE_RANGES:
+            check_shape(field, getattr(self, field), field)
+
+
+# The range of each ``SystemParams`` field: (lowest, highest or None).
+SHAPE_RANGES = {
+    "n_atoms": (1, None),
+    "n_strict": (0, None),
+    "n_defeasible": (0, None),
+    "max_body": (0, None),
+    "retries": (1, None),
+    "undercut_density": (0, 1),
+}
+
+
+def check_shape(field: str, value: float, name: str) -> None:
+    """Raise ValidationError, calling ``value`` ``name``, unless it lies in
+    the range of the ``SystemParams`` field ``field``."""
+    low, high = SHAPE_RANGES[field]
+    if high is None and value < low:
+        raise ValidationError(f"{name} must be at least {low}, got {value}")
+    if high is not None and not low <= value <= high:
+        raise ValidationError(f"{name} must lie in [{low}, {high}], got {value}")
 
 
 @dataclass(frozen=True)

@@ -1,33 +1,48 @@
-"""Report assembly and the DOT / APX / JSON / text emitters.
+"""Report writing and the DOT / APX emitters.
 
 Serialisation is canonical: every list is sorted, JSON keys are sorted, and
-identical inputs produce byte-identical output.
+identical inputs produce byte-identical output.  A JSON report is the text
+that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
+gives for it, plus a newline, written section by section straight from the
+``Evaluation``.  Its large lists are filled in from fixed templates.
 """
 
 from __future__ import annotations
 
-import json
 import re
-from typing import Iterable
+from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
+from typing import Callable, Iterable
 
 from .core import StrictRule
 from .frameworks import AF, JSBAF, HigherLevelAF, NodeId, is_meta, sort_nodes
 from .postulates import POSTULATES, Evaluation, PostulateReport, Verdict
 
+REPORT_FORMATS = ("json", "text")
+
+
 def _formula_list(formulas) -> list[str]:
     return sorted(str(f) for f in formulas)
 
+
+# Labels are computed per occurrence: the edge pairs of a framework hold
+# distinct node objects (63,584 of them for the 1,152 nodes of tandem(8,3)'s
+# flattening), so a cache keyed by node would run each node's Python-level
+# __hash__ and __eq__ per lookup, which costs more than ``label`` itself.
 
 def _node_list(nodes: Iterable[NodeId]) -> list[str]:
     return [n.label for n in sort_nodes(nodes)]
 
 
-def _edge_list(edges: Iterable[tuple[NodeId, NodeId]]) -> list[list[str]]:
-    return sorted([s.label, d.label] for s, d in edges)
+def _edge_list(edges: Iterable[tuple[NodeId, NodeId]]) -> list[tuple[str, str]]:
+    return sorted([(s.label, d.label) for s, d in edges])
 
 
-def _support_list(supports) -> list[list]:
-    return sorted([_node_list(src), dst.label] for src, dst in supports)
+def _extension_list(extensions: Iterable[frozenset[NodeId]]) -> list[list[str]]:
+    return sorted(_node_list(e) for e in extensions)
+
+
+def _support_list(supports) -> list[tuple[list[str], str]]:
+    return sorted((_node_list(src), dst.label) for src, dst in supports)
 
 
 def _verdict_json(name: str, verdict: Verdict) -> dict:
@@ -63,55 +78,176 @@ def report_settings(
     }
 
 
-def build_report(ev: Evaluation, source: str, settings: dict) -> dict:
-    """One evaluation as a plain dict ready for canonical serialisation;
-    ``settings`` is its ``report_settings`` block."""
-    system = ev.store.system
-    report: dict = {
-        "input": {
-            "source": source,
-            "atoms": sorted(system.atoms),
-            "strict_rules": len(system.strict_rules),
-            "defeasible_rules": len(system.defeasible_rules),
-            "undercut_names": len(system.undercut_names),
-            "consistent": ev.consistent,
-        },
-        "settings": settings,
-        "arguments": [
-            {
-                "id": arg.canonical_id,
-                "rule": arg.rule.id,
-                "subs": [s.canonical_id for s in arg.subs],
-                "conclusion": str(arg.conclusion),
-                "defeasible": arg.defeasible,
-                "form": arg.form,
-                "structure": arg.structure,
-            }
-            for arg in ev.store.arguments
-        ],
-        "enumeration": {
-            "count": len(ev.store),
-            "acyclicity_pruned": ev.store.acyclicity_pruned,
-        },
-        "status": "ok",
-        "framework": {
-            "attacks": _edge_list(ev.framework.attacks),
-            "attack_witnesses": [
-                {"attacker": w.attacker, "target": w.target, "kind": w.kind, "on": w.on}
-                for w in ev.witnesses
-            ],
-        },
-    }
+# The JSON writer.  ``depth`` is the nesting level of the line a value starts
+# on; its members are indented one level deeper, by two spaces per level.
+
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON list or object of already encoded ``items``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _list(items: list[str], depth: int) -> str:
+    return _block("[]", items, depth)
+
+
+def _json(value, depth: int) -> str:
+    """A dict, list, str, int, bool or None as JSON, keys sorted."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return _block("{}", [f"{_quote(k)}: {_json(v, depth + 1)}" for k, v in items], depth)
+    if isinstance(value, (list, tuple)):
+        return _list([_json(v, depth + 1) for v in value], depth)
+    raise TypeError(f"a report holds no {type(value).__name__}")
+
+
+def _edges_json(pairs: list[tuple[str, str]], depth: int) -> str:
+    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
+    return _list([f"[{inner}{_quote(s)},{inner}{_quote(d)}{outer}]" for s, d in pairs], depth)
+
+
+def _arguments_json(ev: Evaluation, depth: int) -> str:
+    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
+    return _list([
+        f'{{{inner}"conclusion": {_quote(str(arg.conclusion))},'
+        f'{inner}"defeasible": {"true" if arg.defeasible else "false"},'
+        f'{inner}"form": {_quote(arg.form)},{inner}"id": {_quote(arg.canonical_id)},'
+        f'{inner}"rule": {_quote(arg.rule.id)},{inner}"structure": {_quote(arg.structure)},'
+        f'{inner}"subs": {_list([_quote(s.canonical_id) for s in arg.subs], depth + 2)}{outer}}}'
+        for arg in ev.store.arguments
+    ], depth)
+
+
+def _witnesses_json(ev: Evaluation, depth: int) -> str:
+    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
+    return _list([
+        f'{{{inner}"attacker": {_quote(w.attacker)},{inner}"kind": {_quote(w.kind)},'
+        f'{inner}"on": {_quote(w.on)},{inner}"target": {_quote(w.target)}{outer}}}'
+        for w in ev.witnesses
+    ], depth)
+
+
+def _flattened_entries(ev: Evaluation, settings: dict):
+    yield "attacks", _edges_json(_edge_list(ev.flat.attacks), 2)
+    yield "extensions", _json(_extension_list(ev.raw_extensions), 2)
+    yield "mode", _json(settings["flatten"], 2)
+    yield "nodes", _list([_quote(label) for label in _node_list(ev.flat.nodes)], 2)
+
+
+def _framework_entries(ev: Evaluation):
+    yield "attack_witnesses", _witnesses_json(ev, 2)
+    yield "attacks", _edges_json(_edge_list(ev.framework.attacks), 2)
     if ev.flat is not None:
-        report["framework"]["supports"] = _support_list(ev.framework.supports)
-        report["flattened"] = {
-            "mode": settings["flatten"],
-            "nodes": _node_list(ev.flat.nodes),
-            "attacks": _edge_list(ev.flat.attacks),
-            "extensions": sorted(_node_list(e) for e in ev.raw_extensions),
-        }
-    report["extensions"] = sorted(_node_list(e) for e in ev.extensions)
-    report["conclusion_sets"] = [
+        yield "supports", _json(_support_list(ev.framework.supports), 2)
+
+
+def _report_entries(ev: Evaluation, source: str, settings: dict, sets: list[dict], summary: dict):
+    """The entries of a full JSON report, in key order: (key, encoded value),
+    or (key, entries) for the two large nested objects."""
+    system = ev.store.system
+    yield "arguments", _arguments_json(ev, 1)
+    yield "conclusion_sets", _json(sets, 1)
+    yield "enumeration", _json(
+        {"count": len(ev.store), "acyclicity_pruned": ev.store.acyclicity_pruned}, 1
+    )
+    yield "extensions", _json(_extension_list(ev.extensions), 1)
+    if ev.flat is not None:
+        yield "flattened", _flattened_entries(ev, settings)
+    yield "framework", _framework_entries(ev)
+    yield "input", _json({
+        "source": source,
+        "atoms": sorted(system.atoms),
+        "strict_rules": len(system.strict_rules),
+        "defeasible_rules": len(system.defeasible_rules),
+        "undercut_names": len(system.undercut_names),
+        "consistent": ev.consistent,
+    }, 1)
+    yield "postulate_summary", _json(summary, 1)
+    yield "postulates_in_scope", _json(ev.consistent, 1)
+    yield "settings", _json(settings, 1)
+    yield "status", _json("ok", 1)
+
+
+def _write_object(entries, depth: int, write) -> None:
+    """Write a JSON object from its lazily built ``entries``, one ``write``
+    per entry, so that only one large value is alive at a time."""
+    indent = "\n" + "  " * (depth + 1)
+    separator = "{"
+    for key, value in entries:
+        head = f"{separator}{indent}{_quote(key)}: "
+        if isinstance(value, str):
+            write(head + value)
+        else:
+            write(head)
+            _write_object(value, depth + 1, write)
+        separator = ","
+    write("\n" + "  " * depth + "}")
+
+
+def _lines(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_text(
+    ev: Evaluation, source: str, settings: dict, sets: list[dict], summary: dict, write
+) -> None:
+    system = ev.store.system
+    flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
+    write(_lines(
+        f"source: {source}",
+        f"system: {len(system.strict_rules)} strict, {len(system.defeasible_rules)} defeasible, "
+        f"{len(system.undercut_names)} named, consistent={str(ev.consistent).lower()}",
+        f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}",
+        "",
+        f"arguments ({len(ev.store)}):",
+        *(f"  {arg.form}" for arg in ev.store.arguments),
+        "",
+        "attacks:",
+    ))
+    write(_lines(*(f"  {s} -> {d}" for s, d in _edge_list(ev.framework.attacks))))
+    if ev.flat is not None:
+        write(_lines(
+            "supports:",
+            *(
+                f"  {{{','.join(src)}}} => {dst}"
+                for src, dst in _support_list(ev.framework.supports)
+            ),
+            f"flattened ({settings['flatten']}): {len(ev.flat.nodes)} nodes, "
+            f"{len(ev.flat.attacks)} attacks",
+        ))
+    tail = ["", f"extensions ({settings['semantics']}):"]
+    tail += ["  {" + ",".join(ext) + "}" for ext in _extension_list(ev.extensions)]
+    tail += ["", "conclusion sets:"]
+    for entry in sets:
+        tail.append("  {" + ", ".join(entry["conclusions"]) + "}")
+        for name in POSTULATES:
+            verdict = entry["postulates"][name]
+            state = "satisfied" if verdict["satisfied"] else f"VIOLATED ({verdict['witness']})"
+            tail.append(f"    {name}: {state}")
+    tail += ["", "summary: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))]
+    if not ev.consistent:
+        tail.append("note: system is inconsistent; postulate verdicts are out of scope")
+    write(_lines(*tail))
+
+
+def write_report(
+    ev: Evaluation, source: str, settings: dict, fmt: str, write: Callable[[str], object]
+) -> bool:
+    """Write the report of ``ev`` as ``fmt`` (one of ``REPORT_FORMATS``)
+    through ``write``, calling it a fixed number of times whatever the
+    report's size; ``settings`` is its ``report_settings`` block.  Returns
+    whether every postulate holds on every conclusion set."""
+    sets = [
         {
             "extension": list(cs.extension),
             "conclusions": _formula_list(cs.formulas),
@@ -119,91 +255,44 @@ def build_report(ev: Evaluation, source: str, settings: dict) -> dict:
         }
         for cs, verdicts in zip(ev.conclusion_sets, ev.postulates)
     ]
-    report["postulate_summary"] = {
-        name: (
-            "satisfied"
-            if all(entry["postulates"][name]["satisfied"] for entry in report["conclusion_sets"])
-            else "violated"
-        )
+    summary = {
+        name: "satisfied" if all(e["postulates"][name]["satisfied"] for e in sets) else "violated"
         for name in POSTULATES
     }
-    report["postulates_in_scope"] = ev.consistent
-    return report
+    if fmt == "json":
+        _write_object(_report_entries(ev, source, settings, sets, summary), 0, write)
+        write("\n")
+    elif fmt == "text":
+        _write_text(ev, source, settings, sets, summary, write)
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return "violated" not in summary.values()
 
 
-def limit_error_report(source: str, settings: dict, error: Exception) -> dict:
-    """Minimal report for a run stopped by an enumeration or search limit."""
+def write_limit_report(
+    source: str, settings: dict, error: Exception, fmt: str, write: Callable[[str], object]
+) -> None:
+    """Write the minimal report of a run stopped by an enumeration or search
+    limit, in one call of ``write``."""
     detail: dict = {"type": type(error).__name__, "message": str(error)}
     for attr in ("limit", "bound", "nodes"):
         if hasattr(error, attr):
             detail[attr] = getattr(error, attr)
-    return {
-        "input": {"source": source},
-        "settings": settings,
-        "status": "limit-exceeded",
-        "error": detail,
-    }
-
-
-def emit_report(report: dict, fmt: str = "json") -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    if fmt == "text":
-        return _render_text(report)
-    raise ValueError(f"unknown report format {fmt!r}")
-
-
-def _render_text(report: dict) -> str:
-    lines = []
-    inp = report["input"]
-    lines.append(f"source: {inp['source']}")
-    if report["status"] != "ok":
-        err = report["error"]
-        lines.append(f"status: {report['status']} ({err['type']}: {err['message']})")
-        return "\n".join(lines) + "\n"
-    settings = report["settings"]
-    lines.append(
-        f"system: {inp['strict_rules']} strict, {inp['defeasible_rules']} defeasible, "
-        f"{inp['undercut_names']} named, consistent={str(inp['consistent']).lower()}"
-    )
-    flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
-    lines.append(f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}")
-    lines.append("")
-    lines.append(f"arguments ({report['enumeration']['count']}):")
-    for arg in report["arguments"]:
-        lines.append(f"  {arg['form']}")
-    lines.append("")
-    lines.append("attacks:")
-    for src, dst in report["framework"]["attacks"]:
-        lines.append(f"  {src} -> {dst}")
-    if "supports" in report["framework"]:
-        lines.append("supports:")
-        for src, dst in report["framework"]["supports"]:
-            lines.append(f"  {{{','.join(src)}}} => {dst}")
-    if "flattened" in report:
-        flat = report["flattened"]
-        lines.append(
-            f"flattened ({flat['mode']}): {len(flat['nodes'])} nodes, "
-            f"{len(flat['attacks'])} attacks"
-        )
-    lines.append("")
-    lines.append(f"extensions ({settings['semantics']}):")
-    for ext in report["extensions"]:
-        lines.append("  {" + ",".join(ext) + "}")
-    lines.append("")
-    lines.append("conclusion sets:")
-    for entry in report["conclusion_sets"]:
-        lines.append("  {" + ", ".join(entry["conclusions"]) + "}")
-        for name in POSTULATES:
-            verdict = entry["postulates"][name]
-            state = "satisfied" if verdict["satisfied"] else f"VIOLATED ({verdict['witness']})"
-            lines.append(f"    {name}: {state}")
-    lines.append("")
-    summary = ", ".join(f"{k}={v}" for k, v in sorted(report["postulate_summary"].items()))
-    lines.append(f"summary: {summary}")
-    if not report["postulates_in_scope"]:
-        lines.append("note: system is inconsistent; postulate verdicts are out of scope")
-    return "\n".join(lines) + "\n"
+        report = {
+            "input": {"source": source},
+            "settings": settings,
+            "status": "limit-exceeded",
+            "error": detail,
+        }
+        write(_json(report, 0) + "\n")
+    elif fmt == "text":
+        write(_lines(
+            f"source: {source}",
+            f"status: limit-exceeded ({detail['type']}: {detail['message']})",
+        ))
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def _dot_quote(text: str) -> str:

@@ -182,10 +182,11 @@ class TestRandom:
     @pytest.mark.parametrize(
         "option, value, message",
         [
-            ("--atoms", "0", "n_atoms must be at least 1, got 0"),
-            ("--max-body", "-1", "max_body must be at least 0, got -1"),
-            ("--strict", "-2", "n_strict must be at least 0, got -2"),
-            ("--undercut-density", "7", "undercut_density must lie in [0, 1], got 7.0"),
+            ("--atoms", "0", "--atoms must be at least 1, got 0"),
+            ("--strict", "-2", "--strict must be at least 0, got -2"),
+            ("--defeasible", "-1", "--defeasible must be at least 0, got -1"),
+            ("--max-body", "-1", "--max-body must be at least 0, got -1"),
+            ("--undercut-density", "7", "--undercut-density must lie in [0, 1], got 7.0"),
         ],
     )
     def test_out_of_range_shape_is_an_input_error(self, capsys, option, value, message):

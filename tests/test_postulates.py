@@ -8,6 +8,7 @@ from jsbaf import (
     InconsistentSystemError,
     JsbafParams,
     SystemParams,
+    ValidationError,
     atom,
     check_closure,
     check_direct_consistency,
@@ -177,6 +178,20 @@ class TestRandomSystem:
     def test_records_its_seed(self):
         generated = random_system(SystemParams(), 17)
         assert generated.seed == 17 and generated.attempts >= 1
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ({"n_atoms": 0}, "n_atoms must be at least 1, got 0"),
+            ({"n_strict": -2}, "n_strict must be at least 0, got -2"),
+            ({"retries": 0}, "retries must be at least 1, got 0"),
+            ({"undercut_density": 1.5}, "undercut_density must lie in [0, 1], got 1.5"),
+        ],
+    )
+    def test_out_of_range_shape_names_the_field(self, shape, message):
+        with pytest.raises(ValidationError) as error:
+            SystemParams(**shape)
+        assert str(error.value) == message
 
     def test_generation_failure_is_reported(self):
         # one atom and empty bodies admit only two distinct strict rules,

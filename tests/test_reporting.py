@@ -4,6 +4,7 @@ import collections
 import importlib
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,20 +15,26 @@ from jsbaf import (
     SEMANTICS,
     EnumerationLimits,
     LimitExceededError,
+    SearchLimitExceededError,
+    SourceDocument,
+    SystemParams,
     base,
     build_da_jsbaf,
-    build_report,
     emit_apx,
     emit_dot,
-    emit_report,
     evaluate,
     flatten_simplified,
+    parse_system,
     prepare,
+    random_system,
+    write_report,
 )
 from jsbaf.cli import main
-from jsbaf.reporting import limit_error_report, report_settings
+from jsbaf.reporting import report_settings, write_limit_report
 
-from conftest import TANDEM_PATH
+from conftest import TANDEM_PATH, tandem_rules
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 class TestApx:
@@ -90,23 +97,34 @@ class TestDot:
         assert dot.count("shape=point") == 2  # the two binary joint attacks
 
 
-def preferred_report(system, mode, flatten_mode="literal"):
+def written(writer, *args):
+    """What ``writer(*args, write)`` writes, and its number of ``write`` calls."""
+    chunks = []
+    writer(*args, chunks.append)
+    return "".join(chunks), len(chunks)
+
+
+def preferred_text(system, mode, fmt="json", flatten_mode="literal"):
     """The report of one preferred evaluation under the default limits."""
     ev = evaluate(prepare(system, flatten_mode=flatten_mode), "preferred", mode)
     settings = report_settings(
         "preferred", mode, flatten_mode, EnumerationLimits().max_arguments, DEFAULT_NODE_BOUND
     )
-    return build_report(ev, "tandem", settings)
+    return written(write_report, ev, "tandem", settings, fmt)[0]
+
+
+def preferred_report(system, mode, flatten_mode="literal"):
+    return json.loads(preferred_text(system, mode, "json", flatten_mode))
+
+
+def assert_canonical(out):
+    """``out`` is a JSON report exactly as ``json.dumps`` would write it."""
+    assert json.dumps(json.loads(out), indent=2, sort_keys=True, ensure_ascii=False) + "\n" == out
 
 
 class TestReports:
     def test_json_report_is_deterministic(self, tandem_system):
-        runs = [
-            emit_report(
-                preferred_report(tandem_system, "deductive"), "json"
-            )
-            for _ in range(2)
-        ]
+        runs = [preferred_text(tandem_system, "deductive") for _ in range(2)]
         assert runs[0] == runs[1]
 
     def test_deductive_report_carries_the_paper_conclusions(self, tandem_system):
@@ -136,18 +154,20 @@ class TestReports:
         assert "supports" not in report["framework"]
 
     def test_text_report_renders_the_same_content(self, tandem_system):
-        report = preferred_report(tandem_system, "deductive")
-        text = emit_report(report, "text")
+        text = preferred_text(tandem_system, "deductive", "text")
         assert "A7: A5,A6 -> ~ht" in text
         assert "{A1,A2,A3,A4,A5,A9}" in text
         assert "summary: closure=satisfied" in text
 
     def test_limit_report_names_the_limit(self):
-        report = limit_error_report("f.rules", {"semantics": "preferred"}, LimitExceededError(3))
+        rendered, calls = written(
+            write_limit_report, "f.rules", {"semantics": "preferred"}, LimitExceededError(3), "json"
+        )
+        report = json.loads(rendered)
         assert report["status"] == "limit-exceeded"
         assert report["error"]["limit"] == 3
-        rendered = emit_report(report, "json")
-        assert json.loads(rendered)["error"]["type"] == "LimitExceededError"
+        assert report["error"]["type"] == "LimitExceededError"
+        assert calls == 1
 
     def test_flattened_section_lists_extensions(self, tandem_system):
         report = preferred_report(tandem_system, "deductive", "prune-inert")
@@ -155,6 +175,85 @@ class TestReports:
         assert len(flat["nodes"]) == 18
         assert len(flat["extensions"]) == 3
         assert report["enumeration"] == {"count": 9, "acyclicity_pruned": False}
+
+    def test_unknown_format_is_refused(self, tandem_system):
+        ev = evaluate(prepare(tandem_system), "grounded", "deductive")
+        settings = report_settings("grounded", "deductive", "literal", 5000, DEFAULT_NODE_BOUND)
+        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+            write_report(ev, "tandem", settings, "yaml", print)
+        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+            write_limit_report("tandem", settings, LimitExceededError(3), "yaml", print)
+
+
+# Reports of `jsbaf eval --file tandem.rules`, run from demos/ and recorded
+# before the report writer replaced the dict-and-json.dumps path.
+GOLDEN = [
+    ("tandem-preferred-deductive.json", ["--mode", "deductive"], 0),
+    ("tandem-preferred-deductive.txt", ["--mode", "deductive", "--report", "text"], 0),
+    ("tandem-preferred-aspic-minus.json", ["--mode", "aspic-minus"], 1),
+    ("tandem-preferred-aspic-minus.txt", ["--mode", "aspic-minus", "--report", "text"], 1),
+    ("tandem-preferred-prune-inert.json", ["--flatten", "prune-inert"], 0),
+    ("tandem-max-nodes-5.json", ["--max-nodes", "5"], 3),
+    ("tandem-max-nodes-5.txt", ["--max-nodes", "5", "--report", "text"], 3),
+]
+
+
+class TestReportBytes:
+    @pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
+    def test_golden_report(self, capsys, monkeypatch, name, argv, code):
+        monkeypatch.chdir(TANDEM_PATH.parent)
+        assert main(["eval", "--file", TANDEM_PATH.name, *argv]) == code
+        assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_tandem_reports_are_canonical(self, capsys, mode, semantics):
+        argv = ["eval", "--file", str(TANDEM_PATH), "--mode", mode, "--semantics", semantics]
+        main(argv)
+        assert_canonical(capsys.readouterr().out)
+
+    def test_random_reports_are_canonical(self):
+        params = SystemParams(4, 4, 4, undercut_density=0.4)
+        for seed in range(40):
+            prepared = prepare(random_system(params, seed).system)
+            for semantics in SEMANTICS:
+                for mode in MODES:
+                    settings = report_settings(semantics, mode, "literal", 5000, DEFAULT_NODE_BOUND)
+                    try:
+                        ev = evaluate(prepared, semantics, mode)
+                    except SearchLimitExceededError as exc:
+                        out = written(write_limit_report, str(seed), settings, exc, "json")[0]
+                    else:
+                        out = written(write_report, ev, str(seed), settings, "json")[0]
+                    assert_canonical(out)
+
+    def test_inconsistent_and_limit_reports_are_canonical(self, capsys, tmp_path):
+        rules = tmp_path / "inconsistent.rules"
+        rules.write_text("strict s1: -> p\nstrict s2: -> ~p\ndefeasible d1: => q\n")
+        assert main(["eval", "--file", str(rules), "--allow-inconsistent"]) == 1
+        out = capsys.readouterr().out
+        assert json.loads(out)["postulates_in_scope"] is False
+        assert_canonical(out)
+        assert main(["eval", "--file", str(TANDEM_PATH), "--max-nodes", "5"]) == 3
+        assert_canonical(capsys.readouterr().out)
+
+    def test_source_path_is_escaped(self, capsys, tmp_path):
+        rules = tmp_path / 'quote" back\\slash\ttab \u00fcber.rules'
+        rules.write_text(TANDEM_PATH.read_text())
+        assert main(["eval", "--file", str(rules)]) == 0
+        out = capsys.readouterr().out
+        assert json.loads(out)["input"]["source"] == str(rules)
+        assert_canonical(out)
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    def test_write_calls_do_not_grow_with_the_report(self, fmt):
+        calls = set()
+        for n, k in ((3, 2), (7, 3)):
+            system = parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+            ev = evaluate(prepare(system), "grounded", "deductive")
+            settings = report_settings("grounded", "deductive", "literal", 5000, DEFAULT_NODE_BOUND)
+            calls.add(written(write_report, ev, "tandem", settings, fmt)[1])
+        assert len(calls) == 1
 
 
 STAGES = {
@@ -220,6 +319,14 @@ class TestOneEvaluationPass:
             "attack_witnesses": 1,
             **({"flattened_af": 1} if stage == "simplified" else {}),
         }
+
+    def test_flatten_refuses_apx_of_one_step_before_any_stage(self, stage_calls, capsys):
+        argv = ["flatten", "--file", str(TANDEM_PATH), "--stage", "one-step", "--emit", "apx"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: APX cannot represent joint attacks; use --emit dot\n"
+        )
+        assert stage_calls == {}
 
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_runs_each_stage_once(self, stage_calls, capsys, mode):
