@@ -89,6 +89,7 @@ from .semantics import (
     SEMANTICS,
     complete_extensions,
     defends,
+    extension_ids,
     extensions,
     flattened_af,
     grounded_extension,

@@ -24,12 +24,15 @@ grows with the number of attack witnesses.
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 from .core import ArgumentationSystem, DefeasibleRule, Formula, Rule, StrictRule, complement
 from .errors import LimitExceededError
-from .frameworks import AF, JSBAF, NodeId, base
+from .frameworks import AF, JSBAF, BaseNode
 
 
 @dataclass(frozen=True)
@@ -121,6 +124,22 @@ class ArgumentStore:
 
     def by_id(self, canonical_id: str) -> Argument:
         return self.arguments[int(canonical_id[1:]) - 1]
+
+    @cached_property
+    def node_order(self) -> tuple[int, ...]:
+        """Argument ordinals in canonical node order, which sorts the ids
+        as text (A1, A10, A11, ..., A2): node p of a framework built from
+        this store is argument ``node_order[p]``."""
+        ids = [arg.canonical_id for arg in self.arguments]
+        return tuple(sorted(range(len(ids)), key=ids.__getitem__))
+
+    @cached_property
+    def node_number(self) -> list[int]:
+        """The node number of each argument, by ordinal."""
+        number = [0] * len(self.arguments)
+        for p, o in enumerate(self.node_order):
+            number[o] = p
+        return number
 
     def __len__(self) -> int:
         return len(self.arguments)
@@ -214,15 +233,18 @@ def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
     return tuple(sorted(hits, key=lambda s: s.ordinal))
 
 
-@dataclass(frozen=True)
-class AttackWitness:
+class AttackWitness(NamedTuple):
     """One attack occurrence: attacker, target, kind, and the sub-argument
-    of the target it lands on."""
+    of the target it lands on.  A named tuple, because a large system has
+    hundreds of thousands of them (213,360 for tandem(10, 3))."""
 
     attacker: str
     target: str
     kind: str  # "undercut" | "rebut"
     on: str
+
+
+_ATTACKER, _TARGET = operator.attrgetter("attacker"), operator.attrgetter("target")
 
 
 def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
@@ -253,6 +275,7 @@ def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
 
     hits_by_conclusion: dict[Formula, list[tuple[str, str, str]]] = {}
     out: list[AttackWitness] = []
+    make = AttackWitness._make
     for a in args:
         hits = hits_by_conclusion.get(a.conclusion)
         if hits is None:
@@ -269,16 +292,30 @@ def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
                 for b, rank, on in found
             ]
             hits_by_conclusion[a.conclusion] = hits
-        out.extend(AttackWitness(a.canonical_id, b, kind, on) for b, kind, on in hits)
+        aid = a.canonical_id
+        out.extend([make((aid, b, kind, on)) for b, kind, on in hits])
     return out
 
 
 def _attack_edges(
     store: ArgumentStore, witnesses: Sequence[AttackWitness] | None
-) -> frozenset[tuple[NodeId, NodeId]]:
+) -> list[list[int]]:
+    """The attack relation over the node numbers of ``store`` (see
+    ``ArgumentStore.node_order``): the targets of each node, in ascending
+    order."""
     if witnesses is None:
         witnesses = attack_witnesses(store)
-    return frozenset((base(w.attacker), base(w.target)) for w in witnesses)
+    number = {store.arguments[o].canonical_id: p for p, o in enumerate(store.node_order)}
+    rows: list[list[str]] = [[] for _ in number]
+    for attacker, group in itertools.groupby(witnesses, _ATTACKER):
+        rows[number[attacker]].extend(map(_TARGET, group))
+    return [sorted(set(map(number.__getitem__, row))) for row in rows]
+
+
+def _argument_nodes(store: ArgumentStore) -> tuple[tuple[BaseNode, ...], tuple]:
+    """The node table of the arguments and its keys."""
+    ids = [store.arguments[o].canonical_id for o in store.node_order]
+    return tuple(map(BaseNode, ids)), tuple((0, i) for i in ids)
 
 
 def build_aspic_minus_af(
@@ -292,18 +329,19 @@ def build_aspic_minus_af(
     ``witnesses``, when given, must be those of ``system``."""
     if store is None:
         store = construct_arguments(system, limits)
-    nodes = frozenset(base(arg.canonical_id) for arg in store.arguments)
-    return AF(nodes, _attack_edges(store, witnesses))
+    return AF._make(*_argument_nodes(store), target_ids=_attack_edges(store, witnesses))
 
 
-def support_pairs(store: ArgumentStore) -> frozenset[tuple[frozenset[NodeId], NodeId]]:
+def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
     """One support per strict-top argument: its set of immediate
-    sub-arguments (possibly empty) supports it."""
-    return frozenset(
-        (frozenset(base(s.canonical_id) for s in arg.subs), base(arg.canonical_id))
+    sub-arguments (possibly empty) supports it.  Node numbers as in
+    ``ArgumentStore.node_order``, each source in ascending order."""
+    number = store.node_number
+    return [
+        (tuple(sorted({number[s.ordinal] for s in arg.subs})), number[arg.ordinal])
         for arg in store.arguments
         if arg.top_rule_strict
-    )
+    ]
 
 
 def build_da_jsbaf(
@@ -311,21 +349,26 @@ def build_da_jsbaf(
     limits: EnumerationLimits = EnumerationLimits(),
     store: ArgumentStore | None = None,
     witnesses: Sequence[AttackWitness] | None = None,
+    af: AF | None = None,
 ) -> JSBAF:
     """Same nodes and attacks as ``build_aspic_minus_af``, plus the joint
-    support of every strict-top argument by its immediate sub-arguments."""
+    support of every strict-top argument by its immediate sub-arguments.
+    ``af``, when given, must be that AF of ``store``; the JSBAF then shares
+    its node table and attack relation."""
     if store is None:
         store = construct_arguments(system, limits)
-    nodes = frozenset(base(arg.canonical_id) for arg in store.arguments)
-    return JSBAF(nodes, _attack_edges(store, witnesses), support_pairs(store))
-
-
-def strict_argument_nodes(store: ArgumentStore) -> frozenset[NodeId]:
-    """Nodes of the arguments with no defeasible rule anywhere in their
-    tree.  Nothing can attack them, so the flattening shields them from
-    contrapositive support arms (see ``flatten_one_step``); that keeps the
-    projected extensions deductive for every support, including the
-    empty-source supports of axiom arguments."""
-    return frozenset(
-        base(arg.canonical_id) for arg in store.arguments if not arg.defeasible
+    if af is None:
+        af = build_aspic_minus_af(system, store=store, witnesses=witnesses)
+    return JSBAF._make(
+        af.node_table, af.node_keys, target_ids=af.target_ids, support_ids=support_pairs(store)
     )
+
+
+def strict_argument_nodes(store: ArgumentStore) -> frozenset[int]:
+    """Node numbers of the arguments with no defeasible rule anywhere in
+    their tree.  Nothing can attack them, so the flattening shields them
+    from contrapositive support arms (see ``flatten_one_step``); that keeps
+    the projected extensions deductive for every support, including the
+    empty-source supports of axiom arguments."""
+    number = store.node_number
+    return frozenset(number[arg.ordinal] for arg in store.arguments if not arg.defeasible)

@@ -216,9 +216,10 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")
     prepared = _prepare(args, False)
     searched = prepared.searched(args.mode)
-    if (nodes := len(searched.nodes)) > cap:
+    if (nodes := len(searched.node_table)) > cap:
         raise ValidationError(f"framework has {nodes} nodes, above --oracle-cap {cap}")
-    engine = list(evaluate(prepared, args.semantics, args.mode, cap).raw_extensions)
+    raw = evaluate(prepared, args.semantics, args.mode, cap).raw_extensions
+    engine = [frozenset(searched.node_table[i] for i in ext) for ext in raw]
     brute = brute_force_extensions(searched, args.semantics)
     if engine == brute:
         sys.stdout.write(f"{args.semantics}: OK ({len(engine)} extensions agree)\n")

@@ -9,7 +9,7 @@ cross-validate the engine, not to scale.
 
 from __future__ import annotations
 
-from .frameworks import AF, NodeId, sort_nodes
+from .frameworks import AF, NodeId
 from .semantics import SEMANTICS, canonical_extension_order
 
 ORACLE_NODE_CAP = 20
@@ -19,16 +19,15 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     """All extensions under ``semantics``, by exhaustive subset enumeration."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    n = len(af.nodes)
+    n = len(af.node_table)
     if n > ORACLE_NODE_CAP:
         raise ValueError(f"oracle is capped at {ORACLE_NODE_CAP} nodes, got {n}")
-    order = sort_nodes(af.nodes)
-    pos = {node: i for i, node in enumerate(order)}
     attack_mask = [0] * n
     attacker_mask = [0] * n
-    for src, dst in af.attacks:
-        attack_mask[pos[src]] |= 1 << pos[dst]
-        attacker_mask[pos[dst]] |= 1 << pos[src]
+    for src, row in enumerate(af.target_ids):
+        for dst in row:
+            attack_mask[src] |= 1 << dst
+            attacker_mask[dst] |= 1 << src
     full = (1 << n) - 1
 
     admissible: list[int] = []
@@ -67,6 +66,7 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     else:
         chosen = stable
 
+    table = af.node_table
     return canonical_extension_order(
-        frozenset(order[i] for i in range(n) if s >> i & 1) for s in chosen
+        frozenset(table[i] for i in range(n) if s >> i & 1) for s in chosen
     )

@@ -46,8 +46,8 @@ from .core import (
 from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
 )
-from .frameworks import AF, JSBAF, NodeId, base, project
-from .semantics import SEMANTICS, canonical_extension_order, extensions, flattened_af
+from .frameworks import AF, JSBAF, base
+from .semantics import SEMANTICS, extension_ids, flattened_af
 
 MODES = ("aspic-minus", "deductive")
 POSTULATES = ("closure", "direct_consistency", "indirect_consistency")
@@ -85,14 +85,21 @@ class PostulateReport:
         )
 
 
-def check_closure(system: ArgumentationSystem, formulas: Iterable[Formula]) -> Verdict:
-    """Satisfied iff the set equals its own strict closure.
+def check_closure(
+    system: ArgumentationSystem,
+    formulas: Iterable[Formula],
+    closure: frozenset[Formula] | None = None,
+) -> Verdict:
+    """Satisfied iff the set equals its own strict closure (``closure``,
+    when the caller has it already).
 
     The witness is a fireable strict rule whose head is missing from the
     set; one exists whenever the closure grows at all.
     """
     pool = frozenset(formulas)
-    if strict_closure(pool, system.strict_rules) == pool:
+    if closure is None:
+        closure = strict_closure(pool, system.strict_rules)
+    if closure == pool:
         return Verdict(True)
     witness = next(
         rule
@@ -108,20 +115,28 @@ def check_direct_consistency(formulas: Iterable[Formula]) -> Verdict:
 
 
 def check_indirect_consistency(
-    system: ArgumentationSystem, formulas: Iterable[Formula]
+    system: ArgumentationSystem,
+    formulas: Iterable[Formula],
+    closure: frozenset[Formula] | None = None,
 ) -> Verdict:
-    pair = find_complement_pair(strict_closure(formulas, system.strict_rules))
+    """Satisfied iff the strict closure of the set (``closure``, when the
+    caller has it already) holds no complementary pair."""
+    if closure is None:
+        closure = strict_closure(formulas, system.strict_rules)
+    pair = find_complement_pair(closure)
     return Verdict(pair is None, pair)
 
 
 def evaluate_postulates(
     system: ArgumentationSystem, formulas: Iterable[Formula]
 ) -> PostulateReport:
+    """The three verdicts, from one strict closure of the set."""
     pool = frozenset(formulas)
+    closure = strict_closure(pool, system.strict_rules)
     return PostulateReport(
-        closure=check_closure(system, pool),
+        closure=check_closure(system, pool, closure),
         direct_consistency=check_direct_consistency(pool),
-        indirect_consistency=check_indirect_consistency(system, pool),
+        indirect_consistency=check_indirect_consistency(system, pool, closure),
     )
 
 
@@ -141,11 +156,15 @@ class Prepared:
 
     @cached_property
     def jsbaf(self) -> JSBAF:
-        return build_da_jsbaf(self.store.system, store=self.store, witnesses=self.witnesses)
+        """The JSBAF, sharing the node table and attack relation of ``af``."""
+        return build_da_jsbaf(
+            self.store.system, store=self.store, witnesses=self.witnesses, af=self.af
+        )
 
     @cached_property
-    def shielded(self) -> frozenset[NodeId]:
-        """The strict arguments, which the flattening shields."""
+    def shielded(self) -> frozenset[int]:
+        """The node numbers of the strict arguments, which the flattening
+        shields."""
         return strict_argument_nodes(self.store)
 
     @cached_property
@@ -175,16 +194,18 @@ def prepare(
 
 @dataclass(frozen=True)
 class Evaluation:
-    """The result of every stage of one run."""
+    """The result of every stage of one run.  Extensions are ascending node
+    numbers; ``framework.node_table`` (``flat.node_table`` for the raw ones
+    in deductive mode) names them."""
 
     consistent: bool
     store: ArgumentStore
     witnesses: tuple[AttackWitness, ...]
     framework: AF | JSBAF  # the AF in aspic-minus mode, the JSBAF in deductive mode
-    shielded: frozenset[NodeId]  # strict arguments, in deductive mode
+    shielded: frozenset[int]  # strict arguments, in deductive mode
     flat: AF | None  # the flattened JSBAF, in deductive mode
-    raw_extensions: tuple[frozenset[NodeId], ...]  # of ``flat``, else of ``framework``
-    extensions: tuple[frozenset[NodeId], ...]  # projected onto the arguments
+    raw_extensions: tuple[tuple[int, ...], ...]  # of ``flat``, else of ``framework``
+    extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
     conclusion_sets: tuple[ConclusionSet, ...]
     postulates: tuple[PostulateReport, ...]  # one per conclusion set
 
@@ -208,18 +229,23 @@ def evaluate(
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
     searched = prepared.searched(mode)
-    if semantics != "grounded" and len(searched.nodes) > max_nodes:
-        raise SearchLimitExceededError(len(searched.nodes), max_nodes)
-    raw = exts = extensions(searched, semantics)
+    if semantics != "grounded" and len(searched.node_table) > max_nodes:
+        raise SearchLimitExceededError(len(searched.node_table), max_nodes)
+    raw = exts = extension_ids(searched, semantics)
     if mode == "aspic-minus":
         framework, shielded, flat = searched, frozenset(), None
     else:
         framework, shielded, flat = prepared.jsbaf, prepared.shielded, searched
-        exts = canonical_extension_order(project(ext, framework.nodes) for ext in raw)
+        # The arguments sort before every meta-argument, so they keep their
+        # node numbers 0 .. m-1 in the flattening: projecting keeps those.
+        m = len(framework.node_table)
+        exts = sorted({tuple(i for i in ext if i < m) for ext in raw})
+    args, order = prepared.store.arguments, prepared.store.node_order
     sets = []
     for ext in exts:
-        ids = tuple(sorted((n.label for n in ext), key=lambda i: int(i[1:])))
-        formulas = frozenset(prepared.store.by_id(i).conclusion for i in ids)
+        members = [args[o] for o in sorted(order[p] for p in ext)]
+        ids = tuple(arg.canonical_id for arg in members)
+        formulas = frozenset(arg.conclusion for arg in members)
         sets.append(ConclusionSet(formulas, ids, mode, semantics))
     verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
     return Evaluation(

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
-from typing import Callable, Iterable
+from typing import Callable
 
 from .core import StrictRule
-from .frameworks import AF, JSBAF, HigherLevelAF, NodeId, is_meta, sort_nodes
+from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId
 from .postulates import POSTULATES, Evaluation, PostulateReport, Verdict
 
 REPORT_FORMATS = ("json", "text")
@@ -24,25 +24,33 @@ def _formula_list(formulas) -> list[str]:
     return sorted(str(f) for f in formulas)
 
 
-# Labels are computed per occurrence: the edge pairs of a framework hold
-# distinct node objects (63,584 of them for the 1,152 nodes of tandem(8,3)'s
-# flattening), so a cache keyed by node would run each node's Python-level
-# __hash__ and __eq__ per lookup, which costs more than ``label`` itself.
+# Nodes are numbers into a framework's node table; each node's label is
+# computed once, by ``labels``, and the lists below are built from it.
 
-def _node_list(nodes: Iterable[NodeId]) -> list[str]:
-    return [n.label for n in sort_nodes(nodes)]
+def _edge_list(framework: AF | JSBAF) -> list[tuple[str, str]]:
+    """The attacks as label pairs, sorted.  Pairs are sorted by the rank of
+    each label, one int per pair, rather than as tuples of strings."""
+    labels = framework.labels
+    n = len(labels)
+    order = sorted(range(n), key=labels.__getitem__)
+    rank = [0] * n
+    for r, i in enumerate(order):
+        rank[i] = r
+    by_rank = [labels[i] for i in order]
+    codes = sorted([
+        rank[s] * n + rank[d] for s, row in enumerate(framework.target_ids) for d in row
+    ])
+    return [(by_rank[c // n], by_rank[c % n]) for c in codes]
 
 
-def _edge_list(edges: Iterable[tuple[NodeId, NodeId]]) -> list[tuple[str, str]]:
-    return sorted([(s.label, d.label) for s, d in edges])
+def _extension_list(framework: AF | JSBAF, extensions) -> list[list[str]]:
+    labels = framework.labels
+    return sorted([labels[i] for i in ext] for ext in extensions)
 
 
-def _extension_list(extensions: Iterable[frozenset[NodeId]]) -> list[list[str]]:
-    return sorted(_node_list(e) for e in extensions)
-
-
-def _support_list(supports) -> list[tuple[list[str], str]]:
-    return sorted((_node_list(src), dst.label) for src, dst in supports)
+def _support_list(j: JSBAF) -> list[tuple[list[str], str]]:
+    labels = j.labels
+    return sorted(([labels[i] for i in src], labels[dst]) for src, dst in j.support_ids)
 
 
 def _verdict_json(name: str, verdict: Verdict) -> dict:
@@ -138,17 +146,17 @@ def _witnesses_json(ev: Evaluation, depth: int) -> str:
 
 
 def _flattened_entries(ev: Evaluation, settings: dict):
-    yield "attacks", _edges_json(_edge_list(ev.flat.attacks), 2)
-    yield "extensions", _json(_extension_list(ev.raw_extensions), 2)
+    yield "attacks", _edges_json(_edge_list(ev.flat), 2)
+    yield "extensions", _json(_extension_list(ev.flat, ev.raw_extensions), 2)
     yield "mode", _json(settings["flatten"], 2)
-    yield "nodes", _list([_quote(label) for label in _node_list(ev.flat.nodes)], 2)
+    yield "nodes", _list([_quote(label) for label in ev.flat.labels], 2)
 
 
 def _framework_entries(ev: Evaluation):
     yield "attack_witnesses", _witnesses_json(ev, 2)
-    yield "attacks", _edges_json(_edge_list(ev.framework.attacks), 2)
+    yield "attacks", _edges_json(_edge_list(ev.framework), 2)
     if ev.flat is not None:
-        yield "supports", _json(_support_list(ev.framework.supports), 2)
+        yield "supports", _json(_support_list(ev.framework), 2)
 
 
 def _report_entries(ev: Evaluation, source: str, settings: dict, sets: list[dict], summary: dict):
@@ -160,7 +168,7 @@ def _report_entries(ev: Evaluation, source: str, settings: dict, sets: list[dict
     yield "enumeration", _json(
         {"count": len(ev.store), "acyclicity_pruned": ev.store.acyclicity_pruned}, 1
     )
-    yield "extensions", _json(_extension_list(ev.extensions), 1)
+    yield "extensions", _json(_extension_list(ev.framework, ev.extensions), 1)
     if ev.flat is not None:
         yield "flattened", _flattened_entries(ev, settings)
     yield "framework", _framework_entries(ev)
@@ -214,19 +222,19 @@ def _write_text(
         "",
         "attacks:",
     ))
-    write(_lines(*(f"  {s} -> {d}" for s, d in _edge_list(ev.framework.attacks))))
+    write(_lines(*(f"  {s} -> {d}" for s, d in _edge_list(ev.framework))))
     if ev.flat is not None:
         write(_lines(
             "supports:",
             *(
                 f"  {{{','.join(src)}}} => {dst}"
-                for src, dst in _support_list(ev.framework.supports)
+                for src, dst in _support_list(ev.framework)
             ),
-            f"flattened ({settings['flatten']}): {len(ev.flat.nodes)} nodes, "
-            f"{len(ev.flat.attacks)} attacks",
+            f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
+            f"{sum(map(len, ev.flat.target_ids))} attacks",
         ))
     tail = ["", f"extensions ({settings['semantics']}):"]
-    tail += ["  {" + ",".join(ext) + "}" for ext in _extension_list(ev.extensions)]
+    tail += ["  {" + ",".join(ext) + "}" for ext in _extension_list(ev.framework, ev.extensions)]
     tail += ["", "conclusion sets:"]
     for entry in sets:
         tail.append("  {" + ", ".join(entry["conclusions"]) + "}")
@@ -303,51 +311,33 @@ def emit_dot(framework: AF | JSBAF | HigherLevelAF) -> str:
     """GraphViz rendering: attacks as solid arrows, supports and joint
     attacks as doubled-style edges through a small junction point,
     meta-arguments drawn as dashed boxes."""
+    names = [_dot_quote(label) for label in framework.labels]
     lines = ["digraph framework {"]
-    for node in sort_nodes(framework.nodes):
-        style = " [shape=box, style=dashed]" if is_meta(node) else ""
-        lines.append(f"  {_dot_quote(node.label)}{style};")
-
+    for name, key in zip(names, framework.node_keys):
+        style = " [shape=box, style=dashed]" if key[0] else ""
+        lines.append(f"  {name}{style};")
+    for src, row in enumerate(framework.target_ids):
+        lines += [f"  {names[src]} -> {names[dst]};" for dst in row]
     if isinstance(framework, HigherLevelAF):
-        singles = sorted(
-            ((next(iter(x)), b) for x, b in framework.joint_attacks if len(x) == 1),
-            key=lambda p: (p[0].key(), p[1].key()),
-        )
-        joints = sorted(
-            ((x, b) for x, b in framework.joint_attacks if len(x) > 1),
-            key=lambda p: (tuple(n.key() for n in sort_nodes(p[0])), p[1].key()),
-        )
-        for src, dst in singles:
-            lines.append(f"  {_dot_quote(src.label)} -> {_dot_quote(dst.label)};")
-        for i, (srcs, dst) in enumerate(joints):
+        for i, (srcs, dst) in enumerate(sorted(framework.joint_attack_ids)):
             junction = f"ja{i}"
             lines.append(f"  {junction} [shape=point, width=0.05];")
-            for src in sort_nodes(srcs):
-                lines.append(f"  {_dot_quote(src.label)} -> {junction} [dir=none];")
-            lines.append(f"  {junction} -> {_dot_quote(dst.label)};")
-    else:
-        for src, dst in sorted(framework.attacks, key=lambda p: (p[0].key(), p[1].key())):
-            lines.append(f"  {_dot_quote(src.label)} -> {_dot_quote(dst.label)};")
-
+            for src in srcs:
+                lines.append(f"  {names[src]} -> {junction} [dir=none];")
+            lines.append(f"  {junction} -> {names[dst]};")
     if isinstance(framework, JSBAF):
-        supports = sorted(
-            framework.supports,
-            key=lambda p: (tuple(n.key() for n in sort_nodes(p[0])), p[1].key()),
-        )
         double = ' [color="black:invis:black"'
-        for i, (srcs, dst) in enumerate(supports):
+        for i, (srcs, dst) in enumerate(sorted(framework.support_ids)):
             junction = f"sup{i}"
             lines.append(f"  {junction} [shape=point, width=0.05];")
-            for src in sort_nodes(srcs):
-                lines.append(f"  {_dot_quote(src.label)} -> {junction}{double}, dir=none];")
-            lines.append(f"  {junction} -> {_dot_quote(dst.label)}{double}];")
+            for src in srcs:
+                lines.append(f"  {names[src]} -> {junction}{double}, dir=none];")
+            lines.append(f"  {junction} -> {names[dst]}{double}];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def _apx_name(node: NodeId) -> str:
-    from .frameworks import BarNode, BaseNode, ENode
-
     if isinstance(node, BaseNode):
         raw = node.label_text
     elif isinstance(node, BarNode):
@@ -364,11 +354,11 @@ def emit_apx(af: AF) -> str:
     edge, sorted.  Ids are sanitised to lowercase alphanumerics; renamed
     nodes get ``% apx-id := original`` comment lines so the mapping stays
     reversible.  An empty framework yields an empty file."""
-    if not af.nodes:
+    if not af.node_table:
         return ""
-    names: dict[NodeId, str] = {}
+    names: list[str] = []
     used: set[str] = set()
-    for node in sort_nodes(af.nodes):
+    for node in af.node_table:
         candidate = _apx_name(node) or "n"
         final = candidate
         suffix = 2
@@ -376,10 +366,10 @@ def emit_apx(af: AF) -> str:
             final = f"{candidate}_{suffix}"
             suffix += 1
         used.add(final)
-        names[node] = final
-    lines = [f"arg({names[n]})." for n in sort_nodes(af.nodes)]
-    lines += sorted(f"att({names[s]},{names[d]})." for s, d in af.attacks)
-    lines += [
-        f"% {names[n]} := {n.label}" for n in sort_nodes(af.nodes) if names[n] != n.label
-    ]
+        names.append(final)
+    lines = [f"arg({name})." for name in names]
+    lines += sorted(
+        f"att({names[s]},{names[d]})." for s, row in enumerate(af.target_ids) for d in row
+    )
+    lines += [f"% {name} := {label}" for name, label in zip(names, af.labels) if name != label]
     return "\n".join(lines) + "\n"

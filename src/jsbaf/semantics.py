@@ -5,24 +5,32 @@ over label domains: each node keeps the set of labels still possible for it,
 propagation narrows a node and its attackers until every domain agrees with
 its attackers' domains (in iff all attackers are out, out iff some attacker
 is in, undecided otherwise), and the search splits the first domain in
-canonical order that still holds more than one label.  The four admissibility-based semantics are:
+canonical order that still holds more than one label.  The four
+admissibility-based semantics are:
 
-* grounded  — least fixpoint of the characteristic function (computed
-              directly, no search needed),
+* grounded  — least fixpoint of the characteristic function, computed
+              directly in time linear in the attacks (no search needed),
 * complete  — in-sets of all complete labellings,
 * stable    — the same search with every domain starting as {in, out}, so
               it finds the complete labellings with no undecided node,
 * preferred — subset-maximal complete extensions.
 
-The functions here search whatever framework they are given; the node-count
-bound on the exponential searches is checked once, by ``postulates.evaluate``.
+The engine works on the framework's node numbers and int adjacency lists,
+as given: canonical order is ascending node number.  ``extension_ids``
+returns extensions as sorted number tuples, which is what the evaluation
+pass reads; ``extensions`` and the per-semantics functions turn them into
+sets of ``NodeId``s for library callers.  The functions here search whatever
+framework they are given; the node-count bound on the exponential searches
+is checked once, by ``postulates.evaluate``.
 ``oracle.py`` provides the independent brute-force cross-check used by the
 test suite.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from collections import Counter
+from itertools import chain
+from typing import Collection, Iterable, Optional
 
 from .frameworks import AF, JSBAF, NodeId, flatten_simplified, project, prune_inert, sort_nodes
 
@@ -47,18 +55,26 @@ def defends(af: AF, s: Iterable[NodeId], a: NodeId) -> bool:
     return af.attackers[a] <= attacked
 
 
-def grounded_extension(af: AF) -> frozenset[NodeId]:
-    """Least fixpoint of S -> {nodes defended by S}, starting from the
-    unattacked nodes."""
-    current: frozenset[NodeId] = frozenset()
-    while True:
-        attacked = set()
-        for m in current:
-            attacked |= af.targets[m]
-        nxt = frozenset(x for x in af.nodes if af.attackers[x] <= attacked)
-        if nxt == current:
-            return current
-        current = nxt
+def _grounded(af: AF) -> tuple[int, ...]:
+    """The grounded extension, in time linear in the attacks: a node is in
+    once every attacker is out, and out once some attacker is in.  Each node
+    counts its attackers not yet out; the unattacked nodes start the queue."""
+    targets = af.target_ids
+    in_degree = Counter(chain.from_iterable(targets))
+    pending = [in_degree[i] for i in range(len(targets))]
+    queue = [i for i, count in enumerate(pending) if not count]
+    accepted, out = [], [False] * len(pending)
+    while queue:
+        x = queue.pop()
+        accepted.append(x)
+        for y in targets[x]:
+            if not out[y]:
+                out[y] = True
+                for z in targets[y]:
+                    pending[z] -= 1
+                    if not pending[z]:
+                        queue.append(z)
+    return tuple(sorted(accepted))
 
 
 class _DomainSearch:
@@ -67,20 +83,19 @@ class _DomainSearch:
     Each node holds a bitmask of the labels still possible for it.
     Propagation narrows a node and its attackers until every domain agrees
     with its attackers' domains under the complete-labelling rule; the search
-    then splits the first non-singleton node in canonical order into its
-    lowest label against the rest.  Every full labelling is re-verified, so
-    propagation only needs to be sound.
+    then splits the first non-singleton node in canonical order (the lowest
+    node number) into its lowest label against the rest.  Every full
+    labelling is re-verified, so propagation only needs to be sound.
     """
 
     def __init__(self, af: AF):
-        self.order = sort_nodes(af.nodes)
-        index = {n: i for i, n in enumerate(self.order)}
-        self.n = len(self.order)
-        self.attackers = [sorted(index[a] for a in af.attackers[n]) for n in self.order]
-        self.targets = [sorted(index[t] for t in af.targets[n]) for n in self.order]
+        self.n = len(af.node_table)
+        self.attackers = af.attacker_ids
+        self.targets = af.target_ids
 
-    def run(self, domain: int) -> list[frozenset[NodeId]]:
-        """In-sets of all complete labellings whose labels lie in ``domain``."""
+    def run(self, domain: int) -> list[tuple[int, ...]]:
+        """In-sets of all complete labellings whose labels lie in ``domain``,
+        in canonical order."""
         results = []
         stack = [([domain] * self.n, set(range(self.n)))]
         while stack:
@@ -90,7 +105,7 @@ class _DomainSearch:
             pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
             if pivot is None:
                 if self._verify(doms):
-                    results.append(frozenset(n for n, d in zip(self.order, doms) if d == _IN))
+                    results.append(tuple(i for i, d in enumerate(doms) if d == _IN))
                 continue
             rest = doms.copy()
             low = doms[pivot] & -doms[pivot]
@@ -98,7 +113,7 @@ class _DomainSearch:
             doms[pivot] = low
             stack.append((rest, {pivot, *self.targets[pivot]}))
             stack.append((doms, {pivot, *self.targets[pivot]}))
-        return canonical_extension_order(results)
+        return sorted(set(results))
 
     def _propagate(self, doms: list[int], dirty: set[int]) -> bool:
         """Narrow domains until quiescent; False once one becomes empty."""
@@ -168,43 +183,55 @@ def canonical_extension_order(extensions: Iterable[frozenset[NodeId]]) -> list[f
     )
 
 
+def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
+    """The extensions of ``af`` under ``semantics``, each as its ascending
+    node numbers, in canonical order; grounded yields a one-element list."""
+    if semantics == "grounded":
+        return [_grounded(af)]
+    if semantics == "complete":
+        return _DomainSearch(af).run(_IN | _OUT | _UNDEC)
+    if semantics == "stable":
+        return _DomainSearch(af).run(_IN | _OUT)
+    if semantics == "preferred":
+        complete = _DomainSearch(af).run(_IN | _OUT | _UNDEC)
+        sets = [frozenset(ext) for ext in complete]
+        return [ext for ext, s in zip(complete, sets) if not any(s < other for other in sets)]
+    raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
+
+
+def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
+    """``extension_ids`` as sets of ``NodeId``s."""
+    table = af.node_table
+    return [frozenset(table[i] for i in ext) for ext in extension_ids(af, semantics)]
+
+
+def grounded_extension(af: AF) -> frozenset[NodeId]:
+    """Least fixpoint of S -> {nodes defended by S}."""
+    return extensions(af, "grounded")[0]
+
+
 def complete_extensions(af: AF) -> list[frozenset[NodeId]]:
     """All admissible sets that contain exactly the nodes they defend."""
-    return _DomainSearch(af).run(_IN | _OUT | _UNDEC)
+    return extensions(af, "complete")
 
 
 def stable_extensions(af: AF) -> list[frozenset[NodeId]]:
     """Complete extensions that attack every node outside themselves, i.e.
     complete labellings with no undecided node."""
-    return _DomainSearch(af).run(_IN | _OUT)
+    return extensions(af, "stable")
 
 
 def preferred_extensions(af: AF) -> list[frozenset[NodeId]]:
     """Subset-maximal complete extensions."""
-    complete = complete_extensions(af)
-    return canonical_extension_order(
-        ext for ext in complete if not any(ext < other for other in complete)
-    )
-
-
-def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
-    """Dispatch on the semantics name; grounded yields a one-element list."""
-    if semantics == "grounded":
-        return [grounded_extension(af)]
-    if semantics == "complete":
-        return complete_extensions(af)
-    if semantics == "stable":
-        return stable_extensions(af)
-    if semantics == "preferred":
-        return preferred_extensions(af)
-    raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
+    return extensions(af, "preferred")
 
 
 def flattened_af(
-    j: JSBAF, flatten_mode: str = "literal", shielded: frozenset[NodeId] = frozenset()
+    j: JSBAF, flatten_mode: str = "literal", shielded: Collection[int] = frozenset()
 ) -> AF:
     """The simplified flattening of ``j``, optionally with inert
-    meta-arguments pruned away."""
+    meta-arguments pruned away; ``shielded`` numbers nodes of ``j`` (see
+    ``flatten_one_step``)."""
     if flatten_mode not in FLATTEN_MODES:
         raise ValueError(f"unknown flatten mode {flatten_mode!r}; expected one of {FLATTEN_MODES}")
     af = flatten_simplified(j, shielded)
@@ -217,7 +244,7 @@ def jsbaf_extensions(
     j: JSBAF,
     semantics: str,
     flatten_mode: str = "literal",
-    shielded: frozenset[NodeId] = frozenset(),
+    shielded: Collection[int] = frozenset(),
 ) -> list[frozenset[NodeId]]:
     """Extensions of a JSBAF: flatten, run the semantics, project each
     extension onto the original nodes, deduplicate."""

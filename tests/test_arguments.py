@@ -222,6 +222,23 @@ class TestIndexedAttackWitnesses:
 
 
 class TestFrameworkConstruction:
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+    def test_attacks_are_the_witness_pairs(self, n, k):
+        system = parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+        store = construct_arguments(system)
+        af = build_aspic_minus_af(system, store=store)
+        assert {(s.label, d.label) for s, d in af.attacks} == {
+            (w.attacker, w.target) for w in attack_witnesses(store)
+        }
+        assert [n.label for n in af.node_table] == sorted(a.canonical_id for a in store.arguments)
+        assert [store.arguments[o].canonical_id for o in store.node_order] == af.labels
+
+    def test_jsbaf_shares_the_af_attack_relation(self, tandem_system, tandem_store):
+        af = build_aspic_minus_af(tandem_system, store=tandem_store)
+        j = build_da_jsbaf(tandem_system, store=tandem_store, af=af)
+        assert j.node_table is af.node_table and j.target_ids is af.target_ids
+        assert j == build_da_jsbaf(tandem_system)
+
     def test_tandem_af_is_the_six_mutual_pairs(self, tandem_system):
         af = build_aspic_minus_af(tandem_system)
         assert {(s.label, d.label) for s, d in af.attacks} == TANDEM_ATTACKS

@@ -6,28 +6,44 @@ bar per supported node; two-step: joint attacks become plain attacks
 through participant bars and a shared e-node per attacker set; simplified:
 the bar / double-bar relay chain of each multiply-supported node is
 removed, with the double bar's attacks re-sourced to the node itself).
+The stages run on node numbers; ``TestIntFlatteningMatchesReference``
+compares them with the definitions over NodeId sets in ``reference.py``.
 """
+
+import random
 
 import pytest
 
+import reference
 from jsbaf import (
     AF,
     JSBAF,
+    HigherLevelAF,
+    JsbafParams,
+    SourceDocument,
+    SystemParams,
     bar,
     base,
     build_da_jsbaf,
+    construct_arguments,
     e_node,
     flatten_joint_attacks,
     flatten_one_step,
     flatten_simplified,
     is_meta,
+    parse_system,
+    prepare,
     project,
     prune_inert,
+    random_jsbaf,
+    random_system,
     sort_nodes,
+    strict_argument_nodes,
 )
+from jsbaf.frameworks import BarNode, ENode
 from jsbaf.semantics import SEMANTICS, canonical_extension_order, extensions
 
-from conftest import node_labels
+from conftest import node_labels, tandem_rules
 
 
 def edge_labels(af):
@@ -297,3 +313,174 @@ class TestProjection:
             e_node({base("A5"), base("A7")}), e_node({base("A4"), base("A8")}),
         }
         assert node_labels(project(ext, j.nodes)) == ["A1", "A2", "A3", "A4", "A5", "A9"]
+
+
+def assert_canonical(framework):
+    """Node numbers follow the canonical order, and every target row is
+    strictly ascending."""
+    assert list(framework.node_table) == sort_nodes(framework.node_table)
+    assert list(framework.node_keys) == [n.key() for n in framework.node_table]
+    assert len(framework.target_ids) == len(framework.node_table)
+    for row in framework.target_ids:
+        assert all(a < b for a, b in zip(row, row[1:]))
+        assert all(0 <= t < len(framework.node_table) for t in row)
+
+
+def assert_flattenings_match(j, shielded):
+    """Each int flattening stage of ``j`` has the nodes and edges of the
+    object-level reference; ``shielded`` numbers nodes of ``j``."""
+    named = frozenset(j.node_table[i] for i in shielded)
+    one, one_ref = flatten_one_step(j, shielded), reference.flatten_one_step(j, named)
+    assert (one.nodes, one.joint_attacks) == (one_ref.nodes, one_ref.joint_attacks)
+    two, two_ref = flatten_joint_attacks(one), reference.flatten_joint_attacks(one_ref)
+    assert (two.nodes, two.attacks) == (two_ref.nodes, two_ref.attacks)
+    flat, flat_ref = flatten_simplified(j, shielded), reference.simplify(j, two_ref)
+    assert (flat.nodes, flat.attacks) == (flat_ref.nodes, flat_ref.attacks)
+    pruned, pruned_ref = prune_inert(flat), reference.prune_inert(flat_ref)
+    assert (pruned.nodes, pruned.attacks) == (pruned_ref.nodes, pruned_ref.attacks)
+    for framework in (one, two, flat, pruned):
+        assert_canonical(framework)
+    return flat
+
+
+def _pipeline_jsbaf(system):
+    store = construct_arguments(system)
+    return build_da_jsbaf(system, store=store), strict_argument_nodes(store)
+
+
+class TestIntFlatteningMatchesReference:
+    """The flattening stages run on node numbers; ``tests/reference.py``
+    holds them as first written over NodeId sets."""
+
+    def test_random_jsbafs_shielded_and_not(self):
+        # criterion 09's frameworks, each flattened plain and with a
+        # seeded random subset of its nodes shielded
+        small = JsbafParams(max_nodes=5, attack_prob=0.25, max_supports=3, max_support_size=3)
+        larger = JsbafParams(max_nodes=10, attack_prob=0.15, max_supports=4, max_support_size=3)
+        cases = [(small, seed) for seed in range(300)]
+        cases += [(larger, 50000 + seed) for seed in range(200)]
+        for params, seed in cases:
+            j = random_jsbaf(params, seed)
+            assert_canonical(j)
+            rng = random.Random(seed)
+            shielded = frozenset(i for i in range(len(j.node_table)) if rng.random() < 0.5)
+            for chosen in (frozenset(), shielded):
+                assert_flattenings_match(j, chosen)
+
+    def test_handcrafted_mutual_and_mixed_supports(self, j1, j2, j3):
+        a, b, c, d, w, x, y, z = (base(n) for n in "abcdwxyz")
+        mutual = JSBAF({a, b, x, y}, set(), {(frozenset({x, b}), a), (frozenset({a, y}), b)})
+        mixed = JSBAF(
+            {w, d, y, z, a}, {(a, d)}, {(frozenset({w}), d), (frozenset({y, z}), d)}
+        )
+        for j in (j1, j2, j3, mutual, mixed):
+            for shielded in (frozenset(), frozenset({0})):
+                assert_flattenings_match(j, shielded)
+
+    def test_frameworks_whose_nodes_include_bars(self):
+        """Bars as nodes of the JSBAF itself: the simplification then renames
+        two e-nodes alike (both keep their names), and on some frameworks
+        the definition leaves an attack without its source (both refuse)."""
+        outcomes = set()
+        for seed in range(60):
+            rng = random.Random(seed)
+            bases = [base(x) for x in "abcd"[: rng.randint(2, 4)]]
+            nodes = bases + [bar(b) for b in bases if rng.random() < 0.5]
+            nodes += [bar(bar(b)) for b in bases if rng.random() < 0.2]
+            attacks = {(x, y) for x in nodes for y in nodes if rng.random() < 0.1}
+            supports = set()
+            for _ in range(rng.randint(1, 4)):
+                source = rng.sample(nodes, rng.randint(0, min(3, len(nodes))))
+                supports.add((frozenset(source), rng.choice(nodes)))
+            j = JSBAF(nodes, attacks, supports)
+            shielded = frozenset(i for i in range(len(nodes)) if rng.random() < 0.3)
+            for chosen in (frozenset(), shielded):
+                named = frozenset(j.node_table[i] for i in chosen)
+                try:
+                    reference.flatten_simplified(j, named)
+                except ValueError:
+                    with pytest.raises(ValueError, match="endpoint outside the node set"):
+                        flatten_simplified(j, chosen)
+                    outcomes.add("refused")
+                else:
+                    assert_flattenings_match(j, chosen)
+                    outcomes.add("flattened")
+        assert outcomes == {"refused", "flattened"}
+
+    def test_two_e_nodes_renamed_alike_keep_their_names(self):
+        a, b = base("a"), base("b")
+        j = JSBAF(
+            {a, b, bar(b)},
+            set(),
+            {
+                (frozenset({a, b, bar(b)}), bar(b)),
+                (frozenset({b, bar(b)}), bar(b)),
+                (frozenset({a, b}), b),
+                (frozenset({a, bar(b)}), a),
+            },
+        )
+        flat = assert_flattenings_match(j, frozenset())
+        # the two kept names still list the removed double bar of b
+        kept = {
+            n.label for n in flat.nodes if isinstance(n, ENode) and n.members[-1] not in flat.nodes
+        }
+        assert kept == {"e(b,bar(bar(b)))", "e(b,bar(b),bar(bar(b)))"}
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_generalised_tandem(self, n):
+        for k in range(1, n):
+            system = parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+            j, shielded = _pipeline_jsbaf(system)
+            assert_canonical(j)
+            for chosen in (frozenset(), shielded):
+                assert_flattenings_match(j, chosen)
+
+    def test_random_systems_in_both_flatten_modes(self):
+        for seed in range(100):
+            system = random_system(SystemParams(6, 6, 6), seed).system
+            j, shielded = _pipeline_jsbaf(system)
+            named = frozenset(j.node_table[i] for i in shielded)
+            flat_ref = reference.flatten_simplified(j, named)
+            expected_by_mode = {"literal": flat_ref, "prune-inert": reference.prune_inert(flat_ref)}
+            for mode, expected in expected_by_mode.items():
+                flat = prepare(system, flatten_mode=mode).flat
+                assert (flat.nodes, flat.attacks) == (expected.nodes, expected.attacks), seed
+
+    def test_tandem_8_3_holds_one_object_per_node(self):
+        """Every edge end, bar base and e-node member that is a node of the
+        flattening is that node's one object in the node table."""
+        system = parse_system(SourceDocument(tandem_rules(8, 3), "tandem"))
+        prepared = prepare(system)
+        for framework in (prepared.jsbaf, prepared.flat):
+            table = framework.node_table
+            by_key = {n.key(): n for n in table}
+            assert len(by_key) == len(table)
+            parts = [*table, *(n.base for n in table if isinstance(n, BarNode))]
+            parts += [m for n in table if isinstance(n, ENode) for m in n.members]
+            parts += [x for pair in framework.attacks for x in pair]
+            assert all(by_key.get(x.key(), x) is x for x in parts)
+            assert {id(x) for x in parts if x.key() in by_key} == set(map(id, table))
+        assert (len(prepared.jsbaf.node_table), len(prepared.flat.node_table)) == (296, 1152)
+
+
+class TestBoundary:
+    """The public constructors intern NodeId input; the views give it back."""
+
+    def test_views_round_trip(self, j1):
+        h = flatten_one_step(j1)
+        assert JSBAF(j1.nodes, j1.attacks, j1.supports) == j1
+        assert HigherLevelAF(h.nodes, h.joint_attacks) == h
+        af = flatten_simplified(j1)
+        assert AF(af.nodes, af.attacks) == af
+        assert {n: af.attackers[n] for n in af.nodes} == {
+            n: frozenset(s for s, d in af.attacks if d == n) for n in af.nodes
+        }
+
+    def test_joint_attack_endpoints_are_checked(self):
+        a, b = base("a"), base("b")
+        with pytest.raises(ValueError, match="nonempty attacker set"):
+            HigherLevelAF({a}, {(frozenset(), a)})
+        with pytest.raises(ValueError, match="endpoint outside"):
+            HigherLevelAF({a}, {(frozenset({b}), a)})
+        with pytest.raises(ValueError, match="endpoint outside"):
+            JSBAF({a}, {(a, b)}, set())

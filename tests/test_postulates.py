@@ -212,3 +212,45 @@ class TestRandomJsbaf:
             j = random_jsbaf(params, seed)
             assert len(j.nodes) <= 6 and len(j.supports) <= 2
             assert all(len(src) <= 2 for src, _ in j.supports)
+
+
+class TestOneClosurePerSet:
+    """``evaluate_postulates`` computes the strict closure of each
+    conclusion set once and hands it to both checks that read it."""
+
+    def test_one_closure_per_conclusion_set(self, tandem_system, monkeypatch):
+        import jsbaf.postulates as postulates
+
+        calls = []
+
+        def counted(seed, rules):
+            calls.append(1)
+            return strict_closure(seed, rules)
+
+        monkeypatch.setattr(postulates, "strict_closure", counted)
+        prepared = prepare(tandem_system)
+        for semantics in ("complete", "preferred"):
+            for mode in ("aspic-minus", "deductive"):
+                calls.clear()
+                ev = evaluate(prepared, semantics, mode)
+                assert len(calls) == len(ev.conclusion_sets) > 1
+
+    def test_verdicts_equal_the_separate_checks(self):
+        params = SystemParams(n_atoms=4, n_strict=4, n_defeasible=4, undercut_density=0.3)
+        violated = set()
+        for seed in range(60):
+            system = random_system(params, seed).system
+            prepared = prepare(system)
+            for mode in ("aspic-minus", "deductive"):
+                ev = evaluate(prepared, "preferred", mode, max_nodes=200)
+                for cs, report in zip(ev.conclusion_sets, ev.postulates):
+                    assert report.closure == check_closure(system, cs.formulas)
+                    assert report.direct_consistency == check_direct_consistency(cs.formulas)
+                    assert report.indirect_consistency == check_indirect_consistency(
+                        system, cs.formulas
+                    )
+                    violated |= {
+                        name for name in ("closure", "indirect_consistency")
+                        if not getattr(report, name).satisfied
+                    }
+        assert violated == {"closure", "indirect_consistency"}

@@ -256,10 +256,14 @@ class TestReportBytes:
         assert len(calls) == 1
 
 
+# ``_attack_edges`` builds the int attack relation that the AF and the JSBAF
+# share.  ``extension_ids`` is the search on node numbers; ``extensions``,
+# which turns its results into NodeId sets for library callers, is counted
+# to show that no command calls it.
 STAGES = {
     "core": ("is_consistent",),
-    "arguments": ("construct_arguments", "attack_witnesses"),
-    "semantics": ("flattened_af", "extensions"),
+    "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
+    "semantics": ("flattened_af", "extension_ids", "extensions"),
 }
 
 
@@ -294,7 +298,8 @@ class TestOneEvaluationPass:
             "is_consistent": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
-            "extensions": 1,
+            "_attack_edges": 1,
+            "extension_ids": 1,
             **({"flattened_af": 1} if mode == "deductive" else {}),
         }
 
@@ -305,8 +310,9 @@ class TestOneEvaluationPass:
             "is_consistent": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
+            "_attack_edges": 1,  # the AF and the JSBAF share one attack relation
             "flattened_af": 1,
-            "extensions": 8,  # 4 semantics x 2 modes
+            "extension_ids": 8,  # 4 semantics x 2 modes
         }
 
     @pytest.mark.parametrize("stage", ("one-step", "two-step", "simplified"))
@@ -317,6 +323,7 @@ class TestOneEvaluationPass:
             "is_consistent": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
+            "_attack_edges": 1,
             **({"flattened_af": 1} if stage == "simplified" else {}),
         }
 
@@ -337,9 +344,23 @@ class TestOneEvaluationPass:
             "is_consistent": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
-            "extensions": 1,
+            "_attack_edges": 1,
+            "extension_ids": 1,
             **({"flattened_af": 1} if mode == "deductive" else {}),
         }
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_reads_node_numbers_only(self, tandem_system, mode, fmt):
+        """Evaluating and writing a report builds none of the NodeId views
+        of the frameworks it reads."""
+        prepared = prepare(tandem_system)
+        ev = evaluate(prepared, "preferred", mode)
+        settings = report_settings("preferred", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        written(write_report, ev, "tandem", settings, fmt)
+        views = {"nodes", "attacks", "supports", "attackers", "targets", "joint_attacks"}
+        for framework in (prepared.af, prepared.jsbaf, prepared.flat):
+            assert not views & set(vars(framework))
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
     @pytest.mark.parametrize("mode", MODES)

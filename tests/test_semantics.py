@@ -33,6 +33,8 @@ from jsbaf import (
     stable_extensions,
     strict_argument_nodes,
 )
+import reference
+from jsbaf import semantics as semantics_module
 from jsbaf.cli import main
 from jsbaf.oracle import ORACLE_NODE_CAP
 from conftest import (
@@ -338,3 +340,56 @@ class TestRegressionInstances:
         system = random_system(SystemParams(12, 14, 14), 38).system
         flat = self._check(system, {"grounded": 1, "complete": 6, "stable": 0, "preferred": 2})
         assert (len(construct_arguments(system).arguments), len(flat.nodes)) == (61, 143)
+
+
+class TestLinearGrounded:
+    """``grounded_extension`` counts each node's attackers not yet out;
+    ``reference.grounded_extension`` is the fixpoint that re-scans every
+    node each round."""
+
+    def test_criterion_06_frameworks(self):
+        small = [random_af(seed, 5, 0.3) for seed in range(10000)]
+        mid = [random_af(100000 + seed, 12, 0.2) for seed in range(500)]
+        for af in small + mid:
+            assert grounded_extension(af) == reference.grounded_extension(af)
+
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    def test_tandem_and_random_systems(self, mode):
+        systems = [
+            parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+            for n in range(2, 7)
+            for k in range(1, n)
+        ]
+        systems += [random_system(SystemParams(6, 6, 6), seed).system for seed in range(100)]
+        for system in systems:
+            af = prepare(system).searched(mode)
+            assert grounded_extension(af) == reference.grounded_extension(af)
+
+
+def _propagation_calls(monkeypatch, system, mode, semantics):
+    calls = []
+    propagate = semantics_module._DomainSearch._propagate
+
+    def counted(self, doms, dirty):
+        calls.append(1)
+        return propagate(self, doms, dirty)
+
+    monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", counted)
+    evaluate(prepare(system), semantics, mode, max_nodes=1000)
+    return len(calls)
+
+
+@pytest.mark.parametrize(
+    "mode, semantics, calls",
+    [
+        ("deductive", "complete", 199),
+        ("deductive", "stable", 65),
+        ("aspic-minus", "complete", 273),
+        ("aspic-minus", "stable", 61),
+    ],
+)
+def test_search_keeps_the_canonical_branching_order(monkeypatch, mode, semantics, calls):
+    """Propagation calls on tandem(5, 3), as counted before node numbers
+    replaced NodeIds: the search splits nodes in the same order."""
+    system = parse_system(SourceDocument(tandem_rules(5, 3), "tandem-5-3.rules"))
+    assert _propagation_calls(monkeypatch, system, mode, semantics) == calls
