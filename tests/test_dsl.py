@@ -98,6 +98,117 @@ class TestDiagnostics:
             parse_system("name d1 = x y")
 
 
+# Every diagnostic the parser can produce, pinned exactly: message, line,
+# column and offending token (ValidationError carries no token).
+DIAGNOSTICS = [
+    ("strict r1: a, b", ParseError, "1:16: expected '->' at end of line", ""),
+    ("strict r1: a => b", ParseError, "1:14: expected '->', found '=>'", "=>"),
+    ("name d1 = x y", ParseError, "1:13: unexpected trailing 'y'", "y"),
+    ("atoms", ParseError, "1:6: expected an atom name at end of line", ""),
+    ("strict", ParseError, "1:7: expected a rule id at end of line", ""),
+    ("strict r1", ParseError, "1:10: expected ':' at end of line", ""),
+    ("strict r1: ~ -> a", ParseError, "1:14: expected an atom, found '->'", "->"),
+    ("strict r1: -> a\nstrict r1: -> b", ValidationError, "2:8: duplicate rule id 'r1'", None),
+    ("strict r1: -> a\ndefeasible r1: => b", ValidationError, "2:12: duplicate rule id 'r1'", None),
+    (
+        "strict r1: -> a\nstrict r2: -> a",
+        ValidationError,
+        "2:8: rule 'r2' duplicates an earlier strict rule",
+        None,
+    ),
+    (
+        "defeasible d1: => a\ndefeasible d2: => a",
+        ValidationError,
+        "2:12: rule 'd2' duplicates an earlier defeasible rule",
+        None,
+    ),
+    (
+        "atoms a\nstrict r1: -> b",
+        ValidationError,
+        "2:15: atom 'b' is not in the declared vocabulary",
+        None,
+    ),
+    (
+        "atoms a\nstrict b: -> b",
+        ValidationError,
+        "2:14: atom 'b' is not in the declared vocabulary",
+        None,
+    ),
+    (
+        "atoms a\ndefeasible d1: a, ~~c => a",
+        ValidationError,
+        "2:21: atom 'c' is not in the declared vocabulary",
+        None,
+    ),
+    (
+        "atoms a\ndefeasible d1: => a\nname d1 = zz",
+        ValidationError,
+        "3:11: atom 'zz' is not in the declared vocabulary",
+        None,
+    ),
+    (
+        "defeasible d1: => a\nname d1 = x\nname d1 = y",
+        ValidationError,
+        "3:6: name redefined for rule 'd1'",
+        None,
+    ),
+    ("strict r1: -> a\nname r1 = x", ValidationError, "2:6: name defined on strict rule 'r1'", None),
+    (
+        "atoms a\ndefeasible d1: => zz\nname d2 = a",
+        ValidationError,
+        "3:6: name refers to undefined rule 'd2'",
+        None,
+    ),
+    ("strict r1: -> a,", ParseError, "1:16: unexpected trailing ','", ","),
+    ("strict r1: , -> a", ParseError, "1:12: expected an atom, found ','", ","),
+    ("atoms a ~b", ParseError, "1:9: expected an atom name, found '~'", "~"),
+    ("name = x", ParseError, "1:6: expected a defeasible rule id, found '='", "="),
+    ("strict r1 -> a", ParseError, "1:11: expected ':', found '->'", "->"),
+    ("defeasible d1: a -> b", ParseError, "1:18: expected '=>', found '->'", "->"),
+    ("strict r1: -> \u00e9", ParseError, "1:15: unexpected character '\u00e9'", "\u00e9"),
+    ("strict r1 -> a!", ParseError, "1:15: unexpected character '!'", "!"),
+    ("strict r1: - > a", ParseError, "1:12: unexpected character '-'", "-"),
+    ("strict 1r: -> a", ParseError, "1:8: unexpected character '1'", "1"),
+    ("rule r1: -> a", ParseError, "1:1: unknown keyword 'rule'", "rule"),
+    (
+        ", a",
+        ParseError,
+        "1:1: expected a keyword (atoms, strict, defeasible, name), found ','",
+        ",",
+    ),
+    ("name", ParseError, "1:5: expected a defeasible rule id at end of line", ""),
+    ("defeasible d1: => a\nname d1", ParseError, "2:8: expected '=' at end of line", ""),
+    ("defeasible d1: => a\nname d1 = ~", ParseError, "2:12: expected an atom at end of line", ""),
+    ("strict r1: -> ~", ParseError, "1:16: expected an atom at end of line", ""),
+    ("strict r1: a, b # c !", ParseError, "1:16: expected '->' at end of line", ""),
+    ("strict r1: -> a\tb", ParseError, "1:17: unexpected trailing 'b'", "b"),
+    ("strict r1: -> a\n\n# c\nstrict r2 -> b", ParseError, "4:11: expected ':', found '->'", "->"),
+]
+
+
+@pytest.mark.parametrize("text, kind, message, token", DIAGNOSTICS)
+def test_diagnostic_is_pinned(text, kind, message, token):
+    with pytest.raises(kind) as err:
+        parse_system(text)
+    line, column, _ = message.split(":", 2)
+    assert type(err.value) is kind
+    assert str(err.value) == message
+    assert (err.value.line, err.value.column) == (int(line), int(column))
+    assert getattr(err.value, "token", None) == token
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "strict r1: -> a\u00a0",
+        "strict r1: -> a # \u00e9 !",
+        "strict r1: -> a\n  strict\tr2 : a,~ ~b->c",
+    ],
+)
+def test_accepted_spacing_and_comments(text):
+    assert parse_system(text).strict_rules[0] == StrictRule("r1", (), atom("a"))
+
+
 atoms_st = st.sampled_from(["a", "b", "c", "longer_name"])
 formula_st = st.builds(Formula, atoms_st, st.integers(0, 2))
 shape_st = st.tuples(st.lists(formula_st, max_size=3).map(tuple), formula_st)
