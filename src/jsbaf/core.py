@@ -18,14 +18,16 @@ from .errors import ValidationError
 class Formula:
     """``negations`` applications of ``~`` to an atom.
 
-    ``Formula("tt", 1)`` is ``~tt``; ``Formula("tt", 0)`` is ``tt``.
+    ``Formula("tt", 1)`` is ``~tt``; ``Formula("tt", 0)`` is ``tt``.  Atoms,
+    like rule ids, are ASCII identifiers (``[A-Za-z_][A-Za-z0-9_]*``), the
+    names the rule language can spell.
     """
 
     atom: str
     negations: int = 0
 
     def __post_init__(self):
-        if not self.atom or not self.atom[0].isidentifier():
+        if not (self.atom.isascii() and self.atom.isidentifier()):
             raise ValidationError(f"atom name {self.atom!r} is not an identifier")
         if self.negations < 0:
             raise ValidationError("negation depth must be non-negative")
@@ -94,9 +96,9 @@ class ArgumentationSystem:
     """Strict rules, defeasible rules, and a partial naming of defeasible
     rules that makes them undercuttable.
 
-    Validated on construction: rule ids are unique across both lists, no two
-    rules of the same kind share body and head, and ``undercut_names`` is
-    only defined on defeasible-rule ids.
+    Validated on construction: rule ids are identifiers, unique across both
+    lists, no two rules of the same kind share body and head, and
+    ``undercut_names`` is only defined on defeasible-rule ids.
     """
 
     strict_rules: tuple[StrictRule, ...]
@@ -109,6 +111,8 @@ class ArgumentationSystem:
         object.__setattr__(self, "undercut_names", dict(self.undercut_names))
         seen_ids: set[str] = set()
         for rule in self.strict_rules + self.defeasible_rules:
+            if not (rule.id.isascii() and rule.id.isidentifier()):
+                raise ValidationError(f"rule id {rule.id!r} is not an identifier")
             if rule.id in seen_ids:
                 raise ValidationError(f"duplicate rule id {rule.id!r}")
             seen_ids.add(rule.id)

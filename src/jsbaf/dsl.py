@@ -9,8 +9,15 @@
     defeasible d1: hw => ht
     name d1 = ok_d1                  # makes d1 undercuttable at ~ok_d1
 
-Literals are ``~``-prefixed atoms, nestable (``~~a``).  ``#`` starts a
-comment.  Every diagnostic carries a 1-based line and column.
+Literals are ``~``-prefixed atoms, nestable (``~~a``, also written ``~ ~a``).
+Atoms and rule ids are ASCII identifiers, ``[A-Za-z_][A-Za-z0-9_]*``.  ``#``
+starts a comment, and one leading byte-order mark is ignored.
+
+Each line is split into token strings by one ``findall`` of ``_TOKEN_RE``,
+and the parser reads that list by index.  Token columns are not kept: a
+diagnostic, or a later check that needs a position (an undeclared atom, a
+``name`` error, a duplicate rule), scans its one line again with
+``finditer``.  Every diagnostic carries a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -21,7 +28,15 @@ from dataclasses import dataclass
 from .core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule
 from .errors import ParseError, ValidationError
 
-_TOKEN_RE = re.compile(r"->|=>|[,:=~]|[A-Za-z_][A-Za-z0-9_]*")
+# The last alternative takes any other single character, which no line may
+# contain outside a comment.
+_TOKEN_RE = re.compile(r"->|=>|[,:=~]|[A-Za-z_][A-Za-z0-9_]*|#.*|\S")
+# A token is an identifier iff its first character is one of these.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SINGLE_CHAR_TOKENS = _IDENT_START | frozenset(",:=~")
+# Stands after the last token of a line, so the parser looks ahead without
+# bounds checks; a newline is never a token.
+_END = "\n"
 
 
 @dataclass(frozen=True)
@@ -30,74 +45,90 @@ class SourceDocument:
     provenance: str = "<string>"
 
 
-@dataclass(frozen=True)
-class _Token:
-    text: str
-    line: int
-    column: int
+class _Unexpected(Exception):
+    """Token ``index`` of a line is not what the grammar allows there.
+
+    ``expected`` names what it allows; None means no token is allowed: an
+    unknown keyword at index 0, a trailing token after a complete line.
+    """
+
+    def __init__(self, index: int, expected: str | None):
+        self.index = index
+        self.expected = expected
 
 
-def _tokenize(line: str, line_no: int) -> list[_Token]:
-    tokens = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "#":
+def _token_matches(line: str) -> list[re.Match]:
+    """The tokens of one line before any comment, with their positions."""
+    matches = []
+    for m in _TOKEN_RE.finditer(line):
+        if m.group()[0] == "#":
             break
-        if ch.isspace():
-            i += 1
-            continue
-        m = _TOKEN_RE.match(line, i)
-        if m is None:
-            raise ParseError(f"unexpected character {ch!r}", line_no, i + 1, ch)
-        tokens.append(_Token(m.group(), line_no, i + 1))
-        i = m.end()
-    return tokens
+        matches.append(m)
+    return matches
 
 
-class _LineParser:
-    def __init__(self, tokens: list[_Token], line_no: int):
-        self.tokens = tokens
-        self.line_no = line_no
-        self.pos = 0
+def _syntax_error(line: str, line_no: int, index: int, expected: str | None) -> ParseError:
+    """The ParseError of a line that failed at token ``index``.
 
-    def _fail(self, expected: str):
-        if self.pos < len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(f"expected {expected}, found {tok.text!r}", tok.line, tok.column, tok.text)
-        last = self.tokens[-1]
-        raise ParseError(f"expected {expected} at end of line", self.line_no, last.column + len(last.text))
+    The parser checks every token of a line, so a line holding a character
+    that is no token always fails.  That character is reported first,
+    wherever it stands, since the line cannot be tokenized past it.
+    """
+    matches = _token_matches(line)
+    for m in matches:
+        text = m.group()
+        if len(text) == 1 and text not in _SINGLE_CHAR_TOKENS:
+            return ParseError(f"unexpected character {text!r}", line_no, m.start() + 1, text)
+    if index == len(matches):
+        return ParseError(f"expected {expected} at end of line", line_no, matches[-1].end() + 1)
+    found = matches[index].group()
+    if expected is not None:
+        message = f"expected {expected}, found {found!r}"
+    elif index == 0:
+        message = f"unknown keyword {found!r}"
+    else:
+        message = f"unexpected trailing {found!r}"
+    return ParseError(message, line_no, matches[index].start() + 1, found)
 
-    def peek(self) -> str | None:
-        return self.tokens[self.pos].text if self.pos < len(self.tokens) else None
 
-    def take(self, expected_text: str) -> _Token:
-        if self.peek() != expected_text:
-            self._fail(f"{expected_text!r}")
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+def _column(line: str, index: int) -> int:
+    return _token_matches(line)[index].start() + 1
 
-    def ident(self, what: str) -> _Token:
-        tok_text = self.peek()
-        if tok_text is None or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", tok_text):
-            self._fail(what)
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
-    def literal(self) -> tuple[Formula, _Token]:
-        depth = 0
-        while self.peek() == "~":
-            self.take("~")
-            depth += 1
-        tok = self.ident("an atom")
-        return Formula(tok.text, depth), tok
+def _undeclared_atom_error(lines: list[str], undeclared: set[str]) -> ValidationError:
+    """The error for the first literal, in file order, whose atom is in
+    ``undeclared``.  Every line has parsed, so on a ``strict``,
+    ``defeasible`` or ``name`` line the literals start at token 3."""
+    for line_no, line in enumerate(lines, start=1):
+        matches = _token_matches(line)
+        if matches and matches[0].group() != "atoms":
+            for m in matches[3:]:
+                if m.group() in undeclared:
+                    return ValidationError(
+                        f"atom {m.group()!r} is not in the declared vocabulary",
+                        line_no,
+                        m.start() + 1,
+                    )
+    raise AssertionError("no literal has an undeclared atom")
 
-    def end(self):
-        if self.pos != len(self.tokens):
-            tok = self.tokens[self.pos]
-            raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.column, tok.text)
+
+def _literal(tokens: list[str], i: int, formulas: dict) -> tuple[Formula, int]:
+    """The literal starting at token ``i`` and the index after it.
+
+    ``formulas`` interns one Formula per distinct literal of the file.
+    """
+    depth = 0
+    while tokens[i] == "~":
+        depth += 1
+        i += 1
+    atom = tokens[i]
+    if atom[0] not in _IDENT_START:
+        raise _Unexpected(i, "an atom")
+    key = (atom, depth)
+    formula = formulas.get(key)
+    if formula is None:
+        formula = formulas[key] = Formula(atom, depth)
+    return formula, i + 1
 
 
 def parse_system(source: SourceDocument | str) -> ArgumentationSystem:
@@ -109,98 +140,112 @@ def parse_system(source: SourceDocument | str) -> ArgumentationSystem:
     """
     if isinstance(source, str):
         source = SourceDocument(source)
+    text = source.text
+    if text.startswith("\ufeff"):
+        text = text[1:]
+    lines = text.splitlines()
 
     declared: set[str] = set()
     has_atoms_decl = False
     strict: list[StrictRule] = []
     defeasible: list[DefeasibleRule] = []
-    rule_positions: dict[str, _Token] = {}
-    shapes: dict[tuple, set] = {"strict": set(), "defeasible": set()}
-    name_decls: list[tuple[_Token, Formula]] = []
-    literal_sites: list[tuple[Formula, _Token]] = []
+    rule_ids: set[str] = set()
+    # Token text after the colon, per kind: equal iff body and head are.
+    shapes: dict[str, set[str]] = {"strict": set(), "defeasible": set()}
+    name_decls: list[tuple[str, Formula, int]] = []
+    formulas: dict[tuple[str, int], Formula] = {}
+    tokenize = _TOKEN_RE.findall
 
-    for line_no, line in enumerate(source.text.splitlines(), start=1):
-        tokens = _tokenize(line, line_no)
-        if not tokens:
+    for line_no, line in enumerate(lines, start=1):
+        tokens = tokenize(line)
+        if not tokens or tokens[0][0] == "#":
             continue
-        p = _LineParser(tokens, line_no)
-        keyword = p.ident("a keyword (atoms, strict, defeasible, name)")
-        if keyword.text == "atoms":
-            has_atoms_decl = True
-            declared.add(p.ident("an atom name").text)
-            while p.peek() is not None:
-                declared.add(p.ident("an atom name").text)
-        elif keyword.text in ("strict", "defeasible"):
-            rule_id = p.ident("a rule id")
-            p.take(":")
-            arrow = "->" if keyword.text == "strict" else "=>"
-            body: list[Formula] = []
-            if p.peek() != arrow:
-                lit, tok = p.literal()
-                body.append(lit)
-                literal_sites.append((lit, tok))
-                while p.peek() == ",":
-                    p.take(",")
-                    lit, tok = p.literal()
-                    body.append(lit)
-                    literal_sites.append((lit, tok))
-            p.take(arrow)
-            head, head_tok = p.literal()
-            literal_sites.append((head, head_tok))
-            p.end()
-            if rule_id.text in rule_positions:
-                raise ValidationError(
-                    f"duplicate rule id {rule_id.text!r}", rule_id.line, rule_id.column
-                )
-            rule_positions[rule_id.text] = rule_id
-            shape = (tuple(body), head)
-            if shape in shapes[keyword.text]:
-                raise ValidationError(
-                    f"rule {rule_id.text!r} duplicates an earlier {keyword.text} rule",
-                    rule_id.line,
-                    rule_id.column,
-                )
-            shapes[keyword.text].add(shape)
-            if keyword.text == "strict":
-                strict.append(StrictRule(rule_id.text, tuple(body), head))
-            else:
-                defeasible.append(DefeasibleRule(rule_id.text, tuple(body), head))
-        elif keyword.text == "name":
-            target = p.ident("a defeasible rule id")
-            p.take("=")
-            lit, tok = p.literal()
-            literal_sites.append((lit, tok))
-            p.end()
-            name_decls.append((target, lit))
+        if tokens[-1][0] == "#":
+            tokens[-1] = _END
         else:
-            raise ParseError(
-                f"unknown keyword {keyword.text!r}", keyword.line, keyword.column, keyword.text
-            )
+            tokens.append(_END)
+        end = len(tokens) - 1
+        keyword = tokens[0]
+        try:
+            if keyword == "strict" or keyword == "defeasible":
+                rule_id = tokens[1]
+                if rule_id[0] not in _IDENT_START:
+                    raise _Unexpected(1, "a rule id")
+                if tokens[2] != ":":
+                    raise _Unexpected(2, "':'")
+                arrow = "->" if keyword == "strict" else "=>"
+                body: list[Formula] = []
+                i = 3
+                if tokens[i] != arrow:
+                    lit, i = _literal(tokens, i, formulas)
+                    body.append(lit)
+                    while tokens[i] == ",":
+                        lit, i = _literal(tokens, i + 1, formulas)
+                        body.append(lit)
+                    if tokens[i] != arrow:
+                        raise _Unexpected(i, repr(arrow))
+                head, i = _literal(tokens, i + 1, formulas)
+                if i != end:
+                    raise _Unexpected(i, None)
+                if rule_id in rule_ids:
+                    raise ValidationError(
+                        f"duplicate rule id {rule_id!r}", line_no, _column(line, 1)
+                    )
+                rule_ids.add(rule_id)
+                shape = " ".join(tokens[3:end])
+                if shape in shapes[keyword]:
+                    raise ValidationError(
+                        f"rule {rule_id!r} duplicates an earlier {keyword} rule",
+                        line_no,
+                        _column(line, 1),
+                    )
+                shapes[keyword].add(shape)
+                if keyword == "strict":
+                    strict.append(StrictRule(rule_id, tuple(body), head))
+                else:
+                    defeasible.append(DefeasibleRule(rule_id, tuple(body), head))
+            elif keyword == "atoms":
+                if end == 1:
+                    raise _Unexpected(1, "an atom name")
+                for i in range(1, end):
+                    if tokens[i][0] not in _IDENT_START:
+                        raise _Unexpected(i, "an atom name")
+                has_atoms_decl = True
+                declared.update(tokens[1:end])
+            elif keyword == "name":
+                if tokens[1][0] not in _IDENT_START:
+                    raise _Unexpected(1, "a defeasible rule id")
+                if tokens[2] != "=":
+                    raise _Unexpected(2, "'='")
+                lit, i = _literal(tokens, 3, formulas)
+                if i != end:
+                    raise _Unexpected(i, None)
+                name_decls.append((tokens[1], lit, line_no))
+            elif keyword[0] in _IDENT_START:
+                raise _Unexpected(0, None)
+            else:
+                raise _Unexpected(0, "a keyword (atoms, strict, defeasible, name)")
+        except _Unexpected as err:
+            raise _syntax_error(line, line_no, err.index, err.expected) from None
 
     defeasible_ids = {r.id for r in defeasible}
-    strict_ids = {r.id for r in strict}
     names: dict[str, Formula] = {}
-    for target, lit in name_decls:
-        if target.text in strict_ids:
-            raise ValidationError(
-                f"name defined on strict rule {target.text!r}", target.line, target.column
-            )
-        if target.text not in defeasible_ids:
-            raise ValidationError(
-                f"name refers to undefined rule {target.text!r}", target.line, target.column
-            )
-        if target.text in names:
-            raise ValidationError(
-                f"name redefined for rule {target.text!r}", target.line, target.column
-            )
-        names[target.text] = lit
+    for target, lit, line_no in name_decls:
+        if target not in rule_ids:
+            problem = f"name refers to undefined rule {target!r}"
+        elif target not in defeasible_ids:
+            problem = f"name defined on strict rule {target!r}"
+        elif target in names:
+            problem = f"name redefined for rule {target!r}"
+        else:
+            names[target] = lit
+            continue
+        raise ValidationError(problem, line_no, _column(lines[line_no - 1], 1))
 
     if has_atoms_decl:
-        for lit, tok in literal_sites:
-            if lit.atom not in declared:
-                raise ValidationError(
-                    f"atom {lit.atom!r} is not in the declared vocabulary", tok.line, tok.column
-                )
+        undeclared = {formula.atom for formula in formulas.values()} - declared
+        if undeclared:
+            raise _undeclared_atom_error(lines, undeclared)
 
     return ArgumentationSystem(tuple(strict), tuple(defeasible), names)
 

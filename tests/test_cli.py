@@ -77,6 +77,16 @@ class TestEval:
         code, _, err = run_cli(capsys, "eval", "--file", str(bad))
         assert code == 2 and "1:" in err
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        rules = tmp_path / "bom.rules"
+        text = TANDEM_PATH.read_text(encoding="utf-8")
+        rules.write_text(text, encoding="utf-8")
+        plain = run_cli(capsys, "eval", "--file", str(rules))
+        rules.write_text("\ufeff" + text, encoding="utf-8")
+        assert rules.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert run_cli(capsys, "eval", "--file", str(rules)) == plain
+        assert plain[0] == 0
+
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--file", "no-such-file.rules")
         assert code == 2 and "cannot read" in err

@@ -157,3 +157,16 @@ class TestSystemValidation:
             ArgumentationSystem(
                 (strict_rule("r1", [], atom("a")),), (), {"r1": atom("x")}
             )
+
+    @pytest.mark.parametrize("name", ["é", "a-b", "a b", "1a", ""])
+    def test_atom_must_be_an_ascii_identifier(self, name):
+        with pytest.raises(ValidationError, match="is not an identifier"):
+            Formula(name)
+
+    @pytest.mark.parametrize("rule_id", ["r 1", "ré", "1r", ""])
+    @pytest.mark.parametrize("kind", ["strict", "defeasible"])
+    def test_rule_id_must_be_an_ascii_identifier(self, rule_id, kind):
+        rule = (StrictRule if kind == "strict" else DefeasibleRule)(rule_id, (), atom("a"))
+        rules = ((rule,), ()) if kind == "strict" else ((), (rule,))
+        with pytest.raises(ValidationError, match="is not an identifier"):
+            ArgumentationSystem(*rules)

@@ -1,5 +1,7 @@
 """Rule-language parser and printer."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -109,7 +111,12 @@ DIAGNOSTICS = [
     ("strict r1", ParseError, "1:10: expected ':' at end of line", ""),
     ("strict r1: ~ -> a", ParseError, "1:14: expected an atom, found '->'", "->"),
     ("strict r1: -> a\nstrict r1: -> b", ValidationError, "2:8: duplicate rule id 'r1'", None),
-    ("strict r1: -> a\ndefeasible r1: => b", ValidationError, "2:12: duplicate rule id 'r1'", None),
+    (
+        "strict r1: -> a\ndefeasible r1: => b",
+        ValidationError,
+        "2:12: duplicate rule id 'r1'",
+        None,
+    ),
     (
         "strict r1: -> a\nstrict r2: -> a",
         ValidationError,
@@ -152,7 +159,12 @@ DIAGNOSTICS = [
         "3:6: name redefined for rule 'd1'",
         None,
     ),
-    ("strict r1: -> a\nname r1 = x", ValidationError, "2:6: name defined on strict rule 'r1'", None),
+    (
+        "strict r1: -> a\nname r1 = x",
+        ValidationError,
+        "2:6: name defined on strict rule 'r1'",
+        None,
+    ),
     (
         "atoms a\ndefeasible d1: => zz\nname d2 = a",
         ValidationError,
@@ -237,3 +249,37 @@ class TestRoundTrip:
     @given(systems())
     def test_parse_inverts_print(self, system):
         assert parse_system(print_system(system)) == system
+
+    @given(systems(), st.data())
+    def test_whitespace_and_comments_do_not_matter(self, system, data):
+        spacing = st.sampled_from([" ", "  ", "\t", "\u00a0", " \t\u00a0"])
+        comment = st.sampled_from(["", " # note", "\t#!\u00e9 1 ->", "#"])
+        lines = []
+        for line in print_system(system).splitlines():
+            tokens = re.findall(r"[A-Za-z0-9_]+|->|=>|\S", line)
+            spaced = "".join(token + data.draw(spacing) for token in tokens)
+            lines.append(data.draw(spacing) + spaced + data.draw(comment))
+            lines.append(data.draw(st.sampled_from(["", "\t", "# between"])))
+        assert parse_system("\n".join(lines)) == system
+
+
+# Fragments of lines: whole rules, single tokens, separators, and characters
+# that are no token.
+FRAGMENTS = [
+    "atoms a b", "strict r1: a -> b", "defeasible d1: ~ a => ~~b", "name d1 = c",
+    "atoms", "strict", "defeasible", "name", "r1", "d1", "a", "b",
+    "~", "~ ", "->", "=>", ",", ":", "=", "-", ">",
+    " ", "\t", "\u00a0", "#", "!", "\u00e9", "1",
+]
+
+
+lines_st = st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join)
+
+
+@given(st.lists(lines_st, min_size=1, max_size=5))
+def test_every_error_points_into_the_text(lines):
+    try:
+        parse_system("\n".join(lines))
+    except (ParseError, ValidationError) as err:
+        assert 1 <= err.line <= len(lines)
+        assert 1 <= err.column <= len(lines[err.line - 1]) + 1
