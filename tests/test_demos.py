@@ -1,4 +1,5 @@
-"""Smoke test: every demo script runs to completion against the package."""
+"""Every demo script runs to completion against the package and prints
+exactly its recorded output, ``tests/data/demo-0N.txt``."""
 
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+DATA = Path(__file__).resolve().parent / "data"
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
@@ -18,7 +20,6 @@ def test_all_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True
-    )
-    assert result.returncode == 0, result.stderr
+    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True)
+    assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout == (DATA / f"demo-{demo.name[:2]}.txt").read_bytes()
