@@ -14,17 +14,12 @@ joint support carried by strict rule applications removes it.
 from pathlib import Path
 
 from jsbaf import (
-    build_aspic_minus_af,
-    build_da_jsbaf,
     compare_modes,
-    construct_arguments,
     evaluate,
     evaluate_postulates,
     extensions,
-    flattened_af,
     parse_system,
     prepare,
-    strict_argument_nodes,
 )
 
 RULES = Path(__file__).with_name("tandem.rules")
@@ -38,15 +33,14 @@ def show_extensions(title, exts):
 
 def main():
     system = parse_system(RULES.read_text())
-    store = construct_arguments(system)
     prepared = prepare(system)
 
     print("Arguments on the basis of the tandem system:")
-    for arg in store.arguments:
+    for arg in prepared.store.arguments:
         kind = "defeasible" if arg.defeasible else "strict"
         print(f"   {arg.form:<22} ({kind})")
 
-    af = build_aspic_minus_af(system, store=store)
+    af = prepared.af
     print(f"\nAttack framework: {len(af.nodes)} arguments, {len(af.attacks)} attacks")
     print("Every ~x argument trades blows with the rides it excludes.")
 
@@ -58,13 +52,13 @@ def main():
         verdict = "closed" if report.closure.satisfied else "NOT closed under the strict rules"
         print(f"   {conclusions:<42} {verdict}")
 
-    j = build_da_jsbaf(system, store=store)
+    j = prepared.jsbaf
     print(f"\nWith joint support tracked: {len(j.supports)} supports, e.g.")
     for src, dst in sorted(j.supports, key=lambda p: p[1].key()):
         names = ",".join(sorted(n.label for n in src)) or "(none)"
         print(f"   {{{names}}} => {dst.label}")
 
-    flat = flattened_af(j, "prune-inert", shielded=strict_argument_nodes(store))
+    flat = prepare(system, flatten_mode="prune-inert").flat
     print(f"\nFlattened to a plain framework: {len(flat.nodes)} nodes, {len(flat.attacks)} attacks")
     show_extensions(
         "Preferred extensions after flattening, projected onto the arguments:",

@@ -11,15 +11,12 @@ from .arguments import (
     Argument,
     ArgumentStore,
     AttackWitness,
-    EnumerationLimits,
     attack_witnesses,
     build_aspic_minus_af,
     build_da_jsbaf,
     construct_arguments,
-    rebuts_unrestricted,
     strict_argument_nodes,
     support_pairs,
-    undercuts,
 )
 from .core import (
     ArgumentationSystem,
@@ -56,7 +53,6 @@ from .frameworks import (
     flatten_one_step,
     flatten_simplified,
     is_meta,
-    project,
     prune_inert,
     sort_nodes,
 )
@@ -87,18 +83,13 @@ from .postulates import (
 from .reporting import emit_apx, emit_dot, write_report
 from .semantics import (
     SEMANTICS,
-    complete_extensions,
-    defends,
     extension_ids,
     extensions,
     flattened_af,
-    grounded_extension,
-    is_conflict_free,
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,
-    preferred_extensions,
-    stable_extensions,
+    project_ids,
 )
 
 __version__ = "0.1.0"

@@ -30,16 +30,11 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .core import ArgumentationSystem, DefeasibleRule, Formula, Rule, StrictRule, complement
+from .core import ArgumentationSystem, DefeasibleRule, Formula, Rule, StrictRule
 from .errors import LimitExceededError
 from .frameworks import AF, JSBAF, BaseNode
 
-
-@dataclass(frozen=True)
-class EnumerationLimits:
-    """Caps applied during argument enumeration."""
-
-    max_arguments: int = 5000
+DEFAULT_MAX_ARGUMENTS = 5000  # largest store ``construct_arguments`` builds by default
 
 
 class Argument:
@@ -122,9 +117,6 @@ class ArgumentStore:
     arguments: tuple[Argument, ...]
     acyclicity_pruned: bool
 
-    def by_id(self, canonical_id: str) -> Argument:
-        return self.arguments[int(canonical_id[1:]) - 1]
-
     @cached_property
     def node_order(self) -> tuple[int, ...]:
         """Argument ordinals in canonical node order, which sorts the ids
@@ -146,13 +138,13 @@ class ArgumentStore:
 
 
 def construct_arguments(
-    system: ArgumentationSystem, limits: EnumerationLimits = EnumerationLimits()
+    system: ArgumentationSystem, max_arguments: int = DEFAULT_MAX_ARGUMENTS
 ) -> ArgumentStore:
     """Enumerate the argument store of ``system``.
 
-    Raises LimitExceededError when the store would exceed
-    ``limits.max_arguments``, which signals a combinatorially explosive
-    system rather than a recoverable condition.
+    Raises LimitExceededError when the store would exceed ``max_arguments``,
+    which signals a combinatorially explosive system rather than a
+    recoverable condition.
     """
     rules: list[Rule] = sorted(
         system.strict_rules + system.defeasible_rules, key=lambda r: r.id
@@ -163,8 +155,8 @@ def construct_arguments(
     pruned = False
 
     def create(rule: Rule, subs: tuple[Argument, ...]):
-        if len(arguments) >= limits.max_arguments:
-            raise LimitExceededError(limits.max_arguments)
+        if len(arguments) >= max_arguments:
+            raise LimitExceededError(max_arguments)
         arg = Argument(rule, subs, len(arguments))
         arguments.append(arg)
         by_conclusion.setdefault(arg.conclusion, []).append(arg)
@@ -193,8 +185,8 @@ def construct_arguments(
                     pruned = True
                     continue
                 candidates.append((rule.id, key[1], rule, subs))
-                if len(arguments) + len(candidates) > limits.max_arguments:
-                    raise LimitExceededError(limits.max_arguments)
+                if len(arguments) + len(candidates) > max_arguments:
+                    raise LimitExceededError(max_arguments)
         if not candidates:
             break
         for _, _, rule, subs in sorted(candidates, key=lambda c: (c[0], c[1])):
@@ -202,35 +194,6 @@ def construct_arguments(
         depth += 1
 
     return ArgumentStore(system, tuple(arguments), pruned)
-
-
-def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> tuple[Argument, ...]:
-    """Sub-arguments of ``b`` whose defeasible top rule is named, where the
-    name's complement is concluded by ``a``.  Empty when no undercut holds."""
-    names = system.undercut_names
-    hits = [
-        sub
-        for sub in b.sub_arguments
-        if isinstance(sub.rule, DefeasibleRule)
-        and sub.rule.id in names
-        and complement(a.conclusion, names[sub.rule.id])
-    ]
-    return tuple(sorted(hits, key=lambda s: s.ordinal))
-
-
-def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
-    """Defeasible sub-arguments of ``b`` whose conclusion is the complement
-    of ``a``'s conclusion.
-
-    The attacked sub-argument's *own* top rule may be strict: it only needs
-    some defeasible rule in its tree.  Strict arguments are never rebutted.
-    """
-    hits = [
-        sub
-        for sub in b.sub_arguments
-        if sub.def_rule_ids and complement(a.conclusion, sub.conclusion)
-    ]
-    return tuple(sorted(hits, key=lambda s: s.ordinal))
 
 
 class AttackWitness(NamedTuple):
@@ -249,8 +212,9 @@ _ATTACKER, _TARGET = operator.attrgetter("attacker"), operator.attrgetter("targe
 
 def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
     """All undercut and rebuttal occurrences between stored arguments, in the
-    order of a double loop over ``undercuts`` and ``rebuts_unrestricted``:
-    by attacker, target, kind (undercuts first), then attacked sub-argument.
+    order of a double loop over the pairwise definitions (``undercuts`` and
+    ``rebuts_unrestricted`` in ``tests/reference.py``): by attacker, target,
+    kind (undercuts first), then attacked sub-argument.
     Several witnesses may share an (attacker, target) pair; the attack edge
     counts once.
 
@@ -297,14 +261,10 @@ def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
     return out
 
 
-def _attack_edges(
-    store: ArgumentStore, witnesses: Sequence[AttackWitness] | None
-) -> list[list[int]]:
+def _attack_edges(store: ArgumentStore, witnesses: Sequence[AttackWitness]) -> list[list[int]]:
     """The attack relation over the node numbers of ``store`` (see
     ``ArgumentStore.node_order``): the targets of each node, in ascending
     order."""
-    if witnesses is None:
-        witnesses = attack_witnesses(store)
     number = {store.arguments[o].canonical_id: p for p, o in enumerate(store.node_order)}
     rows: list[list[str]] = [[] for _ in number]
     for attacker, group in itertools.groupby(witnesses, _ATTACKER):
@@ -318,17 +278,10 @@ def _argument_nodes(store: ArgumentStore) -> tuple[tuple[BaseNode, ...], tuple]:
     return tuple(map(BaseNode, ids)), tuple((0, i) for i in ids)
 
 
-def build_aspic_minus_af(
-    system: ArgumentationSystem,
-    limits: EnumerationLimits = EnumerationLimits(),
-    store: ArgumentStore | None = None,
-    witnesses: Sequence[AttackWitness] | None = None,
-) -> AF:
-    """The AF whose nodes are all arguments of ``system`` and whose edges
-    are exactly the undercut and unrestricted-rebuttal pairs.  ``store`` and
-    ``witnesses``, when given, must be those of ``system``."""
-    if store is None:
-        store = construct_arguments(system, limits)
+def build_aspic_minus_af(store: ArgumentStore, witnesses: Sequence[AttackWitness]) -> AF:
+    """The AF whose nodes are all arguments of ``store`` and whose edges are
+    exactly the undercut and unrestricted-rebuttal pairs of ``witnesses``,
+    the attack witnesses of ``store``."""
     return AF._make(*_argument_nodes(store), target_ids=_attack_edges(store, witnesses))
 
 
@@ -344,21 +297,11 @@ def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
     ]
 
 
-def build_da_jsbaf(
-    system: ArgumentationSystem,
-    limits: EnumerationLimits = EnumerationLimits(),
-    store: ArgumentStore | None = None,
-    witnesses: Sequence[AttackWitness] | None = None,
-    af: AF | None = None,
-) -> JSBAF:
-    """Same nodes and attacks as ``build_aspic_minus_af``, plus the joint
-    support of every strict-top argument by its immediate sub-arguments.
-    ``af``, when given, must be that AF of ``store``; the JSBAF then shares
-    its node table and attack relation."""
-    if store is None:
-        store = construct_arguments(system, limits)
-    if af is None:
-        af = build_aspic_minus_af(system, store=store, witnesses=witnesses)
+def build_da_jsbaf(store: ArgumentStore, af: AF) -> JSBAF:
+    """The nodes and attacks of ``af``, the ``build_aspic_minus_af`` of
+    ``store``, plus the joint support of every strict-top argument by its
+    immediate sub-arguments.  The JSBAF shares the node table and attack
+    relation of ``af``."""
     return JSBAF._make(
         af.node_table, af.node_keys, target_ids=af.target_ids, support_ids=support_pairs(store)
     )

@@ -1,16 +1,18 @@
 """Command-line driver.
 
 Exit codes: 0 success, 1 postulate violation (or oracle mismatch) found,
-2 input error, 3 enumeration or search limit exceeded.
+2 input error, 3 enumeration or search limit exceeded, 141 (128 + SIGPIPE)
+stdout closed by its reader.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
-from .arguments import EnumerationLimits, construct_arguments
+from .arguments import DEFAULT_MAX_ARGUMENTS, construct_arguments
 from .dsl import SourceDocument, parse_system, print_system
 from .errors import (
     GenerationFailedError,
@@ -36,6 +38,7 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
+EXIT_BROKEN_PIPE = 141
 
 
 def _read_source(path: str) -> SourceDocument:
@@ -46,6 +49,8 @@ def _read_source(path: str) -> SourceDocument:
             return SourceDocument(handle.read(), path)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"cannot read {path}: not valid UTF-8 at byte {exc.start}") from exc
 
 
 def _non_negative_int(text: str) -> int:
@@ -70,7 +75,7 @@ def _add_common(parser, *, semantics=False, flatten=False, max_nodes=False):
             "--flatten", choices=FLATTEN_MODES, default="literal",
             help="how empty-source support bars are treated after flattening",
         )
-    parser.add_argument("--max-arguments", type=_non_negative_int, default=5000)
+    parser.add_argument("--max-arguments", type=_non_negative_int, default=DEFAULT_MAX_ARGUMENTS)
     if max_nodes:
         parser.add_argument(
             "--max-nodes", type=_non_negative_int, default=DEFAULT_NODE_BOUND,
@@ -129,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args, require_consistent: bool) -> Prepared:
     system = parse_system(_read_source(args.file))
-    return prepare(system, EnumerationLimits(args.max_arguments), args.flatten, require_consistent)
+    return prepare(system, args.max_arguments, args.flatten, require_consistent)
 
 
 def _cmd_eval(args) -> int:
@@ -163,7 +168,7 @@ def _cmd_flatten(args) -> int:
 
 def _cmd_arguments(args) -> int:
     system = parse_system(_read_source(args.file))
-    store = construct_arguments(system, EnumerationLimits(args.max_arguments))
+    store = construct_arguments(system, args.max_arguments)
     for arg in store.arguments:
         sys.stdout.write(
             f"{arg.canonical_id} = {arg.compact}  |  {arg.form}  |  {arg.structure}\n"
@@ -243,7 +248,9 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except (ParseError, ValidationError, InconsistentSystemError, GenerationFailedError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
@@ -253,6 +260,11 @@ def main(argv: list[str] | None = None) -> int:
     except JsbafError as exc:  # pragma: no cover
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    except BrokenPipeError:
+        # The reader of stdout has gone; point stdout at /dev/null, so that
+        # the flush at interpreter exit does not fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -24,6 +24,10 @@ for callers and tests; the pipeline reads only the ints.  The public
 constructors check that every endpoint is a node; the flattening stages and
 the builders in ``arguments`` make frameworks whose ints are right by
 construction, and skip that check.
+
+A JSBAF's nodes are arguments (``BaseNode``s); bars and e-nodes arise only
+in flattening.  Arguments sort before every meta-argument, so the nodes of
+a JSBAF keep their numbers 0 .. m-1 in each of its flattenings.
 """
 
 from __future__ import annotations
@@ -264,20 +268,24 @@ class HigherLevelAF(_Framework):
 class JSBAF(_Framework):
     """An attack relation plus a joint support relation.
 
-    Support sources range over *all* subsets of the nodes, including the
-    empty set; an empty-source support just asserts its target outright.
-    ``support_ids`` holds each support once, as (ascending source numbers,
-    target).
+    Every node is an argument, a ``BaseNode``.  Support sources range over
+    *all* subsets of the nodes, including the empty set; an empty-source
+    support just asserts its target outright.  ``support_ids`` holds each
+    support once, as (ascending source numbers, target).
     """
 
     support_ids: list[tuple[tuple[int, ...], int]]
 
     def __init__(
         self,
-        nodes: Iterable[NodeId],
-        attacks: Iterable[tuple[NodeId, NodeId]],
-        supports: Iterable[tuple[Iterable[NodeId], NodeId]],
+        nodes: Iterable[BaseNode],
+        attacks: Iterable[tuple[BaseNode, BaseNode]],
+        supports: Iterable[tuple[Iterable[BaseNode], BaseNode]],
     ):
+        nodes = frozenset(nodes)
+        for node in nodes:
+            if not isinstance(node, BaseNode):
+                raise ValueError(f"JSBAF node {node} is not an argument")
         index = self._intern_attacks(nodes, attacks)
         self.support_ids = []
         for source, target in {(frozenset(x), b) for x, b in supports}:
@@ -428,10 +436,9 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
     since removing it there would change the projected extensions.
 
     E-node identities are then re-canonicalised over the surviving nodes:
-    a member bar(b) whose bar was removed is displayed as b.  If two
-    distinct e-nodes would collapse under that renaming (possible only in
-    handcrafted frameworks whose nodes include bars), both keep their
-    original identity.
+    a member bar(b) whose bar was removed is displayed as b.  No two
+    e-nodes collide: each has exactly one bar member, and bar(b) is removed
+    only when b is a member of no e-node.
     """
     flat = flatten_joint_attacks(flatten_one_step(j, shielded))
     work = _Interner(flat)
@@ -447,36 +454,19 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
             removed.add(b_dbar)
         if all(t == b_dbar for t in targets[b_bar]):
             removed.add(b_bar)
-    for b, row in rewired.items():
-        if b in removed:  # possible only when a node of ``j`` is itself a bar
-            for dst in row:
-                if dst not in removed:
-                    node, target = flat.node_table[b], flat.node_table[dst]
-                    raise ValueError(
-                        f"attack ({node}, {target}) has an endpoint outside the node set"
-                    )
 
     # final[i]: the node that node i of ``flat`` becomes, -1 once removed
     final = [-1 if i in removed else i for i in range(len(flat.node_table))]
     rename = {number[(1, k)]: number[k] for k in multi_supported if number[(1, k)] in removed}
-    relabelled: dict[int, int] = {}
     for i, key in enumerate(flat.node_keys):
-        if key[0] == 2 and final[i] >= 0:
+        if key[0] == 2:
             members = [number[k] for k in key[1]]
             if any(m in rename for m in members):
-                relabelled[i] = work.e(rename.get(m, m) for m in members)
-    counts: dict[int, int] = {}
-    for image in relabelled.values():
-        counts[image] = counts.get(image, 0) + 1
-    for old, image in relabelled.items():
-        if counts[image] == 1:
-            final[old] = image
+                final[i] = work.e(rename.get(m, m) for m in members)
 
     table, keys, new = work.renumber({f for f in final if f >= 0})
     new = [new[f] if f >= 0 else -1 for f in final]
     rows = _rows(len(table), new, enumerate(targets), rewired.items())
-    if len(table) < len(final) - final.count(-1):  # two e-nodes became one
-        rows = [sorted(set(row)) for row in rows]
     return AF._make(table, keys, target_ids=rows)
 
 
@@ -505,9 +495,3 @@ def prune_inert(af: AF) -> AF:
         tuple(af.node_keys[i] for i in kept),
         target_ids=_rows(len(kept), new, enumerate(af.target_ids)),
     )
-
-
-def project(extension: Iterable[NodeId], original_nodes: Iterable[NodeId]) -> frozenset[NodeId]:
-    """Restrict an extension of a flattened framework to the original nodes,
-    discarding every meta-argument."""
-    return frozenset(extension) & frozenset(original_nodes)

@@ -10,13 +10,14 @@ cross-validate the engine, not to scale.
 from __future__ import annotations
 
 from .frameworks import AF, NodeId
-from .semantics import SEMANTICS, canonical_extension_order
+from .semantics import SEMANTICS
 
 ORACLE_NODE_CAP = 20
 
 
 def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
-    """All extensions under ``semantics``, by exhaustive subset enumeration."""
+    """All extensions under ``semantics``, by exhaustive subset enumeration,
+    in canonical order."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     n = len(af.node_table)
@@ -67,6 +68,5 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
         chosen = stable
 
     table = af.node_table
-    return canonical_extension_order(
-        frozenset(table[i] for i in range(n) if s >> i & 1) for s in chosen
-    )
+    members = sorted(tuple(i for i in range(n) if s >> i & 1) for s in chosen)
+    return [frozenset(table[i] for i in ext) for ext in members]

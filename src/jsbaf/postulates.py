@@ -25,9 +25,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .arguments import (
+    DEFAULT_MAX_ARGUMENTS,
     ArgumentStore,
     AttackWitness,
-    EnumerationLimits,
     attack_witnesses,
     build_aspic_minus_af,
     build_da_jsbaf,
@@ -47,7 +47,7 @@ from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
 )
 from .frameworks import AF, JSBAF, base
-from .semantics import SEMANTICS, extension_ids, flattened_af
+from .semantics import SEMANTICS, extension_ids, flattened_af, project_ids
 
 MODES = ("aspic-minus", "deductive")
 POSTULATES = ("closure", "direct_consistency", "indirect_consistency")
@@ -152,14 +152,12 @@ class Prepared:
 
     @cached_property
     def af(self) -> AF:
-        return build_aspic_minus_af(self.store.system, store=self.store, witnesses=self.witnesses)
+        return build_aspic_minus_af(self.store, self.witnesses)
 
     @cached_property
     def jsbaf(self) -> JSBAF:
         """The JSBAF, sharing the node table and attack relation of ``af``."""
-        return build_da_jsbaf(
-            self.store.system, store=self.store, witnesses=self.witnesses, af=self.af
-        )
+        return build_da_jsbaf(self.store, self.af)
 
     @cached_property
     def shielded(self) -> frozenset[int]:
@@ -178,17 +176,17 @@ class Prepared:
 
 def prepare(
     system: ArgumentationSystem,
-    limits: EnumerationLimits = EnumerationLimits(),
+    max_arguments: int = DEFAULT_MAX_ARGUMENTS,
     flatten_mode: str = "literal",
     require_consistent: bool = True,
 ) -> Prepared:
-    """Check consistency, enumerate the arguments and find the attack
-    witnesses of ``system``."""
+    """Check consistency, enumerate at most ``max_arguments`` arguments and
+    find the attack witnesses of ``system``."""
     consistent = is_consistent(system)
     if require_consistent and not consistent:
         pair = find_complement_pair(strict_closure((), system.strict_rules))
         raise InconsistentSystemError(pair)
-    store = construct_arguments(system, limits)
+    store = construct_arguments(system, max_arguments)
     return Prepared(consistent, store, tuple(attack_witnesses(store)), flatten_mode)
 
 
@@ -236,10 +234,7 @@ def evaluate(
         framework, shielded, flat = searched, frozenset(), None
     else:
         framework, shielded, flat = prepared.jsbaf, prepared.shielded, searched
-        # The arguments sort before every meta-argument, so they keep their
-        # node numbers 0 .. m-1 in the flattening: projecting keeps those.
-        m = len(framework.node_table)
-        exts = sorted({tuple(i for i in ext if i < m) for ext in raw})
+        exts = project_ids(raw, len(framework.node_table))
     args, order = prepared.store.arguments, prepared.store.node_order
     sets = []
     for ext in exts:
@@ -259,7 +254,6 @@ class ModeComparison:
     """Both modes evaluated side by side for one semantics."""
 
     semantics: str
-    evaluated: dict[str, tuple[tuple[ConclusionSet, PostulateReport], ...]]
     summary: dict[str, dict[str, bool]]  # postulate -> mode -> holds for all sets
     differing: tuple[str, ...]
 
@@ -267,13 +261,10 @@ class ModeComparison:
 def compare_modes(
     prepared: Prepared, semantics: str, max_nodes: int = DEFAULT_NODE_BOUND
 ) -> ModeComparison:
-    evaluated = {}
-    for mode in MODES:
-        ev = evaluate(prepared, semantics, mode, max_nodes)
-        evaluated[mode] = tuple(zip(ev.conclusion_sets, ev.postulates))
+    reports = {mode: evaluate(prepared, semantics, mode, max_nodes).postulates for mode in MODES}
     summary = {
         postulate: {
-            mode: all(getattr(report, postulate).satisfied for _, report in evaluated[mode])
+            mode: all(getattr(report, postulate).satisfied for report in reports[mode])
             for mode in MODES
         }
         for postulate in POSTULATES
@@ -281,7 +272,7 @@ def compare_modes(
     differing = tuple(
         p for p in POSTULATES if summary[p]["aspic-minus"] != summary[p]["deductive"]
     )
-    return ModeComparison(semantics, evaluated, summary, differing)
+    return ModeComparison(semantics, summary, differing)
 
 
 @dataclass(frozen=True)

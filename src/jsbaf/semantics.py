@@ -18,10 +18,12 @@ admissibility-based semantics are:
 The engine works on the framework's node numbers and int adjacency lists,
 as given: canonical order is ascending node number.  ``extension_ids``
 returns extensions as sorted number tuples, which is what the evaluation
-pass reads; ``extensions`` and the per-semantics functions turn them into
-sets of ``NodeId``s for library callers.  The functions here search whatever
-framework they are given; the node-count bound on the exponential searches
-is checked once, by ``postulates.evaluate``.
+pass reads; ``extensions`` turns them into sets of ``NodeId``s for library
+callers.  ``project_ids`` restricts the extensions of a flattened JSBAF to
+its arguments, for ``postulates.evaluate`` and ``jsbaf_extensions`` alike.
+The functions here search whatever framework they are given; the
+node-count bound on the exponential searches is checked once, by
+``postulates.evaluate``.
 ``oracle.py`` provides the independent brute-force cross-check used by the
 test suite.
 """
@@ -32,27 +34,12 @@ from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable, Optional
 
-from .frameworks import AF, JSBAF, NodeId, flatten_simplified, project, prune_inert, sort_nodes
+from .frameworks import AF, JSBAF, NodeId, flatten_simplified, prune_inert, sort_nodes
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
 
 _IN, _OUT, _UNDEC = 1, 2, 4  # label bits of a domain
-
-
-def is_conflict_free(af: AF, s: Iterable[NodeId]) -> bool:
-    """True iff no member of ``s`` attacks another member (or itself)."""
-    members = frozenset(s)
-    return not any(src in members and dst in members for src, dst in af.attacks)
-
-
-def defends(af: AF, s: Iterable[NodeId], a: NodeId) -> bool:
-    """True iff every attacker of ``a`` is attacked by some member of ``s``."""
-    members = frozenset(s)
-    attacked = set()
-    for m in members:
-        attacked |= af.targets[m]
-    return af.attackers[a] <= attacked
 
 
 def _grounded(af: AF) -> tuple[int, ...]:
@@ -176,13 +163,6 @@ class _DomainSearch:
         return True
 
 
-def canonical_extension_order(extensions: Iterable[frozenset[NodeId]]) -> list[frozenset[NodeId]]:
-    """Deterministic ordering of a collection of extensions."""
-    return sorted(
-        set(extensions), key=lambda ext: tuple(n.key() for n in sort_nodes(ext))
-    )
-
-
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
     """The extensions of ``af`` under ``semantics``, each as its ascending
     node numbers, in canonical order; grounded yields a one-element list."""
@@ -205,27 +185,6 @@ def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     return [frozenset(table[i] for i in ext) for ext in extension_ids(af, semantics)]
 
 
-def grounded_extension(af: AF) -> frozenset[NodeId]:
-    """Least fixpoint of S -> {nodes defended by S}."""
-    return extensions(af, "grounded")[0]
-
-
-def complete_extensions(af: AF) -> list[frozenset[NodeId]]:
-    """All admissible sets that contain exactly the nodes they defend."""
-    return extensions(af, "complete")
-
-
-def stable_extensions(af: AF) -> list[frozenset[NodeId]]:
-    """Complete extensions that attack every node outside themselves, i.e.
-    complete labellings with no undecided node."""
-    return extensions(af, "stable")
-
-
-def preferred_extensions(af: AF) -> list[frozenset[NodeId]]:
-    """Subset-maximal complete extensions."""
-    return extensions(af, "preferred")
-
-
 def flattened_af(
     j: JSBAF, flatten_mode: str = "literal", shielded: Collection[int] = frozenset()
 ) -> AF:
@@ -240,6 +199,13 @@ def flattened_af(
     return af
 
 
+def project_ids(raw: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ...]]:
+    """Extensions of a flattening restricted to its nodes 0 .. ``size`` - 1,
+    the arguments of the JSBAF it flattens, without repeats, in canonical
+    order."""
+    return sorted({tuple(i for i in ext if i < size) for ext in raw})
+
+
 def jsbaf_extensions(
     j: JSBAF,
     semantics: str,
@@ -248,9 +214,9 @@ def jsbaf_extensions(
 ) -> list[frozenset[NodeId]]:
     """Extensions of a JSBAF: flatten, run the semantics, project each
     extension onto the original nodes, deduplicate."""
-    af = flattened_af(j, flatten_mode, shielded)
-    projected = [project(ext, j.nodes) for ext in extensions(af, semantics)]
-    return canonical_extension_order(projected)
+    raw = extension_ids(flattened_af(j, flatten_mode, shielded), semantics)
+    table = j.node_table
+    return [frozenset(table[i] for i in ext) for ext in project_ids(raw, len(table))]
 
 
 def is_deductive_extension(

@@ -9,8 +9,8 @@ from jsbaf import (
     JSBAF,
     SourceDocument,
     base,
-    complete_extensions,
     construct_arguments,
+    extensions,
     parse_system,
 )
 
@@ -115,5 +115,5 @@ def assert_sound_extensions(af: AF, semantics: str, extensions_list) -> None:
             assert af.nodes - ext <= attacked, "stable: an outsider is not attacked"
         if semantics == "preferred":
             if complete is None:
-                complete = complete_extensions(af)
+                complete = extensions(af, "complete")
             assert not any(ext < other for other in complete), "preferred: not maximal"

@@ -1,15 +1,49 @@
-"""Definitional references for the int-indexed pipeline.
+"""Definitional references for the pipeline.
 
-The flattening stages and the grounded fixpoint as first written, over sets
+The pairwise attack definitions, the flattening stages, conflict-freeness,
+defence and the grounded fixpoint as first written, over arguments and sets
 of ``NodeId``s: they read a framework's ``NodeId`` views and build their
-results through the public constructors.  ``jsbaf.frameworks`` and
-``jsbaf.semantics`` compute the same results on node numbers; the tests
-assert that both agree.
+results through the public constructors.  ``jsbaf.arguments``,
+``jsbaf.frameworks`` and ``jsbaf.semantics`` compute the same results
+through indexes and on node numbers; the tests assert that both agree.
 """
 
+from typing import Iterable
+
+from jsbaf.arguments import Argument
+from jsbaf.core import ArgumentationSystem, DefeasibleRule, complement
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
+
+
+def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> tuple[Argument, ...]:
+    """Sub-arguments of ``b`` whose defeasible top rule is named, where the
+    name's complement is concluded by ``a``.  Empty when no undercut holds."""
+    names = system.undercut_names
+    hits = [
+        sub
+        for sub in b.sub_arguments
+        if isinstance(sub.rule, DefeasibleRule)
+        and sub.rule.id in names
+        and complement(a.conclusion, names[sub.rule.id])
+    ]
+    return tuple(sorted(hits, key=lambda s: s.ordinal))
+
+
+def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
+    """Defeasible sub-arguments of ``b`` whose conclusion is the complement
+    of ``a``'s conclusion.
+
+    The attacked sub-argument's *own* top rule may be strict: it only needs
+    some defeasible rule in its tree.  Strict arguments are never rebutted.
+    """
+    hits = [
+        sub
+        for sub in b.sub_arguments
+        if sub.def_rule_ids and complement(a.conclusion, sub.conclusion)
+    ]
+    return tuple(sorted(hits, key=lambda s: s.ordinal))
 
 
 def flatten_one_step(j: JSBAF, shielded: frozenset[NodeId] = frozenset()) -> HigherLevelAF:
@@ -111,6 +145,21 @@ def prune_inert(af: AF) -> AF:
             return AF(frozenset(nodes), frozenset(attacks))
         nodes -= inert
         attacks = {(s, d) for s, d in attacks if s not in inert and d not in inert}
+
+
+def is_conflict_free(af: AF, s: Iterable[NodeId]) -> bool:
+    """True iff no member of ``s`` attacks another member (or itself)."""
+    members = frozenset(s)
+    return not any(src in members and dst in members for src, dst in af.attacks)
+
+
+def defends(af: AF, s: Iterable[NodeId], a: NodeId) -> bool:
+    """True iff every attacker of ``a`` is attacked by some member of ``s``."""
+    members = frozenset(s)
+    attacked = set()
+    for m in members:
+        attacked |= af.targets[m]
+    return af.attackers[a] <= attacked
 
 
 def grounded_extension(af: AF) -> frozenset[NodeId]:

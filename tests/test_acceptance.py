@@ -14,16 +14,14 @@ import time
 
 from jsbaf import (
     SEMANTICS,
-    EnumerationLimits,
     brute_force_extensions,
-    build_aspic_minus_af,
-    build_da_jsbaf,
     check_closure,
     check_direct_consistency,
     check_indirect_consistency,
     construct_arguments,
     evaluate,
     evaluate_postulates,
+    extension_ids,
     extensions,
     flatten_joint_attacks,
     flatten_one_step,
@@ -32,12 +30,12 @@ from jsbaf import (
     is_deductive_extension,
     jsbaf_extensions,
     prepare,
-    project,
+    project_ids,
     random_jsbaf,
     random_system,
 )
 from jsbaf.postulates import JsbafParams, SystemParams
-from jsbaf.semantics import canonical_extension_order, flattened_af
+from jsbaf.semantics import flattened_af
 
 from conftest import TANDEM_PATH, labelled_extensions, random_af
 
@@ -66,7 +64,7 @@ def test_criterion_01_tandem_argument_construction(tandem_system):
 
 
 def test_criterion_02_tandem_jsbaf(tandem_system):
-    j = build_da_jsbaf(tandem_system)
+    j = prepare(tandem_system).jsbaf
     mutual_pairs = {("A7", "A8"), ("A8", "A9"), ("A9", "A7"),
                     ("A7", "A4"), ("A8", "A5"), ("A9", "A6")}
     expected_attacks = {(a, b) for a, b in mutual_pairs} | {
@@ -87,7 +85,7 @@ def test_criterion_02_tandem_jsbaf(tandem_system):
 
 
 def test_criterion_03_tandem_flattening_preferred(tandem_system):
-    j = build_da_jsbaf(tandem_system)
+    j = prepare(tandem_system).jsbaf
     expected = [
         sorted(["A1", "A2", "A3", "A9", "bar(A6)", "A4", "A5", "e(A5,A7)", "e(A4,A8)"]),
         sorted(["A1", "A2", "A3", "A8", "bar(A5)", "A4", "A6", "e(A6,A7)", "e(A4,A9)"]),
@@ -120,7 +118,7 @@ def test_criterion_04_tandem_conclusions(tandem_system):
 
 
 def test_criterion_05_aspic_minus_baseline_contrast(tandem_system):
-    af = build_aspic_minus_af(tandem_system)
+    af = prepare(tandem_system).af
     store = construct_arguments(tandem_system)
     conclusion_of = {a.canonical_id: a.conclusion for a in store.arguments}
 
@@ -191,7 +189,7 @@ def test_criterion_08_theorem_property_suite():
     )
     for seed in range(500):
         generated = random_system(params, seed)
-        prepared = prepare(generated.system, EnumerationLimits(2000))
+        prepared = prepare(generated.system, 2000)
         for semantics in SEMANTICS:
             for cs in evaluate(prepared, semantics, "deductive", max_nodes=200).conclusion_sets:
                 report = evaluate_postulates(generated.system, cs.formulas)
@@ -215,12 +213,8 @@ def test_criterion_09_simplified_flattening_equivalence():
         simplified = flatten_simplified(j)
         two_step = flatten_joint_attacks(flatten_one_step(j))
         for semantics in SEMANTICS:
-            lhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(simplified, semantics)
-            )
-            rhs = canonical_extension_order(
-                project(e, j.nodes) for e in extensions(two_step, semantics)
-            )
+            lhs = project_ids(extension_ids(simplified, semantics), len(j.node_table))
+            rhs = project_ids(extension_ids(two_step, semantics), len(j.node_table))
             assert lhs == rhs, f"seed={seed} semantics={semantics}"
     ok(9, "500 JSBAFs: projected extensions of the simplified and two-step flattenings agree")
 

@@ -5,24 +5,21 @@ import pytest
 from jsbaf import (
     ArgumentationSystem,
     AttackWitness,
-    EnumerationLimits,
     LimitExceededError,
     SourceDocument,
     SystemParams,
     atom,
     attack_witnesses,
-    build_aspic_minus_af,
-    build_da_jsbaf,
     construct_arguments,
     defeasible_rule,
     neg,
     parse_system,
+    prepare,
     random_system,
-    rebuts_unrestricted,
     strict_rule,
-    undercuts,
 )
 
+import reference
 from conftest import tandem_rules, wide_join_rules
 
 TANDEM_FORMS = [
@@ -97,14 +94,14 @@ class TestEnumeration:
     def test_limit_exceeded_on_explosive_system(self):
         rules = [strict_rule(f"s{i}", [], atom(f"a{i}")) for i in range(5)]
         with pytest.raises(LimitExceededError):
-            construct_arguments(ArgumentationSystem(tuple(rules), ()), EnumerationLimits(3))
+            construct_arguments(ArgumentationSystem(tuple(rules), ()), 3)
 
     def test_limit_stops_before_building_every_candidate(self):
         # 150 arguments, then 810k candidates at the next depth; the cap is
         # reached after the first 96 of them
         system = parse_system(SourceDocument(wide_join_rules(), "wide-join"))
         with pytest.raises(LimitExceededError) as info:
-            construct_arguments(system, EnumerationLimits(245))
+            construct_arguments(system, 245)
         assert info.value.limit == 245
 
     def test_defeasibility_is_inherited(self, tandem_store):
@@ -120,7 +117,7 @@ class TestUndercut:
         # n is empty, so no undercut can exist
         for a in tandem_store.arguments:
             for b in tandem_store.arguments:
-                assert undercuts(a, b, tandem_system) == ()
+                assert reference.undercuts(a, b, tandem_system) == ()
 
     def test_named_rule_is_undercut(self):
         system = ArgumentationSystem(
@@ -131,7 +128,7 @@ class TestUndercut:
         store = construct_arguments(system)
         by_conc = {str(a.conclusion): a for a in store.arguments}
         attacker, target = by_conc["~ok"], by_conc["b"]
-        assert [s.canonical_id for s in undercuts(attacker, target, system)] == [
+        assert [s.canonical_id for s in reference.undercuts(attacker, target, system)] == [
             target.canonical_id
         ]
 
@@ -141,18 +138,20 @@ class TestUndercut:
         )
         store = construct_arguments(system)
         (a,) = store.arguments
-        assert undercuts(a, a, system) == ()
+        assert reference.undercuts(a, a, system) == ()
 
 
 class TestRebuttal:
     def test_tandem_mutual_rebuttal_on_the_conclusion(self, tandem_store):
         by_id = {a.canonical_id: a for a in tandem_store.arguments}
-        assert [s.canonical_id for s in rebuts_unrestricted(by_id["A7"], by_id["A4"])] == ["A4"]
-        assert [s.canonical_id for s in rebuts_unrestricted(by_id["A4"], by_id["A7"])] == ["A7"]
+        rebuts = reference.rebuts_unrestricted
+        assert [s.canonical_id for s in rebuts(by_id["A7"], by_id["A4"])] == ["A4"]
+        assert [s.canonical_id for s in rebuts(by_id["A4"], by_id["A7"])] == ["A7"]
 
     def test_rebuttal_lands_on_a_sub_argument(self, tandem_store):
         by_id = {a.canonical_id: a for a in tandem_store.arguments}
-        assert [s.canonical_id for s in rebuts_unrestricted(by_id["A8"], by_id["A7"])] == ["A5"]
+        hits = reference.rebuts_unrestricted(by_id["A8"], by_id["A7"])
+        assert [s.canonical_id for s in hits] == ["A5"]
 
     def test_strict_targets_cannot_be_rebutted(self):
         system = ArgumentationSystem(
@@ -160,7 +159,7 @@ class TestRebuttal:
         )
         store = construct_arguments(system)
         by_conc = {str(a.conclusion): a for a in store.arguments}
-        assert rebuts_unrestricted(by_conc["~hw"], by_conc["hw"]) == ()
+        assert reference.rebuts_unrestricted(by_conc["~hw"], by_conc["hw"]) == ()
 
 
 def pairwise_witnesses(store):
@@ -169,9 +168,9 @@ def pairwise_witnesses(store):
     out = []
     for a in store.arguments:
         for b in store.arguments:
-            for sub in undercuts(a, b, store.system):
+            for sub in reference.undercuts(a, b, store.system):
                 out.append(AttackWitness(a.canonical_id, b.canonical_id, "undercut", sub.canonical_id))
-            for sub in rebuts_unrestricted(a, b):
+            for sub in reference.rebuts_unrestricted(a, b):
                 out.append(AttackWitness(a.canonical_id, b.canonical_id, "rebut", sub.canonical_id))
     return out
 
@@ -225,27 +224,27 @@ class TestFrameworkConstruction:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
     def test_attacks_are_the_witness_pairs(self, n, k):
         system = parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
-        store = construct_arguments(system)
-        af = build_aspic_minus_af(system, store=store)
+        prepared = prepare(system)
+        store, af = prepared.store, prepared.af
         assert {(s.label, d.label) for s, d in af.attacks} == {
             (w.attacker, w.target) for w in attack_witnesses(store)
         }
         assert [n.label for n in af.node_table] == sorted(a.canonical_id for a in store.arguments)
         assert [store.arguments[o].canonical_id for o in store.node_order] == af.labels
 
-    def test_jsbaf_shares_the_af_attack_relation(self, tandem_system, tandem_store):
-        af = build_aspic_minus_af(tandem_system, store=tandem_store)
-        j = build_da_jsbaf(tandem_system, store=tandem_store, af=af)
+    def test_jsbaf_shares_the_af_attack_relation(self, tandem_system):
+        prepared = prepare(tandem_system)
+        af, j = prepared.af, prepared.jsbaf
         assert j.node_table is af.node_table and j.target_ids is af.target_ids
-        assert j == build_da_jsbaf(tandem_system)
+        assert j == prepare(tandem_system).jsbaf
 
     def test_tandem_af_is_the_six_mutual_pairs(self, tandem_system):
-        af = build_aspic_minus_af(tandem_system)
+        af = prepare(tandem_system).af
         assert {(s.label, d.label) for s, d in af.attacks} == TANDEM_ATTACKS
         assert len(af.nodes) == 9
 
     def test_empty_system_gives_empty_af(self):
-        af = build_aspic_minus_af(ArgumentationSystem((), ()))
+        af = prepare(ArgumentationSystem((), ())).af
         assert not af.nodes and not af.attacks
 
     def test_axiom_rebuts_defeasible_conclusion(self):
@@ -253,7 +252,7 @@ class TestFrameworkConstruction:
             (strict_rule("r1", [], atom("a")), strict_rule("r2", [], neg("b"))),
             (defeasible_rule("d1", [atom("a")], atom("b")),),
         )
-        af = build_aspic_minus_af(system)
+        af = prepare(system).af
         store = construct_arguments(system)
         by_conc = {str(a.conclusion): a.canonical_id for a in store.arguments}
         assert {(s.label, d.label) for s, d in af.attacks} == {
@@ -261,29 +260,29 @@ class TestFrameworkConstruction:
         }
 
     def test_tandem_jsbaf_supports(self, tandem_system):
-        j = build_da_jsbaf(tandem_system)
+        j = prepare(tandem_system).jsbaf
         got = {(frozenset(n.label for n in src), dst.label) for src, dst in j.supports}
         assert got == TANDEM_SUPPORTS
 
     def test_defeasible_only_system_has_no_supports(self):
         system = ArgumentationSystem((), (defeasible_rule("d1", [], atom("a")),))
-        assert build_da_jsbaf(system).supports == frozenset()
+        assert prepare(system).jsbaf.supports == frozenset()
 
     def test_strict_chain_supports(self):
         system = ArgumentationSystem(
             (strict_rule("r1", [], atom("a")), strict_rule("r2", [atom("a")], atom("b"))), ()
         )
-        j = build_da_jsbaf(system)
+        j = prepare(system).jsbaf
         got = {(frozenset(n.label for n in src), dst.label) for src, dst in j.supports}
         assert got == {(frozenset(), "A1"), (frozenset({"A1"}), "A2")}
 
     def test_modes_agree_on_nodes_and_attacks(self, tandem_system):
-        af = build_aspic_minus_af(tandem_system)
-        j = build_da_jsbaf(tandem_system)
+        af = prepare(tandem_system).af
+        j = prepare(tandem_system).jsbaf
         assert af.nodes == j.nodes and af.attacks == j.attacks
 
     def test_support_sources_match_rule_bodies(self, tandem_system, tandem_store):
-        j = build_da_jsbaf(tandem_system)
+        j = prepare(tandem_system).jsbaf
         by_id = {a.canonical_id: a for a in tandem_store.arguments}
         for src, dst in j.supports:
             target = by_id[dst.label]
@@ -292,7 +291,7 @@ class TestFrameworkConstruction:
 
 
 def test_attack_targets_are_defeasible(tandem_system, tandem_store):
-    af = build_aspic_minus_af(tandem_system)
+    af = prepare(tandem_system).af
     by_id = {a.canonical_id: a for a in tandem_store.arguments}
     for _, dst in af.attacks:
         assert by_id[dst.label].defeasible

@@ -1,6 +1,9 @@
 """Command-line surface: commands, formats, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -86,6 +89,13 @@ class TestEval:
         assert rules.read_bytes().startswith(b"\xef\xbb\xbf")
         assert run_cli(capsys, "eval", "--file", str(rules)) == plain
         assert plain[0] == 0
+
+    def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
+        bad = tmp_path / "latin1.rules"
+        bad.write_bytes(b"strict r1: -> caf\xe9\n")
+        code, out, err = run_cli(capsys, "eval", "--file", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {bad}: not valid UTF-8 at byte 17\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli(capsys, "eval", "--file", "no-such-file.rules")
@@ -292,3 +302,21 @@ class TestStdin:
         monkeypatch.setattr("sys.stdin", io.StringIO("strict r1: -> a\n"))
         code, out, _ = run_cli(capsys, "arguments", "--file", "-")
         assert code == 0 and out == "A1 = r1()  |  A1: -> a  |  (-> a)\n"
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``| head -1`` does."""
+
+    @pytest.mark.parametrize("command", ["eval", "arguments"])
+    def test_exit_141_without_a_traceback(self, command):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {**os.environ, "PYTHONPATH": str(TANDEM_PATH.parents[1] / "src")}
+        try:
+            result = subprocess.run(
+                [sys.executable, "-m", "jsbaf.cli", command, "--file", str(TANDEM_PATH)],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+            )
+        finally:
+            os.close(write_end)
+        assert (result.returncode, result.stderr) == (141, b"")

@@ -152,10 +152,12 @@ class TestCompareModes:
         assert set(comparison.differing) == {"closure", "indirect_consistency"}
 
     def test_tandem_grounded_modes_coincide(self, tandem_system):
-        comparison = compare_modes(prepare(tandem_system), "grounded")
+        prepared = prepare(tandem_system)
+        comparison = compare_modes(prepared, "grounded")
         assert comparison.differing == ()
         for mode in ("aspic-minus", "deductive"):
-            ((cs, report),) = comparison.evaluated[mode]
+            ev = evaluate(prepared, "grounded", mode)
+            ((cs, report),) = zip(ev.conclusion_sets, ev.postulates)
             assert formula_strings(cs.formulas) == ["hw", "sw", "tw"]
             assert report.all_satisfied
 

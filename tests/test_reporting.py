@@ -13,13 +13,11 @@ from jsbaf import (
     DEFAULT_NODE_BOUND,
     MODES,
     SEMANTICS,
-    EnumerationLimits,
     LimitExceededError,
     SearchLimitExceededError,
     SourceDocument,
     SystemParams,
     base,
-    build_da_jsbaf,
     emit_apx,
     emit_dot,
     evaluate,
@@ -29,6 +27,7 @@ from jsbaf import (
     random_system,
     write_report,
 )
+from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
 from jsbaf.reporting import report_settings, write_limit_report
 
@@ -60,13 +59,13 @@ class TestApx:
         assert "% a_1_2 :=" in text
 
     def test_idempotent_output(self, tandem_system):
-        af = flatten_simplified(build_da_jsbaf(tandem_system))
+        af = flatten_simplified(prepare(tandem_system).jsbaf)
         assert emit_apx(af) == emit_apx(af)
 
 
 class TestDot:
     def test_tandem_jsbaf_shape(self, tandem_system):
-        j = build_da_jsbaf(tandem_system)
+        j = prepare(tandem_system).jsbaf
         dot = emit_dot(j)
         assert dot.startswith("digraph framework {")
         declarations = [
@@ -108,7 +107,7 @@ def preferred_text(system, mode, fmt="json", flatten_mode="literal"):
     """The report of one preferred evaluation under the default limits."""
     ev = evaluate(prepare(system, flatten_mode=flatten_mode), "preferred", mode)
     settings = report_settings(
-        "preferred", mode, flatten_mode, EnumerationLimits().max_arguments, DEFAULT_NODE_BOUND
+        "preferred", mode, flatten_mode, DEFAULT_MAX_ARGUMENTS, DEFAULT_NODE_BOUND
     )
     return written(write_report, ev, "tandem", settings, fmt)[0]
 

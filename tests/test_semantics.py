@@ -12,26 +12,17 @@ from jsbaf import (
     SystemParams,
     base,
     brute_force_extensions,
-    build_aspic_minus_af,
-    build_da_jsbaf,
-    complete_extensions,
     construct_arguments,
-    defends,
     evaluate,
     evaluate_postulates,
     extensions,
     flattened_af,
-    grounded_extension,
-    is_conflict_free,
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,
     parse_system,
-    preferred_extensions,
     prepare,
     random_system,
-    stable_extensions,
-    strict_argument_nodes,
 )
 import reference
 from jsbaf import semantics as semantics_module
@@ -60,7 +51,7 @@ def two_cycle():
 
 @pytest.fixture
 def tandem_flat(tandem_system):
-    return flattened_af(build_da_jsbaf(tandem_system), "prune-inert")
+    return flattened_af(prepare(tandem_system).jsbaf, "prune-inert")
 
 
 E1 = ["A1", "A2", "A3", "A4", "A5", "A9", "bar(A6)", "e(A4,A8)", "e(A5,A7)"]
@@ -71,25 +62,25 @@ E3 = ["A1", "A2", "A3", "A5", "A6", "A7", "bar(A4)", "e(A5,A9)", "e(A6,A8)"]
 class TestConflictFreeAndDefence:
     def test_internal_attack(self):
         af = chain("a", "b")
-        assert not is_conflict_free(af, {base("a"), base("b")})
+        assert not reference.is_conflict_free(af, {base("a"), base("b")})
 
     def test_empty_set_is_conflict_free(self):
-        assert is_conflict_free(chain("a", "b"), set())
+        assert reference.is_conflict_free(chain("a", "b"), set())
 
     def test_preferred_extension_of_the_flattened_tandem(self, tandem_flat):
-        assert is_conflict_free(tandem_flat, _nodes(E1))
+        assert reference.is_conflict_free(tandem_flat, _nodes(E1))
 
     def test_reinstatement(self):
         af = chain("a", "b", "c")
-        assert defends(af, {base("a")}, base("c"))
+        assert reference.defends(af, {base("a")}, base("c"))
 
     def test_empty_set_defends_nothing_attacked(self):
-        assert not defends(chain("a", "b"), set(), base("b"))
+        assert not reference.defends(chain("a", "b"), set(), base("b"))
 
     def test_e_node_defended_inside_extension(self, tandem_flat):
         members = _nodes(E1)
         target = next(n for n in members if n.label == "e(A5,A7)")
-        assert defends(tandem_flat, members, target)
+        assert reference.defends(tandem_flat, members, target)
 
 
 def _nodes(labels):
@@ -109,28 +100,28 @@ def _nodes(labels):
 
 class TestGrounded:
     def test_chain_reinstates(self):
-        assert node_labels(grounded_extension(chain("a", "b", "c"))) == ["a", "c"]
+        assert node_labels(extensions(chain("a", "b", "c"), "grounded")[0]) == ["a", "c"]
 
     def test_two_cycle_grounds_to_nothing(self):
-        assert grounded_extension(two_cycle()) == frozenset()
+        assert extensions(two_cycle(), "grounded")[0] == frozenset()
 
     def test_tandem_attack_framework(self, tandem_system):
-        af = build_aspic_minus_af(tandem_system)
-        got = grounded_extension(af)
+        af = prepare(tandem_system).af
+        got = extensions(af, "grounded")[0]
         assert node_labels(got) == ["A1", "A2", "A3"]
         assert [got] == brute_force_extensions(af, "grounded")
 
 
 class TestComplete:
     def test_two_cycle(self):
-        assert labelled_extensions(complete_extensions(two_cycle())) == [[], ["a"], ["b"]]
+        assert labelled_extensions(extensions(two_cycle(), "complete")) == [[], ["a"], ["b"]]
 
     def test_empty_framework(self):
-        assert complete_extensions(AF(frozenset(), frozenset())) == [frozenset()]
+        assert extensions(AF(frozenset(), frozenset()), "complete") == [frozenset()]
 
     def test_chain_has_a_single_complete_extension(self):
         af = chain("a", "b", "c")
-        got = complete_extensions(af)
+        got = extensions(af, "complete")
         assert labelled_extensions(got) == [["a", "c"]]
         assert got == brute_force_extensions(af, "complete")
 
@@ -139,25 +130,25 @@ class TestStable:
     def test_odd_cycle_has_no_stable_extension(self):
         a, b, c = base("a"), base("b"), base("c")
         af = AF(frozenset({a, b, c}), frozenset({(a, b), (b, c), (c, a)}))
-        assert stable_extensions(af) == []
+        assert extensions(af, "stable") == []
 
     def test_two_cycle(self):
-        assert labelled_extensions(stable_extensions(two_cycle())) == [["a"], ["b"]]
+        assert labelled_extensions(extensions(two_cycle(), "stable")) == [["a"], ["b"]]
 
     def test_flattened_tandem(self, tandem_flat):
-        assert labelled_extensions(stable_extensions(tandem_flat)) == [E1, E2, E3]
+        assert labelled_extensions(extensions(tandem_flat, "stable")) == [E1, E2, E3]
 
 
 class TestPreferred:
     def test_flattened_tandem(self, tandem_flat):
-        assert labelled_extensions(preferred_extensions(tandem_flat)) == [E1, E2, E3]
+        assert labelled_extensions(extensions(tandem_flat, "preferred")) == [E1, E2, E3]
 
     def test_two_cycle(self):
-        assert labelled_extensions(preferred_extensions(two_cycle())) == [["a"], ["b"]]
+        assert labelled_extensions(extensions(two_cycle(), "preferred")) == [["a"], ["b"]]
 
     def test_tandem_attack_framework_accepts_all_defeasibles(self, tandem_system):
-        af = build_aspic_minus_af(tandem_system)
-        got = preferred_extensions(af)
+        af = prepare(tandem_system).af
+        got = extensions(af, "preferred")
         assert ["A1", "A2", "A3", "A4", "A5", "A6"] in labelled_extensions(got)
         assert got == brute_force_extensions(af, "preferred")
 
@@ -194,7 +185,7 @@ class TestSearchLimit:
 
 class TestJsbafExtensions:
     def test_tandem_preferred_projections(self, tandem_system):
-        j = build_da_jsbaf(tandem_system)
+        j = prepare(tandem_system).jsbaf
         assert labelled_extensions(jsbaf_extensions(j, "preferred")) == [
             ["A1", "A2", "A3", "A4", "A5", "A9"],
             ["A1", "A2", "A3", "A4", "A6", "A8"],
@@ -210,7 +201,7 @@ class TestJsbafExtensions:
         assert labelled_extensions(jsbaf_extensions(j1, "grounded")) == [["d"]]
 
     def test_flatten_modes_agree_on_extensions(self, tandem_system):
-        j = build_da_jsbaf(tandem_system)
+        j = prepare(tandem_system).jsbaf
         for sem in SEMANTICS:
             assert jsbaf_extensions(j, sem, "literal") == jsbaf_extensions(
                 j, sem, "prune-inert"
@@ -227,7 +218,7 @@ class TestJsbafProperties:
         assert is_deductive_extension(j2, {base("a"), base("b")}) == (True, None)
 
     def test_tandem_preferred_projection_is_deductive(self, tandem_system):
-        j = build_da_jsbaf(tandem_system)
+        j = prepare(tandem_system).jsbaf
         ext = _nodes(["A1", "A2", "A3", "A9", "A4", "A5"])
         assert is_deductive_extension(j, ext) == (True, None)
 
@@ -256,10 +247,10 @@ class TestOracleAgreementAndInclusions:
     @pytest.mark.parametrize("seed", range(40))
     def test_semantics_inclusions(self, seed):
         af = random_af(1000 + seed, 9, 0.25)
-        complete = complete_extensions(af)
-        grounded = grounded_extension(af)
-        preferred = preferred_extensions(af)
-        stable = stable_extensions(af)
+        complete = extensions(af, "complete")
+        grounded = extensions(af, "grounded")[0]
+        preferred = extensions(af, "preferred")
+        stable = extensions(af, "stable")
         assert all(grounded <= ext for ext in complete)
         assert grounded in complete
         assert set(preferred) <= set(complete)
@@ -267,9 +258,7 @@ class TestOracleAgreementAndInclusions:
 
 
 def _deductive_flattening(system):
-    store = construct_arguments(system)
-    j = build_da_jsbaf(system, store=store)
-    return flattened_af(j, shielded=strict_argument_nodes(store))
+    return prepare(system).flat
 
 
 def _stable_by_filter(af, complete):
@@ -300,8 +289,8 @@ class TestBeyondOracleCap:
             for sem in SEMANTICS:
                 exts = extensions(flat, sem)
                 assert_sound_extensions(flat, sem, exts)
-            complete = complete_extensions(flat)
-            assert stable_extensions(flat) == _stable_by_filter(flat, complete), seed
+            complete = extensions(flat, "complete")
+            assert extensions(flat, "stable") == _stable_by_filter(flat, complete), seed
         assert checked == 24
 
 
@@ -351,7 +340,7 @@ class TestLinearGrounded:
         small = [random_af(seed, 5, 0.3) for seed in range(10000)]
         mid = [random_af(100000 + seed, 12, 0.2) for seed in range(500)]
         for af in small + mid:
-            assert grounded_extension(af) == reference.grounded_extension(af)
+            assert extensions(af, "grounded")[0] == reference.grounded_extension(af)
 
     @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
     def test_tandem_and_random_systems(self, mode):
@@ -363,7 +352,7 @@ class TestLinearGrounded:
         systems += [random_system(SystemParams(6, 6, 6), seed).system for seed in range(100)]
         for system in systems:
             af = prepare(system).searched(mode)
-            assert grounded_extension(af) == reference.grounded_extension(af)
+            assert extensions(af, "grounded")[0] == reference.grounded_extension(af)
 
 
 def _propagation_calls(monkeypatch, system, mode, semantics):
