@@ -58,11 +58,13 @@ def main():
         names = ",".join(sorted(n.label for n in src)) or "(none)"
         print(f"   {{{names}}} => {dst.label}")
 
-    flat = prepare(system, flatten_mode="prune-inert").flat
+    pruned = prepare(system, flatten_mode="prune-inert")
+    flat = pruned.flat
     print(f"\nFlattened to a plain framework: {len(flat.nodes)} nodes, {len(flat.attacks)} attacks")
+    deductive = evaluate(pruned, "preferred", "deductive")
     show_extensions(
         "Preferred extensions after flattening, projected onto the arguments:",
-        [ext for ext in extensions(flat, "preferred")],
+        [{deductive.framework.node_table[i] for i in ext} for ext in deductive.extensions],
     )
 
     print("\nConclusion sets with deductive joint support (preferred):")

@@ -11,6 +11,7 @@ from .arguments import (
     Argument,
     ArgumentStore,
     AttackWitness,
+    AttackWitnesses,
     attack_witnesses,
     build_aspic_minus_af,
     build_da_jsbaf,

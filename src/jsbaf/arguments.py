@@ -24,8 +24,7 @@ grows with the number of attack witnesses.
 from __future__ import annotations
 
 import itertools
-import operator
-from collections.abc import Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -198,8 +197,7 @@ def construct_arguments(
 
 class AttackWitness(NamedTuple):
     """One attack occurrence: attacker, target, kind, and the sub-argument
-    of the target it lands on.  A named tuple, because a large system has
-    hundreds of thousands of them (213,360 for tandem(10, 3))."""
+    of the target it lands on."""
 
     attacker: str
     target: str
@@ -207,10 +205,36 @@ class AttackWitness(NamedTuple):
     on: str
 
 
-_ATTACKER, _TARGET = operator.attrgetter("attacker"), operator.attrgetter("target")
+Hits = tuple[tuple[str, str, str], ...]  # (target, kind, on) per witness of one attacker
 
 
-def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
+class AttackWitnesses:
+    """The attack witnesses of a store, grouped by attacker: ``groups`` holds
+    (attacker id, hits) for each argument that attacks, in ordinal order.
+    Hits depend only on the attacker's conclusion, so the attackers with the
+    same conclusion share one hits tuple.  A large system has hundreds of
+    thousands of witnesses (213,360 for tandem(10, 3)) but few conclusions,
+    so every later stage reads each hits tuple once, not each witness.
+
+    ``len`` is the number of witnesses; iteration yields each as an
+    ``AttackWitness``, in the order of ``attack_witnesses``."""
+
+    __slots__ = ("groups", "_count")
+
+    def __init__(self, groups: tuple[tuple[str, Hits], ...]):
+        self.groups = groups
+        self._count = sum(len(hits) for _, hits in groups)
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __iter__(self) -> Iterator[AttackWitness]:
+        for attacker, hits in self.groups:
+            for target, kind, on in hits:
+                yield AttackWitness(attacker, target, kind, on)
+
+
+def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
     """All undercut and rebuttal occurrences between stored arguments, in the
     order of a double loop over the pairwise definitions (``undercuts`` and
     ``rebuts_unrestricted`` in ``tests/reference.py``): by attacker, target,
@@ -221,7 +245,8 @@ def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
     Three indexes replace the pairwise test: defeasible sub-arguments by
     conclusion ``(atom, negations)``, undercuttable sub-arguments by their
     name formula, and each sub-argument's super-arguments (itself included).
-    Hits depend only on the attacker's conclusion; each is looked up once.
+    Hits depend only on the attacker's conclusion; each conclusion's hits
+    are looked up, and stored, once.
     """
     args, names = store.arguments, store.system.undercut_names
     rebuttable: dict[tuple[str, int], list[Argument]] = {}
@@ -237,9 +262,8 @@ def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
         for sub in arg.sub_arguments:
             supers.setdefault(sub, []).append(arg)
 
-    hits_by_conclusion: dict[Formula, list[tuple[str, str, str]]] = {}
-    out: list[AttackWitness] = []
-    make = AttackWitness._make
+    hits_by_conclusion: dict[Formula, Hits] = {}
+    groups: list[tuple[str, Hits]] = []
     for a in args:
         hits = hits_by_conclusion.get(a.conclusion)
         if hits is None:
@@ -251,25 +275,29 @@ def attack_witnesses(store: ArgumentStore) -> list[AttackWitness]:
                 for sub in index.get(key, ())
                 for b in supers[sub]
             )
-            hits = [
+            hits = hits_by_conclusion[a.conclusion] = tuple(
                 (args[b].canonical_id, ("undercut", "rebut")[rank], args[on].canonical_id)
                 for b, rank, on in found
-            ]
-            hits_by_conclusion[a.conclusion] = hits
-        aid = a.canonical_id
-        out.extend([make((aid, b, kind, on)) for b, kind, on in hits])
-    return out
+            )
+        if hits:
+            groups.append((a.canonical_id, hits))
+    return AttackWitnesses(tuple(groups))
 
 
-def _attack_edges(store: ArgumentStore, witnesses: Sequence[AttackWitness]) -> list[list[int]]:
+def _attack_edges(store: ArgumentStore, witnesses: AttackWitnesses) -> list[tuple[int, ...]]:
     """The attack relation over the node numbers of ``store`` (see
     ``ArgumentStore.node_order``): the targets of each node, in ascending
-    order."""
+    order.  Each hits tuple's row is computed once and shared, as a tuple,
+    by every attacker that holds it."""
     number = {store.arguments[o].canonical_id: p for p, o in enumerate(store.node_order)}
-    rows: list[list[str]] = [[] for _ in number]
-    for attacker, group in itertools.groupby(witnesses, _ATTACKER):
-        rows[number[attacker]].extend(map(_TARGET, group))
-    return [sorted(set(map(number.__getitem__, row))) for row in rows]
+    rows: list[tuple[int, ...]] = [()] * len(number)
+    row_of: dict[int, tuple[int, ...]] = {}
+    for attacker, hits in witnesses.groups:
+        row = row_of.get(id(hits))
+        if row is None:
+            row = row_of[id(hits)] = tuple(sorted({number[target] for target, _, _ in hits}))
+        rows[number[attacker]] = row
+    return rows
 
 
 def _argument_nodes(store: ArgumentStore) -> tuple[tuple[BaseNode, ...], tuple]:
@@ -278,7 +306,7 @@ def _argument_nodes(store: ArgumentStore) -> tuple[tuple[BaseNode, ...], tuple]:
     return tuple(map(BaseNode, ids)), tuple((0, i) for i in ids)
 
 
-def build_aspic_minus_af(store: ArgumentStore, witnesses: Sequence[AttackWitness]) -> AF:
+def build_aspic_minus_af(store: ArgumentStore, witnesses: AttackWitnesses) -> AF:
     """The AF whose nodes are all arguments of ``store`` and whose edges are
     exactly the undercut and unrestricted-rebuttal pairs of ``witnesses``,
     the attack witnesses of ``store``."""

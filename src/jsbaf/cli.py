@@ -42,15 +42,23 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _read_source(path: str) -> SourceDocument:
-    if path == "-":
-        return SourceDocument(sys.stdin.read(), "<stdin>")
+    """The rule file at ``path``, or stdin for ``-``, decoded as UTF-8 with
+    universal newlines.  Stdin is read as bytes when it has a byte buffer,
+    so that its decoding does not depend on the locale."""
+    name = "<stdin>" if path == "-" else path
     try:
-        with open(path, encoding="utf-8") as handle:
-            return SourceDocument(handle.read(), path)
+        if path != "-":
+            with open(path, encoding="utf-8") as handle:
+                return SourceDocument(handle.read(), name)
+        raw = getattr(sys.stdin, "buffer", None)
+        if raw is None:  # a text stream in place of stdin
+            return SourceDocument(sys.stdin.read(), name)
+        text = raw.read().decode("utf-8")
+        return SourceDocument(text.replace("\r\n", "\n").replace("\r", "\n"), name)
     except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc.strerror}") from exc
+        raise ValidationError(f"cannot read {name}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
-        raise ValidationError(f"cannot read {path}: not valid UTF-8 at byte {exc.start}") from exc
+        raise ValidationError(f"cannot read {name}: not valid UTF-8 at byte {exc.start}") from exc
 
 
 def _non_negative_int(text: str) -> int:

@@ -119,12 +119,12 @@ class ArgumentationSystem:
         for rules in (self.strict_rules, self.defeasible_rules):
             seen_shapes = set()
             for rule in rules:
-                shape = (rule.body, rule.head)
-                if shape in seen_shapes:
+                size = len(seen_shapes)
+                seen_shapes.add((rule.body, rule.head))  # hashes the shape once
+                if len(seen_shapes) == size:
                     raise ValidationError(
                         f"rule {rule.id!r} duplicates another rule of the same kind"
                     )
-                seen_shapes.add(shape)
         defeasible_ids = {r.id for r in self.defeasible_rules}
         for rule_id in self.undercut_names:
             if rule_id not in defeasible_ids:

@@ -35,7 +35,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Union
+from typing import Collection, Iterable, Iterator, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -146,11 +146,12 @@ class _Framework:
     """Nodes numbered in canonical order: ``node_table[i]`` is node i and
     ``node_keys[i]`` its sort key.  ``target_ids[i]`` lists, in ascending
     order, the nodes that node i attacks (in a ``HigherLevelAF``, on its
-    own)."""
+    own).  Rows are never changed once built; the AF of an argument store
+    shares one tuple among the attackers with the same conclusion."""
 
     node_table: tuple[NodeId, ...]
     node_keys: tuple
-    target_ids: list[list[int]]
+    target_ids: list[Sequence[int]]
 
     def _value(self) -> tuple:
         return self.node_table, tuple(map(tuple, self.target_ids))

@@ -27,7 +27,7 @@ from typing import Iterable
 from .arguments import (
     DEFAULT_MAX_ARGUMENTS,
     ArgumentStore,
-    AttackWitness,
+    AttackWitnesses,
     attack_witnesses,
     build_aspic_minus_af,
     build_da_jsbaf,
@@ -147,7 +147,7 @@ class Prepared:
 
     consistent: bool
     store: ArgumentStore
-    witnesses: tuple[AttackWitness, ...]
+    witnesses: AttackWitnesses
     flatten_mode: str
 
     @cached_property
@@ -187,7 +187,7 @@ def prepare(
         pair = find_complement_pair(strict_closure((), system.strict_rules))
         raise InconsistentSystemError(pair)
     store = construct_arguments(system, max_arguments)
-    return Prepared(consistent, store, tuple(attack_witnesses(store)), flatten_mode)
+    return Prepared(consistent, store, attack_witnesses(store), flatten_mode)
 
 
 @dataclass(frozen=True)
@@ -198,7 +198,7 @@ class Evaluation:
 
     consistent: bool
     store: ArgumentStore
-    witnesses: tuple[AttackWitness, ...]
+    witnesses: AttackWitnesses
     framework: AF | JSBAF  # the AF in aspic-minus mode, the JSBAF in deductive mode
     shielded: frozenset[int]  # strict arguments, in deductive mode
     flat: AF | None  # the flattened JSBAF, in deductive mode

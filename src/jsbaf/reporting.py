@@ -4,7 +4,8 @@ Serialisation is canonical: every list is sorted, JSON keys are sorted, and
 identical inputs produce byte-identical output.  A JSON report is the text
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written section by section straight from the
-``Evaluation``.  Its large lists are filled in from fixed templates.
+``Evaluation``.  Its large lists are filled in from fixed templates: the
+attack lists row by row, and the witness records once per hits tuple.
 """
 
 from __future__ import annotations
@@ -27,20 +28,23 @@ def _formula_list(formulas) -> list[str]:
 # Nodes are numbers into a framework's node table; each node's label is
 # computed once, by ``labels``, and the lists below are built from it.
 
-def _edge_list(framework: AF | JSBAF) -> list[tuple[str, str]]:
-    """The attacks as label pairs, sorted.  Pairs are sorted by the rank of
-    each label, one int per pair, rather than as tuples of strings."""
-    labels = framework.labels
-    n = len(labels)
-    order = sorted(range(n), key=labels.__getitem__)
-    rank = [0] * n
-    for r, i in enumerate(order):
-        rank[i] = r
-    by_rank = [labels[i] for i in order]
-    codes = sorted([
-        rank[s] * n + rank[d] for s, row in enumerate(framework.target_ids) for d in row
-    ])
-    return [(by_rank[c // n], by_rank[c % n]) for c in codes]
+def _attack_rows(framework: AF | JSBAF, names: list[str]):
+    """The attacks of ``framework`` by source, as (name of the source, names
+    of its targets), sources and targets in label order: the order of the
+    sorted label pairs.  ``names`` holds each node's name, by number."""
+    labels, rows = framework.labels, framework.target_ids
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    rank = None
+    if order != list(range(len(order))):  # node numbers are not in label order
+        rank = [0] * len(order)
+        for r, i in enumerate(order):
+            rank[i] = r
+    for s in order:
+        row = rows[s]
+        if row:
+            if rank is not None:
+                row = sorted(row, key=rank.__getitem__)
+            yield names[s], list(map(names.__getitem__, row))
 
 
 def _extension_list(framework: AF | JSBAF, extensions) -> list[list[str]]:
@@ -119,9 +123,15 @@ def _json(value, depth: int) -> str:
     raise TypeError(f"a report holds no {type(value).__name__}")
 
 
-def _edges_json(pairs: list[tuple[str, str]], depth: int) -> str:
+def _attacks_json(framework: AF | JSBAF, names: list[str], depth: int) -> str:
+    """The sorted label pairs of ``framework``'s attacks; ``names`` are its
+    quoted labels.  Each row is one ``join`` over its targets."""
     inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
-    return _list([f"[{inner}{_quote(s)},{inner}{_quote(d)}{outer}]" for s, d in pairs], depth)
+    rows = []
+    for s, targets in _attack_rows(framework, names):
+        head, tail = f"[{inner}{s},{inner}", f"{outer}]"
+        rows.append(head + f"{tail},{outer}{head}".join(targets) + tail)
+    return _list(rows, depth)
 
 
 def _arguments_json(ev: Evaluation, depth: int) -> str:
@@ -137,24 +147,36 @@ def _arguments_json(ev: Evaluation, depth: int) -> str:
 
 
 def _witnesses_json(ev: Evaluation, depth: int) -> str:
+    """The witness records, attacker by attacker.  Each hits tuple is
+    formatted once, into the record tails of its witnesses, and each
+    attacker's records are one ``join`` of its tails."""
     inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
-    return _list([
-        f'{{{inner}"attacker": {_quote(w.attacker)},{inner}"kind": {_quote(w.kind)},'
-        f'{inner}"on": {_quote(w.on)},{inner}"target": {_quote(w.target)}{outer}}}'
-        for w in ev.witnesses
-    ], depth)
+    tails_of: dict[int, list[str]] = {}
+    records = []
+    for attacker, hits in ev.witnesses.groups:
+        tails = tails_of.get(id(hits))
+        if tails is None:
+            tails = tails_of[id(hits)] = [
+                f'"kind": {_quote(kind)},{inner}"on": {_quote(on)},'
+                f'{inner}"target": {_quote(target)}{outer}}}'
+                for target, kind, on in hits
+            ]
+        head = f'{{{inner}"attacker": {_quote(attacker)},{inner}'
+        records.append(head + f",{outer}{head}".join(tails))
+    return _list(records, depth)
 
 
 def _flattened_entries(ev: Evaluation, settings: dict):
-    yield "attacks", _edges_json(_edge_list(ev.flat), 2)
+    names = list(map(_quote, ev.flat.labels))
+    yield "attacks", _attacks_json(ev.flat, names, 2)
     yield "extensions", _json(_extension_list(ev.flat, ev.raw_extensions), 2)
     yield "mode", _json(settings["flatten"], 2)
-    yield "nodes", _list([_quote(label) for label in ev.flat.labels], 2)
+    yield "nodes", _list(names, 2)
 
 
 def _framework_entries(ev: Evaluation):
     yield "attack_witnesses", _witnesses_json(ev, 2)
-    yield "attacks", _edges_json(_edge_list(ev.framework), 2)
+    yield "attacks", _attacks_json(ev.framework, list(map(_quote, ev.framework.labels)), 2)
     if ev.flat is not None:
         yield "supports", _json(_support_list(ev.framework), 2)
 
@@ -222,7 +244,10 @@ def _write_text(
         "",
         "attacks:",
     ))
-    write(_lines(*(f"  {s} -> {d}" for s, d in _edge_list(ev.framework))))
+    write("".join(
+        f"  {s} -> " + f"\n  {s} -> ".join(targets) + "\n"
+        for s, targets in _attack_rows(ev.framework, ev.framework.labels)
+    ))
     if ev.flat is not None:
         write(_lines(
             "supports:",

@@ -13,7 +13,9 @@ admissibility-based semantics are:
 * complete  — in-sets of all complete labellings,
 * stable    — the same search with every domain starting as {in, out}, so
               it finds the complete labellings with no undecided node,
-* preferred — subset-maximal complete extensions.
+* preferred — subset-maximal complete extensions, from the complete search
+              with every branch dropped whose possible in-set lies inside
+              an extension already found.
 
 The engine works on the framework's node numbers and int adjacency lists,
 as given: canonical order is ascending node number.  ``extension_ids``
@@ -40,6 +42,9 @@ SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
 
 _IN, _OUT, _UNDEC = 1, 2, 4  # label bits of a domain
+# Byte maps over domains: 1 where the domain holds in, and where it is not in.
+_CAN_IN = bytes(d & _IN for d in range(256))
+_NOT_IN = bytes(int(d != _IN) for d in range(256))
 
 
 def _grounded(af: AF) -> tuple[int, ...]:
@@ -80,19 +85,29 @@ class _DomainSearch:
         self.attackers = af.attacker_ids
         self.targets = af.target_ids
 
-    def run(self, domain: int) -> list[tuple[int, ...]]:
+    def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         """In-sets of all complete labellings whose labels lie in ``domain``,
-        in canonical order."""
+        in canonical order.  With ``maximal``, a branch is dropped once the
+        nodes that can still be in lie inside an in-set already found: none
+        of its labellings has a larger in-set.  Those found may still be
+        non-maximal, so the caller filters them."""
         results = []
+        found: list[int] = []  # the nodes outside each in-set, one byte per node
         stack = [([domain] * self.n, set(range(self.n)))]
         while stack:
             doms, dirty = stack.pop()
             if not self._propagate(doms, dirty):
                 continue
+            if found:
+                can_in = int.from_bytes(bytes(doms).translate(_CAN_IN), "little")
+                if not all(can_in & outside for outside in found):
+                    continue
             pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
             if pivot is None:
                 if self._verify(doms):
                     results.append(tuple(i for i, d in enumerate(doms) if d == _IN))
+                    if maximal:
+                        found.append(int.from_bytes(bytes(doms).translate(_NOT_IN), "little"))
                 continue
             rest = doms.copy()
             low = doms[pivot] & -doms[pivot]
@@ -173,7 +188,7 @@ def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
     if semantics == "stable":
         return _DomainSearch(af).run(_IN | _OUT)
     if semantics == "preferred":
-        complete = _DomainSearch(af).run(_IN | _OUT | _UNDEC)
+        complete = _DomainSearch(af).run(_IN | _OUT | _UNDEC, maximal=True)
         sets = [frozenset(ext) for ext in complete]
         return [ext for ext, s in zip(complete, sets) if not any(s < other for other in sets)]
     raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")

@@ -18,6 +18,7 @@ from jsbaf import (
     random_system,
     strict_rule,
 )
+from jsbaf.cli import main
 
 import reference
 from conftest import tandem_rules, wide_join_rules
@@ -196,16 +197,16 @@ class TestIndexedAttackWitnesses:
     list exactly the pairwise definition's witnesses, in the same order."""
 
     def test_tandem(self, tandem_store):
-        assert attack_witnesses(tandem_store) == pairwise_witnesses(tandem_store)
+        assert list(attack_witnesses(tandem_store)) == pairwise_witnesses(tandem_store)
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
     def test_generalised_tandem(self, n, k):
         store = construct_arguments(parse_system(SourceDocument(tandem_rules(n, k), "tandem")))
-        assert attack_witnesses(store) == pairwise_witnesses(store)
+        assert list(attack_witnesses(store)) == pairwise_witnesses(store)
 
     def test_nested_negations(self):
         store = construct_arguments(parse_system(SourceDocument(NESTED_NEGATIONS, "nested")))
-        witnesses = attack_witnesses(store)
+        witnesses = list(attack_witnesses(store))
         assert witnesses == pairwise_witnesses(store)
         assert {w.kind for w in witnesses} == {"undercut", "rebut"}
 
@@ -214,10 +215,53 @@ class TestIndexedAttackWitnesses:
         kinds = set()
         for seed in range(100):
             store = construct_arguments(random_system(params, seed).system)
-            witnesses = attack_witnesses(store)
+            witnesses = list(attack_witnesses(store))
             assert witnesses == pairwise_witnesses(store), f"seed {seed}"
             kinds |= {w.kind for w in witnesses}
         assert kinds == {"undercut", "rebut"}
+
+
+class TestGroupedAttackWitnesses:
+    """``attack_witnesses`` keeps one hits tuple per conclusion."""
+
+    @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
+    def test_same_conclusion_shares_one_hits_object(self, n, k):
+        store = construct_arguments(parse_system(SourceDocument(tandem_rules(n, k), "tandem")))
+        by_id = {a.canonical_id: a for a in store.arguments}
+        hits_of = {}
+        for attacker, hits in attack_witnesses(store).groups:
+            assert hits_of.setdefault(by_id[attacker].conclusion, hits) is hits
+        assert len(hits_of) < len(attack_witnesses(store).groups)
+
+    def test_len_is_the_witness_count(self):
+        params = SystemParams(n_atoms=4, n_strict=6, n_defeasible=8, undercut_density=0.6)
+        for seed in range(20):
+            store = construct_arguments(random_system(params, seed).system)
+            witnesses = attack_witnesses(store)
+            assert len(witnesses) == len(list(witnesses)) == len(pairwise_witnesses(store))
+
+    def test_attackers_with_the_same_hits_share_one_row(self):
+        system = parse_system(SourceDocument(tandem_rules(6, 3), "tandem"))
+        prepared = prepare(system)
+        rows = {}
+        for attacker, hits in prepared.witnesses.groups:
+            row = prepared.af.target_ids[prepared.af.labels.index(attacker)]
+            assert isinstance(row, tuple) and rows.setdefault(id(hits), row) is row
+
+    @pytest.mark.parametrize("fmt", ("json", "text"))
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    def test_eval_builds_no_attack_witness(self, monkeypatch, capsys, tmp_path, mode, fmt):
+        def refuse(*args):
+            raise AssertionError("an AttackWitness was built")
+
+        rules = tmp_path / "tandem.rules"
+        rules.write_text(tandem_rules(5, 3))
+        monkeypatch.setattr("jsbaf.arguments.AttackWitness", refuse)
+        argv = ["eval", "--file", str(rules), "--semantics", "grounded", "--mode", mode]
+        assert main([*argv, "--report", fmt]) in (0, 1)
+        assert "attack" in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="an AttackWitness was built"):
+            list(prepare(parse_system(rules.read_text())).witnesses)
 
 
 class TestFrameworkConstruction:

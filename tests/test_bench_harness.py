@@ -1,10 +1,12 @@
-"""Smoke test of the benchmark harness on its search workload.
+"""Smoke tests of the benchmark harness on its search and build workloads.
 
 One pass of ``bench/run.py --workload tandem-search`` evaluates all 44
 operations and compares every report with its recorded SHA-256 digest, so
 this also guards the byte-identical output of complete, stable and
-preferred search.  No assertion is made on times, nor on how many operations
-met their deadline.
+preferred search.  One pass of ``--workload tandem-build`` does the same for
+its four large grounded reports, with hundreds of thousands of attack
+witnesses and attacks between them.  No assertion is made on times, nor on
+how many operations met their deadline.
 """
 
 import json
@@ -15,12 +17,22 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_tandem_search_workload_runs_and_is_correct():
+def run_workload(workload):
+    """The JSON summary of one pass of ``workload``."""
     command = [
-        sys.executable, "bench/run.py", "--workload", "tandem-search",
+        sys.executable, "bench/run.py", "--workload", workload,
         "--seed", "1", "--seconds", "1", "--trace", "0",
     ]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
-    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def test_tandem_search_workload_runs_and_is_correct():
+    assert run_workload("tandem-search")["correct"] is True
+
+
+def test_tandem_build_workload_runs_and_is_correct():
+    summary = run_workload("tandem-build")
     assert summary["correct"] is True
+    assert summary["attempted"] == 4 and summary["failed"] == 0

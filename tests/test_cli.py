@@ -1,5 +1,6 @@
 """Command-line surface: commands, formats, exit codes."""
 
+import io
 import json
 import os
 import subprocess
@@ -297,11 +298,26 @@ class TestOptions:
 
 class TestStdin:
     def test_dash_reads_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO("strict r1: -> a\n"))
         code, out, _ = run_cli(capsys, "arguments", "--file", "-")
         assert code == 0 and out == "A1 = r1()  |  A1: -> a  |  (-> a)\n"
+
+    def test_stdin_bytes_that_are_not_utf8_are_an_input_error(self, capsys, monkeypatch):
+        """Stdin is decoded from its byte buffer, whatever the locale's
+        decoding of the text stream."""
+        stdin = io.TextIOWrapper(io.BytesIO(b"strict r1: -> \xe9\n"), errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, err = run_cli(capsys, "eval", "--file", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read <stdin>: not valid UTF-8 at byte 14\n"
+
+    def test_stdin_bytes_are_read_with_universal_newlines(self, capsys, monkeypatch):
+        text = TANDEM_PATH.read_text(encoding="utf-8")
+        stdin = io.TextIOWrapper(io.BytesIO(text.replace("\n", "\r\n").encode()))
+        monkeypatch.setattr("sys.stdin", stdin)
+        code, out, _ = run_cli(capsys, "arguments", "--file", "-")
+        assert code == 0
+        assert out == run_cli(capsys, "arguments", "--file", str(TANDEM_PATH))[1]
 
 
 class TestClosedStdout:

@@ -142,10 +142,27 @@ class TestSystemValidation:
             )
 
     def test_duplicate_rule_shape_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="^rule 'r2' duplicates another rule of the same kind$"):
             ArgumentationSystem(
                 (strict_rule("r1", [], atom("a")), strict_rule("r2", [], atom("a"))), ()
             )
+
+    def test_each_rule_shape_is_hashed_once(self, monkeypatch):
+        rules = (
+            strict_rule("r1", [], atom("a")),
+            strict_rule("r2", [atom("a"), neg("b")], atom("c")),
+            DefeasibleRule("d1", (atom("c"),), neg("a")),
+        )
+        calls = []
+        formula_hash = Formula.__hash__
+
+        def counted(self):
+            calls.append(self)
+            return formula_hash(self)
+
+        monkeypatch.setattr(Formula, "__hash__", counted)
+        ArgumentationSystem(rules[:2], rules[2:])
+        assert len(calls) == sum(len(rule.body) + 1 for rule in rules)
 
     def test_same_shape_in_both_kinds_allowed(self):
         ArgumentationSystem(

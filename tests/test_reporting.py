@@ -17,6 +17,7 @@ from jsbaf import (
     SearchLimitExceededError,
     SourceDocument,
     SystemParams,
+    bar,
     base,
     emit_apx,
     emit_dot,
@@ -29,7 +30,7 @@ from jsbaf import (
 )
 from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
-from jsbaf.reporting import report_settings, write_limit_report
+from jsbaf.reporting import _attack_rows, report_settings, write_limit_report
 
 from conftest import TANDEM_PATH, tandem_rules
 
@@ -114,6 +115,11 @@ def preferred_text(system, mode, fmt="json", flatten_mode="literal"):
 
 def preferred_report(system, mode, flatten_mode="literal"):
     return json.loads(preferred_text(system, mode, "json", flatten_mode))
+
+
+def sorted_pairs(framework):
+    """The attacks of ``framework`` as label pairs, sorted."""
+    return sorted([s.label, d.label] for s, d in framework.attacks)
 
 
 def assert_canonical(out):
@@ -243,6 +249,46 @@ class TestReportBytes:
         out = capsys.readouterr().out
         assert json.loads(out)["input"]["source"] == str(rules)
         assert_canonical(out)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n,k", [(6, 3), (7, 3)])
+    def test_large_tandem_reports_are_canonical(self, n, k, mode):
+        """Reports with thousands of witnesses and attacks, where attackers
+        share hits tuples and target rows."""
+        system = parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+        ev = evaluate(prepare(system), "grounded", mode)
+        settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        out = written(write_report, ev, "tandem", settings, "json")[0]
+        assert_canonical(out)
+        report = json.loads(out)
+        assert report["framework"]["attacks"] == sorted_pairs(ev.framework)
+        assert report["framework"]["attack_witnesses"] == [w._asdict() for w in ev.witnesses]
+        if ev.flat is not None:
+            assert report["flattened"]["attacks"] == sorted_pairs(ev.flat)
+
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("n,k", [(3, 2), (6, 3)])
+    def test_text_attack_lines_are_the_sorted_label_pairs(self, n, k, mode):
+        system = parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+        prepared = prepare(system)
+        ev = evaluate(prepared, "grounded", mode)
+        settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        lines = written(write_report, ev, "tandem", settings, "text")[0].splitlines()
+        start = lines.index("attacks:") + 1
+        end = start + len(prepared.af.attacks)
+        assert lines[start:end] == [f"  {s} -> {d}" for s, d in sorted_pairs(prepared.af)]
+        assert not lines[end].startswith("  ")
+
+    def test_attack_rows_follow_label_order_not_node_numbers(self):
+        """Node numbers put every argument before the meta-arguments, but
+        the label ``bar(a)`` sorts before ``c``: sources and the targets of
+        each row are walked in label order."""
+        a, c = base("a"), base("c")
+        af = AF({a, c, bar(a)}, {(a, c), (a, bar(a)), (bar(a), c), (c, a)})
+        assert af.labels == ["a", "c", "bar(a)"]
+        rows = list(_attack_rows(af, af.labels))
+        assert rows == [("a", ["bar(a)", "c"]), ("bar(a)", ["c"]), ("c", ["a"])]
+        assert [[s, d] for s, targets in rows for d in targets] == sorted_pairs(af)
 
     @pytest.mark.parametrize("fmt", ("json", "text"))
     def test_write_calls_do_not_grow_with_the_report(self, fmt):
