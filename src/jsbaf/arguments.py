@@ -37,7 +37,8 @@ DEFAULT_MAX_ARGUMENTS = 5000  # largest store ``construct_arguments`` builds by 
 
 
 class Argument:
-    """A rule application over sub-arguments; immutable after creation."""
+    """A rule application over sub-arguments; immutable after creation,
+    except for ``structure``, which is computed on first read."""
 
     __slots__ = (
         "rule",
@@ -49,6 +50,7 @@ class Argument:
         "depth",
         "branch_conclusions",
         "sub_arguments",
+        "_structure",
     )
 
     def __init__(self, rule: Rule, subs: tuple["Argument", ...], ordinal: int):
@@ -71,6 +73,7 @@ class Argument:
             sub_args |= sub.sub_arguments
         self.branch_conclusions = frozenset(concs)
         self.sub_arguments = frozenset(sub_args)
+        self._structure: str | None = None
 
     @property
     def defeasible(self) -> bool:
@@ -98,10 +101,13 @@ class Argument:
 
     @property
     def structure(self) -> str:
-        """Fully expanded tree, e.g. ``((-> hw) => ht)``."""
-        body = ",".join(s.structure for s in self.subs)
-        lhs = f"{body} " if body else ""
-        return f"({lhs}{self.arrow} {self.conclusion})"
+        """Fully expanded tree, e.g. ``((-> hw) => ht)``; built on first
+        read, from the subs' strings, and kept."""
+        if self._structure is None:
+            body = ",".join(s.structure for s in self.subs)
+            lhs = f"{body} " if body else ""
+            self._structure = f"({lhs}{self.arrow} {self.conclusion})"
+        return self._structure
 
     def __repr__(self) -> str:
         return f"<{self.form}>"

@@ -163,6 +163,10 @@ def _cmd_eval(args) -> int:
 def _cmd_flatten(args) -> int:
     if args.stage == "one-step" and args.emit == "apx":
         raise ValidationError("APX cannot represent joint attacks; use --emit dot")
+    if args.stage != "simplified" and args.flatten == "prune-inert":
+        raise ValidationError(
+            f"--flatten prune-inert applies only to --stage simplified, not --stage {args.stage}"
+        )
     prepared = _prepare(args, False)
     if args.stage == "one-step":
         framework = flatten_one_step(prepared.jsbaf, prepared.shielded)

@@ -10,20 +10,23 @@ Three tiers are connected by flattening:
 ``flatten_one_step`` turns joint supports into joint attacks by introducing
 one "bar" meta-argument per supported node; ``flatten_joint_attacks`` turns
 joint attacks into plain attacks by introducing bars for every participant
-and one "e" meta-argument per attacker set.  ``flatten_simplified`` composes
-the two and then removes bar pairs that merely relay the supported node's
-status through a double negation.
+and one "e" meta-argument per attacker set.  ``flatten_simplified`` is the
+composition of the two without the bar pairs that merely relay a supported
+node's status through a double negation.  It is built in one pass from the
+supports of the JSBAF, and builds neither intermediate framework; the two
+stages serve ``jsbaf flatten --stage one-step|two-step``.
 
 Every framework numbers its nodes 0, 1, ... in canonical order
 (``sort_nodes``) and keeps its relations as ints over those numbers.  Its
 node table holds each node's ``NodeId`` once, with the node's sort key; a
-flattening stage interns each new meta-argument by its key, so one node is
-one object however many edges it ends.  The ``NodeId`` views ``nodes``,
-``attacks``, ``supports`` and ``joint_attacks`` are built on first read,
-for callers and tests; the pipeline reads only the ints.  The public
-constructors check that every endpoint is a node; the flattening stages and
-the builders in ``arguments`` make frameworks whose ints are right by
-construction, and skip that check.
+flattening builds each meta-argument's ``NodeId`` once, from the objects
+already in its table, so one node is one object however many edges it
+ends.  The ``NodeId`` views ``nodes``, ``attacks``, ``supports`` and
+``joint_attacks`` are built on first read, for callers and tests; the
+pipeline reads only the ints.  The public constructors check that every
+endpoint is a node; the flattening stages and the builders in
+``arguments`` make frameworks whose ints are right by construction, and
+skip that check.
 
 A JSBAF's nodes are arguments (``BaseNode``s); bars and e-nodes arise only
 in flattening.  Arguments sort before every meta-argument, so the nodes of
@@ -334,11 +337,11 @@ class _Interner:
         key = (2, tuple(self.keys[m] for m in members))
         return self._intern(key, lambda: ENode(tuple(self.nodes[m] for m in members)))
 
-    def renumber(self, kept: Iterable[int]) -> tuple[tuple[NodeId, ...], tuple, list[int]]:
-        """The ``kept`` nodes in canonical order, their keys, and the new
-        number of every node, -1 for those not kept."""
-        order = sorted(kept, key=self.keys.__getitem__)
-        new = [-1] * len(self.keys)
+    def renumber(self) -> tuple[tuple[NodeId, ...], tuple, list[int]]:
+        """The nodes in canonical order, their keys, and the new number of
+        every node."""
+        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
+        new = [0] * len(self.keys)
         for p, i in enumerate(order):
             new[i] = p
         return tuple(self.nodes[i] for i in order), tuple(self.keys[i] for i in order), new
@@ -395,7 +398,7 @@ def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> Highe
                     singles.setdefault(target_bar, set()).add(a)
                 else:
                     joints.add((tuple(sorted(rest)), a))
-    table, keys, new = work.renumber(range(len(work.keys)))
+    table, keys, new = work.renumber()
     return HigherLevelAF._make(
         table, keys,
         target_ids=_rows(len(table), new, enumerate(j.target_ids), singles.items()),
@@ -419,56 +422,98 @@ def flatten_joint_attacks(h: HigherLevelAF) -> AF:
             a_bar = work.bar(a)
             added.setdefault(a, set()).add(a_bar)
             added.setdefault(a_bar, set()).add(carrier)
-    table, keys, new = work.renumber(range(len(work.keys)))
+    table, keys, new = work.renumber()
     return AF._make(
         table, keys, target_ids=_rows(len(table), new, enumerate(h.target_ids), added.items())
     )
 
 
 def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
-    """Two-step flattening with the redundant double-negation bars removed.
+    """The two-step flattening without its redundant double-negation bars,
+    built in one pass from the supports of ``j``.
 
-    For a node b supported by a set of size > 1, the two-step flattening
-    chains b -> bar(b) -> bar(bar(b)), and bar(bar(b)) tracks b's status
-    exactly.  So bar(bar(b)) is dropped and its outgoing attacks re-sourced
-    to b.  bar(b) itself is dropped only when relaying that chain was its
-    sole role; it is kept whenever it also attacks directly (b has a
-    singleton support) or feeds other e-nodes (b co-supports another node),
-    since removing it there would change the projected extensions.
+    In the two-step flattening, a node b supported by a set of size > 1
+    ("multi") relays its status to each e-node of its support arms through
+    b -> bar(b) -> bar(bar(b)) -> e, and bar(bar(b)) tracks b exactly.  So
+    b attacks those e-nodes itself, and bar(bar(b)) is never built.  bar(b)
+    is left out too when that relay was its sole role: b is multi, has no
+    singleton support {a} with a unshielded, and co-supports no node in any
+    arm.  Otherwise bar(b) is kept, since leaving it out would change the
+    projected extensions.  With ``shielded`` as in ``flatten_one_step``,
+    each support (X, b) gives:
 
-    E-node identities are then re-canonicalised over the surviving nodes:
-    a member bar(b) whose bar was removed is displayed as b.  No two
-    e-nodes collide: each has exactly one bar member, and bar(b) is removed
-    only when b is a member of no e-node.
+    * b -> bar(b), when bar(b) exists;
+    * for X = {a}, a unshielded: bar(b) -> a;
+    * for |X| > 1 and each unshielded a in X, with Y = X - {a}: the e-node e
+      over Y plus bar(b) (or b, when bar(b) is left out), with e -> a,
+      b -> e, and y -> bar(y) -> e for every y in Y.
+
+    No two e-nodes collide: b is a member of an e-node only in place of its
+    bar, and then b co-supports no node.  The arguments keep their numbers
+    0 .. m-1, and an argument that attacks no meta-argument keeps its row
+    of ``j``; the meta-arguments are numbered once, in canonical order.
     """
-    flat = flatten_joint_attacks(flatten_one_step(j, shielded))
-    work = _Interner(flat)
-    number, targets = work.number, flat.target_ids
-    multi_supported = {j.node_keys[b] for src, b in j.support_ids if len(src) > 1}
+    m = len(j.node_table)
+    supported, multi = set(), set()
+    direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
+    arms = []  # (Y, b, a) per unshielded supporter a of a support (X, b), |X| > 1
+    for source, b in j.support_ids:
+        supported.add(b)
+        if len(source) > 1:
+            multi.add(b)
+            arms += [
+                (source[:k] + source[k + 1:], b, a)
+                for k, a in enumerate(source)
+                if a not in shielded
+            ]
+        elif source and source[0] not in shielded:
+            direct.setdefault(b, []).append(source[0])
+    co_supporters = {y for rest, _, _ in arms for y in rest}
+    barred = sorted((supported - multi) | direct.keys() | co_supporters)
+    bar_number = {b: m + p for p, b in enumerate(barred)}
 
-    removed: set[int] = set()
-    rewired: dict[int, list[int]] = {}
-    for key in multi_supported:
-        b, b_bar, b_dbar = number[key], number[(1, key)], number.get((1, (1, key)))
-        if b_dbar is not None:
-            rewired[b] = targets[b_dbar]
-            removed.add(b_dbar)
-        if all(t == b_dbar for t in targets[b_bar]):
-            removed.add(b_bar)
+    # Members of meta-arguments are numbered x for argument x and m + x for
+    # bar(x).  These numbers sort as the members' keys do, so e-nodes over
+    # them sort in canonical order.
+    arm_members = [
+        rest + (m + b,) if b in bar_number else tuple(sorted(rest + (b,)))
+        for rest, b, _ in arms
+    ]
+    e_members = sorted(set(arm_members))
+    e_number = {members: m + len(barred) + p for p, members in enumerate(e_members)}
 
-    # final[i]: the node that node i of ``flat`` becomes, -1 once removed
-    final = [-1 if i in removed else i for i in range(len(flat.node_table))]
-    rename = {number[(1, k)]: number[k] for k in multi_supported if number[(1, k)] in removed}
-    for i, key in enumerate(flat.node_keys):
-        if key[0] == 2:
-            members = [number[k] for k in key[1]]
-            if any(m in rename for m in members):
-                final[i] = work.e(rename.get(m, m) for m in members)
+    node_of, key_of = [*j.node_table, *[None] * m], [*j.node_keys, *[None] * m]
+    for b in barred:
+        node_of[m + b], key_of[m + b] = BarNode(node_of[b]), (1, key_of[b])
+    node_table = (
+        *j.node_table,
+        *(node_of[m + b] for b in barred),
+        *(ENode(tuple(map(node_of.__getitem__, e))) for e in e_members),
+    )
+    node_keys = (
+        *j.node_keys,
+        *(key_of[m + b] for b in barred),
+        *((2, tuple(map(key_of.__getitem__, e))) for e in e_members),
+    )
 
-    table, keys, new = work.renumber({f for f in final if f >= 0})
-    new = [new[f] if f >= 0 else -1 for f in final]
-    rows = _rows(len(table), new, enumerate(targets), rewired.items())
-    return AF._make(table, keys, target_ids=rows)
+    # The attacks that flattening adds, by source number.  An argument gains
+    # only meta-argument targets, which follow the targets of its row in j.
+    added: dict[int, set[int]] = {b: {p} for b, p in bar_number.items()}
+    for b, supporters in direct.items():
+        added[bar_number[b]] = set(supporters)
+    for (rest, b, a), members in zip(arms, arm_members):
+        e = e_number[members]
+        added.setdefault(b, set()).add(e)
+        added.setdefault(e, set()).add(a)
+        for y in rest:
+            added.setdefault(bar_number[y], set()).add(e)
+
+    rows: list[Sequence[int]] = list(j.target_ids)
+    for i, targets in added.items():
+        if i < m:
+            rows[i] = (*rows[i], *sorted(targets))
+    rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(node_table))]
+    return AF._make(node_table, node_keys, target_ids=rows)
 
 
 def prune_inert(af: AF) -> AF:

@@ -1,11 +1,12 @@
 """Definitional references for the pipeline.
 
-The pairwise attack definitions, the flattening stages, conflict-freeness,
-defence and the grounded fixpoint as first written, over arguments and sets
-of ``NodeId``s: they read a framework's ``NodeId`` views and build their
-results through the public constructors.  ``jsbaf.arguments``,
-``jsbaf.frameworks`` and ``jsbaf.semantics`` compute the same results
-through indexes and on node numbers; the tests assert that both agree.
+An argument's expanded structure, the pairwise attack definitions, the
+flattening stages, conflict-freeness, defence and the grounded fixpoint as
+first written, over arguments and sets of ``NodeId``s: they read a
+framework's ``NodeId`` views and build their results through the public
+constructors.  ``jsbaf.arguments``, ``jsbaf.frameworks`` and
+``jsbaf.semantics`` compute the same results through indexes and on node
+numbers; the tests assert that both agree.
 """
 
 from typing import Iterable
@@ -44,6 +45,13 @@ def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
         if sub.def_rule_ids and complement(a.conclusion, sub.conclusion)
     ]
     return tuple(sorted(hits, key=lambda s: s.ordinal))
+
+
+def structure(arg: Argument) -> str:
+    """The fully expanded tree of ``arg``, rebuilt from every sub-argument."""
+    body = ",".join(structure(s) for s in arg.subs)
+    lhs = f"{body} " if body else ""
+    return f"({lhs}{arg.arrow} {arg.conclusion})"
 
 
 def flatten_one_step(j: JSBAF, shielded: frozenset[NodeId] = frozenset()) -> HigherLevelAF:

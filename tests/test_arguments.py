@@ -15,6 +15,7 @@ from jsbaf import (
     neg,
     parse_system,
     prepare,
+    print_system,
     random_system,
     strict_rule,
 )
@@ -111,6 +112,39 @@ class TestEnumeration:
         assert by_id["A4"].defeasible
         # strict top rule over defeasible subs stays defeasible
         assert by_id["A7"].top_rule_strict and by_id["A7"].defeasible
+
+
+class TestStructure:
+    """``Argument.structure`` is built once per argument, from its subs'
+    strings; it equals the tree expanded from every sub-argument."""
+
+    @staticmethod
+    def _systems():
+        yield parse_system(SourceDocument(tandem_rules(8, 3), "tandem"))
+        for seed in range(50):
+            yield random_system(SystemParams(6, 6, 6), seed).system
+
+    def test_structure_is_the_expanded_tree(self):
+        for system in self._systems():
+            store = construct_arguments(system)
+            # read from the deepest argument down, and again
+            for arg in reversed(store.arguments):
+                assert arg.structure == reference.structure(arg)
+                assert arg.structure is arg.structure
+
+    def test_arguments_command_prints_the_expanded_tree(self, capsys, tmp_path):
+        rules = tmp_path / "system.rules"
+        for system in self._systems():
+            rules.write_text(print_system(system))
+            assert main(["arguments", "--file", str(rules)]) == 0
+            store = construct_arguments(system)
+            expected = [
+                f"{a.canonical_id} = {a.compact}  |  {a.form}  |  {reference.structure(a)}"
+                for a in store.arguments
+            ]
+            if store.acyclicity_pruned:
+                expected.append("# note: enumeration pruned repeated-conclusion branches")
+            assert capsys.readouterr().out.splitlines() == expected
 
 
 class TestUndercut:

@@ -1,11 +1,13 @@
-"""Smoke tests of the benchmark harness on its search and build workloads.
+"""Smoke tests of the benchmark harness on its three workloads.
 
 One pass of ``bench/run.py --workload tandem-search`` evaluates all 44
 operations and compares every report with its recorded SHA-256 digest, so
 this also guards the byte-identical output of complete, stable and
 preferred search.  One pass of ``--workload tandem-build`` does the same for
 its four large grounded reports, with hundreds of thousands of attack
-witnesses and attacks between them.  No assertion is made on times, nor on
+witnesses and attacks between them.  One pass of ``--workload
+random-sweep`` checks all 1,600 reports of its 200 random systems, 800 of
+them over deductive flattenings.  No assertion is made on times, nor on
 how many operations met their deadline.
 """
 
@@ -36,3 +38,9 @@ def test_tandem_build_workload_runs_and_is_correct():
     summary = run_workload("tandem-build")
     assert summary["correct"] is True
     assert summary["attempted"] == 4 and summary["failed"] == 0
+
+
+def test_random_sweep_workload_runs_and_is_correct():
+    summary = run_workload("random-sweep")
+    assert summary["correct"] is True
+    assert summary["attempted"] == 1600 and summary["failed"] == 0

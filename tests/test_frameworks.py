@@ -325,8 +325,10 @@ def assert_canonical(framework):
 
 
 def assert_flattenings_match(j, shielded):
-    """Each int flattening stage of ``j`` has the nodes and edges of the
-    object-level reference; ``shielded`` numbers nodes of ``j``."""
+    """Each int flattening stage of ``j``, literal and pruned, has the nodes
+    and edges of the object-level reference and is canonical, and the rows
+    of ``j`` are left as they were; ``shielded`` numbers nodes of ``j``."""
+    rows = [tuple(row) for row in j.target_ids]
     named = frozenset(j.node_table[i] for i in shielded)
     one, one_ref = flatten_one_step(j, shielded), reference.flatten_one_step(j, named)
     assert (one.nodes, one.joint_attacks) == (one_ref.nodes, one_ref.joint_attacks)
@@ -338,6 +340,12 @@ def assert_flattenings_match(j, shielded):
     assert (pruned.nodes, pruned.attacks) == (pruned_ref.nodes, pruned_ref.attacks)
     for framework in (one, two, flat, pruned):
         assert_canonical(framework)
+    assert [tuple(row) for row in j.target_ids] == rows
+    # the simplified flattening shares the row of each argument that
+    # attacks no meta-argument with ``j``, and builds the others anew
+    m = len(rows)
+    for mine, theirs in zip(flat.target_ids, j.target_ids):
+        assert (mine is theirs) == (max(mine, default=-1) < m)
 
 
 def _pipeline_jsbaf(system):
@@ -385,6 +393,13 @@ class TestIntFlatteningMatchesReference:
             assert_canonical(j)
             for chosen in (frozenset(), shielded):
                 assert_flattenings_match(j, chosen)
+
+    def test_tandem_7_3_shielded_and_not(self):
+        system = parse_system(SourceDocument(tandem_rules(7, 3), "tandem"))
+        j, shielded = _pipeline_jsbaf(system)
+        assert (len(j.node_table), sum(map(len, j.target_ids))) == (154, 8680)
+        for chosen in (frozenset(), shielded):
+            assert_flattenings_match(j, chosen)
 
     def test_random_systems_in_both_flatten_modes(self):
         for seed in range(100):

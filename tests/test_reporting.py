@@ -304,10 +304,13 @@ class TestReportBytes:
 # ``_attack_edges`` builds the int attack relation that the AF and the JSBAF
 # share.  ``extension_ids`` is the search on node numbers; ``extensions``,
 # which turns its results into NodeId sets for library callers, is counted
-# to show that no command calls it.
+# to show that no command calls it.  The one-step and two-step frameworks
+# are counted to show that only ``flatten --stage one-step|two-step``
+# builds them: the simplified flattening is built without them.
 STAGES = {
     "core": ("is_consistent",),
     "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
+    "frameworks": ("flatten_one_step", "flatten_joint_attacks"),
     "semantics": ("flattened_af", "extension_ids", "extensions"),
 }
 
@@ -360,8 +363,15 @@ class TestOneEvaluationPass:
             "extension_ids": 8,  # 4 semantics x 2 modes
         }
 
-    @pytest.mark.parametrize("stage", ("one-step", "two-step", "simplified"))
-    def test_flatten_flattens_at_most_once(self, stage_calls, capsys, stage):
+    @pytest.mark.parametrize(
+        "stage, flattening",
+        (
+            ("one-step", {"flatten_one_step": 1}),
+            ("two-step", {"flatten_one_step": 1, "flatten_joint_attacks": 1}),
+            ("simplified", {"flattened_af": 1}),
+        ),
+    )
+    def test_flatten_flattens_at_most_once(self, stage_calls, capsys, stage, flattening):
         assert main(["flatten", "--file", str(TANDEM_PATH), "--stage", stage]) == 0
         assert capsys.readouterr().out.startswith("digraph framework {")
         assert stage_calls == {
@@ -369,7 +379,7 @@ class TestOneEvaluationPass:
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,
-            **({"flattened_af": 1} if stage == "simplified" else {}),
+            **flattening,
         }
 
     def test_flatten_refuses_apx_of_one_step_before_any_stage(self, stage_calls, capsys):
@@ -377,6 +387,19 @@ class TestOneEvaluationPass:
         assert main(argv) == 2
         assert capsys.readouterr().err == (
             "error: APX cannot represent joint attacks; use --emit dot\n"
+        )
+        assert stage_calls == {}
+
+    @pytest.mark.parametrize("stage", ("one-step", "two-step"))
+    def test_flatten_refuses_prune_inert_of_unpruned_stages_before_any_stage(
+        self, stage_calls, capsys, stage
+    ):
+        argv = ["flatten", "--file", str(TANDEM_PATH), "--stage", stage, "--flatten", "prune-inert"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "",
+            f"error: --flatten prune-inert applies only to --stage simplified, "
+            f"not --stage {stage}\n",
         )
         assert stage_calls == {}
 
