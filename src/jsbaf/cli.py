@@ -145,7 +145,16 @@ def _prepare(args, require_consistent: bool) -> Prepared:
     return prepare(system, args.max_arguments, args.flatten, require_consistent)
 
 
+def _check_flatten_mode(args) -> None:
+    """Refuse ``--flatten prune-inert`` where nothing is flattened."""
+    if args.mode == "aspic-minus" and args.flatten == "prune-inert":
+        raise ValidationError(
+            f"--flatten prune-inert applies only to --mode deductive, not --mode {args.mode}"
+        )
+
+
 def _cmd_eval(args) -> int:
+    _check_flatten_mode(args)
     settings = report_settings(
         args.semantics, args.mode, args.flatten, args.max_arguments, args.max_nodes
     )
@@ -228,6 +237,7 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    _check_flatten_mode(args)
     cap = args.oracle_cap
     if cap > ORACLE_NODE_CAP:
         raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")

@@ -9,6 +9,7 @@ and the complement relation below is purely syntactic.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Union
 
 from .errors import ValidationError
@@ -132,9 +133,10 @@ class ArgumentationSystem:
                     f"undercut name defined on {rule_id!r}, which is not a defeasible rule"
                 )
 
-    @property
+    @cached_property
     def atoms(self) -> frozenset[str]:
-        """Atom vocabulary actually mentioned by the rules."""
+        """Atom vocabulary actually mentioned by the rules, collected on
+        first read and kept."""
         names = set()
         for rule in self.strict_rules + self.defeasible_rules:
             names.add(rule.head.atom)
@@ -164,13 +166,18 @@ def strict_closure(seed: Iterable[Formula], rules: Iterable[StrictRule]) -> froz
 def find_complement_pair(formulas: Iterable[Formula]) -> tuple[Formula, Formula] | None:
     """Some pair (phi, ~phi) inside the set, or None.
 
-    Deterministic: the returned pair is minimal in formula order.
+    Deterministic: the returned pair is minimal in formula order.  The
+    negation depths are grouped by atom, so that only the pair returned is
+    built as formulas.
     """
-    pool = set(formulas)
-    for phi in sorted(pool):
-        if phi.negation() in pool:
-            return (phi, phi.negation())
-    return None
+    depths: dict[str, set[int]] = {}
+    for phi in formulas:
+        depths.setdefault(phi.atom, set()).add(phi.negations)
+    pairs = [(name, n) for name, ns in depths.items() for n in ns if n + 1 in ns]
+    if not pairs:
+        return None
+    name, n = min(pairs)
+    return Formula(name, n), Formula(name, n + 1)
 
 
 def is_consistent(system: ArgumentationSystem) -> bool:

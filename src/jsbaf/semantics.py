@@ -5,8 +5,11 @@ over label domains: each node keeps the set of labels still possible for it,
 propagation narrows a node and its attackers until every domain agrees with
 its attackers' domains (in iff all attackers are out, out iff some attacker
 is in, undecided otherwise), and the search splits the first domain in
-canonical order that still holds more than one label.  The four
-admissibility-based semantics are:
+canonical order that still holds more than one label.  The domains are a
+list of small ints, one per node, mirrored by three int bitsets over the
+node numbers: the nodes that can still be in, out and undecided.  A node's
+own rule reads its domain; the tests on its attackers are mask operations
+on its attacker mask.  The four admissibility-based semantics are:
 
 * grounded  — least fixpoint of the characteristic function, computed
               directly in time linear in the attacks (no search needed),
@@ -42,9 +45,6 @@ SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
 
 _IN, _OUT, _UNDEC = 1, 2, 4  # label bits of a domain
-# Byte maps over domains: 1 where the domain holds in, and where it is not in.
-_CAN_IN = bytes(d & _IN for d in range(256))
-_NOT_IN = bytes(int(d != _IN) for d in range(256))
 
 
 def _grounded(af: AF) -> tuple[int, ...]:
@@ -72,18 +72,31 @@ def _grounded(af: AF) -> tuple[int, ...]:
 class _DomainSearch:
     """Enumerates the complete labellings of a finite AF within given domains.
 
-    Each node holds a bitmask of the labels still possible for it.
+    Each node keeps a bitmask of the labels still possible for it in a
+    list, which its own rule reads.  Three ints over the node numbers
+    mirror the list: the nodes that can still be in (``can_in``), out
+    (``can_out``) and undecided (``can_undec``).  With each node's attacker
+    mask, built once per search, they test a node's attackers with a few
+    mask operations: every attacker can be out when ``atk & can_out ==
+    atk``, some attacker can be in when ``atk & can_in``.  The dirty nodes
+    are an int too, and a branch state is the list and four ints.
     Propagation narrows a node and its attackers until every domain agrees
-    with its attackers' domains under the complete-labelling rule; the search
-    then splits the first non-singleton node in canonical order (the lowest
-    node number) into its lowest label against the rest.  Every full
+    with its attackers' domains under the complete-labelling rule; the
+    search then splits the first non-singleton node in canonical order (the
+    lowest node number) into its lowest label against the rest.  Every full
     labelling is re-verified, so propagation only needs to be sound.
     """
 
     def __init__(self, af: AF):
         self.n = len(af.node_table)
-        self.attackers = af.attacker_ids
-        self.targets = af.target_ids
+        self.attackers = [0] * self.n  # the attackers of each node, as a mask
+        self.reach: list[int] = []  # each node and its targets, as a mask
+        for x, row in enumerate(af.target_ids):
+            bit = mask = 1 << x
+            for y in row:
+                self.attackers[y] |= bit
+                mask |= 1 << y
+            self.reach.append(mask)
 
     def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         """In-sets of all complete labellings whose labels lie in ``domain``,
@@ -91,91 +104,143 @@ class _DomainSearch:
         nodes that can still be in lie inside an in-set already found: none
         of its labellings has a larger in-set.  Those found may still be
         non-maximal, so the caller filters them."""
+        every = (1 << self.n) - 1
+        masks = (every if domain & label else 0 for label in (_IN, _OUT, _UNDEC))
         results = []
-        found: list[int] = []  # the nodes outside each in-set, one byte per node
-        stack = [([domain] * self.n, set(range(self.n)))]
+        found: list[int] = []  # the nodes outside each in-set
+        stack = [([domain] * self.n, *masks, every)]
         while stack:
-            doms, dirty = stack.pop()
-            if not self._propagate(doms, dirty):
+            state = self._propagate(*stack.pop())
+            if state is None:
                 continue
-            if found:
-                can_in = int.from_bytes(bytes(doms).translate(_CAN_IN), "little")
-                if not all(can_in & outside for outside in found):
-                    continue
-            pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
-            if pivot is None:
+            doms, can_in, can_out, can_undec = state
+            if found and not all(can_in & outside for outside in found):
+                continue
+            split = (can_in & can_out) | (can_undec & (can_in | can_out))
+            if not split:
                 if self._verify(doms):
                     results.append(tuple(i for i, d in enumerate(doms) if d == _IN))
                     if maximal:
-                        found.append(int.from_bytes(bytes(doms).translate(_NOT_IN), "little"))
+                        found.append(every ^ can_in)
                 continue
-            rest = doms.copy()
+            bit = split & -split
+            pivot = bit.bit_length() - 1
             low = doms[pivot] & -doms[pivot]
+            rest = doms.copy()
             rest[pivot] ^= low
             doms[pivot] = low
-            stack.append((rest, {pivot, *self.targets[pivot]}))
-            stack.append((doms, {pivot, *self.targets[pivot]}))
+            dirty = self.reach[pivot]
+            stack.append((rest, *_drop(bit, low, can_in, can_out, can_undec), dirty))
+            stack.append((doms, *_drop(bit, rest[pivot], can_in, can_out, can_undec), dirty))
         return sorted(set(results))
 
-    def _propagate(self, doms: list[int], dirty: set[int]) -> bool:
-        """Narrow domains until quiescent; False once one becomes empty."""
-
-        def narrow(x: int, mask: int) -> bool:
-            new = doms[x] & mask
-            if new != doms[x]:
-                doms[x] = new
-                dirty.add(x)
-                dirty.update(self.targets[x])
-            return new != 0
-
+    def _propagate(
+        self, doms: list[int], can_in: int, can_out: int, can_undec: int, dirty: int
+    ) -> Optional[tuple[list[int], int, int, int]]:
+        """Narrow domains until quiescent: the narrowed domains and masks,
+        or None once a domain becomes empty.  Dirty nodes are popped in
+        ascending order, wrapping round, as a set of small ints pops them:
+        popping the lowest one each time revisits low nodes and pops half
+        as many again on the deductive tandem flattenings.  The order
+        changes the pops, not the fixpoint."""
+        attackers, reach = self.attackers, self.reach
+        finger = 1  # the lowest node the next pop looks at first
         while dirty:
-            y = dirty.pop()
-            atk = self.attackers[y]
-            seen = {doms[a] for a in atk}  # the distinct attacker domains
-            union, common = 0, _IN | _OUT | _UNDEC
-            for d in seen:
-                union |= d
-                common &= d
+            bit = dirty & -finger or dirty
+            bit &= -bit
+            dirty ^= bit
+            finger = bit << 1
+            y = bit.bit_length() - 1
+            atk = attackers[y]
+            every_out = atk & can_out == atk
+            some_in = atk & can_in
             allowed = 0
-            if common & _OUT:  # every attacker can be out
+            if every_out:
                 allowed |= _IN
-            if union & _IN:  # some attacker can be in
+            if some_in:
                 allowed |= _OUT
-            if _IN not in seen and union & _UNDEC:  # none is in, some can be undecided
-                allowed |= _UNDEC
-            if not narrow(y, allowed):
-                return False
-            dy = doms[y]
-            # Narrow the attackers, skipping rules that ``seen`` shows to hold.
+            if atk & can_undec and not some_in & ~(can_out | can_undec):
+                allowed |= _UNDEC  # none is in, some can be undecided
+            d = doms[y]
+            dy = d & allowed
+            if dy != d:
+                if not dy:
+                    return None
+                doms[y] = dy
+                gone = d ^ dy
+                if gone & _IN:
+                    can_in ^= bit
+                if gone & _OUT:
+                    can_out ^= bit
+                if gone & _UNDEC:
+                    can_undec ^= bit
+                dirty |= reach[y]
+            # Narrow the attackers, skipping rules that the masks show to hold.
             if dy == _IN:  # every attacker out
-                if union != _OUT and not all(narrow(a, _OUT) for a in atk):
-                    return False
+                hit = atk & (can_in | can_undec)
+                if hit & ~can_out:
+                    return None
+                can_in &= ~hit
+                can_undec &= ~hit
+                while hit:
+                    low = hit & -hit
+                    hit ^= low
+                    x = low.bit_length() - 1
+                    doms[x] = _OUT
+                    dirty |= reach[x]
             elif dy == _OUT:  # some attacker in
-                if _IN not in seen:
-                    can_in = [a for a in atk if doms[a] & _IN]
-                    if len(can_in) == 1 and not narrow(can_in[0], _IN):
-                        return False
+                hit = atk & can_in
+                if hit and not hit & (hit - 1) and hit & (can_out | can_undec):
+                    x = hit.bit_length() - 1  # the one attacker that can be in
+                    doms[x] = _IN
+                    can_out &= ~hit
+                    can_undec &= ~hit
+                    dirty |= reach[x]
             else:
                 if not dy & _OUT:  # no attacker in
-                    if union & _IN and not all(narrow(a, _OUT | _UNDEC) for a in atk):
-                        return False
-                if not dy & _IN and common & _OUT:  # some attacker not out
-                    not_out = [a for a in atk if doms[a] != _OUT]
-                    if len(not_out) == 1 and not narrow(not_out[0], _IN | _UNDEC):
-                        return False
-        return True
+                    hit = atk & can_in
+                    if hit & ~(can_out | can_undec):
+                        return None
+                    can_in &= ~hit
+                    while hit:
+                        low = hit & -hit
+                        hit ^= low
+                        x = low.bit_length() - 1
+                        doms[x] ^= _IN
+                        dirty |= reach[x]
+                if not dy & _IN and every_out:  # some attacker not out
+                    hit = atk & (can_in | can_undec)
+                    if hit and not hit & (hit - 1) and hit & can_out:
+                        x = hit.bit_length() - 1  # the one attacker that can be not out
+                        doms[x] ^= _OUT
+                        can_out ^= hit
+                        dirty |= reach[x]
+        return doms, can_in, can_out, can_undec
 
     def _verify(self, doms: list[int]) -> bool:
-        for y in range(self.n):
-            atk = [doms[a] for a in self.attackers[y]]
-            ly = doms[y]
-            if ly == _IN and not all(la == _OUT for la in atk):
+        """Check a full labelling against the complete-labelling rule,
+        reading the labels from ``doms`` alone."""
+        is_in = sum(1 << i for i, d in enumerate(doms) if d == _IN)
+        is_undec = sum(1 << i for i, d in enumerate(doms) if d == _UNDEC)
+        for d, atk in zip(doms, self.attackers):
+            if d == _IN and atk & (is_in | is_undec):
                 return False
-            if ly == _OUT and not any(la == _IN for la in atk):
+            if d == _OUT and not atk & is_in:
                 return False
-            if ly == _UNDEC and (any(la == _IN for la in atk) or _UNDEC not in atk):
+            if d == _UNDEC and (atk & is_in or not atk & is_undec):
                 return False
         return True
+
+
+def _drop(bit: int, labels: int, can_in: int, can_out: int, can_undec: int) -> tuple[int, int, int]:
+    """The three masks with node ``bit`` taken out of those of ``labels``."""
+    if labels & _IN:
+        can_in ^= bit
+    if labels & _OUT:
+        can_out ^= bit
+    if labels & _UNDEC:
+        can_undec ^= bit
+    return can_in, can_out, can_undec
 
 
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:

@@ -6,16 +6,19 @@ first written, over arguments and sets of ``NodeId``s: they read a
 framework's ``NodeId`` views and build their results through the public
 constructors.  ``jsbaf.arguments``, ``jsbaf.frameworks`` and
 ``jsbaf.semantics`` compute the same results through indexes and on node
-numbers; the tests assert that both agree.
+numbers; the tests assert that both agree.  Besides these, the label-domain
+search as first written, over a list of domains and a set of dirty nodes,
+and the sorting complement-pair finder.
 """
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from jsbaf.arguments import Argument
-from jsbaf.core import ArgumentationSystem, DefeasibleRule, complement
+from jsbaf.core import ArgumentationSystem, DefeasibleRule, Formula, complement
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
+from jsbaf.semantics import _IN, _OUT, _UNDEC
 
 
 def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> tuple[Argument, ...]:
@@ -182,3 +185,130 @@ def grounded_extension(af: AF) -> frozenset[NodeId]:
         if nxt == current:
             return current
         current = nxt
+
+
+def find_complement_pair(formulas: Iterable[Formula]) -> Optional[tuple[Formula, Formula]]:
+    """The pair (phi, ~phi) inside the set whose phi is least in formula
+    order, found by sorting the whole set; None when there is none."""
+    pool = set(formulas)
+    for phi in sorted(pool):
+        if phi.negation() in pool:
+            return (phi, phi.negation())
+    return None
+
+
+# Byte maps over domains: 1 where the domain holds in, and where it is not in.
+_CAN_IN = bytes(d & _IN for d in range(256))
+_NOT_IN = bytes(int(d != _IN) for d in range(256))
+
+
+class DomainSearch:
+    """The label-domain search over a list of domains and a set of dirty
+    nodes, which reads the distinct domains of a node's attackers through a
+    fresh set on every pop.  ``jsbaf.semantics._DomainSearch`` applies the
+    same rules on node masks, so it splits the same nodes and calls
+    ``_propagate`` as often."""
+
+    def __init__(self, af: AF):
+        self.n = len(af.node_table)
+        self.attackers = af.attacker_ids
+        self.targets = af.target_ids
+
+    def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
+        results = []
+        found: list[int] = []  # the nodes outside each in-set, one byte per node
+        stack = [([domain] * self.n, set(range(self.n)))]
+        while stack:
+            doms, dirty = stack.pop()
+            if not self._propagate(doms, dirty):
+                continue
+            if found:
+                can_in = int.from_bytes(bytes(doms).translate(_CAN_IN), "little")
+                if not all(can_in & outside for outside in found):
+                    continue
+            pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
+            if pivot is None:
+                if self._verify(doms):
+                    results.append(tuple(i for i, d in enumerate(doms) if d == _IN))
+                    if maximal:
+                        found.append(int.from_bytes(bytes(doms).translate(_NOT_IN), "little"))
+                continue
+            rest = doms.copy()
+            low = doms[pivot] & -doms[pivot]
+            rest[pivot] ^= low
+            doms[pivot] = low
+            stack.append((rest, {pivot, *self.targets[pivot]}))
+            stack.append((doms, {pivot, *self.targets[pivot]}))
+        return sorted(set(results))
+
+    def _propagate(self, doms: list[int], dirty: set[int]) -> bool:
+        """Narrow domains until quiescent; False once one becomes empty."""
+
+        def narrow(x: int, mask: int) -> bool:
+            new = doms[x] & mask
+            if new != doms[x]:
+                doms[x] = new
+                dirty.add(x)
+                dirty.update(self.targets[x])
+            return new != 0
+
+        while dirty:
+            y = dirty.pop()
+            atk = self.attackers[y]
+            seen = {doms[a] for a in atk}  # the distinct attacker domains
+            union, common = 0, _IN | _OUT | _UNDEC
+            for d in seen:
+                union |= d
+                common &= d
+            allowed = 0
+            if common & _OUT:  # every attacker can be out
+                allowed |= _IN
+            if union & _IN:  # some attacker can be in
+                allowed |= _OUT
+            if _IN not in seen and union & _UNDEC:  # none is in, some can be undecided
+                allowed |= _UNDEC
+            if not narrow(y, allowed):
+                return False
+            dy = doms[y]
+            # Narrow the attackers, skipping rules that ``seen`` shows to hold.
+            if dy == _IN:  # every attacker out
+                if union != _OUT and not all(narrow(a, _OUT) for a in atk):
+                    return False
+            elif dy == _OUT:  # some attacker in
+                if _IN not in seen:
+                    can_in = [a for a in atk if doms[a] & _IN]
+                    if len(can_in) == 1 and not narrow(can_in[0], _IN):
+                        return False
+            else:
+                if not dy & _OUT:  # no attacker in
+                    if union & _IN and not all(narrow(a, _OUT | _UNDEC) for a in atk):
+                        return False
+                if not dy & _IN and common & _OUT:  # some attacker not out
+                    not_out = [a for a in atk if doms[a] != _OUT]
+                    if len(not_out) == 1 and not narrow(not_out[0], _IN | _UNDEC):
+                        return False
+        return True
+
+    def _verify(self, doms: list[int]) -> bool:
+        for y in range(self.n):
+            atk = [doms[a] for a in self.attackers[y]]
+            ly = doms[y]
+            if ly == _IN and not all(la == _OUT for la in atk):
+                return False
+            if ly == _OUT and not any(la == _IN for la in atk):
+                return False
+            if ly == _UNDEC and (any(la == _IN for la in atk) or _UNDEC not in atk):
+                return False
+        return True
+
+
+def search_extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
+    """``semantics.extension_ids`` for complete, stable and preferred, on
+    ``DomainSearch``."""
+    if semantics == "complete":
+        return DomainSearch(af).run(_IN | _OUT | _UNDEC)
+    if semantics == "stable":
+        return DomainSearch(af).run(_IN | _OUT)
+    complete = DomainSearch(af).run(_IN | _OUT | _UNDEC, maximal=True)
+    sets = [frozenset(ext) for ext in complete]
+    return [ext for ext, s in zip(complete, sets) if not any(s < other for other in sets)]

@@ -5,6 +5,8 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import reference
+
 from jsbaf import (
     ArgumentationSystem,
     DefeasibleRule,
@@ -14,6 +16,7 @@ from jsbaf import (
     atom,
     complement,
     construct_arguments,
+    find_complement_pair,
     is_consistent,
     neg,
     strict_closure,
@@ -133,7 +136,89 @@ class TestConsistency:
         assert is_consistent(system) == brute
 
 
+def _f(text: str) -> Formula:
+    """``~~a`` and the like as a formula."""
+    atom_name = text.lstrip("~")
+    return Formula(atom_name, len(text) - len(atom_name))
+
+
+# Atoms that order differently as strings than by case, and negation depths
+# up to 40.
+deep_formulas = st.builds(
+    Formula, st.sampled_from(["a", "b", "B", "a_1", "ab"]), st.integers(0, 40)
+)
+
+
+class TestFindComplementPair:
+    """The pair minimal in formula order, without sorting the set;
+    ``reference.find_complement_pair`` sorts it."""
+
+    @pytest.mark.parametrize(
+        "texts, expected",
+        [
+            ([], None),
+            (["a"], None),
+            (["a", "~~a"], None),  # only one negation step counts
+            (["a", "~a"], ("a", "~a")),
+            (["~~a", "~a", "a"], ("a", "~a")),
+            (["~~a", "~~~a", "~b", "b"], ("~~a", "~~~a")),  # atom first
+            (["a", "~a", "B", "~B"], ("B", "~B")),  # "B" < "a"
+            (["~~~~b", "~~~~~b", "~a", "~~~a"], ("~~~~b", "~~~~~b")),
+            (["~" * 40 + "z", "~" * 39 + "z", "~" * 41 + "z"], ("~" * 39 + "z", "~" * 40 + "z")),
+            (["a", "~a", "a", "~a"], ("a", "~a")),  # repeats
+        ],
+    )
+    def test_table(self, texts, expected):
+        formulas = [_f(t) for t in texts]
+        pair = None if expected is None else (_f(expected[0]), _f(expected[1]))
+        assert find_complement_pair(formulas) == pair
+        assert find_complement_pair(iter(formulas)) == pair
+        assert reference.find_complement_pair(formulas) == pair
+
+    @given(st.lists(deep_formulas, max_size=30))
+    def test_agrees_with_the_sorting_definition(self, formulas):
+        expected = reference.find_complement_pair(formulas)
+        assert find_complement_pair(formulas) == expected
+        assert find_complement_pair(frozenset(formulas)) == expected
+
+    def test_builds_only_the_pair_it_returns(self, monkeypatch):
+        built = []
+        post_init = Formula.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        formulas = [_f(t) for t in ("~~c", "a", "~b", "~~b", "~~~b", "c")]
+        monkeypatch.setattr(Formula, "__post_init__", counted)
+        assert find_complement_pair(formulas) == (_f("~b"), _f("~~b"))
+        assert len(built) == 4  # the pair, and the two formulas of the assert
+        built.clear()
+        assert find_complement_pair(formulas[:2]) is None
+        assert built == []
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_is_consistent_is_unchanged(self, seed):
+        system = _random_raw_system(seed)
+        closure = strict_closure((), system.strict_rules)
+        assert is_consistent(system) == (reference.find_complement_pair(closure) is None)
+
+
 class TestSystemValidation:
+    def test_atoms_are_collected_once(self, monkeypatch):
+        system = ArgumentationSystem(
+            (strict_rule("s1", [atom("a")], neg("b")),),
+            (DefeasibleRule("d1", (), atom("c")),),
+            {"d1": neg(neg("n"))},
+        )
+        atoms = system.atoms
+        assert atoms == frozenset({"a", "b", "c", "n"})
+        # A later read walks no rule: it returns the set kept.
+        monkeypatch.setattr(
+            ArgumentationSystem, "strict_rules", property(lambda self: 1 / 0), raising=False
+        )
+        assert system.atoms is atoms
+
     def test_duplicate_rule_id_rejected(self):
         with pytest.raises(ValidationError):
             ArgumentationSystem(

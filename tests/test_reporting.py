@@ -403,10 +403,28 @@ class TestOneEvaluationPass:
         )
         assert stage_calls == {}
 
+    @pytest.mark.parametrize("command", ("eval", "oracle"))
+    def test_aspic_minus_refuses_prune_inert_before_any_stage(self, stage_calls, capsys, command):
+        argv = [command, "--file", str(TANDEM_PATH), "--mode", "aspic-minus"]
+        assert main([*argv, "--flatten", "prune-inert"]) == 2
+        assert capsys.readouterr() == (
+            "",
+            "error: --flatten prune-inert applies only to --mode deductive, "
+            "not --mode aspic-minus\n",
+        )
+        assert stage_calls == {}
+
+    def test_check_postulates_accepts_prune_inert(self, stage_calls, capsys):
+        """It evaluates both modes, and prunes the deductive flattening."""
+        assert main(["check-postulates", "--file", str(TANDEM_PATH), "--flatten", "prune-inert"]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 24
+        assert stage_calls["flattened_af"] == 1
+
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_runs_each_stage_once(self, stage_calls, capsys, mode):
         argv = ["oracle", "--file", str(TANDEM_PATH), "--mode", mode, "--semantics", "stable"]
-        assert main([*argv, "--flatten", "prune-inert", "--oracle-cap", "18"]) == 0
+        flatten = ["--flatten", "prune-inert"] if mode == "deductive" else []
+        assert main([*argv, *flatten, "--oracle-cap", "18"]) == 0
         assert capsys.readouterr().out.startswith("stable: OK")
         assert stage_calls == {
             "is_consistent": 1,

@@ -1,7 +1,9 @@
 """Extension engine: textbook cases, worked frameworks, oracle agreement."""
 
+import collections
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +18,7 @@ from jsbaf import (
     construct_arguments,
     evaluate,
     evaluate_postulates,
+    extension_ids,
     extensions,
     flattened_af,
     is_conflict_free_jsbaf,
@@ -360,9 +363,9 @@ def _propagation_calls(monkeypatch, system, mode, semantics):
     calls = []
     propagate = semantics_module._DomainSearch._propagate
 
-    def counted(self, doms, dirty):
+    def counted(self, doms, can_in, can_out, can_undec, dirty):
         calls.append(1)
-        return propagate(self, doms, dirty)
+        return propagate(self, doms, can_in, can_out, can_undec, dirty)
 
     monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", counted)
     evaluate(prepare(system), semantics, mode, max_nodes=1000)
@@ -392,6 +395,8 @@ def test_search_keeps_the_canonical_branching_order(monkeypatch, mode, semantics
         ("aspic-minus", 5, 3, 175),  # 273
         ("deductive", 5, 3, 199),  # the same as complete search
         ("deductive", 8, 7, 943),  # 945
+        ("aspic-minus", 6, 3, 3777),  # 4533
+        ("deductive", 6, 3, 3089),  # 3119
     ],
 )
 def test_preferred_search_drops_branches_inside_an_extension_found(
@@ -436,3 +441,66 @@ class TestPreferredBoundAgreesWithTheOracle:
             af = prepare(parse_system(SourceDocument(tandem_rules(n, k), "tandem"))).af
             assert len(af.node_table) <= ORACLE_NODE_CAP
             assert extensions(af, "preferred") == brute_force_extensions(af, "preferred")
+
+
+SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
+
+
+class TestReferenceKernel:
+    """``_DomainSearch`` against ``reference.DomainSearch``, the same rules
+    on a list of domains and a set of dirty nodes: the same extensions from
+    the same number of propagation calls, that is the same search tree.
+    The tandem systems are every tandem(n, k) with n <= 5, and (6, 1),
+    (6, 5) and (7, 6); the reference takes up to 9 s per semantics on the
+    others with n <= 7 (tandem(7, 4))."""
+
+    @pytest.fixture
+    def check(self, monkeypatch):
+        calls = collections.Counter()
+        for kernel in (semantics_module._DomainSearch, reference.DomainSearch):
+            propagate = kernel._propagate
+
+            def counted(self, *state, _kernel=kernel, _propagate=propagate):
+                calls[_kernel] += 1
+                return _propagate(self, *state)
+
+            monkeypatch.setattr(kernel, "_propagate", counted)
+
+        def check(af):
+            for sem in ("complete", "stable", "preferred"):
+                calls.clear()
+                got = extension_ids(af, sem)
+                assert got == reference.search_extension_ids(af, sem), sem
+                assert calls[semantics_module._DomainSearch] == calls[reference.DomainSearch], sem
+                table = af.node_table
+                assert_sound_extensions(af, sem, [frozenset(table[i] for i in e) for e in got])
+
+        return check
+
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    @pytest.mark.parametrize(
+        "n, k",
+        [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 1), (6, 5), (7, 6)],
+    )
+    def test_tandem(self, check, n, k, mode):
+        check(prepare(parse_system(SourceDocument(tandem_rules(n, k), "tandem"))).searched(mode))
+
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    def test_seed_38(self, check, mode):
+        system = parse_system(SourceDocument(SEED38_PATH.read_text(), str(SEED38_PATH)))
+        check(prepare(system).searched(mode))
+
+    def test_random_systems(self, check):
+        for seed in range(200):
+            prepared = prepare(random_system(SystemParams(6, 6, 6), seed).system)
+            check(prepared.af)
+            check(prepared.flat)
+
+    def test_random_frameworks(self, check):
+        check(AF(frozenset(), frozenset()))
+        check(AF(frozenset({base("a")}), frozenset({(base("a"), base("a"))})))
+        for seed in range(150):
+            af = random_af(3000 + seed, 12, (0.1, 0.25, 0.4)[seed % 3])  # self-attacks too
+            isolated = {base(f"z{i}") for i in range(seed % 4)}
+            check(af)
+            check(AF(af.nodes | isolated, af.attacks))
