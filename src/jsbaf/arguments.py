@@ -147,6 +147,10 @@ def construct_arguments(
 ) -> ArgumentStore:
     """Enumerate the argument store of ``system``.
 
+    Round d combines each rule only with sub-arguments whose deepest has
+    depth d - 1, so every (rule, subs) pair comes up in one round, once, and
+    needs no duplicate check.
+
     Raises LimitExceededError when the store would exceed ``max_arguments``,
     which signals a combinatorially explosive system rather than a
     recoverable condition.
@@ -156,7 +160,6 @@ def construct_arguments(
     )
     arguments: list[Argument] = []
     by_conclusion: dict[Formula, list[Argument]] = {}
-    seen: set[tuple[str, tuple[int, ...]]] = set()
     pruned = False
 
     def create(rule: Rule, subs: tuple[Argument, ...]):
@@ -165,7 +168,6 @@ def construct_arguments(
         arg = Argument(rule, subs, len(arguments))
         arguments.append(arg)
         by_conclusion.setdefault(arg.conclusion, []).append(arg)
-        seen.add((rule.id, tuple(s.ordinal for s in subs)))
 
     for rule in rules:
         if not rule.body:
@@ -183,13 +185,10 @@ def construct_arguments(
             for subs in itertools.product(*pools):
                 if max(s.depth for s in subs) != depth - 1:
                     continue
-                key = (rule.id, tuple(s.ordinal for s in subs))
-                if key in seen:
-                    continue
                 if any(rule.head in s.branch_conclusions for s in subs):
                     pruned = True
                     continue
-                candidates.append((rule.id, key[1], rule, subs))
+                candidates.append((rule.id, tuple(s.ordinal for s in subs), rule, subs))
                 if len(arguments) + len(candidates) > max_arguments:
                     raise LimitExceededError(max_arguments)
         if not candidates:

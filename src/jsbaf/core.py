@@ -137,12 +137,11 @@ class ArgumentationSystem:
     def atoms(self) -> frozenset[str]:
         """Atom vocabulary actually mentioned by the rules, collected on
         first read and kept."""
-        names = set()
+        formulas = [*self.undercut_names.values()]
         for rule in self.strict_rules + self.defeasible_rules:
-            names.add(rule.head.atom)
-            names.update(f.atom for f in rule.body)
-        names.update(f.atom for f in self.undercut_names.values())
-        return frozenset(names)
+            formulas.append(rule.head)
+            formulas += rule.body
+        return frozenset([f.atom for f in formulas])
 
 
 def strict_closure(seed: Iterable[Formula], rules: Iterable[StrictRule]) -> frozenset[Formula]:

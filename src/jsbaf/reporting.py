@@ -3,9 +3,10 @@
 Serialisation is canonical: every list is sorted, JSON keys are sorted, and
 identical inputs produce byte-identical output.  A JSON report is the text
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
-gives for it, plus a newline, written section by section straight from the
-``Evaluation``.  Its large lists are filled in from fixed templates: the
-attack lists row by row, and the witness records once per hits tuple.
+gives for it, plus a newline, written straight from the ``Evaluation`` by
+fixed templates of its sections: no report dict, no generic encoder.  Ids
+are quoted once per report, rule heads made text once, and each large
+section (attack lists, witness records) is one ``join``, written on its own.
 """
 
 from __future__ import annotations
@@ -16,13 +17,22 @@ from typing import Callable
 
 from .core import StrictRule
 from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId
-from .postulates import POSTULATES, Evaluation, PostulateReport, Verdict
+from .postulates import POSTULATES, Evaluation, Verdict
 
 REPORT_FORMATS = ("json", "text")
 
+# A JSON value that starts on a line at depth d has its members on lines
+# that start with _NL[d + 1], and its closing bracket on one of _NL[d].
+_NL = tuple("\n" + "  " * depth for depth in range(8))
 
-def _formula_list(formulas) -> list[str]:
-    return sorted(str(f) for f in formulas)
+
+def report_settings(
+    semantics: str, mode: str, flatten_mode: str, max_arguments: int, max_nodes: int
+) -> dict:
+    """The ``settings`` block of a full report and of a limit report."""
+    flatten = flatten_mode if mode == "deductive" else None
+    return {"semantics": semantics, "mode": mode, "flatten": flatten,
+            "max_arguments": max_arguments, "max_nodes": max_nodes}
 
 
 # Nodes are numbers into a framework's node table; each node's label is
@@ -47,230 +57,238 @@ def _attack_rows(framework: AF | JSBAF, names: list[str]):
             yield names[s], list(map(names.__getitem__, row))
 
 
-def _extension_list(framework: AF | JSBAF, extensions) -> list[list[str]]:
+def _extension_lists(framework: AF | JSBAF, extensions, names: list[str]) -> list[list[str]]:
+    """``extensions`` as lists of ``names``, sorted by their lists of labels."""
     labels = framework.labels
-    return sorted([labels[i] for i in ext] for ext in extensions)
+    exts = sorted(extensions, key=lambda ext: [labels[i] for i in ext])
+    return [[names[i] for i in ext] for ext in exts]
 
 
-def _support_list(j: JSBAF) -> list[tuple[list[str], str]]:
+def _support_lists(j: JSBAF, names: list[str]) -> list[tuple[list[str], str]]:
+    """The supports of ``j`` as (source names, target name), sorted by labels."""
     labels = j.labels
-    return sorted(([labels[i] for i in src], labels[dst]) for src, dst in j.support_ids)
+    supports = sorted(j.support_ids, key=lambda s: ([labels[i] for i in s[0]], labels[s[1]]))
+    return [([names[i] for i in src], names[dst]) for src, dst in supports]
 
 
-def _verdict_json(name: str, verdict: Verdict) -> dict:
-    out: dict = {"satisfied": verdict.satisfied}
-    if verdict.witness is None:
-        out["witness"] = None
-    elif name == "closure":
-        rule: StrictRule = verdict.witness
-        out["witness"] = {
-            "rule": rule.id,
-            "body": _formula_list(rule.body),
-            "missing_head": str(rule.head),
-        }
-    else:
-        out["witness"] = {"pair": _formula_list(verdict.witness)}
-    return out
-
-
-def _postulates_json(report: PostulateReport) -> dict:
-    return {name: _verdict_json(name, getattr(report, name)) for name in POSTULATES}
-
-
-def report_settings(
-    semantics: str, mode: str, flatten_mode: str, max_arguments: int, max_nodes: int
-) -> dict:
-    """The ``settings`` block of a full report and of a limit report."""
-    return {
-        "semantics": semantics,
-        "mode": mode,
-        "flatten": flatten_mode if mode == "deductive" else None,
-        "max_arguments": max_arguments,
-        "max_nodes": max_nodes,
-    }
-
-
-# The JSON writer.  ``depth`` is the nesting level of the line a value starts
-# on; its members are indented one level deeper, by two spaces per level.
-
-def _block(brackets: str, items: list[str], depth: int) -> str:
-    """A JSON list or object of already encoded ``items``."""
-    if not items:
-        return brackets
-    inner = "\n" + "  " * (depth + 1)
-    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
-
+# JSON templates: ``depth`` is that of the line a value starts on; ``names``
+# are a framework's quoted labels by node number, ``quoted`` the ids by ordinal.
 
 def _list(items: list[str], depth: int) -> str:
-    return _block("[]", items, depth)
+    """A JSON list of already encoded ``items``."""
+    if not items:
+        return "[]"
+    if len(items) == 1:
+        return f"[{_NL[depth + 1]}{items[0]}{_NL[depth]}]"
+    return f"[{_NL[depth + 1]}{(',' + _NL[depth + 1]).join(items)}{_NL[depth]}]"
 
 
-def _json(value, depth: int) -> str:
-    """A dict, list, str, int, bool or None as JSON, keys sorted."""
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, dict):
-        items = sorted(value.items())
-        return _block("{}", [f"{_quote(k)}: {_json(v, depth + 1)}" for k, v in items], depth)
-    if isinstance(value, (list, tuple)):
-        return _list([_json(v, depth + 1) for v in value], depth)
-    raise TypeError(f"a report holds no {type(value).__name__}")
+def _texts(texts, depth: int) -> str:
+    """A JSON list of ``texts``, sorted."""
+    return _list(list(map(_quote, sorted(texts))), depth)
 
 
-def _attacks_json(framework: AF | JSBAF, names: list[str], depth: int) -> str:
-    """The sorted label pairs of ``framework``'s attacks; ``names`` are its
-    quoted labels.  Each row is one ``join`` over its targets."""
-    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
-    rows = []
+def _rows(parts: list[str], depth: int) -> str:
+    """A large JSON list as one ``join`` of ``parts``, where each item comes
+    after a "," and its indent; the first "," becomes the opening bracket."""
+    if not parts:
+        return "[]"
+    parts[0] = "["
+    parts.append(_NL[depth] + "]")
+    return "".join(parts)
+
+
+def _flat_object(fields: dict, depth: int) -> str:
+    """A JSON object of str, int and None values (no bool), keys sorted."""
+    return "{" + ",".join(
+        f"{_NL[depth + 1]}{_quote(key)}: "
+        + (_quote(value) if isinstance(value, str) else "null" if value is None else str(value))
+        for key, value in sorted(fields.items())
+    ) + (_NL[depth] + "}" if fields else "}")
+
+
+def _arguments_json(ev: Evaluation, quoted: list[str]) -> tuple[str, dict[str, str]]:
+    """The argument records, and each conclusion as text, by argument id:
+    ``form`` and ``structure`` from the rule's arrow and head (text once per
+    rule) and the subs, which come first."""
+    i2, i3 = _NL[2], _NL[3]
+    rules: dict = {}  # rule id: (head, arrow and head, quoted head, quoted rule id)
+    records, structures, conclusion_of = [], [], {}
+    for arg in ev.store.arguments:
+        rule, subs = arg.rule, arg.subs
+        parts = rules.get(rule.id)
+        if parts is None:
+            head = str(rule.head)
+            tail = ("-> " if isinstance(rule, StrictRule) else "=> ") + head
+            parts = rules[rule.id] = (head, tail, _quote(head), _quote(rule.id))
+        conclusion_of[arg.canonical_id] = parts[0]
+        body = ",".join([s.canonical_id for s in subs]) + " " if subs else ""
+        tree = ",".join([structures[s.ordinal] for s in subs]) + " " if subs else ""
+        structures.append(f"({tree}{parts[1]})")
+        records.append(
+            f'{{{i3}"conclusion": {parts[2]},'
+            f'{i3}"defeasible": {"true" if arg.def_rule_ids else "false"},'
+            f'{i3}"form": {_quote(f"{arg.canonical_id}: {body}{parts[1]}")},'
+            f'{i3}"id": {quoted[arg.ordinal]},{i3}"rule": {parts[3]},'
+            f'{i3}"structure": {_quote(structures[-1])},'
+            f'{i3}"subs": {_list([quoted[s.ordinal] for s in subs], 3)}{i2}}}'
+        )
+    return _list(records, 1), conclusion_of
+
+
+def _verdict(verdict: Verdict, name: str) -> str:
+    """A verdict: a closure witness is {body, missing_head, rule}, any other {pair}."""
+    witness, i5, i6 = verdict.witness, _NL[5], _NL[6]
+    if witness is None:
+        encoded = "null"
+    elif name == "closure":
+        encoded = (f'{{{i6}"body": {_texts(map(str, witness.body), 6)},{i6}"missing_head": '
+                   f'{_quote(str(witness.head))},{i6}"rule": {_quote(witness.id)}{i5}}}')
+    else:
+        encoded = f'{{{i6}"pair": {_texts(map(str, witness), 6)}{i5}}}'
+    satisfied = "true" if verdict.satisfied else "false"
+    return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
+
+
+def _conclusion_sets_json(ev: Evaluation, quoted_id: dict, conclusion_of: dict) -> str:
+    """The conclusion sets, their conclusions read from their arguments."""
+    i3, i4 = _NL[3], _NL[4]
+    entries = []
+    for cs, report in zip(ev.conclusion_sets, ev.postulates):
+        postulates = ",".join(
+            f'{i4}"{name}": {_verdict(getattr(report, name), name)}' for name in POSTULATES
+        )
+        entries.append(
+            f'{{{i3}"conclusions": {_texts({conclusion_of[i] for i in cs.extension}, 3)},'
+            f'{i3}"extension": {_list([quoted_id[i] for i in cs.extension], 3)},'
+            f'{i3}"postulates": {{{postulates}{i3}}}{_NL[2]}}}'
+        )
+    return _list(entries, 1)
+
+
+def _attacks_json(framework: AF | JSBAF, names: list[str]) -> str:
+    """The sorted label pairs of ``framework``'s attacks, a row at a time."""
+    i3, i4, tail = _NL[3], _NL[4], _NL[3] + "]"
+    parts = []
     for s, targets in _attack_rows(framework, names):
-        head, tail = f"[{inner}{s},{inner}", f"{outer}]"
-        rows.append(head + f"{tail},{outer}{head}".join(targets) + tail)
-    return _list(rows, depth)
+        head = f"[{i4}{s},{i4}"
+        parts += (",", i3, head, f"{tail},{i3}{head}".join(targets), tail)
+    return _rows(parts, 2)
 
 
-def _arguments_json(ev: Evaluation, depth: int) -> str:
-    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
-    return _list([
-        f'{{{inner}"conclusion": {_quote(str(arg.conclusion))},'
-        f'{inner}"defeasible": {"true" if arg.defeasible else "false"},'
-        f'{inner}"form": {_quote(arg.form)},{inner}"id": {_quote(arg.canonical_id)},'
-        f'{inner}"rule": {_quote(arg.rule.id)},{inner}"structure": {_quote(arg.structure)},'
-        f'{inner}"subs": {_list([_quote(s.canonical_id) for s in arg.subs], depth + 2)}{outer}}}'
-        for arg in ev.store.arguments
-    ], depth)
-
-
-def _witnesses_json(ev: Evaluation, depth: int) -> str:
-    """The witness records, attacker by attacker.  Each hits tuple is
-    formatted once, into the record tails of its witnesses, and each
-    attacker's records are one ``join`` of its tails."""
-    inner, outer = "\n" + "  " * (depth + 2), "\n" + "  " * (depth + 1)
+def _witnesses_json(ev: Evaluation, quoted_id: dict[str, str]) -> str:
+    """The witness records, attacker by attacker.  Each hits tuple is made
+    into record tails once, and an attacker's records are a ``join`` of them."""
+    i3, i4 = _NL[3], _NL[4]
     tails_of: dict[int, list[str]] = {}
-    records = []
+    parts = []
     for attacker, hits in ev.witnesses.groups:
         tails = tails_of.get(id(hits))
         if tails is None:
             tails = tails_of[id(hits)] = [
-                f'"kind": {_quote(kind)},{inner}"on": {_quote(on)},'
-                f'{inner}"target": {_quote(target)}{outer}}}'
+                f'"kind": "{kind}",{i4}"on": {quoted_id[on]},'
+                f'{i4}"target": {quoted_id[target]}{i3}}}'
                 for target, kind, on in hits
             ]
-        head = f'{{{inner}"attacker": {_quote(attacker)},{inner}'
-        records.append(head + f",{outer}{head}".join(tails))
-    return _list(records, depth)
+        head = f'{{{i4}"attacker": {quoted_id[attacker]},{i4}'
+        parts += (",", i3, head, f",{i3}{head}".join(tails))
+    return _rows(parts, 2)
 
 
-def _flattened_entries(ev: Evaluation, settings: dict):
-    names = list(map(_quote, ev.flat.labels))
-    yield "attacks", _attacks_json(ev.flat, names, 2)
-    yield "extensions", _json(_extension_list(ev.flat, ev.raw_extensions), 2)
-    yield "mode", _json(settings["flatten"], 2)
-    yield "nodes", _list(names, 2)
-
-
-def _framework_entries(ev: Evaluation):
-    yield "attack_witnesses", _witnesses_json(ev, 2)
-    yield "attacks", _attacks_json(ev.framework, list(map(_quote, ev.framework.labels)), 2)
-    if ev.flat is not None:
-        yield "supports", _json(_support_list(ev.framework), 2)
-
-
-def _report_entries(ev: Evaluation, source: str, settings: dict, sets: list[dict], summary: dict):
-    """The entries of a full JSON report, in key order: (key, encoded value),
-    or (key, entries) for the two large nested objects."""
-    system = ev.store.system
-    yield "arguments", _arguments_json(ev, 1)
-    yield "conclusion_sets", _json(sets, 1)
-    yield "enumeration", _json(
-        {"count": len(ev.store), "acyclicity_pruned": ev.store.acyclicity_pruned}, 1
+def _write_json(ev: Evaluation, source: str, settings: dict, holds: list[bool], write) -> None:
+    """The JSON report, in key order.  Each large section is written on its
+    own, after a ``write`` that ends with its key, so that it is never copied
+    to put the key in front and is dropped before the next one is built."""
+    store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
+    ids = [arg.canonical_id for arg in store.arguments]
+    quoted = list(map(_quote, ids))
+    quoted_id = dict(zip(ids, quoted))
+    names = [quoted[o] for o in store.node_order]  # the framework's quoted labels
+    arguments, conclusion_of = _arguments_json(ev, quoted)
+    write(f'{{{i1}"arguments": ')
+    write(arguments)
+    del arguments
+    pruned = "true" if store.acyclicity_pruned else "false"
+    extensions = _extension_lists(ev.framework, ev.extensions, names)
+    write(
+        f',{i1}"conclusion_sets": {_conclusion_sets_json(ev, quoted_id, conclusion_of)},'
+        f'{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}{i1}}},'
+        f'{i1}"extensions": {_list([_list(e, 2) for e in extensions], 1)},'
     )
-    yield "extensions", _json(_extension_list(ev.framework, ev.extensions), 1)
-    if ev.flat is not None:
-        yield "flattened", _flattened_entries(ev, settings)
-    yield "framework", _framework_entries(ev)
-    yield "input", _json({
-        "source": source,
-        "atoms": sorted(system.atoms),
-        "strict_rules": len(system.strict_rules),
-        "defeasible_rules": len(system.defeasible_rules),
-        "undercut_names": len(system.undercut_names),
-        "consistent": ev.consistent,
-    }, 1)
-    yield "postulate_summary", _json(summary, 1)
-    yield "postulates_in_scope", _json(ev.consistent, 1)
-    yield "settings", _json(settings, 1)
-    yield "status", _json("ok", 1)
+    if flat is not None:
+        flat_names = list(map(_quote, flat.labels))
+        write(f'{i1}"flattened": {{{i2}"attacks": ')
+        write(_attacks_json(flat, flat_names))
+        mode = "null" if settings["flatten"] is None else _quote(settings["flatten"])
+        extensions = _extension_lists(flat, ev.raw_extensions, flat_names)
+        write(
+            f',{i2}"extensions": {_list([_list(e, 3) for e in extensions], 2)},'
+            f'{i2}"mode": {mode},{i2}"nodes": {_list(flat_names, 2)}{i1}}},'
+        )
+    write(f'{i1}"framework": {{{i2}"attack_witnesses": ')
+    write(_witnesses_json(ev, quoted_id))
+    write(f',{i2}"attacks": ')
+    write(_attacks_json(ev.framework, names))
+    if flat is not None:
+        i3, i4, supports = _NL[3], _NL[4], _support_lists(ev.framework, names)
+        write(f',{i2}"supports": ' + _list(
+            [f"[{i4}{_list(src, 4)},{i4}{dst}{i3}]" for src, dst in supports], 2))
+    consistent = "true" if ev.consistent else "false"
+    summary = ",".join(f'{i2}"{name}": "{"satisfied" if held else "violated"}"'
+                       for name, held in zip(POSTULATES, holds))
+    write(
+        f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(system.atoms, 2)},'
+        f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
+        f'{i2}"source": {_quote(source)},{i2}"strict_rules": {len(system.strict_rules)},'
+        f'{i2}"undercut_names": {len(system.undercut_names)}{i1}}},'
+        f'{i1}"postulate_summary": {{{summary}{i1}}},{i1}"postulates_in_scope": {consistent},'
+        f'{i1}"settings": {_flat_object(settings, 1)},{i1}"status": "ok"\n}}\n'
+    )
 
 
-def _write_object(entries, depth: int, write) -> None:
-    """Write a JSON object from its lazily built ``entries``, one ``write``
-    per entry, so that only one large value is alive at a time."""
-    indent = "\n" + "  " * (depth + 1)
-    separator = "{"
-    for key, value in entries:
-        head = f"{separator}{indent}{_quote(key)}: "
-        if isinstance(value, str):
-            write(head + value)
-        else:
-            write(head)
-            _write_object(value, depth + 1, write)
-        separator = ","
-    write("\n" + "  " * depth + "}")
+def _witness_text(name: str, witness) -> str:
+    """A witness as the text report shows it: its JSON object as a Python dict."""
+    if witness is None:
+        return "None"
+    if name == "closure":
+        body, head = sorted(map(str, witness.body)), str(witness.head)
+        return f"{{'rule': {witness.id!r}, 'body': {body!r}, 'missing_head': {head!r}}}"
+    return f"{{'pair': {sorted(map(str, witness))!r}}}"
 
 
-def _lines(*lines: str) -> str:
-    return "".join(line + "\n" for line in lines)
-
-
-def _write_text(
-    ev: Evaluation, source: str, settings: dict, sets: list[dict], summary: dict, write
-) -> None:
-    system = ev.store.system
+def _write_text(ev: Evaluation, source: str, settings: dict, holds: list[bool], write) -> None:
+    system, labels = ev.store.system, ev.framework.labels
     flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
-    write(_lines(
+    write("\n".join([
         f"source: {source}",
         f"system: {len(system.strict_rules)} strict, {len(system.defeasible_rules)} defeasible, "
         f"{len(system.undercut_names)} named, consistent={str(ev.consistent).lower()}",
         f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}",
-        "",
-        f"arguments ({len(ev.store)}):",
-        *(f"  {arg.form}" for arg in ev.store.arguments),
-        "",
-        "attacks:",
-    ))
+        "", f"arguments ({len(ev.store)}):", *(f"  {arg.form}" for arg in ev.store.arguments),
+        "", "attacks:\n",
+    ]))
     write("".join(
         f"  {s} -> " + f"\n  {s} -> ".join(targets) + "\n"
-        for s, targets in _attack_rows(ev.framework, ev.framework.labels)
+        for s, targets in _attack_rows(ev.framework, labels)
     ))
-    if ev.flat is not None:
-        write(_lines(
-            "supports:",
-            *(
-                f"  {{{','.join(src)}}} => {dst}"
-                for src, dst in _support_list(ev.framework)
-            ),
-            f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
-            f"{sum(map(len, ev.flat.target_ids))} attacks",
-        ))
-    tail = ["", f"extensions ({settings['semantics']}):"]
-    tail += ["  {" + ",".join(ext) + "}" for ext in _extension_list(ev.framework, ev.extensions)]
-    tail += ["", "conclusion sets:"]
-    for entry in sets:
-        tail.append("  {" + ", ".join(entry["conclusions"]) + "}")
+    tail = [] if ev.flat is None else ["supports:", *(
+        f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
+    ), f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
+       f"{sum(map(len, ev.flat.target_ids))} attacks"]
+    exts = _extension_lists(ev.framework, ev.extensions, labels)
+    tail += ["", f"extensions ({settings['semantics']}):"]
+    tail += ["  {" + ",".join(e) + "}" for e in exts] + ["", "conclusion sets:"]
+    for cs, report in zip(ev.conclusion_sets, ev.postulates):
+        tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
         for name in POSTULATES:
-            verdict = entry["postulates"][name]
-            state = "satisfied" if verdict["satisfied"] else f"VIOLATED ({verdict['witness']})"
-            tail.append(f"    {name}: {state}")
-    tail += ["", "summary: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))]
+            verdict = getattr(report, name)
+            tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
+                f"VIOLATED ({_witness_text(name, verdict.witness)})")))
+    tail += ["", "summary: " + ", ".join(f"{name}={'satisfied' if held else 'violated'}"
+                                         for name, held in zip(POSTULATES, holds))]
     if not ev.consistent:
         tail.append("note: system is inconsistent; postulate verdicts are out of scope")
-    write(_lines(*tail))
+    write("\n".join(tail) + "\n")
 
 
 def write_report(
@@ -280,26 +298,14 @@ def write_report(
     through ``write``, calling it a fixed number of times whatever the
     report's size; ``settings`` is its ``report_settings`` block.  Returns
     whether every postulate holds on every conclusion set."""
-    sets = [
-        {
-            "extension": list(cs.extension),
-            "conclusions": _formula_list(cs.formulas),
-            "postulates": _postulates_json(verdicts),
-        }
-        for cs, verdicts in zip(ev.conclusion_sets, ev.postulates)
-    ]
-    summary = {
-        name: "satisfied" if all(e["postulates"][name]["satisfied"] for e in sets) else "violated"
-        for name in POSTULATES
-    }
+    holds = [all(getattr(r, name).satisfied for r in ev.postulates) for name in POSTULATES]
     if fmt == "json":
-        _write_object(_report_entries(ev, source, settings, sets, summary), 0, write)
-        write("\n")
+        _write_json(ev, source, settings, holds, write)
     elif fmt == "text":
-        _write_text(ev, source, settings, sets, summary, write)
+        _write_text(ev, source, settings, holds, write)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    return "violated" not in summary.values()
+    return all(holds)
 
 
 def write_limit_report(
@@ -307,23 +313,17 @@ def write_limit_report(
 ) -> None:
     """Write the minimal report of a run stopped by an enumeration or search
     limit, in one call of ``write``."""
-    detail: dict = {"type": type(error).__name__, "message": str(error)}
-    for attr in ("limit", "bound", "nodes"):
-        if hasattr(error, attr):
-            detail[attr] = getattr(error, attr)
+    detail = {"type": type(error).__name__, "message": str(error)}
+    detail.update((a, getattr(error, a)) for a in ("limit", "bound", "nodes") if hasattr(error, a))
     if fmt == "json":
-        report = {
-            "input": {"source": source},
-            "settings": settings,
-            "status": "limit-exceeded",
-            "error": detail,
-        }
-        write(_json(report, 0) + "\n")
+        i1 = _NL[1]
+        write(
+            f'{{{i1}"error": {_flat_object(detail, 1)},'
+            f'{i1}"input": {{{_NL[2]}"source": {_quote(source)}{i1}}},'
+            f'{i1}"settings": {_flat_object(settings, 1)},{i1}"status": "limit-exceeded"\n}}\n'
+        )
     elif fmt == "text":
-        write(_lines(
-            f"source: {source}",
-            f"status: limit-exceeded ({detail['type']}: {detail['message']})",
-        ))
+        write(f"source: {source}\nstatus: limit-exceeded ({detail['type']}: {detail['message']})\n")
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 

@@ -8,9 +8,12 @@ constructors.  ``jsbaf.arguments``, ``jsbaf.frameworks`` and
 ``jsbaf.semantics`` compute the same results through indexes and on node
 numbers; the tests assert that both agree.  Besides these, the label-domain
 search as first written, over a list of domains and a set of dirty nodes,
-and the sorting complement-pair finder.
+the sorting complement-pair finder, and the report writers as first
+written: the report built as a dict and encoded by a generic recursive JSON
+encoder, and the text report read from the same dicts.
 """
 
+from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
 from jsbaf.arguments import Argument
@@ -18,6 +21,7 @@ from jsbaf.core import ArgumentationSystem, DefeasibleRule, Formula, complement
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
+from jsbaf.postulates import POSTULATES
 from jsbaf.semantics import _IN, _OUT, _UNDEC
 
 
@@ -312,3 +316,202 @@ def search_extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
     complete = DomainSearch(af).run(_IN | _OUT | _UNDEC, maximal=True)
     sets = [frozenset(ext) for ext in complete]
     return [ext for ext, s in zip(complete, sets) if not any(s < other for other in sets)]
+
+
+def _block(brackets: str, items: list[str], depth: int) -> str:
+    """A JSON list or object of already encoded ``items``, starting on a
+    line at ``depth``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + "  " * depth + brackets[1]
+
+
+def _json(value, depth: int) -> str:
+    """A dict, list, str, int, bool or None as JSON, keys sorted: what
+    ``json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)``
+    gives, for a value that starts on a line at ``depth``."""
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, dict):
+        items = sorted(value.items())
+        return _block("{}", [f"{_quote(k)}: {_json(v, depth + 1)}" for k, v in items], depth)
+    if isinstance(value, (list, tuple)):
+        return _block("[]", [_json(v, depth + 1) for v in value], depth)
+    raise TypeError(f"a report holds no {type(value).__name__}")
+
+
+def _formula_list(formulas) -> list[str]:
+    return sorted(str(f) for f in formulas)
+
+
+def _verdict_json(name: str, verdict) -> dict:
+    out: dict = {"satisfied": verdict.satisfied}
+    if verdict.witness is None:
+        out["witness"] = None
+    elif name == "closure":
+        rule = verdict.witness
+        out["witness"] = {
+            "rule": rule.id,
+            "body": _formula_list(rule.body),
+            "missing_head": str(rule.head),
+        }
+    else:
+        out["witness"] = {"pair": _formula_list(verdict.witness)}
+    return out
+
+
+def _label_pairs(framework) -> list[list[str]]:
+    return sorted([s.label, d.label] for s, d in framework.attacks)
+
+
+def _extension_list(framework, extensions) -> list[list[str]]:
+    labels = framework.labels
+    return sorted([labels[i] for i in ext] for ext in extensions)
+
+
+def _support_list(j: JSBAF) -> list[tuple[list[str], str]]:
+    labels = j.labels
+    return sorted(([labels[i] for i in src], labels[dst]) for src, dst in j.support_ids)
+
+
+def _report(ev, source: str, settings: dict, sets: list[dict], summary: dict) -> dict:
+    """The full report of ``ev`` as a dict."""
+    system = ev.store.system
+    framework = {
+        "attack_witnesses": [w._asdict() for w in ev.witnesses],
+        "attacks": _label_pairs(ev.framework),
+    }
+    report = {
+        "arguments": [
+            {
+                "conclusion": str(arg.conclusion),
+                "defeasible": arg.defeasible,
+                "form": arg.form,
+                "id": arg.canonical_id,
+                "rule": arg.rule.id,
+                "structure": structure(arg),
+                "subs": [s.canonical_id for s in arg.subs],
+            }
+            for arg in ev.store.arguments
+        ],
+        "conclusion_sets": sets,
+        "enumeration": {"count": len(ev.store), "acyclicity_pruned": ev.store.acyclicity_pruned},
+        "extensions": _extension_list(ev.framework, ev.extensions),
+        "framework": framework,
+        "input": {
+            "source": source,
+            "atoms": sorted(system.atoms),
+            "strict_rules": len(system.strict_rules),
+            "defeasible_rules": len(system.defeasible_rules),
+            "undercut_names": len(system.undercut_names),
+            "consistent": ev.consistent,
+        },
+        "postulate_summary": summary,
+        "postulates_in_scope": ev.consistent,
+        "settings": settings,
+        "status": "ok",
+    }
+    if ev.flat is not None:
+        framework["supports"] = _support_list(ev.framework)
+        report["flattened"] = {
+            "attacks": _label_pairs(ev.flat),
+            "extensions": _extension_list(ev.flat, ev.raw_extensions),
+            "mode": settings["flatten"],
+            "nodes": list(ev.flat.labels),
+        }
+    return report
+
+
+def _lines(*lines: str) -> str:
+    return "".join(line + "\n" for line in lines)
+
+
+def _write_text(ev, source: str, settings: dict, sets: list[dict], summary: dict, write) -> None:
+    system = ev.store.system
+    flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
+    lines = [
+        f"source: {source}",
+        f"system: {len(system.strict_rules)} strict, {len(system.defeasible_rules)} defeasible, "
+        f"{len(system.undercut_names)} named, consistent={str(ev.consistent).lower()}",
+        f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}",
+        "",
+        f"arguments ({len(ev.store)}):",
+        *(f"  {arg.form}" for arg in ev.store.arguments),
+        "",
+        "attacks:",
+        *(f"  {s} -> {d}" for s, d in _label_pairs(ev.framework)),
+    ]
+    if ev.flat is not None:
+        lines.append("supports:")
+        lines += [f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_list(ev.framework)]
+        lines.append(
+            f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
+            f"{sum(map(len, ev.flat.target_ids))} attacks"
+        )
+    lines += ["", f"extensions ({settings['semantics']}):"]
+    lines += ["  {" + ",".join(ext) + "}" for ext in _extension_list(ev.framework, ev.extensions)]
+    lines += ["", "conclusion sets:"]
+    for entry in sets:
+        lines.append("  {" + ", ".join(entry["conclusions"]) + "}")
+        for name in POSTULATES:
+            verdict = entry["postulates"][name]
+            state = "satisfied" if verdict["satisfied"] else f"VIOLATED ({verdict['witness']})"
+            lines.append(f"    {name}: {state}")
+    lines += ["", "summary: " + ", ".join(f"{k}={v}" for k, v in sorted(summary.items()))]
+    if not ev.consistent:
+        lines.append("note: system is inconsistent; postulate verdicts are out of scope")
+    write(_lines(*lines))
+
+
+def write_report(ev, source: str, settings: dict, fmt: str, write) -> bool:
+    """``reporting.write_report``, from the report dict: JSON through
+    ``_json``, text from the conclusion-set and summary dicts."""
+    sets = [
+        {
+            "extension": list(cs.extension),
+            "conclusions": _formula_list(cs.formulas),
+            "postulates": {name: _verdict_json(name, getattr(v, name)) for name in POSTULATES},
+        }
+        for cs, v in zip(ev.conclusion_sets, ev.postulates)
+    ]
+    summary = {
+        name: "satisfied" if all(e["postulates"][name]["satisfied"] for e in sets) else "violated"
+        for name in POSTULATES
+    }
+    if fmt == "json":
+        write(_json(_report(ev, source, settings, sets, summary), 0) + "\n")
+    elif fmt == "text":
+        _write_text(ev, source, settings, sets, summary, write)
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")
+    return "violated" not in summary.values()
+
+
+def write_limit_report(source: str, settings: dict, error: Exception, fmt: str, write) -> None:
+    """``reporting.write_limit_report``, from the report dict."""
+    detail: dict = {"type": type(error).__name__, "message": str(error)}
+    for attr in ("limit", "bound", "nodes"):
+        if hasattr(error, attr):
+            detail[attr] = getattr(error, attr)
+    if fmt == "json":
+        report = {
+            "input": {"source": source},
+            "settings": settings,
+            "status": "limit-exceeded",
+            "error": detail,
+        }
+        write(_json(report, 0) + "\n")
+    elif fmt == "text":
+        write(_lines(
+            f"source: {source}",
+            f"status: limit-exceeded ({detail['type']}: {detail['message']})",
+        ))
+    else:
+        raise ValueError(f"unknown report format {fmt!r}")

@@ -30,11 +30,14 @@ from jsbaf import (
 )
 from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
-from jsbaf.reporting import _attack_rows, report_settings, write_limit_report
+from jsbaf.reporting import REPORT_FORMATS, _attack_rows, report_settings, write_limit_report
+from jsbaf.semantics import FLATTEN_MODES
 
+import reference
 from conftest import TANDEM_PATH, tandem_rules
 
 DATA = Path(__file__).resolve().parent / "data"
+SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
 
 
 class TestApx:
@@ -164,15 +167,21 @@ class TestReports:
         assert "{A1,A2,A3,A4,A5,A9}" in text
         assert "summary: closure=satisfied" in text
 
-    def test_limit_report_names_the_limit(self):
-        rendered, calls = written(
-            write_limit_report, "f.rules", {"semantics": "preferred"}, LimitExceededError(3), "json"
-        )
-        report = json.loads(rendered)
-        assert report["status"] == "limit-exceeded"
-        assert report["error"]["limit"] == 3
-        assert report["error"]["type"] == "LimitExceededError"
-        assert calls == 1
+    def test_limit_report_names_the_limit(self, tandem_system):
+        """Both limit errors, the second raised by the library; their detail
+        keys differ, and are written sorted."""
+        with pytest.raises(SearchLimitExceededError) as info:
+            evaluate(prepare(tandem_system), "preferred", "deductive", 5)
+        cases = ((LimitExceededError(3), {"limit": 3}), (info.value, {"bound": 5, "nodes": 21}))
+        for exc, detail in cases:
+            rendered, calls = written(
+                write_limit_report, "f.rules", {"semantics": "preferred"}, exc, "json"
+            )
+            report = json.loads(rendered)
+            assert report["status"] == "limit-exceeded"
+            assert report["error"] == {"type": type(exc).__name__, "message": str(exc), **detail}
+            assert_canonical(rendered)
+            assert calls == 1
 
     def test_flattened_section_lists_extensions(self, tandem_system):
         report = preferred_report(tandem_system, "deductive", "prune-inert")
@@ -292,13 +301,110 @@ class TestReportBytes:
 
     @pytest.mark.parametrize("fmt", ("json", "text"))
     def test_write_calls_do_not_grow_with_the_report(self, fmt):
-        calls = set()
-        for n, k in ((3, 2), (7, 3)):
-            system = parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
-            ev = evaluate(prepare(system), "grounded", "deductive")
-            settings = report_settings("grounded", "deductive", "literal", 5000, DEFAULT_NODE_BOUND)
-            calls.add(written(write_report, ev, "tandem", settings, fmt)[1])
-        assert len(calls) == 1
+        """One count per mode, whatever the report holds: small and large
+        reports, violated postulates, no extension at all."""
+        # Each rule undercuts the next, round a cycle of three: no stable extension.
+        odd_cycle = "".join(
+            f"defeasible d{i}: => ~x{j}\nname d{j} = x{j}\n" for i, j in ((1, 2), (2, 3), (3, 1))
+        )
+        cases = [
+            (tandem_rules(3, 2), "grounded"),
+            (tandem_rules(7, 3), "grounded"),
+            (tandem_rules(3, 2), "preferred"),
+            (odd_cycle, "stable"),
+        ]
+        calls = collections.defaultdict(set)
+        verdicts, empty = set(), set()
+        for text, semantics in cases:
+            prepared = prepare(parse_system(SourceDocument(text, "f.rules")))
+            for mode in MODES:
+                ev = evaluate(prepared, semantics, mode)
+                settings = report_settings(semantics, mode, "literal", 5000, DEFAULT_NODE_BOUND)
+                chunks = []
+                verdicts.add(write_report(ev, "f.rules", settings, fmt, chunks.append))
+                calls[mode].add(len(chunks))
+                empty.add(not ev.extensions)
+        assert verdicts == {True, False} and empty == {True, False}
+        assert set(calls) == set(MODES)
+        assert all(len(counts) == 1 for counts in calls.values())
+
+
+def output(writer, *args):
+    """What ``writer(*args, write)`` returns, and what it writes."""
+    chunks = []
+    return writer(*args, chunks.append), "".join(chunks)
+
+
+def assert_as_reference(
+    system, source="f.rules", semantics=SEMANTICS, flatten_mode="literal",
+    max_arguments=DEFAULT_MAX_ARGUMENTS, max_nodes=DEFAULT_NODE_BOUND,
+):
+    """Every report of ``system``, in both modes and formats, is byte for
+    byte the reference writer's, and so is the limit report of a run that
+    goes over a limit."""
+    try:
+        prepared, error = prepare(system, max_arguments, flatten_mode, False), None
+    except LimitExceededError as exc:
+        prepared, error = None, exc
+    for mode in MODES:
+        for name in semantics:
+            settings = report_settings(name, mode, flatten_mode, max_arguments, max_nodes)
+            if prepared is not None:
+                try:
+                    ev, error = evaluate(prepared, name, mode, max_nodes), None
+                except SearchLimitExceededError as exc:
+                    error = exc
+            for fmt in REPORT_FORMATS:
+                if error is None:
+                    args = (ev, source, settings, fmt)
+                    assert output(write_report, *args) == output(reference.write_report, *args)
+                else:
+                    args = (source, settings, error, fmt)
+                    expected = output(reference.write_limit_report, *args)
+                    assert output(write_limit_report, *args) == expected
+
+
+def tandem(n, k):
+    return parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+
+
+class TestReferenceWriter:
+    """The report writer against ``reference.write_report``, which builds
+    the report as a dict and encodes it with a generic encoder."""
+
+    def test_random_systems(self):
+        params = SystemParams(6, 6, 6)
+        for seed in range(200):
+            assert_as_reference(random_system(params, seed).system, f"random-{seed}.rules")
+
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
+    def test_tandem_grounded(self, n, k):
+        assert_as_reference(tandem(n, k), semantics=("grounded",))
+
+    @pytest.mark.parametrize("flatten_mode", FLATTEN_MODES)
+    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+    def test_tandem_every_semantics(self, n, k, flatten_mode):
+        assert_as_reference(tandem(n, k), flatten_mode=flatten_mode)
+
+    def test_seed38_grounded(self):
+        text = SEED38_PATH.read_text(encoding="utf-8")
+        system = parse_system(SourceDocument(text, "seed38.rules"))
+        assert_as_reference(system, semantics=("grounded",))
+
+    @pytest.mark.parametrize("text", ("", "# comments only\n\n# and a blank line\n"))
+    def test_empty_systems(self, text):
+        assert_as_reference(parse_system(SourceDocument(text, "empty.rules")))
+
+    def test_inconsistent_system(self):
+        text = "strict s1: -> p\nstrict s2: -> ~p\ndefeasible d1: => q\nstrict s3: q -> r\n"
+        assert_as_reference(parse_system(SourceDocument(text, "inconsistent.rules")))
+
+    def test_escaped_source(self, tandem_system):
+        assert_as_reference(tandem_system, 'quote" back\\slash\ttab \u00fcber.rules')
+
+    def test_limit_reports(self, tandem_system):
+        assert_as_reference(tandem_system, max_arguments=3)
+        assert_as_reference(tandem_system, semantics=("preferred",), max_nodes=5)
 
 
 # ``_attack_edges`` builds the int attack relation that the AF and the JSBAF
