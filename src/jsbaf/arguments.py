@@ -37,8 +37,12 @@ DEFAULT_MAX_ARGUMENTS = 5000  # largest store ``construct_arguments`` builds by 
 
 
 class Argument:
-    """A rule application over sub-arguments; immutable after creation,
-    except for ``structure``, which is computed on first read."""
+    """A rule application over sub-arguments; immutable after creation.
+
+    ``form`` (e.g. ``A7: A5,A6 -> ~ht``, or ``A1: -> hw`` for an empty body)
+    and ``structure``, the fully expanded tree (e.g. ``((-> hw) => ht)``),
+    are built here, once, from the subs' strings and ``tail``, the top
+    rule's arrow and head as text (e.g. ``-> ~ht``)."""
 
     __slots__ = (
         "rule",
@@ -46,25 +50,21 @@ class Argument:
         "ordinal",
         "canonical_id",
         "conclusion",
-        "def_rule_ids",
+        "defeasible",
         "depth",
         "branch_conclusions",
         "sub_arguments",
-        "_structure",
+        "form",
+        "structure",
     )
 
-    def __init__(self, rule: Rule, subs: tuple["Argument", ...], ordinal: int):
+    def __init__(self, rule: Rule, subs: tuple["Argument", ...], ordinal: int, tail: str):
         self.rule = rule
         self.subs = subs
         self.ordinal = ordinal
         self.canonical_id = f"A{ordinal + 1}"
         self.conclusion: Formula = rule.head
-        def_ids: set[str] = set()
-        for sub in subs:
-            def_ids |= sub.def_rule_ids
-        if isinstance(rule, DefeasibleRule):
-            def_ids.add(rule.id)
-        self.def_rule_ids = frozenset(def_ids)
+        self.defeasible = isinstance(rule, DefeasibleRule) or any(s.defeasible for s in subs)
         self.depth = 1 + max((sub.depth for sub in subs), default=0)
         concs: set[Formula] = {rule.head}
         sub_args: set[Argument] = {self}
@@ -73,41 +73,20 @@ class Argument:
             sub_args |= sub.sub_arguments
         self.branch_conclusions = frozenset(concs)
         self.sub_arguments = frozenset(sub_args)
-        self._structure: str | None = None
-
-    @property
-    def defeasible(self) -> bool:
-        return bool(self.def_rule_ids)
+        if subs:
+            self.form = f"{self.canonical_id}: {','.join([s.canonical_id for s in subs])} {tail}"
+            self.structure = f"({','.join([s.structure for s in subs])} {tail})"
+        else:
+            self.form, self.structure = f"{self.canonical_id}: {tail}", f"({tail})"
 
     @property
     def top_rule_strict(self) -> bool:
         return isinstance(self.rule, StrictRule)
 
     @property
-    def arrow(self) -> str:
-        return "->" if self.top_rule_strict else "=>"
-
-    @property
     def compact(self) -> str:
         """E.g. ``r5(A5,A6)``."""
         return f"{self.rule.id}({','.join(s.canonical_id for s in self.subs)})"
-
-    @property
-    def form(self) -> str:
-        """E.g. ``A7: A5,A6 -> ~ht``; empty body renders as ``A1: -> hw``."""
-        body = ",".join(s.canonical_id for s in self.subs)
-        lhs = f"{body} " if body else ""
-        return f"{self.canonical_id}: {lhs}{self.arrow} {self.conclusion}"
-
-    @property
-    def structure(self) -> str:
-        """Fully expanded tree, e.g. ``((-> hw) => ht)``; built on first
-        read, from the subs' strings, and kept."""
-        if self._structure is None:
-            body = ",".join(s.structure for s in self.subs)
-            lhs = f"{body} " if body else ""
-            self._structure = f"({lhs}{self.arrow} {self.conclusion})"
-        return self._structure
 
     def __repr__(self) -> str:
         return f"<{self.form}>"
@@ -161,11 +140,12 @@ def construct_arguments(
     arguments: list[Argument] = []
     by_conclusion: dict[Formula, list[Argument]] = {}
     pruned = False
+    tails = {r.id: ("-> " if isinstance(r, StrictRule) else "=> ") + str(r.head) for r in rules}
 
     def create(rule: Rule, subs: tuple[Argument, ...]):
         if len(arguments) >= max_arguments:
             raise LimitExceededError(max_arguments)
-        arg = Argument(rule, subs, len(arguments))
+        arg = Argument(rule, subs, len(arguments), tails[rule.id])
         arguments.append(arg)
         by_conclusion.setdefault(arg.conclusion, []).append(arg)
 
@@ -258,7 +238,7 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
     undercuttable: dict[tuple[str, int], list[Argument]] = {}
     supers: dict[Argument, list[Argument]] = {}
     for arg in args:
-        if arg.def_rule_ids:
+        if arg.defeasible:
             key = (arg.conclusion.atom, arg.conclusion.negations)
             rebuttable.setdefault(key, []).append(arg)
         if isinstance(arg.rule, DefeasibleRule) and arg.rule.id in names:
@@ -321,13 +301,14 @@ def build_aspic_minus_af(store: ArgumentStore, witnesses: AttackWitnesses) -> AF
 def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
     """One support per strict-top argument: its set of immediate
     sub-arguments (possibly empty) supports it.  Node numbers as in
-    ``ArgumentStore.node_order``, each source in ascending order."""
+    ``ArgumentStore.node_order``, each source in ascending order, the
+    supports sorted, as ``JSBAF(...)`` sorts them."""
     number = store.node_number
-    return [
+    return sorted(
         (tuple(sorted({number[s.ordinal] for s in arg.subs})), number[arg.ordinal])
         for arg in store.arguments
         if arg.top_rule_strict
-    ]
+    )
 
 
 def build_da_jsbaf(store: ArgumentStore, af: AF) -> JSBAF:

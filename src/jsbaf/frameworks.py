@@ -28,6 +28,13 @@ endpoint is a node; the flattening stages and the builders in
 ``arguments`` make frameworks whose ints are right by construction, and
 skip that check.
 
+Every framework the pipeline builds numbers its nodes in label order too:
+its labels are made of argument ids ``A<n>`` (sorted as text),
+``bar(...)`` and ``e(...,...)``, and for these text order equals key order,
+since ")" and "," sort below the digits and "A" < "b" < "e".  So reports
+write its nodes, rows, extensions and supports unsorted.  (Other labels
+need not keep this: ``bar(a)`` sorts as text before ``c``.)
+
 A JSBAF's nodes are arguments (``BaseNode``s); bars and e-nodes arise only
 in flattening.  Arguments sort before every meta-argument, so the nodes of
 a JSBAF keep their numbers 0 .. m-1 in each of its flattenings.
@@ -235,7 +242,8 @@ class HigherLevelAF(_Framework):
     """Nodes and a joint attack relation from nonempty node sets to nodes.
 
     ``target_ids`` holds the joint attacks from a single node;
-    ``joint_attack_ids`` the others, as (ascending source numbers, target).
+    ``joint_attack_ids`` the others, as (ascending source numbers, target),
+    sorted.
     """
 
     joint_attack_ids: list[tuple[tuple[int, ...], int]]
@@ -275,7 +283,7 @@ class JSBAF(_Framework):
     Every node is an argument, a ``BaseNode``.  Support sources range over
     *all* subsets of the nodes, including the empty set; an empty-source
     support just asserts its target outright.  ``support_ids`` holds each
-    support once, as (ascending source numbers, target).
+    support once, as (ascending source numbers, target), sorted.
     """
 
     support_ids: list[tuple[tuple[int, ...], int]]

@@ -60,8 +60,6 @@ class ConclusionSet:
 
     formulas: frozenset[Formula]
     extension: tuple[str, ...]  # canonical argument ids, sorted
-    mode: str
-    semantics: str
 
 
 @dataclass(frozen=True)
@@ -200,12 +198,12 @@ class Evaluation:
     store: ArgumentStore
     witnesses: AttackWitnesses
     framework: AF | JSBAF  # the AF in aspic-minus mode, the JSBAF in deductive mode
-    shielded: frozenset[int]  # strict arguments, in deductive mode
     flat: AF | None  # the flattened JSBAF, in deductive mode
     raw_extensions: tuple[tuple[int, ...], ...]  # of ``flat``, else of ``framework``
     extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
     conclusion_sets: tuple[ConclusionSet, ...]
     postulates: tuple[PostulateReport, ...]  # one per conclusion set
+    holds: tuple[bool, ...]  # per entry of POSTULATES: satisfied on every conclusion set
 
 
 def evaluate(
@@ -231,9 +229,9 @@ def evaluate(
         raise SearchLimitExceededError(len(searched.node_table), max_nodes)
     raw = exts = extension_ids(searched, semantics)
     if mode == "aspic-minus":
-        framework, shielded, flat = searched, frozenset(), None
+        framework, flat = searched, None
     else:
-        framework, shielded, flat = prepared.jsbaf, prepared.shielded, searched
+        framework, flat = prepared.jsbaf, searched
         exts = project_ids(raw, len(framework.node_table))
     args, order = prepared.store.arguments, prepared.store.node_order
     sets = []
@@ -241,11 +239,12 @@ def evaluate(
         members = [args[o] for o in sorted(order[p] for p in ext)]
         ids = tuple(arg.canonical_id for arg in members)
         formulas = frozenset(arg.conclusion for arg in members)
-        sets.append(ConclusionSet(formulas, ids, mode, semantics))
+        sets.append(ConclusionSet(formulas, ids))
     verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
+    holds = tuple(all(getattr(v, name).satisfied for v in verdicts) for name in POSTULATES)
     return Evaluation(
-        prepared.consistent, prepared.store, prepared.witnesses, framework, shielded, flat,
-        tuple(raw), tuple(exts), tuple(sets), verdicts,
+        prepared.consistent, prepared.store, prepared.witnesses, framework, flat,
+        tuple(raw), tuple(exts), tuple(sets), verdicts, holds,
     )
 
 
@@ -261,13 +260,10 @@ class ModeComparison:
 def compare_modes(
     prepared: Prepared, semantics: str, max_nodes: int = DEFAULT_NODE_BOUND
 ) -> ModeComparison:
-    reports = {mode: evaluate(prepared, semantics, mode, max_nodes).postulates for mode in MODES}
+    holds = {mode: evaluate(prepared, semantics, mode, max_nodes).holds for mode in MODES}
     summary = {
-        postulate: {
-            mode: all(getattr(report, postulate).satisfied for report in reports[mode])
-            for mode in MODES
-        }
-        for postulate in POSTULATES
+        postulate: {mode: holds[mode][i] for mode in MODES}
+        for i, postulate in enumerate(POSTULATES)
     }
     differing = tuple(
         p for p in POSTULATES if summary[p]["aspic-minus"] != summary[p]["deductive"]

@@ -1,12 +1,14 @@
 """Report writing and the DOT / APX emitters.
 
 Serialisation is canonical: every list is sorted, JSON keys are sorted, and
-identical inputs produce byte-identical output.  A JSON report is the text
+identical inputs produce byte-identical output.  Lists of nodes, extensions
+and supports are written in node order, which is label order (see
+``frameworks``), as the pipeline holds them.  A JSON report is the text
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
 fixed templates of its sections: no report dict, no generic encoder.  Ids
-are quoted once per report, rule heads made text once, and each large
-section (attack lists, witness records) is one ``join``, written on its own.
+are quoted once per report, and each large section (attack lists, witness
+records) is one ``join``, written on its own.
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ import re
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from typing import Callable
 
-from .core import StrictRule
 from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId
 from .postulates import POSTULATES, Evaluation, Verdict
 
@@ -35,40 +36,20 @@ def report_settings(
             "max_arguments": max_arguments, "max_nodes": max_nodes}
 
 
-# Nodes are numbers into a framework's node table; each node's label is
-# computed once, by ``labels``, and the lists below are built from it.
+# Nodes are numbers into a framework's node table, and ``names`` holds each
+# node's name (its label, quoted or not), by number.
 
 def _attack_rows(framework: AF | JSBAF, names: list[str]):
     """The attacks of ``framework`` by source, as (name of the source, names
-    of its targets), sources and targets in label order: the order of the
-    sorted label pairs.  ``names`` holds each node's name, by number."""
-    labels, rows = framework.labels, framework.target_ids
-    order = sorted(range(len(labels)), key=labels.__getitem__)
-    rank = None
-    if order != list(range(len(order))):  # node numbers are not in label order
-        rank = [0] * len(order)
-        for r, i in enumerate(order):
-            rank[i] = r
-    for s in order:
-        row = rows[s]
+    of its targets), in node order: the order of the sorted label pairs."""
+    for s, row in enumerate(framework.target_ids):
         if row:
-            if rank is not None:
-                row = sorted(row, key=rank.__getitem__)
             yield names[s], list(map(names.__getitem__, row))
 
 
-def _extension_lists(framework: AF | JSBAF, extensions, names: list[str]) -> list[list[str]]:
-    """``extensions`` as lists of ``names``, sorted by their lists of labels."""
-    labels = framework.labels
-    exts = sorted(extensions, key=lambda ext: [labels[i] for i in ext])
-    return [[names[i] for i in ext] for ext in exts]
-
-
 def _support_lists(j: JSBAF, names: list[str]) -> list[tuple[list[str], str]]:
-    """The supports of ``j`` as (source names, target name), sorted by labels."""
-    labels = j.labels
-    supports = sorted(j.support_ids, key=lambda s: ([labels[i] for i in s[0]], labels[s[1]]))
-    return [([names[i] for i in src], names[dst]) for src, dst in supports]
+    """The supports of ``j`` as (source names, target name)."""
+    return [([names[i] for i in src], names[dst]) for src, dst in j.support_ids]
 
 
 # JSON templates: ``depth`` is that of the line a value starts on; ``names``
@@ -107,33 +88,25 @@ def _flat_object(fields: dict, depth: int) -> str:
     ) + (_NL[depth] + "}" if fields else "}")
 
 
-def _arguments_json(ev: Evaluation, quoted: list[str]) -> tuple[str, dict[str, str]]:
-    """The argument records, and each conclusion as text, by argument id:
-    ``form`` and ``structure`` from the rule's arrow and head (text once per
-    rule) and the subs, which come first."""
+def _arguments_json(ev: Evaluation, quoted: list[str]) -> str:
+    """The argument records; each rule's head and id are quoted once."""
     i2, i3 = _NL[2], _NL[3]
-    rules: dict = {}  # rule id: (head, arrow and head, quoted head, quoted rule id)
-    records, structures, conclusion_of = [], [], {}
+    rules: dict = {}  # rule id: (quoted head, quoted rule id)
+    records = []
     for arg in ev.store.arguments:
-        rule, subs = arg.rule, arg.subs
+        rule = arg.rule
         parts = rules.get(rule.id)
         if parts is None:
-            head = str(rule.head)
-            tail = ("-> " if isinstance(rule, StrictRule) else "=> ") + head
-            parts = rules[rule.id] = (head, tail, _quote(head), _quote(rule.id))
-        conclusion_of[arg.canonical_id] = parts[0]
-        body = ",".join([s.canonical_id for s in subs]) + " " if subs else ""
-        tree = ",".join([structures[s.ordinal] for s in subs]) + " " if subs else ""
-        structures.append(f"({tree}{parts[1]})")
+            parts = rules[rule.id] = (_quote(str(rule.head)), _quote(rule.id))
         records.append(
-            f'{{{i3}"conclusion": {parts[2]},'
-            f'{i3}"defeasible": {"true" if arg.def_rule_ids else "false"},'
-            f'{i3}"form": {_quote(f"{arg.canonical_id}: {body}{parts[1]}")},'
-            f'{i3}"id": {quoted[arg.ordinal]},{i3}"rule": {parts[3]},'
-            f'{i3}"structure": {_quote(structures[-1])},'
-            f'{i3}"subs": {_list([quoted[s.ordinal] for s in subs], 3)}{i2}}}'
+            f'{{{i3}"conclusion": {parts[0]},'
+            f'{i3}"defeasible": {"true" if arg.defeasible else "false"},'
+            f'{i3}"form": {_quote(arg.form)},'
+            f'{i3}"id": {quoted[arg.ordinal]},{i3}"rule": {parts[1]},'
+            f'{i3}"structure": {_quote(arg.structure)},'
+            f'{i3}"subs": {_list([quoted[s.ordinal] for s in arg.subs], 3)}{i2}}}'
         )
-    return _list(records, 1), conclusion_of
+    return _list(records, 1)
 
 
 def _verdict(verdict: Verdict, name: str) -> str:
@@ -150,8 +123,8 @@ def _verdict(verdict: Verdict, name: str) -> str:
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
-def _conclusion_sets_json(ev: Evaluation, quoted_id: dict, conclusion_of: dict) -> str:
-    """The conclusion sets, their conclusions read from their arguments."""
+def _conclusion_sets_json(ev: Evaluation, quoted_id: dict) -> str:
+    """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
     entries = []
     for cs, report in zip(ev.conclusion_sets, ev.postulates):
@@ -159,7 +132,7 @@ def _conclusion_sets_json(ev: Evaluation, quoted_id: dict, conclusion_of: dict) 
             f'{i4}"{name}": {_verdict(getattr(report, name), name)}' for name in POSTULATES
         )
         entries.append(
-            f'{{{i3}"conclusions": {_texts({conclusion_of[i] for i in cs.extension}, 3)},'
+            f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
             f'{i3}"extension": {_list([quoted_id[i] for i in cs.extension], 3)},'
             f'{i3}"postulates": {{{postulates}{i3}}}{_NL[2]}}}'
         )
@@ -195,7 +168,7 @@ def _witnesses_json(ev: Evaluation, quoted_id: dict[str, str]) -> str:
     return _rows(parts, 2)
 
 
-def _write_json(ev: Evaluation, source: str, settings: dict, holds: list[bool], write) -> None:
+def _write_json(ev: Evaluation, source: str, settings: dict, write) -> None:
     """The JSON report, in key order.  Each large section is written on its
     own, after a ``write`` that ends with its key, so that it is never copied
     to put the key in front and is dropped before the next one is built."""
@@ -204,14 +177,14 @@ def _write_json(ev: Evaluation, source: str, settings: dict, holds: list[bool], 
     quoted = list(map(_quote, ids))
     quoted_id = dict(zip(ids, quoted))
     names = [quoted[o] for o in store.node_order]  # the framework's quoted labels
-    arguments, conclusion_of = _arguments_json(ev, quoted)
+    arguments = _arguments_json(ev, quoted)
     write(f'{{{i1}"arguments": ')
     write(arguments)
     del arguments
     pruned = "true" if store.acyclicity_pruned else "false"
-    extensions = _extension_lists(ev.framework, ev.extensions, names)
+    extensions = [[names[i] for i in ext] for ext in ev.extensions]
     write(
-        f',{i1}"conclusion_sets": {_conclusion_sets_json(ev, quoted_id, conclusion_of)},'
+        f',{i1}"conclusion_sets": {_conclusion_sets_json(ev, quoted_id)},'
         f'{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}{i1}}},'
         f'{i1}"extensions": {_list([_list(e, 2) for e in extensions], 1)},'
     )
@@ -220,7 +193,7 @@ def _write_json(ev: Evaluation, source: str, settings: dict, holds: list[bool], 
         write(f'{i1}"flattened": {{{i2}"attacks": ')
         write(_attacks_json(flat, flat_names))
         mode = "null" if settings["flatten"] is None else _quote(settings["flatten"])
-        extensions = _extension_lists(flat, ev.raw_extensions, flat_names)
+        extensions = [[flat_names[i] for i in ext] for ext in ev.raw_extensions]
         write(
             f',{i2}"extensions": {_list([_list(e, 3) for e in extensions], 2)},'
             f'{i2}"mode": {mode},{i2}"nodes": {_list(flat_names, 2)}{i1}}},'
@@ -235,7 +208,7 @@ def _write_json(ev: Evaluation, source: str, settings: dict, holds: list[bool], 
             [f"[{i4}{_list(src, 4)},{i4}{dst}{i3}]" for src, dst in supports], 2))
     consistent = "true" if ev.consistent else "false"
     summary = ",".join(f'{i2}"{name}": "{"satisfied" if held else "violated"}"'
-                       for name, held in zip(POSTULATES, holds))
+                       for name, held in zip(POSTULATES, ev.holds))
     write(
         f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(system.atoms, 2)},'
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
@@ -256,7 +229,7 @@ def _witness_text(name: str, witness) -> str:
     return f"{{'pair': {sorted(map(str, witness))!r}}}"
 
 
-def _write_text(ev: Evaluation, source: str, settings: dict, holds: list[bool], write) -> None:
+def _write_text(ev: Evaluation, source: str, settings: dict, write) -> None:
     system, labels = ev.store.system, ev.framework.labels
     flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
     write("\n".join([
@@ -275,9 +248,9 @@ def _write_text(ev: Evaluation, source: str, settings: dict, holds: list[bool], 
         f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
     ), f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
        f"{sum(map(len, ev.flat.target_ids))} attacks"]
-    exts = _extension_lists(ev.framework, ev.extensions, labels)
     tail += ["", f"extensions ({settings['semantics']}):"]
-    tail += ["  {" + ",".join(e) + "}" for e in exts] + ["", "conclusion sets:"]
+    tail += ["  {" + ",".join(labels[i] for i in e) + "}" for e in ev.extensions]
+    tail += ["", "conclusion sets:"]
     for cs, report in zip(ev.conclusion_sets, ev.postulates):
         tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
         for name in POSTULATES:
@@ -285,7 +258,7 @@ def _write_text(ev: Evaluation, source: str, settings: dict, holds: list[bool], 
             tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
                 f"VIOLATED ({_witness_text(name, verdict.witness)})")))
     tail += ["", "summary: " + ", ".join(f"{name}={'satisfied' if held else 'violated'}"
-                                         for name, held in zip(POSTULATES, holds))]
+                                         for name, held in zip(POSTULATES, ev.holds))]
     if not ev.consistent:
         tail.append("note: system is inconsistent; postulate verdicts are out of scope")
     write("\n".join(tail) + "\n")
@@ -298,14 +271,13 @@ def write_report(
     through ``write``, calling it a fixed number of times whatever the
     report's size; ``settings`` is its ``report_settings`` block.  Returns
     whether every postulate holds on every conclusion set."""
-    holds = [all(getattr(r, name).satisfied for r in ev.postulates) for name in POSTULATES]
     if fmt == "json":
-        _write_json(ev, source, settings, holds, write)
+        _write_json(ev, source, settings, write)
     elif fmt == "text":
-        _write_text(ev, source, settings, holds, write)
+        _write_text(ev, source, settings, write)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    return all(holds)
+    return all(ev.holds)
 
 
 def write_limit_report(
@@ -344,7 +316,7 @@ def emit_dot(framework: AF | JSBAF | HigherLevelAF) -> str:
     for src, row in enumerate(framework.target_ids):
         lines += [f"  {names[src]} -> {names[dst]};" for dst in row]
     if isinstance(framework, HigherLevelAF):
-        for i, (srcs, dst) in enumerate(sorted(framework.joint_attack_ids)):
+        for i, (srcs, dst) in enumerate(framework.joint_attack_ids):
             junction = f"ja{i}"
             lines.append(f"  {junction} [shape=point, width=0.05];")
             for src in srcs:
@@ -352,7 +324,7 @@ def emit_dot(framework: AF | JSBAF | HigherLevelAF) -> str:
             lines.append(f"  {junction} -> {names[dst]};")
     if isinstance(framework, JSBAF):
         double = ' [color="black:invis:black"'
-        for i, (srcs, dst) in enumerate(sorted(framework.support_ids)):
+        for i, (srcs, dst) in enumerate(framework.support_ids):
             junction = f"sup{i}"
             lines.append(f"  {junction} [shape=point, width=0.05];")
             for src in srcs:

@@ -1,8 +1,8 @@
 """Definitional references for the pipeline.
 
-An argument's expanded structure, the pairwise attack definitions, the
-flattening stages, conflict-freeness, defence and the grounded fixpoint as
-first written, over arguments and sets of ``NodeId``s: they read a
+An argument's form and expanded structure, the pairwise attack definitions,
+the flattening stages, conflict-freeness, defence and the grounded fixpoint
+as first written, over arguments and sets of ``NodeId``s: they read a
 framework's ``NodeId`` views and build their results through the public
 constructors.  ``jsbaf.arguments``, ``jsbaf.frameworks`` and
 ``jsbaf.semantics`` compute the same results through indexes and on node
@@ -17,7 +17,7 @@ from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
 from jsbaf.arguments import Argument
-from jsbaf.core import ArgumentationSystem, DefeasibleRule, Formula, complement
+from jsbaf.core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule, complement
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
@@ -49,16 +49,27 @@ def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
     hits = [
         sub
         for sub in b.sub_arguments
-        if sub.def_rule_ids and complement(a.conclusion, sub.conclusion)
+        if sub.defeasible and complement(a.conclusion, sub.conclusion)
     ]
     return tuple(sorted(hits, key=lambda s: s.ordinal))
+
+
+def _arrow(arg: Argument) -> str:
+    return "->" if isinstance(arg.rule, StrictRule) else "=>"
+
+
+def form(arg: Argument) -> str:
+    """E.g. ``A7: A5,A6 -> ~ht``; empty body renders as ``A1: -> hw``."""
+    body = ",".join(s.canonical_id for s in arg.subs)
+    lhs = f"{body} " if body else ""
+    return f"{arg.canonical_id}: {lhs}{_arrow(arg)} {arg.conclusion}"
 
 
 def structure(arg: Argument) -> str:
     """The fully expanded tree of ``arg``, rebuilt from every sub-argument."""
     body = ",".join(structure(s) for s in arg.subs)
     lhs = f"{body} " if body else ""
-    return f"({lhs}{arg.arrow} {arg.conclusion})"
+    return f"({lhs}{_arrow(arg)} {arg.conclusion})"
 
 
 def flatten_one_step(j: JSBAF, shielded: frozenset[NodeId] = frozenset()) -> HigherLevelAF:
@@ -393,7 +404,7 @@ def _report(ev, source: str, settings: dict, sets: list[dict], summary: dict) ->
             {
                 "conclusion": str(arg.conclusion),
                 "defeasible": arg.defeasible,
-                "form": arg.form,
+                "form": form(arg),
                 "id": arg.canonical_id,
                 "rule": arg.rule.id,
                 "structure": structure(arg),
@@ -443,7 +454,7 @@ def _write_text(ev, source: str, settings: dict, sets: list[dict], summary: dict
         f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}",
         "",
         f"arguments ({len(ev.store)}):",
-        *(f"  {arg.form}" for arg in ev.store.arguments),
+        *(f"  {form(arg)}" for arg in ev.store.arguments),
         "",
         "attacks:",
         *(f"  {s} -> {d}" for s, d in _label_pairs(ev.framework)),

@@ -115,8 +115,9 @@ class TestEnumeration:
 
 
 class TestStructure:
-    """``Argument.structure`` is built once per argument, from its subs'
-    strings; it equals the tree expanded from every sub-argument."""
+    """``Argument.form`` and ``Argument.structure`` are built once per
+    argument, from its subs' strings; they equal the form and the tree
+    rebuilt from every sub-argument."""
 
     @staticmethod
     def _systems():
@@ -129,6 +130,7 @@ class TestStructure:
             store = construct_arguments(system)
             # read from the deepest argument down, and again
             for arg in reversed(store.arguments):
+                assert arg.form == reference.form(arg)
                 assert arg.structure == reference.structure(arg)
                 assert arg.structure is arg.structure
 

@@ -182,6 +182,29 @@ class TestCheckPostulates:
         lines = out.splitlines()
         assert len(lines) == 6 and all(l.startswith("grounded ") for l in lines)
 
+    def test_allow_inconsistent_reports_out_of_scope_verdicts(self, capsys, tmp_path):
+        rules = tmp_path / "inconsistent.rules"
+        rules.write_text("strict s1: -> a\nstrict s2: -> ~a\n")
+        code, out, err = run_cli(capsys, "check-postulates", "--file", str(rules))
+        assert code == 2 and out == "" and "complementary pair (a, ~a)" in err
+        code, out, _ = run_cli(
+            capsys, "check-postulates", "--file", str(rules), "--allow-inconsistent"
+        )
+        assert code == 1
+        # every conclusion set holds both a and ~a, which is closed
+        rows = [
+            f"{semantics:<9} {mode:<12} {postulate:<21} {state}"
+            for semantics in ("grounded", "complete", "stable", "preferred")
+            for mode in ("aspic-minus", "deductive")
+            for postulate, state in (
+                ("closure", "satisfied"),
+                ("direct_consistency", "VIOLATED"),
+                ("indirect_consistency", "VIOLATED"),
+            )
+        ]
+        note = "# note: system is inconsistent; verdicts are out of postulate scope"
+        assert out.splitlines() == [*rows, note]
+
 
 class TestRandom:
     def test_deterministic_and_parseable(self, capsys):

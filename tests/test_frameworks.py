@@ -12,6 +12,7 @@ compares them with the definitions over NodeId sets in ``reference.py``.
 
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -39,9 +40,11 @@ from jsbaf import (
     sort_nodes,
 )
 from jsbaf.frameworks import BarNode, ENode
-from jsbaf.semantics import SEMANTICS, extension_ids
+from jsbaf.semantics import FLATTEN_MODES, SEMANTICS, extension_ids
 
 from conftest import node_labels, tandem_rules
+
+SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
 
 
 def edge_labels(af):
@@ -427,6 +430,29 @@ class TestIntFlatteningMatchesReference:
             assert all(by_key.get(x.key(), x) is x for x in parts)
             assert {id(x) for x in parts if x.key() in by_key} == set(map(id, table))
         assert (len(prepared.jsbaf.node_table), len(prepared.flat.node_table)) == (296, 1152)
+
+
+def _label_order_systems():
+    for seed in range(200):
+        yield f"random {seed}", random_system(SystemParams(6, 6, 6), seed).system
+    for n in range(2, 8):
+        for k in range(1, n):
+            yield f"tandem({n},{k})", parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+    yield "seed38", parse_system(SourceDocument(SEED38_PATH.read_text(), "seed38.rules"))
+
+
+class TestLabelOrder:
+    """Every framework the pipeline builds numbers its nodes in label order,
+    and its supports are sorted, so the report writes them as they are."""
+
+    @pytest.mark.parametrize("flatten_mode", FLATTEN_MODES)
+    def test_pipeline_frameworks_are_numbered_in_label_order(self, flatten_mode):
+        for name, system in _label_order_systems():
+            prepared = prepare(system, flatten_mode=flatten_mode)
+            for framework in (prepared.af, prepared.jsbaf, prepared.flat):
+                assert framework.labels == sorted(framework.labels), name
+            support_ids = prepared.jsbaf.support_ids
+            assert support_ids == sorted(support_ids), name
 
 
 class TestBoundary:

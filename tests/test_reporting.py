@@ -17,7 +17,6 @@ from jsbaf import (
     SearchLimitExceededError,
     SourceDocument,
     SystemParams,
-    bar,
     base,
     emit_apx,
     emit_dot,
@@ -30,7 +29,7 @@ from jsbaf import (
 )
 from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
-from jsbaf.reporting import REPORT_FORMATS, _attack_rows, report_settings, write_limit_report
+from jsbaf.reporting import REPORT_FORMATS, report_settings, write_limit_report
 from jsbaf.semantics import FLATTEN_MODES
 
 import reference
@@ -287,17 +286,6 @@ class TestReportBytes:
         end = start + len(prepared.af.attacks)
         assert lines[start:end] == [f"  {s} -> {d}" for s, d in sorted_pairs(prepared.af)]
         assert not lines[end].startswith("  ")
-
-    def test_attack_rows_follow_label_order_not_node_numbers(self):
-        """Node numbers put every argument before the meta-arguments, but
-        the label ``bar(a)`` sorts before ``c``: sources and the targets of
-        each row are walked in label order."""
-        a, c = base("a"), base("c")
-        af = AF({a, c, bar(a)}, {(a, c), (a, bar(a)), (bar(a), c), (c, a)})
-        assert af.labels == ["a", "c", "bar(a)"]
-        rows = list(_attack_rows(af, af.labels))
-        assert rows == [("a", ["bar(a)", "c"]), ("bar(a)", ["c"]), ("c", ["a"])]
-        assert [[s, d] for s, targets in rows for d in targets] == sorted_pairs(af)
 
     @pytest.mark.parametrize("fmt", ("json", "text"))
     def test_write_calls_do_not_grow_with_the_report(self, fmt):
