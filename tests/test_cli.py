@@ -12,6 +12,8 @@ from jsbaf.cli import main
 
 from conftest import TANDEM_PATH, wide_join_rules
 
+DATA = TANDEM_PATH.parents[1] / "tests" / "data"
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -145,6 +147,26 @@ class TestFlatten:
             capsys, "flatten", "--file", str(TANDEM_PATH), "--stage", "two-step",
         )
         assert code == 0 and '"bar(bar(A7))"' in out
+
+    # Every accepted combination of stage, flatten mode and emitter, as
+    # (stage, flatten, emit); each output is pinned byte for byte.
+    ACCEPTED = [
+        *(("simplified", f, e) for f in ("literal", "prune-inert") for e in ("dot", "apx")),
+        ("one-step", "literal", "dot"),
+        ("two-step", "literal", "dot"),
+        ("two-step", "literal", "apx"),
+    ]
+
+    @pytest.mark.parametrize(
+        "stage, flatten, emit", ACCEPTED, ids=["-".join(c) for c in ACCEPTED]
+    )
+    def test_golden_output(self, capsys, stage, flatten, emit):
+        code, out, err = run_cli(
+            capsys, "flatten", "--file", str(TANDEM_PATH),
+            "--stage", stage, "--flatten", flatten, "--emit", emit,
+        )
+        assert (code, err) == (0, "")
+        assert out == (DATA / f"flatten-{stage}-{flatten}.{emit}").read_text(encoding="utf-8")
 
 
 class TestArguments:
