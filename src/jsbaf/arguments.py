@@ -285,17 +285,16 @@ def _attack_edges(store: ArgumentStore, witnesses: AttackWitnesses) -> list[tupl
     return rows
 
 
-def _argument_nodes(store: ArgumentStore) -> tuple[tuple[BaseNode, ...], tuple]:
-    """The node table of the arguments and its keys."""
-    ids = [store.arguments[o].canonical_id for o in store.node_order]
-    return tuple(map(BaseNode, ids)), tuple((0, i) for i in ids)
+def _argument_nodes(store: ArgumentStore) -> tuple[BaseNode, ...]:
+    """The node table of the arguments."""
+    return tuple(BaseNode(store.arguments[o].canonical_id) for o in store.node_order)
 
 
 def build_aspic_minus_af(store: ArgumentStore, witnesses: AttackWitnesses) -> AF:
     """The AF whose nodes are all arguments of ``store`` and whose edges are
     exactly the undercut and unrestricted-rebuttal pairs of ``witnesses``,
     the attack witnesses of ``store``."""
-    return AF._make(*_argument_nodes(store), target_ids=_attack_edges(store, witnesses))
+    return AF._make(_argument_nodes(store), target_ids=_attack_edges(store, witnesses))
 
 
 def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
@@ -316,9 +315,7 @@ def build_da_jsbaf(store: ArgumentStore, af: AF) -> JSBAF:
     ``store``, plus the joint support of every strict-top argument by its
     immediate sub-arguments.  The JSBAF shares the node table and attack
     relation of ``af``."""
-    return JSBAF._make(
-        af.node_table, af.node_keys, target_ids=af.target_ids, support_ids=support_pairs(store)
-    )
+    return JSBAF._make(af.node_table, target_ids=af.target_ids, support_ids=support_pairs(store))
 
 
 def strict_argument_nodes(store: ArgumentStore) -> frozenset[int]:

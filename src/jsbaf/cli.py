@@ -158,13 +158,16 @@ def _cmd_eval(args) -> int:
     settings = report_settings(
         args.semantics, args.mode, args.flatten, args.max_arguments, args.max_nodes
     )
+    # The path as typed, each byte of it that is not UTF-8 shown as \xNN, so
+    # that the report is UTF-8 whatever the file is called.
+    source = os.fsencode(args.file).decode("utf-8", "backslashreplace")
     try:
         prepared = _prepare(args, not args.allow_inconsistent)
         ev = evaluate(prepared, args.semantics, args.mode, args.max_nodes)
     except (LimitExceededError, SearchLimitExceededError) as exc:
-        write_limit_report(args.file, settings, exc, args.report, sys.stdout.write)
+        write_limit_report(source, settings, exc, args.report, sys.stdout.write)
         return EXIT_LIMIT
-    if write_report(ev, args.file, settings, args.report, sys.stdout.write):
+    if write_report(ev, source, settings, args.report, sys.stdout.write):
         return EXIT_OK
     return EXIT_VIOLATION
 

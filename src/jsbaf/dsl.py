@@ -11,7 +11,9 @@
 
 Literals are ``~``-prefixed atoms, nestable (``~~a``, also written ``~ ~a``).
 Atoms and rule ids are ASCII identifiers, ``[A-Za-z_][A-Za-z0-9_]*``.  ``#``
-starts a comment, and one leading byte-order mark is ignored.
+starts a comment, and one leading byte-order mark is ignored.  Lines end
+at ``\n``, ``\r\n`` or ``\r``; any other whitespace, U+2028 and the form
+feed included, stays inside its line.
 
 Each line is split into token strings by one ``findall`` of ``_TOKEN_RE``,
 and the parser reads that list by index.  Token columns are not kept: a
@@ -143,7 +145,9 @@ def parse_system(source: SourceDocument | str) -> ArgumentationSystem:
     text = source.text
     if text.startswith("\ufeff"):
         text = text[1:]
-    lines = text.splitlines()
+    # Lines end only where ``open()`` ends them; ``str.splitlines`` would
+    # also break at form feeds, U+2028 and others, which are whitespace here.
+    lines = re.split(r"\r\n|\r|\n", text)
 
     declared: set[str] = set()
     has_atoms_decl = False

@@ -17,8 +17,11 @@ supports of the JSBAF, and builds neither intermediate framework; the two
 stages serve ``jsbaf flatten --stage one-step|two-step``.
 
 Every framework numbers its nodes 0, 1, ... in canonical order
-(``sort_nodes``) and keeps its relations as ints over those numbers.  Its
-node table holds each node's ``NodeId`` once, with the node's sort key; a
+(``sort_nodes``) and keeps its relations as ints over those numbers; the
+number is the only record of that order.  The public constructors and
+``flatten_joint_attacks``, which takes any ``HigherLevelAF``, number by
+key; ``flatten_one_step`` and ``flatten_simplified`` number by
+construction.  A node table holds each node's ``NodeId`` once; a
 flattening builds each meta-argument's ``NodeId`` once, from the objects
 already in its table, so one node is one object however many edges it
 ends.  The ``NodeId`` views ``nodes``, ``attacks``, ``supports`` and
@@ -42,7 +45,6 @@ a JSBAF keep their numbers 0 .. m-1 in each of its flattenings.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Collection, Iterable, Iterator, Sequence, Union
@@ -133,12 +135,10 @@ def _check_endpoints(nodes, pairs, what: str):
             raise ValueError(f"{what} ({src}, {dst}) has an endpoint outside the node set")
 
 
-def _node_table(nodes: Iterable[NodeId]) -> tuple[tuple[NodeId, ...], tuple, dict[NodeId, int]]:
-    """The distinct ``nodes`` in canonical order, their keys, and the number
-    of each."""
-    keyed = sorted((n.key(), n) for n in set(nodes))
-    table = tuple(n for _, n in keyed)
-    return table, tuple(k for k, _ in keyed), {n: i for i, n in enumerate(table)}
+def _node_table(nodes: Iterable[NodeId]) -> tuple[tuple[NodeId, ...], dict[NodeId, int]]:
+    """The distinct ``nodes`` in canonical order, and the number of each."""
+    table = tuple(n for _, n in sorted((n.key(), n) for n in set(nodes)))
+    return table, {n: i for i, n in enumerate(table)}
 
 
 def _target_rows(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
@@ -153,14 +153,14 @@ def _source_ids(source: Iterable[int]) -> tuple[int, ...]:
 
 
 class _Framework:
-    """Nodes numbered in canonical order: ``node_table[i]`` is node i and
-    ``node_keys[i]`` its sort key.  ``target_ids[i]`` lists, in ascending
-    order, the nodes that node i attacks (in a ``HigherLevelAF``, on its
-    own).  Rows are never changed once built; the AF of an argument store
-    shares one tuple among the attackers with the same conclusion."""
+    """Nodes numbered in canonical order: ``node_table[i]`` is node i, and
+    its number is the only record of its place in that order.
+    ``target_ids[i]`` lists, in ascending order, the nodes that node i
+    attacks (in a ``HigherLevelAF``, on its own).  Rows are never changed
+    once built; the AF of an argument store shares one tuple among the
+    attackers with the same conclusion."""
 
     node_table: tuple[NodeId, ...]
-    node_keys: tuple
     target_ids: list[Sequence[int]]
 
     def _value(self) -> tuple:
@@ -173,10 +173,10 @@ class _Framework:
         return hash(self._value())
 
     @classmethod
-    def _make(cls, node_table, node_keys, **relations):
+    def _make(cls, node_table, **relations):
         """A framework whose relations are already ints over ``node_table``."""
         self = cls.__new__(cls)
-        self.node_table, self.node_keys = node_table, node_keys
+        self.node_table = node_table
         self.__dict__.update(relations)
         return self
 
@@ -191,7 +191,7 @@ class _Framework:
 
     def _intern_attacks(self, nodes, attacks) -> dict[NodeId, int]:
         """Number ``nodes``, check and number ``attacks``; the numbers by node."""
-        self.node_table, self.node_keys, index = _node_table(nodes)
+        self.node_table, index = _node_table(nodes)
         attacks = frozenset(attacks)
         _check_endpoints(index, attacks, "attack")
         self.target_ids = _target_rows(len(index), ((index[s], index[d]) for s, d in attacks))
@@ -253,7 +253,7 @@ class HigherLevelAF(_Framework):
         nodes: Iterable[NodeId],
         joint_attacks: Iterable[tuple[Iterable[NodeId], NodeId]],
     ):
-        self.node_table, self.node_keys, index = _node_table(nodes)
+        self.node_table, index = _node_table(nodes)
         singles, joints = set(), set()
         for attackers, target in {(frozenset(x), b) for x, b in joint_attacks}:
             if not attackers:
@@ -318,68 +318,6 @@ class JSBAF(_Framework):
         return frozenset(self._sets(self.support_ids))
 
 
-class _Interner:
-    """The node table of a framework under construction.  The nodes of
-    ``framework`` keep their numbers; a bar or e meta-argument gets the next
-    number the first time its key is seen, and its ``NodeId`` is built then,
-    from the ``NodeId`` objects already in the table."""
-
-    def __init__(self, framework: _Framework):
-        self.nodes = list(framework.node_table)
-        self.keys = list(framework.node_keys)
-        self.number = {k: i for i, k in enumerate(self.keys)}
-
-    def _intern(self, key, make) -> int:
-        i = self.number.get(key)
-        if i is None:
-            i = self.number[key] = len(self.keys)
-            self.keys.append(key)
-            self.nodes.append(make())
-        return i
-
-    def bar(self, i: int) -> int:
-        return self._intern((1, self.keys[i]), lambda: BarNode(self.nodes[i]))
-
-    def e(self, members: Iterable[int]) -> int:
-        members = sorted(set(members), key=self.keys.__getitem__)
-        key = (2, tuple(self.keys[m] for m in members))
-        return self._intern(key, lambda: ENode(tuple(self.nodes[m] for m in members)))
-
-    def renumber(self) -> tuple[tuple[NodeId, ...], tuple, list[int]]:
-        """The nodes in canonical order, their keys, and the new number of
-        every node."""
-        order = sorted(range(len(self.keys)), key=self.keys.__getitem__)
-        new = [0] * len(self.keys)
-        for p, i in enumerate(order):
-            new[i] = p
-        return tuple(self.nodes[i] for i in order), tuple(self.keys[i] for i in order), new
-
-
-def _rows(
-    size: int, new: list[int], *parts: Iterable[tuple[int, Iterable[int]]]
-) -> list[list[int]]:
-    """The target rows of ``size`` renumbered nodes.  Each part yields (node,
-    targets) by old number; ``new`` gives the new numbers, -1 dropping a
-    node or a target.  A node that parts name twice gets the union."""
-    rows: list = [None] * size
-    get = new.__getitem__
-    for part in parts:
-        for i, targets in part:
-            p = new[i]
-            if p < 0:
-                continue
-            if rows[p] is None:
-                rows[p] = sorted(map(get, targets))
-            else:
-                rows[p] = sorted({*rows[p], *map(get, targets)})
-    for p, row in enumerate(rows):
-        if row is None:
-            rows[p] = []
-        elif row and row[0] < 0:
-            del row[: bisect_left(row, 0)]
-    return rows
-
-
 def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> HigherLevelAF:
     """Replace joint supports by joint attacks through bar meta-arguments.
 
@@ -392,25 +330,30 @@ def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> Highe
     against such a node is omitted, since its contrapositive reading
     "reject this supporter" is not an option for them.  Flattening a plain
     framework leaves the set empty.
+
+    The nodes are numbered by construction: the arguments keep their
+    numbers 0 .. m-1, and bar(b) is m plus the rank of b among the supported
+    nodes, since bars sort after the arguments and in the order of their
+    bases.  An argument that gains no bar target keeps its row of ``j``.
     """
-    work = _Interner(j)
-    singles: dict[int, set[int]] = {}
-    joints = set()
-    for source, target in j.support_ids:
-        target_bar = work.bar(target)
-        singles.setdefault(target, set()).add(target_bar)
-        for a in source:
-            if a not in shielded:
-                rest = (set(source) - {a}) | {target_bar}
-                if len(rest) == 1:
-                    singles.setdefault(target_bar, set()).add(a)
-                else:
-                    joints.add((tuple(sorted(rest)), a))
-    table, keys, new = work.renumber()
+    m = len(j.node_table)
+    barred = sorted({b for _, b in j.support_ids})
+    bar_number = {b: m + p for p, b in enumerate(barred)}
+    bar_rows: list[list[int]] = [[] for _ in barred]  # bar(b) -> a, for X = {a}
+    joints = []
+    for source, b in j.support_ids:
+        for k, a in enumerate(source):
+            if a in shielded:
+                continue
+            if len(source) == 1:
+                bar_rows[bar_number[b] - m].append(a)
+            else:
+                joints.append((source[:k] + source[k + 1:] + (bar_number[b],), a))
+    rows = [(*r, bar_number[b]) if b in bar_number else r for b, r in enumerate(j.target_ids)]
     return HigherLevelAF._make(
-        table, keys,
-        target_ids=_rows(len(table), new, enumerate(j.target_ids), singles.items()),
-        joint_attack_ids=sorted((_source_ids(new[a] for a in x), new[b]) for x, b in joints),
+        (*j.node_table, *(BarNode(j.node_table[b]) for b in barred)),
+        target_ids=rows + [sorted(row) for row in bar_rows],
+        joint_attack_ids=sorted(joints),
     )
 
 
@@ -420,20 +363,43 @@ def flatten_joint_attacks(h: HigherLevelAF) -> AF:
     A singleton joint attack becomes a direct edge.  A joint attack (X, b)
     with |X| > 1 is carried by e(X) -> b, with a -> bar(a) -> e(X) for every
     participant a in X; e(X) is shared by all joint attacks from the same X.
+
+    ``h`` may be any ``HigherLevelAF``, so this stage numbers by key: each
+    node of ``h`` has its key computed once, a new bar or e-node is interned
+    by its key (a bar that ``h`` already holds is that node), and the nodes
+    are renumbered into canonical order once, at the end.  The nodes of
+    ``h`` keep their relative order, so its rows stay ascending.
     """
-    work = _Interner(h)
+    nodes = list(h.node_table)
+    keys = [n.key() for n in nodes]
+    number = {k: i for i, k in enumerate(keys)}
+
+    def intern(key, make) -> int:
+        i = number.get(key)
+        if i is None:
+            i = number[key] = len(keys)
+            keys.append(key)
+            nodes.append(make())
+        return i
+
     added: dict[int, set[int]] = {}
     for attackers, target in h.joint_attack_ids:
-        carrier = work.e(attackers)
+        # ascending numbers of ``h`` are in key order, as e-node members are
+        carrier = intern(
+            (2, tuple(keys[a] for a in attackers)),
+            lambda: ENode(tuple(nodes[a] for a in attackers)),
+        )
         added.setdefault(carrier, set()).add(target)
         for a in attackers:
-            a_bar = work.bar(a)
+            a_bar = intern((1, keys[a]), lambda: BarNode(nodes[a]))
             added.setdefault(a, set()).add(a_bar)
             added.setdefault(a_bar, set()).add(carrier)
-    table, keys, new = work.renumber()
-    return AF._make(
-        table, keys, target_ids=_rows(len(table), new, enumerate(h.target_ids), added.items())
-    )
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    new = {i: p for p, i in enumerate(order)}
+    rows = [[new[t] for t in row] for row in h.target_ids] + [()] * (len(keys) - len(h.node_table))
+    for i, targets in added.items():
+        rows[i] = sorted({*rows[i], *map(new.__getitem__, targets)})
+    return AF._make(tuple(nodes[i] for i in order), target_ids=[rows[i] for i in order])
 
 
 def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
@@ -490,18 +456,13 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
     e_members = sorted(set(arm_members))
     e_number = {members: m + len(barred) + p for p, members in enumerate(e_members)}
 
-    node_of, key_of = [*j.node_table, *[None] * m], [*j.node_keys, *[None] * m]
+    node_of = [*j.node_table, *[None] * m]
     for b in barred:
-        node_of[m + b], key_of[m + b] = BarNode(node_of[b]), (1, key_of[b])
+        node_of[m + b] = BarNode(node_of[b])
     node_table = (
         *j.node_table,
         *(node_of[m + b] for b in barred),
         *(ENode(tuple(map(node_of.__getitem__, e))) for e in e_members),
-    )
-    node_keys = (
-        *j.node_keys,
-        *(key_of[m + b] for b in barred),
-        *((2, tuple(map(key_of.__getitem__, e))) for e in e_members),
     )
 
     # The attacks that flattening adds, by source number.  An argument gains
@@ -521,7 +482,7 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
         if i < m:
             rows[i] = (*rows[i], *sorted(targets))
     rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(node_table))]
-    return AF._make(node_table, node_keys, target_ids=rows)
+    return AF._make(node_table, target_ids=rows)
 
 
 def prune_inert(af: AF) -> AF:
@@ -531,21 +492,19 @@ def prune_inert(af: AF) -> AF:
     join or influence any admissible set, so every semantics yields the same
     extension sets before and after pruning.
     """
+    table = af.node_table
     out_degree = [len(row) for row in af.target_ids]
-    inert = [i for i, k in enumerate(af.node_keys) if k[0] and not out_degree[i]]
+    inert = [i for i, n in enumerate(table) if is_meta(n) and not out_degree[i]]
     dropped = set(inert)
     while inert:
         for a in af.attacker_ids[inert.pop()]:
             out_degree[a] -= 1
-            if not out_degree[a] and af.node_keys[a][0]:
+            if not out_degree[a] and is_meta(table[a]):
                 dropped.add(a)
                 inert.append(a)
-    kept = [i for i in range(len(af.node_table)) if i not in dropped]
-    new = [-1] * len(af.node_table)
-    for p, i in enumerate(kept):
-        new[i] = p
+    kept = [i for i in range(len(table)) if i not in dropped]
+    new = {i: p for p, i in enumerate(kept)}
     return AF._make(
-        tuple(af.node_table[i] for i in kept),
-        tuple(af.node_keys[i] for i in kept),
-        target_ids=_rows(len(kept), new, enumerate(af.target_ids)),
+        tuple(table[i] for i in kept),
+        target_ids=[[new[t] for t in af.target_ids[i] if t in new] for i in kept],
     )

@@ -17,7 +17,7 @@ import re
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from typing import Callable
 
-from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId
+from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId, is_meta
 from .postulates import POSTULATES, Evaluation, Verdict
 
 REPORT_FORMATS = ("json", "text")
@@ -310,8 +310,8 @@ def emit_dot(framework: AF | JSBAF | HigherLevelAF) -> str:
     meta-arguments drawn as dashed boxes."""
     names = [_dot_quote(label) for label in framework.labels]
     lines = ["digraph framework {"]
-    for name, key in zip(names, framework.node_keys):
-        style = " [shape=box, style=dashed]" if key[0] else ""
+    for name, node in zip(names, framework.node_table):
+        style = " [shape=box, style=dashed]" if is_meta(node) else ""
         lines.append(f"  {name}{style};")
     for src, row in enumerate(framework.target_ids):
         lines += [f"  {names[src]} -> {names[dst]};" for dst in row]

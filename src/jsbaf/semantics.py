@@ -39,7 +39,7 @@ from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable, Optional
 
-from .frameworks import AF, JSBAF, NodeId, flatten_simplified, prune_inert, sort_nodes
+from .frameworks import AF, JSBAF, NodeId, flatten_simplified, prune_inert
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
@@ -304,12 +304,11 @@ def is_deductive_extension(
 ) -> tuple[bool, Optional[tuple[frozenset[NodeId], NodeId]]]:
     """Check that every support whose whole source lies inside the extension
     has its target inside as well; on failure, return the violating support."""
-    members = frozenset(extension)
-    for source, target in sorted(
-        j.supports, key=lambda s: (tuple(n.key() for n in sort_nodes(s[0])), s[1].key())
-    ):
-        if source <= members and target not in members:
-            return False, (source, target)
+    table, members = j.node_table, frozenset(extension)
+    inside = [n in members for n in table]
+    for source, target in j.support_ids:
+        if all(inside[a] for a in source) and not inside[target]:
+            return False, (frozenset(table[a] for a in source), table[target])
     return True, None
 
 
@@ -318,8 +317,10 @@ def is_conflict_free_jsbaf(
 ) -> tuple[bool, Optional[tuple[NodeId, NodeId]]]:
     """Check that no attack holds inside the extension; on failure, return
     the violating attack."""
-    members = frozenset(extension)
-    for src, dst in sorted(j.attacks, key=lambda p: (p[0].key(), p[1].key())):
-        if src in members and dst in members:
-            return False, (src, dst)
+    table, members = j.node_table, frozenset(extension)
+    inside = [n in members for n in table]
+    for src, row in enumerate(j.target_ids):
+        for dst in row:
+            if inside[src] and inside[dst]:
+                return False, (table[src], table[dst])
     return True, None

@@ -221,7 +221,7 @@ def test_criterion_09_simplified_flattening_equivalence():
 
 def test_criterion_10_eval_determinism():
     command = [
-        sys.executable, "-m", "jsbaf.cli", "eval",
+        sys.executable, "-W", "error", "-m", "jsbaf.cli", "eval",
         "--file", str(TANDEM_PATH), "--semantics", "preferred",
         "--mode", "deductive", "--report", "json",
     ]

@@ -93,6 +93,26 @@ class TestEval:
         assert run_cli(capsys, "eval", "--file", str(rules)) == plain
         assert plain[0] == 0
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [([], 0), (["--report", "text"], 0), (["--max-nodes", "1"], 3)],
+        ids=["json", "text", "limit"],
+    )
+    def test_file_name_that_is_not_utf8(self, monkeypatch, tmp_path, argv, code):
+        """The report gives the path as typed, each byte of it that is not
+        UTF-8 as \\xNN, so it can be written to a strict UTF-8 stdout."""
+        path = tmp_path / os.fsdecode(b"\xff.rules")
+        path.write_bytes(TANDEM_PATH.read_bytes())
+        stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+        monkeypatch.setattr("sys.stdout", stdout)
+        assert main(["eval", "--file", str(path), *argv]) == code
+        out = stdout.buffer.getvalue().decode("utf-8")
+        shown = f"{tmp_path}/\\xff.rules"
+        if "text" in argv:
+            assert out.startswith(f"source: {shown}\n")
+        else:
+            assert json.loads(out)["input"]["source"] == shown
+
     def test_file_that_is_not_utf8_is_an_input_error(self, capsys, tmp_path):
         bad = tmp_path / "latin1.rules"
         bad.write_bytes(b"strict r1: -> caf\xe9\n")
@@ -375,7 +395,10 @@ class TestClosedStdout:
         env = {**os.environ, "PYTHONPATH": str(TANDEM_PATH.parents[1] / "src")}
         try:
             result = subprocess.run(
-                [sys.executable, "-m", "jsbaf.cli", command, "--file", str(TANDEM_PATH)],
+                [
+                    sys.executable, "-W", "error", "-m", "jsbaf.cli",
+                    command, "--file", str(TANDEM_PATH),
+                ],
                 stdout=write_end, stderr=subprocess.PIPE, env=env,
             )
         finally:

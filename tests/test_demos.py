@@ -1,5 +1,6 @@
 """Every demo script runs to completion against the package and prints
-exactly its recorded output, ``tests/data/demo-0N.txt``."""
+exactly its recorded output, ``tests/data/demo-0N.txt``, with warnings
+turned into errors and nothing written to stderr."""
 
 import os
 import subprocess
@@ -20,6 +21,8 @@ def test_all_demos_are_found():
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
 def test_demo_exits_cleanly(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True)
-    assert result.returncode == 0, result.stderr.decode()
+    result = subprocess.run(
+        [sys.executable, "-W", "error", str(demo)], cwd=ROOT, env=env, capture_output=True
+    )
+    assert (result.returncode, result.stderr.decode()) == (0, "")
     assert result.stdout == (DATA / f"demo-{demo.name[:2]}.txt").read_bytes()

@@ -3,7 +3,7 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from jsbaf import (
     ArgumentationSystem,
@@ -195,6 +195,9 @@ DIAGNOSTICS = [
     ("strict r1: a, b # c !", ParseError, "1:16: expected '->' at end of line", ""),
     ("strict r1: -> a\tb", ParseError, "1:17: unexpected trailing 'b'", "b"),
     ("strict r1: -> a\n\n# c\nstrict r2 -> b", ParseError, "4:11: expected ':', found '->'", "->"),
+    # a form feed is whitespace, not a line end
+    ("strict r1: -> a\n\x0cstrict r2: -> b\nstrict r3: -> c x", ParseError,
+     "3:17: unexpected trailing 'x'", "x"),
 ]
 
 
@@ -209,12 +212,19 @@ def test_diagnostic_is_pinned(text, kind, message, token):
     assert getattr(err.value, "token", None) == token
 
 
+# Line ends for ``str.splitlines`` but whitespace for ``open()``.
+LINE_BREAKS_IN_TEXT = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
+
+
 @pytest.mark.parametrize(
     "text",
     [
         "strict r1: -> a\u00a0",
         "strict r1: -> a # \u00e9 !",
         "strict r1: -> a\n  strict\tr2 : a,~ ~b->c",
+        # characters that ``str.splitlines`` breaks at, inside comments
+        *(f"strict r1: -> a  # note{c} more words" for c in LINE_BREAKS_IN_TEXT),
+        *(f"strict r1:{c}->{c}a" for c in LINE_BREAKS_IN_TEXT),
     ],
 )
 def test_accepted_spacing_and_comments(text):
@@ -252,8 +262,8 @@ class TestRoundTrip:
 
     @given(systems(), st.data())
     def test_whitespace_and_comments_do_not_matter(self, system, data):
-        spacing = st.sampled_from([" ", "  ", "\t", "\u00a0", " \t\u00a0"])
-        comment = st.sampled_from(["", " # note", "\t#!\u00e9 1 ->", "#"])
+        spacing = st.sampled_from([" ", "  ", "\t", "\u00a0", " \t\u00a0", "\u2028", "\x0c"])
+        comment = st.sampled_from(["", " # note", "\t#!\u00e9 1 ->", "#", "# \u2028 x", "#\x0c"])
         lines = []
         for line in print_system(system).splitlines():
             tokens = re.findall(r"[A-Za-z0-9_]+|->|=>|\S", line)
@@ -269,7 +279,7 @@ FRAGMENTS = [
     "atoms a b", "strict r1: a -> b", "defeasible d1: ~ a => ~~b", "name d1 = c",
     "atoms", "strict", "defeasible", "name", "r1", "d1", "a", "b",
     "~", "~ ", "->", "=>", ",", ":", "=", "-", ">",
-    " ", "\t", "\u00a0", "#", "!", "\u00e9", "1",
+    " ", "\t", "\u00a0", "\u2028", "\x0c", "#", "!", "\u00e9", "1",
 ]
 
 
@@ -277,6 +287,8 @@ lines_st = st.lists(st.sampled_from(FRAGMENTS), max_size=10).map("".join)
 
 
 @given(st.lists(lines_st, min_size=1, max_size=5))
+@example(["\u2028!"])
+@example(["\x0catoms", "1"])
 def test_every_error_points_into_the_text(lines):
     try:
         parse_system("\n".join(lines))

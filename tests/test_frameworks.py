@@ -320,7 +320,6 @@ def assert_canonical(framework):
     """Node numbers follow the canonical order, and every target row is
     strictly ascending."""
     assert list(framework.node_table) == sort_nodes(framework.node_table)
-    assert list(framework.node_keys) == [n.key() for n in framework.node_table]
     assert len(framework.target_ids) == len(framework.node_table)
     for row in framework.target_ids:
         assert all(a < b for a, b in zip(row, row[1:]))
@@ -416,20 +415,26 @@ class TestIntFlatteningMatchesReference:
                 assert (flat.nodes, flat.attacks) == (expected.nodes, expected.attacks), seed
 
     def test_tandem_8_3_holds_one_object_per_node(self):
-        """Every edge end, bar base and e-node member that is a node of the
-        flattening is that node's one object in the node table."""
+        """Every edge end, joint attack end, bar base and e-node member that
+        is a node of a stage is that node's one object in the node table."""
         system = parse_system(SourceDocument(tandem_rules(8, 3), "tandem"))
         prepared = prepare(system)
-        for framework in (prepared.jsbaf, prepared.flat):
+        one = flatten_one_step(prepared.jsbaf, prepared.shielded)
+        two = flatten_joint_attacks(one)
+        for framework in (prepared.jsbaf, one, two, prepared.flat):
             table = framework.node_table
             by_key = {n.key(): n for n in table}
             assert len(by_key) == len(table)
             parts = [*table, *(n.base for n in table if isinstance(n, BarNode))]
             parts += [m for n in table if isinstance(n, ENode) for m in n.members]
-            parts += [x for pair in framework.attacks for x in pair]
+            if isinstance(framework, HigherLevelAF):
+                parts += [x for src, dst in framework.joint_attacks for x in (*src, dst)]
+            else:
+                parts += [x for pair in framework.attacks for x in pair]
             assert all(by_key.get(x.key(), x) is x for x in parts)
             assert {id(x) for x in parts if x.key() in by_key} == set(map(id, table))
-        assert (len(prepared.jsbaf.node_table), len(prepared.flat.node_table)) == (296, 1152)
+        sizes = [len(f.node_table) for f in (prepared.jsbaf, one, two, prepared.flat)]
+        assert sizes == [296, 584, 1712, 1152]
 
 
 def _label_order_systems():
