@@ -222,7 +222,7 @@ LINE_BREAKS_IN_TEXT = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d
         "strict r1: -> a\u00a0",
         "strict r1: -> a # \u00e9 !",
         "strict r1: -> a\n  strict\tr2 : a,~ ~b->c",
-        # characters that ``str.splitlines`` breaks at, inside comments
+        # characters that ``str.splitlines`` breaks at, in a comment and between tokens
         *(f"strict r1: -> a  # note{c} more words" for c in LINE_BREAKS_IN_TEXT),
         *(f"strict r1:{c}->{c}a" for c in LINE_BREAKS_IN_TEXT),
     ],
