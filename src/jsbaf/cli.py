@@ -32,7 +32,7 @@ from .postulates import (
 from .reporting import (
     REPORT_FORMATS, emit_apx, emit_dot, report_settings, write_limit_report, write_report,
 )
-from .semantics import FLATTEN_MODES, SEMANTICS
+from .semantics import FLATTEN_MODES, SEMANTICS, extension_ids
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -246,10 +246,10 @@ def _cmd_oracle(args) -> int:
         raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")
     prepared = _prepare(args, False)
     searched = prepared.searched(args.mode)
-    if (nodes := len(searched.node_table)) > cap:
-        raise ValidationError(f"framework has {nodes} nodes, above --oracle-cap {cap}")
-    raw = evaluate(prepared, args.semantics, args.mode, cap).raw_extensions
-    engine = [frozenset(searched.node_table[i] for i in ext) for ext in raw]
+    table = searched.node_table
+    if len(table) > cap:
+        raise ValidationError(f"framework has {len(table)} nodes, above --oracle-cap {cap}")
+    engine = [frozenset(table[i] for i in ext) for ext in extension_ids(searched, args.semantics)]
     brute = brute_force_extensions(searched, args.semantics)
     if engine == brute:
         sys.stdout.write(f"{args.semantics}: OK ({len(engine)} extensions agree)\n")

@@ -5,11 +5,11 @@ over label domains: each node keeps the set of labels still possible for it,
 propagation narrows a node and its attackers until every domain agrees with
 its attackers' domains (in iff all attackers are out, out iff some attacker
 is in, undecided otherwise), and the search splits the first domain in
-canonical order that still holds more than one label.  The domains are a
-list of small ints, one per node, mirrored by three int bitsets over the
-node numbers: the nodes that can still be in, out and undecided.  A node's
-own rule reads its domain; the tests on its attackers are mask operations
-on its attacker mask.  The four admissibility-based semantics are:
+canonical order that still holds more than one label.  The domains are
+three int bitsets over the node numbers: the nodes that can still be in,
+out and undecided; a node's domain is its bit in each.  The tests on a
+node's attackers are mask operations on its attacker mask.  The four
+admissibility-based semantics are:
 
 * grounded  — least fixpoint of the characteristic function, computed
               directly in time linear in the attacks (no search needed),
@@ -72,19 +72,18 @@ def _grounded(af: AF) -> tuple[int, ...]:
 class _DomainSearch:
     """Enumerates the complete labellings of a finite AF within given domains.
 
-    Each node keeps a bitmask of the labels still possible for it in a
-    list, which its own rule reads.  Three ints over the node numbers
-    mirror the list: the nodes that can still be in (``can_in``), out
-    (``can_out``) and undecided (``can_undec``).  With each node's attacker
-    mask, built once per search, they test a node's attackers with a few
-    mask operations: every attacker can be out when ``atk & can_out ==
-    atk``, some attacker can be in when ``atk & can_in``.  The dirty nodes
-    are an int too, and a branch state is the list and four ints.
-    Propagation narrows a node and its attackers until every domain agrees
-    with its attackers' domains under the complete-labelling rule; the
-    search then splits the first non-singleton node in canonical order (the
-    lowest node number) into its lowest label against the rest.  Every full
-    labelling is re-verified, so propagation only needs to be sound.
+    A node's domain is its bits in three ints over the node numbers: the
+    nodes that can still be in (``can_in``), out (``can_out``) and
+    undecided (``can_undec``).  With each node's attacker mask, built once
+    per search, they test a node's attackers with a few mask operations:
+    every attacker can be out when ``atk & can_out == atk``, some attacker
+    can be in when ``atk & can_in``.  The dirty nodes are an int too, so a
+    branch state is four ints.  Propagation narrows a node and its
+    attackers until every domain agrees with its attackers' domains under
+    the complete-labelling rule; the search then splits the first
+    non-singleton node in canonical order (the lowest node number) into its
+    lowest label against the rest.  Every full labelling is re-verified, so
+    propagation only needs to be sound.
     """
 
     def __init__(self, af: AF):
@@ -100,49 +99,47 @@ class _DomainSearch:
 
     def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         """In-sets of all complete labellings whose labels lie in ``domain``,
-        in canonical order.  With ``maximal``, a branch is dropped once the
-        nodes that can still be in lie inside an in-set already found: none
-        of its labellings has a larger in-set.  Those found may still be
-        non-maximal, so the caller filters them."""
+        in canonical order.  With ``maximal``, only the subset-maximal ones:
+        a branch is dropped once the nodes that can still be in lie inside
+        an in-set already found, since none of its labellings has a larger
+        in-set, and those found that lie inside another are left out."""
         every = (1 << self.n) - 1
         masks = (every if domain & label else 0 for label in (_IN, _OUT, _UNDEC))
-        results = []
-        found: list[int] = []  # the nodes outside each in-set
-        stack = [([domain] * self.n, *masks, every)]
+        found: list[int] = []  # the in-set of each complete labelling
+        stack = [(*masks, every)]
         while stack:
             state = self._propagate(*stack.pop())
             if state is None:
                 continue
-            doms, can_in, can_out, can_undec = state
-            if found and not all(can_in & outside for outside in found):
+            can_in, can_out, can_undec = state
+            if maximal and not all(can_in | ext != ext for ext in found):
                 continue
             split = (can_in & can_out) | (can_undec & (can_in | can_out))
             if not split:
-                if self._verify(doms):
-                    results.append(tuple(i for i, d in enumerate(doms) if d == _IN))
-                    if maximal:
-                        found.append(every ^ can_in)
+                if self._verify(can_in, can_undec):
+                    found.append(can_in)
                 continue
             bit = split & -split
-            pivot = bit.bit_length() - 1
-            low = doms[pivot] & -doms[pivot]
-            rest = doms.copy()
-            rest[pivot] ^= low
-            doms[pivot] = low
-            dirty = self.reach[pivot]
-            stack.append((rest, *_drop(bit, low, can_in, can_out, can_undec), dirty))
-            stack.append((doms, *_drop(bit, rest[pivot], can_in, can_out, can_undec), dirty))
-        return sorted(set(results))
+            dirty = self.reach[bit.bit_length() - 1]
+            if can_in & bit:  # in against out or undecided
+                stack.append((can_in ^ bit, can_out, can_undec, dirty))
+                stack.append((can_in, can_out & ~bit, can_undec & ~bit, dirty))
+            else:  # out against undecided
+                stack.append((can_in, can_out ^ bit, can_undec, dirty))
+                stack.append((can_in, can_out, can_undec ^ bit, dirty))
+        if maximal:
+            found = [s for s in found if not any(s | t == t != s for t in found)]
+        return sorted(_members(s) for s in found)
 
     def _propagate(
-        self, doms: list[int], can_in: int, can_out: int, can_undec: int, dirty: int
-    ) -> Optional[tuple[list[int], int, int, int]]:
-        """Narrow domains until quiescent: the narrowed domains and masks,
-        or None once a domain becomes empty.  Dirty nodes are popped in
-        ascending order, wrapping round, as a set of small ints pops them:
-        popping the lowest one each time revisits low nodes and pops half
-        as many again on the deductive tandem flattenings.  The order
-        changes the pops, not the fixpoint."""
+        self, can_in: int, can_out: int, can_undec: int, dirty: int
+    ) -> Optional[tuple[int, int, int]]:
+        """Narrow domains until quiescent: the narrowed masks, or None once
+        a domain becomes empty.  Dirty nodes are popped in ascending order,
+        wrapping round, as a set of small ints pops them: popping the lowest
+        one each time revisits low nodes and pops half as many again on the
+        deductive tandem flattenings.  The order changes the pops, not the
+        fixpoint."""
         attackers, reach = self.attackers, self.reach
         finger = 1  # the lowest node the next pop looks at first
         while dirty:
@@ -154,27 +151,29 @@ class _DomainSearch:
             atk = attackers[y]
             every_out = atk & can_out == atk
             some_in = atk & can_in
-            allowed = 0
-            if every_out:
-                allowed |= _IN
-            if some_in:
-                allowed |= _OUT
-            if atk & can_undec and not some_in & ~(can_out | can_undec):
-                allowed |= _UNDEC  # none is in, some can be undecided
-            d = doms[y]
-            dy = d & allowed
-            if dy != d:
-                if not dy:
-                    return None
-                doms[y] = dy
-                gone = d ^ dy
-                if gone & _IN:
-                    can_in ^= bit
-                if gone & _OUT:
-                    can_out ^= bit
-                if gone & _UNDEC:
+            # Narrow the node to the labels its attackers allow; each rule
+            # reads the masks from before the node's own bits change.
+            dy = 0
+            if can_undec & bit:
+                if atk & can_undec and not some_in & ~(can_out | can_undec):
+                    dy = _UNDEC  # none is in, some can be undecided
+                else:
                     can_undec ^= bit
-                dirty |= reach[y]
+                    dirty |= reach[y]
+            if can_in & bit:
+                if every_out:
+                    dy |= _IN
+                else:
+                    can_in ^= bit
+                    dirty |= reach[y]
+            if can_out & bit:
+                if some_in:
+                    dy |= _OUT
+                else:
+                    can_out ^= bit
+                    dirty |= reach[y]
+            if not dy:
+                return None
             # Narrow the attackers, skipping rules that the masks show to hold.
             if dy == _IN:  # every attacker out
                 hit = atk & (can_in | can_undec)
@@ -185,17 +184,14 @@ class _DomainSearch:
                 while hit:
                     low = hit & -hit
                     hit ^= low
-                    x = low.bit_length() - 1
-                    doms[x] = _OUT
-                    dirty |= reach[x]
+                    dirty |= reach[low.bit_length() - 1]
             elif dy == _OUT:  # some attacker in
                 hit = atk & can_in
                 if hit and not hit & (hit - 1) and hit & (can_out | can_undec):
-                    x = hit.bit_length() - 1  # the one attacker that can be in
-                    doms[x] = _IN
+                    # the one attacker that can be in
                     can_out &= ~hit
                     can_undec &= ~hit
-                    dirty |= reach[x]
+                    dirty |= reach[hit.bit_length() - 1]
             else:
                 if not dy & _OUT:  # no attacker in
                     hit = atk & can_in
@@ -205,42 +201,33 @@ class _DomainSearch:
                     while hit:
                         low = hit & -hit
                         hit ^= low
-                        x = low.bit_length() - 1
-                        doms[x] ^= _IN
-                        dirty |= reach[x]
+                        dirty |= reach[low.bit_length() - 1]
                 if not dy & _IN and every_out:  # some attacker not out
                     hit = atk & (can_in | can_undec)
                     if hit and not hit & (hit - 1) and hit & can_out:
-                        x = hit.bit_length() - 1  # the one attacker that can be not out
-                        doms[x] ^= _OUT
+                        # the one attacker that can be not out
                         can_out ^= hit
-                        dirty |= reach[x]
-        return doms, can_in, can_out, can_undec
+                        dirty |= reach[hit.bit_length() - 1]
+        return can_in, can_out, can_undec
 
-    def _verify(self, doms: list[int]) -> bool:
-        """Check a full labelling against the complete-labelling rule,
-        reading the labels from ``doms`` alone."""
-        is_in = sum(1 << i for i, d in enumerate(doms) if d == _IN)
-        is_undec = sum(1 << i for i, d in enumerate(doms) if d == _UNDEC)
-        for d, atk in zip(doms, self.attackers):
-            if d == _IN and atk & (is_in | is_undec):
-                return False
-            if d == _OUT and not atk & is_in:
-                return False
-            if d == _UNDEC and (atk & is_in or not atk & is_undec):
+    def _verify(self, is_in: int, is_undec: int) -> bool:
+        """Check a full labelling, given by its in and undecided nodes,
+        against the complete-labelling rule."""
+        for y, atk in enumerate(self.attackers):
+            if is_in >> y & 1:
+                if atk & (is_in | is_undec):
+                    return False
+            elif is_undec >> y & 1:
+                if atk & is_in or not atk & is_undec:
+                    return False
+            elif not atk & is_in:
                 return False
         return True
 
 
-def _drop(bit: int, labels: int, can_in: int, can_out: int, can_undec: int) -> tuple[int, int, int]:
-    """The three masks with node ``bit`` taken out of those of ``labels``."""
-    if labels & _IN:
-        can_in ^= bit
-    if labels & _OUT:
-        can_out ^= bit
-    if labels & _UNDEC:
-        can_undec ^= bit
-    return can_in, can_out, can_undec
+def _members(mask: int) -> tuple[int, ...]:
+    """The node numbers in ``mask``, ascending."""
+    return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
 
 
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
@@ -253,9 +240,7 @@ def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
     if semantics == "stable":
         return _DomainSearch(af).run(_IN | _OUT)
     if semantics == "preferred":
-        complete = _DomainSearch(af).run(_IN | _OUT | _UNDEC, maximal=True)
-        sets = [frozenset(ext) for ext in complete]
-        return [ext for ext, s in zip(complete, sets) if not any(s < other for other in sets)]
+        return _DomainSearch(af).run(_IN | _OUT | _UNDEC, maximal=True)
     raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
 
 

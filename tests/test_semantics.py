@@ -363,9 +363,9 @@ def _propagation_calls(monkeypatch, system, mode, semantics):
     calls = []
     propagate = semantics_module._DomainSearch._propagate
 
-    def counted(self, doms, can_in, can_out, can_undec, dirty):
+    def counted(self, *state):
         calls.append(1)
-        return propagate(self, doms, can_in, can_out, can_undec, dirty)
+        return propagate(self, *state)
 
     monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", counted)
     evaluate(prepare(system), semantics, mode, max_nodes=1000)
@@ -504,3 +504,43 @@ class TestReferenceKernel:
             isolated = {base(f"z{i}") for i in range(seed % 4)}
             check(af)
             check(AF(af.nodes | isolated, af.attacks))
+
+
+def _attacks(*pairs):
+    """The AF of the attacks ``"ab"``, ``"bc"``, ...: a attacks b, and so on."""
+    edges = {(base(s), base(t)) for s, t in pairs}
+    return AF(frozenset(n for edge in edges for n in edge), frozenset(edges))
+
+
+_LABEL_BITS = {
+    "in": semantics_module._IN, "out": semantics_module._OUT, "undec": semantics_module._UNDEC
+}
+
+
+@pytest.mark.parametrize(
+    "attacks, labels, complete",
+    [
+        (("ab",), {"a": "in", "b": "in"}, False),  # in, with an in attacker
+        (("aa", "ab"), {"a": "undec", "b": "in"}, False),  # in, with an undecided attacker
+        (("ab", "bc"), {"a": "in", "b": "out", "c": "out"}, False),  # out, no in attacker
+        (("ab",), {"a": "out", "b": "out"}, False),  # out, unattacked
+        # undecided, with an in attacker and an undecided one
+        (("ab", "cb", "cc"), {"a": "in", "b": "undec", "c": "undec"}, False),
+        (("ab", "bc"), {"a": "in", "b": "out", "c": "undec"}, False),  # undecided, none undecided
+        (("ab",), {"a": "undec", "b": "undec"}, False),  # undecided, unattacked
+        (("ab", "bc"), {"a": "in", "b": "out", "c": "in"}, True),
+        (("ab", "ba"), {"a": "undec", "b": "undec"}, True),
+        (("ab", "ba"), {"a": "out", "b": "in"}, True),
+        (("aa", "ab", "bc"), {"a": "undec", "b": "undec", "c": "undec"}, True),
+    ],
+)
+def test_verify_checks_every_node_against_its_attackers(attacks, labels, complete):
+    """Each full labelling that breaks the complete-labelling rule at one
+    node is rejected, each complete one is accepted, as by the reference."""
+    af = _attacks(*attacks)
+    names = [labels[n.label] for n in af.node_table]
+    is_in = sum(1 << i for i, name in enumerate(names) if name == "in")
+    is_undec = sum(1 << i for i, name in enumerate(names) if name == "undec")
+    assert semantics_module._DomainSearch(af)._verify(is_in, is_undec) is complete
+    doms = [_LABEL_BITS[name] for name in names]
+    assert reference.DomainSearch(af)._verify(doms) is complete
