@@ -4,12 +4,15 @@ The engine enumerates complete labellings (in / out / undecided) by a search
 over label domains: each node keeps the set of labels still possible for it,
 propagation narrows a node and its attackers until every domain agrees with
 its attackers' domains (in iff all attackers are out, out iff some attacker
-is in, undecided otherwise), and the search splits the first domain in
-canonical order that still holds more than one label.  The domains are
-three int bitsets over the node numbers: the nodes that can still be in,
-out and undecided; a node's domain is its bit in each.  The tests on a
-node's attackers are mask operations on its attacker mask.  The four
-admissibility-based semantics are:
+is in, undecided otherwise), and the search splits the first domain that
+still holds more than one label in a static order: arguments before
+meta-arguments, then the nodes with most targets, then the lowest node
+number.  In a flattening a meta-argument's label follows from the
+arguments' labels, so this order leaves far fewer branches to fail.  The
+domains are three int bitsets over the ranks in that order: the nodes that
+can still be in, out and undecided; a node's domain is its bit in each.
+The tests on a node's attackers are mask operations on its attacker mask.
+The four admissibility-based semantics are:
 
 * grounded  — least fixpoint of the characteristic function, computed
               directly in time linear in the attacks (no search needed),
@@ -20,11 +23,11 @@ admissibility-based semantics are:
               with every branch dropped whose possible in-set lies inside
               an extension already found.
 
-The engine works on the framework's node numbers and int adjacency lists,
-as given: canonical order is ascending node number.  ``extension_ids``
-returns extensions as sorted number tuples, which is what the evaluation
-pass reads; ``extensions`` turns them into sets of ``NodeId``s for library
-callers.  ``project_ids`` restricts the extensions of a flattened JSBAF to
+The engine reads the framework's node numbers and int adjacency lists and
+maps each extension back from ranks to node numbers: canonical order is
+ascending node number.  ``extension_ids`` returns extensions as sorted
+number tuples, which is what the evaluation pass reads; ``extensions``
+turns them into sets of ``NodeId``s for library callers.  ``project_ids`` restricts the extensions of a flattened JSBAF to
 its arguments, for ``postulates.evaluate`` and ``jsbaf_extensions`` alike.
 The functions here search whatever framework they are given; the
 node-count bound on the exponential searches is checked once, by
@@ -39,7 +42,7 @@ from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable, Optional
 
-from .frameworks import AF, JSBAF, NodeId, flatten_simplified, prune_inert
+from .frameworks import AF, JSBAF, NodeId, flatten_simplified, is_meta, prune_inert
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
 FLATTEN_MODES = ("literal", "prune-inert")
@@ -72,37 +75,47 @@ def _grounded(af: AF) -> tuple[int, ...]:
 class _DomainSearch:
     """Enumerates the complete labellings of a finite AF within given domains.
 
-    A node's domain is its bits in three ints over the node numbers: the
-    nodes that can still be in (``can_in``), out (``can_out``) and
-    undecided (``can_undec``).  With each node's attacker mask, built once
-    per search, they test a node's attackers with a few mask operations:
-    every attacker can be out when ``atk & can_out == atk``, some attacker
-    can be in when ``atk & can_in``.  The dirty nodes are an int too, so a
+    The nodes are renumbered once per search: ``order[r]`` is the node of
+    rank r, arguments (``is_meta`` false) before meta-arguments, then most
+    targets, then lowest node number.  A node's domain is its bits in three
+    ints over the ranks: the nodes that can still be in (``can_in``), out
+    (``can_out``) and undecided (``can_undec``).  With each node's attacker
+    mask, built once per search, they test a node's attackers with a few
+    mask operations: every attacker can be out when ``atk & can_out ==
+    atk``, some attacker can be in when ``atk & can_in``.  The dirty nodes are an int too, so a
     branch state is four ints.  Propagation narrows a node and its
     attackers until every domain agrees with its attackers' domains under
-    the complete-labelling rule; the search then splits the first
-    non-singleton node in canonical order (the lowest node number) into its
-    lowest label against the rest.  Every full labelling is re-verified, so
-    propagation only needs to be sound.
+    the complete-labelling rule; the search then splits the non-singleton
+    node of lowest rank, ``split & -split``, into its lowest label against
+    the rest.  Every full labelling is re-verified, so propagation only
+    needs to be sound.
     """
 
     def __init__(self, af: AF):
-        self.n = len(af.node_table)
-        self.attackers = [0] * self.n  # the attackers of each node, as a mask
-        self.reach: list[int] = []  # each node and its targets, as a mask
-        for x, row in enumerate(af.target_ids):
-            bit = mask = 1 << x
-            for y in row:
-                self.attackers[y] |= bit
-                mask |= 1 << y
+        table, rows = af.node_table, af.target_ids
+        self.n = len(table)
+        # order[r] is the node of rank r: arguments before meta-arguments,
+        # then most targets, then lowest number.
+        self.order = sorted(range(self.n), key=lambda x: (is_meta(table[x]), -len(rows[x]), x))
+        rank = [0] * self.n
+        for r, x in enumerate(self.order):
+            rank[x] = r
+        self.attackers = [0] * self.n  # the attackers of each rank, as a mask
+        self.reach: list[int] = []  # each rank and its targets, as a mask
+        for x in self.order:
+            bit = mask = 1 << rank[x]
+            for y in rows[x]:
+                self.attackers[rank[y]] |= bit
+                mask |= 1 << rank[y]
             self.reach.append(mask)
 
     def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         """In-sets of all complete labellings whose labels lie in ``domain``,
-        in canonical order.  With ``maximal``, only the subset-maximal ones:
-        a branch is dropped once the nodes that can still be in lie inside
-        an in-set already found, since none of its labellings has a larger
-        in-set, and those found that lie inside another are left out."""
+        as node numbers in canonical order.  With ``maximal``, only the
+        subset-maximal ones: a branch is dropped once the nodes that can
+        still be in lie inside an in-set already found, since none of its
+        labellings has a larger in-set, and those found that lie inside
+        another are left out."""
         every = (1 << self.n) - 1
         masks = (every if domain & label else 0 for label in (_IN, _OUT, _UNDEC))
         found: list[int] = []  # the in-set of each complete labelling
@@ -129,13 +142,14 @@ class _DomainSearch:
                 stack.append((can_in, can_out, can_undec ^ bit, dirty))
         if maximal:
             found = [s for s in found if not any(s | t == t != s for t in found)]
-        return sorted(_members(s) for s in found)
+        order = self.order
+        return sorted(tuple(sorted(order[r] for r in _members(s))) for s in found)
 
     def _propagate(
         self, can_in: int, can_out: int, can_undec: int, dirty: int
     ) -> Optional[tuple[int, int, int]]:
         """Narrow domains until quiescent: the narrowed masks, or None once
-        a domain becomes empty.  Dirty nodes are popped in ascending order,
+        a domain becomes empty.  Dirty nodes are popped in ascending rank,
         wrapping round, as a set of small ints pops them: popping the lowest
         one each time revisits low nodes and pops half as many again on the
         deductive tandem flattenings.  The order changes the pops, not the
@@ -226,7 +240,7 @@ class _DomainSearch:
 
 
 def _members(mask: int) -> tuple[int, ...]:
-    """The node numbers in ``mask``, ascending."""
+    """The bit positions set in ``mask``, ascending."""
     return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
 
 

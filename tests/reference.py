@@ -220,14 +220,21 @@ _NOT_IN = bytes(int(d != _IN) for d in range(256))
 class DomainSearch:
     """The label-domain search over a list of domains and a set of dirty
     nodes, which reads the distinct domains of a node's attackers through a
-    fresh set on every pop.  ``jsbaf.semantics._DomainSearch`` applies the
-    same rules on node masks, so it splits the same nodes and calls
-    ``_propagate`` as often."""
+    fresh set on every pop.  Both are indexed by rank: ``order[r]`` is the
+    node of rank r, arguments before meta-arguments, then most targets, then
+    lowest number.  ``jsbaf.semantics._DomainSearch`` applies the same rules
+    on rank masks, so it splits the same nodes and calls ``_propagate`` as
+    often."""
 
     def __init__(self, af: AF):
-        self.n = len(af.node_table)
-        self.attackers = af.attacker_ids
-        self.targets = af.target_ids
+        table, targets = af.node_table, af.targets
+        self.n = len(table)
+        self.order = sorted(
+            range(self.n), key=lambda i: (is_meta(table[i]), -len(targets[table[i]]), i)
+        )
+        rank = {x: r for r, x in enumerate(self.order)}
+        self.attackers = [sorted(rank[a] for a in af.attacker_ids[x]) for x in self.order]
+        self.targets = [sorted(rank[t] for t in af.target_ids[x]) for x in self.order]
 
     def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         results = []
@@ -244,7 +251,8 @@ class DomainSearch:
             pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
             if pivot is None:
                 if self._verify(doms):
-                    results.append(tuple(i for i, d in enumerate(doms) if d == _IN))
+                    ranks = (r for r, d in enumerate(doms) if d == _IN)
+                    results.append(tuple(sorted(self.order[r] for r in ranks)))
                     if maximal:
                         found.append(int.from_bytes(bytes(doms).translate(_NOT_IN), "little"))
                 continue

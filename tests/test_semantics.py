@@ -23,6 +23,7 @@ from jsbaf import (
     flattened_af,
     is_conflict_free_jsbaf,
     is_deductive_extension,
+    is_meta,
     jsbaf_extensions,
     parse_system,
     prepare,
@@ -248,6 +249,24 @@ class TestOracleAgreementAndInclusions:
         for sem in SEMANTICS:
             assert extensions(af, sem) == brute_force_extensions(af, sem), sem
 
+    def test_engine_matches_brute_force_on_flattenings(self):
+        """Frameworks with meta-arguments, which the search splits after
+        the arguments: the deductive flattenings, in both flatten modes, of
+        the small random systems with at most 14 nodes and some
+        meta-argument, and of tandem(2, 1)."""
+        flats = []
+        for seed in range(200):
+            system = random_system(SystemParams(6, 6, 6), seed).system
+            for flatten_mode in semantics_module.FLATTEN_MODES:
+                flat = prepare(system, flatten_mode=flatten_mode).flat
+                if len(flat.node_table) <= 14 and any(map(is_meta, flat.node_table)):
+                    flats.append(flat)
+        flats.append(_deductive_flattening(parse_system(SourceDocument(tandem_rules(2, 1), "t"))))
+        assert (len(flats), len(flats[-1].node_table)) == (235, 10)
+        for af in flats:
+            for sem in SEMANTICS:
+                assert extensions(af, sem) == brute_force_extensions(af, sem), sem
+
     @pytest.mark.parametrize("seed", range(40))
     def test_semantics_inclusions(self, seed):
         af = random_af(1000 + seed, 9, 0.25)
@@ -359,7 +378,9 @@ class TestLinearGrounded:
             assert extensions(af, "grounded")[0] == reference.grounded_extension(af)
 
 
-def _propagation_calls(monkeypatch, system, mode, semantics):
+def _counted_evaluate(monkeypatch, prepared, mode, semantics):
+    """``evaluate`` with a count of its propagation calls: the count and
+    the evaluation."""
     calls = []
     propagate = semantics_module._DomainSearch._propagate
 
@@ -367,45 +388,87 @@ def _propagation_calls(monkeypatch, system, mode, semantics):
         calls.append(1)
         return propagate(self, *state)
 
-    monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", counted)
-    evaluate(prepare(system), semantics, mode, max_nodes=1000)
-    return len(calls)
+    with monkeypatch.context() as patch:
+        patch.setattr(semantics_module._DomainSearch, "_propagate", counted)
+        evaluation = evaluate(prepared, semantics, mode, max_nodes=1000)
+    return len(calls), evaluation
+
+
+def _propagation_calls(monkeypatch, system, mode, semantics):
+    return _counted_evaluate(monkeypatch, prepare(system), mode, semantics)[0]
 
 
 @pytest.mark.parametrize(
     "mode, semantics, calls",
     [
-        ("deductive", "complete", 199),
-        ("deductive", "stable", 65),
-        ("aspic-minus", "complete", 273),
-        ("aspic-minus", "stable", 61),
+        ("deductive", "complete", 121),  # 199 splitting the lowest node number
+        ("deductive", "stable", 43),  # 65
+        ("aspic-minus", "complete", 209),  # 273
+        ("aspic-minus", "stable", 43),  # 61
     ],
 )
-def test_search_keeps_the_canonical_branching_order(monkeypatch, mode, semantics, calls):
-    """Propagation calls on tandem(5, 3), as counted before node numbers
-    replaced NodeIds: the search splits nodes in the same order."""
+def test_search_splits_arguments_with_most_targets_first(monkeypatch, mode, semantics, calls):
+    """Propagation calls on tandem(5, 3): the search splits arguments
+    before meta-arguments, then the nodes with most targets, then the
+    lowest node number.  The comments give the calls when it split the
+    lowest node number first."""
     system = parse_system(SourceDocument(tandem_rules(5, 3), "tandem-5-3.rules"))
     assert _propagation_calls(monkeypatch, system, mode, semantics) == calls
+
+
+def test_split_order_of_the_tandem_flattening():
+    """On the deductive flattening of tandem(3, 2) the 9 arguments rank
+    first, by descending target count (5, 2, 1), ties broken by number;
+    then the meta-arguments in the same way."""
+    flat = _deductive_flattening(parse_system(SourceDocument(TANDEM_PATH.read_text(), "t")))
+    order = semantics_module._DomainSearch(flat).order
+    assert [flat.labels[x] for x in order[:9]] == [
+        "A7", "A8", "A9", "A4", "A5", "A6", "A1", "A2", "A3"
+    ]
+    assert order == [6, 7, 8, 3, 4, 5, 0, 1, 2, 12, 13, 14, 15, 16, 17, 18, 19, 20, 9, 10, 11]
+    assert [len(flat.target_ids[x]) for x in order[:9]] == [5, 5, 5, 2, 2, 2, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
     "mode, n, k, calls",
     [
-        ("aspic-minus", 8, 7, 33),  # 527 when every complete labelling is listed
-        ("aspic-minus", 5, 3, 175),  # 273
-        ("deductive", 5, 3, 199),  # the same as complete search
-        ("deductive", 8, 7, 943),  # 945
-        ("aspic-minus", 6, 3, 3777),  # 4533
-        ("deductive", 6, 3, 3089),  # 3119
+        ("aspic-minus", 8, 7, 33),  # complete 527; before 33
+        ("aspic-minus", 5, 3, 91),  # complete 209; before 175
+        ("deductive", 5, 3, 121),  # complete 121; before 199
+        ("deductive", 8, 7, 31),  # complete 31; before 943
+        ("aspic-minus", 6, 3, 521),  # complete 1457; before 3777
+        ("deductive", 6, 3, 641),  # complete 641; before 3089
     ],
 )
 def test_preferred_search_drops_branches_inside_an_extension_found(
     monkeypatch, mode, n, k, calls
 ):
     """Once an extension is found, preferred search drops every branch
-    whose nodes that can still be in lie inside one already found."""
+    whose nodes that can still be in lie inside one already found.  The
+    comments give the calls of complete search, which lists every complete
+    labelling, and (before) of preferred search when it split the lowest
+    node number first."""
     system = parse_system(SourceDocument(tandem_rules(n, k), "tandem.rules"))
     assert _propagation_calls(monkeypatch, system, mode, "preferred") == calls
+
+
+@pytest.mark.parametrize(
+    "mode, calls, count",
+    [
+        ("deductive", 2693, 35),  # 24,205 calls splitting the lowest node number
+        ("aspic-minus", 1283, 64),  # 23,975
+    ],
+)
+def test_tandem_7_4_preferred(monkeypatch, mode, calls, count):
+    """A search regression instance: preferred search on tandem(7, 4), 119
+    arguments and, in deductive mode, 553 flattened nodes."""
+    prepared = prepare(parse_system(SourceDocument(tandem_rules(7, 4), "tandem-7-4.rules")))
+    made, evaluation = _counted_evaluate(monkeypatch, prepared, mode, "preferred")
+    assert (made, len(evaluation.raw_extensions)) == (calls, count)
+    af = prepared.searched(mode)
+    table = af.node_table
+    exts = [frozenset(table[i] for i in ext) for ext in evaluation.raw_extensions]
+    assert_sound_extensions(af, "preferred", exts)
 
 
 class TestPreferredBoundAgreesWithTheOracle:
@@ -450,9 +513,8 @@ class TestReferenceKernel:
     """``_DomainSearch`` against ``reference.DomainSearch``, the same rules
     on a list of domains and a set of dirty nodes: the same extensions from
     the same number of propagation calls, that is the same search tree.
-    The tandem systems are every tandem(n, k) with n <= 5, and (6, 1),
-    (6, 5) and (7, 6); the reference takes up to 9 s per semantics on the
-    others with n <= 7 (tandem(7, 4))."""
+    The tandem systems are every tandem(n, k) with n <= 6, and (7, 6); the
+    others with n = 7 would take the reference about 40 s in all."""
 
     @pytest.fixture
     def check(self, monkeypatch):
@@ -480,7 +542,7 @@ class TestReferenceKernel:
     @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
     @pytest.mark.parametrize(
         "n, k",
-        [(n, k) for n in range(2, 6) for k in range(1, n)] + [(6, 1), (6, 5), (7, 6)],
+        [(n, k) for n in range(2, 7) for k in range(1, n)] + [(7, 6)],
     )
     def test_tandem(self, check, n, k, mode):
         check(prepare(parse_system(SourceDocument(tandem_rules(n, k), "tandem"))).searched(mode))
@@ -538,9 +600,12 @@ def test_verify_checks_every_node_against_its_attackers(attacks, labels, complet
     """Each full labelling that breaks the complete-labelling rule at one
     node is rejected, each complete one is accepted, as by the reference."""
     af = _attacks(*attacks)
-    names = [labels[n.label] for n in af.node_table]
-    is_in = sum(1 << i for i, name in enumerate(names) if name == "in")
-    is_undec = sum(1 << i for i, name in enumerate(names) if name == "undec")
-    assert semantics_module._DomainSearch(af)._verify(is_in, is_undec) is complete
+    search = semantics_module._DomainSearch(af)
+    names = [labels[af.node_table[x].label] for x in search.order]  # by rank
+    is_in = sum(1 << r for r, name in enumerate(names) if name == "in")
+    is_undec = sum(1 << r for r, name in enumerate(names) if name == "undec")
+    assert search._verify(is_in, is_undec) is complete
     doms = [_LABEL_BITS[name] for name in names]
-    assert reference.DomainSearch(af)._verify(doms) is complete
+    ref = reference.DomainSearch(af)
+    assert ref.order == search.order
+    assert ref._verify(doms) is complete
