@@ -54,7 +54,6 @@ from .frameworks import (
     flatten_one_step,
     flatten_simplified,
     is_meta,
-    prune_inert,
     sort_nodes,
 )
 from .oracle import brute_force_extensions
@@ -86,7 +85,6 @@ from .semantics import (
     SEMANTICS,
     extension_ids,
     extensions,
-    flattened_af,
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,

@@ -81,7 +81,9 @@ def _add_common(parser, *, semantics=False, flatten=False, max_nodes=False):
     if flatten:
         parser.add_argument(
             "--flatten", choices=FLATTEN_MODES, default="literal",
-            help="how empty-source support bars are treated after flattening",
+            help="prune-inert leaves out the bar of each argument that has no joint support, "
+            "no defeasible single supporter, and co-supports nothing, since that bar "
+            "attacks nothing; literal keeps it",
         )
     parser.add_argument("--max-arguments", type=_non_negative_int, default=DEFAULT_MAX_ARGUMENTS)
     if max_nodes:

@@ -14,7 +14,9 @@ and one "e" meta-argument per attacker set.  ``flatten_simplified`` is the
 composition of the two without the bar pairs that merely relay a supported
 node's status through a double negation.  It is built in one pass from the
 supports of the JSBAF, and builds neither intermediate framework; the two
-stages serve ``jsbaf flatten --stage one-step|two-step``.
+stages serve ``jsbaf flatten --stage one-step|two-step``.  In
+"prune-inert" mode it never builds the bars that would attack nothing: the
+pruned flattening is built directly, not filtered from the literal one.
 
 Every framework numbers its nodes 0, 1, ... in canonical order
 (``sort_nodes``) and keeps its relations as ints over those numbers; the
@@ -402,7 +404,18 @@ def flatten_joint_attacks(h: HigherLevelAF) -> AF:
     return AF._make(tuple(nodes[i] for i in order), target_ids=[rows[i] for i in order])
 
 
-def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
+FLATTEN_MODES = ("literal", "prune-inert")
+
+
+def check_flatten_mode(flatten_mode: str) -> None:
+    """Refuse a flatten mode other than those of ``FLATTEN_MODES``."""
+    if flatten_mode not in FLATTEN_MODES:
+        raise ValueError(f"unknown flatten mode {flatten_mode!r}; expected one of {FLATTEN_MODES}")
+
+
+def flatten_simplified(
+    j: JSBAF, shielded: Collection[int] = frozenset(), flatten_mode: str = "literal"
+) -> AF:
     """The two-step flattening without its redundant double-negation bars,
     built in one pass from the supports of ``j``.
 
@@ -422,11 +435,19 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
       over Y plus bar(b) (or b, when bar(b) is left out), with e -> a,
       b -> e, and y -> bar(y) -> e for every y in Y.
 
+    With ``flatten_mode`` "prune-inert", bar(b) is also left out when b has
+    no joint support, no unshielded (defeasible) single supporter, and
+    co-supports nothing.  Such a bar attacks nothing, and its one attacker
+    is b, an argument, so these bars are exactly the meta-arguments of the
+    literal flattening that attack nothing, to a fixpoint.  Leaving them
+    out changes no extension once projected onto the arguments.
+
     No two e-nodes collide: b is a member of an e-node only in place of its
     bar, and then b co-supports no node.  The arguments keep their numbers
     0 .. m-1, and an argument that attacks no meta-argument keeps its row
     of ``j``; the meta-arguments are numbered once, in canonical order.
     """
+    check_flatten_mode(flatten_mode)
     m = len(j.node_table)
     supported, multi = set(), set()
     direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
@@ -443,7 +464,10 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
         elif source and source[0] not in shielded:
             direct.setdefault(b, []).append(source[0])
     co_supporters = {y for rest, _, _ in arms for y in rest}
-    barred = sorted((supported - multi) | direct.keys() | co_supporters)
+    # The bar of a node without joint support attacks nothing unless the
+    # node has a direct supporter or co-supports; only "literal" keeps it.
+    idle = supported - multi if flatten_mode == "literal" else set()
+    barred = sorted(idle | direct.keys() | co_supporters)
     bar_number = {b: m + p for p, b in enumerate(barred)}
 
     # Members of meta-arguments are numbered x for argument x and m + x for
@@ -483,28 +507,3 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
             rows[i] = (*rows[i], *sorted(targets))
     rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(node_table))]
     return AF._make(node_table, target_ids=rows)
-
-
-def prune_inert(af: AF) -> AF:
-    """Drop meta-arguments with no outgoing attacks, to a fixpoint.
-
-    Such nodes (typically bars introduced for empty-source supports) cannot
-    join or influence any admissible set, so every semantics yields the same
-    extension sets before and after pruning.
-    """
-    table = af.node_table
-    out_degree = [len(row) for row in af.target_ids]
-    inert = [i for i, n in enumerate(table) if is_meta(n) and not out_degree[i]]
-    dropped = set(inert)
-    while inert:
-        for a in af.attacker_ids[inert.pop()]:
-            out_degree[a] -= 1
-            if not out_degree[a] and is_meta(table[a]):
-                dropped.add(a)
-                inert.append(a)
-    kept = [i for i in range(len(table)) if i not in dropped]
-    new = {i: p for p, i in enumerate(kept)}
-    return AF._make(
-        tuple(table[i] for i in kept),
-        target_ids=[[new[t] for t in af.target_ids[i] if t in new] for i in kept],
-    )

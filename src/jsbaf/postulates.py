@@ -46,8 +46,8 @@ from .core import (
 from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
 )
-from .frameworks import AF, JSBAF, base
-from .semantics import SEMANTICS, extension_ids, flattened_af, project_ids
+from .frameworks import AF, JSBAF, base, check_flatten_mode, flatten_simplified
+from .semantics import SEMANTICS, extension_ids, project_ids
 
 MODES = ("aspic-minus", "deductive")
 POSTULATES = ("closure", "direct_consistency", "indirect_consistency")
@@ -165,7 +165,7 @@ class Prepared:
 
     @cached_property
     def flat(self) -> AF:
-        return flattened_af(self.jsbaf, self.flatten_mode, self.shielded)
+        return flatten_simplified(self.jsbaf, self.shielded, self.flatten_mode)
 
     def searched(self, mode: str) -> AF:
         """The AF that ``evaluate`` searches in ``mode``."""
@@ -178,8 +178,10 @@ def prepare(
     flatten_mode: str = "literal",
     require_consistent: bool = True,
 ) -> Prepared:
-    """Check consistency, enumerate at most ``max_arguments`` arguments and
-    find the attack witnesses of ``system``."""
+    """Check ``flatten_mode`` and consistency, enumerate at most
+    ``max_arguments`` arguments and find the attack witnesses of
+    ``system``."""
+    check_flatten_mode(flatten_mode)
     consistent = is_consistent(system)
     if require_consistent and not consistent:
         pair = find_complement_pair(strict_closure((), system.strict_rules))

@@ -42,10 +42,9 @@ from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable, Optional
 
-from .frameworks import AF, JSBAF, NodeId, flatten_simplified, is_meta, prune_inert
+from .frameworks import FLATTEN_MODES, AF, JSBAF, NodeId, flatten_simplified, is_meta
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
-FLATTEN_MODES = ("literal", "prune-inert")
 
 _IN, _OUT, _UNDEC = 1, 2, 4  # label bits of a domain
 
@@ -264,20 +263,6 @@ def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     return [frozenset(table[i] for i in ext) for ext in extension_ids(af, semantics)]
 
 
-def flattened_af(
-    j: JSBAF, flatten_mode: str = "literal", shielded: Collection[int] = frozenset()
-) -> AF:
-    """The simplified flattening of ``j``, optionally with inert
-    meta-arguments pruned away; ``shielded`` numbers nodes of ``j`` (see
-    ``flatten_one_step``)."""
-    if flatten_mode not in FLATTEN_MODES:
-        raise ValueError(f"unknown flatten mode {flatten_mode!r}; expected one of {FLATTEN_MODES}")
-    af = flatten_simplified(j, shielded)
-    if flatten_mode == "prune-inert":
-        af = prune_inert(af)
-    return af
-
-
 def project_ids(raw: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ...]]:
     """Extensions of a flattening restricted to its nodes 0 .. ``size`` - 1,
     the arguments of the JSBAF it flattens, without repeats, in canonical
@@ -293,7 +278,7 @@ def jsbaf_extensions(
 ) -> list[frozenset[NodeId]]:
     """Extensions of a JSBAF: flatten, run the semantics, project each
     extension onto the original nodes, deduplicate."""
-    raw = extension_ids(flattened_af(j, flatten_mode, shielded), semantics)
+    raw = extension_ids(flatten_simplified(j, shielded, flatten_mode), semantics)
     table = j.node_table
     return [frozenset(table[i] for i in ext) for ext in project_ids(raw, len(table))]
 

@@ -35,7 +35,6 @@ from jsbaf import (
     random_system,
 )
 from jsbaf.postulates import JsbafParams, SystemParams
-from jsbaf.semantics import flattened_af
 
 from conftest import TANDEM_PATH, labelled_extensions, random_af
 
@@ -94,7 +93,7 @@ def test_criterion_03_tandem_flattening_preferred(tandem_system):
     started = time.time()
     results = {}
     for mode in ("literal", "prune-inert"):
-        flat = flattened_af(j, mode)
+        flat = flatten_simplified(j, flatten_mode=mode)
         results[mode] = extensions(flat, "preferred")
         assert sorted(labelled_extensions(results[mode])) == sorted(expected), mode
     elapsed = time.time() - started

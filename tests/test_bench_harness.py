@@ -7,8 +7,9 @@ preferred search.  One pass of ``--workload tandem-build`` does the same for
 its four large grounded reports, with hundreds of thousands of attack
 witnesses and attacks between them.  One pass of ``--workload
 random-sweep`` checks all 1,600 reports of its 200 random systems, 800 of
-them over deductive flattenings.  No assertion is made on times, nor on
-how many operations met their deadline.
+them over deductive flattenings.  One traced ``tandem-build`` run checks
+that the tracer still finds the flattening it wraps.  No assertion is made
+on times, nor on how many operations met their deadline.
 """
 
 import json
@@ -19,11 +20,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_workload(workload):
-    """The JSON summary of one pass of ``workload``."""
+def run_workload(workload, trace=0):
+    """The JSON summary of one pass of ``workload`` (with ``trace``, an
+    untraced and a traced pass)."""
     command = [
         sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", "1", "--seconds", "1", "--trace", "0",
+        "--seed", "1", "--seconds", "1", "--trace", str(trace),
     ]
     done = subprocess.run(command, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stdout + done.stderr
@@ -38,6 +40,13 @@ def test_tandem_build_workload_runs_and_is_correct():
     summary = run_workload("tandem-build")
     assert summary["correct"] is True
     assert summary["attempted"] == 4 and summary["failed"] == 0
+
+
+def test_traced_tandem_build_pass_counts_the_flattening():
+    summary = run_workload("tandem-build", trace=1)
+    assert summary["correct"] is True
+    assert summary["failed"] == 0
+    assert summary["metrics"]["frameworks.flatten_simplified.calls"]["value"] > 0
 
 
 def test_random_sweep_workload_runs_and_is_correct():

@@ -34,7 +34,6 @@ from jsbaf import (
     parse_system,
     prepare,
     project_ids,
-    prune_inert,
     random_jsbaf,
     random_system,
     sort_nodes,
@@ -42,7 +41,7 @@ from jsbaf import (
 from jsbaf.frameworks import BarNode, ENode
 from jsbaf.semantics import FLATTEN_MODES, SEMANTICS, extension_ids
 
-from conftest import node_labels, tandem_rules
+from conftest import TANDEM_PATH, node_labels, tandem_rules
 
 SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
 
@@ -195,28 +194,51 @@ class TestSimplifiedFlattening:
         assert node_labels(af.nodes) == ["a", "b", "bar(b)"]
         assert edge_labels(af) == {("b", "bar(b)"), ("bar(b)", "a")}
 
-    def test_tandem_literal_and_pruned_node_sets(self, tandem_system):
-        j = prepare(tandem_system).jsbaf
-        af = flatten_simplified(j)
-        expected_core = [
-            "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
-            "bar(A4)", "bar(A5)", "bar(A6)",
-            "e(A4,A8)", "e(A4,A9)", "e(A5,A7)", "e(A5,A9)", "e(A6,A7)", "e(A6,A8)",
-        ]
-        assert node_labels(af.nodes) == sorted(
-            expected_core + ["bar(A1)", "bar(A2)", "bar(A3)"]
-        )
-        pruned = prune_inert(af)
+    TANDEM_CORE = [
+        "A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9",
+        "bar(A4)", "bar(A5)", "bar(A6)",
+        "e(A4,A8)", "e(A4,A9)", "e(A5,A7)", "e(A5,A9)", "e(A6,A7)", "e(A6,A8)",
+    ]
+    TANDEM_IDLE_BARS = ["bar(A1)", "bar(A2)", "bar(A3)"]
+
+    @pytest.mark.parametrize(
+        "rules, shield, expected_core, idle_bars, pruned_attacks",
+        (
+            (TANDEM_PATH.read_text(), False, TANDEM_CORE, TANDEM_IDLE_BARS, 33),
+            (TANDEM_PATH.read_text(), True, TANDEM_CORE, TANDEM_IDLE_BARS, 33),
+            # bar(A2) goes too, although its support {A1} is not empty: A1
+            # is strict, so it is shielded and no arm attacks it
+            (
+                "strict s1: -> a\nstrict s2: a -> b\ndefeasible d1: b => c\n",
+                True, ["A1", "A2", "A3"], ["bar(A1)", "bar(A2)"], 0,
+            ),
+        ),
+        ids=("tandem", "tandem-shielded", "strict-chain-shielded"),
+    )
+    def test_literal_and_pruned_node_sets(
+        self, rules, shield, expected_core, idle_bars, pruned_attacks
+    ):
+        prepared = prepare(parse_system(SourceDocument(rules, "rules")))
+        j = prepared.jsbaf
+        shielded = prepared.shielded if shield else frozenset()
+        af = flatten_simplified(j, shielded)
+        assert node_labels(af.nodes) == sorted(expected_core + idle_bars)
+        pruned = flatten_simplified(j, shielded, "prune-inert")
         assert node_labels(pruned.nodes) == sorted(expected_core)
-        assert len(pruned.attacks) == 33
+        assert len(pruned.attacks) == pruned_attacks
 
     def test_prune_inert_only_drops_outdegree_zero_meta_nodes(self, tandem_system):
         j = prepare(tandem_system).jsbaf
         af = flatten_simplified(j)
-        pruned = prune_inert(af)
+        pruned = flatten_simplified(j, flatten_mode="prune-inert")
         dropped = af.nodes - pruned.nodes
-        assert all(is_meta(n) for n in dropped)
+        assert pruned.nodes <= af.nodes
+        assert dropped == {n for n, targets in af.targets.items() if is_meta(n) and not targets}
         assert {n.label for n in dropped} == {"bar(A1)", "bar(A2)", "bar(A3)"}
+
+    def test_unknown_flatten_mode_is_refused(self, j1):
+        with pytest.raises(ValueError, match="unknown flatten mode 'bogus'"):
+            flatten_simplified(j1, flatten_mode="bogus")
 
     def test_mixed_singleton_and_joint_support_keeps_the_direct_bar(self):
         # d is supported both by {w} alone and by {y, z} jointly; the bar of d
@@ -338,7 +360,8 @@ def assert_flattenings_match(j, shielded):
     assert (two.nodes, two.attacks) == (two_ref.nodes, two_ref.attacks)
     flat, flat_ref = flatten_simplified(j, shielded), reference.simplify(j, two_ref)
     assert (flat.nodes, flat.attacks) == (flat_ref.nodes, flat_ref.attacks)
-    pruned, pruned_ref = prune_inert(flat), reference.prune_inert(flat_ref)
+    pruned = flatten_simplified(j, shielded, "prune-inert")
+    pruned_ref = reference.prune_inert(flat_ref)
     assert (pruned.nodes, pruned.attacks) == (pruned_ref.nodes, pruned_ref.attacks)
     for framework in (one, two, flat, pruned):
         assert_canonical(framework)

@@ -400,12 +400,13 @@ class TestReferenceWriter:
 # which turns its results into NodeId sets for library callers, is counted
 # to show that no command calls it.  The one-step and two-step frameworks
 # are counted to show that only ``flatten --stage one-step|two-step``
-# builds them: the simplified flattening is built without them.
+# builds them: the simplified flattening is built without them, by
+# ``flatten_simplified`` alone in either flatten mode.
 STAGES = {
     "core": ("is_consistent",),
     "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
-    "frameworks": ("flatten_one_step", "flatten_joint_attacks"),
-    "semantics": ("flattened_af", "extension_ids", "extensions"),
+    "frameworks": ("flatten_one_step", "flatten_joint_attacks", "flatten_simplified"),
+    "semantics": ("extension_ids", "extensions"),
 }
 
 
@@ -442,7 +443,7 @@ class TestOneEvaluationPass:
             "attack_witnesses": 1,
             "_attack_edges": 1,
             "extension_ids": 1,
-            **({"flattened_af": 1} if mode == "deductive" else {}),
+            **({"flatten_simplified": 1} if mode == "deductive" else {}),
         }
 
     def test_check_postulates_prepares_once(self, stage_calls, capsys):
@@ -453,20 +454,22 @@ class TestOneEvaluationPass:
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,  # the AF and the JSBAF share one attack relation
-            "flattened_af": 1,
+            "flatten_simplified": 1,
             "extension_ids": 8,  # 4 semantics x 2 modes
         }
 
     @pytest.mark.parametrize(
-        "stage, flattening",
+        "options, flattening",
         (
-            ("one-step", {"flatten_one_step": 1}),
-            ("two-step", {"flatten_one_step": 1, "flatten_joint_attacks": 1}),
-            ("simplified", {"flattened_af": 1}),
+            (["--stage", "one-step"], {"flatten_one_step": 1}),
+            (["--stage", "two-step"], {"flatten_one_step": 1, "flatten_joint_attacks": 1}),
+            (["--stage", "simplified"], {"flatten_simplified": 1}),
+            (["--stage", "simplified", "--flatten", "prune-inert"], {"flatten_simplified": 1}),
         ),
+        ids=("one-step", "two-step", "simplified", "simplified-prune-inert"),
     )
-    def test_flatten_flattens_at_most_once(self, stage_calls, capsys, stage, flattening):
-        assert main(["flatten", "--file", str(TANDEM_PATH), "--stage", stage]) == 0
+    def test_flatten_flattens_at_most_once(self, stage_calls, capsys, options, flattening):
+        assert main(["flatten", "--file", str(TANDEM_PATH), *options]) == 0
         assert capsys.readouterr().out.startswith("digraph framework {")
         assert stage_calls == {
             "is_consistent": 1,
@@ -508,11 +511,28 @@ class TestOneEvaluationPass:
         )
         assert stage_calls == {}
 
+    def test_prepare_refuses_an_unknown_flatten_mode_before_any_stage(
+        self, stage_calls, tandem_system
+    ):
+        with pytest.raises(ValueError) as refused:
+            prepare(tandem_system, flatten_mode="bogus")
+        assert str(refused.value) == (
+            "unknown flatten mode 'bogus'; expected one of ('literal', 'prune-inert')"
+        )
+        assert stage_calls == {}
+
     def test_check_postulates_accepts_prune_inert(self, stage_calls, capsys):
         """It evaluates both modes, and prunes the deductive flattening."""
         assert main(["check-postulates", "--file", str(TANDEM_PATH), "--flatten", "prune-inert"]) == 1
         assert len(capsys.readouterr().out.splitlines()) == 24
-        assert stage_calls["flattened_af"] == 1
+        assert stage_calls == {
+            "is_consistent": 1,
+            "construct_arguments": 1,
+            "attack_witnesses": 1,
+            "_attack_edges": 1,
+            "flatten_simplified": 1,
+            "extension_ids": 8,  # 4 semantics x 2 modes
+        }
 
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_runs_each_stage_once(self, stage_calls, capsys, mode):
@@ -526,7 +546,7 @@ class TestOneEvaluationPass:
             "attack_witnesses": 1,
             "_attack_edges": 1,
             "extension_ids": 1,
-            **({"flattened_af": 1} if mode == "deductive" else {}),
+            **({"flatten_simplified": 1} if mode == "deductive" else {}),
         }
 
     @pytest.mark.parametrize("fmt", ("json", "text"))

@@ -20,7 +20,7 @@ from jsbaf import (
     evaluate_postulates,
     extension_ids,
     extensions,
-    flattened_af,
+    flatten_simplified,
     is_conflict_free_jsbaf,
     is_deductive_extension,
     is_meta,
@@ -56,7 +56,7 @@ def two_cycle():
 
 @pytest.fixture
 def tandem_flat(tandem_system):
-    return flattened_af(prepare(tandem_system).jsbaf, "prune-inert")
+    return flatten_simplified(prepare(tandem_system).jsbaf, flatten_mode="prune-inert")
 
 
 E1 = ["A1", "A2", "A3", "A4", "A5", "A9", "bar(A6)", "e(A4,A8)", "e(A5,A7)"]
