@@ -14,7 +14,8 @@ joint support carried by strict rule applications removes it.
 from pathlib import Path
 
 from jsbaf import (
-    compare_modes,
+    MODES,
+    POSTULATES,
     evaluate,
     evaluate_postulates,
     extensions,
@@ -74,8 +75,11 @@ def main():
         assert report.all_satisfied
         print(f"   {conclusions:<42} all postulates satisfied")
 
-    comparison = compare_modes(prepared, "preferred")
-    print("\nPostulates that differ between the modes:", ", ".join(comparison.differing))
+    holds = {mode: evaluate(prepared, "preferred", mode).holds for mode in MODES}
+    differing = [
+        p for i, p in enumerate(POSTULATES) if holds["aspic-minus"][i] != holds["deductive"][i]
+    ]
+    print("\nPostulates that differ between the modes:", ", ".join(differing))
 
 
 if __name__ == "__main__":

@@ -65,7 +65,6 @@ from .postulates import (
     Evaluation,
     GeneratedSystem,
     JsbafParams,
-    ModeComparison,
     PostulateReport,
     Prepared,
     SystemParams,
@@ -73,7 +72,6 @@ from .postulates import (
     check_closure,
     check_direct_consistency,
     check_indirect_consistency,
-    compare_modes,
     evaluate,
     evaluate_postulates,
     prepare,

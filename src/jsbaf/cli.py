@@ -26,8 +26,8 @@ from .errors import (
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
 from .postulates import (
-    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_shape, compare_modes,
-    evaluate, prepare, random_system,
+    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_shape, evaluate, prepare,
+    random_system,
 )
 from .reporting import (
     REPORT_FORMATS, emit_apx, emit_dot, report_settings, write_limit_report, write_report,
@@ -42,19 +42,21 @@ EXIT_BROKEN_PIPE = 141
 
 
 def _read_source(path: str) -> SourceDocument:
-    """The rule file at ``path``, or stdin for ``-``, decoded as UTF-8 with
-    universal newlines.  Stdin is read as bytes when it has a byte buffer,
-    so that its decoding does not depend on the locale."""
+    """The rule file at ``path``, or stdin for ``-``, read as bytes and
+    decoded as UTF-8, so that the decoding does not depend on the locale.
+    ``parse_system`` ends lines at ``\\r\\n``, ``\\r`` and ``\\n`` alike."""
     name = "<stdin>" if path == "-" else path
     try:
         if path != "-":
-            with open(path, encoding="utf-8") as handle:
-                return SourceDocument(handle.read(), name)
-        raw = getattr(sys.stdin, "buffer", None)
-        if raw is None:  # a text stream in place of stdin
+            with open(path, "rb") as handle:
+                data = handle.read()
+        elif sys.stdin is None:
+            raise ValidationError(f"cannot read {name}: stdin is closed")
+        elif hasattr(sys.stdin, "buffer"):
+            data = sys.stdin.buffer.read()
+        else:  # a text stream in place of stdin
             return SourceDocument(sys.stdin.read(), name)
-        text = raw.read().decode("utf-8")
-        return SourceDocument(text.replace("\r\n", "\n").replace("\r", "\n"), name)
+        return SourceDocument(data.decode("utf-8"), name)
     except OSError as exc:
         raise ValidationError(f"cannot read {name}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -208,10 +210,9 @@ def _cmd_check_postulates(args) -> int:
     prepared = _prepare(args, not args.allow_inconsistent)
     violated = False
     for semantics in SEMANTICS:
-        comparison = compare_modes(prepared, semantics, args.max_nodes)
         for mode in MODES:
-            for postulate in POSTULATES:
-                holds = comparison.summary[postulate][mode]
+            ev = evaluate(prepared, semantics, mode, args.max_nodes)
+            for postulate, holds in zip(POSTULATES, ev.holds):
                 violated = violated or not holds
                 state = "satisfied" if holds else "VIOLATED"
                 sys.stdout.write(f"{semantics:<9} {mode:<12} {postulate:<21} {state}\n")

@@ -31,7 +31,6 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
             attacker_mask[dst] |= 1 << src
     full = (1 << n) - 1
 
-    admissible: list[int] = []
     complete: list[int] = []
     stable: list[int] = []
     for subset in range(1 << n):
@@ -49,9 +48,8 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
         for i in range(n):
             if attacker_mask[i] & ~attacked == 0:
                 defended |= 1 << i
-        if subset & ~defended:
+        if subset & ~defended:  # not admissible
             continue
-        admissible.append(subset)
         if defended == subset:
             complete.append(subset)
         if (full & ~subset) & ~attacked == 0:

@@ -1,10 +1,10 @@
-"""The evaluation pipeline, conclusion sets, rationality postulates, mode
-comparison, generators.
+"""The evaluation pipeline, conclusion sets, rationality postulates,
+generators.
 
 ``prepare`` runs the stages that depend on the system alone and builds each
 framework the first time it is read; ``evaluate`` searches a prepared system
-under one semantics and mode.  Reports, mode comparisons and every command
-read these two stages.  ``evaluate`` is also the one place that checks the
+under one semantics and mode.  Reports and every command read these two
+stages.  ``evaluate`` is also the one place that checks the
 node-count bound on the exponential searches.
 
 A conclusion set collects the conclusions of one extension's arguments.  The
@@ -22,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .arguments import (
     DEFAULT_MAX_ARGUMENTS,
@@ -50,7 +50,6 @@ from .frameworks import AF, JSBAF, base, check_flatten_mode, flatten_simplified
 from .semantics import SEMANTICS, extension_ids, project_ids
 
 MODES = ("aspic-minus", "deductive")
-POSTULATES = ("closure", "direct_consistency", "indirect_consistency")
 DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
 
 
@@ -68,19 +67,19 @@ class Verdict:
     witness: object = None
 
 
-@dataclass(frozen=True)
-class PostulateReport:
+class PostulateReport(NamedTuple):
+    """The verdict of each postulate, in the order of ``POSTULATES``."""
+
     closure: Verdict
     direct_consistency: Verdict
     indirect_consistency: Verdict
 
     @property
     def all_satisfied(self) -> bool:
-        return (
-            self.closure.satisfied
-            and self.direct_consistency.satisfied
-            and self.indirect_consistency.satisfied
-        )
+        return all(verdict.satisfied for verdict in self)
+
+
+POSTULATES = PostulateReport._fields
 
 
 def check_closure(
@@ -243,34 +242,11 @@ def evaluate(
         formulas = frozenset(arg.conclusion for arg in members)
         sets.append(ConclusionSet(formulas, ids))
     verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
-    holds = tuple(all(getattr(v, name).satisfied for v in verdicts) for name in POSTULATES)
+    holds = tuple(all(v[i].satisfied for v in verdicts) for i in range(len(POSTULATES)))
     return Evaluation(
         prepared.consistent, prepared.store, prepared.witnesses, framework, flat,
         tuple(raw), tuple(exts), tuple(sets), verdicts, holds,
     )
-
-
-@dataclass(frozen=True)
-class ModeComparison:
-    """Both modes evaluated side by side for one semantics."""
-
-    semantics: str
-    summary: dict[str, dict[str, bool]]  # postulate -> mode -> holds for all sets
-    differing: tuple[str, ...]
-
-
-def compare_modes(
-    prepared: Prepared, semantics: str, max_nodes: int = DEFAULT_NODE_BOUND
-) -> ModeComparison:
-    holds = {mode: evaluate(prepared, semantics, mode, max_nodes).holds for mode in MODES}
-    summary = {
-        postulate: {mode: holds[mode][i] for mode in MODES}
-        for i, postulate in enumerate(POSTULATES)
-    }
-    differing = tuple(
-        p for p in POSTULATES if summary[p]["aspic-minus"] != summary[p]["deductive"]
-    )
-    return ModeComparison(semantics, summary, differing)
 
 
 @dataclass(frozen=True)

@@ -129,7 +129,7 @@ def _conclusion_sets_json(ev: Evaluation, quoted_id: dict) -> str:
     entries = []
     for cs, report in zip(ev.conclusion_sets, ev.postulates):
         postulates = ",".join(
-            f'{i4}"{name}": {_verdict(getattr(report, name), name)}' for name in POSTULATES
+            f'{i4}"{name}": {_verdict(verdict, name)}' for name, verdict in zip(POSTULATES, report)
         )
         entries.append(
             f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
@@ -253,8 +253,7 @@ def _write_text(ev: Evaluation, source: str, settings: dict, write) -> None:
     tail += ["", "conclusion sets:"]
     for cs, report in zip(ev.conclusion_sets, ev.postulates):
         tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
-        for name in POSTULATES:
-            verdict = getattr(report, name)
+        for name, verdict in zip(POSTULATES, report):
             tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
                 f"VIOLATED ({_witness_text(name, verdict.witness)})")))
     tail += ["", "summary: " + ", ".join(f"{name}={'satisfied' if held else 'violated'}"

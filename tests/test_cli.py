@@ -216,13 +216,21 @@ class TestCheckPostulates:
         code, out, _ = run_cli(capsys, "check-postulates", "--file", str(rules))
         assert code == 0 and "VIOLATED" not in out
 
+    @pytest.mark.parametrize("flatten", ["literal", "prune-inert"])
+    def test_tandem_rows_are_the_golden(self, capsys, flatten):
+        code, out, _ = run_cli(
+            capsys, "check-postulates", "--file", str(TANDEM_PATH), "--flatten", flatten,
+        )
+        assert code == 1
+        assert out == (DATA / "check-postulates-tandem.txt").read_text(encoding="utf-8")
+
     def test_search_bound_stops_after_grounded(self, capsys):
         code, out, err = run_cli(
             capsys, "check-postulates", "--file", str(TANDEM_PATH), "--max-nodes", "5",
         )
         assert code == 3 and "above the search bound 5" in err
-        lines = out.splitlines()
-        assert len(lines) == 6 and all(l.startswith("grounded ") for l in lines)
+        golden = (DATA / "check-postulates-tandem.txt").read_text(encoding="utf-8")
+        assert out == "".join(golden.splitlines(keepends=True)[:6])  # the grounded rows
 
     def test_allow_inconsistent_reports_out_of_scope_verdicts(self, capsys, tmp_path):
         rules = tmp_path / "inconsistent.rules"
@@ -381,6 +389,21 @@ class TestStdin:
         stdin = io.TextIOWrapper(io.BytesIO(text.replace("\n", "\r\n").encode()))
         monkeypatch.setattr("sys.stdin", stdin)
         code, out, _ = run_cli(capsys, "arguments", "--file", "-")
+        assert code == 0
+        assert out == run_cli(capsys, "arguments", "--file", str(TANDEM_PATH))[1]
+
+    def test_closed_stdin_is_an_input_error(self, capsys, monkeypatch):
+        """With file descriptor 0 closed, Python sets ``sys.stdin`` to None."""
+        monkeypatch.setattr("sys.stdin", None)
+        code, out, err = run_cli(capsys, "arguments", "--file", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot read <stdin>: stdin is closed\n"
+
+    def test_file_with_crlf_and_cr_line_ends_reads_as_lf(self, capsys, tmp_path):
+        lines = TANDEM_PATH.read_text(encoding="utf-8").split("\n")
+        rules = tmp_path / "mixed.rules"
+        rules.write_bytes(("\r\n".join(lines[:4]) + "\r\n" + "\r".join(lines[4:])).encode())
+        code, out, _ = run_cli(capsys, "arguments", "--file", str(rules))
         assert code == 0
         assert out == run_cli(capsys, "arguments", "--file", str(TANDEM_PATH))[1]
 

@@ -212,6 +212,17 @@ def test_diagnostic_is_pinned(text, kind, message, token):
     assert getattr(err.value, "token", None) == token
 
 
+@pytest.mark.parametrize("first, second", [("\r\n", "\r\n"), ("\r", "\r"), ("\r\n", "\r")])
+def test_crlf_and_cr_end_lines_as_lf_does(first, second):
+    lines = ("strict r1: -> a", "\x0cstrict r2: -> b", "strict r3: -> c")
+    text = lines[0] + first + lines[1] + second + lines[2]
+    assert parse_system(text) == parse_system("\n".join(lines))
+    with pytest.raises(ParseError) as err:
+        parse_system(text + " x")
+    assert str(err.value) == "3:17: unexpected trailing 'x'"
+    assert (err.value.line, err.value.column) == (3, 17)
+
+
 # Line ends for ``str.splitlines`` but whitespace for ``open()``.
 LINE_BREAKS_IN_TEXT = ["\u2028", "\u2029", "\x85", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"]
 

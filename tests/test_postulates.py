@@ -1,19 +1,22 @@
-"""Conclusion sets, the three postulates, mode comparison, generators."""
+"""Conclusion sets, the three postulates, the contrast of the modes, generators."""
 
 import pytest
 
 from jsbaf import (
+    MODES,
+    POSTULATES,
     ArgumentationSystem,
     GenerationFailedError,
     InconsistentSystemError,
     JsbafParams,
+    PostulateReport,
     SystemParams,
     ValidationError,
+    Verdict,
     atom,
     check_closure,
     check_direct_consistency,
     check_indirect_consistency,
-    compare_modes,
     defeasible_rule,
     evaluate,
     evaluate_postulates,
@@ -137,34 +140,45 @@ class TestWitnessRoundTrip:
                 assert phi in closed and psi in closed
 
 
-class TestCompareModes:
+def holds_per_mode(prepared, semantics):
+    """``evaluate(...).holds`` of each mode, by mode."""
+    return {mode: evaluate(prepared, semantics, mode).holds for mode in MODES}
+
+
+class TestModeContrast:
+    def test_postulate_names_are_the_report_fields(self):
+        assert POSTULATES == PostulateReport._fields == (
+            "closure", "direct_consistency", "indirect_consistency",
+        )
+
+    def test_report_is_the_tuple_of_its_verdicts(self):
+        verdicts = (Verdict(True), Verdict(False, "w"), Verdict(True))
+        report = PostulateReport(*verdicts)
+        assert report == verdicts and tuple(report) == verdicts
+        assert report.direct_consistency == Verdict(False, "w")
+        assert not report.all_satisfied
+
     def test_tandem_preferred_contrast(self, tandem_system):
-        comparison = compare_modes(prepare(tandem_system), "preferred")
-        assert comparison.summary["closure"] == {"aspic-minus": False, "deductive": True}
-        assert comparison.summary["indirect_consistency"] == {
-            "aspic-minus": False,
-            "deductive": True,
+        holds = holds_per_mode(prepare(tandem_system), "preferred")
+        assert holds == {"aspic-minus": (False, True, False), "deductive": (True, True, True)}
+        differing = {
+            p for p, a, d in zip(POSTULATES, holds["aspic-minus"], holds["deductive"]) if a != d
         }
-        assert comparison.summary["direct_consistency"] == {
-            "aspic-minus": True,
-            "deductive": True,
-        }
-        assert set(comparison.differing) == {"closure", "indirect_consistency"}
+        assert differing == {"closure", "indirect_consistency"}
 
     def test_tandem_grounded_modes_coincide(self, tandem_system):
         prepared = prepare(tandem_system)
-        comparison = compare_modes(prepared, "grounded")
-        assert comparison.differing == ()
-        for mode in ("aspic-minus", "deductive"):
+        holds = holds_per_mode(prepared, "grounded")
+        assert holds["aspic-minus"] == holds["deductive"]
+        for mode in MODES:
             ev = evaluate(prepared, "grounded", mode)
             ((cs, report),) = zip(ev.conclusion_sets, ev.postulates)
             assert formula_strings(cs.formulas) == ["hw", "sw", "tw"]
             assert report.all_satisfied
 
     def test_empty_system_trivially_satisfies_everything(self):
-        comparison = compare_modes(prepare(ArgumentationSystem((), ())), "stable")
-        assert comparison.differing == ()
-        assert all(all(held.values()) for held in comparison.summary.values())
+        holds = holds_per_mode(prepare(ArgumentationSystem((), ())), "stable")
+        assert holds == {mode: (True, True, True) for mode in MODES}
 
 
 class TestRandomSystem:

@@ -35,6 +35,11 @@ from jsbaf.semantics import FLATTEN_MODES
 import reference
 from conftest import TANDEM_PATH, tandem_rules
 
+# Each rule undercuts the next, round a cycle of three: no stable extension.
+ODD_CYCLE = "".join(
+    f"defeasible d{i}: => ~x{j}\nname d{j} = x{j}\n" for i, j in ((1, 2), (2, 3), (3, 1))
+)
+
 DATA = Path(__file__).resolve().parent / "data"
 SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
 
@@ -291,15 +296,11 @@ class TestReportBytes:
     def test_write_calls_do_not_grow_with_the_report(self, fmt):
         """One count per mode, whatever the report holds: small and large
         reports, violated postulates, no extension at all."""
-        # Each rule undercuts the next, round a cycle of three: no stable extension.
-        odd_cycle = "".join(
-            f"defeasible d{i}: => ~x{j}\nname d{j} = x{j}\n" for i, j in ((1, 2), (2, 3), (3, 1))
-        )
         cases = [
             (tandem_rules(3, 2), "grounded"),
             (tandem_rules(7, 3), "grounded"),
             (tandem_rules(3, 2), "preferred"),
-            (odd_cycle, "stable"),
+            (ODD_CYCLE, "stable"),
         ]
         calls = collections.defaultdict(set)
         verdicts, empty = set(), set()
@@ -315,6 +316,12 @@ class TestReportBytes:
         assert verdicts == {True, False} and empty == {True, False}
         assert set(calls) == set(MODES)
         assert all(len(counts) == 1 for counts in calls.values())
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_conclusion_set_holds_every_postulate(self, mode):
+        ev = evaluate(prepare(parse_system(ODD_CYCLE)), "stable", mode)
+        assert ev.conclusion_sets == ()
+        assert ev.holds == (True, True, True)
 
 
 def output(writer, *args):
