@@ -77,7 +77,7 @@ def main():
 
     holds = {mode: evaluate(prepared, "preferred", mode).holds for mode in MODES}
     differing = [
-        p for i, p in enumerate(POSTULATES) if holds["aspic-minus"][i] != holds["deductive"][i]
+        p for p, a, d in zip(POSTULATES, holds["aspic-minus"], holds["deductive"]) if a != d
     ]
     print("\nPostulates that differ between the modes:", ", ".join(differing))
 

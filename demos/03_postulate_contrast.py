@@ -25,8 +25,7 @@ def main():
             cells = [f"{mode}: {'ok' if holds[mode][i] else 'VIOLATED'}" for mode in MODES]
             print(f"   {postulate:<{width}}   " + "   ".join(cells))
         differing = [
-            p for i, p in enumerate(POSTULATES)
-            if holds["aspic-minus"][i] != holds["deductive"][i]
+            p for p, a, d in zip(POSTULATES, holds["aspic-minus"], holds["deductive"]) if a != d
         ]
         if differing:
             print(f"   -> joint support changes: {', '.join(differing)}")

@@ -210,8 +210,10 @@ def _cmd_check_postulates(args) -> int:
     prepared = _prepare(args, not args.allow_inconsistent)
     violated = False
     for semantics in SEMANTICS:
-        for mode in MODES:
-            ev = evaluate(prepared, semantics, mode, args.max_nodes)
+        # Evaluate both modes before printing, so a search bound hit in one
+        # prints no row of that semantics.
+        evs = [evaluate(prepared, semantics, mode, args.max_nodes) for mode in MODES]
+        for mode, ev in zip(MODES, evs):
             for postulate, holds in zip(POSTULATES, ev.holds):
                 violated = violated or not holds
                 state = "satisfied" if holds else "VIOLATED"

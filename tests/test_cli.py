@@ -224,11 +224,14 @@ class TestCheckPostulates:
         assert code == 1
         assert out == (DATA / "check-postulates-tandem.txt").read_text(encoding="utf-8")
 
-    def test_search_bound_stops_after_grounded(self, capsys):
+    # 5 refuses both modes' frameworks; 9 admits the aspic-minus one but
+    # not the deductive one, and still no complete row may be printed.
+    @pytest.mark.parametrize("bound", ["5", "9"])
+    def test_search_bound_stops_after_grounded(self, capsys, bound):
         code, out, err = run_cli(
-            capsys, "check-postulates", "--file", str(TANDEM_PATH), "--max-nodes", "5",
+            capsys, "check-postulates", "--file", str(TANDEM_PATH), "--max-nodes", bound,
         )
-        assert code == 3 and "above the search bound 5" in err
+        assert code == 3 and f"above the search bound {bound}" in err
         golden = (DATA / "check-postulates-tandem.txt").read_text(encoding="utf-8")
         assert out == "".join(golden.splitlines(keepends=True)[:6])  # the grounded rows
 
