@@ -106,6 +106,20 @@ class TestEnumeration:
             construct_arguments(system, 245)
         assert info.value.limit == 245
 
+    def test_ordinals_follow_depth_rule_id_and_sub_ordinals(self):
+        # each round creates its arguments in the order it finds them, which
+        # must be the (depth, rule id, sub ordinals) order without a sort
+        wide = SystemParams(8, 10, 10, max_body=3, undercut_density=0.4)
+        systems = [random_system(SystemParams(6, 6, 6), seed).system for seed in range(200)]
+        systems += [random_system(wide, seed).system for seed in range(100)]
+        systems += [parse_system(tandem_rules(n, k)) for n in range(2, 8) for k in range(1, n)]
+        for system in systems:
+            keys = [
+                (a.depth, a.rule.id, tuple(s.ordinal for s in a.subs))
+                for a in construct_arguments(system).arguments
+            ]
+            assert all(a < b for a, b in zip(keys, keys[1:])), print_system(system)
+
     def test_defeasibility_is_inherited(self, tandem_store):
         by_id = {a.canonical_id: a for a in tandem_store.arguments}
         assert not by_id["A1"].defeasible
