@@ -14,10 +14,8 @@ joint support carried by strict rule applications removes it.
 from pathlib import Path
 
 from jsbaf import (
-    MODES,
     POSTULATES,
     evaluate,
-    evaluate_postulates,
     extensions,
     parse_system,
     prepare,
@@ -47,8 +45,8 @@ def main():
 
     show_extensions("Preferred extensions, attacks only:", extensions(af, "preferred"))
     print("The first one accepts A4, A5 and A6 together: everyone rides.")
-    for cs in evaluate(prepared, "preferred", "aspic-minus").conclusion_sets:
-        report = evaluate_postulates(system, cs.formulas)
+    aspic = evaluate(prepared, "preferred", "aspic-minus")
+    for cs, report in zip(aspic.conclusion_sets, aspic.postulates):
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         verdict = "closed" if report.closure.satisfied else "NOT closed under the strict rules"
         print(f"   {conclusions:<42} {verdict}")
@@ -69,16 +67,13 @@ def main():
     )
 
     print("\nConclusion sets with deductive joint support (preferred):")
-    for cs in evaluate(prepared, "preferred", "deductive").conclusion_sets:
-        report = evaluate_postulates(system, cs.formulas)
+    joint = evaluate(prepared, "preferred", "deductive")
+    for cs, report in zip(joint.conclusion_sets, joint.postulates):
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         assert report.all_satisfied
         print(f"   {conclusions:<42} all postulates satisfied")
 
-    holds = {mode: evaluate(prepared, "preferred", mode).holds for mode in MODES}
-    differing = [
-        p for p, a, d in zip(POSTULATES, holds["aspic-minus"], holds["deductive"]) if a != d
-    ]
+    differing = [p for p, a, d in zip(POSTULATES, aspic.holds, joint.holds) if a != d]
     print("\nPostulates that differ between the modes:", ", ".join(differing))
 
 

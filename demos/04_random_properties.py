@@ -14,7 +14,6 @@ from jsbaf import (
     base,
     brute_force_extensions,
     evaluate,
-    evaluate_postulates,
     extensions,
     is_conflict_free_jsbaf,
     is_deductive_extension,
@@ -62,8 +61,8 @@ def main():
         prepared = prepare(generated.system)
         for semantics in SEMANTICS:
             ev = evaluate(prepared, semantics, "deductive", max_nodes=200)
-            for cs in ev.conclusion_sets:
-                assert evaluate_postulates(generated.system, cs.formulas).all_satisfied
+            for report in ev.postulates:
+                assert report.all_satisfied
     print("   zero violations")
 
     shown = random_system(sys_params, 7).system

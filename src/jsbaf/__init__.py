@@ -33,7 +33,7 @@ from .core import (
     strict_closure,
     strict_rule,
 )
-from .dsl import SourceDocument, parse_system, print_system
+from .dsl import parse_system, print_system
 from .errors import (
     GenerationFailedError,
     InconsistentSystemError,

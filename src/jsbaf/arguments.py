@@ -10,9 +10,10 @@ duplicate's subtree in place of the shallower one).
 
 Arguments are interned: within one store, structural equality (same top
 rule, pointwise-equal subs) coincides with object identity.  Canonical ids
-A1, A2, ... are assigned breadth-first by derivation depth, then
-lexicographically by rule id and sub ids, so two runs over the same system
-label every argument identically.
+A1, A2, ... follow generation order: derivation depth, then rule id, then
+sub ordinals, so two runs over the same system label every argument
+identically.  Later stages name an argument by its ordinal alone; only the
+report writers turn ordinals into ids.
 
 Attacks are found through indexes, not by testing every pair of arguments:
 defeasible sub-arguments by conclusion, undercuttable ones by the name of
@@ -128,7 +129,9 @@ def construct_arguments(
 
     Round d combines each rule only with sub-arguments whose deepest has
     depth d - 1, so every (rule, subs) pair comes up in one round, once, and
-    needs no duplicate check.
+    needs no duplicate check.  Rules are visited in id order and each pool
+    in ordinal order, so arguments are created as found, in (depth, rule id,
+    sub ordinals) order; those that join a pool in round d fail its filter.
 
     Raises LimitExceededError when the store would exceed ``max_arguments``,
     which signals a combinatorially explosive system rather than a
@@ -155,7 +158,7 @@ def construct_arguments(
 
     depth = 2
     while True:
-        candidates: list[tuple[str, tuple[int, ...], Rule, tuple[Argument, ...]]] = []
+        count = len(arguments)
         for rule in rules:
             if not rule.body:
                 continue
@@ -168,13 +171,9 @@ def construct_arguments(
                 if any(rule.head in s.branch_conclusions for s in subs):
                     pruned = True
                     continue
-                candidates.append((rule.id, tuple(s.ordinal for s in subs), rule, subs))
-                if len(arguments) + len(candidates) > max_arguments:
-                    raise LimitExceededError(max_arguments)
-        if not candidates:
+                create(rule, subs)
+        if len(arguments) == count:
             break
-        for _, _, rule, subs in sorted(candidates, key=lambda c: (c[0], c[1])):
-            create(rule, subs)
         depth += 1
 
     return ArgumentStore(system, tuple(arguments), pruned)
@@ -190,23 +189,27 @@ class AttackWitness(NamedTuple):
     on: str
 
 
-Hits = tuple[tuple[str, str, str], ...]  # (target, kind, on) per witness of one attacker
+KINDS = ("undercut", "rebut")  # the attack kinds, by kind index
+Hits = tuple[tuple[int, int, int], ...]  # (target, kind index, on) per witness of one attacker
 
 
 class AttackWitnesses:
     """The attack witnesses of a store, grouped by attacker: ``groups`` holds
-    (attacker id, hits) for each argument that attacks, in ordinal order.
-    Hits depend only on the attacker's conclusion, so the attackers with the
-    same conclusion share one hits tuple.  A large system has hundreds of
-    thousands of witnesses (213,360 for tandem(10, 3)) but few conclusions,
-    so every later stage reads each hits tuple once, not each witness.
+    (attacker ordinal, hits) for each argument that attacks, in ordinal
+    order.  Hits depend only on the attacker's conclusion, so the attackers
+    with the same conclusion share one hits tuple.  A large system has
+    hundreds of thousands of witnesses (213,360 for tandem(10, 3)) but few
+    conclusions, so every later stage reads each hits tuple once, not each
+    witness.
 
     ``len`` is the number of witnesses; iteration yields each as an
-    ``AttackWitness``, in the order of ``attack_witnesses``."""
+    ``AttackWitness`` of the ids in ``arguments``, the store's, in the order
+    of ``attack_witnesses``."""
 
-    __slots__ = ("groups", "_count")
+    __slots__ = ("arguments", "groups", "_count")
 
-    def __init__(self, groups: tuple[tuple[str, Hits], ...]):
+    def __init__(self, arguments: tuple[Argument, ...], groups: tuple[tuple[int, Hits], ...]):
+        self.arguments = arguments
         self.groups = groups
         self._count = sum(len(hits) for _, hits in groups)
 
@@ -214,9 +217,10 @@ class AttackWitnesses:
         return self._count
 
     def __iter__(self) -> Iterator[AttackWitness]:
+        ids = [arg.canonical_id for arg in self.arguments]
         for attacker, hits in self.groups:
             for target, kind, on in hits:
-                yield AttackWitness(attacker, target, kind, on)
+                yield AttackWitness(ids[attacker], ids[target], KINDS[kind], ids[on])
 
 
 def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
@@ -248,25 +252,21 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
             supers.setdefault(sub, []).append(arg)
 
     hits_by_conclusion: dict[Formula, Hits] = {}
-    groups: list[tuple[str, Hits]] = []
+    groups: list[tuple[int, Hits]] = []
     for a in args:
         hits = hits_by_conclusion.get(a.conclusion)
         if hits is None:
             atom, n = a.conclusion.atom, a.conclusion.negations
-            found = sorted(
-                (b.ordinal, rank, sub.ordinal)
-                for rank, index in enumerate((undercuttable, rebuttable))
+            hits = hits_by_conclusion[a.conclusion] = tuple(sorted(
+                (b.ordinal, kind, sub.ordinal)
+                for kind, index in enumerate((undercuttable, rebuttable))
                 for key in ((atom, n - 1), (atom, n + 1))
                 for sub in index.get(key, ())
                 for b in supers[sub]
-            )
-            hits = hits_by_conclusion[a.conclusion] = tuple(
-                (args[b].canonical_id, ("undercut", "rebut")[rank], args[on].canonical_id)
-                for b, rank, on in found
-            )
+            ))
         if hits:
-            groups.append((a.canonical_id, hits))
-    return AttackWitnesses(tuple(groups))
+            groups.append((a.ordinal, hits))
+    return AttackWitnesses(args, tuple(groups))
 
 
 def _attack_edges(store: ArgumentStore, witnesses: AttackWitnesses) -> list[tuple[int, ...]]:
@@ -274,7 +274,7 @@ def _attack_edges(store: ArgumentStore, witnesses: AttackWitnesses) -> list[tupl
     ``ArgumentStore.node_order``): the targets of each node, in ascending
     order.  Each hits tuple's row is computed once and shared, as a tuple,
     by every attacker that holds it."""
-    number = {store.arguments[o].canonical_id: p for p, o in enumerate(store.node_order)}
+    number = store.node_number
     rows: list[tuple[int, ...]] = [()] * len(number)
     row_of: dict[int, tuple[int, ...]] = {}
     for attacker, hits in witnesses.groups:

@@ -13,16 +13,8 @@ import os
 import sys
 
 from .arguments import DEFAULT_MAX_ARGUMENTS, construct_arguments
-from .dsl import SourceDocument, parse_system, print_system
-from .errors import (
-    GenerationFailedError,
-    InconsistentSystemError,
-    JsbafError,
-    LimitExceededError,
-    ParseError,
-    SearchLimitExceededError,
-    ValidationError,
-)
+from .dsl import parse_system, print_system
+from .errors import JsbafError, LimitExceededError, SearchLimitExceededError, ValidationError
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
 from .postulates import (
@@ -41,7 +33,7 @@ EXIT_LIMIT = 3
 EXIT_BROKEN_PIPE = 141
 
 
-def _read_source(path: str) -> SourceDocument:
+def _read_source(path: str) -> str:
     """The rule file at ``path``, or stdin for ``-``, read as bytes and
     decoded as UTF-8, so that the decoding does not depend on the locale.
     ``parse_system`` ends lines at ``\\r\\n``, ``\\r`` and ``\\n`` alike."""
@@ -55,8 +47,8 @@ def _read_source(path: str) -> SourceDocument:
         elif hasattr(sys.stdin, "buffer"):
             data = sys.stdin.buffer.read()
         else:  # a text stream in place of stdin
-            return SourceDocument(sys.stdin.read(), name)
-        return SourceDocument(data.decode("utf-8"), name)
+            return sys.stdin.read()
+        return data.decode("utf-8")
     except OSError as exc:
         raise ValidationError(f"cannot read {name}: {exc.strerror}") from exc
     except UnicodeDecodeError as exc:
@@ -281,13 +273,10 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
-    except (ParseError, ValidationError, InconsistentSystemError, GenerationFailedError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INPUT
     except (LimitExceededError, SearchLimitExceededError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_LIMIT
-    except JsbafError as exc:  # pragma: no cover
+    except JsbafError as exc:  # every other error of this package is an input error
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
     except BrokenPipeError:

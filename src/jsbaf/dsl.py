@@ -25,7 +25,6 @@ diagnostic, or a later check that needs a position (an undeclared atom, a
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule
 from .errors import ParseError, ValidationError
@@ -39,12 +38,6 @@ _SINGLE_CHAR_TOKENS = _IDENT_START | frozenset(",:=~")
 # Stands after the last token of a line, so the parser looks ahead without
 # bounds checks; a newline is never a token.
 _END = "\n"
-
-
-@dataclass(frozen=True)
-class SourceDocument:
-    text: str
-    provenance: str = "<string>"
 
 
 class _Unexpected(Exception):
@@ -133,16 +126,13 @@ def _literal(tokens: list[str], i: int, formulas: dict) -> tuple[Formula, int]:
     return formula, i + 1
 
 
-def parse_system(source: SourceDocument | str) -> ArgumentationSystem:
+def parse_system(text: str) -> ArgumentationSystem:
     """Parse a rule file into an argumentation system.
 
     Raises ParseError on syntax errors and ValidationError on duplicate rule
     ids, duplicate rules, names on unknown or strict rules, redefined names,
     and (when an ``atoms`` declaration is present) undeclared atoms.
     """
-    if isinstance(source, str):
-        source = SourceDocument(source)
-    text = source.text
     if text.startswith("\ufeff"):
         text = text[1:]
     # Lines end only where ``open()`` ends them; ``str.splitlines`` would

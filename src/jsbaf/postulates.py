@@ -58,7 +58,7 @@ class ConclusionSet:
     """Conclusions of the arguments of one extension."""
 
     formulas: frozenset[Formula]
-    extension: tuple[str, ...]  # canonical argument ids, sorted
+    extension: tuple[int, ...]  # argument ordinals, ascending
 
 
 @dataclass(frozen=True)
@@ -237,10 +237,9 @@ def evaluate(
     args, order = prepared.store.arguments, prepared.store.node_order
     sets = []
     for ext in exts:
-        members = [args[o] for o in sorted(order[p] for p in ext)]
-        ids = tuple(arg.canonical_id for arg in members)
-        formulas = frozenset(arg.conclusion for arg in members)
-        sets.append(ConclusionSet(formulas, ids))
+        ordinals = tuple(sorted(order[p] for p in ext))
+        formulas = frozenset(args[o].conclusion for o in ordinals)
+        sets.append(ConclusionSet(formulas, ordinals))
     verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
     holds = tuple(all(v[i].satisfied for v in verdicts) for i in range(len(POSTULATES)))
     return Evaluation(

@@ -17,6 +17,7 @@ import re
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from typing import Callable
 
+from .arguments import KINDS
 from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId, is_meta
 from .postulates import POSTULATES, Evaluation, Verdict
 
@@ -123,7 +124,7 @@ def _verdict(verdict: Verdict, name: str) -> str:
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
-def _conclusion_sets_json(ev: Evaluation, quoted_id: dict) -> str:
+def _conclusion_sets_json(ev: Evaluation, quoted: list[str]) -> str:
     """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
     entries = []
@@ -133,7 +134,7 @@ def _conclusion_sets_json(ev: Evaluation, quoted_id: dict) -> str:
         )
         entries.append(
             f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
-            f'{i3}"extension": {_list([quoted_id[i] for i in cs.extension], 3)},'
+            f'{i3}"extension": {_list([quoted[o] for o in cs.extension], 3)},'
             f'{i3}"postulates": {{{postulates}{i3}}}{_NL[2]}}}'
         )
     return _list(entries, 1)
@@ -149,7 +150,7 @@ def _attacks_json(framework: AF | JSBAF, names: list[str]) -> str:
     return _rows(parts, 2)
 
 
-def _witnesses_json(ev: Evaluation, quoted_id: dict[str, str]) -> str:
+def _witnesses_json(ev: Evaluation, quoted: list[str]) -> str:
     """The witness records, attacker by attacker.  Each hits tuple is made
     into record tails once, and an attacker's records are a ``join`` of them."""
     i3, i4 = _NL[3], _NL[4]
@@ -159,11 +160,11 @@ def _witnesses_json(ev: Evaluation, quoted_id: dict[str, str]) -> str:
         tails = tails_of.get(id(hits))
         if tails is None:
             tails = tails_of[id(hits)] = [
-                f'"kind": "{kind}",{i4}"on": {quoted_id[on]},'
-                f'{i4}"target": {quoted_id[target]}{i3}}}'
+                f'"kind": "{KINDS[kind]}",{i4}"on": {quoted[on]},'
+                f'{i4}"target": {quoted[target]}{i3}}}'
                 for target, kind, on in hits
             ]
-        head = f'{{{i4}"attacker": {quoted_id[attacker]},{i4}'
+        head = f'{{{i4}"attacker": {quoted[attacker]},{i4}'
         parts += (",", i3, head, f",{i3}{head}".join(tails))
     return _rows(parts, 2)
 
@@ -173,9 +174,7 @@ def _write_json(ev: Evaluation, source: str, settings: dict, write) -> None:
     own, after a ``write`` that ends with its key, so that it is never copied
     to put the key in front and is dropped before the next one is built."""
     store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
-    ids = [arg.canonical_id for arg in store.arguments]
-    quoted = list(map(_quote, ids))
-    quoted_id = dict(zip(ids, quoted))
+    quoted = [_quote(arg.canonical_id) for arg in store.arguments]
     names = [quoted[o] for o in store.node_order]  # the framework's quoted labels
     arguments = _arguments_json(ev, quoted)
     write(f'{{{i1}"arguments": ')
@@ -184,7 +183,7 @@ def _write_json(ev: Evaluation, source: str, settings: dict, write) -> None:
     pruned = "true" if store.acyclicity_pruned else "false"
     extensions = [[names[i] for i in ext] for ext in ev.extensions]
     write(
-        f',{i1}"conclusion_sets": {_conclusion_sets_json(ev, quoted_id)},'
+        f',{i1}"conclusion_sets": {_conclusion_sets_json(ev, quoted)},'
         f'{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}{i1}}},'
         f'{i1}"extensions": {_list([_list(e, 2) for e in extensions], 1)},'
     )
@@ -199,7 +198,7 @@ def _write_json(ev: Evaluation, source: str, settings: dict, write) -> None:
             f'{i2}"mode": {mode},{i2}"nodes": {_list(flat_names, 2)}{i1}}},'
         )
     write(f'{i1}"framework": {{{i2}"attack_witnesses": ')
-    write(_witnesses_json(ev, quoted_id))
+    write(_witnesses_json(ev, quoted))
     write(f',{i2}"attacks": ')
     write(_attacks_json(ev.framework, names))
     if flat is not None:

@@ -7,7 +7,6 @@ import pytest
 from jsbaf import (
     AF,
     JSBAF,
-    SourceDocument,
     base,
     construct_arguments,
     extensions,
@@ -19,7 +18,7 @@ TANDEM_PATH = Path(__file__).resolve().parents[1] / "demos" / "tandem.rules"
 
 @pytest.fixture(scope="session")
 def tandem_system():
-    return parse_system(SourceDocument(TANDEM_PATH.read_text(), str(TANDEM_PATH)))
+    return parse_system(TANDEM_PATH.read_text())
 
 
 @pytest.fixture(scope="session")

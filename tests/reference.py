@@ -494,7 +494,7 @@ def write_report(ev, source: str, settings: dict, fmt: str, write) -> bool:
     ``_json``, text from the conclusion-set and summary dicts."""
     sets = [
         {
-            "extension": list(cs.extension),
+            "extension": [ev.store.arguments[o].canonical_id for o in cs.extension],
             "conclusions": _formula_list(cs.formulas),
             "postulates": {name: _verdict_json(name, getattr(v, name)) for name in POSTULATES},
         }

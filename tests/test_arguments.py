@@ -6,7 +6,6 @@ from jsbaf import (
     ArgumentationSystem,
     AttackWitness,
     LimitExceededError,
-    SourceDocument,
     SystemParams,
     atom,
     attack_witnesses,
@@ -101,7 +100,7 @@ class TestEnumeration:
     def test_limit_stops_before_building_every_candidate(self):
         # 150 arguments, then 810k candidates at the next depth; the cap is
         # reached after the first 96 of them
-        system = parse_system(SourceDocument(wide_join_rules(), "wide-join"))
+        system = parse_system(wide_join_rules())
         with pytest.raises(LimitExceededError) as info:
             construct_arguments(system, 245)
         assert info.value.limit == 245
@@ -135,7 +134,7 @@ class TestStructure:
 
     @staticmethod
     def _systems():
-        yield parse_system(SourceDocument(tandem_rules(8, 3), "tandem"))
+        yield parse_system(tandem_rules(8, 3))
         for seed in range(50):
             yield random_system(SystemParams(6, 6, 6), seed).system
 
@@ -251,11 +250,11 @@ class TestIndexedAttackWitnesses:
 
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
     def test_generalised_tandem(self, n, k):
-        store = construct_arguments(parse_system(SourceDocument(tandem_rules(n, k), "tandem")))
+        store = construct_arguments(parse_system(tandem_rules(n, k)))
         assert list(attack_witnesses(store)) == pairwise_witnesses(store)
 
     def test_nested_negations(self):
-        store = construct_arguments(parse_system(SourceDocument(NESTED_NEGATIONS, "nested")))
+        store = construct_arguments(parse_system(NESTED_NEGATIONS))
         witnesses = list(attack_witnesses(store))
         assert witnesses == pairwise_witnesses(store)
         assert {w.kind for w in witnesses} == {"undercut", "rebut"}
@@ -276,11 +275,10 @@ class TestGroupedAttackWitnesses:
 
     @pytest.mark.parametrize("n,k", [(4, 2), (6, 3)])
     def test_same_conclusion_shares_one_hits_object(self, n, k):
-        store = construct_arguments(parse_system(SourceDocument(tandem_rules(n, k), "tandem")))
-        by_id = {a.canonical_id: a for a in store.arguments}
+        store = construct_arguments(parse_system(tandem_rules(n, k)))
         hits_of = {}
         for attacker, hits in attack_witnesses(store).groups:
-            assert hits_of.setdefault(by_id[attacker].conclusion, hits) is hits
+            assert hits_of.setdefault(store.arguments[attacker].conclusion, hits) is hits
         assert len(hits_of) < len(attack_witnesses(store).groups)
 
     def test_len_is_the_witness_count(self):
@@ -291,11 +289,13 @@ class TestGroupedAttackWitnesses:
             assert len(witnesses) == len(list(witnesses)) == len(pairwise_witnesses(store))
 
     def test_attackers_with_the_same_hits_share_one_row(self):
-        system = parse_system(SourceDocument(tandem_rules(6, 3), "tandem"))
+        system = parse_system(tandem_rules(6, 3))
         prepared = prepare(system)
         rows = {}
         for attacker, hits in prepared.witnesses.groups:
-            row = prepared.af.target_ids[prepared.af.labels.index(attacker)]
+            node = prepared.store.node_number[attacker]
+            assert prepared.af.labels[node] == prepared.store.arguments[attacker].canonical_id
+            row = prepared.af.target_ids[node]
             assert isinstance(row, tuple) and rows.setdefault(id(hits), row) is row
 
     @pytest.mark.parametrize("fmt", ("json", "text"))
@@ -317,7 +317,7 @@ class TestGroupedAttackWitnesses:
 class TestFrameworkConstruction:
     @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 7) for k in range(1, n)])
     def test_attacks_are_the_witness_pairs(self, n, k):
-        system = parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+        system = parse_system(tandem_rules(n, k))
         prepared = prepare(system)
         store, af = prepared.store, prepared.af
         assert {(s.label, d.label) for s, d in af.attacks} == {

@@ -12,10 +12,13 @@ that the tracer still finds the flattening it wraps.  No assertion is made
 on times, nor on how many operations met their deadline.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
 from pathlib import Path
+
+import jsbaf
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -53,3 +56,12 @@ def test_random_sweep_workload_runs_and_is_correct():
     summary = run_workload("random-sweep")
     assert summary["correct"] is True
     assert summary["attempted"] == 1600 and summary["failed"] == 0
+
+
+def test_checks_name_the_postulates_of_the_package():
+    # the benchmark reads each report's postulate_summary under its own copy
+    # of the names, which must not fall behind a renamed or added postulate
+    spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    assert checks.POSTULATES == jsbaf.POSTULATES

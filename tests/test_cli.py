@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+from jsbaf import cli, errors
 from jsbaf.cli import main
 
 from conftest import TANDEM_PATH, wide_join_rules
@@ -370,6 +371,34 @@ class TestOptions:
             main(["eval", "--file", str(TANDEM_PATH), "--max-nodes", "many"])
         assert exit_.value.code == 2
         assert "argument --max-nodes: invalid int value: 'many'" in capsys.readouterr().err
+
+
+# One instance of each JsbafError subclass, and the exit code of a command
+# that raises it: 3 for a limit, 2 for every input error.
+ERROR_EXITS = [
+    (errors.ParseError("expected an atom", 3, 17), 2),
+    (errors.ValidationError("duplicate rule id 'r1'"), 2),
+    (errors.InconsistentSystemError(("a", "~a")), 2),
+    (errors.GenerationFailedError(0, 200), 2),
+    (errors.LimitExceededError(5), 3),
+    (errors.SearchLimitExceededError(30, 24), 3),
+]
+
+
+class TestExitCodes:
+    def test_every_error_class_has_an_exit_code(self):
+        assert {type(exc) for exc, _ in ERROR_EXITS} == set(errors.JsbafError.__subclasses__())
+
+    @pytest.mark.parametrize(
+        "exc,code", ERROR_EXITS, ids=[type(exc).__name__ for exc, _ in ERROR_EXITS]
+    )
+    def test_error_exit_code_and_message(self, capsys, monkeypatch, exc, code):
+        def fail(args):
+            raise exc
+
+        monkeypatch.setitem(cli._COMMANDS, "random", fail)
+        assert run_cli(capsys, "random", "--seed", "0") == (code, "", f"error: {exc}\n")
+        assert len(str(exc).splitlines()) == 1
 
 
 class TestStdin:

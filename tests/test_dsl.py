@@ -10,7 +10,6 @@ from jsbaf import (
     DefeasibleRule,
     Formula,
     ParseError,
-    SourceDocument,
     StrictRule,
     ValidationError,
     atom,
@@ -42,10 +41,6 @@ class TestParsing:
     def test_comments_and_blank_lines_are_ignored(self):
         system = parse_system("# heading\n\nstrict r1: -> a  # trailing\n")
         assert len(system.strict_rules) == 1
-
-    def test_stdin_style_document(self):
-        doc = SourceDocument("strict r1: -> a", "<stdin>")
-        assert parse_system(doc).strict_rules[0].id == "r1"
 
 
 class TestDiagnostics:

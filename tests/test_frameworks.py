@@ -22,7 +22,6 @@ from jsbaf import (
     JSBAF,
     HigherLevelAF,
     JsbafParams,
-    SourceDocument,
     SystemParams,
     bar,
     base,
@@ -218,7 +217,7 @@ class TestSimplifiedFlattening:
     def test_literal_and_pruned_node_sets(
         self, rules, shield, expected_core, idle_bars, pruned_attacks
     ):
-        prepared = prepare(parse_system(SourceDocument(rules, "rules")))
+        prepared = prepare(parse_system(rules))
         j = prepared.jsbaf
         shielded = prepared.shielded if shield else frozenset()
         af = flatten_simplified(j, shielded)
@@ -413,14 +412,14 @@ class TestIntFlatteningMatchesReference:
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generalised_tandem(self, n):
         for k in range(1, n):
-            system = parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+            system = parse_system(tandem_rules(n, k))
             j, shielded = _pipeline_jsbaf(system)
             assert_canonical(j)
             for chosen in (frozenset(), shielded):
                 assert_flattenings_match(j, chosen)
 
     def test_tandem_7_3_shielded_and_not(self):
-        system = parse_system(SourceDocument(tandem_rules(7, 3), "tandem"))
+        system = parse_system(tandem_rules(7, 3))
         j, shielded = _pipeline_jsbaf(system)
         assert (len(j.node_table), sum(map(len, j.target_ids))) == (154, 8680)
         for chosen in (frozenset(), shielded):
@@ -440,7 +439,7 @@ class TestIntFlatteningMatchesReference:
     def test_tandem_8_3_holds_one_object_per_node(self):
         """Every edge end, joint attack end, bar base and e-node member that
         is a node of a stage is that node's one object in the node table."""
-        system = parse_system(SourceDocument(tandem_rules(8, 3), "tandem"))
+        system = parse_system(tandem_rules(8, 3))
         prepared = prepare(system)
         one = flatten_one_step(prepared.jsbaf, prepared.shielded)
         two = flatten_joint_attacks(one)
@@ -465,8 +464,8 @@ def _label_order_systems():
         yield f"random {seed}", random_system(SystemParams(6, 6, 6), seed).system
     for n in range(2, 8):
         for k in range(1, n):
-            yield f"tandem({n},{k})", parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
-    yield "seed38", parse_system(SourceDocument(SEED38_PATH.read_text(), "seed38.rules"))
+            yield f"tandem({n},{k})", parse_system(tandem_rules(n, k))
+    yield "seed38", parse_system(SEED38_PATH.read_text())
 
 
 class TestLabelOrder:

@@ -48,9 +48,11 @@ class TestConclusionSets:
         assert sorted(formula_strings(cs.formulas) for cs in sets) == DA_PREFERRED
 
     def test_tandem_aspic_grounded(self, tandem_system):
-        (only,) = evaluate(prepare(tandem_system), "grounded", "aspic-minus").conclusion_sets
+        ev = evaluate(prepare(tandem_system), "grounded", "aspic-minus")
+        (only,) = ev.conclusion_sets
         assert formula_strings(only.formulas) == ["hw", "sw", "tw"]
-        assert only.extension == ("A1", "A2", "A3")
+        assert only.extension == (0, 1, 2)
+        assert [ev.store.arguments[o].canonical_id for o in only.extension] == ["A1", "A2", "A3"]
 
     def test_empty_system_single_empty_set(self):
         for mode in ("aspic-minus", "deductive"):

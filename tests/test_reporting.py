@@ -15,7 +15,6 @@ from jsbaf import (
     SEMANTICS,
     LimitExceededError,
     SearchLimitExceededError,
-    SourceDocument,
     SystemParams,
     base,
     emit_apx,
@@ -268,7 +267,7 @@ class TestReportBytes:
     def test_large_tandem_reports_are_canonical(self, n, k, mode):
         """Reports with thousands of witnesses and attacks, where attackers
         share hits tuples and target rows."""
-        system = parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+        system = parse_system(tandem_rules(n, k))
         ev = evaluate(prepare(system), "grounded", mode)
         settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
         out = written(write_report, ev, "tandem", settings, "json")[0]
@@ -282,7 +281,7 @@ class TestReportBytes:
     @pytest.mark.parametrize("mode", MODES)
     @pytest.mark.parametrize("n,k", [(3, 2), (6, 3)])
     def test_text_attack_lines_are_the_sorted_label_pairs(self, n, k, mode):
-        system = parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+        system = parse_system(tandem_rules(n, k))
         prepared = prepare(system)
         ev = evaluate(prepared, "grounded", mode)
         settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
@@ -305,7 +304,7 @@ class TestReportBytes:
         calls = collections.defaultdict(set)
         verdicts, empty = set(), set()
         for text, semantics in cases:
-            prepared = prepare(parse_system(SourceDocument(text, "f.rules")))
+            prepared = prepare(parse_system(text))
             for mode in MODES:
                 ev = evaluate(prepared, semantics, mode)
                 settings = report_settings(semantics, mode, "literal", 5000, DEFAULT_NODE_BOUND)
@@ -360,7 +359,7 @@ def assert_as_reference(
 
 
 def tandem(n, k):
-    return parse_system(SourceDocument(tandem_rules(n, k), f"tandem({n},{k})"))
+    return parse_system(tandem_rules(n, k))
 
 
 class TestReferenceWriter:
@@ -383,16 +382,16 @@ class TestReferenceWriter:
 
     def test_seed38_grounded(self):
         text = SEED38_PATH.read_text(encoding="utf-8")
-        system = parse_system(SourceDocument(text, "seed38.rules"))
+        system = parse_system(text)
         assert_as_reference(system, semantics=("grounded",))
 
     @pytest.mark.parametrize("text", ("", "# comments only\n\n# and a blank line\n"))
     def test_empty_systems(self, text):
-        assert_as_reference(parse_system(SourceDocument(text, "empty.rules")))
+        assert_as_reference(parse_system(text))
 
     def test_inconsistent_system(self):
         text = "strict s1: -> p\nstrict s2: -> ~p\ndefeasible d1: => q\nstrict s3: q -> r\n"
-        assert_as_reference(parse_system(SourceDocument(text, "inconsistent.rules")))
+        assert_as_reference(parse_system(text))
 
     def test_escaped_source(self, tandem_system):
         assert_as_reference(tandem_system, 'quote" back\\slash\ttab \u00fcber.rules')
@@ -574,9 +573,13 @@ class TestOneEvaluationPass:
     def test_report_agrees_with_conclusion_sets(self, tandem_system, capsys, mode, semantics):
         main(["eval", "--file", str(TANDEM_PATH), "--mode", mode, "--semantics", semantics])
         report = json.loads(capsys.readouterr().out)
+        ev = evaluate(prepare(tandem_system), semantics, mode)
         expected = [
-            {"extension": list(cs.extension), "conclusions": sorted(map(str, cs.formulas))}
-            for cs in evaluate(prepare(tandem_system), semantics, mode).conclusion_sets
+            {
+                "extension": [ev.store.arguments[o].canonical_id for o in cs.extension],
+                "conclusions": sorted(map(str, cs.formulas)),
+            }
+            for cs in ev.conclusion_sets
         ]
         got = [
             {"extension": e["extension"], "conclusions": e["conclusions"]}

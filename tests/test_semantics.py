@@ -11,7 +11,6 @@ from jsbaf import (
     AF,
     SEMANTICS,
     SearchLimitExceededError,
-    SourceDocument,
     SystemParams,
     base,
     brute_force_extensions,
@@ -261,7 +260,7 @@ class TestOracleAgreementAndInclusions:
                 flat = prepare(system, flatten_mode=flatten_mode).flat
                 if len(flat.node_table) <= 14 and any(map(is_meta, flat.node_table)):
                     flats.append(flat)
-        flats.append(_deductive_flattening(parse_system(SourceDocument(tandem_rules(2, 1), "t"))))
+        flats.append(_deductive_flattening(parse_system(tandem_rules(2, 1))))
         assert (len(flats), len(flats[-1].node_table)) == (235, 10)
         for af in flats:
             for sem in SEMANTICS:
@@ -340,7 +339,7 @@ class TestRegressionInstances:
         10, and the grounded one besides for complete.  The preferred report
         also matches the benchmark's reference digest for this instance,
         recorded with the earlier three-way labelling search."""
-        system = parse_system(SourceDocument(tandem_rules(5, 3), "tandem-5-3.rules"))
+        system = parse_system(tandem_rules(5, 3))
         flat = self._check(system, {"complete": 11, "stable": 10, "preferred": 10})
         assert len(flat.nodes) == 100
 
@@ -368,7 +367,7 @@ class TestLinearGrounded:
     @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
     def test_tandem_and_random_systems(self, mode):
         systems = [
-            parse_system(SourceDocument(tandem_rules(n, k), "tandem"))
+            parse_system(tandem_rules(n, k))
             for n in range(2, 7)
             for k in range(1, n)
         ]
@@ -412,7 +411,7 @@ def test_search_splits_arguments_with_most_targets_first(monkeypatch, mode, sema
     before meta-arguments, then the nodes with most targets, then the
     lowest node number.  The comments give the calls when it split the
     lowest node number first."""
-    system = parse_system(SourceDocument(tandem_rules(5, 3), "tandem-5-3.rules"))
+    system = parse_system(tandem_rules(5, 3))
     assert _propagation_calls(monkeypatch, system, mode, semantics) == calls
 
 
@@ -420,7 +419,7 @@ def test_split_order_of_the_tandem_flattening():
     """On the deductive flattening of tandem(3, 2) the 9 arguments rank
     first, by descending target count (5, 2, 1), ties broken by number;
     then the meta-arguments in the same way."""
-    flat = _deductive_flattening(parse_system(SourceDocument(TANDEM_PATH.read_text(), "t")))
+    flat = _deductive_flattening(parse_system(TANDEM_PATH.read_text()))
     order = semantics_module._DomainSearch(flat).order
     assert [flat.labels[x] for x in order[:9]] == [
         "A7", "A8", "A9", "A4", "A5", "A6", "A1", "A2", "A3"
@@ -448,7 +447,7 @@ def test_preferred_search_drops_branches_inside_an_extension_found(
     comments give the calls of complete search, which lists every complete
     labelling, and (before) of preferred search when it split the lowest
     node number first."""
-    system = parse_system(SourceDocument(tandem_rules(n, k), "tandem.rules"))
+    system = parse_system(tandem_rules(n, k))
     assert _propagation_calls(monkeypatch, system, mode, "preferred") == calls
 
 
@@ -462,7 +461,7 @@ def test_preferred_search_drops_branches_inside_an_extension_found(
 def test_tandem_7_4_preferred(monkeypatch, mode, calls, count):
     """A search regression instance: preferred search on tandem(7, 4), 119
     arguments and, in deductive mode, 553 flattened nodes."""
-    prepared = prepare(parse_system(SourceDocument(tandem_rules(7, 4), "tandem-7-4.rules")))
+    prepared = prepare(parse_system(tandem_rules(7, 4)))
     made, evaluation = _counted_evaluate(monkeypatch, prepared, mode, "preferred")
     assert (made, len(evaluation.raw_extensions)) == (calls, count)
     af = prepared.searched(mode)
@@ -501,7 +500,7 @@ class TestPreferredBoundAgreesWithTheOracle:
 
     def test_tandem_attack_frameworks(self):
         for n, k in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 4), (6, 5)):
-            af = prepare(parse_system(SourceDocument(tandem_rules(n, k), "tandem"))).af
+            af = prepare(parse_system(tandem_rules(n, k))).af
             assert len(af.node_table) <= ORACLE_NODE_CAP
             assert extensions(af, "preferred") == brute_force_extensions(af, "preferred")
 
@@ -545,11 +544,11 @@ class TestReferenceKernel:
         [(n, k) for n in range(2, 7) for k in range(1, n)] + [(7, 6)],
     )
     def test_tandem(self, check, n, k, mode):
-        check(prepare(parse_system(SourceDocument(tandem_rules(n, k), "tandem"))).searched(mode))
+        check(prepare(parse_system(tandem_rules(n, k))).searched(mode))
 
     @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
     def test_seed_38(self, check, mode):
-        system = parse_system(SourceDocument(SEED38_PATH.read_text(), str(SEED38_PATH)))
+        system = parse_system(SEED38_PATH.read_text())
         check(prepare(system).searched(mode))
 
     def test_random_systems(self, check):
