@@ -7,8 +7,8 @@ and supports are written in node order, which is label order (see
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
 fixed templates of its sections: no report dict, no generic encoder.  Ids
-are quoted once per report, and each large section (attack lists, witness
-records) is one ``join``, written on its own.
+are quoted once per report.  Both formats are written in pieces of about
+``PIECE`` chars, split between records, so no section is held whole.
 """
 
 from __future__ import annotations
@@ -26,6 +26,49 @@ REPORT_FORMATS = ("json", "text")
 # A JSON value that starts on a line at depth d has its members on lines
 # that start with _NL[d + 1], and its closing bracket on one of _NL[d].
 _NL = tuple("\n" + "  " * depth for depth in range(8))
+
+PIECE = 1 << 16  # chars a report holds before it calls ``write``
+
+
+class _Pieces:
+    """Parts of a report, written when they hold ``PIECE`` chars, and at the
+    end by ``flush(last)``.  ``join`` splits records to fit, so no write
+    exceeds ``PIECE`` plus a record."""
+
+    def __init__(self, write: Callable[[str], object]):
+        self.write, self.parts, self.size = write, [], 0
+
+    def add(self, part: str) -> None:
+        self.parts.append(part)
+        self.size += len(part)
+        if self.size >= PIECE:
+            self.flush()
+
+    def join(self, first: str, sep: str, items: list[str], width: int) -> None:
+        """``first + sep.join(items)``, where ``sep`` and any one item take
+        at most ``width`` chars, and ``first`` no more than ``sep``."""
+        i, n = 0, len(items)
+        while i < n:
+            step = (PIECE - self.size) // width or 1  # the items the room holds
+            part = sep.join(items[i:i + step] if i or step < n else items)
+            self.parts += (first, part)
+            self.size += len(first) + len(part)
+            if self.size >= PIECE:
+                self.flush()
+            first, i = sep, i + step
+
+    def json_list(self, items: list[str], depth: int) -> None:
+        """A JSON list of already encoded ``items``, a record each."""
+        if not items:
+            return self.add("[]")
+        sep = "," + _NL[depth + 1]
+        self.join("[" + _NL[depth + 1], sep, items, len(sep) + max(map(len, items)))
+        self.add(_NL[depth] + "]")
+
+    def flush(self, last: str = "") -> None:
+        self.parts.append(last)
+        self.write("".join(self.parts))
+        self.parts, self.size = [], 0
 
 
 def report_settings(
@@ -70,16 +113,6 @@ def _texts(texts, depth: int) -> str:
     return _list(list(map(_quote, sorted(texts))), depth)
 
 
-def _rows(parts: list[str], depth: int) -> str:
-    """A large JSON list as one ``join`` of ``parts``, where each item comes
-    after a "," and its indent; the first "," becomes the opening bracket."""
-    if not parts:
-        return "[]"
-    parts[0] = "["
-    parts.append(_NL[depth] + "]")
-    return "".join(parts)
-
-
 def _flat_object(fields: dict, depth: int) -> str:
     """A JSON object of str, int and None values (no bool), keys sorted."""
     return "{" + ",".join(
@@ -89,7 +122,7 @@ def _flat_object(fields: dict, depth: int) -> str:
     ) + (_NL[depth] + "}" if fields else "}")
 
 
-def _arguments_json(ev: Evaluation, quoted: list[str]) -> str:
+def _argument_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     """The argument records; each rule's head and id are quoted once."""
     i2, i3 = _NL[2], _NL[3]
     rules: dict = {}  # rule id: (quoted head, quoted rule id)
@@ -107,7 +140,7 @@ def _arguments_json(ev: Evaluation, quoted: list[str]) -> str:
             f'{i3}"structure": {_quote(arg.structure)},'
             f'{i3}"subs": {_list([quoted[s.ordinal] for s in arg.subs], 3)}{i2}}}'
         )
-    return _list(records, 1)
+    return records
 
 
 def _verdict(verdict: Verdict, name: str) -> str:
@@ -124,7 +157,7 @@ def _verdict(verdict: Verdict, name: str) -> str:
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
-def _conclusion_sets_json(ev: Evaluation, quoted: list[str]) -> str:
+def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
     entries = []
@@ -137,78 +170,75 @@ def _conclusion_sets_json(ev: Evaluation, quoted: list[str]) -> str:
             f'{i3}"extension": {_list([quoted[o] for o in cs.extension], 3)},'
             f'{i3}"postulates": {{{postulates}{i3}}}{_NL[2]}}}'
         )
-    return _list(entries, 1)
+    return entries
 
 
-def _attacks_json(framework: AF | JSBAF, names: list[str]) -> str:
+def _attacks_json(out: _Pieces, framework: AF | JSBAF, names: list[str]) -> None:
     """The sorted label pairs of ``framework``'s attacks, a row at a time."""
-    i3, i4, tail = _NL[3], _NL[4], _NL[3] + "]"
-    parts = []
+    i3, i4, close, lead = _NL[3], _NL[4], _NL[3] + "]", "["
+    width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names), default=0)
     for s, targets in _attack_rows(framework, names):
-        head = f"[{i4}{s},{i4}"
-        parts += (",", i3, head, f"{tail},{i3}{head}".join(targets), tail)
-    return _rows(parts, 2)
+        head = f"{i3}[{i4}{s},{i4}"
+        out.join(lead + head, f"{close},{head}", targets, width)
+        lead = close + ","
+    out.add("[]" if lead == "[" else close + _NL[2] + "]")
 
 
-def _witnesses_json(ev: Evaluation, quoted: list[str]) -> str:
+def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
     """The witness records, attacker by attacker.  Each hits tuple is made
-    into record tails once, and an attacker's records are a ``join`` of them."""
-    i3, i4 = _NL[3], _NL[4]
-    tails_of: dict[int, list[str]] = {}
-    parts = []
+    into record tails once, and an attacker's records are joins of them."""
+    i3, i4, lead = _NL[3], _NL[4], "["
+    tails_of: dict[int, tuple[list[str], int]] = {}  # id(hits): (tails, longest tail)
     for attacker, hits in ev.witnesses.groups:
-        tails = tails_of.get(id(hits))
-        if tails is None:
-            tails = tails_of[id(hits)] = [
+        entry = tails_of.get(id(hits))
+        if entry is None:
+            tails = [
                 f'"kind": "{KINDS[kind]}",{i4}"on": {quoted[on]},'
                 f'{i4}"target": {quoted[target]}{i3}}}'
                 for target, kind, on in hits
             ]
-        head = f'{{{i4}"attacker": {quoted[attacker]},{i4}'
-        parts += (",", i3, head, f",{i3}{head}".join(tails))
-    return _rows(parts, 2)
+            entry = tails_of[id(hits)] = (tails, max(map(len, tails)))
+        head = f'{i3}{{{i4}"attacker": {quoted[attacker]},{i4}'
+        out.join(lead + head, "," + head, entry[0], 1 + len(head) + entry[1])
+        lead = ","
+    out.add("[]" if lead == "[" else _NL[2] + "]")
 
 
-def _write_json(ev: Evaluation, source: str, settings: dict, write) -> None:
-    """The JSON report, in key order.  Each large section is written on its
-    own, after a ``write`` that ends with its key, so that it is never copied
-    to put the key in front and is dropped before the next one is built."""
+def _write_json(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> None:
+    """The JSON report, in key order, a section at a time."""
     store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
     quoted = [_quote(arg.canonical_id) for arg in store.arguments]
     names = [quoted[o] for o in store.node_order]  # the framework's quoted labels
-    arguments = _arguments_json(ev, quoted)
-    write(f'{{{i1}"arguments": ')
-    write(arguments)
-    del arguments
+    out.add(f'{{{i1}"arguments": ')
+    out.json_list(_argument_records(ev, quoted), 1)
+    out.add(f',{i1}"conclusion_sets": ')
+    out.json_list(_conclusion_set_records(ev, quoted), 1)
     pruned = "true" if store.acyclicity_pruned else "false"
-    extensions = [[names[i] for i in ext] for ext in ev.extensions]
-    write(
-        f',{i1}"conclusion_sets": {_conclusion_sets_json(ev, quoted)},'
-        f'{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}{i1}}},'
-        f'{i1}"extensions": {_list([_list(e, 2) for e in extensions], 1)},'
-    )
+    out.add(f',{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}'
+            f'{i1}}},{i1}"extensions": ')
+    out.json_list([_list([names[i] for i in ext], 2) for ext in ev.extensions], 1)
     if flat is not None:
         flat_names = list(map(_quote, flat.labels))
-        write(f'{i1}"flattened": {{{i2}"attacks": ')
-        write(_attacks_json(flat, flat_names))
+        out.add(f',{i1}"flattened": {{{i2}"attacks": ')
+        _attacks_json(out, flat, flat_names)
+        out.add(f',{i2}"extensions": ')
+        out.json_list([_list([flat_names[i] for i in ext], 3) for ext in ev.raw_extensions], 2)
         mode = "null" if settings["flatten"] is None else _quote(settings["flatten"])
-        extensions = [[flat_names[i] for i in ext] for ext in ev.raw_extensions]
-        write(
-            f',{i2}"extensions": {_list([_list(e, 3) for e in extensions], 2)},'
-            f'{i2}"mode": {mode},{i2}"nodes": {_list(flat_names, 2)}{i1}}},'
-        )
-    write(f'{i1}"framework": {{{i2}"attack_witnesses": ')
-    write(_witnesses_json(ev, quoted))
-    write(f',{i2}"attacks": ')
-    write(_attacks_json(ev.framework, names))
+        out.add(f',{i2}"mode": {mode},{i2}"nodes": ')
+        out.json_list(flat_names, 2)
+        out.add(i1 + "}")
+    out.add(f',{i1}"framework": {{{i2}"attack_witnesses": ')
+    _witnesses_json(out, ev, quoted)
+    out.add(f',{i2}"attacks": ')
+    _attacks_json(out, ev.framework, names)
     if flat is not None:
         i3, i4, supports = _NL[3], _NL[4], _support_lists(ev.framework, names)
-        write(f',{i2}"supports": ' + _list(
-            [f"[{i4}{_list(src, 4)},{i4}{dst}{i3}]" for src, dst in supports], 2))
+        out.add(f',{i2}"supports": ')
+        out.json_list([f"[{i4}{_list(src, 4)},{i4}{dst}{i3}]" for src, dst in supports], 2)
     consistent = "true" if ev.consistent else "false"
     summary = ",".join(f'{i2}"{name}": "{"satisfied" if held else "violated"}"'
                        for name, held in zip(POSTULATES, ev.holds))
-    write(
+    out.flush(
         f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(system.atoms, 2)},'
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
         f'{i2}"source": {_quote(source)},{i2}"strict_rules": {len(system.strict_rules)},'
@@ -228,21 +258,23 @@ def _witness_text(name: str, witness) -> str:
     return f"{{'pair': {sorted(map(str, witness))!r}}}"
 
 
-def _write_text(ev: Evaluation, source: str, settings: dict, write) -> None:
+def _write_text(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> None:
     system, labels = ev.store.system, ev.framework.labels
     flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
-    write("\n".join([
-        f"source: {source}",
+    out.add(
+        f"source: {source}\n"
         f"system: {len(system.strict_rules)} strict, {len(system.defeasible_rules)} defeasible, "
-        f"{len(system.undercut_names)} named, consistent={str(ev.consistent).lower()}",
-        f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}",
-        "", f"arguments ({len(ev.store)}):", *(f"  {arg.form}" for arg in ev.store.arguments),
-        "", "attacks:\n",
-    ]))
-    write("".join(
-        f"  {s} -> " + f"\n  {s} -> ".join(targets) + "\n"
-        for s, targets in _attack_rows(ev.framework, labels)
-    ))
+        f"{len(system.undercut_names)} named, consistent={str(ev.consistent).lower()}\n"
+        f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}\n"
+        f"\narguments ({len(ev.store)}):"
+    )
+    forms = [arg.form for arg in ev.store.arguments]
+    out.join("\n  ", "\n  ", forms, 3 + max(map(len, forms), default=0))
+    out.add("\n\nattacks:")
+    longest = max(map(len, labels), default=0)
+    for s, targets in _attack_rows(ev.framework, labels):
+        sep = f"\n  {s} -> "
+        out.join(sep, sep, targets, len(sep) + longest)
     tail = [] if ev.flat is None else ["supports:", *(
         f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
     ), f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
@@ -259,22 +291,20 @@ def _write_text(ev: Evaluation, source: str, settings: dict, write) -> None:
                                          for name, held in zip(POSTULATES, ev.holds))]
     if not ev.consistent:
         tail.append("note: system is inconsistent; postulate verdicts are out of scope")
-    write("\n".join(tail) + "\n")
+    out.join("\n", "\n", tail, 1 + max(map(len, tail)))
+    out.flush("\n")
 
 
 def write_report(
     ev: Evaluation, source: str, settings: dict, fmt: str, write: Callable[[str], object]
 ) -> bool:
     """Write the report of ``ev`` as ``fmt`` (one of ``REPORT_FORMATS``)
-    through ``write``, calling it a fixed number of times whatever the
-    report's size; ``settings`` is its ``report_settings`` block.  Returns
-    whether every postulate holds on every conclusion set."""
-    if fmt == "json":
-        _write_json(ev, source, settings, write)
-    elif fmt == "text":
-        _write_text(ev, source, settings, write)
-    else:
+    through ``write``, a call per ``PIECE`` chars or so; ``settings`` is its
+    ``report_settings`` block.  Returns whether every postulate holds on
+    every conclusion set."""
+    if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
+    (_write_json if fmt == "json" else _write_text)(ev, source, settings, _Pieces(write))
     return all(ev.holds)
 
 

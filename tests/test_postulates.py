@@ -17,11 +17,13 @@ from jsbaf import (
     check_closure,
     check_direct_consistency,
     check_indirect_consistency,
+    construct_arguments,
     defeasible_rule,
     evaluate,
     evaluate_postulates,
     is_consistent,
     neg,
+    parse_system,
     prepare,
     random_jsbaf,
     random_system,
@@ -272,3 +274,55 @@ class TestOneClosurePerSet:
                         if not getattr(report, name).satisfied
                     }
         assert violated == {"closure", "indirect_consistency"}
+
+
+# ROADMAP item 7: the smallest system found, shrunk from a sweep.  The
+# store prunes ``t7(A3)``, because ``~p5`` is on A3's branch, and with it the
+# joint support ``{A3} => t7(A3)``.  Deductive complete, stable and preferred
+# each return {A3}, whose conclusions {p4} are not closed under t7.
+PRUNED_STRICT_APPLICATION = """\
+atoms p4 p5
+strict s2: p5 -> ~p4
+strict s4: ~p5 -> p5
+strict s5: ~p5 -> p4
+strict t7: p4 -> ~p5
+defeasible d1: => ~p5
+"""
+
+
+ADMISSIBLE = ("complete", "stable", "preferred")
+
+
+def closure_per_semantics(system):
+    """Whether deductive closure holds on every conclusion set, by semantics."""
+    prepared = prepare(system)
+    return {
+        semantics: evaluate(prepared, semantics, "deductive", max_nodes=10**6).holds[0]
+        for semantics in ADMISSIBLE
+    }
+
+
+PRUNED_STORE = pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP item 7: a pruned strict application loses its joint support, "
+    "so deductive closure fails on pruned argument stores",
+)
+
+
+class TestClosureOnPrunedStores:
+    """The paper's closure theorem for deductive mode, on systems whose
+    argument store is pruned.  They fail until item 7 is fixed."""
+
+    @PRUNED_STORE
+    def test_smallest_pruned_system(self):
+        system = parse_system(PRUNED_STRICT_APPLICATION)
+        assert construct_arguments(system).acyclicity_pruned
+        assert closure_per_semantics(system) == dict.fromkeys(ADMISSIBLE, True)
+
+    @PRUNED_STORE
+    @pytest.mark.parametrize("seed", (40, 887))
+    def test_random_pruned_systems(self, seed):
+        system = random_system(SystemParams(6, 8, 8, undercut_density=0.3), seed).system
+        assert construct_arguments(system).acyclicity_pruned
+        assert closure_per_semantics(system) == dict.fromkeys(ADMISSIBLE, True)

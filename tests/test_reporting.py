@@ -3,7 +3,10 @@
 import collections
 import importlib
 import json
+import os
+import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -28,7 +31,7 @@ from jsbaf import (
 )
 from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
-from jsbaf.reporting import REPORT_FORMATS, report_settings, write_limit_report
+from jsbaf.reporting import PIECE, REPORT_FORMATS, report_settings, write_limit_report
 from jsbaf.semantics import FLATTEN_MODES
 
 import reference
@@ -126,6 +129,24 @@ def preferred_report(system, mode, flatten_mode="literal"):
 def sorted_pairs(framework):
     """The attacks of ``framework`` as label pairs, sorted."""
     return sorted([s.label, d.label] for s, d in framework.attacks)
+
+
+def longest_record(report, fmt):
+    """The length of the longest record of ``report`` as it is written,
+    with the separator before it: a line of a text report, or an item of a
+    list in a JSON report."""
+    if fmt == "text":
+        return 1 + max(map(len, report.splitlines()))
+
+    def lengths(value, depth):
+        is_list = isinstance(value, list)
+        for child in value if is_list else value.values() if isinstance(value, dict) else ():
+            if is_list:
+                text = json.dumps(child, indent=2, sort_keys=True, ensure_ascii=False)
+                yield 2 + 2 * (depth + 1) * (1 + text.count("\n")) + len(text)
+            yield from lengths(child, depth + 1)
+
+    return max(lengths(json.loads(report), 0))
 
 
 def assert_canonical(out):
@@ -291,18 +312,19 @@ class TestReportBytes:
         assert lines[start:end] == [f"  {s} -> {d}" for s, d in sorted_pairs(prepared.af)]
         assert not lines[end].startswith("  ")
 
-    @pytest.mark.parametrize("fmt", ("json", "text"))
-    def test_write_calls_do_not_grow_with_the_report(self, fmt):
-        """One count per mode, whatever the report holds: small and large
-        reports, violated postulates, no extension at all."""
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    def test_writes_are_bounded_pieces(self, fmt):
+        """Small and large reports, violated postulates, no extension at
+        all: no write is longer than a piece and one record, and the writes
+        grow with the bytes, so a report shorter than a piece is one write."""
         cases = [
             (tandem_rules(3, 2), "grounded"),
             (tandem_rules(7, 3), "grounded"),
+            (tandem_rules(8, 3), "grounded"),
             (tandem_rules(3, 2), "preferred"),
             (ODD_CYCLE, "stable"),
         ]
-        calls = collections.defaultdict(set)
-        verdicts, empty = set(), set()
+        verdicts, empty, pieces = set(), set(), set()
         for text, semantics in cases:
             prepared = prepare(parse_system(text))
             for mode in MODES:
@@ -310,11 +332,53 @@ class TestReportBytes:
                 settings = report_settings(semantics, mode, "literal", 5000, DEFAULT_NODE_BOUND)
                 chunks = []
                 verdicts.add(write_report(ev, "f.rules", settings, fmt, chunks.append))
-                calls[mode].add(len(chunks))
+                report = "".join(chunks)
+                assert max(map(len, chunks)) <= PIECE + longest_record(report, fmt)
+                assert len(chunks) >= max(1, len(report) // PIECE)
+                assert len(chunks) == 1 or len(report) >= PIECE
+                pieces.add(len(chunks) > 1)
                 empty.add(not ev.extensions)
-        assert verdicts == {True, False} and empty == {True, False}
-        assert set(calls) == set(MODES)
-        assert all(len(counts) == 1 for counts in calls.values())
+        assert verdicts == {True, False} and empty == {True, False} and pieces == {True, False}
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_writing_a_large_report_adds_little_memory(self, mode):
+        """tandem(7,3): a report of 1.4 MiB (aspic-minus) or 1.9 MiB
+        (deductive), which the writer never holds whole."""
+        ev = evaluate(prepare(tandem(7, 3)), "grounded", mode)
+        settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            write_report(ev, "tandem", settings, "json", len)
+            rise = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert rise < 1 << 19
+
+    def test_large_report_in_its_own_process_peaks_below_64_mb(self, tmp_path):
+        """tandem(12,3) deductive grounded: a JSON report of about 204 MiB,
+        written to /dev/null.  The child reads its own peak RSS.  On Linux a
+        process's ``ru_maxrss`` starts at its parent's RSS when it was
+        spawned, so a small launcher spawns the child, not this process."""
+        rules = tmp_path / "tandem-12-3.rules"
+        rules.write_text(tandem_rules(12, 3))
+        child = (
+            "import resource, sys\n"
+            "from jsbaf.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "sys.stdout.flush()\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        argv = ["eval", "--file", str(rules), "--semantics", "grounded", "--mode", "deductive"]
+        env = {**os.environ, "PYTHONPATH": str(TANDEM_PATH.parents[1] / "src")}
+        launch = "import subprocess, sys; sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+        result = subprocess.run(
+            [sys.executable, "-c", launch, sys.executable, "-c", child, *argv],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr
+        assert int(result.stderr) / 1024 < 64  # ru_maxrss is in KiB
 
     @pytest.mark.parametrize("mode", MODES)
     def test_no_conclusion_set_holds_every_postulate(self, mode):
