@@ -57,17 +57,15 @@ def main():
         names = ",".join(sorted(n.label for n in src)) or "(none)"
         print(f"   {{{names}}} => {dst.label}")
 
-    pruned = prepare(system, flatten_mode="prune-inert")
-    flat = pruned.flat
+    flat = prepared.flat
     print(f"\nFlattened to a plain framework: {len(flat.nodes)} nodes, {len(flat.attacks)} attacks")
-    deductive = evaluate(pruned, "preferred", "deductive")
+    joint = evaluate(prepared, "preferred", "deductive")
     show_extensions(
         "Preferred extensions after flattening, projected onto the arguments:",
-        [{deductive.framework.node_table[i] for i in ext} for ext in deductive.extensions],
+        [{j.node_table[i] for i in ext} for ext in joint.extensions],
     )
 
     print("\nConclusion sets with deductive joint support (preferred):")
-    joint = evaluate(prepared, "preferred", "deductive")
     for cs, report in zip(joint.conclusion_sets, joint.postulates):
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
         assert report.all_satisfied

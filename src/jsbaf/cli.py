@@ -24,13 +24,16 @@ from .postulates import (
 from .reporting import (
     REPORT_FORMATS, emit_apx, emit_dot, report_settings, write_limit_report, write_report,
 )
-from .semantics import FLATTEN_MODES, SEMANTICS, extension_ids
+from .semantics import SEMANTICS, extensions
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_BROKEN_PIPE = 141
+
+# The errors that end a command with EXIT_LIMIT.
+_LIMIT_ERRORS = (LimitExceededError, SearchLimitExceededError)
 
 
 def _read_source(path: str) -> str:
@@ -66,19 +69,12 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
-def _add_common(parser, *, semantics=False, flatten=False, max_nodes=False):
+def _add_common(parser, *, semantics=False, max_nodes=False):
     """--file and --max-arguments, plus those of the other shared options
     that the command reads."""
     parser.add_argument("--file", required=True, help="rule file, or - for stdin")
     if semantics:
         parser.add_argument("--semantics", choices=SEMANTICS, default="preferred")
-    if flatten:
-        parser.add_argument(
-            "--flatten", choices=FLATTEN_MODES, default="literal",
-            help="prune-inert leaves out the bar of each argument that has no joint support, "
-            "no defeasible single supporter, and co-supports nothing, since that bar "
-            "attacks nothing; literal keeps it",
-        )
     parser.add_argument("--max-arguments", type=_non_negative_int, default=DEFAULT_MAX_ARGUMENTS)
     if max_nodes:
         parser.add_argument(
@@ -97,7 +93,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="compute extensions, conclusions, postulates")
-    _add_common(p_eval, semantics=True, flatten=True, max_nodes=True)
+    _add_common(p_eval, semantics=True, max_nodes=True)
     p_eval.add_argument("--mode", choices=MODES, default="deductive")
     p_eval.add_argument("--report", choices=REPORT_FORMATS, default="json")
     p_eval.add_argument(
@@ -106,7 +102,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     p_flat = sub.add_parser("flatten", help="flatten the joint-support framework of a system")
-    _add_common(p_flat, flatten=True)
+    _add_common(p_flat)
     p_flat.add_argument("--stage", choices=("one-step", "two-step", "simplified"), default="simplified")
     p_flat.add_argument("--emit", choices=("dot", "apx"), default="dot")
 
@@ -114,7 +110,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p_args)
 
     p_check = sub.add_parser("check-postulates", help="both modes, all four semantics")
-    _add_common(p_check, flatten=True, max_nodes=True)
+    _add_common(p_check, max_nodes=True)
     p_check.add_argument("--allow-inconsistent", action="store_true")
 
     p_rand = sub.add_parser("random", help="emit a seeded random consistent system")
@@ -126,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_rand.add_argument("--undercut-density", type=float, default=0.2)
 
     p_oracle = sub.add_parser("oracle", help="cross-check the engine against brute force")
-    _add_common(p_oracle, semantics=True, flatten=True)
+    _add_common(p_oracle, semantics=True)
     p_oracle.add_argument("--mode", choices=MODES, default="deductive")
     p_oracle.add_argument(
         "--oracle-cap", type=_non_negative_int, default=12,
@@ -138,29 +134,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _prepare(args, require_consistent: bool) -> Prepared:
     system = parse_system(_read_source(args.file))
-    return prepare(system, args.max_arguments, args.flatten, require_consistent)
-
-
-def _check_flatten_mode(args) -> None:
-    """Refuse ``--flatten prune-inert`` where nothing is flattened."""
-    if args.mode == "aspic-minus" and args.flatten == "prune-inert":
-        raise ValidationError(
-            f"--flatten prune-inert applies only to --mode deductive, not --mode {args.mode}"
-        )
+    return prepare(system, args.max_arguments, require_consistent)
 
 
 def _cmd_eval(args) -> int:
-    _check_flatten_mode(args)
-    settings = report_settings(
-        args.semantics, args.mode, args.flatten, args.max_arguments, args.max_nodes
-    )
+    settings = report_settings(args.semantics, args.mode, args.max_arguments, args.max_nodes)
     # The path as typed, each byte of it that is not UTF-8 shown as \xNN, so
     # that the report is UTF-8 whatever the file is called.
     source = os.fsencode(args.file).decode("utf-8", "backslashreplace")
     try:
         prepared = _prepare(args, not args.allow_inconsistent)
         ev = evaluate(prepared, args.semantics, args.mode, args.max_nodes)
-    except (LimitExceededError, SearchLimitExceededError) as exc:
+    except _LIMIT_ERRORS as exc:
         write_limit_report(source, settings, exc, args.report, sys.stdout.write)
         return EXIT_LIMIT
     if write_report(ev, source, settings, args.report, sys.stdout.write):
@@ -171,10 +156,6 @@ def _cmd_eval(args) -> int:
 def _cmd_flatten(args) -> int:
     if args.stage == "one-step" and args.emit == "apx":
         raise ValidationError("APX cannot represent joint attacks; use --emit dot")
-    if args.stage != "simplified" and args.flatten == "prune-inert":
-        raise ValidationError(
-            f"--flatten prune-inert applies only to --stage simplified, not --stage {args.stage}"
-        )
     prepared = _prepare(args, False)
     if args.stage == "one-step":
         framework = flatten_one_step(prepared.jsbaf, prepared.shielded)
@@ -237,16 +218,15 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    _check_flatten_mode(args)
     cap = args.oracle_cap
     if cap > ORACLE_NODE_CAP:
         raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")
     prepared = _prepare(args, False)
     searched = prepared.searched(args.mode)
-    table = searched.node_table
-    if len(table) > cap:
-        raise ValidationError(f"framework has {len(table)} nodes, above --oracle-cap {cap}")
-    engine = [frozenset(table[i] for i in ext) for ext in extension_ids(searched, args.semantics)]
+    size = len(searched.node_table)
+    if size > cap:
+        raise ValidationError(f"framework has {size} nodes, above --oracle-cap {cap}")
+    engine = extensions(searched, args.semantics)
     brute = brute_force_extensions(searched, args.semantics)
     if engine == brute:
         sys.stdout.write(f"{args.semantics}: OK ({len(engine)} extensions agree)\n")
@@ -273,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
-    except (LimitExceededError, SearchLimitExceededError) as exc:
+    except _LIMIT_ERRORS as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_LIMIT
     except JsbafError as exc:  # every other error of this package is an input error

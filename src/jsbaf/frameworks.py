@@ -12,11 +12,11 @@ one "bar" meta-argument per supported node; ``flatten_joint_attacks`` turns
 joint attacks into plain attacks by introducing bars for every participant
 and one "e" meta-argument per attacker set.  ``flatten_simplified`` is the
 composition of the two without the bar pairs that merely relay a supported
-node's status through a double negation.  It is built in one pass from the
-supports of the JSBAF, and builds neither intermediate framework; the two
-stages serve ``jsbaf flatten --stage one-step|two-step``.  In
-"prune-inert" mode it never builds the bars that would attack nothing: the
-pruned flattening is built directly, not filtered from the literal one.
+node's status through a double negation.  It is the one flattening that
+deductive mode searches, and it keeps every other bar, including those that
+attack nothing.  It is built in one pass from the supports of the JSBAF,
+and builds neither intermediate framework; the two stages serve ``jsbaf
+flatten --stage one-step|two-step``.
 
 Every framework numbers its nodes 0, 1, ... in canonical order
 (``sort_nodes``) and keeps its relations as ints over those numbers; the
@@ -404,18 +404,7 @@ def flatten_joint_attacks(h: HigherLevelAF) -> AF:
     return AF._make(tuple(nodes[i] for i in order), target_ids=[rows[i] for i in order])
 
 
-FLATTEN_MODES = ("literal", "prune-inert")
-
-
-def check_flatten_mode(flatten_mode: str) -> None:
-    """Refuse a flatten mode other than those of ``FLATTEN_MODES``."""
-    if flatten_mode not in FLATTEN_MODES:
-        raise ValueError(f"unknown flatten mode {flatten_mode!r}; expected one of {FLATTEN_MODES}")
-
-
-def flatten_simplified(
-    j: JSBAF, shielded: Collection[int] = frozenset(), flatten_mode: str = "literal"
-) -> AF:
+def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
     """The two-step flattening without its redundant double-negation bars,
     built in one pass from the supports of ``j``.
 
@@ -425,9 +414,10 @@ def flatten_simplified(
     b attacks those e-nodes itself, and bar(bar(b)) is never built.  bar(b)
     is left out too when that relay was its sole role: b is multi, has no
     singleton support {a} with a unshielded, and co-supports no node in any
-    arm.  Otherwise bar(b) is kept, since leaving it out would change the
-    projected extensions.  With ``shielded`` as in ``flatten_one_step``,
-    each support (X, b) gives:
+    arm.  Otherwise bar(b) is kept, as ``flatten_one_step`` builds it, also
+    when it attacks nothing: when b has no joint support, no unshielded
+    single supporter, and co-supports nothing.  With ``shielded`` as in
+    ``flatten_one_step``, each support (X, b) gives:
 
     * b -> bar(b), when bar(b) exists;
     * for X = {a}, a unshielded: bar(b) -> a;
@@ -435,19 +425,11 @@ def flatten_simplified(
       over Y plus bar(b) (or b, when bar(b) is left out), with e -> a,
       b -> e, and y -> bar(y) -> e for every y in Y.
 
-    With ``flatten_mode`` "prune-inert", bar(b) is also left out when b has
-    no joint support, no unshielded (defeasible) single supporter, and
-    co-supports nothing.  Such a bar attacks nothing, and its one attacker
-    is b, an argument, so these bars are exactly the meta-arguments of the
-    literal flattening that attack nothing, to a fixpoint.  Leaving them
-    out changes no extension once projected onto the arguments.
-
     No two e-nodes collide: b is a member of an e-node only in place of its
     bar, and then b co-supports no node.  The arguments keep their numbers
     0 .. m-1, and an argument that attacks no meta-argument keeps its row
     of ``j``; the meta-arguments are numbered once, in canonical order.
     """
-    check_flatten_mode(flatten_mode)
     m = len(j.node_table)
     supported, multi = set(), set()
     direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
@@ -464,10 +446,7 @@ def flatten_simplified(
         elif source and source[0] not in shielded:
             direct.setdefault(b, []).append(source[0])
     co_supporters = {y for rest, _, _ in arms for y in rest}
-    # The bar of a node without joint support attacks nothing unless the
-    # node has a direct supporter or co-supports; only "literal" keeps it.
-    idle = supported - multi if flatten_mode == "literal" else set()
-    barred = sorted(idle | direct.keys() | co_supporters)
+    barred = sorted(supported - multi | direct.keys() | co_supporters)
     bar_number = {b: m + p for p, b in enumerate(barred)}
 
     # Members of meta-arguments are numbered x for argument x and m + x for

@@ -3,8 +3,8 @@
 Checks every one of the 2^n subsets of a small AF directly against the
 textbook definitions (conflict-freeness, defence, admissibility), with no
 shared machinery with the labelling engine in ``semantics.py``.  Subsets are
-bitmasks, so the oracle stays usable up to ~20 nodes; it exists to
-cross-validate the engine, not to scale.
+bitmasks, so the oracle stays usable up to ``ORACLE_NODE_CAP`` nodes; it
+exists to cross-validate the engine, not to scale.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from .frameworks import AF, NodeId
 from .semantics import SEMANTICS
 
-ORACLE_NODE_CAP = 20
+ORACLE_NODE_CAP = 21  # the flattening of the paper's tandem example has 21 nodes
 
 
 def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:

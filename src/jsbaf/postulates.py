@@ -46,7 +46,7 @@ from .core import (
 from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
 )
-from .frameworks import AF, JSBAF, base, check_flatten_mode, flatten_simplified
+from .frameworks import AF, JSBAF, base, flatten_simplified
 from .semantics import SEMANTICS, extension_ids, project_ids
 
 MODES = ("aspic-minus", "deductive")
@@ -145,7 +145,6 @@ class Prepared:
     consistent: bool
     store: ArgumentStore
     witnesses: AttackWitnesses
-    flatten_mode: str
 
     @cached_property
     def af(self) -> AF:
@@ -164,7 +163,7 @@ class Prepared:
 
     @cached_property
     def flat(self) -> AF:
-        return flatten_simplified(self.jsbaf, self.shielded, self.flatten_mode)
+        return flatten_simplified(self.jsbaf, self.shielded)
 
     def searched(self, mode: str) -> AF:
         """The AF that ``evaluate`` searches in ``mode``."""
@@ -174,19 +173,16 @@ class Prepared:
 def prepare(
     system: ArgumentationSystem,
     max_arguments: int = DEFAULT_MAX_ARGUMENTS,
-    flatten_mode: str = "literal",
     require_consistent: bool = True,
 ) -> Prepared:
-    """Check ``flatten_mode`` and consistency, enumerate at most
-    ``max_arguments`` arguments and find the attack witnesses of
-    ``system``."""
-    check_flatten_mode(flatten_mode)
+    """Check consistency, enumerate at most ``max_arguments`` arguments and
+    find the attack witnesses of ``system``."""
     consistent = is_consistent(system)
     if require_consistent and not consistent:
         pair = find_complement_pair(strict_closure((), system.strict_rules))
         raise InconsistentSystemError(pair)
     store = construct_arguments(system, max_arguments)
-    return Prepared(consistent, store, attack_witnesses(store), flatten_mode)
+    return Prepared(consistent, store, attack_witnesses(store))
 
 
 @dataclass(frozen=True)

@@ -71,11 +71,11 @@ class _Pieces:
         self.parts, self.size = [], 0
 
 
-def report_settings(
-    semantics: str, mode: str, flatten_mode: str, max_arguments: int, max_nodes: int
-) -> dict:
-    """The ``settings`` block of a full report and of a limit report."""
-    flatten = flatten_mode if mode == "deductive" else None
+def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> dict:
+    """The ``settings`` block of a full report and of a limit report.  Its
+    ``flatten`` names the flattening that deductive mode searches, the
+    literal simplified one; aspic-minus mode flattens nothing."""
+    flatten = "literal" if mode == "deductive" else None
     return {"semantics": semantics, "mode": mode, "flatten": flatten,
             "max_arguments": max_arguments, "max_nodes": max_nodes}
 

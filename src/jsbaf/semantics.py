@@ -27,13 +27,14 @@ The engine reads the framework's node numbers and int adjacency lists and
 maps each extension back from ranks to node numbers: canonical order is
 ascending node number.  ``extension_ids`` returns extensions as sorted
 number tuples, which is what the evaluation pass reads; ``extensions``
-turns them into sets of ``NodeId``s for library callers.  ``project_ids`` restricts the extensions of a flattened JSBAF to
-its arguments, for ``postulates.evaluate`` and ``jsbaf_extensions`` alike.
-The functions here search whatever framework they are given; the
-node-count bound on the exponential searches is checked once, by
-``postulates.evaluate``.
-``oracle.py`` provides the independent brute-force cross-check used by the
-test suite.
+turns them into sets of ``NodeId``s for library callers and ``jsbaf
+oracle``.  A JSBAF is searched through its one flattening,
+``frameworks.flatten_simplified``; ``project_ids`` restricts the extensions
+of that flattening to its arguments, for ``postulates.evaluate`` and
+``jsbaf_extensions`` alike.  The functions here search whatever framework
+they are given; the node-count bound on the exponential searches is checked
+once, by ``postulates.evaluate``.  ``oracle.py`` provides the independent
+brute-force cross-check used by the test suite and ``jsbaf oracle``.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from collections import Counter
 from itertools import chain
 from typing import Collection, Iterable, Optional
 
-from .frameworks import FLATTEN_MODES, AF, JSBAF, NodeId, flatten_simplified, is_meta
+from .frameworks import AF, JSBAF, NodeId, flatten_simplified, is_meta
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
 
@@ -271,14 +272,11 @@ def project_ids(raw: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ..
 
 
 def jsbaf_extensions(
-    j: JSBAF,
-    semantics: str,
-    flatten_mode: str = "literal",
-    shielded: Collection[int] = frozenset(),
+    j: JSBAF, semantics: str, shielded: Collection[int] = frozenset()
 ) -> list[frozenset[NodeId]]:
     """Extensions of a JSBAF: flatten, run the semantics, project each
     extension onto the original nodes, deduplicate."""
-    raw = extension_ids(flatten_simplified(j, shielded, flatten_mode), semantics)
+    raw = extension_ids(flatten_simplified(j, shielded), semantics)
     table = j.node_table
     return [frozenset(table[i] for i in ext) for ext in project_ids(raw, len(table))]
 

@@ -1,8 +1,10 @@
 """Command-line surface: commands, formats, exit codes."""
 
+import argparse
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +16,7 @@ from jsbaf.cli import main
 from conftest import TANDEM_PATH, wide_join_rules
 
 DATA = TANDEM_PATH.parents[1] / "tests" / "data"
+README = TANDEM_PATH.parents[1] / "README.md"
 
 
 def run_cli(capsys, *argv):
@@ -148,13 +151,10 @@ class TestFlatten:
         assert code == 0 and out.startswith("digraph framework {")
         assert '"e(A5,A7)"' in out
 
-    def test_simplified_apx_prune_inert(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "flatten", "--file", str(TANDEM_PATH),
-            "--emit", "apx", "--flatten", "prune-inert",
-        )
+    def test_simplified_apx(self, capsys):
+        code, out, _ = run_cli(capsys, "flatten", "--file", str(TANDEM_PATH), "--emit", "apx")
         assert code == 0
-        assert sum(1 for l in out.splitlines() if l.startswith("arg(")) == 18
+        assert sum(1 for l in out.splitlines() if l.startswith("arg(")) == 21
 
     def test_one_step_apx_is_rejected(self, capsys):
         code, _, err = run_cli(
@@ -169,25 +169,23 @@ class TestFlatten:
         )
         assert code == 0 and '"bar(bar(A7))"' in out
 
-    # Every accepted combination of stage, flatten mode and emitter, as
-    # (stage, flatten, emit); each output is pinned byte for byte.
+    # Every accepted combination of stage and emitter, as (stage, emit);
+    # each output is pinned byte for byte.
     ACCEPTED = [
-        *(("simplified", f, e) for f in ("literal", "prune-inert") for e in ("dot", "apx")),
-        ("one-step", "literal", "dot"),
-        ("two-step", "literal", "dot"),
-        ("two-step", "literal", "apx"),
+        ("simplified", "dot"),
+        ("simplified", "apx"),
+        ("one-step", "dot"),
+        ("two-step", "dot"),
+        ("two-step", "apx"),
     ]
 
-    @pytest.mark.parametrize(
-        "stage, flatten, emit", ACCEPTED, ids=["-".join(c) for c in ACCEPTED]
-    )
-    def test_golden_output(self, capsys, stage, flatten, emit):
+    @pytest.mark.parametrize("stage, emit", ACCEPTED, ids=["-".join(c) for c in ACCEPTED])
+    def test_golden_output(self, capsys, stage, emit):
         code, out, err = run_cli(
-            capsys, "flatten", "--file", str(TANDEM_PATH),
-            "--stage", stage, "--flatten", flatten, "--emit", emit,
+            capsys, "flatten", "--file", str(TANDEM_PATH), "--stage", stage, "--emit", emit,
         )
         assert (code, err) == (0, "")
-        assert out == (DATA / f"flatten-{stage}-{flatten}.{emit}").read_text(encoding="utf-8")
+        assert out == (DATA / f"flatten-{stage}.{emit}").read_text(encoding="utf-8")
 
 
 class TestArguments:
@@ -217,11 +215,8 @@ class TestCheckPostulates:
         code, out, _ = run_cli(capsys, "check-postulates", "--file", str(rules))
         assert code == 0 and "VIOLATED" not in out
 
-    @pytest.mark.parametrize("flatten", ["literal", "prune-inert"])
-    def test_tandem_rows_are_the_golden(self, capsys, flatten):
-        code, out, _ = run_cli(
-            capsys, "check-postulates", "--file", str(TANDEM_PATH), "--flatten", flatten,
-        )
+    def test_tandem_rows_are_the_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "check-postulates", "--file", str(TANDEM_PATH))
         assert code == 1
         assert out == (DATA / "check-postulates-tandem.txt").read_text(encoding="utf-8")
 
@@ -307,11 +302,10 @@ class TestOracle:
         assert code == 2 and "--oracle-cap" in err
 
     def test_deductive_agreement_with_raised_cap(self, capsys):
-        # prune-inert keeps the flattened tandem at 18 nodes, inside the
-        # oracle's hard 20-node cap
+        # the flattened tandem has 21 nodes, the oracle's hard cap
         code, out, _ = run_cli(
             capsys, "oracle", "--file", str(TANDEM_PATH),
-            "--semantics", "stable", "--flatten", "prune-inert", "--oracle-cap", "18",
+            "--semantics", "stable", "--oracle-cap", "21",
         )
         assert code == 0 and out.startswith("stable: OK")
 
@@ -327,7 +321,7 @@ class TestOracle:
             capsys, "oracle", "--file", str(TANDEM_PATH), "--oracle-cap", "25",
         )
         assert (code, out) == (2, "")
-        assert err == "error: --oracle-cap 25 is above the hard cap 20\n"
+        assert err == "error: --oracle-cap 25 is above the hard cap 21\n"
 
 
 class TestOptions:
@@ -340,6 +334,10 @@ class TestOptions:
             ["arguments", "--max-nodes", "1"],
             ["oracle", "--max-nodes", "1"],
             ["arguments", "--flatten", "literal"],
+            ["eval", "--flatten", "literal"],
+            ["flatten", "--flatten", "literal"],
+            ["check-postulates", "--flatten", "literal"],
+            ["oracle", "--flatten", "literal"],
         ],
     )
     def test_unread_option_is_an_input_error(self, capsys, argv):
@@ -371,6 +369,39 @@ class TestOptions:
             main(["eval", "--file", str(TANDEM_PATH), "--max-nodes", "many"])
         assert exit_.value.code == 2
         assert "argument --max-nodes: invalid int value: 'many'" in capsys.readouterr().err
+
+    def test_readme_table_lists_the_options_of_each_command(self):
+        """README's "Options by command" table has a row for each command
+        that reads rules, and each row names exactly the options the parser
+        gives that command."""
+        (commands,) = (
+            a.choices for a in cli._build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction)
+        )
+        parsed = {}
+        for name, parser in commands.items():
+            options = {o for a in parser._actions for o in a.option_strings if o != "--help"}
+            if "--file" in options:
+                parsed[name] = options - {"-h"}
+        assert readme_options_by_command() == parsed
+
+
+def readme_options_by_command():
+    """Each command of README's "Options by command" table, and the options
+    its row gives it: ``--file`` and ``--max-arguments``, which the text
+    above the table gives every command that reads rules, the option of
+    each column the row marks "yes", and the options of its last column."""
+    text = README.read_text(encoding="utf-8")
+    table = text.split("\nOptions by command", 1)[1].split("\n\n")[1]
+    header, _, *rows = (
+        [cell.strip() for cell in line.strip("|").split("|")] for line in table.splitlines()
+    )
+    table_options = {}
+    for command, *cells, own in rows:
+        options = {"--file", "--max-arguments", *re.findall(r"`(--[a-z-]+)`", own)}
+        options |= {h.strip("`") for h, cell in zip(header[1:-1], cells) if cell.startswith("yes")}
+        table_options[command.strip("`")] = options
+    return table_options
 
 
 # One instance of each JsbafError subclass, and the exit code of a command

@@ -38,7 +38,7 @@ from jsbaf import (
     sort_nodes,
 )
 from jsbaf.frameworks import BarNode, ENode
-from jsbaf.semantics import FLATTEN_MODES, SEMANTICS, extension_ids
+from jsbaf.semantics import SEMANTICS, extension_ids
 
 from conftest import TANDEM_PATH, node_labels, tandem_rules
 
@@ -201,43 +201,32 @@ class TestSimplifiedFlattening:
     TANDEM_IDLE_BARS = ["bar(A1)", "bar(A2)", "bar(A3)"]
 
     @pytest.mark.parametrize(
-        "rules, shield, expected_core, idle_bars, pruned_attacks",
+        "rules, shield, expected_core, idle_bars, attacks",
         (
-            (TANDEM_PATH.read_text(), False, TANDEM_CORE, TANDEM_IDLE_BARS, 33),
-            (TANDEM_PATH.read_text(), True, TANDEM_CORE, TANDEM_IDLE_BARS, 33),
-            # bar(A2) goes too, although its support {A1} is not empty: A1
-            # is strict, so it is shielded and no arm attacks it
+            (TANDEM_PATH.read_text(), False, TANDEM_CORE, TANDEM_IDLE_BARS, 36),
+            (TANDEM_PATH.read_text(), True, TANDEM_CORE, TANDEM_IDLE_BARS, 36),
+            # bar(A2) is idle too, although its support {A1} is not empty:
+            # A1 is strict, so it is shielded and no arm attacks it
             (
                 "strict s1: -> a\nstrict s2: a -> b\ndefeasible d1: b => c\n",
-                True, ["A1", "A2", "A3"], ["bar(A1)", "bar(A2)"], 0,
+                True, ["A1", "A2", "A3"], ["bar(A1)", "bar(A2)"], 2,
             ),
         ),
         ids=("tandem", "tandem-shielded", "strict-chain-shielded"),
     )
-    def test_literal_and_pruned_node_sets(
-        self, rules, shield, expected_core, idle_bars, pruned_attacks
+    def test_literal_node_sets_keep_the_idle_bars(
+        self, rules, shield, expected_core, idle_bars, attacks
     ):
+        """The flattening keeps the bar of each supported argument, also
+        when that bar attacks nothing: the idle bars are exactly the
+        meta-arguments without targets."""
         prepared = prepare(parse_system(rules))
-        j = prepared.jsbaf
         shielded = prepared.shielded if shield else frozenset()
-        af = flatten_simplified(j, shielded)
+        af = flatten_simplified(prepared.jsbaf, shielded)
         assert node_labels(af.nodes) == sorted(expected_core + idle_bars)
-        pruned = flatten_simplified(j, shielded, "prune-inert")
-        assert node_labels(pruned.nodes) == sorted(expected_core)
-        assert len(pruned.attacks) == pruned_attacks
-
-    def test_prune_inert_only_drops_outdegree_zero_meta_nodes(self, tandem_system):
-        j = prepare(tandem_system).jsbaf
-        af = flatten_simplified(j)
-        pruned = flatten_simplified(j, flatten_mode="prune-inert")
-        dropped = af.nodes - pruned.nodes
-        assert pruned.nodes <= af.nodes
-        assert dropped == {n for n, targets in af.targets.items() if is_meta(n) and not targets}
-        assert {n.label for n in dropped} == {"bar(A1)", "bar(A2)", "bar(A3)"}
-
-    def test_unknown_flatten_mode_is_refused(self, j1):
-        with pytest.raises(ValueError, match="unknown flatten mode 'bogus'"):
-            flatten_simplified(j1, flatten_mode="bogus")
+        assert len(af.attacks) == attacks
+        idle = {n.label for n, targets in af.targets.items() if is_meta(n) and not targets}
+        assert idle == set(idle_bars)
 
     def test_mixed_singleton_and_joint_support_keeps_the_direct_bar(self):
         # d is supported both by {w} alone and by {y, z} jointly; the bar of d
@@ -348,9 +337,9 @@ def assert_canonical(framework):
 
 
 def assert_flattenings_match(j, shielded):
-    """Each int flattening stage of ``j``, literal and pruned, has the nodes
-    and edges of the object-level reference and is canonical, and the rows
-    of ``j`` are left as they were; ``shielded`` numbers nodes of ``j``."""
+    """Each int flattening stage of ``j`` has the nodes and edges of the
+    object-level reference and is canonical, and the rows of ``j`` are left
+    as they were; ``shielded`` numbers nodes of ``j``."""
     rows = [tuple(row) for row in j.target_ids]
     named = frozenset(j.node_table[i] for i in shielded)
     one, one_ref = flatten_one_step(j, shielded), reference.flatten_one_step(j, named)
@@ -359,10 +348,7 @@ def assert_flattenings_match(j, shielded):
     assert (two.nodes, two.attacks) == (two_ref.nodes, two_ref.attacks)
     flat, flat_ref = flatten_simplified(j, shielded), reference.simplify(j, two_ref)
     assert (flat.nodes, flat.attacks) == (flat_ref.nodes, flat_ref.attacks)
-    pruned = flatten_simplified(j, shielded, "prune-inert")
-    pruned_ref = reference.prune_inert(flat_ref)
-    assert (pruned.nodes, pruned.attacks) == (pruned_ref.nodes, pruned_ref.attacks)
-    for framework in (one, two, flat, pruned):
+    for framework in (one, two, flat):
         assert_canonical(framework)
     assert [tuple(row) for row in j.target_ids] == rows
     # the simplified flattening shares the row of each argument that
@@ -425,16 +411,14 @@ class TestIntFlatteningMatchesReference:
         for chosen in (frozenset(), shielded):
             assert_flattenings_match(j, chosen)
 
-    def test_random_systems_in_both_flatten_modes(self):
+    def test_random_systems(self):
         for seed in range(100):
             system = random_system(SystemParams(6, 6, 6), seed).system
-            j, shielded = _pipeline_jsbaf(system)
-            named = frozenset(j.node_table[i] for i in shielded)
-            flat_ref = reference.flatten_simplified(j, named)
-            expected_by_mode = {"literal": flat_ref, "prune-inert": reference.prune_inert(flat_ref)}
-            for mode, expected in expected_by_mode.items():
-                flat = prepare(system, flatten_mode=mode).flat
-                assert (flat.nodes, flat.attacks) == (expected.nodes, expected.attacks), seed
+            prepared = prepare(system)
+            j, flat = prepared.jsbaf, prepared.flat
+            named = frozenset(j.node_table[i] for i in prepared.shielded)
+            expected = reference.flatten_simplified(j, named)
+            assert (flat.nodes, flat.attacks) == (expected.nodes, expected.attacks), seed
 
     def test_tandem_8_3_holds_one_object_per_node(self):
         """Every edge end, joint attack end, bar base and e-node member that
@@ -472,10 +456,9 @@ class TestLabelOrder:
     """Every framework the pipeline builds numbers its nodes in label order,
     and its supports are sorted, so the report writes them as they are."""
 
-    @pytest.mark.parametrize("flatten_mode", FLATTEN_MODES)
-    def test_pipeline_frameworks_are_numbered_in_label_order(self, flatten_mode):
+    def test_pipeline_frameworks_are_numbered_in_label_order(self):
         for name, system in _label_order_systems():
-            prepared = prepare(system, flatten_mode=flatten_mode)
+            prepared = prepare(system)
             for framework in (prepared.af, prepared.jsbaf, prepared.flat):
                 assert framework.labels == sorted(framework.labels), name
             support_ids = prepared.jsbaf.support_ids

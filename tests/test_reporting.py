@@ -32,7 +32,6 @@ from jsbaf import (
 from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
 from jsbaf.reporting import PIECE, REPORT_FORMATS, report_settings, write_limit_report
-from jsbaf.semantics import FLATTEN_MODES
 
 import reference
 from conftest import TANDEM_PATH, tandem_rules
@@ -113,17 +112,15 @@ def written(writer, *args):
     return "".join(chunks), len(chunks)
 
 
-def preferred_text(system, mode, fmt="json", flatten_mode="literal"):
+def preferred_text(system, mode, fmt="json"):
     """The report of one preferred evaluation under the default limits."""
-    ev = evaluate(prepare(system, flatten_mode=flatten_mode), "preferred", mode)
-    settings = report_settings(
-        "preferred", mode, flatten_mode, DEFAULT_MAX_ARGUMENTS, DEFAULT_NODE_BOUND
-    )
+    ev = evaluate(prepare(system), "preferred", mode)
+    settings = report_settings("preferred", mode, DEFAULT_MAX_ARGUMENTS, DEFAULT_NODE_BOUND)
     return written(write_report, ev, "tandem", settings, fmt)[0]
 
 
-def preferred_report(system, mode, flatten_mode="literal"):
-    return json.loads(preferred_text(system, mode, "json", flatten_mode))
+def preferred_report(system, mode):
+    return json.loads(preferred_text(system, mode, "json"))
 
 
 def sorted_pairs(framework):
@@ -208,15 +205,16 @@ class TestReports:
             assert calls == 1
 
     def test_flattened_section_lists_extensions(self, tandem_system):
-        report = preferred_report(tandem_system, "deductive", "prune-inert")
+        report = preferred_report(tandem_system, "deductive")
         flat = report["flattened"]
-        assert len(flat["nodes"]) == 18
+        assert (flat["mode"], report["settings"]["flatten"]) == ("literal", "literal")
+        assert len(flat["nodes"]) == 21
         assert len(flat["extensions"]) == 3
         assert report["enumeration"] == {"count": 9, "acyclicity_pruned": False}
 
     def test_unknown_format_is_refused(self, tandem_system):
         ev = evaluate(prepare(tandem_system), "grounded", "deductive")
-        settings = report_settings("grounded", "deductive", "literal", 5000, DEFAULT_NODE_BOUND)
+        settings = report_settings("grounded", "deductive", 5000, DEFAULT_NODE_BOUND)
         with pytest.raises(ValueError, match="unknown report format 'yaml'"):
             write_report(ev, "tandem", settings, "yaml", print)
         with pytest.raises(ValueError, match="unknown report format 'yaml'"):
@@ -230,7 +228,6 @@ GOLDEN = [
     ("tandem-preferred-deductive.txt", ["--mode", "deductive", "--report", "text"], 0),
     ("tandem-preferred-aspic-minus.json", ["--mode", "aspic-minus"], 1),
     ("tandem-preferred-aspic-minus.txt", ["--mode", "aspic-minus", "--report", "text"], 1),
-    ("tandem-preferred-prune-inert.json", ["--flatten", "prune-inert"], 0),
     ("tandem-max-nodes-5.json", ["--max-nodes", "5"], 3),
     ("tandem-max-nodes-5.txt", ["--max-nodes", "5", "--report", "text"], 3),
 ]
@@ -256,7 +253,7 @@ class TestReportBytes:
             prepared = prepare(random_system(params, seed).system)
             for semantics in SEMANTICS:
                 for mode in MODES:
-                    settings = report_settings(semantics, mode, "literal", 5000, DEFAULT_NODE_BOUND)
+                    settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
                     try:
                         ev = evaluate(prepared, semantics, mode)
                     except SearchLimitExceededError as exc:
@@ -290,7 +287,7 @@ class TestReportBytes:
         share hits tuples and target rows."""
         system = parse_system(tandem_rules(n, k))
         ev = evaluate(prepare(system), "grounded", mode)
-        settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        settings = report_settings("grounded", mode, 5000, DEFAULT_NODE_BOUND)
         out = written(write_report, ev, "tandem", settings, "json")[0]
         assert_canonical(out)
         report = json.loads(out)
@@ -305,7 +302,7 @@ class TestReportBytes:
         system = parse_system(tandem_rules(n, k))
         prepared = prepare(system)
         ev = evaluate(prepared, "grounded", mode)
-        settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        settings = report_settings("grounded", mode, 5000, DEFAULT_NODE_BOUND)
         lines = written(write_report, ev, "tandem", settings, "text")[0].splitlines()
         start = lines.index("attacks:") + 1
         end = start + len(prepared.af.attacks)
@@ -329,7 +326,7 @@ class TestReportBytes:
             prepared = prepare(parse_system(text))
             for mode in MODES:
                 ev = evaluate(prepared, semantics, mode)
-                settings = report_settings(semantics, mode, "literal", 5000, DEFAULT_NODE_BOUND)
+                settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
                 chunks = []
                 verdicts.add(write_report(ev, "f.rules", settings, fmt, chunks.append))
                 report = "".join(chunks)
@@ -345,7 +342,7 @@ class TestReportBytes:
         """tandem(7,3): a report of 1.4 MiB (aspic-minus) or 1.9 MiB
         (deductive), which the writer never holds whole."""
         ev = evaluate(prepare(tandem(7, 3)), "grounded", mode)
-        settings = report_settings("grounded", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        settings = report_settings("grounded", mode, 5000, DEFAULT_NODE_BOUND)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
@@ -394,19 +391,19 @@ def output(writer, *args):
 
 
 def assert_as_reference(
-    system, source="f.rules", semantics=SEMANTICS, flatten_mode="literal",
+    system, source="f.rules", semantics=SEMANTICS,
     max_arguments=DEFAULT_MAX_ARGUMENTS, max_nodes=DEFAULT_NODE_BOUND,
 ):
     """Every report of ``system``, in both modes and formats, is byte for
     byte the reference writer's, and so is the limit report of a run that
     goes over a limit."""
     try:
-        prepared, error = prepare(system, max_arguments, flatten_mode, False), None
+        prepared, error = prepare(system, max_arguments, False), None
     except LimitExceededError as exc:
         prepared, error = None, exc
     for mode in MODES:
         for name in semantics:
-            settings = report_settings(name, mode, flatten_mode, max_arguments, max_nodes)
+            settings = report_settings(name, mode, max_arguments, max_nodes)
             if prepared is not None:
                 try:
                     ev, error = evaluate(prepared, name, mode, max_nodes), None
@@ -439,10 +436,9 @@ class TestReferenceWriter:
     def test_tandem_grounded(self, n, k):
         assert_as_reference(tandem(n, k), semantics=("grounded",))
 
-    @pytest.mark.parametrize("flatten_mode", FLATTEN_MODES)
     @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
-    def test_tandem_every_semantics(self, n, k, flatten_mode):
-        assert_as_reference(tandem(n, k), flatten_mode=flatten_mode)
+    def test_tandem_every_semantics(self, n, k):
+        assert_as_reference(tandem(n, k))
 
     def test_seed38_grounded(self):
         text = SEED38_PATH.read_text(encoding="utf-8")
@@ -468,10 +464,10 @@ class TestReferenceWriter:
 # ``_attack_edges`` builds the int attack relation that the AF and the JSBAF
 # share.  ``extension_ids`` is the search on node numbers; ``extensions``,
 # which turns its results into NodeId sets for library callers, is counted
-# to show that no command calls it.  The one-step and two-step frameworks
-# are counted to show that only ``flatten --stage one-step|two-step``
-# builds them: the simplified flattening is built without them, by
-# ``flatten_simplified`` alone in either flatten mode.
+# to show that no command but ``oracle`` calls it.  The one-step and
+# two-step frameworks are counted to show that only ``flatten --stage
+# one-step|two-step`` builds them: the simplified flattening is built
+# without them, by ``flatten_simplified`` alone.
 STAGES = {
     "core": ("is_consistent",),
     "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
@@ -534,9 +530,8 @@ class TestOneEvaluationPass:
             (["--stage", "one-step"], {"flatten_one_step": 1}),
             (["--stage", "two-step"], {"flatten_one_step": 1, "flatten_joint_attacks": 1}),
             (["--stage", "simplified"], {"flatten_simplified": 1}),
-            (["--stage", "simplified", "--flatten", "prune-inert"], {"flatten_simplified": 1}),
         ),
-        ids=("one-step", "two-step", "simplified", "simplified-prune-inert"),
+        ids=("one-step", "two-step", "simplified"),
     )
     def test_flatten_flattens_at_most_once(self, stage_calls, capsys, options, flattening):
         assert main(["flatten", "--file", str(TANDEM_PATH), *options]) == 0
@@ -557,64 +552,17 @@ class TestOneEvaluationPass:
         )
         assert stage_calls == {}
 
-    @pytest.mark.parametrize("stage", ("one-step", "two-step"))
-    def test_flatten_refuses_prune_inert_of_unpruned_stages_before_any_stage(
-        self, stage_calls, capsys, stage
-    ):
-        argv = ["flatten", "--file", str(TANDEM_PATH), "--stage", stage, "--flatten", "prune-inert"]
-        assert main(argv) == 2
-        assert capsys.readouterr() == (
-            "",
-            f"error: --flatten prune-inert applies only to --stage simplified, "
-            f"not --stage {stage}\n",
-        )
-        assert stage_calls == {}
-
-    @pytest.mark.parametrize("command", ("eval", "oracle"))
-    def test_aspic_minus_refuses_prune_inert_before_any_stage(self, stage_calls, capsys, command):
-        argv = [command, "--file", str(TANDEM_PATH), "--mode", "aspic-minus"]
-        assert main([*argv, "--flatten", "prune-inert"]) == 2
-        assert capsys.readouterr() == (
-            "",
-            "error: --flatten prune-inert applies only to --mode deductive, "
-            "not --mode aspic-minus\n",
-        )
-        assert stage_calls == {}
-
-    def test_prepare_refuses_an_unknown_flatten_mode_before_any_stage(
-        self, stage_calls, tandem_system
-    ):
-        with pytest.raises(ValueError) as refused:
-            prepare(tandem_system, flatten_mode="bogus")
-        assert str(refused.value) == (
-            "unknown flatten mode 'bogus'; expected one of ('literal', 'prune-inert')"
-        )
-        assert stage_calls == {}
-
-    def test_check_postulates_accepts_prune_inert(self, stage_calls, capsys):
-        """It evaluates both modes, and prunes the deductive flattening."""
-        assert main(["check-postulates", "--file", str(TANDEM_PATH), "--flatten", "prune-inert"]) == 1
-        assert len(capsys.readouterr().out.splitlines()) == 24
-        assert stage_calls == {
-            "is_consistent": 1,
-            "construct_arguments": 1,
-            "attack_witnesses": 1,
-            "_attack_edges": 1,
-            "flatten_simplified": 1,
-            "extension_ids": 8,  # 4 semantics x 2 modes
-        }
-
     @pytest.mark.parametrize("mode", MODES)
     def test_oracle_runs_each_stage_once(self, stage_calls, capsys, mode):
         argv = ["oracle", "--file", str(TANDEM_PATH), "--mode", mode, "--semantics", "stable"]
-        flatten = ["--flatten", "prune-inert"] if mode == "deductive" else []
-        assert main([*argv, *flatten, "--oracle-cap", "18"]) == 0
+        assert main([*argv, "--oracle-cap", "21"]) == 0
         assert capsys.readouterr().out.startswith("stable: OK")
         assert stage_calls == {
             "is_consistent": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,
+            "extensions": 1,
             "extension_ids": 1,
             **({"flatten_simplified": 1} if mode == "deductive" else {}),
         }
@@ -626,7 +574,7 @@ class TestOneEvaluationPass:
         of the frameworks it reads."""
         prepared = prepare(tandem_system)
         ev = evaluate(prepared, "preferred", mode)
-        settings = report_settings("preferred", mode, "literal", 5000, DEFAULT_NODE_BOUND)
+        settings = report_settings("preferred", mode, 5000, DEFAULT_NODE_BOUND)
         written(write_report, ev, "tandem", settings, fmt)
         views = {"nodes", "attacks", "supports", "attackers", "targets", "joint_attacks"}
         for framework in (prepared.af, prepared.jsbaf, prepared.flat):

@@ -55,7 +55,7 @@ def two_cycle():
 
 @pytest.fixture
 def tandem_flat(tandem_system):
-    return flatten_simplified(prepare(tandem_system).jsbaf, flatten_mode="prune-inert")
+    return flatten_simplified(prepare(tandem_system).jsbaf)
 
 
 E1 = ["A1", "A2", "A3", "A4", "A5", "A9", "bar(A6)", "e(A4,A8)", "e(A5,A7)"]
@@ -204,12 +204,13 @@ class TestJsbafExtensions:
         # which stay undecided because the co-supporter bars are undecided
         assert labelled_extensions(jsbaf_extensions(j1, "grounded")) == [["d"]]
 
-    def test_flatten_modes_agree_on_extensions(self, tandem_system):
-        j = prepare(tandem_system).jsbaf
+    def test_jsbaf_extensions_agree_with_the_evaluation(self, tandem_system):
+        prepared = prepare(tandem_system)
+        j = prepared.jsbaf
         for sem in SEMANTICS:
-            assert jsbaf_extensions(j, sem, "literal") == jsbaf_extensions(
-                j, sem, "prune-inert"
-            )
+            projected = evaluate(prepared, sem, "deductive").extensions
+            expected = [frozenset(j.node_table[i] for i in ext) for ext in projected]
+            assert jsbaf_extensions(j, sem, prepared.shielded) == expected, sem
 
 
 class TestJsbafProperties:
@@ -250,16 +251,16 @@ class TestOracleAgreementAndInclusions:
 
     def test_engine_matches_brute_force_on_flattenings(self):
         """Frameworks with meta-arguments, which the search splits after
-        the arguments: the deductive flattenings, in both flatten modes, of
-        the small random systems with at most 14 nodes and some
+        the arguments: the deductive flattenings of the small random systems,
+        as built and with their meta-arguments that attack nothing pruned by
+        ``reference.prune_inert``, with at most 14 nodes and some
         meta-argument, and of tandem(2, 1)."""
         flats = []
         for seed in range(200):
-            system = random_system(SystemParams(6, 6, 6), seed).system
-            for flatten_mode in semantics_module.FLATTEN_MODES:
-                flat = prepare(system, flatten_mode=flatten_mode).flat
-                if len(flat.node_table) <= 14 and any(map(is_meta, flat.node_table)):
-                    flats.append(flat)
+            flat = prepare(random_system(SystemParams(6, 6, 6), seed).system).flat
+            for af in (flat, reference.prune_inert(flat)):
+                if len(af.node_table) <= 14 and any(map(is_meta, af.node_table)):
+                    flats.append(af)
         flats.append(_deductive_flattening(parse_system(tandem_rules(2, 1))))
         assert (len(flats), len(flats[-1].node_table)) == (235, 10)
         for af in flats:
