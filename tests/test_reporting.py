@@ -436,7 +436,7 @@ class TestReferenceWriter:
     def test_tandem_grounded(self, n, k):
         assert_as_reference(tandem(n, k), semantics=("grounded",))
 
-    @pytest.mark.parametrize("n,k", [(3, 2), (4, 2)])
+    @pytest.mark.parametrize("n,k", [(n, k) for n in range(2, 6) for k in range(1, n)])
     def test_tandem_every_semantics(self, n, k):
         assert_as_reference(tandem(n, k))
 

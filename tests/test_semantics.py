@@ -204,13 +204,19 @@ class TestJsbafExtensions:
         # which stay undecided because the co-supporter bars are undecided
         assert labelled_extensions(jsbaf_extensions(j1, "grounded")) == [["d"]]
 
-    def test_jsbaf_extensions_agree_with_the_evaluation(self, tandem_system):
-        prepared = prepare(tandem_system)
+    @pytest.mark.parametrize("sem", SEMANTICS)
+    @pytest.mark.parametrize(
+        "text",
+        [TANDEM_PATH.read_text(), tandem_rules(3, 1)],
+        ids=["tandem", "tandem(3,1)"],
+    )
+    def test_jsbaf_extensions_agree_with_the_evaluation(self, text, sem):
+        prepared = prepare(parse_system(text))
         j = prepared.jsbaf
-        for sem in SEMANTICS:
-            projected = evaluate(prepared, sem, "deductive").extensions
-            expected = [frozenset(j.node_table[i] for i in ext) for ext in projected]
-            assert jsbaf_extensions(j, sem, prepared.shielded) == expected, sem
+        projected = evaluate(prepared, sem, "deductive").extensions
+        expected = [frozenset(j.node_table[i] for i in ext) for ext in projected]
+        assert expected
+        assert jsbaf_extensions(j, sem, prepared.shielded) == expected
 
 
 class TestJsbafProperties:
