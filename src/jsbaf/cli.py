@@ -124,10 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="cross-check the engine against brute force")
     _add_common(p_oracle, semantics=True)
     p_oracle.add_argument("--mode", choices=MODES, default="deductive")
-    p_oracle.add_argument(
-        "--oracle-cap", type=_non_negative_int, default=12,
-        help=f"refuse frameworks above this node count (hard cap {ORACLE_NODE_CAP})",
-    )
 
     return parser
 
@@ -218,14 +214,10 @@ def _cmd_random(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    cap = args.oracle_cap
-    if cap > ORACLE_NODE_CAP:
-        raise ValidationError(f"--oracle-cap {cap} is above the hard cap {ORACLE_NODE_CAP}")
-    prepared = _prepare(args, False)
-    searched = prepared.searched(args.mode)
+    searched = _prepare(args, False).searched(args.mode)
     size = len(searched.node_table)
-    if size > cap:
-        raise ValidationError(f"framework has {size} nodes, above --oracle-cap {cap}")
+    if size > ORACLE_NODE_CAP:
+        raise ValidationError(f"framework has {size} nodes, above the oracle cap {ORACLE_NODE_CAP}")
     engine = extensions(searched, args.semantics)
     brute = brute_force_extensions(searched, args.semantics)
     if engine == brute:

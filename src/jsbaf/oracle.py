@@ -1,10 +1,10 @@
 """Brute-force semantics oracle.
 
-Checks every one of the 2^n subsets of a small AF directly against the
-textbook definitions (conflict-freeness, defence, admissibility), with no
-shared machinery with the labelling engine in ``semantics.py``.  Subsets are
-bitmasks, so the oracle stays usable up to ``ORACLE_NODE_CAP`` nodes; it
-exists to cross-validate the engine, not to scale.
+Checks every conflict-free set of a small AF, the only sets that can be
+extensions, directly against the textbook definitions (defence,
+admissibility), with no shared machinery with the labelling engine in
+``semantics.py``.  Sets are bitmasks, so the oracle stays usable up to
+``ORACLE_NODE_CAP`` nodes; it exists to cross-validate the engine, not to scale.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ ORACLE_NODE_CAP = 21  # the flattening of the paper's tandem example has 21 node
 
 
 def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
-    """All extensions under ``semantics``, by exhaustive subset enumeration,
-    in canonical order."""
+    """All extensions under ``semantics``, by exhaustive enumeration of the
+    conflict-free sets, in canonical order."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     n = len(af.node_table)
@@ -33,17 +33,16 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
 
     complete: list[int] = []
     stable: list[int] = []
-    for subset in range(1 << n):
-        attacked = 0
-        conflict = False
-        for i in range(n):
-            if subset >> i & 1:
-                if attack_mask[i] & subset:
-                    conflict = True
-                    break
-                attacked |= attack_mask[i]
-        if conflict:
-            continue
+    # Depth first; each entry is a conflict-free set, the nodes it attacks,
+    # and the lowest node that may still join it.  A node joins only if it
+    # attacks nothing in the set, itself included, and nothing in it attacks it.
+    stack = [(0, 0, 0)]
+    while stack:
+        subset, attacked, start = stack.pop()
+        for i in range(start, n):
+            bit = 1 << i
+            if not (attack_mask[i] & (subset | bit) or attacked & bit):
+                stack.append((subset | bit, attacked | attack_mask[i], i + 1))
         defended = 0
         for i in range(n):
             if attacker_mask[i] & ~attacked == 0:

@@ -191,8 +191,6 @@ class _DomainSearch:
             # Narrow the attackers, skipping rules that the masks show to hold.
             if dy == _IN:  # every attacker out
                 hit = atk & (can_in | can_undec)
-                if hit & ~can_out:
-                    return None
                 can_in &= ~hit
                 can_undec &= ~hit
                 while hit:
@@ -209,8 +207,6 @@ class _DomainSearch:
             else:
                 if not dy & _OUT:  # no attacker in
                     hit = atk & can_in
-                    if hit & ~(can_out | can_undec):
-                        return None
                     can_in &= ~hit
                     while hit:
                         low = hit & -hit

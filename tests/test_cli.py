@@ -13,7 +13,7 @@ import pytest
 from jsbaf import cli, errors
 from jsbaf.cli import main
 
-from conftest import TANDEM_PATH, wide_join_rules
+from conftest import TANDEM_PATH, tandem_rules, wide_join_rules
 
 DATA = TANDEM_PATH.parents[1] / "tests" / "data"
 README = TANDEM_PATH.parents[1] / "README.md"
@@ -295,33 +295,48 @@ class TestOracle:
         )
         assert code == 0 and out.startswith("preferred: OK")
 
-    def test_deductive_needs_a_bigger_cap(self, capsys):
-        code, _, err = run_cli(
-            capsys, "oracle", "--file", str(TANDEM_PATH), "--semantics", "stable",
-        )
-        assert code == 2 and "--oracle-cap" in err
-
-    def test_deductive_agreement_with_raised_cap(self, capsys):
-        # the flattened tandem has 21 nodes, the oracle's hard cap
+    def test_deductive_agreement_on_the_tandem(self, capsys):
+        # the flattened tandem has 21 nodes, the oracle's cap
         code, out, _ = run_cli(
-            capsys, "oracle", "--file", str(TANDEM_PATH),
-            "--semantics", "stable", "--oracle-cap", "21",
+            capsys, "oracle", "--file", str(TANDEM_PATH), "--semantics", "stable",
         )
         assert code == 0 and out.startswith("stable: OK")
 
-    def test_grounded_is_held_to_the_oracle_cap(self, capsys):
-        code, out, err = run_cli(
-            capsys, "oracle", "--file", str(TANDEM_PATH), "--semantics", "grounded",
-        )
-        assert (code, out) == (2, "")
-        assert err == "error: framework has 21 nodes, above --oracle-cap 12\n"
+    @pytest.mark.parametrize("semantics", cli.SEMANTICS)
+    def test_framework_above_the_oracle_cap_is_refused_before_any_search(
+        self, capsys, monkeypatch, tmp_path, semantics
+    ):
+        def no_search(*args):
+            raise AssertionError("searched a framework above the oracle cap")
 
-    def test_cap_above_the_hard_cap_is_an_input_error(self, capsys):
+        monkeypatch.setattr(cli, "extensions", no_search)
+        monkeypatch.setattr(cli, "brute_force_extensions", no_search)
+        rules = tmp_path / "tandem-4-2.rules"  # flattens to 52 nodes
+        rules.write_text(tandem_rules(4, 2))
         code, out, err = run_cli(
-            capsys, "oracle", "--file", str(TANDEM_PATH), "--oracle-cap", "25",
+            capsys, "oracle", "--file", str(rules), "--semantics", semantics,
         )
         assert (code, out) == (2, "")
-        assert err == "error: --oracle-cap 25 is above the hard cap 21\n"
+        assert err == "error: framework has 52 nodes, above the oracle cap 21\n"
+
+    def test_mismatch_is_printed_with_exit_1(self, capsys, monkeypatch):
+        engine = cli.extensions  # made to drop its last extension
+        monkeypatch.setattr(cli, "extensions", lambda af, sem: engine(af, sem)[:-1])
+        code, out, _ = run_cli(
+            capsys, "oracle", "--file", str(TANDEM_PATH),
+            "--mode", "aspic-minus", "--semantics", "preferred",
+        )
+        kept = [
+            ["A1", "A2", "A3", "A4", "A5", "A6"],
+            ["A1", "A2", "A3", "A4", "A5", "A9"],
+            ["A1", "A2", "A3", "A4", "A6", "A8"],
+        ]
+        dropped = ["A1", "A2", "A3", "A5", "A6", "A7"]
+        assert (code, out.splitlines()) == (1, [
+            "preferred: MISMATCH",
+            f"  engine: {kept}",
+            f"  oracle: {kept + [dropped]}",
+        ])
 
 
 class TestOptions:
@@ -338,6 +353,7 @@ class TestOptions:
             ["flatten", "--flatten", "literal"],
             ["check-postulates", "--flatten", "literal"],
             ["oracle", "--flatten", "literal"],
+            ["oracle", "--oracle-cap", "12"],
         ],
     )
     def test_unread_option_is_an_input_error(self, capsys, argv):
@@ -353,7 +369,6 @@ class TestOptions:
             ["eval", "--max-nodes", "-1"],
             ["check-postulates", "--max-nodes", "-1"],
             ["arguments", "--max-arguments", "-1"],
-            ["oracle", "--oracle-cap", "-3"],
         ],
     )
     def test_negative_limit_is_an_input_error(self, capsys, argv):
