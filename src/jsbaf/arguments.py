@@ -96,11 +96,13 @@ class Argument:
 @dataclass(frozen=True)
 class ArgumentStore:
     """Every argument constructible on the basis of a system, deduplicated
-    and closed under sub-arguments."""
+    and closed under sub-arguments, enumerated under the cap
+    ``max_arguments``."""
 
     system: ArgumentationSystem
     arguments: tuple[Argument, ...]
     acyclicity_pruned: bool
+    max_arguments: int
 
     @cached_property
     def node_order(self) -> tuple[int, ...]:
@@ -176,7 +178,7 @@ def construct_arguments(
             break
         depth += 1
 
-    return ArgumentStore(system, tuple(arguments), pruned)
+    return ArgumentStore(system, tuple(arguments), pruned, max_arguments)
 
 
 class AttackWitness(NamedTuple):

@@ -14,7 +14,7 @@ import sys
 
 from .arguments import DEFAULT_MAX_ARGUMENTS, construct_arguments
 from .dsl import parse_system, print_system
-from .errors import JsbafError, LimitExceededError, SearchLimitExceededError, ValidationError
+from .errors import JsbafError, LimitExceededError, ValidationError
 from .frameworks import flatten_joint_attacks, flatten_one_step
 from .oracle import ORACLE_NODE_CAP, brute_force_extensions
 from .postulates import (
@@ -31,9 +31,6 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_LIMIT = 3
 EXIT_BROKEN_PIPE = 141
-
-# The errors that end a command with EXIT_LIMIT.
-_LIMIT_ERRORS = (LimitExceededError, SearchLimitExceededError)
 
 
 def _read_source(path: str) -> str:
@@ -134,17 +131,17 @@ def _prepare(args, require_consistent: bool) -> Prepared:
 
 
 def _cmd_eval(args) -> int:
-    settings = report_settings(args.semantics, args.mode, args.max_arguments, args.max_nodes)
     # The path as typed, each byte of it that is not UTF-8 shown as \xNN, so
     # that the report is UTF-8 whatever the file is called.
     source = os.fsencode(args.file).decode("utf-8", "backslashreplace")
     try:
         prepared = _prepare(args, not args.allow_inconsistent)
         ev = evaluate(prepared, args.semantics, args.mode, args.max_nodes)
-    except _LIMIT_ERRORS as exc:
+    except LimitExceededError as exc:
+        settings = report_settings(args.semantics, args.mode, args.max_arguments, args.max_nodes)
         write_limit_report(source, settings, exc, args.report, sys.stdout.write)
         return EXIT_LIMIT
-    if write_report(ev, source, settings, args.report, sys.stdout.write):
+    if write_report(ev, source, args.report, sys.stdout.write):
         return EXIT_OK
     return EXIT_VIOLATION
 
@@ -245,7 +242,7 @@ def main(argv: list[str] | None = None) -> int:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
         return code
-    except _LIMIT_ERRORS as exc:
+    except LimitExceededError as exc:  # either limit of a run
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_LIMIT
     except JsbafError as exc:  # every other error of this package is an input error

@@ -45,21 +45,24 @@ class InconsistentSystemError(JsbafError):
 
 
 class LimitExceededError(JsbafError):
-    """Argument enumeration would exceed the configured cap."""
+    """Argument enumeration would exceed the configured cap.  Its subclass
+    ``SearchLimitExceededError`` is the other limit of a run, so one
+    ``except`` catches both."""
 
     def __init__(self, limit: int):
         self.limit = limit
         super().__init__(f"argument store would exceed max_arguments={limit}")
 
 
-class SearchLimitExceededError(JsbafError):
+class SearchLimitExceededError(LimitExceededError):
     """An extension search was requested on a framework larger than the
-    configured node bound."""
+    configured node bound.  It has ``nodes`` and ``bound``, and no
+    ``limit``."""
 
     def __init__(self, nodes: int, bound: int):
         self.nodes = nodes
         self.bound = bound
-        super().__init__(f"framework has {nodes} nodes, above the search bound {bound}")
+        JsbafError.__init__(self, f"framework has {nodes} nodes, above the search bound {bound}")
 
 
 class GenerationFailedError(JsbafError):

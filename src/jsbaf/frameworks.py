@@ -320,6 +320,19 @@ class JSBAF(_Framework):
         return frozenset(self._sets(self.support_ids))
 
 
+def _support_arms(
+    j: JSBAF, shielded: Collection[int]
+) -> Iterator[tuple[tuple[int, ...], int, int]]:
+    """(Y, b, a) for each support (X, b) of ``j`` and each supporter a in X
+    that is not in ``shielded``, with Y = X - {a}: the arm of the support
+    that rejects a, in support order.  A shielded supporter can never be
+    rejected, so it gets no arm; Y is empty for a singleton support."""
+    for source, b in j.support_ids:
+        for k, a in enumerate(source):
+            if a not in shielded:
+                yield source[:k] + source[k + 1:], b, a
+
+
 def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> HigherLevelAF:
     """Replace joint supports by joint attacks through bar meta-arguments.
 
@@ -343,14 +356,11 @@ def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> Highe
     bar_number = {b: m + p for p, b in enumerate(barred)}
     bar_rows: list[list[int]] = [[] for _ in barred]  # bar(b) -> a, for X = {a}
     joints = []
-    for source, b in j.support_ids:
-        for k, a in enumerate(source):
-            if a in shielded:
-                continue
-            if len(source) == 1:
-                bar_rows[bar_number[b] - m].append(a)
-            else:
-                joints.append((source[:k] + source[k + 1:] + (bar_number[b],), a))
+    for rest, b, a in _support_arms(j, shielded):
+        if rest:
+            joints.append((rest + (bar_number[b],), a))
+        else:
+            bar_rows[bar_number[b] - m].append(a)
     rows = [(*r, bar_number[b]) if b in bar_number else r for b, r in enumerate(j.target_ids)]
     return HigherLevelAF._make(
         (*j.node_table, *(BarNode(j.node_table[b]) for b in barred)),
@@ -431,20 +441,15 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
     of ``j``; the meta-arguments are numbered once, in canonical order.
     """
     m = len(j.node_table)
-    supported, multi = set(), set()
+    supported = {b for _, b in j.support_ids}
+    multi = {b for source, b in j.support_ids if len(source) > 1}
     direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
-    arms = []  # (Y, b, a) per unshielded supporter a of a support (X, b), |X| > 1
-    for source, b in j.support_ids:
-        supported.add(b)
-        if len(source) > 1:
-            multi.add(b)
-            arms += [
-                (source[:k] + source[k + 1:], b, a)
-                for k, a in enumerate(source)
-                if a not in shielded
-            ]
-        elif source and source[0] not in shielded:
-            direct.setdefault(b, []).append(source[0])
+    arms = []  # the arms of the supports (X, b) with |X| > 1
+    for rest, b, a in _support_arms(j, shielded):
+        if rest:
+            arms.append((rest, b, a))
+        else:
+            direct.setdefault(b, []).append(a)
     co_supporters = {y for rest, _, _ in arms for y in rest}
     barred = sorted(supported - multi | direct.keys() | co_supporters)
     bar_number = {b: m + p for p, b in enumerate(barred)}

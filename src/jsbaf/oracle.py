@@ -30,6 +30,10 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
             attack_mask[src] |= 1 << dst
             attacker_mask[dst] |= 1 << src
     full = (1 << n) - 1
+    # A node with no attacker is defended by every set; only the others are
+    # tested per set, as (bit, attackers).
+    unattacked = sum(1 << i for i, mask in enumerate(attacker_mask) if not mask)
+    attacked_nodes = [(1 << i, mask) for i, mask in enumerate(attacker_mask) if mask]
 
     complete: list[int] = []
     stable: list[int] = []
@@ -43,10 +47,10 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
             bit = 1 << i
             if not (attack_mask[i] & (subset | bit) or attacked & bit):
                 stack.append((subset | bit, attacked | attack_mask[i], i + 1))
-        defended = 0
-        for i in range(n):
-            if attacker_mask[i] & ~attacked == 0:
-                defended |= 1 << i
+        defended = unattacked
+        for bit, attackers in attacked_nodes:
+            if attackers & ~attacked == 0:
+                defended |= bit
         if subset & ~defended:  # not admissible
             continue
         if defended == subset:

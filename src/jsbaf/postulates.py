@@ -187,10 +187,15 @@ def prepare(
 
 @dataclass(frozen=True)
 class Evaluation:
-    """The result of every stage of one run.  Extensions are ascending node
-    numbers; ``framework.node_table`` (``flat.node_table`` for the raw ones
-    in deductive mode) names them."""
+    """The result of every stage of one run, and the ``semantics``, ``mode``
+    and ``max_nodes`` it ran under (``store.max_arguments`` is its argument
+    cap), which its report states.  Extensions are ascending node numbers;
+    ``framework.node_table`` (``flat.node_table`` for the raw ones in
+    deductive mode) names them."""
 
+    semantics: str
+    mode: str
+    max_nodes: int
     consistent: bool
     store: ArgumentStore
     witnesses: AttackWitnesses
@@ -239,8 +244,8 @@ def evaluate(
     verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
     holds = tuple(all(v[i].satisfied for v in verdicts) for i in range(len(POSTULATES)))
     return Evaluation(
-        prepared.consistent, prepared.store, prepared.witnesses, framework, flat,
-        tuple(raw), tuple(exts), tuple(sets), verdicts, holds,
+        semantics, mode, max_nodes, prepared.consistent, prepared.store, prepared.witnesses,
+        framework, flat, tuple(raw), tuple(exts), tuple(sets), verdicts, holds,
     )
 
 

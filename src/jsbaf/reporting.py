@@ -7,8 +7,15 @@ and supports are written in node order, which is label order (see
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
 fixed templates of its sections: no report dict, no generic encoder.  Ids
-are quoted once per report.  Both formats are written in pieces of about
-``PIECE`` chars, split between records, so no section is held whole.
+are quoted once per report.  A full report reads everything it states from
+the ``Evaluation``, the run's parameters included.
+
+Both formats are written in pieces of about ``PIECE`` chars, split between
+records (an argument, a conclusion set, an extension, an attack target, a
+witness, a support, a line of text).  Records are held whole, and so are
+the JSON tail from ``input`` to ``status``, whose sorted atom list grows
+with the atoms, and the text header up to the ``run:`` line; a write
+exceeds ``PIECE`` by at most one of these.
 """
 
 from __future__ import annotations
@@ -32,8 +39,9 @@ PIECE = 1 << 16  # chars a report holds before it calls ``write``
 
 class _Pieces:
     """Parts of a report, written when they hold ``PIECE`` chars, and at the
-    end by ``flush(last)``.  ``join`` splits records to fit, so no write
-    exceeds ``PIECE`` plus a record."""
+    end by ``flush(last)``.  ``join`` splits a list between its records to
+    fit; ``add`` and ``flush`` take a part whole, so a write exceeds
+    ``PIECE`` by at most one record or part."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write, self.parts, self.size = write, [], 0
@@ -71,11 +79,16 @@ class _Pieces:
         self.parts, self.size = [], 0
 
 
+# The flattening that deductive mode searches, the literal simplified one;
+# aspic-minus mode flattens nothing.
+_FLATTEN = "literal"
+
+
 def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> dict:
-    """The ``settings`` block of a full report and of a limit report.  Its
-    ``flatten`` names the flattening that deductive mode searches, the
-    literal simplified one; aspic-minus mode flattens nothing."""
-    flatten = "literal" if mode == "deductive" else None
+    """The ``settings`` block of a limit report, which has no run to read:
+    the parameters the stopped run was given.  A full report builds the
+    same block from its ``Evaluation``."""
+    flatten = _FLATTEN if mode == "deductive" else None
     return {"semantics": semantics, "mode": mode, "flatten": flatten,
             "max_arguments": max_arguments, "max_nodes": max_nodes}
 
@@ -204,7 +217,7 @@ def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
     out.add("[]" if lead == "[" else _NL[2] + "]")
 
 
-def _write_json(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> None:
+def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     """The JSON report, in key order, a section at a time."""
     store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
     quoted = [_quote(arg.canonical_id) for arg in store.arguments]
@@ -223,8 +236,7 @@ def _write_json(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> No
         _attacks_json(out, flat, flat_names)
         out.add(f',{i2}"extensions": ')
         out.json_list([_list([flat_names[i] for i in ext], 3) for ext in ev.raw_extensions], 2)
-        mode = "null" if settings["flatten"] is None else _quote(settings["flatten"])
-        out.add(f',{i2}"mode": {mode},{i2}"nodes": ')
+        out.add(f',{i2}"mode": {_quote(_FLATTEN)},{i2}"nodes": ')
         out.json_list(flat_names, 2)
         out.add(i1 + "}")
     out.add(f',{i1}"framework": {{{i2}"attack_witnesses": ')
@@ -238,6 +250,9 @@ def _write_json(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> No
     consistent = "true" if ev.consistent else "false"
     summary = ",".join(f'{i2}"{name}": "{"satisfied" if held else "violated"}"'
                        for name, held in zip(POSTULATES, ev.holds))
+    settings = {"semantics": ev.semantics, "mode": ev.mode,
+                "flatten": None if flat is None else _FLATTEN,
+                "max_arguments": store.max_arguments, "max_nodes": ev.max_nodes}
     out.flush(
         f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(system.atoms, 2)},'
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
@@ -258,14 +273,14 @@ def _witness_text(name: str, witness) -> str:
     return f"{{'pair': {sorted(map(str, witness))!r}}}"
 
 
-def _write_text(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> None:
+def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     system, labels = ev.store.system, ev.framework.labels
-    flatten = f", flatten={settings['flatten']}" if settings["flatten"] else ""
+    flatten = "" if ev.flat is None else f", flatten={_FLATTEN}"
     out.add(
         f"source: {source}\n"
         f"system: {len(system.strict_rules)} strict, {len(system.defeasible_rules)} defeasible, "
         f"{len(system.undercut_names)} named, consistent={str(ev.consistent).lower()}\n"
-        f"run: semantics={settings['semantics']}, mode={settings['mode']}{flatten}\n"
+        f"run: semantics={ev.semantics}, mode={ev.mode}{flatten}\n"
         f"\narguments ({len(ev.store)}):"
     )
     forms = [arg.form for arg in ev.store.arguments]
@@ -277,9 +292,9 @@ def _write_text(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> No
         out.join(sep, sep, targets, len(sep) + longest)
     tail = [] if ev.flat is None else ["supports:", *(
         f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
-    ), f"flattened ({settings['flatten']}): {len(ev.flat.node_table)} nodes, "
+    ), f"flattened ({_FLATTEN}): {len(ev.flat.node_table)} nodes, "
        f"{sum(map(len, ev.flat.target_ids))} attacks"]
-    tail += ["", f"extensions ({settings['semantics']}):"]
+    tail += ["", f"extensions ({ev.semantics}):"]
     tail += ["  {" + ",".join(labels[i] for i in e) + "}" for e in ev.extensions]
     tail += ["", "conclusion sets:"]
     for cs, report in zip(ev.conclusion_sets, ev.postulates):
@@ -295,16 +310,15 @@ def _write_text(ev: Evaluation, source: str, settings: dict, out: _Pieces) -> No
     out.flush("\n")
 
 
-def write_report(
-    ev: Evaluation, source: str, settings: dict, fmt: str, write: Callable[[str], object]
-) -> bool:
+def write_report(ev: Evaluation, source: str, fmt: str, write: Callable[[str], object]) -> bool:
     """Write the report of ``ev`` as ``fmt`` (one of ``REPORT_FORMATS``)
-    through ``write``, a call per ``PIECE`` chars or so; ``settings`` is its
-    ``report_settings`` block.  Returns whether every postulate holds on
-    every conclusion set."""
+    through ``write``, a call per ``PIECE`` chars or so.  Its settings (the
+    JSON ``settings`` block, the text ``run:`` line) are the parameters
+    ``ev`` ran under.  Returns whether every postulate holds on every
+    conclusion set."""
     if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
-    (_write_json if fmt == "json" else _write_text)(ev, source, settings, _Pieces(write))
+    (_write_json if fmt == "json" else _write_text)(ev, source, _Pieces(write))
     return all(ev.holds)
 
 
@@ -312,7 +326,8 @@ def write_limit_report(
     source: str, settings: dict, error: Exception, fmt: str, write: Callable[[str], object]
 ) -> None:
     """Write the minimal report of a run stopped by an enumeration or search
-    limit, in one call of ``write``."""
+    limit, in one call of ``write``; ``settings`` is the ``report_settings``
+    block of the parameters that run was given."""
     detail = {"type": type(error).__name__, "message": str(error)}
     detail.update((a, getattr(error, a)) for a in ("limit", "bound", "nodes") if hasattr(error, a))
     if fmt == "json":

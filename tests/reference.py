@@ -489,6 +489,18 @@ def _write_text(ev, source: str, settings: dict, sets: list[dict], summary: dict
     write(_lines(*lines))
 
 
+def settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> dict:
+    """The ``settings`` block of a run given these parameters: deductive
+    mode searches the literal simplified flattening, aspic-minus mode none."""
+    return {
+        "semantics": semantics,
+        "mode": mode,
+        "flatten": "literal" if mode == "deductive" else None,
+        "max_arguments": max_arguments,
+        "max_nodes": max_nodes,
+    }
+
+
 def write_report(ev, source: str, settings: dict, fmt: str, write) -> bool:
     """``reporting.write_report``, from the report dict: JSON through
     ``_json``, text from the conclusion-set and summary dicts."""

@@ -431,9 +431,24 @@ ERROR_EXITS = [
 ]
 
 
+def subclasses(cls) -> set:
+    """Every class derived from ``cls``, at any depth."""
+    return {sub for direct in cls.__subclasses__() for sub in (direct, *subclasses(direct))}
+
+
 class TestExitCodes:
     def test_every_error_class_has_an_exit_code(self):
-        assert {type(exc) for exc, _ in ERROR_EXITS} == set(errors.JsbafError.__subclasses__())
+        assert {type(exc) for exc, _ in ERROR_EXITS} == subclasses(errors.JsbafError)
+
+    def test_limit_errors_are_one_family(self):
+        """One ``except LimitExceededError`` catches both limits; the search
+        limit keeps its own attributes, so a limit report of it names no
+        ``limit``."""
+        search = errors.SearchLimitExceededError(30, 24)
+        assert subclasses(errors.LimitExceededError) == {errors.SearchLimitExceededError}
+        assert isinstance(search, errors.LimitExceededError)
+        assert (search.nodes, search.bound, hasattr(search, "limit")) == (30, 24, False)
+        assert str(search) == "framework has 30 nodes, above the search bound 24"
 
     @pytest.mark.parametrize(
         "exc,code", ERROR_EXITS, ids=[type(exc).__name__ for exc, _ in ERROR_EXITS]

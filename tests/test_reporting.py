@@ -2,6 +2,7 @@
 
 import collections
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -116,8 +117,7 @@ def written(writer, *args):
 def preferred_text(system, mode, fmt="json"):
     """The report of one preferred evaluation under the default limits."""
     ev = evaluate(prepare(system), "preferred", mode)
-    settings = report_settings("preferred", mode, DEFAULT_MAX_ARGUMENTS, DEFAULT_NODE_BOUND)
-    return written(write_report, ev, "tandem", settings, fmt)[0]
+    return written(write_report, ev, "tandem", fmt)[0]
 
 
 def preferred_report(system, mode):
@@ -215,11 +215,63 @@ class TestReports:
 
     def test_unknown_format_is_refused(self, tandem_system):
         ev = evaluate(prepare(tandem_system), "grounded", "deductive")
+        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
+            write_report(ev, "tandem", "yaml", print)
         settings = report_settings("grounded", "deductive", 5000, DEFAULT_NODE_BOUND)
         with pytest.raises(ValueError, match="unknown report format 'yaml'"):
-            write_report(ev, "tandem", settings, "yaml", print)
-        with pytest.raises(ValueError, match="unknown report format 'yaml'"):
             write_limit_report("tandem", settings, LimitExceededError(3), "yaml", print)
+
+
+class TestReportStatesItsRun:
+    """A report's settings are the parameters its run was given, read from
+    the ``Evaluation``: the writer takes no settings from its caller."""
+
+    @pytest.mark.parametrize("semantics", SEMANTICS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_settings_are_the_run_arguments(self, tandem_system, mode, semantics):
+        """Caps of 9 arguments (the tandem has 9) and 21 nodes (its
+        flattening has 21), neither of them a default."""
+        ev = evaluate(prepare(tandem_system, 9), semantics, mode, 21)
+        flatten = "literal" if mode == "deductive" else None
+        report = json.loads(written(write_report, ev, "tandem", "json")[0])
+        assert report["settings"] == {
+            "semantics": semantics, "mode": mode, "flatten": flatten,
+            "max_arguments": 9, "max_nodes": 21,
+        }
+        assert report.get("flattened", {}).get("mode") == flatten
+        lines = written(write_report, ev, "tandem", "text")[0].splitlines()
+        suffix = ", flatten=literal" if flatten else ""
+        assert lines[2] == f"run: semantics={semantics}, mode={mode}{suffix}"
+        assert f"extensions ({semantics}):" in lines
+        flattened = [line for line in lines if line.startswith("flattened (")]
+        assert flattened == (["flattened (literal): 21 nodes, 36 attacks"] if flatten else [])
+
+    def test_defaults_are_stated(self, tandem_system):
+        ev = evaluate(prepare(tandem_system), "grounded", "aspic-minus")
+        settings = json.loads(written(write_report, ev, "tandem", "json")[0])["settings"]
+        assert (settings["max_arguments"], settings["max_nodes"]) == (
+            DEFAULT_MAX_ARGUMENTS, DEFAULT_NODE_BOUND,
+        )
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_eval_states_its_options(self, capsys, mode, fmt):
+        argv = [
+            "eval", "--file", str(TANDEM_PATH), "--semantics", "stable", "--mode", mode,
+            "--report", fmt, "--max-arguments", "12", "--max-nodes", "30",
+        ]
+        assert main(argv) in (0, 1)
+        out = capsys.readouterr().out
+        if fmt == "json":
+            settings = json.loads(out)["settings"]
+            assert (settings["semantics"], settings["mode"]) == ("stable", mode)
+            assert (settings["max_arguments"], settings["max_nodes"]) == (12, 30)
+        else:
+            suffix = ", flatten=literal" if mode == "deductive" else ""
+            assert out.splitlines()[2] == f"run: semantics=stable, mode={mode}{suffix}"
+
+    def test_the_writer_takes_no_settings(self):
+        assert list(inspect.signature(write_report).parameters) == ["ev", "source", "fmt", "write"]
 
 
 # Reports of `jsbaf eval --file tandem.rules`, run from demos/ and recorded
@@ -254,13 +306,13 @@ class TestReportBytes:
             prepared = prepare(random_system(params, seed).system)
             for semantics in SEMANTICS:
                 for mode in MODES:
-                    settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
                     try:
                         ev = evaluate(prepared, semantics, mode)
                     except SearchLimitExceededError as exc:
+                        settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
                         out = written(write_limit_report, str(seed), settings, exc, "json")[0]
                     else:
-                        out = written(write_report, ev, str(seed), settings, "json")[0]
+                        out = written(write_report, ev, str(seed), "json")[0]
                     assert_canonical(out)
 
     def test_inconsistent_and_limit_reports_are_canonical(self, capsys, tmp_path):
@@ -288,8 +340,7 @@ class TestReportBytes:
         share hits tuples and target rows."""
         system = parse_system(tandem_rules(n, k))
         ev = evaluate(prepare(system), "grounded", mode)
-        settings = report_settings("grounded", mode, 5000, DEFAULT_NODE_BOUND)
-        out = written(write_report, ev, "tandem", settings, "json")[0]
+        out = written(write_report, ev, "tandem", "json")[0]
         assert_canonical(out)
         report = json.loads(out)
         assert report["framework"]["attacks"] == sorted_pairs(ev.framework)
@@ -303,8 +354,7 @@ class TestReportBytes:
         system = parse_system(tandem_rules(n, k))
         prepared = prepare(system)
         ev = evaluate(prepared, "grounded", mode)
-        settings = report_settings("grounded", mode, 5000, DEFAULT_NODE_BOUND)
-        lines = written(write_report, ev, "tandem", settings, "text")[0].splitlines()
+        lines = written(write_report, ev, "tandem", "text")[0].splitlines()
         start = lines.index("attacks:") + 1
         end = start + len(prepared.af.attacks)
         assert lines[start:end] == [f"  {s} -> {d}" for s, d in sorted_pairs(prepared.af)]
@@ -327,9 +377,8 @@ class TestReportBytes:
             prepared = prepare(parse_system(text))
             for mode in MODES:
                 ev = evaluate(prepared, semantics, mode)
-                settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
                 chunks = []
-                verdicts.add(write_report(ev, "f.rules", settings, fmt, chunks.append))
+                verdicts.add(write_report(ev, "f.rules", fmt, chunks.append))
                 report = "".join(chunks)
                 assert max(map(len, chunks)) <= PIECE + longest_record(report, fmt)
                 assert len(chunks) >= max(1, len(report) // PIECE)
@@ -351,14 +400,13 @@ class TestReportBytes:
             prepared = prepare(parse_system(text))
             for mode in MODES:
                 ev = evaluate(prepared, semantics, mode)
-                settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
-                report = written(write_report, ev, "f.rules", settings, fmt)[0]
+                report = written(write_report, ev, "f.rules", fmt)[0]
                 monkeypatch.setattr(reporting, "PIECE", 1)
                 parts = []
-                write_report(ev, "f.rules", settings, fmt, parts.append)
+                write_report(ev, "f.rules", fmt, parts.append)
                 monkeypatch.setattr(reporting, "PIECE", piece)
                 chunks = []
-                write_report(ev, "f.rules", settings, fmt, chunks.append)
+                write_report(ev, "f.rules", fmt, chunks.append)
                 monkeypatch.undo()
                 assert "".join(parts) == "".join(chunks) == report
                 assert all(len(chunk) >= piece for chunk in chunks[:-1])
@@ -369,11 +417,10 @@ class TestReportBytes:
         """tandem(7,3): a report of 1.4 MiB (aspic-minus) or 1.9 MiB
         (deductive), which the writer never holds whole."""
         ev = evaluate(prepare(tandem(7, 3)), "grounded", mode)
-        settings = report_settings("grounded", mode, 5000, DEFAULT_NODE_BOUND)
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            write_report(ev, "tandem", settings, "json", len)
+            write_report(ev, "tandem", "json", len)
             rise = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
@@ -423,14 +470,16 @@ def assert_as_reference(
 ):
     """Every report of ``system``, in both modes and formats, is byte for
     byte the reference writer's, and so is the limit report of a run that
-    goes over a limit."""
+    goes over a limit.  The reference writer is given the settings that the
+    parameters passed to ``prepare`` and ``evaluate`` imply, so the writer's
+    reading of them from the ``Evaluation`` is checked against them."""
     try:
         prepared, error = prepare(system, max_arguments, False), None
     except LimitExceededError as exc:
         prepared, error = None, exc
     for mode in MODES:
         for name in semantics:
-            settings = report_settings(name, mode, max_arguments, max_nodes)
+            settings = reference.settings(name, mode, max_arguments, max_nodes)
             if prepared is not None:
                 try:
                     ev, error = evaluate(prepared, name, mode, max_nodes), None
@@ -438,12 +487,12 @@ def assert_as_reference(
                     error = exc
             for fmt in REPORT_FORMATS:
                 if error is None:
-                    args = (ev, source, settings, fmt)
-                    assert output(write_report, *args) == output(reference.write_report, *args)
+                    expected = output(reference.write_report, ev, source, settings, fmt)
+                    assert output(write_report, ev, source, fmt) == expected
                 else:
-                    args = (source, settings, error, fmt)
-                    expected = output(reference.write_limit_report, *args)
-                    assert output(write_limit_report, *args) == expected
+                    expected = output(reference.write_limit_report, source, settings, error, fmt)
+                    limit = report_settings(name, mode, max_arguments, max_nodes)
+                    assert output(write_limit_report, source, limit, error, fmt) == expected
 
 
 def tandem(n, k):
@@ -601,8 +650,7 @@ class TestOneEvaluationPass:
         of the frameworks it reads."""
         prepared = prepare(tandem_system)
         ev = evaluate(prepared, "preferred", mode)
-        settings = report_settings("preferred", mode, 5000, DEFAULT_NODE_BOUND)
-        written(write_report, ev, "tandem", settings, fmt)
+        written(write_report, ev, "tandem", fmt)
         views = {"nodes", "attacks", "supports", "attackers", "targets", "joint_attacks"}
         for framework in (prepared.af, prepared.jsbaf, prepared.flat):
             assert not views & set(vars(framework))
