@@ -46,9 +46,10 @@ def main():
     show_extensions("Preferred extensions, attacks only:", extensions(af, "preferred"))
     print("The first one accepts A4, A5 and A6 together: everyone rides.")
     aspic = evaluate(prepared, "preferred", "aspic-minus")
-    for cs, report in zip(aspic.conclusion_sets, aspic.postulates):
+    for cs in aspic.conclusion_sets:
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
-        verdict = "closed" if report.closure.satisfied else "NOT closed under the strict rules"
+        closed = cs.postulates.closure.satisfied
+        verdict = "closed" if closed else "NOT closed under the strict rules"
         print(f"   {conclusions:<42} {verdict}")
 
     j = prepared.jsbaf
@@ -66,9 +67,9 @@ def main():
     )
 
     print("\nConclusion sets with deductive joint support (preferred):")
-    for cs, report in zip(joint.conclusion_sets, joint.postulates):
+    for cs in joint.conclusion_sets:
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
-        assert report.all_satisfied
+        assert cs.postulates.all_satisfied
         print(f"   {conclusions:<42} all postulates satisfied")
 
     differing = [p for p, a, d in zip(POSTULATES, aspic.holds, joint.holds) if a != d]

@@ -69,9 +69,6 @@ from .postulates import (
     Prepared,
     SystemParams,
     Verdict,
-    check_closure,
-    check_direct_consistency,
-    check_indirect_consistency,
     evaluate,
     evaluate_postulates,
     prepare,

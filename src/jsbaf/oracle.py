@@ -9,6 +9,7 @@ admissibility), with no shared machinery with the labelling engine in
 
 from __future__ import annotations
 
+from .errors import ValidationError
 from .frameworks import AF, NodeId
 from .semantics import SEMANTICS
 
@@ -17,12 +18,13 @@ ORACLE_NODE_CAP = 21  # the flattening of the paper's tandem example has 21 node
 
 def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     """All extensions under ``semantics``, by exhaustive enumeration of the
-    conflict-free sets, in canonical order."""
+    conflict-free sets, in canonical order.  A framework of more than
+    ``ORACLE_NODE_CAP`` nodes is refused with ValidationError."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
     n = len(af.node_table)
     if n > ORACLE_NODE_CAP:
-        raise ValueError(f"oracle is capped at {ORACLE_NODE_CAP} nodes, got {n}")
+        raise ValidationError(f"framework has {n} nodes, above the oracle cap {ORACLE_NODE_CAP}")
     attack_mask = [0] * n
     attacker_mask = [0] * n
     for src, row in enumerate(af.target_ids):

@@ -7,13 +7,15 @@ under one semantics and mode.  Reports and every command read these two
 stages.  ``evaluate`` is also the one place that checks the
 node-count bound on the exponential searches.
 
-A conclusion set collects the conclusions of one extension's arguments.  The
-three postulates are properties of such sets: closure under the strict
-rules, no complementary pair (direct consistency), and no complementary
-pair in the strict closure (indirect consistency).
+A conclusion set collects the conclusions of one extension's arguments,
+and holds the verdicts of the three postulates on them: closure under the
+strict rules, no complementary pair (direct consistency), and no
+complementary pair in the strict closure (indirect consistency).
+``evaluate_postulates`` is the one checker; a verdict is the witness of a
+violation, or None.
 
-The postulate definitions quantify over consistent systems only, so the
-checkers refuse inconsistent input by default; callers may override, in
+The postulate definitions quantify over consistent systems only, so
+``prepare`` refuses inconsistent input by default; callers may override, in
 which case verdicts are labelled out of scope by the reporting layer.
 """
 
@@ -54,17 +56,15 @@ DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
 
 
 @dataclass(frozen=True)
-class ConclusionSet:
-    """Conclusions of the arguments of one extension."""
-
-    formulas: frozenset[Formula]
-    extension: tuple[int, ...]  # argument ordinals, ascending
-
-
-@dataclass(frozen=True)
 class Verdict:
-    satisfied: bool
+    """The verdict of one postulate on one set: the witness of its
+    violation, or None when it holds."""
+
     witness: object = None
+
+    @property
+    def satisfied(self) -> bool:
+        return self.witness is None
 
 
 class PostulateReport(NamedTuple):
@@ -82,59 +82,41 @@ class PostulateReport(NamedTuple):
 POSTULATES = PostulateReport._fields
 
 
-def check_closure(
-    system: ArgumentationSystem,
-    formulas: Iterable[Formula],
-    closure: frozenset[Formula] | None = None,
-) -> Verdict:
-    """Satisfied iff the set equals its own strict closure (``closure``,
-    when the caller has it already).
-
-    The witness is a fireable strict rule whose head is missing from the
-    set; one exists whenever the closure grows at all.
-    """
-    pool = frozenset(formulas)
-    if closure is None:
-        closure = strict_closure(pool, system.strict_rules)
-    if closure == pool:
-        return Verdict(True)
-    witness = next(
-        rule
-        for rule in sorted(system.strict_rules, key=lambda r: r.id)
-        if all(b in pool for b in rule.body) and rule.head not in pool
-    )
-    return Verdict(False, witness)
-
-
-def check_direct_consistency(formulas: Iterable[Formula]) -> Verdict:
-    pair = find_complement_pair(formulas)
-    return Verdict(pair is None, pair)
-
-
-def check_indirect_consistency(
-    system: ArgumentationSystem,
-    formulas: Iterable[Formula],
-    closure: frozenset[Formula] | None = None,
-) -> Verdict:
-    """Satisfied iff the strict closure of the set (``closure``, when the
-    caller has it already) holds no complementary pair."""
-    if closure is None:
-        closure = strict_closure(formulas, system.strict_rules)
-    pair = find_complement_pair(closure)
-    return Verdict(pair is None, pair)
-
-
 def evaluate_postulates(
     system: ArgumentationSystem, formulas: Iterable[Formula]
 ) -> PostulateReport:
-    """The three verdicts, from one strict closure of the set."""
+    """The three verdicts on the set, from one strict closure of it.
+
+    Closure is violated iff the closure grows the set; its witness is the
+    first strict rule, by id, that fires on the set and whose head is
+    missing from it, and one exists whenever the closure grows.  The
+    consistency witnesses are the least complementary pair of the set
+    (direct) and of its closure (indirect).
+    """
     pool = frozenset(formulas)
     closure = strict_closure(pool, system.strict_rules)
+    missing = None
+    if closure != pool:
+        missing = next(
+            rule
+            for rule in sorted(system.strict_rules, key=lambda r: r.id)
+            if rule.head not in pool and all(b in pool for b in rule.body)
+        )
     return PostulateReport(
-        closure=check_closure(system, pool, closure),
-        direct_consistency=check_direct_consistency(pool),
-        indirect_consistency=check_indirect_consistency(system, pool, closure),
+        Verdict(missing),
+        Verdict(find_complement_pair(pool)),
+        Verdict(find_complement_pair(closure)),
     )
+
+
+@dataclass(frozen=True)
+class ConclusionSet:
+    """Conclusions of the arguments of one extension, and the verdict of
+    each postulate on them."""
+
+    formulas: frozenset[Formula]
+    extension: tuple[int, ...]  # argument ordinals, ascending
+    postulates: PostulateReport
 
 
 @dataclass(frozen=True)
@@ -191,7 +173,8 @@ class Evaluation:
     and ``max_nodes`` it ran under (``store.max_arguments`` is its argument
     cap), which its report states.  Extensions are ascending node numbers;
     ``framework.node_table`` (``flat.node_table`` for the raw ones in
-    deductive mode) names them."""
+    deductive mode) names them.  Each conclusion set holds its verdicts, and
+    ``holds`` sums them up per postulate."""
 
     semantics: str
     mode: str
@@ -203,8 +186,7 @@ class Evaluation:
     flat: AF | None  # the flattened JSBAF, in deductive mode
     raw_extensions: tuple[tuple[int, ...], ...]  # of ``flat``, else of ``framework``
     extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
-    conclusion_sets: tuple[ConclusionSet, ...]
-    postulates: tuple[PostulateReport, ...]  # one per conclusion set
+    conclusion_sets: tuple[ConclusionSet, ...]  # each with its postulate verdicts
     holds: tuple[bool, ...]  # per entry of POSTULATES: satisfied on every conclusion set
 
 
@@ -235,17 +217,16 @@ def evaluate(
     else:
         framework, flat = prepared.jsbaf, searched
         exts = project_ids(raw, len(framework.node_table))
-    args, order = prepared.store.arguments, prepared.store.node_order
+    store = prepared.store
     sets = []
     for ext in exts:
-        ordinals = tuple(sorted(order[p] for p in ext))
-        formulas = frozenset(args[o].conclusion for o in ordinals)
-        sets.append(ConclusionSet(formulas, ordinals))
-    verdicts = tuple(evaluate_postulates(prepared.store.system, cs.formulas) for cs in sets)
-    holds = tuple(all(v[i].satisfied for v in verdicts) for i in range(len(POSTULATES)))
+        ordinals = tuple(sorted(store.node_order[p] for p in ext))
+        formulas = frozenset(store.arguments[o].conclusion for o in ordinals)
+        sets.append(ConclusionSet(formulas, ordinals, evaluate_postulates(store.system, formulas)))
+    holds = tuple(all(cs.postulates[i].satisfied for cs in sets) for i in range(len(POSTULATES)))
     return Evaluation(
-        semantics, mode, max_nodes, prepared.consistent, prepared.store, prepared.witnesses,
-        framework, flat, tuple(raw), tuple(exts), tuple(sets), verdicts, holds,
+        semantics, mode, max_nodes, prepared.consistent, store, prepared.witnesses,
+        framework, flat, tuple(raw), tuple(exts), tuple(sets), holds,
     )
 
 

@@ -85,9 +85,9 @@ _FLATTEN = "literal"
 
 
 def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> dict:
-    """The ``settings`` block of a limit report, which has no run to read:
-    the parameters the stopped run was given.  A full report builds the
-    same block from its ``Evaluation``."""
+    """The ``settings`` block of a report: the parameters its run was given.
+    A full report passes those its ``Evaluation`` ran under; a limit
+    report, which has no run to read, those of the stopped run."""
     flatten = _FLATTEN if mode == "deductive" else None
     return {"semantics": semantics, "mode": mode, "flatten": flatten,
             "max_arguments": max_arguments, "max_nodes": max_nodes}
@@ -174,9 +174,10 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
     entries = []
-    for cs, report in zip(ev.conclusion_sets, ev.postulates):
+    for cs in ev.conclusion_sets:
         postulates = ",".join(
-            f'{i4}"{name}": {_verdict(verdict, name)}' for name, verdict in zip(POSTULATES, report)
+            f'{i4}"{name}": {_verdict(verdict, name)}'
+            for name, verdict in zip(POSTULATES, cs.postulates)
         )
         entries.append(
             f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
@@ -250,9 +251,7 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     consistent = "true" if ev.consistent else "false"
     summary = ",".join(f'{i2}"{name}": "{"satisfied" if held else "violated"}"'
                        for name, held in zip(POSTULATES, ev.holds))
-    settings = {"semantics": ev.semantics, "mode": ev.mode,
-                "flatten": None if flat is None else _FLATTEN,
-                "max_arguments": store.max_arguments, "max_nodes": ev.max_nodes}
+    settings = report_settings(ev.semantics, ev.mode, store.max_arguments, ev.max_nodes)
     out.flush(
         f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(system.atoms, 2)},'
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
@@ -264,9 +263,8 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
 
 
 def _witness_text(name: str, witness) -> str:
-    """A witness as the text report shows it: its JSON object as a Python dict."""
-    if witness is None:
-        return "None"
+    """A violation's witness as the text report shows it: its JSON object as
+    a Python dict."""
     if name == "closure":
         body, head = sorted(map(str, witness.body)), str(witness.head)
         return f"{{'rule': {witness.id!r}, 'body': {body!r}, 'missing_head': {head!r}}}"
@@ -297,9 +295,9 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     tail += ["", f"extensions ({ev.semantics}):"]
     tail += ["  {" + ",".join(labels[i] for i in e) + "}" for e in ev.extensions]
     tail += ["", "conclusion sets:"]
-    for cs, report in zip(ev.conclusion_sets, ev.postulates):
+    for cs in ev.conclusion_sets:
         tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
-        for name, verdict in zip(POSTULATES, report):
+        for name, verdict in zip(POSTULATES, cs.postulates):
             tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
                 f"VIOLATED ({_witness_text(name, verdict.witness)})")))
     tail += ["", "summary: " + ", ".join(f"{name}={'satisfied' if held else 'violated'}"

@@ -8,9 +8,10 @@ constructors.  ``jsbaf.arguments``, ``jsbaf.frameworks`` and
 ``jsbaf.semantics`` compute the same results through indexes and on node
 numbers; the tests assert that both agree.  Besides these, the label-domain
 search as first written, over a list of domains and a set of dirty nodes,
-the sorting complement-pair finder, and the report writers as first
-written: the report built as a dict and encoded by a generic recursive JSON
-encoder, and the text report read from the same dicts.
+the sorting complement-pair finder, the postulate verdicts by their
+definitions, and the report writers as first written: the report built as
+a dict and encoded by a generic recursive JSON encoder, and the text report
+read from the same dicts.
 """
 
 from json.encoder import encode_basestring as _quote
@@ -21,7 +22,7 @@ from jsbaf.core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule,
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
-from jsbaf.postulates import POSTULATES
+from jsbaf.postulates import POSTULATES, PostulateReport, Verdict
 from jsbaf.semantics import _IN, _OUT, _UNDEC
 
 
@@ -210,6 +211,37 @@ def find_complement_pair(formulas: Iterable[Formula]) -> Optional[tuple[Formula,
         if phi.negation() in pool:
             return (phi, phi.negation())
     return None
+
+
+def saturate(formulas: Iterable[Formula], system: ArgumentationSystem) -> frozenset[Formula]:
+    """The strict closure of the set, a round at a time: each round adds the
+    head of every strict rule whose body the set holds."""
+    closed = frozenset(formulas)
+    while True:
+        grown = closed | {r.head for r in system.strict_rules if set(r.body) <= closed}
+        if grown == closed:
+            return closed
+        closed = grown
+
+
+def postulate_verdicts(
+    system: ArgumentationSystem, formulas: Iterable[Formula]
+) -> PostulateReport:
+    """The three verdicts by their definitions: the set is closed iff it is
+    its own saturation, else the witness is the first strict rule, by id,
+    whose body it holds and whose head it lacks; the consistency witnesses
+    are the least complementary pairs of the set and of its saturation."""
+    pool = frozenset(formulas)
+    closed = saturate(pool, system)
+    fireable = [
+        r for r in sorted(system.strict_rules, key=lambda r: r.id)
+        if set(r.body) <= pool and r.head not in pool
+    ]
+    return PostulateReport(
+        Verdict(None if closed == pool else fireable[0]),
+        Verdict(find_complement_pair(pool)),
+        Verdict(find_complement_pair(closed)),
+    )
 
 
 # Byte maps over domains: 1 where the domain holds in, and where it is not in.
@@ -508,9 +540,11 @@ def write_report(ev, source: str, settings: dict, fmt: str, write) -> bool:
         {
             "extension": [ev.store.arguments[o].canonical_id for o in cs.extension],
             "conclusions": _formula_list(cs.formulas),
-            "postulates": {name: _verdict_json(name, getattr(v, name)) for name in POSTULATES},
+            "postulates": {
+                name: _verdict_json(name, getattr(cs.postulates, name)) for name in POSTULATES
+            },
         }
-        for cs, v in zip(ev.conclusion_sets, ev.postulates)
+        for cs in ev.conclusion_sets
     ]
     summary = {
         name: "satisfied" if all(e["postulates"][name]["satisfied"] for e in sets) else "violated"

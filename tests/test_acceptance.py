@@ -15,9 +15,6 @@ import time
 from jsbaf import (
     SEMANTICS,
     brute_force_extensions,
-    check_closure,
-    check_direct_consistency,
-    check_indirect_consistency,
     construct_arguments,
     evaluate,
     evaluate_postulates,
@@ -125,18 +122,20 @@ def test_criterion_05_aspic_minus_baseline_contrast(tandem_system):
     assert violating in oracle_preferred
     violating_conclusions = frozenset(conclusion_of[n.label] for n in violating)
     assert sorted(map(str, violating_conclusions)) == ["ht", "hw", "st", "sw", "tt", "tw"]
-    assert not check_closure(tandem_system, violating_conclusions).satisfied
-    assert not check_indirect_consistency(tandem_system, violating_conclusions).satisfied
-    assert check_direct_consistency(violating_conclusions).satisfied
+    report = evaluate_postulates(tandem_system, violating_conclusions)
+    assert not report.closure.satisfied
+    assert not report.indirect_consistency.satisfied
+    assert report.direct_consistency.satisfied
 
     # then the engine must reproduce it
     engine_sets = evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets
     flagged = [
         cs for cs in engine_sets
-        if not check_closure(tandem_system, cs.formulas).satisfied
+        if not evaluate_postulates(tandem_system, cs.formulas).closure.satisfied
     ]
     assert [cs.formulas for cs in flagged] == [violating_conclusions]
-    assert not check_indirect_consistency(tandem_system, flagged[0].formulas).satisfied
+    report = evaluate_postulates(tandem_system, flagged[0].formulas)
+    assert not report.indirect_consistency.satisfied
     ok(5, "oracle and engine agree: {ht,hw,st,sw,tt,tw} violates closure and indirect consistency")
 
 

@@ -309,8 +309,8 @@ class TestOracle:
         def no_search(*args):
             raise AssertionError("searched a framework above the oracle cap")
 
+        # the oracle refuses the framework itself, before it enumerates a set
         monkeypatch.setattr(cli, "extensions", no_search)
-        monkeypatch.setattr(cli, "brute_force_extensions", no_search)
         rules = tmp_path / "tandem-4-2.rules"  # flattens to 52 nodes
         rules.write_text(tandem_rules(4, 2))
         code, out, err = run_cli(

@@ -260,10 +260,14 @@ class TestSystemValidation:
                 (strict_rule("r1", [], atom("a")),), (), {"r1": atom("x")}
             )
 
-    @pytest.mark.parametrize("name", ["é", "a-b", "a b", "1a", ""])
-    def test_atom_must_be_an_ascii_identifier(self, name):
-        with pytest.raises(ValidationError, match="is not an identifier"):
-            Formula(name)
+    @pytest.mark.parametrize(
+        "name, negations, message",
+        [(name, 0, "is not an identifier") for name in ["é", "a-b", "a b", "1a", ""]]
+        + [("a", -1, "negation depth must be non-negative")],
+    )
+    def test_invalid_formula_is_refused(self, name, negations, message):
+        with pytest.raises(ValidationError, match=message):
+            Formula(name, negations)
 
     @pytest.mark.parametrize("rule_id", ["r 1", "ré", "1r", ""])
     @pytest.mark.parametrize("kind", ["strict", "defeasible"])

@@ -1,7 +1,10 @@
 """Conclusion sets, the three postulates, the contrast of the modes, generators."""
 
+import inspect
+
 import pytest
 
+import reference
 from jsbaf import (
     MODES,
     POSTULATES,
@@ -14,9 +17,6 @@ from jsbaf import (
     ValidationError,
     Verdict,
     atom,
-    check_closure,
-    check_direct_consistency,
-    check_indirect_consistency,
     construct_arguments,
     defeasible_rule,
     evaluate,
@@ -42,6 +42,7 @@ DA_PREFERRED = [
     ["hw", "st", "sw", "tt", "tw", "~ht"],
 ]
 ASPIC_VIOLATOR = ["ht", "hw", "st", "sw", "tt", "tw"]
+NO_RULES = ArgumentationSystem((), ())
 
 
 class TestConclusionSets:
@@ -77,50 +78,52 @@ class TestConclusionSets:
 class TestClosure:
     def test_tandem_deductive_sets_are_closed(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert check_closure(tandem_system, cs.formulas).satisfied
+            assert evaluate_postulates(tandem_system, cs.formulas).closure.satisfied
 
     def test_all_defeasibles_set_is_not_closed(self, tandem_system):
         pool = frozenset(
             {atom("hw"), atom("sw"), atom("tw"), atom("ht"), atom("st"), atom("tt")}
         )
-        verdict = check_closure(tandem_system, pool)
+        verdict = evaluate_postulates(tandem_system, pool).closure
         assert not verdict.satisfied
         rule = verdict.witness
         assert all(b in pool for b in rule.body) and rule.head not in pool
 
     def test_a_closure_is_closed(self, tandem_system):
         closed = strict_closure((), tandem_system.strict_rules)
-        assert check_closure(tandem_system, closed).satisfied
+        assert evaluate_postulates(tandem_system, closed).closure.satisfied
 
 
 class TestDirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert check_direct_consistency(cs.formulas).satisfied
+            assert evaluate_postulates(tandem_system, cs.formulas).direct_consistency.satisfied
 
     def test_complementary_pair_is_witnessed(self):
-        verdict = check_direct_consistency({atom("a"), neg("a")})
+        verdict = evaluate_postulates(NO_RULES, {atom("a"), neg("a")}).direct_consistency
         assert not verdict.satisfied and verdict.witness == (atom("a"), neg("a"))
 
     def test_empty_set(self):
-        assert check_direct_consistency(frozenset()).satisfied
+        assert evaluate_postulates(NO_RULES, frozenset()).direct_consistency.satisfied
 
 
 class TestIndirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert check_indirect_consistency(tandem_system, cs.formulas).satisfied
+            report = evaluate_postulates(tandem_system, cs.formulas)
+            assert report.indirect_consistency.satisfied
 
     def test_closure_smuggles_in_the_complement(self, tandem_system):
         pool = {atom("hw"), atom("sw"), atom("tw"), atom("ht"), atom("st"), atom("tt")}
-        verdict = check_indirect_consistency(tandem_system, pool)
+        verdict = evaluate_postulates(tandem_system, pool).indirect_consistency
         assert not verdict.satisfied
         phi, psi = verdict.witness
         assert psi == phi.negation()
 
     def test_without_strict_rules_it_reduces_to_direct(self):
         system = ArgumentationSystem((), (defeasible_rule("d1", [], atom("a")),))
-        assert check_indirect_consistency(system, {atom("a"), atom("b")}).satisfied
+        report = evaluate_postulates(system, {atom("a"), atom("b")})
+        assert report.indirect_consistency.satisfied
 
     def test_closure_and_direct_imply_indirect(self, tandem_system):
         for sem in ("grounded", "preferred", "stable", "complete"):
@@ -156,11 +159,17 @@ class TestModeContrast:
         )
 
     def test_report_is_the_tuple_of_its_verdicts(self):
-        verdicts = (Verdict(True), Verdict(False, "w"), Verdict(True))
+        verdicts = (Verdict(), Verdict("w"), Verdict())
         report = PostulateReport(*verdicts)
         assert report == verdicts and tuple(report) == verdicts
-        assert report.direct_consistency == Verdict(False, "w")
+        assert report.direct_consistency == Verdict("w")
         assert not report.all_satisfied
+
+    def test_a_verdict_is_its_witness(self):
+        assert Verdict().satisfied and Verdict(None) == Verdict()
+        assert not Verdict("w").satisfied
+        with pytest.raises(TypeError):
+            Verdict(True, "w")
 
     def test_tandem_preferred_contrast(self, tandem_system):
         holds = holds_per_mode(prepare(tandem_system), "preferred")
@@ -176,9 +185,9 @@ class TestModeContrast:
         assert holds["aspic-minus"] == holds["deductive"]
         for mode in MODES:
             ev = evaluate(prepared, "grounded", mode)
-            ((cs, report),) = zip(ev.conclusion_sets, ev.postulates)
+            (cs,) = ev.conclusion_sets
             assert formula_strings(cs.formulas) == ["hw", "sw", "tw"]
-            assert report.all_satisfied
+            assert cs.postulates.all_satisfied
 
     def test_empty_system_trivially_satisfies_everything(self):
         holds = holds_per_mode(prepare(ArgumentationSystem((), ())), "stable")
@@ -236,7 +245,7 @@ class TestRandomJsbaf:
 
 class TestOneClosurePerSet:
     """``evaluate_postulates`` computes the strict closure of each
-    conclusion set once and hands it to both checks that read it."""
+    conclusion set once and derives both verdicts that read it from it."""
 
     def test_one_closure_per_conclusion_set(self, tandem_system, monkeypatch):
         import jsbaf.postulates as postulates
@@ -255,7 +264,11 @@ class TestOneClosurePerSet:
                 ev = evaluate(prepared, semantics, mode)
                 assert len(calls) == len(ev.conclusion_sets) > 1
 
-    def test_verdicts_equal_the_separate_checks(self):
+    def test_it_takes_the_system_and_the_set_alone(self):
+        # no precomputed closure can be handed in
+        assert list(inspect.signature(evaluate_postulates).parameters) == ["system", "formulas"]
+
+    def test_verdicts_equal_their_definitions(self):
         params = SystemParams(n_atoms=4, n_strict=4, n_defeasible=4, undercut_density=0.3)
         violated = set()
         for seed in range(60):
@@ -263,12 +276,10 @@ class TestOneClosurePerSet:
             prepared = prepare(system)
             for mode in ("aspic-minus", "deductive"):
                 ev = evaluate(prepared, "preferred", mode, max_nodes=200)
-                for cs, report in zip(ev.conclusion_sets, ev.postulates):
-                    assert report.closure == check_closure(system, cs.formulas)
-                    assert report.direct_consistency == check_direct_consistency(cs.formulas)
-                    assert report.indirect_consistency == check_indirect_consistency(
-                        system, cs.formulas
-                    )
+                for cs in ev.conclusion_sets:
+                    report = cs.postulates
+                    assert report == reference.postulate_verdicts(system, cs.formulas)
+                    assert report == evaluate_postulates(system, cs.formulas)
                     violated |= {
                         name for name in ("closure", "indirect_consistency")
                         if not getattr(report, name).satisfied

@@ -12,6 +12,7 @@ from jsbaf import (
     SEMANTICS,
     SearchLimitExceededError,
     SystemParams,
+    ValidationError,
     base,
     brute_force_extensions,
     construct_arguments,
@@ -29,6 +30,7 @@ from jsbaf import (
     random_system,
 )
 import reference
+from jsbaf import postulates as postulates_module
 from jsbaf import semantics as semantics_module
 from jsbaf.cli import main
 from jsbaf.oracle import ORACLE_NODE_CAP
@@ -178,9 +180,22 @@ class TestSearchLimit:
             assert main([*argv, "--semantics", "grounded"]) in (0, 1)
             assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
-    def test_evaluate_rejects_unknown_semantics_before_the_bound(self, tandem_system):
-        with pytest.raises(ValueError, match="unknown semantics"):
-            evaluate(prepare(tandem_system), "semi-stable", "deductive", max_nodes=5)
+    @pytest.mark.parametrize(
+        "semantics, mode, message",
+        [
+            ("semi-stable", "deductive", "unknown semantics 'semi-stable'"),
+            ("preferred", "bipolar", "unknown mode 'bipolar'"),
+        ],
+    )
+    def test_evaluate_rejects_unknown_names_before_any_search(
+        self, tandem_system, monkeypatch, semantics, mode, message
+    ):
+        def no_search(*args):
+            raise AssertionError("searched under an unknown name")
+
+        monkeypatch.setattr(postulates_module, "extension_ids", no_search)
+        with pytest.raises(ValueError, match=message):
+            evaluate(prepare(tandem_system), semantics, mode, max_nodes=5)
 
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
@@ -321,6 +336,17 @@ class TestBeyondOracleCap:
             complete = extensions(flat, "complete")
             assert extensions(flat, "stable") == _stable_by_filter(flat, complete), seed
         assert checked == 24
+
+    def test_the_oracle_refuses_a_framework_above_its_cap(self):
+        # Self-attacking nodes leave only the empty set conflict-free, so the
+        # oracle answers at its cap at once.
+        nodes = [base(f"n{i}") for i in range(ORACLE_NODE_CAP + 1)]
+        at_cap = AF(frozenset(nodes[:-1]), frozenset((n, n) for n in nodes[:-1]))
+        assert brute_force_extensions(at_cap, "preferred") == [frozenset()]
+        above = AF(frozenset(nodes), frozenset((n, n) for n in nodes))
+        with pytest.raises(ValidationError) as error:
+            brute_force_extensions(above, "preferred")
+        assert str(error.value) == "framework has 22 nodes, above the oracle cap 21"
 
 
 class TestRegressionInstances:
