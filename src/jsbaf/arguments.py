@@ -315,16 +315,18 @@ def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
 def build_da_jsbaf(store: ArgumentStore, af: AF) -> JSBAF:
     """The nodes and attacks of ``af``, the ``build_aspic_minus_af`` of
     ``store``, plus the joint support of every strict-top argument by its
-    immediate sub-arguments.  The JSBAF shares the node table and attack
-    relation of ``af``."""
-    return JSBAF._make(af.node_table, target_ids=af.target_ids, support_ids=support_pairs(store))
+    immediate sub-arguments, shielding the strict arguments.  The JSBAF
+    shares the node table and attack relation of ``af``."""
+    return JSBAF._make(
+        af.node_table, target_ids=af.target_ids, support_ids=support_pairs(store),
+        shielded=strict_argument_nodes(store),
+    )
 
 
 def strict_argument_nodes(store: ArgumentStore) -> frozenset[int]:
     """Node numbers of the arguments with no defeasible rule anywhere in
-    their tree.  Nothing can attack them, so the flattening shields them
-    from contrapositive support arms (see ``flatten_one_step``); that keeps
-    the projected extensions deductive for every support, including the
-    empty-source supports of axiom arguments."""
+    their tree.  Nothing can attack them, so ``build_da_jsbaf`` shields them
+    (see ``JSBAF``); that keeps the projected extensions deductive for every
+    support, including the empty-source supports of axiom arguments."""
     number = store.node_number
     return frozenset(number[arg.ordinal] for arg in store.arguments if not arg.defeasible)

@@ -151,9 +151,9 @@ def _cmd_flatten(args) -> int:
         raise ValidationError("APX cannot represent joint attacks; use --emit dot")
     prepared = _prepare(args, False)
     if args.stage == "one-step":
-        framework = flatten_one_step(prepared.jsbaf, prepared.shielded)
+        framework = flatten_one_step(prepared.jsbaf)
     elif args.stage == "two-step":
-        framework = flatten_joint_attacks(flatten_one_step(prepared.jsbaf, prepared.shielded))
+        framework = flatten_joint_attacks(flatten_one_step(prepared.jsbaf))
     else:
         framework = prepared.flat
     sys.stdout.write(emit_dot(framework) if args.emit == "dot" else emit_apx(framework))

@@ -42,14 +42,15 @@ need not keep this: ``bar(a)`` sorts as text before ``c``.)
 
 A JSBAF's nodes are arguments (``BaseNode``s); bars and e-nodes arise only
 in flattening.  Arguments sort before every meta-argument, so the nodes of
-a JSBAF keep their numbers 0 .. m-1 in each of its flattenings.
+a JSBAF keep their numbers 0 .. m-1 in each of its flattenings.  Each
+flattening reads the shield (see ``JSBAF``) from the JSBAF it flattens.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Collection, Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 
 @dataclass(frozen=True)
@@ -286,15 +287,22 @@ class JSBAF(_Framework):
     *all* subsets of the nodes, including the empty set; an empty-source
     support just asserts its target outright.  ``support_ids`` holds each
     support once, as (ascending source numbers, target), sorted.
+
+    ``shielded`` numbers the nodes that can never be rejected, the strict
+    arguments of a JSBAF built from rules (``build_da_jsbaf``): every
+    flattening omits the support arm that would attack one, since "reject
+    this supporter" is not an option for it.  A plain JSBAF shields none.
     """
 
     support_ids: list[tuple[tuple[int, ...], int]]
+    shielded: frozenset[int]
 
     def __init__(
         self,
         nodes: Iterable[BaseNode],
         attacks: Iterable[tuple[BaseNode, BaseNode]],
         supports: Iterable[tuple[Iterable[BaseNode], BaseNode]],
+        shielded: Iterable[BaseNode] = (),
     ):
         nodes = frozenset(nodes)
         for node in nodes:
@@ -307,9 +315,13 @@ class JSBAF(_Framework):
                 raise ValueError("support has an endpoint outside the node set")
             self.support_ids.append((_source_ids(index[a] for a in source), index[target]))
         self.support_ids.sort()
+        shielded = frozenset(shielded)
+        if not shielded <= nodes:
+            raise ValueError("shield has a node outside the node set")
+        self.shielded = frozenset(index[a] for a in shielded)
 
     def _value(self) -> tuple:
-        return super()._value() + (frozenset(self.support_ids),)
+        return super()._value() + (frozenset(self.support_ids), self.shielded)
 
     @cached_property
     def attacks(self) -> frozenset[tuple[NodeId, NodeId]]:
@@ -320,31 +332,23 @@ class JSBAF(_Framework):
         return frozenset(self._sets(self.support_ids))
 
 
-def _support_arms(
-    j: JSBAF, shielded: Collection[int]
-) -> Iterator[tuple[tuple[int, ...], int, int]]:
+def _support_arms(j: JSBAF) -> Iterator[tuple[tuple[int, ...], int, int]]:
     """(Y, b, a) for each support (X, b) of ``j`` and each supporter a in X
-    that is not in ``shielded``, with Y = X - {a}: the arm of the support
+    that ``j`` does not shield, with Y = X - {a}: the arm of the support
     that rejects a, in support order.  A shielded supporter can never be
     rejected, so it gets no arm; Y is empty for a singleton support."""
     for source, b in j.support_ids:
         for k, a in enumerate(source):
-            if a not in shielded:
+            if a not in j.shielded:
                 yield source[:k] + source[k + 1:], b, a
 
 
-def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> HigherLevelAF:
+def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     """Replace joint supports by joint attacks through bar meta-arguments.
 
     For every support (X, b): a fresh node bar(b) attacked by b, and, for
-    each supporter a in X, the joint attack (X minus {a}) plus {bar(b)}
-    against a.  Existing attacks become singleton joint attacks.
-
-    ``shielded`` numbers nodes of ``j`` that can never be rejected (strict
-    arguments, in the structured pipeline); the per-supporter attack
-    against such a node is omitted, since its contrapositive reading
-    "reject this supporter" is not an option for them.  Flattening a plain
-    framework leaves the set empty.
+    each supporter a in X that ``j`` does not shield, the joint attack
+    (X - {a}) | {bar(b)} against a.  Attacks become singleton joint attacks.
 
     The nodes are numbered by construction: the arguments keep their
     numbers 0 .. m-1, and bar(b) is m plus the rank of b among the supported
@@ -356,7 +360,7 @@ def flatten_one_step(j: JSBAF, shielded: Collection[int] = frozenset()) -> Highe
     bar_number = {b: m + p for p, b in enumerate(barred)}
     bar_rows: list[list[int]] = [[] for _ in barred]  # bar(b) -> a, for X = {a}
     joints = []
-    for rest, b, a in _support_arms(j, shielded):
+    for rest, b, a in _support_arms(j):
         if rest:
             joints.append((rest + (bar_number[b],), a))
         else:
@@ -414,7 +418,7 @@ def flatten_joint_attacks(h: HigherLevelAF) -> AF:
     return AF._make(tuple(nodes[i] for i in order), target_ids=[rows[i] for i in order])
 
 
-def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
+def flatten_simplified(j: JSBAF) -> AF:
     """The two-step flattening without its redundant double-negation bars,
     built in one pass from the supports of ``j``.
 
@@ -426,8 +430,8 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
     singleton support {a} with a unshielded, and co-supports no node in any
     arm.  Otherwise bar(b) is kept, as ``flatten_one_step`` builds it, also
     when it attacks nothing: when b has no joint support, no unshielded
-    single supporter, and co-supports nothing.  With ``shielded`` as in
-    ``flatten_one_step``, each support (X, b) gives:
+    single supporter, and co-supports nothing.  With "unshielded" meaning
+    not in ``j.shielded``, each support (X, b) gives:
 
     * b -> bar(b), when bar(b) exists;
     * for X = {a}, a unshielded: bar(b) -> a;
@@ -445,7 +449,7 @@ def flatten_simplified(j: JSBAF, shielded: Collection[int] = frozenset()) -> AF:
     multi = {b for source, b in j.support_ids if len(source) > 1}
     direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
     arms = []  # the arms of the supports (X, b) with |X| > 1
-    for rest, b, a in _support_arms(j, shielded):
+    for rest, b, a in _support_arms(j):
         if rest:
             arms.append((rest, b, a))
         else:

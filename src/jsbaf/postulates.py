@@ -34,7 +34,6 @@ from .arguments import (
     build_aspic_minus_af,
     build_da_jsbaf,
     construct_arguments,
-    strict_argument_nodes,
 )
 from .core import (
     ArgumentationSystem,
@@ -53,6 +52,7 @@ from .semantics import SEMANTICS, extension_ids, project_ids
 
 MODES = ("aspic-minus", "deductive")
 DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
+GENERATION_RETRIES = 200  # systems ``random_system`` draws before it gives up
 
 
 @dataclass(frozen=True)
@@ -134,18 +134,12 @@ class Prepared:
 
     @cached_property
     def jsbaf(self) -> JSBAF:
-        """The JSBAF, sharing the node table and attack relation of ``af``."""
+        """The JSBAF, sharing the nodes and attacks of ``af``, its strict arguments shielded."""
         return build_da_jsbaf(self.store, self.af)
 
     @cached_property
-    def shielded(self) -> frozenset[int]:
-        """The node numbers of the strict arguments, which the flattening
-        shields."""
-        return strict_argument_nodes(self.store)
-
-    @cached_property
     def flat(self) -> AF:
-        return flatten_simplified(self.jsbaf, self.shielded)
+        return flatten_simplified(self.jsbaf)
 
     def searched(self, mode: str) -> AF:
         """The AF that ``evaluate`` searches in ``mode``."""
@@ -243,7 +237,6 @@ class SystemParams:
     n_defeasible: int = 3
     max_body: int = 2
     undercut_density: float = 0.2
-    retries: int = 200
 
     def __post_init__(self):
         for field in SHAPE_RANGES:
@@ -256,7 +249,6 @@ SHAPE_RANGES = {
     "n_strict": (0, None),
     "n_defeasible": (0, None),
     "max_body": (0, None),
-    "retries": (1, None),
     "undercut_density": (0, 1),
 }
 
@@ -282,7 +274,7 @@ def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
     """Deterministic consistent system for ``seed``.
 
     Rejection-samples until the strict rules alone derive no complementary
-    pair; raises GenerationFailedError when the retry budget runs out.
+    pair; raises GenerationFailedError after ``GENERATION_RETRIES`` draws.
     """
     rng = random.Random(seed)
     literals = [Formula(f"p{i}") for i in range(1, params.n_atoms + 1)]
@@ -305,7 +297,7 @@ def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
                 return None
         return tuple(rules)
 
-    for attempt in range(1, params.retries + 1):
+    for attempt in range(1, GENERATION_RETRIES + 1):
         strict = draw_rules(params.n_strict, "s", StrictRule)
         defeasible = draw_rules(params.n_defeasible, "d", DefeasibleRule)
         if strict is None or defeasible is None:
@@ -318,7 +310,7 @@ def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
         system = ArgumentationSystem(strict, defeasible, names)
         if is_consistent(system):
             return GeneratedSystem(system, seed, attempt)
-    raise GenerationFailedError(seed, params.retries)
+    raise GenerationFailedError(seed, GENERATION_RETRIES)
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections import Counter
 from itertools import chain
-from typing import Collection, Iterable, Optional
+from typing import Iterable, Optional
 
 from .frameworks import AF, JSBAF, NodeId, flatten_simplified, is_meta
 
@@ -267,12 +267,10 @@ def project_ids(raw: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ..
     return sorted({tuple(i for i in ext if i < size) for ext in raw})
 
 
-def jsbaf_extensions(
-    j: JSBAF, semantics: str, shielded: Collection[int] = frozenset()
-) -> list[frozenset[NodeId]]:
-    """Extensions of a JSBAF: flatten, run the semantics, project each
-    extension onto the original nodes, deduplicate."""
-    raw = extension_ids(flatten_simplified(j, shielded), semantics)
+def jsbaf_extensions(j: JSBAF, semantics: str) -> list[frozenset[NodeId]]:
+    """Extensions of a JSBAF: flatten it under its shield, run the semantics,
+    project each extension onto the original nodes, deduplicate."""
+    raw = extension_ids(flatten_simplified(j), semantics)
     table = j.node_table
     return [frozenset(table[i] for i in ext) for ext in project_ids(raw, len(table))]
 

@@ -73,9 +73,11 @@ def structure(arg: Argument) -> str:
     return f"({lhs}{_arrow(arg)} {arg.conclusion})"
 
 
-def flatten_one_step(j: JSBAF, shielded: frozenset[NodeId] = frozenset()) -> HigherLevelAF:
+def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     """For every support (X, b): bar(b) attacked by b, and for each
-    unshielded supporter a in X the joint attack (X - {a}) | {bar(b)} on a."""
+    supporter a in X that ``j`` does not shield the joint attack
+    (X - {a}) | {bar(b)} on a."""
+    shielded = {j.node_table[i] for i in j.shielded}
     supported = {b for _, b in j.supports}
     nodes = set(j.nodes) | {bar(b) for b in supported}
     joint: set[tuple[frozenset[NodeId], NodeId]] = set()
@@ -109,11 +111,11 @@ def flatten_joint_attacks(h: HigherLevelAF) -> AF:
     return AF(frozenset(nodes), frozenset(attacks))
 
 
-def flatten_simplified(j: JSBAF, shielded: frozenset[NodeId] = frozenset()) -> AF:
+def flatten_simplified(j: JSBAF) -> AF:
     """The two-step flattening without the double bars of multiply
     supported nodes, and without their bars where relaying was their only
     role; e-nodes renamed over the surviving nodes unless two collide."""
-    return simplify(j, flatten_joint_attacks(flatten_one_step(j, shielded)))
+    return simplify(j, flatten_joint_attacks(flatten_one_step(j)))
 
 
 def simplify(j: JSBAF, flat: AF) -> AF:

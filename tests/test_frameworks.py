@@ -26,17 +26,22 @@ from jsbaf import (
     bar,
     base,
     e_node,
+    emit_dot,
+    evaluate,
     flatten_joint_attacks,
     flatten_one_step,
     flatten_simplified,
     is_meta,
+    jsbaf_extensions,
     parse_system,
     prepare,
+    print_system,
     project_ids,
     random_jsbaf,
     random_system,
     sort_nodes,
 )
+from jsbaf.cli import main
 from jsbaf.frameworks import BarNode, ENode
 from jsbaf.semantics import SEMANTICS, extension_ids
 
@@ -51,6 +56,12 @@ def edge_labels(af):
 
 def joint_labels(h):
     return {(frozenset(n.label for n in x), b.label) for x, b in h.joint_attacks}
+
+
+def shielding(j, shielded=()):
+    """``j`` rebuilt through the public constructor, with the nodes
+    numbered ``shielded`` as its shield."""
+    return JSBAF(j.nodes, j.attacks, j.supports, (j.node_table[i] for i in shielded))
 
 
 class TestNodeIds:
@@ -220,9 +231,8 @@ class TestSimplifiedFlattening:
         """The flattening keeps the bar of each supported argument, also
         when that bar attacks nothing: the idle bars are exactly the
         meta-arguments without targets."""
-        prepared = prepare(parse_system(rules))
-        shielded = prepared.shielded if shield else frozenset()
-        af = flatten_simplified(prepared.jsbaf, shielded)
+        j = prepare(parse_system(rules)).jsbaf
+        af = flatten_simplified(j if shield else shielding(j))
         assert node_labels(af.nodes) == sorted(expected_core + idle_bars)
         assert len(af.attacks) == attacks
         idle = {n.label for n, targets in af.targets.items() if is_meta(n) and not targets}
@@ -336,17 +346,16 @@ def assert_canonical(framework):
         assert all(0 <= t < len(framework.node_table) for t in row)
 
 
-def assert_flattenings_match(j, shielded):
-    """Each int flattening stage of ``j`` has the nodes and edges of the
-    object-level reference and is canonical, and the rows of ``j`` are left
-    as they were; ``shielded`` numbers nodes of ``j``."""
+def assert_flattenings_match(j):
+    """Each int flattening stage of ``j``, under its shield, has the nodes
+    and edges of the object-level reference and is canonical, and the rows
+    of ``j`` are left as they were."""
     rows = [tuple(row) for row in j.target_ids]
-    named = frozenset(j.node_table[i] for i in shielded)
-    one, one_ref = flatten_one_step(j, shielded), reference.flatten_one_step(j, named)
+    one, one_ref = flatten_one_step(j), reference.flatten_one_step(j)
     assert (one.nodes, one.joint_attacks) == (one_ref.nodes, one_ref.joint_attacks)
     two, two_ref = flatten_joint_attacks(one), reference.flatten_joint_attacks(one_ref)
     assert (two.nodes, two.attacks) == (two_ref.nodes, two_ref.attacks)
-    flat, flat_ref = flatten_simplified(j, shielded), reference.simplify(j, two_ref)
+    flat, flat_ref = flatten_simplified(j), reference.simplify(j, two_ref)
     assert (flat.nodes, flat.attacks) == (flat_ref.nodes, flat_ref.attacks)
     for framework in (one, two, flat):
         assert_canonical(framework)
@@ -356,11 +365,6 @@ def assert_flattenings_match(j, shielded):
     m = len(rows)
     for mine, theirs in zip(flat.target_ids, j.target_ids):
         assert (mine is theirs) == (max(mine, default=-1) < m)
-
-
-def _pipeline_jsbaf(system):
-    prepared = prepare(system)
-    return prepared.jsbaf, prepared.shielded
 
 
 class TestIntFlatteningMatchesReference:
@@ -381,9 +385,9 @@ class TestIntFlatteningMatchesReference:
             j = random_jsbaf(params, seed)
             assert_canonical(j)
             rng = random.Random(seed)
-            shielded = frozenset(i for i in range(len(j.node_table)) if rng.random() < 0.5)
-            for chosen in (frozenset(), shielded):
-                assert_flattenings_match(j, chosen)
+            shielded = [i for i in range(len(j.node_table)) if rng.random() < 0.5]
+            for chosen in (j, shielding(j, shielded)):
+                assert_flattenings_match(chosen)
 
     def test_handcrafted_mutual_and_mixed_supports(self, j1, j2, j3):
         a, b, c, d, w, x, y, z = (base(n) for n in "abcdwxyz")
@@ -392,32 +396,30 @@ class TestIntFlatteningMatchesReference:
             {w, d, y, z, a}, {(a, d)}, {(frozenset({w}), d), (frozenset({y, z}), d)}
         )
         for j in (j1, j2, j3, mutual, mixed):
-            for shielded in (frozenset(), frozenset({0})):
-                assert_flattenings_match(j, shielded)
+            for chosen in (j, shielding(j, {0})):
+                assert_flattenings_match(chosen)
 
     @pytest.mark.parametrize("n", range(2, 7))
     def test_generalised_tandem(self, n):
         for k in range(1, n):
-            system = parse_system(tandem_rules(n, k))
-            j, shielded = _pipeline_jsbaf(system)
+            j = prepare(parse_system(tandem_rules(n, k))).jsbaf
             assert_canonical(j)
-            for chosen in (frozenset(), shielded):
-                assert_flattenings_match(j, chosen)
+            for chosen in (shielding(j), j):
+                assert_flattenings_match(chosen)
 
     def test_tandem_7_3_shielded_and_not(self):
-        system = parse_system(tandem_rules(7, 3))
-        j, shielded = _pipeline_jsbaf(system)
+        j = prepare(parse_system(tandem_rules(7, 3))).jsbaf
         assert (len(j.node_table), sum(map(len, j.target_ids))) == (154, 8680)
-        for chosen in (frozenset(), shielded):
-            assert_flattenings_match(j, chosen)
+        assert j.shielded
+        for chosen in (shielding(j), j):
+            assert_flattenings_match(chosen)
 
     def test_random_systems(self):
         for seed in range(100):
             system = random_system(SystemParams(6, 6, 6), seed).system
             prepared = prepare(system)
             j, flat = prepared.jsbaf, prepared.flat
-            named = frozenset(j.node_table[i] for i in prepared.shielded)
-            expected = reference.flatten_simplified(j, named)
+            expected = reference.flatten_simplified(j)
             assert (flat.nodes, flat.attacks) == (expected.nodes, expected.attacks), seed
 
     def test_tandem_8_3_holds_one_object_per_node(self):
@@ -425,7 +427,7 @@ class TestIntFlatteningMatchesReference:
         is a node of a stage is that node's one object in the node table."""
         system = parse_system(tandem_rules(8, 3))
         prepared = prepare(system)
-        one = flatten_one_step(prepared.jsbaf, prepared.shielded)
+        one = flatten_one_step(prepared.jsbaf)
         two = flatten_joint_attacks(one)
         for framework in (prepared.jsbaf, one, two, prepared.flat):
             table = framework.node_table
@@ -441,6 +443,32 @@ class TestIntFlatteningMatchesReference:
             assert {id(x) for x in parts if x.key() in by_key} == set(map(id, table))
         sizes = [len(f.node_table) for f in (prepared.jsbaf, one, two, prepared.flat)]
         assert sizes == [296, 584, 1712, 1152]
+
+
+class TestShieldTravels:
+    """The JSBAF of a rule system shields its strict arguments itself, so
+    every flattening of it, by any caller, is the one ``eval`` searches."""
+
+    def test_every_flattening_of_a_system_jsbaf_is_shielded(self, tmp_path, capsys):
+        rules = tmp_path / "system.rules"
+        shield_matters = 0
+        for seed in range(300):
+            system = random_system(SystemParams(6, 6, 6), seed).system
+            prepared = prepare(system)
+            j = prepared.jsbaf
+            strict = {a.canonical_id for a in prepared.store.arguments if not a.defeasible}
+            assert {j.labels[i] for i in j.shielded} == strict, seed
+            assert flatten_simplified(j) == prepared.flat, seed
+            shield_matters += flatten_simplified(shielding(j)) != prepared.flat
+            rules.write_text(print_system(system))
+            assert main(["flatten", "--file", str(rules), "--stage", "one-step"]) == 0
+            assert capsys.readouterr().out == emit_dot(flatten_one_step(j)), seed
+            for sem in SEMANTICS:
+                ev = evaluate(prepared, sem, "deductive", len(prepared.flat.node_table))
+                expected = [frozenset(j.node_table[i] for i in ext) for ext in ev.extensions]
+                assert jsbaf_extensions(j, sem) == expected, (seed, sem)
+        # the unshielded flattening differs on these many of the systems
+        assert shield_matters == 83
 
 
 def _label_order_systems():
@@ -477,6 +505,30 @@ class TestBoundary:
         assert {n: af.attackers[n] for n in af.nodes} == {
             n: frozenset(s for s, d in af.attacks if d == n) for n in af.nodes
         }
+
+    def test_a_shielded_jsbaf_round_trips(self, j1):
+        j = shielding(j1, {0, 2})
+        assert j.shielded == {0, 2}
+        assert shielding(j, j.shielded) == j
+        with pytest.raises(ValueError, match="shield has a node outside the node set"):
+            JSBAF(j1.nodes, j1.attacks, j1.supports, {j1.node_table[0], base("z")})
+
+    def test_equal_frameworks_hash_equal(self, j1):
+        h, af = flatten_one_step(j1), flatten_simplified(j1)
+        twins = (
+            (JSBAF(j1.nodes, j1.attacks, j1.supports), j1),
+            (HigherLevelAF(h.nodes, h.joint_attacks), h),
+            (AF(af.nodes, af.attacks), af),
+        )
+        for twin, framework in twins:
+            assert twin is not framework and twin == framework
+            assert hash(twin) == hash(framework)
+        shielded = shielding(j1, {0})
+        assert (shielded.nodes, shielded.attacks, shielded.supports) == (
+            j1.nodes, j1.attacks, j1.supports
+        )
+        assert shielded != j1
+        assert len({j1, shielded, shielding(j1, {0})}) == 2
 
     def test_jsbaf_nodes_must_be_arguments(self):
         a, b = base("a"), base("b")

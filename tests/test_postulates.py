@@ -30,6 +30,7 @@ from jsbaf import (
     strict_closure,
     strict_rule,
 )
+from jsbaf.postulates import GENERATION_RETRIES
 
 
 def formula_strings(formulas):
@@ -213,7 +214,6 @@ class TestRandomSystem:
         [
             ({"n_atoms": 0}, "n_atoms must be at least 1, got 0"),
             ({"n_strict": -2}, "n_strict must be at least 0, got -2"),
-            ({"retries": 0}, "retries must be at least 1, got 0"),
             ({"undercut_density": 1.5}, "undercut_density must lie in [0, 1], got 1.5"),
         ],
     )
@@ -225,9 +225,10 @@ class TestRandomSystem:
     def test_generation_failure_is_reported(self):
         # one atom and empty bodies admit only two distinct strict rules,
         # so eight can never be drawn
-        impossible = SystemParams(n_atoms=1, n_strict=8, max_body=0, retries=5)
-        with pytest.raises(GenerationFailedError):
+        impossible = SystemParams(n_atoms=1, n_strict=8, max_body=0)
+        with pytest.raises(GenerationFailedError) as error:
             random_system(impossible, 0)
+        assert error.value.attempts == GENERATION_RETRIES
 
 
 class TestRandomJsbaf:

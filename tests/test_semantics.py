@@ -200,6 +200,8 @@ class TestSearchLimit:
     def test_unknown_semantics_rejected(self):
         with pytest.raises(ValueError):
             extensions(AF(frozenset(), frozenset()), "semi-stable")
+        with pytest.raises(ValueError, match="unknown semantics 'semi-stable'"):
+            brute_force_extensions(AF(frozenset(), frozenset()), "semi-stable")
 
 
 class TestJsbafExtensions:
@@ -231,7 +233,7 @@ class TestJsbafExtensions:
         projected = evaluate(prepared, sem, "deductive").extensions
         expected = [frozenset(j.node_table[i] for i in ext) for ext in projected]
         assert expected
-        assert jsbaf_extensions(j, sem, prepared.shielded) == expected
+        assert jsbaf_extensions(j, sem) == expected
 
 
 class TestJsbafProperties:
