@@ -2,8 +2,8 @@
 
 Three tiers are connected by flattening:
 
-* ``JSBAF``         — attacks plus a joint support relation (sets of nodes
-                      supporting a node),
+* ``JSBAF``         — an ``AF``, which it subclasses, plus a joint support
+                      relation (sets of nodes supporting a node) and a shield,
 * ``HigherLevelAF`` — joint attacks (sets of nodes attacking a node),
 * ``AF``            — a plain directed attack graph.
 
@@ -29,7 +29,8 @@ already in its table, so one node is one object however many edges it
 ends.  The ``NodeId`` views ``nodes``, ``attacks``, ``supports`` and
 ``joint_attacks`` are built on first read, for callers and tests; the
 pipeline reads only the ints.  The public constructors check that every
-endpoint is a node; the flattening stages and the builders in
+endpoint is a node, and number supports and joint attacks, both sets of
+nodes to a node, by one helper; the flattening stages and the builders in
 ``arguments`` make frameworks whose ints are right by construction, and
 skip that check.
 
@@ -132,12 +133,6 @@ def sort_nodes(nodes: Iterable[NodeId]) -> list[NodeId]:
     return sorted(nodes, key=lambda n: n.key())
 
 
-def _check_endpoints(nodes, pairs, what: str):
-    for src, dst in pairs:
-        if src not in nodes or dst not in nodes:
-            raise ValueError(f"{what} ({src}, {dst}) has an endpoint outside the node set")
-
-
 def _node_table(nodes: Iterable[NodeId]) -> tuple[tuple[NodeId, ...], dict[NodeId, int]]:
     """The distinct ``nodes`` in canonical order, and the number of each."""
     table = tuple(n for _, n in sorted((n.key(), n) for n in set(nodes)))
@@ -151,8 +146,16 @@ def _target_rows(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]
     return [sorted(row) for row in rows]
 
 
-def _source_ids(source: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(set(source)))
+def _set_relation(index, pairs, what: str) -> list[tuple[tuple[int, ...], int]]:
+    """The set -> node relation ``pairs`` over the nodes numbered by
+    ``index``: each pair once, as (ascending source numbers, target), sorted."""
+    numbered = set()
+    for source, target in pairs:
+        try:
+            numbered.add((tuple(sorted({index[a] for a in source})), index[target]))
+        except KeyError:
+            raise ValueError(f"{what} has an endpoint outside the node set") from None
+    return sorted(numbered)
 
 
 class _Framework:
@@ -192,14 +195,6 @@ class _Framework:
         """The label of each node, by number."""
         return [n.label for n in self.node_table]
 
-    def _intern_attacks(self, nodes, attacks) -> dict[NodeId, int]:
-        """Number ``nodes``, check and number ``attacks``; the numbers by node."""
-        self.node_table, index = _node_table(nodes)
-        attacks = frozenset(attacks)
-        _check_endpoints(index, attacks, "attack")
-        self.target_ids = _target_rows(len(index), ((index[s], index[d]) for s, d in attacks))
-        return index
-
     def _pairs(self) -> Iterator[tuple[NodeId, NodeId]]:
         table = self.node_table
         return ((table[s], table[d]) for s, row in enumerate(self.target_ids) for d in row)
@@ -213,7 +208,12 @@ class AF(_Framework):
     """A plain argumentation framework: nodes and a directed attack relation."""
 
     def __init__(self, nodes: Iterable[NodeId], attacks: Iterable[tuple[NodeId, NodeId]]):
-        self._intern_attacks(nodes, attacks)
+        self.node_table, index = _node_table(nodes)
+        attacks = frozenset(attacks)
+        for s, d in attacks:
+            if s not in index or d not in index:
+                raise ValueError(f"attack ({s}, {d}) has an endpoint outside the node set")
+        self.target_ids = _target_rows(len(index), ((index[s], index[d]) for s, d in attacks))
 
     @cached_property
     def attacks(self) -> frozenset[tuple[NodeId, NodeId]]:
@@ -244,9 +244,9 @@ class AF(_Framework):
 class HigherLevelAF(_Framework):
     """Nodes and a joint attack relation from nonempty node sets to nodes.
 
-    ``target_ids`` holds the joint attacks from a single node;
-    ``joint_attack_ids`` the others, as (ascending source numbers, target),
-    sorted.
+    Numbered as a JSBAF's supports are: ``target_ids`` holds the joint
+    attacks from a single node; ``joint_attack_ids`` the others, as
+    (ascending source numbers, target), sorted.
     """
 
     joint_attack_ids: list[tuple[tuple[int, ...], int]]
@@ -257,19 +257,12 @@ class HigherLevelAF(_Framework):
         joint_attacks: Iterable[tuple[Iterable[NodeId], NodeId]],
     ):
         self.node_table, index = _node_table(nodes)
-        singles, joints = set(), set()
-        for attackers, target in {(frozenset(x), b) for x, b in joint_attacks}:
-            if not attackers:
-                raise ValueError("joint attacks must have a nonempty attacker set")
-            if not all(a in index for a in attackers) or target not in index:
-                raise ValueError("joint attack has an endpoint outside the node set")
-            source = _source_ids(index[a] for a in attackers)
-            if len(source) == 1:
-                singles.add((source[0], index[target]))
-            else:
-                joints.add((source, index[target]))
-        self.target_ids = _target_rows(len(index), singles)
-        self.joint_attack_ids = sorted(joints)
+        joint_attacks = [(frozenset(x), b) for x, b in joint_attacks]
+        if not all(x for x, _ in joint_attacks):
+            raise ValueError("joint attacks must have a nonempty attacker set")
+        numbered = _set_relation(index, joint_attacks, "joint attack")
+        self.target_ids = _target_rows(len(index), ((x[0], b) for x, b in numbered if len(x) == 1))
+        self.joint_attack_ids = [(x, b) for x, b in numbered if len(x) > 1]
 
     def _value(self) -> tuple:
         return super()._value() + (frozenset(self.joint_attack_ids),)
@@ -280,8 +273,9 @@ class HigherLevelAF(_Framework):
         return frozenset((*singles, *self._sets(self.joint_attack_ids)))
 
 
-class JSBAF(_Framework):
-    """An attack relation plus a joint support relation.
+class JSBAF(AF):
+    """An ``AF`` plus a joint support relation and a shield; it never
+    equals the AF of its nodes and attacks.
 
     Every node is an argument, a ``BaseNode``.  Support sources range over
     *all* subsets of the nodes, including the empty set; an empty-source
@@ -308,13 +302,9 @@ class JSBAF(_Framework):
         for node in nodes:
             if not isinstance(node, BaseNode):
                 raise ValueError(f"JSBAF node {node} is not an argument")
-        index = self._intern_attacks(nodes, attacks)
-        self.support_ids = []
-        for source, target in {(frozenset(x), b) for x, b in supports}:
-            if not all(a in index for a in source) or target not in index:
-                raise ValueError("support has an endpoint outside the node set")
-            self.support_ids.append((_source_ids(index[a] for a in source), index[target]))
-        self.support_ids.sort()
+        super().__init__(nodes, attacks)
+        index = {n: i for i, n in enumerate(self.node_table)}
+        self.support_ids = _set_relation(index, supports, "support")
         shielded = frozenset(shielded)
         if not shielded <= nodes:
             raise ValueError("shield has a node outside the node set")
@@ -322,10 +312,6 @@ class JSBAF(_Framework):
 
     def _value(self) -> tuple:
         return super()._value() + (frozenset(self.support_ids), self.shielded)
-
-    @cached_property
-    def attacks(self) -> frozenset[tuple[NodeId, NodeId]]:
-        return frozenset(self._pairs())
 
     @cached_property
     def supports(self) -> frozenset[tuple[frozenset[NodeId], NodeId]]:

@@ -22,7 +22,7 @@ which case verdicts are labelled out of scope by the reporting layer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -176,7 +176,7 @@ class Evaluation:
     consistent: bool
     store: ArgumentStore
     witnesses: AttackWitnesses
-    framework: AF | JSBAF  # the AF in aspic-minus mode, the JSBAF in deductive mode
+    framework: AF  # the AF in aspic-minus mode, the JSBAF in deductive mode
     flat: AF | None  # the flattened JSBAF, in deductive mode
     raw_extensions: tuple[tuple[int, ...], ...]  # of ``flat``, else of ``framework``
     extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
@@ -239,28 +239,37 @@ class SystemParams:
     undercut_density: float = 0.2
 
     def __post_init__(self):
-        for field in SHAPE_RANGES:
-            check_shape(field, getattr(self, field), field)
+        _check_fields(self)
 
 
-# The range of each ``SystemParams`` field: (lowest, highest or None).
+# The range of each ``SystemParams`` and ``JsbafParams`` field: (lowest, highest or None).
 SHAPE_RANGES = {
     "n_atoms": (1, None),
     "n_strict": (0, None),
     "n_defeasible": (0, None),
     "max_body": (0, None),
     "undercut_density": (0, 1),
+    "max_nodes": (1, None),
+    "attack_prob": (0, 1),
+    "max_supports": (0, None),
+    "max_support_size": (0, None),
+    "min_support_size": (0, None),
 }
 
 
 def check_shape(field: str, value: float, name: str) -> None:
     """Raise ValidationError, calling ``value`` ``name``, unless it lies in
-    the range of the ``SystemParams`` field ``field``."""
+    the range of the ``SystemParams`` or ``JsbafParams`` field ``field``."""
     low, high = SHAPE_RANGES[field]
     if high is None and value < low:
         raise ValidationError(f"{name} must be at least {low}, got {value}")
     if high is not None and not low <= value <= high:
         raise ValidationError(f"{name} must lie in [{low}, {high}], got {value}")
+
+
+def _check_fields(params) -> None:
+    for field in fields(params):
+        check_shape(field.name, getattr(params, field.name), field.name)
 
 
 @dataclass(frozen=True)
@@ -328,6 +337,12 @@ class JsbafParams:
     max_supports: int = 4
     max_support_size: int = 3
     min_support_size: int = 0
+
+    def __post_init__(self):
+        _check_fields(self)
+        low, high = self.min_support_size, self.max_support_size
+        if low > high:
+            raise ValidationError(f"min_support_size must be at most max_support_size ({high}), got {low}")
 
 
 def random_jsbaf(params: JsbafParams, seed: int) -> JSBAF:

@@ -96,7 +96,7 @@ def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: in
 # Nodes are numbers into a framework's node table, and ``names`` holds each
 # node's name (its label, quoted or not), by number.
 
-def _attack_rows(framework: AF | JSBAF, names: list[str]):
+def _attack_rows(framework: AF, names: list[str]):
     """The attacks of ``framework`` by source, as (name of the source, names
     of its targets), in node order: the order of the sorted label pairs."""
     for s, row in enumerate(framework.target_ids):
@@ -187,7 +187,7 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     return entries
 
 
-def _attacks_json(out: _Pieces, framework: AF | JSBAF, names: list[str]) -> None:
+def _attacks_json(out: _Pieces, framework: AF, names: list[str]) -> None:
     """The sorted label pairs of ``framework``'s attacks, a row at a time."""
     i3, i4, close, lead = _NL[3], _NL[4], _NL[3] + "]", "["
     width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names), default=0)
@@ -345,9 +345,9 @@ def _dot_quote(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def emit_dot(framework: AF | JSBAF | HigherLevelAF) -> str:
-    """GraphViz rendering: attacks as solid arrows, supports and joint
-    attacks as doubled-style edges through a small junction point,
+def emit_dot(framework: AF | HigherLevelAF) -> str:
+    """GraphViz rendering: attacks as solid arrows, joint attacks and
+    supports through a small junction point (supports as doubled edges),
     meta-arguments drawn as dashed boxes."""
     names = [_dot_quote(label) for label in framework.labels]
     lines = ["digraph framework {"]
@@ -356,21 +356,17 @@ def emit_dot(framework: AF | JSBAF | HigherLevelAF) -> str:
         lines.append(f"  {name}{style};")
     for src, row in enumerate(framework.target_ids):
         lines += [f"  {names[src]} -> {names[dst]};" for dst in row]
+    relation, prefix, leg, head = (), "", "", ""
     if isinstance(framework, HigherLevelAF):
-        for i, (srcs, dst) in enumerate(framework.joint_attack_ids):
-            junction = f"ja{i}"
-            lines.append(f"  {junction} [shape=point, width=0.05];")
-            for src in srcs:
-                lines.append(f"  {names[src]} -> {junction} [dir=none];")
-            lines.append(f"  {junction} -> {names[dst]};")
-    if isinstance(framework, JSBAF):
-        double = ' [color="black:invis:black"'
-        for i, (srcs, dst) in enumerate(framework.support_ids):
-            junction = f"sup{i}"
-            lines.append(f"  {junction} [shape=point, width=0.05];")
-            for src in srcs:
-                lines.append(f"  {names[src]} -> {junction}{double}, dir=none];")
-            lines.append(f"  {junction} -> {names[dst]}{double}];")
+        relation, prefix, leg = framework.joint_attack_ids, "ja", " [dir=none]"
+    elif isinstance(framework, JSBAF):
+        relation, prefix = framework.support_ids, "sup"
+        leg, head = ' [color="black:invis:black", dir=none]', ' [color="black:invis:black"]'
+    for i, (srcs, dst) in enumerate(relation):
+        junction = f"{prefix}{i}"
+        lines.append(f"  {junction} [shape=point, width=0.05];")
+        lines += [f"  {names[src]} -> {junction}{leg};" for src in srcs]
+        lines.append(f"  {junction} -> {names[dst]}{head};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

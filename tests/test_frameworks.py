@@ -540,7 +540,40 @@ class TestBoundary:
         a, b = base("a"), base("b")
         with pytest.raises(ValueError, match="nonempty attacker set"):
             HigherLevelAF({a}, {(frozenset(), a)})
-        with pytest.raises(ValueError, match="endpoint outside"):
+        with pytest.raises(ValueError, match="nonempty attacker set"):
+            HigherLevelAF({a}, {(frozenset(), b)})  # the empty set is refused first
+        with pytest.raises(ValueError, match="joint attack has an endpoint outside"):
             HigherLevelAF({a}, {(frozenset({b}), a)})
-        with pytest.raises(ValueError, match="endpoint outside"):
+        with pytest.raises(ValueError, match="joint attack has an endpoint outside"):
+            HigherLevelAF({a}, {(frozenset({a}), b)})
+        with pytest.raises(ValueError, match=re.escape("attack (a, b) has an endpoint outside")):
             JSBAF({a}, {(a, b)}, set())
+
+    def test_support_endpoints_are_checked(self):
+        a, b = base("a"), base("b")
+        with pytest.raises(ValueError, match="support has an endpoint outside the node set"):
+            JSBAF({a}, set(), {(frozenset({a, b}), a)})
+        with pytest.raises(ValueError, match="support has an endpoint outside the node set"):
+            JSBAF({a}, set(), {(frozenset({a}), b)})
+        with pytest.raises(ValueError, match="support has an endpoint outside the node set"):
+            JSBAF({a}, set(), {(frozenset(), b)})
+
+    def test_a_relation_given_twice_is_held_once(self):
+        a, b, c = base("a"), base("b"), base("c")
+        twice = [((a, b), c), ([b, a, b], c), ((a,), c), ([a], c)]
+        h = HigherLevelAF({a, b, c}, twice)
+        assert (h.joint_attack_ids, h.target_ids) == ([((0, 1), 2)], [[2], [], []])
+        j = JSBAF({a, b, c}, set(), [*twice, ((), b), ([], b)])
+        assert j.support_ids == [((), 1), ((0,), 2), ((0, 1), 2)]
+        assert j.supports == {
+            (frozenset(), b), (frozenset({a}), c), (frozenset({a, b}), c),
+        }
+
+    def test_a_jsbaf_is_an_af_plus_supports(self, j1):
+        for j in (j1, random_jsbaf(JsbafParams(max_nodes=8, attack_prob=0.3), 4)):
+            af = AF(j.nodes, j.attacks)
+            assert isinstance(j, AF) and j.attacks
+            assert (j.attacks, j.attackers, j.targets) == (af.attacks, af.attackers, af.targets)
+            assert (j.node_table, j.target_ids) == (af.node_table, af.target_ids)
+            assert j != af and af != j
+            assert JSBAF(j.nodes, j.attacks, ()) != af

@@ -243,6 +243,23 @@ class TestRandomJsbaf:
             assert len(j.nodes) <= 6 and len(j.supports) <= 2
             assert all(len(src) <= 2 for src, _ in j.supports)
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ({"min_support_size": 4, "max_support_size": 3},
+             "min_support_size must be at most max_support_size (3), got 4"),
+            ({"max_nodes": 0}, "max_nodes must be at least 1, got 0"),
+            ({"max_supports": -1}, "max_supports must be at least 0, got -1"),
+            ({"max_support_size": -1}, "max_support_size must be at least 0, got -1"),
+            ({"attack_prob": -0.5}, "attack_prob must lie in [0, 1], got -0.5"),
+            ({"min_support_size": -2}, "min_support_size must be at least 0, got -2"),
+        ],
+    )
+    def test_out_of_range_shape_names_the_field(self, shape, message):
+        with pytest.raises(ValidationError) as error:
+            JsbafParams(**shape)
+        assert str(error.value) == message
+
 
 class TestOneClosurePerSet:
     """``evaluate_postulates`` computes the strict closure of each

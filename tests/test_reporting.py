@@ -87,6 +87,10 @@ class TestDot:
         assert dot.count(" -> ") == 12 + 6 + 6  # attacks + supporter legs + support heads
         assert dot.count("shape=point") == 6
 
+    def test_tandem_jsbaf_is_the_golden(self, tandem_system):
+        dot = emit_dot(prepare(tandem_system).jsbaf)
+        assert dot == (DATA / "tandem-jsbaf.dot").read_text(encoding="utf-8")
+
     def test_empty_framework(self):
         assert emit_dot(AF(frozenset(), frozenset())) == "digraph framework {\n}\n"
 
