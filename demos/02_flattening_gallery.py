@@ -10,9 +10,9 @@ from jsbaf import (
     JSBAF,
     base,
     emit_dot,
-    flatten_joint_attacks,
     flatten_one_step,
     flatten_simplified,
+    flatten_two_step,
     sort_nodes,
 )
 
@@ -41,7 +41,7 @@ def main():
 
     pair = JSBAF({a, b, c, d}, {(d, c)}, {(frozenset({a, b}), c)})
     describe("a,b jointly support c; d attacks c | one-step", flatten_one_step(pair))
-    describe("same, two-step", flatten_joint_attacks(flatten_one_step(pair)))
+    describe("same, two-step", flatten_two_step(pair))
     describe("same, simplified", flatten_simplified(pair))
     print("bar(c) and bar(bar(c)) vanish; c itself feeds the e-nodes.")
 

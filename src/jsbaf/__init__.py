@@ -50,9 +50,9 @@ from .frameworks import (
     bar,
     base,
     e_node,
-    flatten_joint_attacks,
     flatten_one_step,
     flatten_simplified,
+    flatten_two_step,
     is_meta,
     sort_nodes,
 )

@@ -15,7 +15,7 @@ import sys
 from .arguments import DEFAULT_MAX_ARGUMENTS, construct_arguments
 from .dsl import parse_system, print_system
 from .errors import JsbafError, LimitExceededError, ValidationError
-from .frameworks import flatten_joint_attacks, flatten_one_step
+from .frameworks import flatten_one_step, flatten_two_step
 from .oracle import brute_force_extensions
 from .postulates import (
     DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_shape, evaluate, prepare,
@@ -153,7 +153,7 @@ def _cmd_flatten(args) -> int:
     if args.stage == "one-step":
         framework = flatten_one_step(prepared.jsbaf)
     elif args.stage == "two-step":
-        framework = flatten_joint_attacks(flatten_one_step(prepared.jsbaf))
+        framework = flatten_two_step(prepared.jsbaf)
     else:
         framework = prepared.flat
     sys.stdout.write(emit_dot(framework) if args.emit == "dot" else emit_apx(framework))

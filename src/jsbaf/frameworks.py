@@ -8,31 +8,30 @@ Three tiers are connected by flattening:
 * ``AF``            — a plain directed attack graph.
 
 ``flatten_one_step`` turns joint supports into joint attacks by introducing
-one "bar" meta-argument per supported node; ``flatten_joint_attacks`` turns
-joint attacks into plain attacks by introducing bars for every participant
-and one "e" meta-argument per attacker set.  ``flatten_simplified`` is the
-composition of the two without the bar pairs that merely relay a supported
-node's status through a double negation.  It is the one flattening that
-deductive mode searches, and it keeps every other bar, including those that
-attack nothing.  It is built in one pass from the supports of the JSBAF,
-and builds neither intermediate framework; the two stages serve ``jsbaf
-flatten --stage one-step|two-step``.
+one "bar" meta-argument per supported node; ``flatten_two_step`` then turns
+those joint attacks into plain attacks by introducing bars for every
+participant and one "e" meta-argument per attacker set.
+``flatten_simplified`` is the two-step flattening without the bar pairs
+that merely relay a supported node's status through a double negation.  It
+is the one flattening that deductive mode searches, and it keeps every
+other bar, including those that attack nothing.  Both plain flattenings
+are built by one builder, in one pass from the supports of the JSBAF, and
+build no intermediate framework; the one-step and two-step stages serve
+``jsbaf flatten --stage one-step|two-step``.
 
 Every framework numbers its nodes 0, 1, ... in canonical order
 (``sort_nodes``) and keeps its relations as ints over those numbers; the
-number is the only record of that order.  The public constructors and
-``flatten_joint_attacks``, which takes any ``HigherLevelAF``, number by
-key; ``flatten_one_step`` and ``flatten_simplified`` number by
-construction.  A node table holds each node's ``NodeId`` once; a
-flattening builds each meta-argument's ``NodeId`` once, from the objects
-already in its table, so one node is one object however many edges it
-ends.  The ``NodeId`` views ``nodes``, ``attacks``, ``supports`` and
-``joint_attacks`` are built on first read, for callers and tests; the
-pipeline reads only the ints.  The public constructors check that every
-endpoint is a node, and number supports and joint attacks, both sets of
-nodes to a node, by one helper; the flattening stages and the builders in
-``arguments`` make frameworks whose ints are right by construction, and
-skip that check.
+number is the only record of that order.  The public constructors number
+by key; every flattening numbers by construction.  A node table holds each
+node's ``NodeId`` once; a flattening builds each meta-argument's ``NodeId``
+once, from the objects already in its table, so one node is one object
+however many edges it ends.  The ``NodeId`` views ``nodes``, ``attacks``,
+``supports`` and ``joint_attacks`` are built on first read, for callers
+and tests; the pipeline reads only the ints.  The public constructors
+check that every endpoint is a node, and number supports and joint
+attacks, both sets of nodes to a node, by one helper; the flattenings and
+the builders in ``arguments`` make frameworks whose ints are right by
+construction, and skip that check.
 
 Every framework the pipeline builds numbers its nodes in label order too:
 its labels are made of argument ids ``A<n>`` (sorted as text),
@@ -359,54 +358,23 @@ def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     )
 
 
-def flatten_joint_attacks(h: HigherLevelAF) -> AF:
-    """Replace joint attacks by plain attacks through bar and e meta-arguments.
+def flatten_two_step(j: JSBAF) -> AF:
+    """The composition of ``flatten_one_step`` with the step that turns
+    joint attacks into plain attacks, built in one pass from the supports
+    of ``j`` (see ``_flatten``).
 
-    A singleton joint attack becomes a direct edge.  A joint attack (X, b)
-    with |X| > 1 is carried by e(X) -> b, with a -> bar(a) -> e(X) for every
-    participant a in X; e(X) is shared by all joint attacks from the same X.
-
-    ``h`` may be any ``HigherLevelAF``, so this stage numbers by key: each
-    node of ``h`` has its key computed once, a new bar or e-node is interned
-    by its key (a bar that ``h`` already holds is that node), and the nodes
-    are renumbered into canonical order once, at the end.  The nodes of
-    ``h`` keep their relative order, so its rows stay ascending.
+    A joint attack from a single node is a direct edge.  One from a set Z
+    of size > 1 is carried by e(Z) -> its target, with z -> bar(z) -> e(Z)
+    for every z in Z; every joint attack from Z shares e(Z).  So every
+    supported node and every co-supporter has a bar, and the bar(b) that
+    joins the arms of a joint support of b has its own bar, bar(bar(b)).
     """
-    nodes = list(h.node_table)
-    keys = [n.key() for n in nodes]
-    number = {k: i for i, k in enumerate(keys)}
-
-    def intern(key, make) -> int:
-        i = number.get(key)
-        if i is None:
-            i = number[key] = len(keys)
-            keys.append(key)
-            nodes.append(make())
-        return i
-
-    added: dict[int, set[int]] = {}
-    for attackers, target in h.joint_attack_ids:
-        # ascending numbers of ``h`` are in key order, as e-node members are
-        carrier = intern(
-            (2, tuple(keys[a] for a in attackers)),
-            lambda: ENode(tuple(nodes[a] for a in attackers)),
-        )
-        added.setdefault(carrier, set()).add(target)
-        for a in attackers:
-            a_bar = intern((1, keys[a]), lambda: BarNode(nodes[a]))
-            added.setdefault(a, set()).add(a_bar)
-            added.setdefault(a_bar, set()).add(carrier)
-    order = sorted(range(len(keys)), key=keys.__getitem__)
-    new = {i: p for p, i in enumerate(order)}
-    rows = [[new[t] for t in row] for row in h.target_ids] + [()] * (len(keys) - len(h.node_table))
-    for i, targets in added.items():
-        rows[i] = sorted({*rows[i], *map(new.__getitem__, targets)})
-    return AF._make(tuple(nodes[i] for i in order), target_ids=[rows[i] for i in order])
+    return _flatten(j, two_step=True)
 
 
 def flatten_simplified(j: JSBAF) -> AF:
     """The two-step flattening without its redundant double-negation bars,
-    built in one pass from the supports of ``j``.
+    built in one pass from the supports of ``j`` (see ``_flatten``).
 
     In the two-step flattening, a node b supported by a set of size > 1
     ("multi") relays its status to each e-node of its support arms through
@@ -416,23 +384,31 @@ def flatten_simplified(j: JSBAF) -> AF:
     singleton support {a} with a unshielded, and co-supports no node in any
     arm.  Otherwise bar(b) is kept, as ``flatten_one_step`` builds it, also
     when it attacks nothing: when b has no joint support, no unshielded
-    single supporter, and co-supports nothing.  With "unshielded" meaning
-    not in ``j.shielded``, each support (X, b) gives:
+    single supporter, and co-supports nothing.  No two e-nodes collide: b
+    is a member of an e-node only in place of its bar, and then b
+    co-supports no node.
+    """
+    return _flatten(j, two_step=False)
+
+
+def _flatten(j: JSBAF, two_step: bool) -> AF:
+    """The two-step flattening of ``j``, or its simplified form.  With
+    "unshielded" meaning not in ``j.shielded``, each support (X, b) gives:
 
     * b -> bar(b), when bar(b) exists;
     * for X = {a}, a unshielded: bar(b) -> a;
     * for |X| > 1 and each unshielded a in X, with Y = X - {a}: the e-node e
       over Y plus bar(b) (or b, when bar(b) is left out), with e -> a,
-      b -> e, and y -> bar(y) -> e for every y in Y.
+      y -> bar(y) -> e for every y in Y, and bar(b) -> bar(bar(b)) -> e in
+      the two-step flattening, b -> e in the simplified one.
 
-    No two e-nodes collide: b is a member of an e-node only in place of its
-    bar, and then b co-supports no node.  The arguments keep their numbers
-    0 .. m-1, and an argument that attacks no meta-argument keeps its row
-    of ``j``; the meta-arguments are numbered once, in canonical order.
+    The arguments keep their numbers 0 .. m-1, and an argument that attacks
+    no meta-argument keeps its row of ``j``.  The meta-arguments are
+    numbered once, in canonical order: the bars of arguments, in the order
+    of their bases, then the double bars, then the e-nodes.
     """
     m = len(j.node_table)
     supported = {b for _, b in j.support_ids}
-    multi = {b for source, b in j.support_ids if len(source) > 1}
     direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
     arms = []  # the arms of the supports (X, b) with |X| > 1
     for rest, b, a in _support_arms(j):
@@ -441,8 +417,15 @@ def flatten_simplified(j: JSBAF) -> AF:
         else:
             direct.setdefault(b, []).append(a)
     co_supporters = {y for rest, _, _ in arms for y in rest}
-    barred = sorted(supported - multi | direct.keys() | co_supporters)
+    if two_step:
+        barred = sorted(supported | co_supporters)
+        relayed = sorted({b for _, b, _ in arms})  # the bases of the double bars
+    else:
+        multi = {b for source, b in j.support_ids if len(source) > 1}
+        barred = sorted(supported - multi | direct.keys() | co_supporters)
+        relayed = []
     bar_number = {b: m + p for p, b in enumerate(barred)}
+    double_bar_number = {b: m + len(barred) + p for p, b in enumerate(relayed)}
 
     # Members of meta-arguments are numbered x for argument x and m + x for
     # bar(x).  These numbers sort as the members' keys do, so e-nodes over
@@ -452,7 +435,8 @@ def flatten_simplified(j: JSBAF) -> AF:
         for rest, b, _ in arms
     ]
     e_members = sorted(set(arm_members))
-    e_number = {members: m + len(barred) + p for p, members in enumerate(e_members)}
+    first_e = m + len(barred) + len(relayed)
+    e_number = {members: first_e + p for p, members in enumerate(e_members)}
 
     node_of = [*j.node_table, *[None] * m]
     for b in barred:
@@ -460,6 +444,7 @@ def flatten_simplified(j: JSBAF) -> AF:
     node_table = (
         *j.node_table,
         *(node_of[m + b] for b in barred),
+        *(BarNode(node_of[m + b]) for b in relayed),
         *(ENode(tuple(map(node_of.__getitem__, e))) for e in e_members),
     )
 
@@ -468,9 +453,11 @@ def flatten_simplified(j: JSBAF) -> AF:
     added: dict[int, set[int]] = {b: {p} for b, p in bar_number.items()}
     for b, supporters in direct.items():
         added[bar_number[b]] = set(supporters)
+    for b, p in double_bar_number.items():
+        added.setdefault(bar_number[b], set()).add(p)
     for (rest, b, a), members in zip(arms, arm_members):
         e = e_number[members]
-        added.setdefault(b, set()).add(e)
+        added.setdefault(double_bar_number.get(b, b), set()).add(e)
         added.setdefault(e, set()).add(a)
         for y in rest:
             added.setdefault(bar_number[y], set()).add(e)

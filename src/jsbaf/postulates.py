@@ -329,7 +329,9 @@ class JsbafParams:
     ``min_support_size`` defaults to 0, so empty-source supports occur; the
     deductiveness property suite raises it to 1, because an attacked node
     with an empty-source support falsifies deductiveness under any
-    conflict-free semantics (no flattening can force it in).
+    conflict-free semantics (no flattening can force it in).  A framework
+    has at least ``min_support_size`` nodes, so every support source has at
+    least that many.
     """
 
     max_nodes: int = 10
@@ -340,16 +342,18 @@ class JsbafParams:
 
     def __post_init__(self):
         _check_fields(self)
-        low, high = self.min_support_size, self.max_support_size
-        if low > high:
-            raise ValidationError(f"min_support_size must be at most max_support_size ({high}), got {low}")
+        low = self.min_support_size
+        for name in ("max_support_size", "max_nodes"):
+            high = getattr(self, name)
+            if low > high:
+                raise ValidationError(f"min_support_size must be at most {name} ({high}), got {low}")
 
 
 def random_jsbaf(params: JsbafParams, seed: int) -> JSBAF:
     """Deterministic JSBAF for ``seed``; support sources may be empty,
     singleton, or larger, and may overlap with their target."""
     rng = random.Random(seed)
-    n = rng.randint(1, params.max_nodes)
+    n = rng.randint(max(1, params.min_support_size), params.max_nodes)
     labels = [f"n{i}" for i in range(1, n + 1)]
     nodes = [base(label) for label in labels]
     attacks = {
@@ -357,7 +361,7 @@ def random_jsbaf(params: JsbafParams, seed: int) -> JSBAF:
     }
     supports = set()
     for _ in range(rng.randint(0, params.max_supports)):
-        size = rng.randint(min(params.min_support_size, n), min(params.max_support_size, n))
+        size = rng.randint(params.min_support_size, min(params.max_support_size, n))
         source = frozenset(rng.sample(nodes, size))
         supports.add((source, rng.choice(nodes)))
     return JSBAF(frozenset(nodes), frozenset(attacks), frozenset(supports))

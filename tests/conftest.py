@@ -3,6 +3,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from jsbaf import (
     AF,
@@ -14,6 +15,10 @@ from jsbaf import (
 )
 
 TANDEM_PATH = Path(__file__).resolve().parents[1] / "demos" / "tandem.rules"
+
+# Every run draws the same examples, and none is stored between runs.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture(scope="session")

@@ -20,9 +20,8 @@ from jsbaf import (
     evaluate_postulates,
     extension_ids,
     extensions,
-    flatten_joint_attacks,
-    flatten_one_step,
     flatten_simplified,
+    flatten_two_step,
     is_conflict_free_jsbaf,
     is_deductive_extension,
     jsbaf_extensions,
@@ -205,7 +204,7 @@ def test_criterion_09_simplified_flattening_equivalence():
     for params, seed in cases:
         j = random_jsbaf(params, seed)
         simplified = flatten_simplified(j)
-        two_step = flatten_joint_attacks(flatten_one_step(j))
+        two_step = flatten_two_step(j)
         for semantics in SEMANTICS:
             lhs = project_ids(extension_ids(simplified, semantics), len(j.node_table))
             rhs = project_ids(extension_ids(two_step, semantics), len(j.node_table))

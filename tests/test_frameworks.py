@@ -28,9 +28,9 @@ from jsbaf import (
     e_node,
     emit_dot,
     evaluate,
-    flatten_joint_attacks,
     flatten_one_step,
     flatten_simplified,
+    flatten_two_step,
     is_meta,
     jsbaf_extensions,
     parse_system,
@@ -116,8 +116,11 @@ class TestOneStepFlattening:
 
 
 class TestJointAttackFlattening:
+    """The two-step flattening: the joint attacks of the one-step stage
+    become plain attacks through participant bars and e-nodes."""
+
     def test_two_step_pipeline_on_j1(self, j1):
-        af = flatten_joint_attacks(flatten_one_step(j1))
+        af = flatten_two_step(j1)
         assert node_labels(af.nodes) == sorted([
             "a", "b", "c", "d",
             "bar(a)", "bar(b)", "bar(bar(c))", "bar(c)",
@@ -137,42 +140,38 @@ class TestJointAttackFlattening:
             ("e(a,bar(c))", "b"),
         }
 
-    def test_singleton_attacks_flatten_to_the_same_af(self):
+    def test_singleton_arm_is_a_direct_edge(self):
+        # the arm of {a} -> b is the joint attack {bar(b)} -> a, which is
+        # an edge, as the attack a -> b stays one
         a, b = base("a"), base("b")
-        from jsbaf.frameworks import HigherLevelAF
-
-        h = HigherLevelAF(frozenset({a, b}), frozenset({(frozenset({a}), b)}))
-        af = flatten_joint_attacks(h)
-        assert af.nodes == frozenset({a, b})
-        assert edge_labels(af) == {("a", "b")}
+        af = flatten_two_step(JSBAF({a, b}, {(a, b)}, {(frozenset({a}), b)}))
+        assert af.nodes == frozenset({a, b, bar(b)})
+        assert edge_labels(af) == {("a", "b"), ("b", "bar(b)"), ("bar(b)", "a")}
 
     def test_one_binary_joint_attack(self):
+        # y is shielded, so {x, y} -> z has the one arm {y, bar(z)} -> x
         x, y, z = base("x"), base("y"), base("z")
-        from jsbaf.frameworks import HigherLevelAF
-
-        h = HigherLevelAF(frozenset({x, y, z}), frozenset({(frozenset({x, y}), z)}))
-        af = flatten_joint_attacks(h)
-        assert len(af.nodes) == 6
+        af = flatten_two_step(JSBAF({x, y, z}, set(), {(frozenset({x, y}), z)}, {y}))
+        assert len(af.nodes) == 7
         assert edge_labels(af) == {
-            ("x", "bar(x)"),
+            ("z", "bar(z)"),
+            ("bar(z)", "bar(bar(z))"),
+            ("bar(bar(z))", "e(y,bar(z))"),
             ("y", "bar(y)"),
-            ("bar(x)", "e(x,y)"),
-            ("bar(y)", "e(x,y)"),
-            ("e(x,y)", "z"),
+            ("bar(y)", "e(y,bar(z))"),
+            ("e(y,bar(z))", "x"),
         }
 
     def test_shared_attacker_set_shares_one_e_node(self):
+        # p is shielded, so both supports of d have the arm {p, bar(d)},
+        # against q and against r
         p, q, r, d = base("p"), base("q"), base("r"), base("d")
-        from jsbaf.frameworks import HigherLevelAF
-
-        h = HigherLevelAF(
-            frozenset({p, q, r, d}),
-            frozenset({(frozenset({p, d}), q), (frozenset({p, d}), r)}),
-        )
-        af = flatten_joint_attacks(h)
+        af = flatten_two_step(JSBAF(
+            {p, q, r, d}, set(), {(frozenset({p, q}), d), (frozenset({p, r}), d)}, {p},
+        ))
         e_nodes = [n for n in af.nodes if n.label.startswith("e(")]
         assert len(e_nodes) == 1
-        assert {("e(d,p)", "q"), ("e(d,p)", "r")} <= edge_labels(af)
+        assert {("e(p,bar(d))", "q"), ("e(p,bar(d))", "r")} <= edge_labels(af)
 
 
 class TestSimplifiedFlattening:
@@ -250,7 +249,7 @@ class TestSimplifiedFlattening:
         af = flatten_simplified(j)
         assert ("bar(d)", "w") in edge_labels(af)
         assert "bar(bar(d))" not in {n.label for n in af.nodes}
-        two = flatten_joint_attacks(flatten_one_step(j))
+        two = flatten_two_step(j)
         for sem in SEMANTICS:
             lhs = project_ids(extension_ids(af, sem), len(j.node_table))
             rhs = project_ids(extension_ids(two, sem), len(j.node_table))
@@ -269,7 +268,7 @@ class TestSimplifiedFlattening:
         labels = {n.label for n in af.nodes}
         assert {"bar(a)", "bar(b)"} <= labels
         assert "e(a,bar(b))" in labels and "e(b,bar(a))" in labels
-        two = flatten_joint_attacks(flatten_one_step(j))
+        two = flatten_two_step(j)
         for sem in SEMANTICS:
             lhs = project_ids(extension_ids(af, sem), len(j.node_table))
             rhs = project_ids(extension_ids(two, sem), len(j.node_table))
@@ -280,7 +279,7 @@ class TestFlatteningInvariants:
     def test_original_nodes_survive(self, j1, j2, j3):
         for j in (j1, j2, j3):
             assert j.nodes <= flatten_simplified(j).nodes
-            assert j.nodes <= flatten_joint_attacks(flatten_one_step(j)).nodes
+            assert j.nodes <= flatten_two_step(j).nodes
 
     def test_bars_have_exactly_their_base_as_attacker(self, tandem_system):
         j = prepare(tandem_system).jsbaf
@@ -353,7 +352,7 @@ def assert_flattenings_match(j):
     rows = [tuple(row) for row in j.target_ids]
     one, one_ref = flatten_one_step(j), reference.flatten_one_step(j)
     assert (one.nodes, one.joint_attacks) == (one_ref.nodes, one_ref.joint_attacks)
-    two, two_ref = flatten_joint_attacks(one), reference.flatten_joint_attacks(one_ref)
+    two, two_ref = flatten_two_step(j), reference.flatten_joint_attacks(one_ref)
     assert (two.nodes, two.attacks) == (two_ref.nodes, two_ref.attacks)
     flat, flat_ref = flatten_simplified(j), reference.simplify(j, two_ref)
     assert (flat.nodes, flat.attacks) == (flat_ref.nodes, flat_ref.attacks)
@@ -427,8 +426,7 @@ class TestIntFlatteningMatchesReference:
         is a node of a stage is that node's one object in the node table."""
         system = parse_system(tandem_rules(8, 3))
         prepared = prepare(system)
-        one = flatten_one_step(prepared.jsbaf)
-        two = flatten_joint_attacks(one)
+        one, two = flatten_one_step(prepared.jsbaf), flatten_two_step(prepared.jsbaf)
         for framework in (prepared.jsbaf, one, two, prepared.flat):
             table = framework.node_table
             by_key = {n.key(): n for n in table}

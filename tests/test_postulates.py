@@ -253,12 +253,20 @@ class TestRandomJsbaf:
             ({"max_support_size": -1}, "max_support_size must be at least 0, got -1"),
             ({"attack_prob": -0.5}, "attack_prob must lie in [0, 1], got -0.5"),
             ({"min_support_size": -2}, "min_support_size must be at least 0, got -2"),
+            ({"min_support_size": 3, "max_nodes": 2},
+             "min_support_size must be at most max_nodes (2), got 3"),
         ],
     )
     def test_out_of_range_shape_names_the_field(self, shape, message):
         with pytest.raises(ValidationError) as error:
             JsbafParams(**shape)
         assert str(error.value) == message
+
+    def test_every_support_has_the_minimum_size(self):
+        params = JsbafParams(min_support_size=3)
+        for seed in range(200):
+            j = random_jsbaf(params, seed)
+            assert all(len(src) >= 3 for src, _ in j.support_ids), seed
 
 
 class TestOneClosurePerSet:

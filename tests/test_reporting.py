@@ -546,12 +546,12 @@ class TestReferenceWriter:
 # which turns its results into NodeId sets for library callers, is counted
 # to show that no command but ``oracle`` calls it.  The one-step and
 # two-step frameworks are counted to show that only ``flatten --stage
-# one-step|two-step`` builds them: the simplified flattening is built
-# without them, by ``flatten_simplified`` alone.
+# one-step|two-step`` builds them, each by its own function alone: the
+# two-step and simplified flattenings build no one-step framework.
 STAGES = {
     "core": ("is_consistent",),
     "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
-    "frameworks": ("flatten_one_step", "flatten_joint_attacks", "flatten_simplified"),
+    "frameworks": ("flatten_one_step", "flatten_two_step", "flatten_simplified"),
     "semantics": ("extension_ids", "extensions"),
 }
 
@@ -608,7 +608,7 @@ class TestOneEvaluationPass:
         "options, flattening",
         (
             (["--stage", "one-step"], {"flatten_one_step": 1}),
-            (["--stage", "two-step"], {"flatten_one_step": 1, "flatten_joint_attacks": 1}),
+            (["--stage", "two-step"], {"flatten_two_step": 1}),
             (["--stage", "simplified"], {"flatten_simplified": 1}),
         ),
         ids=("one-step", "two-step", "simplified"),
