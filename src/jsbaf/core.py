@@ -4,34 +4,77 @@ The language is the closure of a finite atom vocabulary under negation, so
 every formula is some number of negations applied to an atom.  No
 normalisation is ever performed: ``~~a`` and ``a`` are different formulas,
 and the complement relation below is purely syntactic.
+
+Formulas are interned, one object per (atom, negations) pair, so they hash
+and compare by identity.  Strict closure and the search for a complementary
+pair run on a ``LiteralTable``: the literals numbered once, in formula
+order, each strict rule a body mask and a head bit, each complementary pair
+a pair mask.  A system builds its table once and keeps it, so the closure
+of a set and its least pair are a few int operations per rule and per pair.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import FrozenInstanceError, dataclass, field
+from functools import cached_property, total_ordering
 from typing import Iterable, Mapping, Union
 
 from .errors import ValidationError
 
 
-@dataclass(frozen=True, order=True)
+# Every formula built so far, by (atom, negations).  One entry per distinct
+# pair the process builds, kept for its lifetime.
+_INTERNED: dict[tuple[str, int], "Formula"] = {}
+
+
+@total_ordering
 class Formula:
     """``negations`` applications of ``~`` to an atom.
 
     ``Formula("tt", 1)`` is ``~tt``; ``Formula("tt", 0)`` is ``tt``.  Atoms,
     like rule ids, are ASCII identifiers (``[A-Za-z_][A-Za-z0-9_]*``), the
     names the rule language can spell.
+
+    Formulas are interned: ``Formula(atom, negations)`` returns the one
+    object for that pair, validated when it is first built, so equality and
+    hashing are ``object``'s, by identity.  The intern table grows by one
+    entry per distinct (atom, negations) pair the process builds and never
+    shrinks.  Formulas are immutable, ordered by (atom, negations), and
+    pickle and copy to the interned object.
     """
 
-    atom: str
-    negations: int = 0
+    __slots__ = ("atom", "negations")
 
-    def __post_init__(self):
-        if not (self.atom.isascii() and self.atom.isidentifier()):
-            raise ValidationError(f"atom name {self.atom!r} is not an identifier")
-        if self.negations < 0:
-            raise ValidationError("negation depth must be non-negative")
+    def __new__(cls, atom: str, negations: int = 0) -> "Formula":
+        formula = _INTERNED.get((atom, negations))
+        if formula is None:
+            if not (atom.isascii() and atom.isidentifier()):
+                raise ValidationError(f"atom name {atom!r} is not an identifier")
+            if negations < 0:
+                raise ValidationError("negation depth must be non-negative")
+            formula = object.__new__(cls)
+            object.__setattr__(formula, "atom", atom)
+            object.__setattr__(formula, "negations", negations)
+            # Of two threads that build the same pair, both return the first published.
+            formula = _INTERNED.setdefault((atom, negations), formula)
+        return formula
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return Formula, (self.atom, self.negations)
+
+    def __lt__(self, other):
+        if other.__class__ is not Formula:
+            return NotImplemented
+        return (self.atom, self.negations) < (other.atom, other.negations)
+
+    def __repr__(self) -> str:
+        return f"Formula(atom={self.atom!r}, negations={self.negations!r})"
 
     def negation(self) -> "Formula":
         """The formula ``~self``."""
@@ -134,49 +177,100 @@ class ArgumentationSystem:
                 )
 
     @cached_property
+    def literal_table(self) -> "LiteralTable":
+        """Every formula the system mentions, and its strict rules, numbered
+        on first read and kept."""
+        formulas = [*self.undercut_names.values()]
+        for rule in self.defeasible_rules:
+            formulas.append(rule.head)
+            formulas += rule.body
+        return LiteralTable(self.strict_rules, formulas)
+
+    @cached_property
     def atoms(self) -> frozenset[str]:
         """Atom vocabulary actually mentioned by the rules, collected on
         first read and kept."""
-        formulas = [*self.undercut_names.values()]
-        for rule in self.strict_rules + self.defeasible_rules:
-            formulas.append(rule.head)
-            formulas += rule.body
-        return frozenset([f.atom for f in formulas])
+        return frozenset([f.atom for f in self.literal_table.literals])
+
+
+class LiteralTable:
+    """Formulas and strict rules as bits of ints.
+
+    ``literals`` holds the given formulas and those of the rules in formula
+    order, and literal i is the bit ``1 << i`` of a mask (``bits`` maps each
+    literal to its bit).  ``rules`` holds each strict rule, in id order, as
+    (body mask, head bit, rule); ``pairs`` holds each complementary pair
+    (phi, ~phi) of the literals, in the formula order of phi, as (pair
+    mask, phi, ~phi).  A pair's two literals are adjacent in formula order,
+    so the pairs are found without building a formula.
+    """
+
+    def __init__(self, rules: Iterable[StrictRule], formulas: Iterable[Formula] = ()):
+        rules = sorted(rules, key=lambda r: r.id)
+        mentioned = set(formulas)
+        for rule in rules:
+            mentioned.add(rule.head)
+            mentioned.update(rule.body)
+        self.literals = literals = tuple(sorted(mentioned, key=lambda f: (f.atom, f.negations)))
+        self.bits = {phi: 1 << i for i, phi in enumerate(literals)}
+        self.rules = tuple((self.mask(r.body), self.bits[r.head], r) for r in rules)
+        self.pairs = tuple(
+            (self.bits[phi] | self.bits[psi], phi, psi)
+            for phi, psi in zip(literals, literals[1:])
+            if psi.atom == phi.atom and psi.negations == phi.negations + 1
+        )
+
+    def mask(self, formulas: Iterable[Formula]) -> int:
+        """The bits of ``formulas``; KeyError on one the table lacks."""
+        bits, mask = self.bits, 0
+        for phi in formulas:
+            mask |= bits[phi]
+        return mask
+
+    def formulas(self, mask: int) -> frozenset[Formula]:
+        """The literals whose bits ``mask`` holds."""
+        return frozenset([phi for i, phi in enumerate(self.literals) if mask >> i & 1])
+
+    def closure(self, mask: int) -> tuple[int, StrictRule | None]:
+        """The least superset of ``mask`` closed under the strict rules, by
+        saturation (empty-body rules always fire), and the first rule by id
+        that fires on ``mask`` itself: one whose body it holds and whose
+        head it lacks.  That rule is None iff ``mask`` is closed."""
+        first = None
+        grown = True
+        while grown:
+            grown = False
+            for body, head, rule in self.rules:
+                if not mask & head and body & mask == body:
+                    mask |= head
+                    grown = True
+                    if first is None:  # the first rule to fire saw ``mask`` unchanged
+                        first = rule
+        return mask, first
+
+    def least_pair(self, mask: int) -> tuple[Formula, Formula] | None:
+        """The complementary pair inside ``mask`` least in formula order, or None."""
+        for pair, phi, psi in self.pairs:
+            if mask & pair == pair:
+                return phi, psi
+        return None
 
 
 def strict_closure(seed: Iterable[Formula], rules: Iterable[StrictRule]) -> frozenset[Formula]:
-    """Least superset of ``seed`` closed under the strict rules.
-
-    Computed by naive saturation; rule sets are small by construction, so no
-    indexing is needed.  Empty-body rules always fire.
-    """
-    closed = set(seed)
-    rules = tuple(rules)
-    changed = True
-    while changed:
-        changed = False
-        for rule in rules:
-            if rule.head not in closed and all(b in closed for b in rule.body):
-                closed.add(rule.head)
-                changed = True
-    return frozenset(closed)
+    """Least superset of ``seed`` closed under the strict rules, computed
+    on a literal table of the seed and the rules."""
+    seed = frozenset(seed)
+    table = LiteralTable(rules, seed)
+    return table.formulas(table.closure(table.mask(seed))[0])
 
 
 def find_complement_pair(formulas: Iterable[Formula]) -> tuple[Formula, Formula] | None:
     """Some pair (phi, ~phi) inside the set, or None.
 
-    Deterministic: the returned pair is minimal in formula order.  The
-    negation depths are grouped by atom, so that only the pair returned is
-    built as formulas.
+    Deterministic: the returned pair is minimal in formula order.  It is
+    read off a literal table of the set, so no formula is built.
     """
-    depths: dict[str, set[int]] = {}
-    for phi in formulas:
-        depths.setdefault(phi.atom, set()).add(phi.negations)
-    pairs = [(name, n) for name, ns in depths.items() for n in ns if n + 1 in ns]
-    if not pairs:
-        return None
-    name, n = min(pairs)
-    return Formula(name, n), Formula(name, n + 1)
+    return LiteralTable((), formulas).least_pair(-1)  # -1 holds every bit
 
 
 def is_consistent(system: ArgumentationSystem) -> bool:
@@ -184,7 +278,9 @@ def is_consistent(system: ArgumentationSystem) -> bool:
 
     The conclusions of strict arguments are exactly the strict closure of
     the empty set (strict arguments bottom out in empty-body strict rules),
-    so the check runs on that closure.  The equivalence with brute-force
-    strict-argument enumeration is asserted by the test suite.
+    so the check runs on that closure, on the system's literal table.  The
+    equivalence with brute-force strict-argument enumeration is asserted by
+    the test suite.
     """
-    return find_complement_pair(strict_closure((), system.strict_rules)) is None
+    table = system.literal_table
+    return table.least_pair(table.closure(0)[0]) is None

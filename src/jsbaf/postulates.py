@@ -12,7 +12,10 @@ and holds the verdicts of the three postulates on them: closure under the
 strict rules, no complementary pair (direct consistency), and no
 complementary pair in the strict closure (indirect consistency).
 ``evaluate_postulates`` is the one checker; a verdict is the witness of a
-violation, or None.
+violation, or None.  It reads the system's ``LiteralTable``, built once per
+system: the set becomes a mask, one saturation gives its closure and the
+closure witness, and the least pair of the set and of its closure are a
+scan of the table's pair masks.
 
 The postulate definitions quantify over consistent systems only, so
 ``prepare`` refuses inconsistent input by default; callers may override, in
@@ -39,10 +42,9 @@ from .core import (
     ArgumentationSystem,
     DefeasibleRule,
     Formula,
+    LiteralTable,
     StrictRule,
-    find_complement_pair,
     is_consistent,
-    strict_closure,
 )
 from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
@@ -85,27 +87,29 @@ POSTULATES = PostulateReport._fields
 def evaluate_postulates(
     system: ArgumentationSystem, formulas: Iterable[Formula]
 ) -> PostulateReport:
-    """The three verdicts on the set, from one strict closure of it.
+    """The three verdicts on the set, from one strict closure of it on the
+    system's literal table.
 
     Closure is violated iff the closure grows the set; its witness is the
     first strict rule, by id, that fires on the set and whose head is
     missing from it, and one exists whenever the closure grows.  The
     consistency witnesses are the least complementary pair of the set
-    (direct) and of its closure (indirect).
+    (direct) and of its closure (indirect).  A set holding a formula that
+    the system does not mention is read on a table of the rules and the set.
     """
     pool = frozenset(formulas)
-    closure = strict_closure(pool, system.strict_rules)
-    missing = None
-    if closure != pool:
-        missing = next(
-            rule
-            for rule in sorted(system.strict_rules, key=lambda r: r.id)
-            if rule.head not in pool and all(b in pool for b in rule.body)
-        )
+    table = system.literal_table
+    try:
+        mask = table.mask(pool)
+    except KeyError:
+        table = LiteralTable(system.strict_rules, pool.union(table.literals))
+        mask = table.mask(pool)
+    closure, missing = table.closure(mask)
+    direct = table.least_pair(mask)
     return PostulateReport(
         Verdict(missing),
-        Verdict(find_complement_pair(pool)),
-        Verdict(find_complement_pair(closure)),
+        Verdict(direct),
+        Verdict(direct if missing is None else table.least_pair(closure)),
     )
 
 
@@ -155,8 +159,8 @@ def prepare(
     find the attack witnesses of ``system``."""
     consistent = is_consistent(system)
     if require_consistent and not consistent:
-        pair = find_complement_pair(strict_closure((), system.strict_rules))
-        raise InconsistentSystemError(pair)
+        # The strict conclusions are the closure of the empty set.
+        raise InconsistentSystemError(evaluate_postulates(system, ()).indirect_consistency.witness)
     store = construct_arguments(system, max_arguments)
     return Prepared(consistent, store, attack_witnesses(store))
 

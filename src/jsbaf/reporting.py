@@ -41,7 +41,8 @@ class _Pieces:
     """Parts of a report, written when they hold ``PIECE`` chars, and at the
     end by ``flush(last)``.  ``join`` splits a list between its records to
     fit; ``add`` and ``flush`` take a part whole, so a write exceeds
-    ``PIECE`` by at most one record or part."""
+    ``PIECE`` by at most one record or part.  A section of many lists (the
+    attacks, the witnesses) that ``fits`` the room left is one part."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write, self.parts, self.size = write, [], 0
@@ -64,6 +65,12 @@ class _Pieces:
             if self.size >= PIECE:
                 self.flush()
             first, i = sep, i + step
+
+    def fits(self, records: int, width: int) -> bool:
+        """Whether ``records`` records of at most ``width`` chars each fit
+        in the room left in this piece, so that a section of them can be
+        one part, made by one join."""
+        return records * width <= PIECE - self.size
 
     def json_list(self, items: list[str], depth: int) -> None:
         """A JSON list of already encoded ``items``, a record each."""
@@ -188,21 +195,34 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
 
 
 def _attacks_json(out: _Pieces, framework: AF, names: list[str]) -> None:
-    """The sorted label pairs of ``framework``'s attacks, a row at a time."""
-    i3, i4, close, lead = _NL[3], _NL[4], _NL[3] + "]", "["
-    width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names), default=0)
+    """The sorted label pairs of ``framework``'s attacks: one join if they
+    fit the room left, else a row at a time."""
+    i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
+    pairs = sum(map(len, framework.target_ids))
+    if not pairs:
+        return out.add("[]")
+    width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names))
+    if out.fits(pairs, width):
+        records = [f"{i3}[{i4}{names[s]},{i4}{names[d]}{close}"
+                   for s, row in enumerate(framework.target_ids) for d in row]
+        return out.add("[" + ",".join(records) + _NL[2] + "]")
+    lead = "["
     for s, targets in _attack_rows(framework, names):
         head = f"{i3}[{i4}{s},{i4}"
         out.join(lead + head, f"{close},{head}", targets, width)
         lead = close + ","
-    out.add("[]" if lead == "[" else close + _NL[2] + "]")
+    out.add(close + _NL[2] + "]")
 
 
 def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
-    """The witness records, attacker by attacker.  Each hits tuple is made
-    into record tails once, and an attacker's records are joins of them."""
-    i3, i4, lead = _NL[3], _NL[4], "["
+    """The witness records, attacker by attacker: one join if they fit the
+    room left, else a join per attacker.  Each hits tuple is made into
+    record tails once, and an attacker's records are joins of them."""
+    if not ev.witnesses.groups:
+        return out.add("[]")
+    i3, i4 = _NL[3], _NL[4]
     tails_of: dict[int, tuple[list[str], int]] = {}  # id(hits): (tails, longest tail)
+    rows, width = [], 0
     for attacker, hits in ev.witnesses.groups:
         entry = tails_of.get(id(hits))
         if entry is None:
@@ -213,9 +233,16 @@ def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
             ]
             entry = tails_of[id(hits)] = (tails, max(map(len, tails)))
         head = f'{i3}{{{i4}"attacker": {quoted[attacker]},{i4}'
-        out.join(lead + head, "," + head, entry[0], 1 + len(head) + entry[1])
+        rows.append((head, entry[0]))
+        width = max(width, 1 + len(head) + entry[1])
+    if out.fits(len(ev.witnesses), width):
+        return out.add("[" + ",".join([head + ("," + head).join(tails) for head, tails in rows])
+                       + _NL[2] + "]")
+    lead = "["
+    for head, tails in rows:
+        out.join(lead + head, "," + head, tails, width)
         lead = ","
-    out.add("[]" if lead == "[" else _NL[2] + "]")
+    out.add(_NL[2] + "]")
 
 
 def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
@@ -284,10 +311,15 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     forms = [arg.form for arg in ev.store.arguments]
     out.join("\n  ", "\n  ", forms, 3 + max(map(len, forms), default=0))
     out.add("\n\nattacks:")
-    longest = max(map(len, labels), default=0)
-    for s, targets in _attack_rows(ev.framework, labels):
-        sep = f"\n  {s} -> "
-        out.join(sep, sep, targets, len(sep) + longest)
+    rows = ev.framework.target_ids
+    width = len("\n   -> ") + 2 * max(map(len, labels), default=0)
+    if out.fits(sum(map(len, rows)), width):
+        out.add("".join([f"\n  {labels[s]} -> {labels[d]}"
+                         for s, row in enumerate(rows) for d in row]))
+    else:
+        for s, targets in _attack_rows(ev.framework, labels):
+            sep = f"\n  {s} -> "
+            out.join(sep, sep, targets, width)
     tail = [] if ev.flat is None else ["supports:", *(
         f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
     ), f"flattened ({_FLATTEN}): {len(ev.flat.node_table)} nodes, "

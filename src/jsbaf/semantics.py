@@ -39,6 +39,7 @@ brute-force cross-check used by the test suite and ``jsbaf oracle``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from itertools import chain
 from typing import Iterable, Optional
@@ -95,8 +96,15 @@ class _DomainSearch:
         table, rows = af.node_table, af.target_ids
         self.n = len(table)
         # order[r] is the node of rank r: arguments before meta-arguments,
-        # then most targets, then lowest number.
-        self.order = sorted(range(self.n), key=lambda x: (is_meta(table[x]), -len(rows[x]), x))
+        # then most targets, then lowest number.  Nodes are numbered in key
+        # order, where arguments come first, so they are the first m nodes;
+        # the sort is stable, so ties stay in number order.
+        m = bisect_left(table, True, key=is_meta)
+        most_targets_first = [-len(row) for row in rows].__getitem__
+        self.order = [
+            *sorted(range(m), key=most_targets_first),
+            *sorted(range(m, self.n), key=most_targets_first),
+        ]
         rank = [0] * self.n
         for r, x in enumerate(self.order):
             rank[x] = r

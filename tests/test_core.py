@@ -1,11 +1,18 @@
 """Formulas, complement, strict closure, system consistency."""
 
+import copy
+import pickle
 import random
+import sys
+import threading
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
 import reference
+
+import jsbaf.core as core
 
 from jsbaf import (
     ArgumentationSystem,
@@ -181,27 +188,142 @@ class TestFindComplementPair:
         assert find_complement_pair(formulas) == expected
         assert find_complement_pair(frozenset(formulas)) == expected
 
-    def test_builds_only_the_pair_it_returns(self, monkeypatch):
-        built = []
-        post_init = Formula.__post_init__
-
-        def counted(self):
-            built.append(self)
-            post_init(self)
-
-        formulas = [_f(t) for t in ("~~c", "a", "~b", "~~b", "~~~b", "c")]
-        monkeypatch.setattr(Formula, "__post_init__", counted)
-        assert find_complement_pair(formulas) == (_f("~b"), _f("~~b"))
-        assert len(built) == 4  # the pair, and the two formulas of the assert
-        built.clear()
+    def test_builds_only_the_pair_it_returns(self):
+        # Atoms no other test builds, so that a formula built outside the
+        # input (a negation of ~~~only_b, say) is a new intern entry.
+        texts = ("~~only_c", "only_a", "~only_b", "~~only_b", "~~~only_b", "only_c")
+        formulas = [_f(t) for t in texts]
+        interned = len(core._INTERNED)
+        pair = find_complement_pair(formulas)
+        assert pair == (_f("~only_b"), _f("~~only_b"))
+        assert pair[0] is formulas[2] and pair[1] is formulas[3]
+        assert len(core._INTERNED) == interned  # no formula outside the input
         assert find_complement_pair(formulas[:2]) is None
-        assert built == []
+        assert len(core._INTERNED) == interned
 
     @pytest.mark.parametrize("seed", range(200))
     def test_is_consistent_is_unchanged(self, seed):
         system = _random_raw_system(seed)
         closure = strict_closure((), system.strict_rules)
         assert is_consistent(system) == (reference.find_complement_pair(closure) is None)
+
+
+class TestInterning:
+    """One object per (atom, negations): equality and hashing by identity,
+    order by (atom, negations), and the same object back from pickle and
+    copy."""
+
+    def test_equal_constructions_give_one_object(self):
+        assert Formula("a", 1) is Formula("a", 1) is neg("a") is atom("a").negation()
+        assert Formula("a") is Formula("a", 0) is atom("a")
+        assert Formula("a") is not Formula("a", 1)
+        assert len({Formula("a"), atom("a"), Formula("b")}) == 2
+
+    def test_hash_and_equality_are_the_objects_own(self):
+        phi = Formula("a", 2)
+        assert type(phi).__hash__ is object.__hash__ and type(phi).__eq__ is object.__eq__
+        assert hash(phi) == object.__hash__(phi)
+        assert phi == Formula("a", 2) and phi != Formula("a", 1) and phi != Formula("b", 2)
+
+    def test_a_formula_is_not_its_tuple(self):
+        assert Formula("a") != ("a", 0)
+        assert ("a", 0) != Formula("a")
+        assert Formula("a") != "a"
+        with pytest.raises(TypeError):
+            Formula("a") < ("a", 0)
+
+    @given(deep_formulas, deep_formulas)
+    def test_order_is_atom_then_depth(self, phi, psi):
+        key = (phi.atom, phi.negations), (psi.atom, psi.negations)
+        assert (phi < psi) == (key[0] < key[1])
+        assert (phi <= psi) == (key[0] <= key[1])
+        assert (phi > psi) == (key[0] > key[1])
+        assert (phi >= psi) == (key[0] >= key[1])
+        assert (phi == psi) == (key[0] == key[1])
+
+    def test_repr_and_str(self):
+        assert repr(Formula("a")) == "Formula(atom='a', negations=0)"
+        assert repr(Formula("tt", 2)) == "Formula(atom='tt', negations=2)"
+        assert str(Formula("tt", 2)) == "~~tt"
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_returns_the_interned_object(self, protocol):
+        phi = Formula("a", 3)
+        assert pickle.loads(pickle.dumps(phi, protocol)) is phi
+        rule = strict_rule("s1", [phi, atom("b")], neg("c"))
+        copy_of_rule = pickle.loads(pickle.dumps(rule, protocol))
+        assert copy_of_rule == rule and copy_of_rule.body[0] is phi
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_a_system_pickles_with_its_literal_table(self, tandem_system, protocol):
+        system = ArgumentationSystem(tandem_system.strict_rules, tandem_system.defeasible_rules)
+        table = system.literal_table
+        restored = pickle.loads(pickle.dumps(system, protocol))
+        assert restored == system
+        # The restored table holds the interned formulas, so it reads them.
+        assert all(a is b for a, b in zip(restored.literal_table.literals, table.literals))
+        assert restored.literal_table.mask(table.literals) == table.mask(table.literals)
+
+    def test_copy_and_deepcopy_return_the_interned_object(self):
+        phi = Formula("a", 3)
+        assert copy.copy(phi) is phi and copy.deepcopy(phi) is phi
+        assert copy.deepcopy([phi, {phi: phi}]) == [phi, {phi: phi}]
+        assert copy.deepcopy([phi])[0] is phi
+
+    def test_a_formula_is_immutable(self):
+        phi = Formula("a")
+        with pytest.raises(FrozenInstanceError):
+            phi.atom = "b"
+        with pytest.raises(FrozenInstanceError):
+            phi.negations = 1
+        with pytest.raises(FrozenInstanceError):
+            del phi.atom
+        assert phi is Formula("a") and phi.atom == "a" and phi.negations == 0
+
+    def test_the_intern_table_grows_once_per_pair(self):
+        Formula("grows_once", 0)
+        size = len(core._INTERNED)
+        for _ in range(3):
+            assert Formula("grows_once", 0) is atom("grows_once")
+        assert len(core._INTERNED) == size
+        Formula("grows_once", 1)
+        assert len(core._INTERNED) == size + 1
+
+    def test_concurrent_construction_publishes_one_object(self):
+        """Threads that build the same new formulas at once all get the
+        object first published for each pair."""
+        pairs = [(f"race_{i}", depth) for i in range(300) for depth in range(3)]
+        workers = 8
+        results = [None] * workers
+        barrier = threading.Barrier(workers)
+
+        def build(k):
+            barrier.wait(timeout=30)
+            results[k] = [Formula(name, depth) for name, depth in pairs]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=build, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert [Formula(name, depth) for name, depth in pairs] == results[0]
+        for built in results:
+            assert len(built) == len(pairs) and all(a is b for a, b in zip(built, results[0]))
+
+    @pytest.mark.parametrize("name, negations", [("a-b", 0), ("refused", -1)])
+    def test_a_refused_formula_is_not_interned(self, name, negations):
+        size = len(core._INTERNED)
+        for _ in range(2):  # refused again: nothing was kept
+            with pytest.raises(ValidationError):
+                Formula(name, negations)
+        assert len(core._INTERNED) == size
+        assert (name, negations) not in core._INTERNED
 
 
 class TestSystemValidation:

@@ -3,8 +3,10 @@
 import inspect
 
 import pytest
+from hypothesis import given, strategies as st
 
 import reference
+from test_dsl import formula_st, systems
 from jsbaf import (
     MODES,
     POSTULATES,
@@ -21,6 +23,7 @@ from jsbaf import (
     defeasible_rule,
     evaluate,
     evaluate_postulates,
+    find_complement_pair,
     is_consistent,
     neg,
     parse_system,
@@ -269,26 +272,71 @@ class TestRandomJsbaf:
             assert all(len(src) >= 3 for src, _ in j.support_ids), seed
 
 
+class TestLiteralTableAgainstTheDefinitions:
+    """Verdicts, closure and least pairs read off literal tables equal the
+    definitions in ``tests/reference.py``, on random systems and random
+    sets of their formulas and of formulas that no rule mentions."""
+
+    @staticmethod
+    def check(system, formulas):
+        verdicts = evaluate_postulates(system, formulas)
+        assert verdicts == reference.postulate_verdicts(system, formulas)
+        closure = strict_closure(formulas, system.strict_rules)
+        assert closure == reference.saturate(formulas, system)
+        for subset in (formulas, closure):
+            assert find_complement_pair(subset) == reference.find_complement_pair(subset)
+
+    @given(st.data(), systems())
+    def test_random_sets(self, data, system):
+        table = system.literal_table
+        mentioned = table.literals
+        pool = st.sampled_from(mentioned) | formula_st if mentioned else formula_st
+        self.check(system, data.draw(st.frozensets(pool, max_size=6)))
+        # A set with formulas the table lacks is read on a table of its own.
+        assert system.literal_table is table and table.literals == mentioned
+
+    def test_formulas_no_rule_mentions(self):
+        system = ArgumentationSystem((strict_rule("s1", [atom("a")], neg("b")),), ())
+        for sys_, formulas in [
+            (NO_RULES, {atom("a"), neg("a")}),
+            (system, {atom("a"), atom("b"), atom("c"), neg("c")}),
+            (system, {atom("a"), neg(neg("b"))}),
+        ]:
+            self.check(sys_, frozenset(formulas))
+
+
 class TestOneClosurePerSet:
     """``evaluate_postulates`` computes the strict closure of each
     conclusion set once and derives both verdicts that read it from it."""
 
     def test_one_closure_per_conclusion_set(self, tandem_system, monkeypatch):
-        import jsbaf.postulates as postulates
+        import jsbaf.core as core
 
-        calls = []
+        tables, closures = [], []
+        init, closure = core.LiteralTable.__init__, core.LiteralTable.closure
 
-        def counted(seed, rules):
-            calls.append(1)
-            return strict_closure(seed, rules)
+        def counted_init(self, *args):
+            tables.append(1)
+            init(self, *args)
 
-        monkeypatch.setattr(postulates, "strict_closure", counted)
-        prepared = prepare(tandem_system)
+        def counted_closure(self, mask):
+            closures.append(1)
+            return closure(self, mask)
+
+        monkeypatch.setattr(core.LiteralTable, "__init__", counted_init)
+        monkeypatch.setattr(core.LiteralTable, "closure", counted_closure)
+        # A fresh system, so that no earlier test has built its table.
+        system = ArgumentationSystem(
+            tandem_system.strict_rules, tandem_system.defeasible_rules,
+            tandem_system.undercut_names,
+        )
+        prepared = prepare(system)
         for semantics in ("complete", "preferred"):
             for mode in ("aspic-minus", "deductive"):
-                calls.clear()
+                closures.clear()
                 ev = evaluate(prepared, semantics, mode)
-                assert len(calls) == len(ev.conclusion_sets) > 1
+                assert len(closures) == len(ev.conclusion_sets) > 1
+        assert len(tables) == 1  # one table per system, from ``prepare`` on
 
     def test_it_takes_the_system_and_the_set_alone(self):
         # no precomputed closure can be handed in

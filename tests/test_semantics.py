@@ -10,12 +10,15 @@ import pytest
 from jsbaf import (
     AF,
     SEMANTICS,
+    JsbafParams,
     SearchLimitExceededError,
     SystemParams,
     ValidationError,
+    bar,
     base,
     brute_force_extensions,
     construct_arguments,
+    e_node,
     evaluate,
     evaluate_postulates,
     extension_ids,
@@ -27,6 +30,7 @@ from jsbaf import (
     jsbaf_extensions,
     parse_system,
     prepare,
+    random_jsbaf,
     random_system,
 )
 import reference
@@ -461,6 +465,31 @@ def test_split_order_of_the_tandem_flattening():
     ]
     assert order == [6, 7, 8, 3, 4, 5, 0, 1, 2, 12, 13, 14, 15, 16, 17, 18, 19, 20, 9, 10, 11]
     assert [len(flat.target_ids[x]) for x in order[:9]] == [5, 5, 5, 2, 2, 2, 1, 1, 1]
+
+
+def test_split_order_equals_the_keyed_sort():
+    """The split order, found from the length of the argument prefix of the
+    node numbers, equals the sort by (is meta-argument, most targets,
+    lowest number) on random AFs, with and without meta-arguments of their
+    own, and on the flattenings of random JSBAFs and systems."""
+    def keyed(af):
+        table, rows = af.node_table, af.target_ids
+        return sorted(range(len(table)), key=lambda x: (is_meta(table[x]), -len(rows[x]), x))
+
+    frameworks = [AF(frozenset(), frozenset())]
+    for seed in range(100):
+        af = random_af(5000 + seed, 10, (0.1, 0.25, 0.4)[seed % 3])
+        nodes = sorted(af.nodes, key=lambda n: n.key())
+        meta = {bar(n) for n in nodes[: seed % 3]} | ({e_node(nodes[:2])} if seed % 2 else set())
+        rng = random.Random(seed)
+        everything = list(af.nodes | meta)
+        extra = {(a, b) for a in everything for b in everything if rng.random() < 0.15}
+        frameworks += [af, AF(af.nodes | meta, af.attacks | extra)]
+        frameworks.append(flatten_simplified(random_jsbaf(JsbafParams(), seed)))
+        prepared = prepare(random_system(SystemParams(5, 5, 5), seed).system)
+        frameworks += [prepared.af, prepared.flat]
+    for af in frameworks:
+        assert semantics_module._DomainSearch(af).order == keyed(af)
 
 
 @pytest.mark.parametrize(
