@@ -273,14 +273,22 @@ def find_complement_pair(formulas: Iterable[Formula]) -> tuple[Formula, Formula]
     return LiteralTable((), formulas).least_pair(-1)  # -1 holds every bit
 
 
+def strict_conflict(system: ArgumentationSystem) -> tuple[Formula, Formula] | None:
+    """The least complementary pair among the conclusions of strict
+    arguments, or None.
+
+    Those conclusions are exactly the strict closure of the empty set
+    (strict arguments bottom out in empty-body strict rules), so the pair
+    is read off that closure, on the system's literal table.
+    """
+    table = system.literal_table
+    return table.least_pair(table.closure(0)[0])
+
+
 def is_consistent(system: ArgumentationSystem) -> bool:
     """True iff no two strict arguments have complementary conclusions.
 
-    The conclusions of strict arguments are exactly the strict closure of
-    the empty set (strict arguments bottom out in empty-body strict rules),
-    so the check runs on that closure, on the system's literal table.  The
-    equivalence with brute-force strict-argument enumeration is asserted by
-    the test suite.
+    The equivalence with brute-force strict-argument enumeration is
+    asserted by the test suite.
     """
-    table = system.literal_table
-    return table.least_pair(table.closure(0)[0]) is None
+    return strict_conflict(system) is None

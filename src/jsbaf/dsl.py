@@ -107,11 +107,8 @@ def _undeclared_atom_error(lines: list[str], undeclared: set[str]) -> Validation
     raise AssertionError("no literal has an undeclared atom")
 
 
-def _literal(tokens: list[str], i: int, formulas: dict) -> tuple[Formula, int]:
-    """The literal starting at token ``i`` and the index after it.
-
-    ``formulas`` interns one Formula per distinct literal of the file.
-    """
+def _literal(tokens: list[str], i: int) -> tuple[Formula, int]:
+    """The literal starting at token ``i`` and the index after it."""
     depth = 0
     while tokens[i] == "~":
         depth += 1
@@ -119,11 +116,7 @@ def _literal(tokens: list[str], i: int, formulas: dict) -> tuple[Formula, int]:
     atom = tokens[i]
     if atom[0] not in _IDENT_START:
         raise _Unexpected(i, "an atom")
-    key = (atom, depth)
-    formula = formulas.get(key)
-    if formula is None:
-        formula = formulas[key] = Formula(atom, depth)
-    return formula, i + 1
+    return Formula(atom, depth), i + 1
 
 
 def parse_system(text: str) -> ArgumentationSystem:
@@ -147,7 +140,6 @@ def parse_system(text: str) -> ArgumentationSystem:
     # Token text after the colon, per kind: equal iff body and head are.
     shapes: dict[str, set[str]] = {"strict": set(), "defeasible": set()}
     name_decls: list[tuple[str, Formula, int]] = []
-    formulas: dict[tuple[str, int], Formula] = {}
     tokenize = _TOKEN_RE.findall
 
     for line_no, line in enumerate(lines, start=1):
@@ -171,14 +163,14 @@ def parse_system(text: str) -> ArgumentationSystem:
                 body: list[Formula] = []
                 i = 3
                 if tokens[i] != arrow:
-                    lit, i = _literal(tokens, i, formulas)
+                    lit, i = _literal(tokens, i)
                     body.append(lit)
                     while tokens[i] == ",":
-                        lit, i = _literal(tokens, i + 1, formulas)
+                        lit, i = _literal(tokens, i + 1)
                         body.append(lit)
                     if tokens[i] != arrow:
                         raise _Unexpected(i, repr(arrow))
-                head, i = _literal(tokens, i + 1, formulas)
+                head, i = _literal(tokens, i + 1)
                 if i != end:
                     raise _Unexpected(i, None)
                 if rule_id in rule_ids:
@@ -211,7 +203,7 @@ def parse_system(text: str) -> ArgumentationSystem:
                     raise _Unexpected(1, "a defeasible rule id")
                 if tokens[2] != "=":
                     raise _Unexpected(2, "'='")
-                lit, i = _literal(tokens, 3, formulas)
+                lit, i = _literal(tokens, 3)
                 if i != end:
                     raise _Unexpected(i, None)
                 name_decls.append((tokens[1], lit, line_no))
@@ -237,7 +229,8 @@ def parse_system(text: str) -> ArgumentationSystem:
         raise ValidationError(problem, line_no, _column(lines[line_no - 1], 1))
 
     if has_atoms_decl:
-        undeclared = {formula.atom for formula in formulas.values()} - declared
+        used = {lit.atom for rule in (*strict, *defeasible) for lit in (*rule.body, rule.head)}
+        undeclared = used.union(lit.atom for lit in names.values()) - declared
         if undeclared:
             raise _undeclared_atom_error(lines, undeclared)
 

@@ -45,6 +45,7 @@ from .core import (
     LiteralTable,
     StrictRule,
     is_consistent,
+    strict_conflict,
 )
 from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
@@ -159,8 +160,7 @@ def prepare(
     find the attack witnesses of ``system``."""
     consistent = is_consistent(system)
     if require_consistent and not consistent:
-        # The strict conclusions are the closure of the empty set.
-        raise InconsistentSystemError(evaluate_postulates(system, ()).indirect_consistency.witness)
+        raise InconsistentSystemError(strict_conflict(system))
     store = construct_arguments(system, max_arguments)
     return Prepared(consistent, store, attack_witnesses(store))
 

@@ -41,8 +41,8 @@ class _Pieces:
     """Parts of a report, written when they hold ``PIECE`` chars, and at the
     end by ``flush(last)``.  ``join`` splits a list between its records to
     fit; ``add`` and ``flush`` take a part whole, so a write exceeds
-    ``PIECE`` by at most one record or part.  A section of many lists (the
-    attacks, the witnesses) that ``fits`` the room left is one part."""
+    ``PIECE`` by at most one record or part.  A JSON section of many lists
+    (the attacks, the witnesses) that ``fits`` the room left is one part."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write, self.parts, self.size = write, [], 0
@@ -311,15 +311,10 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     forms = [arg.form for arg in ev.store.arguments]
     out.join("\n  ", "\n  ", forms, 3 + max(map(len, forms), default=0))
     out.add("\n\nattacks:")
-    rows = ev.framework.target_ids
-    width = len("\n   -> ") + 2 * max(map(len, labels), default=0)
-    if out.fits(sum(map(len, rows)), width):
-        out.add("".join([f"\n  {labels[s]} -> {labels[d]}"
-                         for s, row in enumerate(rows) for d in row]))
-    else:
-        for s, targets in _attack_rows(ev.framework, labels):
-            sep = f"\n  {s} -> "
-            out.join(sep, sep, targets, width)
+    longest = max(map(len, labels), default=0)
+    for s, targets in _attack_rows(ev.framework, labels):
+        sep = f"\n  {s} -> "
+        out.join(sep, sep, targets, len(sep) + longest)
     tail = [] if ev.flat is None else ["supports:", *(
         f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
     ), f"flattened ({_FLATTEN}): {len(ev.flat.node_table)} nodes, "
