@@ -13,11 +13,15 @@ rule, pointwise-equal subs) coincides with object identity.  Canonical ids
 A1, A2, ... follow generation order: derivation depth, then rule id, then
 sub ordinals, so two runs over the same system label every argument
 identically.  Later stages name an argument by its ordinal alone; only the
-report writers turn ordinals into ids.
+report writers turn ordinals into ids.  An argument's tree is two ints:
+its conclusions as bits of the system's ``literal_table``, so the branch
+test is one AND with the rule's head bit, and its sub-arguments as bits of
+their ordinals.
 
 Attacks are found through indexes, not by testing every pair of arguments:
 defeasible sub-arguments by conclusion, undercuttable ones by the name of
-their top rule, and sub-arguments by the arguments containing them.  An
+their top rule, and sub-arguments by the arguments containing them, read
+off each argument's sub-argument bits.  An
 attacker concluding ``(atom, n)`` looks up only ``(atom, n ± 1)``, so the work
 grows with the number of attack witnesses.
 """
@@ -43,7 +47,13 @@ class Argument:
     ``form`` (e.g. ``A7: A5,A6 -> ~ht``, or ``A1: -> hw`` for an empty body)
     and ``structure``, the fully expanded tree (e.g. ``((-> hw) => ht)``),
     are built here, once, from the subs' strings and ``tail``, the top
-    rule's arrow and head as text (e.g. ``-> ~ht``)."""
+    rule's arrow and head as text (e.g. ``-> ~ht``).
+
+    Two ints describe the tree: ``branch_mask``, its conclusions as bits of
+    the system's ``literal_table`` (given, since the store tests it before
+    it creates an argument), and ``sub_mask``, its sub-arguments, itself
+    included, as bits ``1 << ordinal``, ORed from the subs'.  No argument
+    refers to itself, so dropping a store frees its arguments at once."""
 
     __slots__ = (
         "rule",
@@ -53,13 +63,15 @@ class Argument:
         "conclusion",
         "defeasible",
         "depth",
-        "branch_conclusions",
-        "sub_arguments",
+        "branch_mask",
+        "sub_mask",
         "form",
         "structure",
     )
 
-    def __init__(self, rule: Rule, subs: tuple["Argument", ...], ordinal: int, tail: str):
+    def __init__(
+        self, rule: Rule, subs: tuple["Argument", ...], ordinal: int, tail: str, branch_mask: int
+    ):
         self.rule = rule
         self.subs = subs
         self.ordinal = ordinal
@@ -67,18 +79,33 @@ class Argument:
         self.conclusion: Formula = rule.head
         self.defeasible = isinstance(rule, DefeasibleRule) or any(s.defeasible for s in subs)
         self.depth = 1 + max((sub.depth for sub in subs), default=0)
-        concs: set[Formula] = {rule.head}
-        sub_args: set[Argument] = {self}
+        self.branch_mask = branch_mask
+        sub_mask = 1 << ordinal
         for sub in subs:
-            concs |= sub.branch_conclusions
-            sub_args |= sub.sub_arguments
-        self.branch_conclusions = frozenset(concs)
-        self.sub_arguments = frozenset(sub_args)
+            sub_mask |= sub.sub_mask
+        self.sub_mask = sub_mask
         if subs:
             self.form = f"{self.canonical_id}: {','.join([s.canonical_id for s in subs])} {tail}"
             self.structure = f"({','.join([s.structure for s in subs])} {tail})"
         else:
             self.form, self.structure = f"{self.canonical_id}: {tail}", f"({tail})"
+
+    @property
+    def sub_arguments(self) -> frozenset["Argument"]:
+        """The arguments of the tree, itself included, found by a walk on
+        each read."""
+        found, stack = {self}, [self]
+        while stack:
+            for sub in stack.pop().subs:
+                if sub not in found:
+                    found.add(sub)
+                    stack.append(sub)
+        return frozenset(found)
+
+    @property
+    def branch_conclusions(self) -> frozenset[Formula]:
+        """The conclusions of the tree, those of its sub-arguments, on each read."""
+        return frozenset([sub.conclusion for sub in self.sub_arguments])
 
     @property
     def top_rule_strict(self) -> bool:
@@ -134,6 +161,9 @@ def construct_arguments(
     needs no duplicate check.  Rules are visited in id order and each pool
     in ordinal order, so arguments are created as found, in (depth, rule id,
     sub ordinals) order; those that join a pool in round d fail its filter.
+    A round skips, on conclusion masks, each rule that no argument of the
+    last round concludes a body formula of, or that has a body formula no
+    argument concludes: none of its candidates passes the filter.
 
     Raises LimitExceededError when the store would exceed ``max_arguments``,
     which signals a combinatorially explosive system rather than a
@@ -142,40 +172,48 @@ def construct_arguments(
     rules: list[Rule] = sorted(
         system.strict_rules + system.defeasible_rules, key=lambda r: r.id
     )
+    table = system.literal_table
+    bits = table.bits
     arguments: list[Argument] = []
     by_conclusion: dict[Formula, list[Argument]] = {}
     pruned = False
     tails = {r.id: ("-> " if isinstance(r, StrictRule) else "=> ") + str(r.head) for r in rules}
 
-    def create(rule: Rule, subs: tuple[Argument, ...]):
+    def create(rule: Rule, subs: tuple[Argument, ...], branch_mask: int):
         if len(arguments) >= max_arguments:
             raise LimitExceededError(max_arguments)
-        arg = Argument(rule, subs, len(arguments), tails[rule.id])
+        arg = Argument(rule, subs, len(arguments), tails[rule.id], branch_mask)
         arguments.append(arg)
         by_conclusion.setdefault(arg.conclusion, []).append(arg)
 
     for rule in rules:
         if not rule.body:
-            create(rule, ())
+            create(rule, (), bits[rule.head])
 
+    bodies = [table.mask(rule.body) for rule in rules]
+    # The conclusions of all arguments, and of those of the last round.
+    concluded = last = table.mask(by_conclusion)
     depth = 2
-    while True:
-        count = len(arguments)
-        for rule in rules:
-            if not rule.body:
+    while last:
+        fresh = 0
+        for rule, body in zip(rules, bodies):
+            if not body & last or body & ~concluded:
                 continue
-            pools = [by_conclusion.get(b, []) for b in rule.body]
-            if any(not pool for pool in pools):
-                continue
+            pools = [by_conclusion[b] for b in rule.body]
+            head = bits[rule.head]
             for subs in itertools.product(*pools):
                 if max(s.depth for s in subs) != depth - 1:
                     continue
-                if any(rule.head in s.branch_conclusions for s in subs):
+                below = 0
+                for s in subs:
+                    below |= s.branch_mask
+                if below & head:  # a branch would repeat the head
                     pruned = True
                     continue
-                create(rule, subs)
-        if len(arguments) == count:
-            break
+                create(rule, subs, below | head)
+                fresh |= head
+        concluded |= fresh
+        last = fresh
         depth += 1
 
     return ArgumentStore(system, tuple(arguments), pruned, max_arguments)
@@ -242,7 +280,7 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
     args, names = store.arguments, store.system.undercut_names
     rebuttable: dict[tuple[str, int], list[Argument]] = {}
     undercuttable: dict[tuple[str, int], list[Argument]] = {}
-    supers: dict[Argument, list[Argument]] = {}
+    supers: list[list[Argument]] = [[] for _ in args]  # by ordinal
     for arg in args:
         if arg.defeasible:
             key = (arg.conclusion.atom, arg.conclusion.negations)
@@ -250,8 +288,11 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
         if isinstance(arg.rule, DefeasibleRule) and arg.rule.id in names:
             name = names[arg.rule.id]
             undercuttable.setdefault((name.atom, name.negations), []).append(arg)
-        for sub in arg.sub_arguments:
-            supers.setdefault(sub, []).append(arg)
+        below = arg.sub_mask
+        while below:
+            sub = below.bit_length() - 1
+            below ^= 1 << sub
+            supers[sub].append(arg)
 
     hits_by_conclusion: dict[Formula, Hits] = {}
     groups: list[tuple[int, Hits]] = []
@@ -264,7 +305,7 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
                 for kind, index in enumerate((undercuttable, rebuttable))
                 for key in ((atom, n - 1), (atom, n + 1))
                 for sub in index.get(key, ())
-                for b in supers[sub]
+                for b in supers[sub.ordinal]
             ))
         if hits:
             groups.append((a.ordinal, hits))

@@ -176,6 +176,22 @@ class ArgumentationSystem:
                     f"undercut name defined on {rule_id!r}, which is not a defeasible rule"
                 )
 
+    @classmethod
+    def _make(
+        cls,
+        strict_rules: tuple[StrictRule, ...],
+        defeasible_rules: tuple[DefeasibleRule, ...],
+        undercut_names: dict[str, Formula],
+    ) -> "ArgumentationSystem":
+        """A system from parts that already pass the checks above, as
+        ``dsl.parse_system`` builds them, without checking them again."""
+        self = cls.__new__(cls)
+        self.__dict__.update(
+            strict_rules=strict_rules, defeasible_rules=defeasible_rules,
+            undercut_names=undercut_names,
+        )
+        return self
+
     @cached_property
     def literal_table(self) -> "LiteralTable":
         """Every formula the system mentions, and its strict rules, numbered

@@ -234,7 +234,8 @@ def parse_system(text: str) -> ArgumentationSystem:
         if undeclared:
             raise _undeclared_atom_error(lines, undeclared)
 
-    return ArgumentationSystem(tuple(strict), tuple(defeasible), names)
+    # Every check of ``ArgumentationSystem`` has been made above, with a position.
+    return ArgumentationSystem._make(tuple(strict), tuple(defeasible), names)
 
 
 def print_system(system: ArgumentationSystem) -> str:

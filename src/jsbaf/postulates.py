@@ -11,11 +11,12 @@ A conclusion set collects the conclusions of one extension's arguments,
 and holds the verdicts of the three postulates on them: closure under the
 strict rules, no complementary pair (direct consistency), and no
 complementary pair in the strict closure (indirect consistency).
-``evaluate_postulates`` is the one checker; a verdict is the witness of a
-violation, or None.  It reads the system's ``LiteralTable``, built once per
-system: the set becomes a mask, one saturation gives its closure and the
-closure witness, and the least pair of the set and of its closure are a
-scan of the table's pair masks.
+A verdict is the witness of a violation, or None.  ``_verdicts`` is the
+one checker, on a set given as a mask of the system's ``LiteralTable``,
+built once per system: one saturation gives its closure and the closure
+witness, and the least pair of the set and of its closure are a scan of
+the table's pair masks.  ``evaluate`` ORs each extension's conclusion bits
+into that mask; ``evaluate_postulates`` turns any set of formulas into one.
 
 The postulate definitions quantify over consistent systems only, so
 ``prepare`` refuses inconsistent input by default; callers may override, in
@@ -88,16 +89,9 @@ POSTULATES = PostulateReport._fields
 def evaluate_postulates(
     system: ArgumentationSystem, formulas: Iterable[Formula]
 ) -> PostulateReport:
-    """The three verdicts on the set, from one strict closure of it on the
-    system's literal table.
-
-    Closure is violated iff the closure grows the set; its witness is the
-    first strict rule, by id, that fires on the set and whose head is
-    missing from it, and one exists whenever the closure grows.  The
-    consistency witnesses are the least complementary pair of the set
-    (direct) and of its closure (indirect).  A set holding a formula that
-    the system does not mention is read on a table of the rules and the set.
-    """
+    """The three verdicts on the set, from ``_verdicts`` on the system's
+    literal table.  A set holding a formula that the system does not mention
+    is read on a table of the rules and the set."""
     pool = frozenset(formulas)
     table = system.literal_table
     try:
@@ -105,6 +99,19 @@ def evaluate_postulates(
     except KeyError:
         table = LiteralTable(system.strict_rules, pool.union(table.literals))
         mask = table.mask(pool)
+    return _verdicts(table, mask)
+
+
+def _verdicts(table: LiteralTable, mask: int) -> PostulateReport:
+    """The three verdicts on the set of literals ``mask``, from one strict
+    closure of it.
+
+    Closure is violated iff the closure grows the set; its witness is the
+    first strict rule, by id, that fires on the set and whose head is
+    missing from it, and one exists whenever the closure grows.  The
+    consistency witnesses are the least complementary pair of the set
+    (direct) and of its closure (indirect).
+    """
     closure, missing = table.closure(mask)
     direct = table.least_pair(mask)
     return PostulateReport(
@@ -216,11 +223,13 @@ def evaluate(
         framework, flat = prepared.jsbaf, searched
         exts = project_ids(raw, len(framework.node_table))
     store = prepared.store
+    args, order, table = store.arguments, store.node_order, store.system.literal_table
     sets = []
     for ext in exts:
-        ordinals = tuple(sorted(store.node_order[p] for p in ext))
-        formulas = frozenset(store.arguments[o].conclusion for o in ordinals)
-        sets.append(ConclusionSet(formulas, ordinals, evaluate_postulates(store.system, formulas)))
+        ordinals = tuple(sorted([order[p] for p in ext]))
+        conclusions = [args[o].conclusion for o in ordinals]
+        verdicts = _verdicts(table, table.mask(conclusions))
+        sets.append(ConclusionSet(frozenset(conclusions), ordinals, verdicts))
     holds = tuple(all(cs.postulates[i].satisfied for cs in sets) for i in range(len(POSTULATES)))
     return Evaluation(
         semantics, mode, max_nodes, prepared.consistent, store, prepared.witnesses,

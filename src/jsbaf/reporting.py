@@ -7,8 +7,9 @@ and supports are written in node order, which is label order (see
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
 fixed templates of its sections: no report dict, no generic encoder.  Ids
-are quoted once per report.  A full report reads everything it states from
-the ``Evaluation``, the run's parameters included.
+and conclusions are quoted once per report, and every set on which all
+postulates hold shares one verdict block.  A full report reads everything
+it states from the ``Evaluation``, the run's parameters included.
 
 Both formats are written in pieces of about ``PIECE`` chars, split between
 records (an argument, a conclusion set, an extension, an attack target, a
@@ -177,17 +178,35 @@ def _verdict(verdict: Verdict, name: str) -> str:
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
+# The verdicts of a set on which every postulate holds, in each format.
+_ALL_HOLD_JSON = ",".join(f'{_NL[4]}"{name}": {_verdict(Verdict(), name)}' for name in POSTULATES)
+_ALL_HOLD_TEXT = [f"    {name}: satisfied" for name in POSTULATES]
+
+
+class _LiteralTexts(dict):
+    """Each formula's text, passed through ``encode``, made on its first
+    lookup.  A quoted literal sorts as its text does: the quotes around it
+    sort below every character a literal holds."""
+
+    def __init__(self, encode: Callable[[str], str]):
+        self.encode = encode
+
+    def __missing__(self, phi) -> str:
+        text = self[phi] = self.encode(str(phi))
+        return text
+
+
 def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
-    entries = []
+    entries, texts = [], _LiteralTexts(_quote)
     for cs in ev.conclusion_sets:
-        postulates = ",".join(
+        postulates = _ALL_HOLD_JSON if cs.postulates.all_satisfied else ",".join(
             f'{i4}"{name}": {_verdict(verdict, name)}'
             for name, verdict in zip(POSTULATES, cs.postulates)
         )
         entries.append(
-            f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
+            f'{{{i3}"conclusions": {_list(sorted(map(texts.__getitem__, cs.formulas)), 3)},'
             f'{i3}"extension": {_list([quoted[o] for o in cs.extension], 3)},'
             f'{i3}"postulates": {{{postulates}{i3}}}{_NL[2]}}}'
         )
@@ -322,8 +341,12 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     tail += ["", f"extensions ({ev.semantics}):"]
     tail += ["  {" + ",".join(labels[i] for i in e) + "}" for e in ev.extensions]
     tail += ["", "conclusion sets:"]
+    texts = _LiteralTexts(str)
     for cs in ev.conclusion_sets:
-        tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
+        tail.append("  {" + ", ".join(sorted(map(texts.__getitem__, cs.formulas))) + "}")
+        if cs.postulates.all_satisfied:
+            tail += _ALL_HOLD_TEXT
+            continue
         for name, verdict in zip(POSTULATES, cs.postulates):
             tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
                 f"VIOLATED ({_witness_text(name, verdict.witness)})")))

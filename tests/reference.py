@@ -1,6 +1,7 @@
 """Definitional references for the pipeline.
 
-An argument's form and expanded structure, the pairwise attack definitions,
+The argument store by a naive fixpoint, an argument's form and expanded
+structure, the pairwise attack definitions,
 the flattening stages, conflict-freeness, defence and the grounded fixpoint
 as first written, over arguments and sets of ``NodeId``s: they read a
 framework's ``NodeId`` views and build their results through the public
@@ -14,6 +15,7 @@ a dict and encoded by a generic recursive JSON encoder, and the text report
 read from the same dicts.
 """
 
+import itertools
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
@@ -53,6 +55,31 @@ def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
         if sub.defeasible and complement(a.conclusion, sub.conclusion)
     ]
     return tuple(sorted(hits, key=lambda s: s.ordinal))
+
+
+def argument_structures(system: ArgumentationSystem) -> tuple[set[str], bool]:
+    """The structure of every argument of ``system`` none of whose branches
+    repeats a conclusion, by a naive fixpoint: each pass combines every rule
+    with every tuple of the arguments found so far.  Also whether the
+    restriction dropped any combination."""
+    found: dict[str, tuple[Formula, frozenset[Formula]]] = {}  # structure: conclusion, branch
+    pruned, grew = False, True
+    while grew:
+        grew = False
+        for rule in system.strict_rules + system.defeasible_rules:
+            arrow = "->" if isinstance(rule, StrictRule) else "=>"
+            pools = [[(s, branch) for s, (c, branch) in found.items() if c == b] for b in rule.body]
+            for subs in itertools.product(*pools):
+                below = frozenset().union(*(branch for _, branch in subs))
+                if rule.head in below:
+                    pruned = True
+                    continue
+                body = ",".join(s for s, _ in subs)
+                structure = f"({body} {arrow} {rule.head})" if body else f"({arrow} {rule.head})"
+                if structure not in found:
+                    found[structure] = (rule.head, below | {rule.head})
+                    grew = True
+    return set(found), pruned
 
 
 def _arrow(arg: Argument) -> str:

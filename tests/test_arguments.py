@@ -1,5 +1,8 @@
 """Argument enumeration, attacks, and the two structured frameworks."""
 
+import gc
+from pathlib import Path
+
 import pytest
 
 from jsbaf import (
@@ -18,6 +21,7 @@ from jsbaf import (
     random_system,
     strict_rule,
 )
+from jsbaf.arguments import Argument
 from jsbaf.cli import main
 
 import reference
@@ -119,12 +123,75 @@ class TestEnumeration:
             ]
             assert all(a < b for a, b in zip(keys, keys[1:])), print_system(system)
 
+    def test_store_equals_the_naive_fixpoint(self):
+        """Every argument, once, and the pruning flag, as the naive fixpoint
+        finds them, though each round skips the rules that can make nothing."""
+        wide = SystemParams(8, 10, 10, max_body=3, undercut_density=0.4)
+        systems = [random_system(SystemParams(6, 6, 6), seed).system for seed in range(200)]
+        systems += [random_system(wide, seed).system for seed in range(40)]
+        systems += [parse_system(tandem_rules(n, k)) for n in range(2, 6) for k in range(1, n)]
+        systems.append(parse_system(SEED38_PATH.read_text()))
+        for system in systems:
+            store = construct_arguments(system)
+            structures = [arg.structure for arg in store.arguments]
+            assert len(set(structures)) == len(structures)
+            got = (set(structures), store.acyclicity_pruned)
+            assert got == reference.argument_structures(system), print_system(system)
+
     def test_defeasibility_is_inherited(self, tandem_store):
         by_id = {a.canonical_id: a for a in tandem_store.arguments}
         assert not by_id["A1"].defeasible
         assert by_id["A4"].defeasible
         # strict top rule over defeasible subs stays defeasible
         assert by_id["A7"].top_rule_strict and by_id["A7"].defeasible
+
+
+SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
+
+
+class TestMasks:
+    """Each argument's ``branch_mask`` and ``sub_mask`` are the masks of its
+    ``branch_conclusions`` and ``sub_arguments`` views, which are read off
+    the tree."""
+
+    @staticmethod
+    def check(store):
+        table = store.system.literal_table
+        for arg in store.arguments:
+            subs = arg.sub_arguments
+            assert arg.sub_mask == sum(1 << sub.ordinal for sub in subs), arg
+            assert arg.branch_mask == table.mask(arg.branch_conclusions), arg
+            assert subs == {arg}.union(*(sub.sub_arguments for sub in arg.subs))
+            assert arg.branch_conclusions == {arg.conclusion}.union(
+                *(sub.branch_conclusions for sub in arg.subs)
+            )
+
+    def test_tandem(self, tandem_store):
+        self.check(tandem_store)
+
+    def test_seed_38(self):
+        self.check(construct_arguments(parse_system(SEED38_PATH.read_text())))
+
+    def test_random_systems(self):
+        for seed in range(200):
+            self.check(construct_arguments(random_system(SystemParams(6, 6, 6), seed).system))
+
+    def test_dropping_a_store_frees_its_arguments(self):
+        """No argument refers to itself, so the arguments of a store go with
+        its last reference, with the cycle collector off."""
+        def count():
+            return sum(isinstance(o, Argument) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = count()
+            store = construct_arguments(parse_system(tandem_rules(5, 3)))
+            assert count() == before + len(store) == before + 30
+            del store
+            assert count() == before
+        finally:
+            gc.enable()
 
 
 class TestStructure:

@@ -279,6 +279,55 @@ class TestRoundTrip:
         assert parse_system("\n".join(lines)) == system
 
 
+@st.composite
+def rule_parts(draw):
+    """Rules, names and the rule file stating them, with duplicate ids,
+    duplicate shapes, and names on undefined, strict or already named rules
+    mixed in."""
+    ids = st.sampled_from(["r0", "r1", "r2", "r3", "r4"])
+    shapes = st.lists(st.tuples(ids, shape_st), max_size=4)
+    strict, defeasible = (
+        [kind(rule_id, *shape) for rule_id, shape in draw(shapes)]
+        for kind in (StrictRule, DefeasibleRule)
+    )
+    names = draw(st.lists(st.tuples(ids, formula_st), max_size=3))
+    lines = []
+    for keyword, arrow, rules in (("strict", "->", strict), ("defeasible", "=>", defeasible)):
+        for rule in rules:
+            body = ", ".join(map(str, rule.body))
+            lines.append(f"{keyword} {rule.id}: {body} {arrow} {rule.head}")
+    lines += [f"name {target} = {lit}" for target, lit in names]
+    return strict, defeasible, names, "\n".join(lines)
+
+
+_D1 = DefeasibleRule("r1", (atom("a"),), atom("b"))
+_D2 = DefeasibleRule("r2", (atom("a"),), atom("b"))
+
+
+@given(rule_parts())
+@example(([], [_D1], [("r1", atom("c")), ("r1", atom("c"))], "defeasible r1: a => b\n"
+          "name r1 = c\nname r1 = c"))
+@example(([], [_D1, _D2], [], "defeasible r1: a => b\ndefeasible r2: a => b"))
+def test_the_parser_checks_what_the_constructor_checks(parts):
+    """``parse_system`` builds its system without the constructor's checks:
+    it raises whenever ``ArgumentationSystem`` would, and otherwise returns
+    the system the constructor builds from the same parts.  It also refuses
+    a redefined name, which a mapping cannot state."""
+    strict, defeasible, names, text = parts
+    try:
+        expected = ArgumentationSystem(tuple(strict), tuple(defeasible), dict(names))
+    except ValidationError:
+        expected = None
+    try:
+        parsed = parse_system(text)
+    except ValidationError:
+        parsed = None
+    redefined = len({target for target, _ in names}) < len(names)
+    assert (parsed is None) == (expected is None or redefined)
+    if parsed is not None:
+        assert parsed == expected
+
+
 # Fragments of lines: whole rules, single tokens, separators, and characters
 # that are no token.
 FRAGMENTS = [

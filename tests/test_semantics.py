@@ -436,6 +436,84 @@ def _propagation_calls(monkeypatch, system, mode, semantics):
     return _counted_evaluate(monkeypatch, prepare(system), mode, semantics)[0]
 
 
+class _CountedReads(list):
+    """An attacker-mask list that counts its reads by index.  ``_propagate``
+    reads the mask of each node it pops once, and nothing else reads them
+    by index, so the count is the pops."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        _CountedReads.reads += 1
+        return list.__getitem__(self, index)
+
+
+@pytest.mark.parametrize(
+    "n, k, semantics, pops",
+    [
+        (5, 3, "preferred", 8436),  # 9,344 when a node re-marked itself
+        (3, 2, "complete", 191),  # 235
+    ],
+)
+def test_propagation_pops(monkeypatch, n, k, semantics, pops):
+    """Pops of deductive searches on tandem(n, k).  A node that narrows
+    itself in its own pop marks its targets dirty, and itself only if it
+    attacks itself: that pop has applied all its rules to its final domain,
+    and a later narrowing of an attacker marks it again."""
+    init = semantics_module._DomainSearch.__init__
+
+    def counted(self, af):
+        init(self, af)
+        self.attackers = _CountedReads(self.attackers)
+
+    monkeypatch.setattr(_CountedReads, "reads", 0)
+    monkeypatch.setattr(semantics_module._DomainSearch, "__init__", counted)
+    evaluate(prepare(parse_system(tandem_rules(n, k))), semantics, "deductive", max_nodes=1000)
+    assert _CountedReads.reads == pops
+
+
+class TestPropagationReachesAFixpoint:
+    """Each state ``_propagate`` returns in a search is a fixpoint: run
+    again from it with every node dirty, it returns the same masks."""
+
+    @pytest.fixture
+    def check(self, monkeypatch):
+        propagate = semantics_module._DomainSearch._propagate
+        states = []
+
+        def checked(self, *state):
+            narrowed = propagate(self, *state)
+            if narrowed is not None:
+                states.append(narrowed)
+                assert propagate(self, *narrowed, (1 << self.n) - 1) == narrowed
+            return narrowed
+
+        monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", checked)
+
+        def check(frameworks):
+            """Search each framework in every semantics; the states checked."""
+            for af in frameworks:
+                for sem in ("complete", "stable", "preferred"):
+                    extension_ids(af, sem)
+            return len(states)
+
+        return check
+
+    @pytest.mark.parametrize("mode, states", [("aspic-minus", 10717), ("deductive", 2749)])
+    def test_tandem(self, check, mode, states):
+        systems = (parse_system(tandem_rules(n, k)) for n in range(2, 7) for k in range(1, n))
+        assert check(prepare(system).searched(mode) for system in systems) == states
+
+    @pytest.mark.parametrize("mode, states", [("aspic-minus", 1096), ("deductive", 1035)])
+    def test_random_systems(self, check, mode, states):
+        systems = (random_system(SystemParams(6, 6, 6), seed).system for seed in range(200))
+        assert check(prepare(system).searched(mode) for system in systems) == states
+
+    def test_random_frameworks(self, check):
+        frameworks = (random_af(3000 + seed, 12, (0.1, 0.25, 0.4)[seed % 3]) for seed in range(150))
+        assert check(frameworks) == 1248  # self-attacks too
+
+
 @pytest.mark.parametrize(
     "mode, semantics, calls",
     [
