@@ -6,8 +6,8 @@ and supports are written in node order, which is label order (see
 ``frameworks``), as the pipeline holds them.  A JSON report is the text
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
-fixed templates of its sections: no report dict, no generic encoder.  Ids
-and conclusions are quoted once per report, and every set on which all
+fixed templates of its sections: no report dict, no generic encoder.  A
+JSON report quotes ids and conclusions once, and every set on which all
 postulates hold shares one verdict block.  A full report reads everything
 it states from the ``Evaluation``, the run's parameters included.
 
@@ -178,9 +178,8 @@ def _verdict(verdict: Verdict, name: str) -> str:
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
-# The verdicts of a set on which every postulate holds, in each format.
+# The JSON verdicts of a set on which every postulate holds.
 _ALL_HOLD_JSON = ",".join(f'{_NL[4]}"{name}": {_verdict(Verdict(), name)}' for name in POSTULATES)
-_ALL_HOLD_TEXT = [f"    {name}: satisfied" for name in POSTULATES]
 
 
 class _LiteralTexts(dict):
@@ -341,12 +340,8 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     tail += ["", f"extensions ({ev.semantics}):"]
     tail += ["  {" + ",".join(labels[i] for i in e) + "}" for e in ev.extensions]
     tail += ["", "conclusion sets:"]
-    texts = _LiteralTexts(str)
     for cs in ev.conclusion_sets:
-        tail.append("  {" + ", ".join(sorted(map(texts.__getitem__, cs.formulas))) + "}")
-        if cs.postulates.all_satisfied:
-            tail += _ALL_HOLD_TEXT
-            continue
+        tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
         for name, verdict in zip(POSTULATES, cs.postulates):
             tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
                 f"VIOLATED ({_witness_text(name, verdict.witness)})")))
