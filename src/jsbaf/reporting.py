@@ -183,22 +183,19 @@ _ALL_HOLD_JSON = ",".join(f'{_NL[4]}"{name}": {_verdict(Verdict(), name)}' for n
 
 
 class _LiteralTexts(dict):
-    """Each formula's text, passed through ``encode``, made on its first
-    lookup.  A quoted literal sorts as its text does: the quotes around it
-    sort below every character a literal holds."""
-
-    def __init__(self, encode: Callable[[str], str]):
-        self.encode = encode
+    """Each formula's quoted text, made on its first lookup.  A quoted
+    literal sorts as its text does: the quotes around it sort below every
+    character a literal holds."""
 
     def __missing__(self, phi) -> str:
-        text = self[phi] = self.encode(str(phi))
+        text = self[phi] = _quote(str(phi))
         return text
 
 
 def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
-    entries, texts = [], _LiteralTexts(_quote)
+    entries, texts = [], _LiteralTexts()
     for cs in ev.conclusion_sets:
         postulates = _ALL_HOLD_JSON if cs.postulates.all_satisfied else ",".join(
             f'{i4}"{name}": {_verdict(verdict, name)}'
