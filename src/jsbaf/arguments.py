@@ -52,8 +52,10 @@ class Argument:
     Two ints describe the tree: ``branch_mask``, its conclusions as bits of
     the system's ``literal_table`` (given, since the store tests it before
     it creates an argument), and ``sub_mask``, its sub-arguments, itself
-    included, as bits ``1 << ordinal``, ORed from the subs'.  No argument
-    refers to itself, so dropping a store frees its arguments at once."""
+    included, as bits ``1 << ordinal``, ORed from the subs'.  ``depth`` is
+    given too: it is the enumeration round that creates the argument.  No
+    argument refers to itself, so dropping a store frees its arguments at
+    once."""
 
     __slots__ = (
         "rule",
@@ -70,19 +72,27 @@ class Argument:
     )
 
     def __init__(
-        self, rule: Rule, subs: tuple["Argument", ...], ordinal: int, tail: str, branch_mask: int
+        self,
+        rule: Rule,
+        subs: tuple["Argument", ...],
+        ordinal: int,
+        tail: str,
+        branch_mask: int,
+        depth: int,
     ):
         self.rule = rule
         self.subs = subs
         self.ordinal = ordinal
         self.canonical_id = f"A{ordinal + 1}"
         self.conclusion: Formula = rule.head
-        self.defeasible = isinstance(rule, DefeasibleRule) or any(s.defeasible for s in subs)
-        self.depth = 1 + max((sub.depth for sub in subs), default=0)
+        self.depth = depth
         self.branch_mask = branch_mask
+        defeasible = isinstance(rule, DefeasibleRule)
         sub_mask = 1 << ordinal
         for sub in subs:
             sub_mask |= sub.sub_mask
+            defeasible |= sub.defeasible
+        self.defeasible = defeasible
         self.sub_mask = sub_mask
         if subs:
             self.form = f"{self.canonical_id}: {','.join([s.canonical_id for s in subs])} {tail}"
@@ -179,16 +189,16 @@ def construct_arguments(
     pruned = False
     tails = {r.id: ("-> " if isinstance(r, StrictRule) else "=> ") + str(r.head) for r in rules}
 
-    def create(rule: Rule, subs: tuple[Argument, ...], branch_mask: int):
+    def create(rule: Rule, subs: tuple[Argument, ...], branch_mask: int, depth: int):
         if len(arguments) >= max_arguments:
             raise LimitExceededError(max_arguments)
-        arg = Argument(rule, subs, len(arguments), tails[rule.id], branch_mask)
+        arg = Argument(rule, subs, len(arguments), tails[rule.id], branch_mask, depth)
         arguments.append(arg)
         by_conclusion.setdefault(arg.conclusion, []).append(arg)
 
     for rule in rules:
         if not rule.body:
-            create(rule, (), bits[rule.head])
+            create(rule, (), bits[rule.head], 1)
 
     bodies = [table.mask(rule.body) for rule in rules]
     # The conclusions of all arguments, and of those of the last round.
@@ -202,15 +212,17 @@ def construct_arguments(
             pools = [by_conclusion[b] for b in rule.body]
             head = bits[rule.head]
             for subs in itertools.product(*pools):
-                if max(s.depth for s in subs) != depth - 1:
-                    continue
-                below = 0
+                below = deepest = 0
                 for s in subs:
                     below |= s.branch_mask
+                    if s.depth > deepest:
+                        deepest = s.depth
+                if deepest != depth - 1:
+                    continue
                 if below & head:  # a branch would repeat the head
                     pruned = True
                     continue
-                create(rule, subs, below | head)
+                create(rule, subs, below | head, depth)
                 fresh |= head
         concluded |= fresh
         last = fresh

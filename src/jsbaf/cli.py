@@ -1,5 +1,14 @@
 """Command-line driver.
 
+A canonical command line, the command followed by exact option strings of
+its parser, each value option once with a value that is ``-`` or does not
+start with ``-`` and passes the option's type and choices, each flag bare,
+every required option present, is read straight from the option table of
+its parser, the one ``_build_parser`` builds, into the namespace argparse
+would make of it.  Every other command line goes to argparse: ``--help``,
+abbreviations, ``--opt=value``, repeated options, dash-led values and every
+error, so their messages and exit codes are argparse's.
+
 Exit codes: 0 success, 1 postulate violation (or oracle mismatch) found,
 2 input error, 3 enumeration or search limit exceeded, 141 (128 + SIGPIPE)
 stdout closed by its reader.
@@ -125,6 +134,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parsers() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, by name."""
+    (commands,) = (
+        a.choices for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    return commands
+
+
+def _read_canonical(argv: list[str]) -> argparse.Namespace | None:
+    """The namespace argparse makes of a canonical ``argv`` (see the module
+    docstring), or None for any other ``argv``, which argparse then reads."""
+    parser = _command_parsers().get(argv[0]) if argv else None
+    if parser is None:
+        return None
+    given = {}
+    i = 1
+    while i < len(argv):
+        action = parser._option_string_actions.get(argv[i])
+        if action is None or action.dest in given:
+            return None
+        if isinstance(action, argparse._StoreConstAction):  # a bare flag
+            given[action.dest] = action.const
+            i += 1
+            continue
+        if type(action) is not argparse._StoreAction or action.nargs is not None:
+            return None
+        if i + 1 == len(argv) or argv[i + 1].startswith("-") and argv[i + 1] != "-":
+            return None
+        try:
+            value = argv[i + 1] if action.type is None else action.type(argv[i + 1])
+        except (argparse.ArgumentTypeError, TypeError, ValueError):
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        given[action.dest] = value
+        i += 2
+    namespace = argparse.Namespace(command=argv[0])
+    for action in parser._actions:
+        if action.dest in given:
+            setattr(namespace, action.dest, given[action.dest])
+        elif action.required:
+            return None
+        elif action.default is not argparse.SUPPRESS:  # -h puts nothing in the namespace
+            setattr(namespace, action.dest, action.default)
+    return namespace
+
+
 def _prepare(args, require_consistent: bool) -> Prepared:
     system = parse_system(_read_source(args.file))
     return prepare(system, args.max_arguments, require_consistent)
@@ -234,7 +290,9 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _read_canonical(sys.argv[1:] if argv is None else argv)
+    if args is None:
+        args = _build_parser().parse_args(argv)
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
@@ -248,7 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         # The reader of stdout has gone; point stdout at /dev/null, so that
         # the flush at interpreter exit does not fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
 
 

@@ -254,7 +254,12 @@ class _DomainSearch:
 
 def _members(mask: int) -> tuple[int, ...]:
     """The bit positions set in ``mask``, ascending."""
-    return tuple(i for i, b in enumerate(reversed(bin(mask))) if b == "1")
+    found = []
+    while mask:
+        low = mask & -mask
+        found.append(low.bit_length() - 1)
+        mask ^= low
+    return tuple(found)
 
 
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:

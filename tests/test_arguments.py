@@ -194,6 +194,21 @@ class TestMasks:
             gc.enable()
 
 
+def test_depth_and_defeasibility_follow_their_definitions(tandem_store):
+    """``depth``, given by the round that creates an argument, and
+    ``defeasible``, gathered with the sub masks, equal their recursive
+    definitions."""
+    stores = [tandem_store, construct_arguments(parse_system(SEED38_PATH.read_text()))]
+    stores += [
+        construct_arguments(random_system(SystemParams(6, 6, 6), seed).system) for seed in range(200)
+    ]
+    for store in stores:
+        for arg in store.arguments:
+            assert arg.depth == 1 + max((sub.depth for sub in arg.subs), default=0), arg
+            weak = not arg.top_rule_strict or any(sub.defeasible for sub in arg.subs)
+            assert arg.defeasible == weak, arg
+
+
 class TestStructure:
     """``Argument.form`` and ``Argument.structure`` are built once per
     argument, from its subs' strings; they equal the form and the tree

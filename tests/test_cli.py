@@ -1,6 +1,8 @@
 """Command-line surface: commands, formats, exit codes."""
 
 import argparse
+import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +11,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jsbaf import cli, errors
 from jsbaf.cli import main
@@ -389,12 +393,8 @@ class TestOptions:
         """README's "Options by command" table has a row for each command
         that reads rules, and each row names exactly the options the parser
         gives that command."""
-        (commands,) = (
-            a.choices for a in cli._build_parser()._actions
-            if isinstance(a, argparse._SubParsersAction)
-        )
         parsed = {}
-        for name, parser in commands.items():
+        for name, parser in cli._command_parsers().items():
             options = {o for a in parser._actions for o in a.option_strings if o != "--help"}
             if "--file" in options:
                 parsed[name] = options - {"-h"}
@@ -520,3 +520,175 @@ class TestClosedStdout:
         finally:
             os.close(write_end)
         assert (result.returncode, result.stderr) == (141, b"")
+
+    def test_in_process_exit_141_leaves_no_descriptor_open(self, monkeypatch):
+        """``main`` points stdout at /dev/null and closes the descriptor it
+        opened for that."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        stdout = open(write_end, "w", encoding="utf-8")
+        monkeypatch.setattr("sys.stdout", stdout)
+        try:
+            before = len(os.listdir("/proc/self/fd"))
+            code = main(["eval", "--file", str(TANDEM_PATH)])
+            after = len(os.listdir("/proc/self/fd"))
+        finally:
+            stdout.close()
+        assert (code, after) == (141, before)
+
+
+def parse_with_argparse(argv):
+    """``vars`` of the namespace argparse makes of ``argv``, or None when
+    it exits (on ``--help`` or an error)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(cli._build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def read_directly(argv):
+    """``vars`` of the namespace read without argparse, or None when the
+    reader declines ``argv``."""
+    namespace = cli._read_canonical(argv)
+    return None if namespace is None else vars(namespace)
+
+
+def bench_operations():
+    """Every operation of the benchmark's workloads, timed or not."""
+    path = TANDEM_PATH.parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # where its dataclasses look up their types
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        yield from workloads.operations(workload, 0)
+        yield from workloads.check_operations(workload)
+
+
+# Values that pass some option's type or choices, and values that fail
+# them: dash-led, negative, empty, not a number, a float where an int is due.
+TEXTS = ["", "-", "0", "7", "-1", "-2.5", "0.5", "1e3", " 1", "many", "--file", "-x", "a=b", "x.rules"]
+
+
+def option_items(draw, action, spellings, wild):
+    """One use of ``action``.  At ``wild`` 0 a flag stands bare and an
+    option takes one of its choices, or a number or file name; from 1 on,
+    the value may be one of TEXTS too, and at 2 the item may also be
+    ``--opt=value`` or miss its value."""
+    spelling = draw(st.sampled_from(spellings))
+    plain = st.sampled_from(list(action.choices or ["0", "1", "7", "24", "x.rules", "-"]))
+    value = draw(plain | st.sampled_from(TEXTS) | st.integers(-3, 30).map(str) if wild else plain)
+    form = draw(st.integers(0, 5)) if wild == 2 else 2
+    if form == 0:
+        return [f"{spelling}={value}"]
+    if form == 1 or action.nargs == 0:
+        return [spelling]
+    return [spelling, value]
+
+
+@st.composite
+def command_lines(draw):
+    """An argv drawn from one parser's own actions: its required options
+    and a draw of the others, each once, exactly spelled (see option_items
+    for their values).  At ``wild`` 2, a required option may be missing,
+    and a few more items follow, which may repeat an option or spell it
+    abbreviated or as ``--opt=value``, or be an unknown word or ``-h``."""
+    noise = st.sampled_from(["--bogus", "word", "--", "-x", "-h", "--help"])
+    commands = cli._command_parsers()
+    name = draw(st.sampled_from([*commands, "bogus", "-h", "--help"]))
+    if name not in commands:
+        return draw(st.lists(noise, max_size=2)) + [name] * draw(st.booleans())
+    actions = [a for a in commands[name]._actions if a.default != argparse.SUPPRESS]  # not -h
+    wild = draw(st.integers(0, 2))
+    argv = [name]
+    required = [a for a in actions if a.required and not (wild == 2 and draw(st.booleans()))]
+    others = draw(st.lists(st.sampled_from([a for a in actions if not a.required]), unique=True))
+    for action in required + others:
+        argv += option_items(draw, action, [action.option_strings[-1]], wild)
+    for _ in range(draw(st.integers(0, 2)) if wild == 2 else 0):
+        if draw(st.integers(0, 4)) == 0:
+            argv += [draw(noise)]
+        else:
+            action = draw(st.sampled_from(actions))
+            option = action.option_strings[-1]
+            argv += option_items(draw, action, [option, option[: max(3, len(option) - 3)]], wild)
+    return argv
+
+
+class TestCanonicalReading:
+    """``main`` reads a canonical command line from the parsers' option
+    table, and gives every other one to argparse."""
+
+    @settings(max_examples=600)
+    @given(command_lines())
+    def test_the_reader_declines_or_agrees_with_argparse(self, argv):
+        """Where argparse exits, the reader has declined."""
+        direct = read_directly(argv)
+        if direct is not None:
+            assert direct == parse_with_argparse(argv)
+
+    @pytest.mark.parametrize("command", sorted(cli._command_parsers()))
+    def test_every_option_of_each_command_is_read_directly(self, command):
+        argv = [command]
+        for action in cli._command_parsers()[command]._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                argv += [action.option_strings[0]]
+            elif isinstance(action, argparse._StoreAction):
+                value = sorted(action.choices)[-1] if action.choices else "5"
+                argv += [action.option_strings[0], value]
+        assert read_directly(argv) == parse_with_argparse(argv) is not None
+        assert read_directly(argv[:1] + argv[3:]) is None  # --file or --seed is required
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", "-h"],
+            ["eval", "--file", "x.rules", "--help", "word"],
+            ["eval", "--file", "x.rules", "--sem", "stable"],
+            ["eval", "--file=x.rules"],
+            ["eval", "--file", "x.rules", "--file", "x.rules"],
+            ["eval", "--file", "x.rules", "--allow-inconsistent", "--allow-inconsistent"],
+            ["eval", "--file", "-x.rules"],
+            ["random", "--seed", "-1"],
+            ["eval", "--file", "x.rules", "word"],
+            ["eval", "--semantics", "stable"],
+            ["eval", "--file", "x.rules", "--max-nodes", "many"],
+            ["eval", "--file", "x.rules", "--mode", "bogus"],
+            ["eval", "--file"],
+            ["-h"],
+            [],
+        ],
+    )
+    def test_the_reader_declines_other_command_lines(self, argv):
+        assert read_directly(argv) is None
+
+    def test_every_benchmark_operation_is_read_directly(self):
+        argvs = [op.argv() for op in bench_operations()]
+        assert len(argvs) == 44 + 4 + 1600 + 2
+        for argv in argvs:
+            assert read_directly(argv) == parse_with_argparse(argv) is not None
+
+    @pytest.mark.parametrize(
+        "argv, calls",
+        [
+            (["--semantics", "stable", "--mode", "deductive", "--max-nodes", "24"], 0),
+            (["--sem", "stable"], 1),
+            (["--semantics=stable"], 1),
+            (["--semantics", "stable", "--semantics", "stable"], 1),
+        ],
+        ids=["canonical", "abbreviated", "equals", "repeated"],
+    )
+    def test_argparse_parses_only_other_spellings(self, capsys, monkeypatch, argv, calls):
+        parsed = []
+        parse_args = argparse.ArgumentParser.parse_args
+
+        def counted(self, *args, **kwargs):
+            parsed.append(args)
+            return parse_args(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+        code, out, _ = run_cli(capsys, "eval", "--file", str(TANDEM_PATH), *argv)
+        assert (code, len(parsed)) == (0, calls)
+        assert json.loads(out)["settings"]["semantics"] == "stable"
