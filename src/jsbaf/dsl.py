@@ -3,7 +3,7 @@
 ::
 
     # tandem scenario
-    atoms hw sw tw ht st tt          # optional vocabulary declaration
+    atoms hw sw tw ht st tt ok_d1    # optional vocabulary declaration
     strict r1: -> hw                 # empty body: axiom-like rule
     strict r4: ht, st -> ~tt
     defeasible d1: hw => ht
@@ -15,10 +15,17 @@ starts a comment, and one leading byte-order mark is ignored.  Lines end
 at ``\n``, ``\r\n`` or ``\r``; any other whitespace, U+2028 and the form
 feed included, stays inside its line.
 
-Each line is split into token strings by one ``findall`` of ``_TOKEN_RE``,
-and the parser reads that list by index.  Token columns are not kept: a
-diagnostic, or a later check that needs a position (an undeclared atom, a
-``name`` error, a duplicate rule), scans its one line again with
+``parse_system`` reads a text in one pass, by one ``findall`` of
+``_LINE_RE``, a pattern of the whole line grammar: each match is one line,
+with its rule id, body, head, atoms or name as groups, and each literal's
+text is resolved to its formula once per parse.  A text that has a line
+the pattern rejects, a duplicate rule id or rule, a bad ``name`` line or an
+undeclared atom goes whole to the line walker, ``_walk``, which raises.
+
+The walker splits each line into token strings by one ``findall`` of
+``_TOKEN_RE``, and reads that list by index.  Token columns are not kept:
+a diagnostic, or a later check that needs a position (an undeclared atom,
+a ``name`` error, a duplicate rule), scans its one line again with
 ``finditer``.  Every diagnostic carries a 1-based line and column.
 """
 
@@ -29,15 +36,35 @@ import re
 from .core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule
 from .errors import ParseError, ValidationError
 
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"  # an atom, a rule id or a keyword
 # The last alternative takes any other single character, which no line may
 # contain outside a comment.
-_TOKEN_RE = re.compile(r"->|=>|[,:=~]|[A-Za-z_][A-Za-z0-9_]*|#.*|\S")
+_TOKEN_RE = re.compile(rf"->|=>|[,:=~]|{_ID}|#.*|\S")
 # A token is an identifier iff its first character is one of these.
 _IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 _SINGLE_CHAR_TOKENS = _IDENT_START | frozenset(",:=~")
 # Stands after the last token of a line, so the parser looks ahead without
 # bounds checks; a newline is never a token.
 _END = "\n"
+
+# One line of the grammar, with its line end, as ``_read`` takes it.  The
+# groups: "strict" or empty, then the rule id, the body (literals and
+# commas), the head, where a strict rule takes ``->`` and a defeasible one
+# ``=>``; the atoms of an ``atoms`` line; the rule id and the literal of a
+# ``name`` line.  A line that is none of these, nor blank or a comment, is
+# the last group, whole.  Every repeat stops at a character the next part
+# cannot start with, so a failing line costs linear time.
+_WS = r"[^\S\r\n]"  # whitespace inside a line
+_LIT = rf"(?:~{_WS}*)*{_ID}"
+_LINE_RE = re.compile(
+    rf"{_WS}*(?:"
+    rf"(?:(strict)|defeasible){_WS}+({_ID}){_WS}*:{_WS}*"
+    rf"({_LIT}(?:{_WS}*,{_WS}*{_LIT})*{_WS}*)?(?(1)->|=>){_WS}*({_LIT}){_WS}*"
+    rf"|atoms((?:{_WS}+{_ID})+){_WS}*"
+    rf"|name{_WS}+({_ID}){_WS}*={_WS}*({_LIT}){_WS}*"
+    rf")?(?:#[^\r\n]*)?(?:\r\n?|\n|\Z)"
+    rf"|([^\r\n]*)(?:\r\n?|\n|\Z)"
+)
 
 
 class _Unexpected(Exception):
@@ -119,6 +146,57 @@ def _literal(tokens: list[str], i: int) -> tuple[Formula, int]:
     return Formula(atom, depth), i + 1
 
 
+class _Literals(dict):
+    """Each literal's text, as ``_LINE_RE`` matched it, resolved to its
+    formula on its first lookup."""
+
+    def __missing__(self, text: str) -> Formula:
+        atom = text[text.rfind("~") + 1:].strip()
+        formula = self[text] = Formula(atom, text.count("~"))
+        return formula
+
+
+def _read(text: str) -> ArgumentationSystem | None:
+    """The system of ``text`` by one ``findall`` of ``_LINE_RE``, or None
+    if a line does not match or a check fails; ``_walk`` then reads it."""
+    strict: list[tuple] = []  # (id, body, head) of each rule, per kind
+    defeasible: list[tuple] = []
+    declared: set[str] = set()  # empty iff there is no ``atoms`` line
+    name_decls: list[tuple[str, Formula]] = []
+    lits = _Literals()
+    get = lits.__getitem__
+    for kind, rule_id, body, head, atoms, target, lit, bad in _LINE_RE.findall(text):
+        if rule_id:
+            # A literal's spaces are dropped, so that its usual spellings share one entry.
+            body = tuple(map(get, body.replace(" ", "").split(","))) if body else ()
+            (strict if kind else defeasible).append((rule_id, body, lits[head]))
+        elif atoms:
+            declared.update(atoms.split())
+        elif target:
+            name_decls.append((target, lits[lit]))
+        elif bad:
+            return None
+    ids = [row[0] for row in strict] + [row[0] for row in defeasible]
+    if len(set(ids)) < len(ids):
+        return None
+    for rows in (strict, defeasible):
+        if len({row[1:] for row in rows}) < len(rows):
+            return None
+    defeasible_ids = set(ids[len(strict):])
+    names: dict[str, Formula] = {}
+    for target, formula in name_decls:
+        if target not in defeasible_ids or target in names:
+            return None
+        names[target] = formula
+    if declared and any(phi.atom not in declared for phi in lits.values()):
+        return None
+    return ArgumentationSystem._make(
+        tuple([StrictRule(*row) for row in strict]),
+        tuple([DefeasibleRule(*row) for row in defeasible]),
+        names,
+    )
+
+
 def parse_system(text: str) -> ArgumentationSystem:
     """Parse a rule file into an argumentation system.
 
@@ -128,6 +206,13 @@ def parse_system(text: str) -> ArgumentationSystem:
     """
     if text.startswith("\ufeff"):
         text = text[1:]
+    system = _read(text)
+    return _walk(text) if system is None else system
+
+
+def _walk(text: str) -> ArgumentationSystem:
+    """``parse_system`` line by line, token by token: the reader of every
+    text that ``_read`` leaves, and the one that raises."""
     # Lines end only where ``open()`` ends them; ``str.splitlines`` would
     # also break at form feeds, U+2028 and others, which are whitespace here.
     lines = re.split(r"\r\n|\r|\n", text)

@@ -6,12 +6,22 @@ and supports are written in node order, which is label order (see
 ``frameworks``), as the pipeline holds them.  A JSON report is the text
 that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
-fixed templates of its sections: no report dict, no generic encoder.  A
-JSON report quotes ids and conclusions once, and every set on which all
-postulates hold shares one verdict block.  A full report reads everything
-it states from the ``Evaluation``, the run's parameters included.
+fixed templates of its sections: no report dict, no generic encoder.  The
+fixed parts are templates too: each section's keys and brackets are one
+f-string with the list that follows them, the ``settings`` block is one
+f-string in key order, and the ``postulate_summary`` block is one of the
+strings made at import.  Every text a report states but the source path
+and a limit's message is made of ASCII identifiers, ``~`` and the rule
+language's punctuation (ids, labels, atoms, literals, forms, rule ids,
+semantics and mode names), which JSON does not escape, so the templates
+quote them; the source and the message go through the escaper.  A JSON
+report quotes argument ids once, and every set on which all postulates
+hold shares one verdict block.  A full report reads everything it states
+from the ``Evaluation``, the run's parameters included.
 
-Both formats are written in pieces of about ``PIECE`` chars, split between
+Both formats are written in pieces of about ``PIECE`` chars.  A JSON list
+that fits the room left in the piece is one part, made by one join, so a
+report shorter than a piece is one write; a longer list is split between
 records (an argument, a conclusion set, an extension, an attack target, a
 witness, a support, a line of text).  Records are held whole, and so are
 the JSON tail from ``input`` to ``status``, whose sorted atom list grows
@@ -21,6 +31,7 @@ exceeds ``PIECE`` by at most one of these.
 
 from __future__ import annotations
 
+import itertools
 import re
 from json.encoder import encode_basestring as _quote  # the C escaper of ensure_ascii=False
 from typing import Callable
@@ -34,16 +45,17 @@ REPORT_FORMATS = ("json", "text")
 # A JSON value that starts on a line at depth d has its members on lines
 # that start with _NL[d + 1], and its closing bracket on one of _NL[d].
 _NL = tuple("\n" + "  " * depth for depth in range(8))
+_SEP = tuple("," + nl for nl in _NL)  # between the members of a value
 
 PIECE = 1 << 16  # chars a report holds before it calls ``write``
 
 
 class _Pieces:
     """Parts of a report, written when they hold ``PIECE`` chars, and at the
-    end by ``flush(last)``.  ``join`` splits a list between its records to
-    fit; ``add`` and ``flush`` take a part whole, so a write exceeds
-    ``PIECE`` by at most one record or part.  A JSON section of many lists
-    (the attacks, the witnesses) that ``fits`` the room left is one part."""
+    end by ``flush(last)``.  A section or list that ``fits`` the room left
+    is one part, made by one join; ``join`` splits a longer list between its
+    records to fit.  ``add`` and ``flush`` take a part whole, so a write
+    exceeds ``PIECE`` by at most one record or part."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write, self.parts, self.size = write, [], 0
@@ -67,18 +79,20 @@ class _Pieces:
                 self.flush()
             first, i = sep, i + step
 
-    def fits(self, records: int, width: int) -> bool:
-        """Whether ``records`` records of at most ``width`` chars each fit
-        in the room left in this piece, so that a section of them can be
-        one part, made by one join."""
-        return records * width <= PIECE - self.size
+    def fits(self, size: int) -> bool:
+        """Whether a part of ``size`` chars fits in the room left in this
+        piece."""
+        return self.size + size <= PIECE
 
-    def json_list(self, items: list[str], depth: int) -> None:
-        """A JSON list of already encoded ``items``, a record each."""
-        if not items:
-            return self.add("[]")
-        sep = "," + _NL[depth + 1]
-        self.join("[" + _NL[depth + 1], sep, items, len(sep) + max(map(len, items)))
+    def json_list(self, lead: str, items: list[str], depth: int) -> None:
+        """``lead``, then a JSON list of already encoded ``items``: one part
+        if it fits the room left, else a record at a time."""
+        part = lead + _list(items, depth)
+        if not items or self.fits(len(part)):
+            return self.add(part)
+        self.add(lead + "[")
+        sep = _SEP[depth + 1]
+        self.join(_NL[depth + 1], sep, items, len(sep) + max(map(len, items)))
         self.add(_NL[depth] + "]")
 
     def flush(self, last: str = "") -> None:
@@ -120,18 +134,17 @@ def _support_lists(j: JSBAF, names: list[str]) -> list[tuple[list[str], str]]:
 # JSON templates: ``depth`` is that of the line a value starts on; ``names``
 # are a framework's quoted labels by node number, ``quoted`` the ids by ordinal.
 
-def _list(items: list[str], depth: int) -> str:
-    """A JSON list of already encoded ``items``."""
-    if not items:
-        return "[]"
-    if len(items) == 1:
-        return f"[{_NL[depth + 1]}{items[0]}{_NL[depth]}]"
-    return f"[{_NL[depth + 1]}{(',' + _NL[depth + 1]).join(items)}{_NL[depth]}]"
+def _list(items, depth: int) -> str:
+    """A JSON list of already encoded ``items``, any iterable of them."""
+    text = _SEP[depth + 1].join(items)
+    return f"[{_NL[depth + 1]}{text}{_NL[depth]}]" if text else "[]"
 
 
 def _texts(texts, depth: int) -> str:
-    """A JSON list of ``texts``, sorted."""
-    return _list(list(map(_quote, sorted(texts))), depth)
+    """A JSON list of ``texts``, sorted: literals or atoms, which need no
+    escape."""
+    text = f'",{_NL[depth + 1]}"'.join(sorted(texts))
+    return f'[{_NL[depth + 1]}"{text}"{_NL[depth]}]' if text else "[]"
 
 
 def _flat_object(fields: dict, depth: int) -> str:
@@ -144,22 +157,17 @@ def _flat_object(fields: dict, depth: int) -> str:
 
 
 def _argument_records(ev: Evaluation, quoted: list[str]) -> list[str]:
-    """The argument records; each rule's head and id are quoted once."""
-    i2, i3 = _NL[2], _NL[3]
-    rules: dict = {}  # rule id: (quoted head, quoted rule id)
+    """The argument records."""
+    i2, i3, i4 = _NL[2], _NL[3], _NL[4]
     records = []
-    for arg in ev.store.arguments:
-        rule = arg.rule
-        parts = rules.get(rule.id)
-        if parts is None:
-            parts = rules[rule.id] = (_quote(str(rule.head)), _quote(rule.id))
+    for arg, ident in zip(ev.store.arguments, quoted):
+        subs = arg.subs
+        subs = f"[{i4}{_SEP[4].join([quoted[s.ordinal] for s in subs])}{i3}]" if subs else "[]"
         records.append(
-            f'{{{i3}"conclusion": {parts[0]},'
-            f'{i3}"defeasible": {"true" if arg.defeasible else "false"},'
-            f'{i3}"form": {_quote(arg.form)},'
-            f'{i3}"id": {quoted[arg.ordinal]},{i3}"rule": {parts[1]},'
-            f'{i3}"structure": {_quote(arg.structure)},'
-            f'{i3}"subs": {_list([quoted[s.ordinal] for s in arg.subs], 3)}{i2}}}'
+            f'{{{i3}"conclusion": "{arg.conclusion}",'
+            f'{i3}"defeasible": {"true" if arg.defeasible else "false"},{i3}"form": "{arg.form}",'
+            f'{i3}"id": {ident},{i3}"rule": "{arg.rule.id}",{i3}"structure": "{arg.structure}",'
+            f'{i3}"subs": {subs}{i2}}}'
         )
     return records
 
@@ -171,7 +179,7 @@ def _verdict(verdict: Verdict, name: str) -> str:
         encoded = "null"
     elif name == "closure":
         encoded = (f'{{{i6}"body": {_texts(map(str, witness.body), 6)},{i6}"missing_head": '
-                   f'{_quote(str(witness.head))},{i6}"rule": {_quote(witness.id)}{i5}}}')
+                   f'"{witness.head}",{i6}"rule": "{witness.id}"{i5}}}')
     else:
         encoded = f'{{{i6}"pair": {_texts(map(str, witness), 6)}{i5}}}'
     satisfied = "true" if verdict.satisfied else "false"
@@ -182,59 +190,54 @@ def _verdict(verdict: Verdict, name: str) -> str:
 _ALL_HOLD_JSON = ",".join(f'{_NL[4]}"{name}": {_verdict(Verdict(), name)}' for name in POSTULATES)
 
 
-class _LiteralTexts(dict):
-    """Each formula's quoted text, made on its first lookup.  A quoted
-    literal sorts as its text does: the quotes around it sort below every
-    character a literal holds."""
-
-    def __missing__(self, phi) -> str:
-        text = self[phi] = _quote(str(phi))
-        return text
-
-
 def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     """The conclusion sets and their verdicts."""
     i3, i4 = _NL[3], _NL[4]
-    entries, texts = [], _LiteralTexts()
+    entries = []
     for cs in ev.conclusion_sets:
         postulates = _ALL_HOLD_JSON if cs.postulates.all_satisfied else ",".join(
             f'{i4}"{name}": {_verdict(verdict, name)}'
             for name, verdict in zip(POSTULATES, cs.postulates)
         )
         entries.append(
-            f'{{{i3}"conclusions": {_list(sorted(map(texts.__getitem__, cs.formulas)), 3)},'
-            f'{i3}"extension": {_list([quoted[o] for o in cs.extension], 3)},'
+            f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
+            f'{i3}"extension": {_list(map(quoted.__getitem__, cs.extension), 3)},'
             f'{i3}"postulates": {{{postulates}{i3}}}{_NL[2]}}}'
         )
     return entries
 
 
-def _attacks_json(out: _Pieces, framework: AF, names: list[str]) -> None:
-    """The sorted label pairs of ``framework``'s attacks: one join if they
-    fit the room left, else a row at a time."""
+def _attacks_json(out: _Pieces, lead: str, framework: AF, names: list[str]) -> None:
+    """``lead``, then the sorted label pairs of ``framework``'s attacks: one
+    join if they fit the room left, else a row at a time."""
     i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
     pairs = sum(map(len, framework.target_ids))
     if not pairs:
-        return out.add("[]")
+        return out.add(lead + "[]")
     width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names))
-    if out.fits(pairs, width):
-        records = [f"{i3}[{i4}{names[s]},{i4}{names[d]}{close}"
-                   for s, row in enumerate(framework.target_ids) for d in row]
-        return out.add("[" + ",".join(records) + _NL[2] + "]")
+    rows = _attack_rows(framework, names)
+    if out.fits(len(lead) + pairs * width):
+        records = []
+        for s, targets in rows:
+            head = f"{i3}[{i4}{s},{i4}"
+            records.append(head + f"{close},{head}".join(targets) + close)
+        return out.add(f"{lead}[{','.join(records)}{_NL[2]}]")
+    out.add(lead)
     lead = "["
-    for s, targets in _attack_rows(framework, names):
+    for s, targets in rows:
         head = f"{i3}[{i4}{s},{i4}"
         out.join(lead + head, f"{close},{head}", targets, width)
         lead = close + ","
     out.add(close + _NL[2] + "]")
 
 
-def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
-    """The witness records, attacker by attacker: one join if they fit the
-    room left, else a join per attacker.  Each hits tuple is made into
-    record tails once, and an attacker's records are joins of them."""
+def _witnesses_json(out: _Pieces, lead: str, ev: Evaluation, quoted: list[str]) -> None:
+    """``lead``, then the witness records, attacker by attacker: one join if
+    they fit the room left, else a join per attacker.  Each hits tuple is
+    made into record tails once, and an attacker's records are joins of
+    them."""
     if not ev.witnesses.groups:
-        return out.add("[]")
+        return out.add(lead + "[]")
     i3, i4 = _NL[3], _NL[4]
     tails_of: dict[int, tuple[list[str], int]] = {}  # id(hits): (tails, longest tail)
     rows, width = [], 0
@@ -250,9 +253,10 @@ def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
         head = f'{i3}{{{i4}"attacker": {quoted[attacker]},{i4}'
         rows.append((head, entry[0]))
         width = max(width, 1 + len(head) + entry[1])
-    if out.fits(len(ev.witnesses), width):
-        return out.add("[" + ",".join([head + ("," + head).join(tails) for head, tails in rows])
+    if out.fits(len(lead) + len(ev.witnesses) * width):
+        return out.add(f"{lead}[" + ",".join([head + ("," + head).join(tails) for head, tails in rows])
                        + _NL[2] + "]")
+    out.add(lead)
     lead = "["
     for head, tails in rows:
         out.join(lead + head, "," + head, tails, width)
@@ -260,47 +264,56 @@ def _witnesses_json(out: _Pieces, ev: Evaluation, quoted: list[str]) -> None:
     out.add(_NL[2] + "]")
 
 
+# The ``postulate_summary`` block of a JSON report, by ``Evaluation.holds``.
+_SUMMARY_JSON = {
+    holds: "{" + ",".join(f'{_NL[2]}"{name}": "{"satisfied" if held else "violated"}"'
+                          for name, held in zip(POSTULATES, holds)) + _NL[1] + "}"
+    for holds in itertools.product((True, False), repeat=len(POSTULATES))
+}
+
+
 def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     """The JSON report, in key order, a section at a time."""
     store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
-    quoted = [_quote(arg.canonical_id) for arg in store.arguments]
-    names = [quoted[o] for o in store.node_order]  # the framework's quoted labels
-    out.add(f'{{{i1}"arguments": ')
-    out.json_list(_argument_records(ev, quoted), 1)
-    out.add(f',{i1}"conclusion_sets": ')
-    out.json_list(_conclusion_set_records(ev, quoted), 1)
+    quoted = [f'"{arg.canonical_id}"' for arg in store.arguments]
+    names = list(map(quoted.__getitem__, store.node_order))  # the framework's quoted labels
+    out.json_list(f'{{{i1}"arguments": ', _argument_records(ev, quoted), 1)
+    out.json_list(f',{i1}"conclusion_sets": ', _conclusion_set_records(ev, quoted), 1)
     pruned = "true" if store.acyclicity_pruned else "false"
-    out.add(f',{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}'
-            f'{i1}}},{i1}"extensions": ')
-    out.json_list([_list([names[i] for i in ext], 2) for ext in ev.extensions], 1)
+    out.json_list(
+        f',{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}'
+        f'{i1}}},{i1}"extensions": ',
+        [_list(map(names.__getitem__, ext), 2) for ext in ev.extensions], 1,
+    )
+    lead = f',{i1}"framework": {{{i2}"attack_witnesses": '
     if flat is not None:
-        flat_names = list(map(_quote, flat.labels))
-        out.add(f',{i1}"flattened": {{{i2}"attacks": ')
-        _attacks_json(out, flat, flat_names)
-        out.add(f',{i2}"extensions": ')
-        out.json_list([_list([flat_names[i] for i in ext], 3) for ext in ev.raw_extensions], 2)
-        out.add(f',{i2}"mode": {_quote(_FLATTEN)},{i2}"nodes": ')
-        out.json_list(flat_names, 2)
-        out.add(i1 + "}")
-    out.add(f',{i1}"framework": {{{i2}"attack_witnesses": ')
-    _witnesses_json(out, ev, quoted)
-    out.add(f',{i2}"attacks": ')
-    _attacks_json(out, ev.framework, names)
+        flat_names = [f'"{label}"' for label in flat.labels]
+        _attacks_json(out, f',{i1}"flattened": {{{i2}"attacks": ', flat, flat_names)
+        out.json_list(f',{i2}"extensions": ',
+                      [_list(map(flat_names.__getitem__, ext), 3) for ext in ev.raw_extensions], 2)
+        out.json_list(f',{i2}"mode": "{_FLATTEN}",{i2}"nodes": ', flat_names, 2)
+        lead = i1 + "}" + lead
+    _witnesses_json(out, lead, ev, quoted)
+    _attacks_json(out, f',{i2}"attacks": ', ev.framework, names)
     if flat is not None:
-        i3, i4, supports = _NL[3], _NL[4], _support_lists(ev.framework, names)
-        out.add(f',{i2}"supports": ')
-        out.json_list([f"[{i4}{_list(src, 4)},{i4}{dst}{i3}]" for src, dst in supports], 2)
+        i3, i4 = _NL[3], _NL[4]
+        out.json_list(f',{i2}"supports": ', [
+            f"[{i4}{_list(map(names.__getitem__, src), 4)},{i4}{names[dst]}{i3}]"
+            for src, dst in ev.framework.support_ids
+        ], 2)
     consistent = "true" if ev.consistent else "false"
-    summary = ",".join(f'{i2}"{name}": "{"satisfied" if held else "violated"}"'
-                       for name, held in zip(POSTULATES, ev.holds))
-    settings = report_settings(ev.semantics, ev.mode, store.max_arguments, ev.max_nodes)
+    # ``system.atoms`` would build a frozenset that nothing else reads.
+    atoms = {phi.atom for phi in system.literal_table.literals}
+    flatten = "null" if flat is None else f'"{_FLATTEN}"'
     out.flush(
-        f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(system.atoms, 2)},'
+        f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(atoms, 2)},'
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
         f'{i2}"source": {_quote(source)},{i2}"strict_rules": {len(system.strict_rules)},'
         f'{i2}"undercut_names": {len(system.undercut_names)}{i1}}},'
-        f'{i1}"postulate_summary": {{{summary}{i1}}},{i1}"postulates_in_scope": {consistent},'
-        f'{i1}"settings": {_flat_object(settings, 1)},{i1}"status": "ok"\n}}\n'
+        f'{i1}"postulate_summary": {_SUMMARY_JSON[ev.holds]},{i1}"postulates_in_scope": {consistent},'
+        f'{i1}"settings": {{{i2}"flatten": {flatten},{i2}"max_arguments": {store.max_arguments},'
+        f'{i2}"max_nodes": {ev.max_nodes},{i2}"mode": "{ev.mode}",'
+        f'{i2}"semantics": "{ev.semantics}"{i1}}},{i1}"status": "ok"\n}}\n'
     )
 
 

@@ -1,5 +1,7 @@
+import importlib.util
 import itertools
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +60,18 @@ def j3():
     """a, b, c jointly support d."""
     a, b, c, d = base("a"), base("b"), base("c"), base("d")
     return JSBAF({a, b, c, d}, set(), {(frozenset({a, b, c}), d)})
+
+
+def bench_operations():
+    """Every operation of the benchmark's workloads, timed or not."""
+    path = TANDEM_PATH.parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # where its dataclasses look up their types
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS:
+        yield from workloads.operations(workload, 0)
+        yield from workloads.check_operations(workload)
 
 
 def random_af(seed: int, max_nodes: int, attack_prob: float) -> AF:

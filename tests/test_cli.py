@@ -2,7 +2,6 @@
 
 import argparse
 import contextlib
-import importlib.util
 import io
 import json
 import os
@@ -17,7 +16,7 @@ from hypothesis import strategies as st
 from jsbaf import cli, errors
 from jsbaf.cli import main
 
-from conftest import TANDEM_PATH, tandem_rules, wide_join_rules
+from conftest import TANDEM_PATH, bench_operations, tandem_rules, wide_join_rules
 
 DATA = TANDEM_PATH.parents[1] / "tests" / "data"
 README = TANDEM_PATH.parents[1] / "README.md"
@@ -553,18 +552,6 @@ def read_directly(argv):
     reader declines ``argv``."""
     namespace = cli._read_canonical(argv)
     return None if namespace is None else vars(namespace)
-
-
-def bench_operations():
-    """Every operation of the benchmark's workloads, timed or not."""
-    path = TANDEM_PATH.parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # where its dataclasses look up their types
-    spec.loader.exec_module(workloads)
-    for workload in workloads.WORKLOADS:
-        yield from workloads.operations(workload, 0)
-        yield from workloads.check_operations(workload)
 
 
 # Values that pass some option's type or choices, and values that fail

@@ -1,9 +1,13 @@
 """Rule-language parser and printer."""
 
+import json
+import os
 import re
+import subprocess
+import sys
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from jsbaf import (
     ArgumentationSystem,
@@ -17,6 +21,9 @@ from jsbaf import (
     parse_system,
     print_system,
 )
+from jsbaf import dsl
+
+from conftest import TANDEM_PATH, bench_operations
 
 
 class TestParsing:
@@ -350,3 +357,184 @@ def test_every_error_points_into_the_text(lines):
     except (ParseError, ValidationError) as err:
         assert 1 <= err.line <= len(lines)
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
+
+
+# The one-pass reader and the line walker.  ``parse_system`` takes a text
+# from ``dsl._read`` when it can, and from ``dsl._walk`` otherwise.
+
+SPACES = [" ", "\t", "\x0c", "\u2028", "\u00a0", " \t"]
+LINE_ENDS = ["\n", "\r\n", "\r"]
+STRAY = ["!", "\u00e9", "1", "-", ">", ",", ":", "=", "~", "#", "\ufeff", "x"]
+
+
+KINDS = ["strict", "defeasible", "name", "atoms", "comment", "blank"]
+
+
+@st.composite
+def spelled_line(draw, kind, rule_id):
+    """A line of ``kind`` about ``rule_id``, spelled with free whitespace."""
+
+    def space(min_size=0):
+        return draw(st.sampled_from(SPACES if min_size else ["", "", *SPACES]))
+
+    def literal():
+        tildes = "".join("~" + space() for _ in range(draw(st.integers(0, 2))))
+        return tildes + draw(st.sampled_from(["a", "b", "c", "long_1"]))
+
+    if kind in ("strict", "defeasible"):
+        body = [literal() for _ in range(draw(st.integers(0, 3)))]
+        arrow = "->" if kind == "strict" else "=>"
+        line = (f"{space()}{kind}{space(1)}{rule_id}{space()}:{space()}"
+                + (space() + "," + space()).join(body) + f"{space()}{arrow}{space()}{literal()}")
+    elif kind == "name":
+        line = f"{space()}name{space(1)}{rule_id}{space()}={space()}{literal()}"
+    elif kind == "atoms":
+        atoms = draw(st.sampled_from(["a b c long_1", "long_1 c b a", "a b", "c"])).split()
+        line = space() + "atoms" + "".join(space(1) + atom for atom in atoms)
+    elif kind == "comment":
+        return space() + "#" + draw(st.text(st.characters(blacklist_characters="\r\n"), max_size=4))
+    else:
+        return space()
+    return line + space() + draw(st.sampled_from(["", "# note", "#"]))
+
+
+@st.composite
+def mutated(draw, line):
+    """``line`` with one syntax fault, or unchanged: a dropped or wrong
+    arrow, a stray character, a dropped character."""
+    fault = draw(st.sampled_from(["none", "drop arrow", "wrong arrow", "stray", "drop"]))
+    if fault == "drop arrow":
+        return line.replace("->", "").replace("=>", "")
+    if fault == "wrong arrow":
+        return line.replace("->", "\0").replace("=>", "->").replace("\0", "=>")
+    if not line or fault == "none":
+        return line
+    at = draw(st.integers(0, len(line) - 1))
+    if fault == "stray":
+        return line[:at] + draw(st.sampled_from(STRAY)) + line[at:]
+    return line[:at] + line[at + 1:]
+
+
+@st.composite
+def rule_texts(draw):
+    """Rule files whose lines may repeat an id or a shape, name an undefined
+    or strict rule, use an undeclared atom, or have a syntax fault; a name
+    line often comes with its defeasible rule."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(KINDS))
+        rule_id = kind[0] + draw(st.sampled_from("0123"))
+        if kind == "name":
+            rule_id = draw(st.sampled_from(["d0", "d1", "s0", "x0"]))
+            if draw(st.booleans()):
+                lines.append(draw(spelled_line("defeasible", rule_id)))
+        line = draw(spelled_line(kind, rule_id))
+        lines.append(draw(mutated(line)) if draw(st.integers(0, 5)) == 0 else line)
+    ends = [draw(st.sampled_from(LINE_ENDS)) for _ in lines]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if lines and draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+def walked(text):
+    """What the line walker makes of ``text``: a system, or the error it raises."""
+    try:
+        return dsl._walk(text)
+    except (ParseError, ValidationError) as err:
+        return err
+
+
+def error_fields(err):
+    return type(err), str(err), err.line, err.column, getattr(err, "token", None)
+
+
+@settings(max_examples=300)
+@given(rule_texts())
+@example("strict r1: a, ~ ~b -> c\r\ndefeasible d1: => a\rname d1 = ~c\n")
+@example("\ufeffatoms a\x0cb\nstrict r1:\u2028a->b # c\r\n")
+@example("strict r1: -> a\nstrict r1: -> b")
+@example("strict r1: -> a\nstrict r2: -> a")
+@example("atoms a\nstrict r1: -> b")
+@example("strict r1: -> a\nname r1 = b")
+@example("name d1 = b\ndefeasible d1: => a")
+@example("strict\ufeffr1: -> a")
+def test_the_reader_agrees_with_the_walker(text):
+    """The reader returns the walker's system, and defers to the walker
+    exactly where the walker raises; ``parse_system`` then raises the
+    walker's error."""
+    body = text[1:] if text.startswith("\ufeff") else text
+    read, expected = dsl._read(body), walked(body)
+    if isinstance(expected, Exception):
+        assert read is None
+        with pytest.raises(type(expected)) as err:
+            parse_system(text)
+        assert error_fields(err.value) == error_fields(expected)
+    else:
+        assert read == expected == parse_system(text)
+        assert list(read.undercut_names.items()) == list(expected.undercut_names.items())
+
+
+def readme_example():
+    """The rule file shown under README's "Rule language" heading."""
+    readme = (TANDEM_PATH.parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Rule language", 1)[1]
+    return section.split("```\n", 2)[1]
+
+
+def test_the_walker_reads_no_benchmark_demo_or_readme_file(monkeypatch):
+    """Every rule file the benchmark writes, the demo files and README's
+    example are read in one pass; the walker is never called."""
+    texts = {op.instance.text for op in bench_operations()}
+    texts |= {path.read_text(encoding="utf-8") for path in TANDEM_PATH.parent.glob("*.rules")}
+    texts.add(readme_example())
+    expected = {text: dsl._walk(text) for text in texts}
+    calls = []
+    monkeypatch.setattr(dsl, "_walk", lambda text: calls.append(text))
+    for text in texts:
+        assert parse_system(text) == expected[text]
+    assert calls == [] and len(texts) > 200
+
+
+LONG = 100_000
+
+# Reads a rule file from stdin, and prints whether the reader declined it,
+# the seconds to the walker's error, and the error.
+LONG_LINE_CHILD = """
+import json, sys, time
+from jsbaf import ParseError, dsl, parse_system
+text = sys.stdin.read()
+start = time.perf_counter()
+declined = dsl._read(text) is None
+try:
+    parse_system(text)
+except ParseError as err:
+    print(json.dumps([declined, time.perf_counter() - start, str(err)]))
+"""
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("strict r1: " + "a, " * (LONG // 3) + "b", "expected '->' at end of line"),
+        ("strict r1: " + "a, " * (LONG // 3) + "-> b", "expected an atom, found '->'"),
+        ("strict r1: -> " + "~ " * (LONG // 2), "expected an atom at end of line"),
+        ("atoms " + "a " * (LONG // 2) + "!", "unexpected character '!'"),
+        ("strict r1:" + " " * LONG + "!", "unexpected character '!'"),
+    ],
+    ids=["no arrow", "trailing comma", "tilde run", "stray after atoms", "stray after spaces"],
+)
+def test_a_long_bad_line_fails_fast(line, message):
+    """Lines of 100,000 characters that the reader rejects: it declines
+    in linear time, and the walker raises its usual error.  The parse runs
+    in a child process, so that a pattern that backtracks without end fails
+    this test instead of hanging the suite."""
+    env = {**os.environ, "PYTHONPATH": str(TANDEM_PATH.parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", LONG_LINE_CHILD], input="strict r0: -> a\n" + line,
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    declined, seconds, error = json.loads(done.stdout)
+    assert declined and seconds < 1.0
+    assert error.startswith("2:") and error.endswith(": " + message)

@@ -417,6 +417,22 @@ class TestReportBytes:
                 assert max(map(len, chunks)) <= piece + max(map(len, parts))
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_a_report_whose_lists_fit_is_one_write_of_whole_lists(self, monkeypatch, mode):
+        """tandem(3,2) preferred, far below a piece (in aspic-minus mode
+        with violated verdicts): every list of the JSON report fits the
+        room left, so none is split between its records, and the report is
+        one write."""
+        ev = evaluate(prepare(tandem(3, 2)), "preferred", mode)
+        report, writes = written(write_report, ev, "f.rules", "json")
+
+        def split(*args):
+            raise AssertionError("a list was split between its records")
+
+        monkeypatch.setattr(reporting._Pieces, "join", split)
+        assert written(write_report, ev, "f.rules", "json") == (report, 1)
+        assert writes == 1 and len(report) < PIECE
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_writing_a_large_report_adds_little_memory(self, mode):
         """tandem(7,3): a report of 1.4 MiB (aspic-minus) or 1.9 MiB
         (deductive), which the writer never holds whole."""
