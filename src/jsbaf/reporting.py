@@ -254,8 +254,8 @@ def _witnesses_json(out: _Pieces, lead: str, ev: Evaluation, quoted: list[str]) 
         rows.append((head, entry[0]))
         width = max(width, 1 + len(head) + entry[1])
     if out.fits(len(lead) + len(ev.witnesses) * width):
-        return out.add(f"{lead}[" + ",".join([head + ("," + head).join(tails) for head, tails in rows])
-                       + _NL[2] + "]")
+        records = ",".join([head + ("," + head).join(tails) for head, tails in rows])
+        return out.add(f"{lead}[{records}{_NL[2]}]")
     out.add(lead)
     lead = "["
     for head, tails in rows:
@@ -310,7 +310,8 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
         f'{i2}"source": {_quote(source)},{i2}"strict_rules": {len(system.strict_rules)},'
         f'{i2}"undercut_names": {len(system.undercut_names)}{i1}}},'
-        f'{i1}"postulate_summary": {_SUMMARY_JSON[ev.holds]},{i1}"postulates_in_scope": {consistent},'
+        f'{i1}"postulate_summary": {_SUMMARY_JSON[ev.holds]},'
+        f'{i1}"postulates_in_scope": {consistent},'
         f'{i1}"settings": {{{i2}"flatten": {flatten},{i2}"max_arguments": {store.max_arguments},'
         f'{i2}"max_nodes": {ev.max_nodes},{i2}"mode": "{ev.mode}",'
         f'{i2}"semantics": "{ev.semantics}"{i1}}},{i1}"status": "ok"\n}}\n'

@@ -365,8 +365,6 @@ def test_every_error_points_into_the_text(lines):
 SPACES = [" ", "\t", "\x0c", "\u2028", "\u00a0", " \t"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
 STRAY = ["!", "\u00e9", "1", "-", ">", ",", ":", "=", "~", "#", "\ufeff", "x"]
-
-
 KINDS = ["strict", "defeasible", "name", "atoms", "comment", "blank"]
 
 
@@ -374,8 +372,8 @@ KINDS = ["strict", "defeasible", "name", "atoms", "comment", "blank"]
 def spelled_line(draw, kind, rule_id):
     """A line of ``kind`` about ``rule_id``, spelled with free whitespace."""
 
-    def space(min_size=0):
-        return draw(st.sampled_from(SPACES if min_size else ["", "", *SPACES]))
+    def space(needed=False):
+        return draw(st.sampled_from(SPACES if needed else ["", "", *SPACES]))
 
     def literal():
         tildes = "".join("~" + space() for _ in range(draw(st.integers(0, 2))))
@@ -384,13 +382,13 @@ def spelled_line(draw, kind, rule_id):
     if kind in ("strict", "defeasible"):
         body = [literal() for _ in range(draw(st.integers(0, 3)))]
         arrow = "->" if kind == "strict" else "=>"
-        line = (f"{space()}{kind}{space(1)}{rule_id}{space()}:{space()}"
+        line = (f"{space()}{kind}{space(needed=True)}{rule_id}{space()}:{space()}"
                 + (space() + "," + space()).join(body) + f"{space()}{arrow}{space()}{literal()}")
     elif kind == "name":
-        line = f"{space()}name{space(1)}{rule_id}{space()}={space()}{literal()}"
+        line = f"{space()}name{space(needed=True)}{rule_id}{space()}={space()}{literal()}"
     elif kind == "atoms":
         atoms = draw(st.sampled_from(["a b c long_1", "long_1 c b a", "a b", "c"])).split()
-        line = space() + "atoms" + "".join(space(1) + atom for atom in atoms)
+        line = space() + "atoms" + "".join(space(needed=True) + atom for atom in atoms)
     elif kind == "comment":
         return space() + "#" + draw(st.text(st.characters(blacklist_characters="\r\n"), max_size=4))
     else:
