@@ -18,25 +18,28 @@ its conclusions as bits of the system's ``literal_table``, so the branch
 test is one AND with the rule's head bit, and its sub-arguments as bits of
 their ordinals.
 
-Attacks are found through indexes, not by testing every pair of arguments:
-defeasible sub-arguments by conclusion, undercuttable ones by the name of
-their top rule, and sub-arguments by the arguments containing them, read
-off each argument's sub-argument bits.  An
-attacker concluding ``(atom, n)`` looks up only ``(atom, n ± 1)``, so the work
-grows with the number of attack witnesses.
+Attacks are found through two indexes, not by testing every pair of
+arguments: one from each attacking literal ``(atom, n)`` to the defeasible
+sub-arguments it rebuts (those concluding ``(atom, n ± 1)``) and undercuts
+(those whose top rule is named ``(atom, n ± 1)``), and one from each
+defeasible sub-argument to the ordinals of the arguments containing it,
+read off each argument's sub-argument bits.  An attacker's conclusion is
+looked up once, so the work grows with the number of attack witnesses.
+
+The store is a plain frozen record (``records.Record``), and its node
+order and node numbers are ``cached_attribute``s, built on the first read.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections.abc import Iterator
-from dataclasses import dataclass
-from functools import cached_property
 from typing import NamedTuple
 
 from .core import ArgumentationSystem, DefeasibleRule, Formula, Rule, StrictRule
 from .errors import LimitExceededError
 from .frameworks import AF, JSBAF, BaseNode
+from .records import Record, cached_attribute
 
 DEFAULT_MAX_ARGUMENTS = 5000  # largest store ``construct_arguments`` builds by default
 
@@ -130,18 +133,26 @@ class Argument:
         return f"<{self.form}>"
 
 
-@dataclass(frozen=True)
-class ArgumentStore:
+class ArgumentStore(Record):
     """Every argument constructible on the basis of a system, deduplicated
     and closed under sub-arguments, enumerated under the cap
     ``max_arguments``."""
 
-    system: ArgumentationSystem
-    arguments: tuple[Argument, ...]
-    acyclicity_pruned: bool
-    max_arguments: int
+    _fields = ("system", "arguments", "acyclicity_pruned", "max_arguments")
 
-    @cached_property
+    def __init__(
+        self,
+        system: ArgumentationSystem,
+        arguments: tuple[Argument, ...],
+        acyclicity_pruned: bool,
+        max_arguments: int,
+    ):
+        self.__dict__.update(
+            system=system, arguments=arguments, acyclicity_pruned=acyclicity_pruned,
+            max_arguments=max_arguments,
+        )
+
+    @cached_attribute
     def node_order(self) -> tuple[int, ...]:
         """Argument ordinals in canonical node order, which sorts the ids
         as text (A1, A10, A11, ..., A2): node p of a framework built from
@@ -149,7 +160,7 @@ class ArgumentStore:
         ids = [arg.canonical_id for arg in self.arguments]
         return tuple(sorted(range(len(ids)), key=ids.__getitem__))
 
-    @cached_property
+    @cached_attribute
     def node_number(self) -> list[int]:
         """The node number of each argument, by ordinal."""
         number = [0] * len(self.arguments)
@@ -179,39 +190,45 @@ def construct_arguments(
     which signals a combinatorially explosive system rather than a
     recoverable condition.
     """
-    rules: list[Rule] = sorted(
-        system.strict_rules + system.defeasible_rules, key=lambda r: r.id
-    )
-    table = system.literal_table
-    bits = table.bits
+    bits = system.literal_table.bits
+    # Each rule as (id, rule, arrow), in id order: ids are unique, so the
+    # sort compares ids alone.
+    rules = [(r.id, r, "-> ") for r in system.strict_rules]
+    rules += [(r.id, r, "=> ") for r in system.defeasible_rules]
+    rules.sort()
     arguments: list[Argument] = []
     by_conclusion: dict[Formula, list[Argument]] = {}
-    pruned = False
-    tails = {r.id: ("-> " if isinstance(r, StrictRule) else "=> ") + str(r.head) for r in rules}
 
-    def create(rule: Rule, subs: tuple[Argument, ...], branch_mask: int, depth: int):
+    def create(rule: Rule, subs: tuple[Argument, ...], tail: str, branch_mask: int, depth: int):
         if len(arguments) >= max_arguments:
             raise LimitExceededError(max_arguments)
-        arg = Argument(rule, subs, len(arguments), tails[rule.id], branch_mask, depth)
+        arg = Argument(rule, subs, len(arguments), tail, branch_mask, depth)
         arguments.append(arg)
-        by_conclusion.setdefault(arg.conclusion, []).append(arg)
+        by_conclusion.setdefault(rule.head, []).append(arg)
 
-    for rule in rules:
-        if not rule.body:
-            create(rule, (), bits[rule.head], 1)
+    entries = []  # (rule, arrow, body mask, head bit) of each rule with a body
+    concluded = 0  # the conclusions of all arguments
+    for _, rule, arrow in rules:
+        head = bits[rule.head]
+        if rule.body:
+            body = 0
+            for phi in rule.body:
+                body |= bits[phi]
+            entries.append((rule, arrow, body, head))
+        else:
+            create(rule, (), f"{arrow}{rule.head}", head, 1)
+            concluded |= head
 
-    bodies = [table.mask(rule.body) for rule in rules]
-    # The conclusions of all arguments, and of those of the last round.
-    concluded = last = table.mask(by_conclusion)
+    pruned = False
+    last = concluded  # the conclusions of the arguments of the last round
     depth = 2
     while last:
         fresh = 0
-        for rule, body in zip(rules, bodies):
+        for rule, arrow, body, head in entries:
             if not body & last or body & ~concluded:
                 continue
-            pools = [by_conclusion[b] for b in rule.body]
-            head = bits[rule.head]
-            for subs in itertools.product(*pools):
+            tail = f"{arrow}{rule.head}"
+            for subs in itertools.product(*[by_conclusion[b] for b in rule.body]):
                 below = deepest = 0
                 for s in subs:
                     below |= s.branch_mask
@@ -222,7 +239,7 @@ def construct_arguments(
                 if below & head:  # a branch would repeat the head
                     pruned = True
                     continue
-                create(rule, subs, below | head, depth)
+                create(rule, subs, tail, below | head, depth)
                 fresh |= head
         concluded |= fresh
         last = fresh
@@ -283,42 +300,53 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
     Several witnesses may share an (attacker, target) pair; the attack edge
     counts once.
 
-    Three indexes replace the pairwise test: defeasible sub-arguments by
-    conclusion ``(atom, negations)``, undercuttable sub-arguments by their
-    name formula, and each sub-argument's super-arguments (itself included).
-    Hits depend only on the attacker's conclusion; each conclusion's hits
-    are looked up, and stored, once.
+    Two indexes replace the pairwise test.  ``attacked`` maps each attacking
+    literal ``(atom, n)`` to the (kind index, ordinal) of every sub-argument
+    it attacks: a defeasible argument concluding ``(atom, n ± 1)`` (rebut),
+    and an undercuttable one whose top rule is named ``(atom, n ± 1)``
+    (undercut).  ``supers`` lists the ordinals of each sub-argument's
+    super-arguments, itself included.  Hits depend only on the attacker's
+    conclusion; each conclusion's hits are looked up, sorted, and stored,
+    once.
     """
     args, names = store.arguments, store.system.undercut_names
-    rebuttable: dict[tuple[str, int], list[Argument]] = {}
-    undercuttable: dict[tuple[str, int], list[Argument]] = {}
-    supers: list[list[Argument]] = [[] for _ in args]  # by ordinal
+    attacked: dict[tuple[str, int], list[tuple[int, int]]] = {}
+    attackable = 0  # the defeasible arguments, as bits of their ordinals
+    supers: list[list[int]] = [[] for _ in args]  # by ordinal, of the defeasible ones
     for arg in args:
-        if arg.defeasible:
-            key = (arg.conclusion.atom, arg.conclusion.negations)
-            rebuttable.setdefault(key, []).append(arg)
-        if isinstance(arg.rule, DefeasibleRule) and arg.rule.id in names:
-            name = names[arg.rule.id]
-            undercuttable.setdefault((name.atom, name.negations), []).append(arg)
-        below = arg.sub_mask
+        if not arg.defeasible:  # a strict argument is neither rebutted nor undercut
+            continue
+        ordinal = arg.ordinal
+        attackable |= 1 << ordinal
+        # Only defeasible rules are named, and rule ids are unique.
+        name = names.get(arg.rule.id)
+        if name is not None:
+            atom, n = name.atom, name.negations
+            attacked.setdefault((atom, n + 1), []).append((0, ordinal))
+            if n:
+                attacked.setdefault((atom, n - 1), []).append((0, ordinal))
+        atom, n = arg.conclusion.atom, arg.conclusion.negations
+        attacked.setdefault((atom, n + 1), []).append((1, ordinal))
+        if n:
+            attacked.setdefault((atom, n - 1), []).append((1, ordinal))
+        below = arg.sub_mask & attackable
         while below:
             sub = below.bit_length() - 1
             below ^= 1 << sub
-            supers[sub].append(arg)
+            supers[sub].append(ordinal)
 
     hits_by_conclusion: dict[Formula, Hits] = {}
     groups: list[tuple[int, Hits]] = []
     for a in args:
-        hits = hits_by_conclusion.get(a.conclusion)
+        conclusion = a.conclusion
+        hits = hits_by_conclusion.get(conclusion)
         if hits is None:
-            atom, n = a.conclusion.atom, a.conclusion.negations
-            hits = hits_by_conclusion[a.conclusion] = tuple(sorted(
-                (b.ordinal, kind, sub.ordinal)
-                for kind, index in enumerate((undercuttable, rebuttable))
-                for key in ((atom, n - 1), (atom, n + 1))
-                for sub in index.get(key, ())
-                for b in supers[sub.ordinal]
-            ))
+            found = []
+            for kind, sub in attacked.get((conclusion.atom, conclusion.negations), ()):
+                for b in supers[sub]:
+                    found.append((b, kind, sub))
+            found.sort()
+            hits = hits_by_conclusion[conclusion] = tuple(found)
         if hits:
             groups.append((a.ordinal, hits))
     return AttackWitnesses(args, tuple(groups))
@@ -342,7 +370,8 @@ def _attack_edges(store: ArgumentStore, witnesses: AttackWitnesses) -> list[tupl
 
 def _argument_nodes(store: ArgumentStore) -> tuple[BaseNode, ...]:
     """The node table of the arguments."""
-    return tuple(BaseNode(store.arguments[o].canonical_id) for o in store.node_order)
+    args = store.arguments
+    return tuple([BaseNode(args[o].canonical_id) for o in store.node_order])
 
 
 def build_aspic_minus_af(store: ArgumentStore, witnesses: AttackWitnesses) -> AF:
@@ -357,12 +386,13 @@ def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
     sub-arguments (possibly empty) supports it.  Node numbers as in
     ``ArgumentStore.node_order``, each source in ascending order, the
     supports sorted, as ``JSBAF(...)`` sorts them."""
-    number = store.node_number
-    return sorted(
-        (tuple(sorted({number[s.ordinal] for s in arg.subs})), number[arg.ordinal])
-        for arg in store.arguments
-        if arg.top_rule_strict
-    )
+    number, pairs = store.node_number, []
+    for arg in store.arguments:
+        if arg.top_rule_strict:
+            source = sorted({number[s.ordinal] for s in arg.subs})
+            pairs.append((tuple(source), number[arg.ordinal]))
+    pairs.sort()
+    return pairs
 
 
 def build_da_jsbaf(store: ArgumentStore, af: AF) -> JSBAF:
@@ -382,4 +412,4 @@ def strict_argument_nodes(store: ArgumentStore) -> frozenset[int]:
     (see ``JSBAF``); that keeps the projected extensions deductive for every
     support, including the empty-source supports of axiom arguments."""
     number = store.node_number
-    return frozenset(number[arg.ordinal] for arg in store.arguments if not arg.defeasible)
+    return frozenset([number[arg.ordinal] for arg in store.arguments if not arg.defeasible])

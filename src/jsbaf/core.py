@@ -11,15 +11,20 @@ pair run on a ``LiteralTable``: the literals numbered once, in formula
 order, each strict rule a body mask and a head bit, each complementary pair
 a pair mask.  A system builds its table once and keeps it, so the closure
 of a set and its least pair are a few int operations per rule and per pair.
+
+Rules and systems are plain frozen records (``records.Record``), each set
+up by one update of its ``__dict__``; a system's literal table and atoms
+are ``cached_attribute``s, built on the first read and kept.
 """
 
 from __future__ import annotations
 
-from dataclasses import FrozenInstanceError, dataclass, field
-from functools import cached_property, total_ordering
+from functools import total_ordering
+from operator import attrgetter
 from typing import Iterable, Mapping, Union
 
 from .errors import ValidationError
+from .records import Record, cached_attribute
 
 
 # Every formula built so far, by (atom, negations).  One entry per distinct
@@ -59,11 +64,8 @@ class Formula:
             formula = _INTERNED.setdefault((atom, negations), formula)
         return formula
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = Record.__setattr__  # FrozenInstanceError, as a record's
+    __delattr__ = Record.__delattr__
 
     def __reduce__(self):
         return Formula, (self.atom, self.negations)
@@ -103,25 +105,25 @@ def complement(phi: Formula, psi: Formula) -> bool:
     return phi.atom == psi.atom and abs(phi.negations - psi.negations) == 1
 
 
-@dataclass(frozen=True)
-class StrictRule:
+class StrictRule(Record):
     """A rule whose conclusion cannot be questioned once its body holds.
 
     The body may be empty, which makes the rule behave like an axiom.
     """
 
-    id: str
-    body: tuple[Formula, ...]
-    head: Formula
+    _fields = ("id", "body", "head")
+
+    def __init__(self, id: str, body: tuple[Formula, ...], head: Formula):
+        self.__dict__.update(id=id, body=body, head=head)
 
 
-@dataclass(frozen=True)
-class DefeasibleRule:
+class DefeasibleRule(Record):
     """A rule that creates presumptive, attackable conclusions."""
 
-    id: str
-    body: tuple[Formula, ...]
-    head: Formula
+    _fields = ("id", "body", "head")
+
+    def __init__(self, id: str, body: tuple[Formula, ...], head: Formula):
+        self.__dict__.update(id=id, body=body, head=head)
 
 
 Rule = Union[StrictRule, DefeasibleRule]
@@ -135,8 +137,7 @@ def defeasible_rule(id: str, body: Iterable[Formula], head: Formula) -> Defeasib
     return DefeasibleRule(id, tuple(body), head)
 
 
-@dataclass(frozen=True)
-class ArgumentationSystem:
+class ArgumentationSystem(Record):
     """Strict rules, defeasible rules, and a partial naming of defeasible
     rules that makes them undercuttable.
 
@@ -145,14 +146,18 @@ class ArgumentationSystem:
     ``undercut_names`` is only defined on defeasible-rule ids.
     """
 
-    strict_rules: tuple[StrictRule, ...]
-    defeasible_rules: tuple[DefeasibleRule, ...]
-    undercut_names: Mapping[str, Formula] = field(default_factory=dict)
+    _fields = ("strict_rules", "defeasible_rules", "undercut_names")
 
-    def __post_init__(self):
-        object.__setattr__(self, "strict_rules", tuple(self.strict_rules))
-        object.__setattr__(self, "defeasible_rules", tuple(self.defeasible_rules))
-        object.__setattr__(self, "undercut_names", dict(self.undercut_names))
+    def __init__(
+        self,
+        strict_rules: Iterable[StrictRule],
+        defeasible_rules: Iterable[DefeasibleRule],
+        undercut_names: Mapping[str, Formula] = {},  # copied, so never changed
+    ):
+        self.__dict__.update(
+            strict_rules=tuple(strict_rules), defeasible_rules=tuple(defeasible_rules),
+            undercut_names=dict(undercut_names),
+        )
         seen_ids: set[str] = set()
         for rule in self.strict_rules + self.defeasible_rules:
             if not (rule.id.isascii() and rule.id.isidentifier()):
@@ -192,7 +197,7 @@ class ArgumentationSystem:
         )
         return self
 
-    @cached_property
+    @cached_attribute
     def literal_table(self) -> "LiteralTable":
         """Every formula the system mentions, and its strict rules, numbered
         on first read and kept."""
@@ -202,11 +207,15 @@ class ArgumentationSystem:
             formulas += rule.body
         return LiteralTable(self.strict_rules, formulas)
 
-    @cached_property
+    @cached_attribute
     def atoms(self) -> frozenset[str]:
         """Atom vocabulary actually mentioned by the rules, collected on
         first read and kept."""
         return frozenset([f.atom for f in self.literal_table.literals])
+
+
+_BY_ID = attrgetter("id")  # the sort key of rules
+_FORMULA_ORDER = attrgetter("atom", "negations")  # the sort key of formulas
 
 
 class LiteralTable:
@@ -222,19 +231,25 @@ class LiteralTable:
     """
 
     def __init__(self, rules: Iterable[StrictRule], formulas: Iterable[Formula] = ()):
-        rules = sorted(rules, key=lambda r: r.id)
+        rules = sorted(rules, key=_BY_ID)
         mentioned = set(formulas)
         for rule in rules:
             mentioned.add(rule.head)
             mentioned.update(rule.body)
-        self.literals = literals = tuple(sorted(mentioned, key=lambda f: (f.atom, f.negations)))
-        self.bits = {phi: 1 << i for i, phi in enumerate(literals)}
-        self.rules = tuple((self.mask(r.body), self.bits[r.head], r) for r in rules)
-        self.pairs = tuple(
-            (self.bits[phi] | self.bits[psi], phi, psi)
-            for phi, psi in zip(literals, literals[1:])
-            if psi.atom == phi.atom and psi.negations == phi.negations + 1
-        )
+        self.literals = literals = tuple(sorted(mentioned, key=_FORMULA_ORDER))
+        self.bits = bits = {phi: 1 << i for i, phi in enumerate(literals)}
+        numbered = []
+        for rule in rules:
+            body = 0
+            for phi in rule.body:
+                body |= bits[phi]
+            numbered.append((body, bits[rule.head], rule))
+        self.rules = tuple(numbered)
+        pairs = []
+        for phi, psi in zip(literals, literals[1:]):
+            if psi.atom == phi.atom and psi.negations == phi.negations + 1:
+                pairs.append((bits[phi] | bits[psi], phi, psi))
+        self.pairs = tuple(pairs)
 
     def mask(self, formulas: Iterable[Formula]) -> int:
         """The bits of ``formulas``; KeyError on one the table lacks."""

@@ -25,9 +25,11 @@ number is the only record of that order.  The public constructors number
 by key; every flattening numbers by construction.  A node table holds each
 node's ``NodeId`` once; a flattening builds each meta-argument's ``NodeId``
 once, from the objects already in its table, so one node is one object
-however many edges it ends.  The ``NodeId`` views ``nodes``, ``attacks``,
-``supports`` and ``joint_attacks`` are built on first read, for callers
-and tests; the pipeline reads only the ints.  The public constructors
+however many edges it ends.  ``NodeId``s are plain frozen records
+(``records.Record``).  The ``NodeId`` views ``nodes``, ``attacks``,
+``supports`` and ``joint_attacks``, and the ``labels``, are
+``cached_attribute``s, built on first read, for callers and tests; the
+pipeline reads only the ints and the labels.  The public constructors
 check that every endpoint is a node, and number supports and joint
 attacks, both sets of nodes to a node, by one helper; the flattenings and
 the builders in ``arguments`` make frameworks whose ints are right by
@@ -48,16 +50,18 @@ flattening reads the shield (see ``JSBAF``) from the JSBAF it flattens.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Iterator, Sequence, Union
 
+from .records import Record, cached_attribute
 
-@dataclass(frozen=True)
-class BaseNode:
+
+class BaseNode(Record):
     """An original argument, identified by its label."""
 
-    label_text: str
+    _fields = ("label_text",)
+
+    def __init__(self, label_text: str):
+        self.__dict__["label_text"] = label_text
 
     def key(self):
         return (0, self.label_text)
@@ -70,15 +74,17 @@ class BaseNode:
         return self.label
 
 
-@dataclass(frozen=True)
-class BarNode:
+class BarNode(Record):
     """Meta-argument standing for the rejection of ``base``.
 
     Generated during flattening, never parsed from user input.  Bars nest:
     the bar of a bar arises when a bar participates in a joint attack.
     """
 
-    base: "NodeId"
+    _fields = ("base",)
+
+    def __init__(self, base: "NodeId"):
+        self.__dict__["base"] = base
 
     def key(self):
         return (1, self.base.key())
@@ -91,12 +97,14 @@ class BarNode:
         return self.label
 
 
-@dataclass(frozen=True)
-class ENode:
+class ENode(Record):
     """Meta-argument carrying a joint attack; identified by the attacker set
     alone, so two joint attacks with the same source share one e-node."""
 
-    members: tuple["NodeId", ...]
+    _fields = ("members",)
+
+    def __init__(self, members: tuple["NodeId", ...]):
+        self.__dict__["members"] = members
 
     def key(self):
         return (2, tuple(m.key() for m in self.members))
@@ -185,11 +193,11 @@ class _Framework:
         self.__dict__.update(relations)
         return self
 
-    @cached_property
+    @cached_attribute
     def nodes(self) -> frozenset[NodeId]:
         return frozenset(self.node_table)
 
-    @cached_property
+    @cached_attribute
     def labels(self) -> list[str]:
         """The label of each node, by number."""
         return [n.label for n in self.node_table]
@@ -214,11 +222,11 @@ class AF(_Framework):
                 raise ValueError(f"attack ({s}, {d}) has an endpoint outside the node set")
         self.target_ids = _target_rows(len(index), ((index[s], index[d]) for s, d in attacks))
 
-    @cached_property
+    @cached_attribute
     def attacks(self) -> frozenset[tuple[NodeId, NodeId]]:
         return frozenset(self._pairs())
 
-    @cached_property
+    @cached_attribute
     def attacker_ids(self) -> list[list[int]]:
         """The attackers of each node, by number, in ascending order."""
         attackers: list[list[int]] = [[] for _ in self.node_table]
@@ -227,13 +235,13 @@ class AF(_Framework):
                 attackers[dst].append(src)
         return attackers
 
-    @cached_property
+    @cached_attribute
     def attackers(self) -> dict[NodeId, frozenset[NodeId]]:
         table = self.node_table
         rows = self.attacker_ids
         return {table[i]: frozenset(table[a] for a in row) for i, row in enumerate(rows)}
 
-    @cached_property
+    @cached_attribute
     def targets(self) -> dict[NodeId, frozenset[NodeId]]:
         table = self.node_table
         rows = self.target_ids
@@ -266,7 +274,7 @@ class HigherLevelAF(_Framework):
     def _value(self) -> tuple:
         return super()._value() + (frozenset(self.joint_attack_ids),)
 
-    @cached_property
+    @cached_attribute
     def joint_attacks(self) -> frozenset[tuple[frozenset[NodeId], NodeId]]:
         singles = ((frozenset({s}), d) for s, d in self._pairs())
         return frozenset((*singles, *self._sets(self.joint_attack_ids)))
@@ -312,7 +320,7 @@ class JSBAF(AF):
     def _value(self) -> tuple:
         return super()._value() + (frozenset(self.support_ids), self.shielded)
 
-    @cached_property
+    @cached_attribute
     def supports(self) -> frozenset[tuple[frozenset[NodeId], NodeId]]:
         return frozenset(self._sets(self.support_ids))
 
@@ -407,46 +415,33 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
     numbered once, in canonical order: the bars of arguments, in the order
     of their bases, then the double bars, then the e-nodes.
     """
-    m = len(j.node_table)
-    supported = {b for _, b in j.support_ids}
+    table = j.node_table
+    m = len(table)
+    supported, multi = set(), set()  # the supported nodes, and those of a joint support
+    for source, b in j.support_ids:
+        supported.add(b)
+        if len(source) > 1:
+            multi.add(b)
     direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
     arms = []  # the arms of the supports (X, b) with |X| > 1
+    co_supporters: set[int] = set()
     for rest, b, a in _support_arms(j):
         if rest:
             arms.append((rest, b, a))
+            co_supporters.update(rest)
         else:
             direct.setdefault(b, []).append(a)
-    co_supporters = {y for rest, _, _ in arms for y in rest}
     if two_step:
         barred = sorted(supported | co_supporters)
         relayed = sorted({b for _, b, _ in arms})  # the bases of the double bars
     else:
-        multi = {b for source, b in j.support_ids if len(source) > 1}
         barred = sorted(supported - multi | direct.keys() | co_supporters)
         relayed = []
-    bar_number = {b: m + p for p, b in enumerate(barred)}
-    double_bar_number = {b: m + len(barred) + p for p, b in enumerate(relayed)}
-
-    # Members of meta-arguments are numbered x for argument x and m + x for
-    # bar(x).  These numbers sort as the members' keys do, so e-nodes over
-    # them sort in canonical order.
-    arm_members = [
-        rest + (m + b,) if b in bar_number else tuple(sorted(rest + (b,)))
-        for rest, b, _ in arms
-    ]
-    e_members = sorted(set(arm_members))
-    first_e = m + len(barred) + len(relayed)
-    e_number = {members: first_e + p for p, members in enumerate(e_members)}
-
-    node_of = [*j.node_table, *[None] * m]
-    for b in barred:
-        node_of[m + b] = BarNode(node_of[b])
-    node_table = (
-        *j.node_table,
-        *(node_of[m + b] for b in barred),
-        *(BarNode(node_of[m + b]) for b in relayed),
-        *(ENode(tuple(map(node_of.__getitem__, e))) for e in e_members),
-    )
+    bar_number = {b: p for p, b in enumerate(barred, m)}
+    bars = [BarNode(table[b]) for b in barred]
+    node_table = [*table, *bars]
+    double_bar_number = {b: p for p, b in enumerate(relayed, len(node_table))}
+    node_table += [BarNode(bars[bar_number[b] - m]) for b in relayed]
 
     # The attacks that flattening adds, by source number.  An argument gains
     # only meta-argument targets, which follow the targets of its row in j.
@@ -455,16 +450,30 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
         added[bar_number[b]] = set(supporters)
     for b, p in double_bar_number.items():
         added.setdefault(bar_number[b], set()).add(p)
-    for (rest, b, a), members in zip(arms, arm_members):
-        e = e_number[members]
-        added.setdefault(double_bar_number.get(b, b), set()).add(e)
-        added.setdefault(e, set()).add(a)
-        for y in rest:
-            added.setdefault(bar_number[y], set()).add(e)
+    if arms:
+        # Members of meta-arguments are numbered x for argument x and m + x
+        # for bar(x).  These numbers sort as the members' keys do, so
+        # e-nodes over them sort in canonical order.
+        arm_members = [
+            rest + (m + b,) if b in bar_number else tuple(sorted(rest + (b,)))
+            for rest, b, _ in arms
+        ]
+        e_members = sorted(set(arm_members))
+        e_number = {members: p for p, members in enumerate(e_members, len(node_table))}
+        node_of = [*table, *[None] * m]
+        for b, node in zip(barred, bars):
+            node_of[m + b] = node
+        node_table += [ENode(tuple(map(node_of.__getitem__, e))) for e in e_members]
+        for (rest, b, a), members in zip(arms, arm_members):
+            e = e_number[members]
+            added.setdefault(double_bar_number.get(b, b), set()).add(e)
+            added.setdefault(e, set()).add(a)
+            for y in rest:
+                added.setdefault(bar_number[y], set()).add(e)
 
     rows: list[Sequence[int]] = list(j.target_ids)
     for i, targets in added.items():
         if i < m:
             rows[i] = (*rows[i], *sorted(targets))
     rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(node_table))]
-    return AF._make(node_table, target_ids=rows)
+    return AF._make(tuple(node_table), target_ids=rows)

@@ -15,8 +15,16 @@ A verdict is the witness of a violation, or None.  ``_verdicts`` is the
 one checker, on a set given as a mask of the system's ``LiteralTable``,
 built once per system: one saturation gives its closure and the closure
 witness, and the least pair of the set and of its closure are a scan of
-the table's pair masks.  ``evaluate`` ORs each extension's conclusion bits
-into that mask; ``evaluate_postulates`` turns any set of formulas into one.
+the table's pair masks.  Every set on which all three postulates hold gets
+one shared report, ``ALL_HOLD``, which the JSON writer recognises by
+identity.  ``evaluate`` ORs each extension's conclusion bits into that
+mask and sums the verdicts up per postulate as it goes;
+``evaluate_postulates`` turns any set of formulas into one.
+
+The results, parameters and generated systems are plain frozen records
+(``records.Record``), each set up by one update of its ``__dict__``, and
+``Prepared`` builds each framework on the first read of its
+``cached_attribute``.
 
 The postulate definitions quantify over consistent systems only, so
 ``prepare`` refuses inconsistent input by default; callers may override, in
@@ -26,8 +34,6 @@ which case verdicts are labelled out of scope by the reporting layer.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Iterable, NamedTuple
 
 from .arguments import (
@@ -52,6 +58,7 @@ from .errors import (
     GenerationFailedError, InconsistentSystemError, SearchLimitExceededError, ValidationError,
 )
 from .frameworks import AF, JSBAF, base, flatten_simplified
+from .records import Record, cached_attribute
 from .semantics import SEMANTICS, extension_ids, project_ids
 
 MODES = ("aspic-minus", "deductive")
@@ -59,12 +66,14 @@ DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
 GENERATION_RETRIES = 200  # systems ``random_system`` draws before it gives up
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(Record):
     """The verdict of one postulate on one set: the witness of its
     violation, or None when it holds."""
 
-    witness: object = None
+    _fields = ("witness",)
+
+    def __init__(self, witness: object = None):
+        self.__dict__["witness"] = witness
 
     @property
     def satisfied(self) -> bool:
@@ -84,6 +93,8 @@ class PostulateReport(NamedTuple):
 
 
 POSTULATES = PostulateReport._fields
+# The one report of every set on which all three postulates hold.
+ALL_HOLD = PostulateReport(Verdict(), Verdict(), Verdict())
 
 
 def evaluate_postulates(
@@ -110,10 +121,14 @@ def _verdicts(table: LiteralTable, mask: int) -> PostulateReport:
     first strict rule, by id, that fires on the set and whose head is
     missing from it, and one exists whenever the closure grows.  The
     consistency witnesses are the least complementary pair of the set
-    (direct) and of its closure (indirect).
+    (direct) and of its closure (indirect).  A closed set is its closure,
+    so when neither closure nor direct consistency is violated, nothing
+    is, and the report is the shared ``ALL_HOLD``.
     """
     closure, missing = table.closure(mask)
     direct = table.least_pair(mask)
+    if missing is None and direct is None:
+        return ALL_HOLD
     return PostulateReport(
         Verdict(missing),
         Verdict(direct),
@@ -121,35 +136,40 @@ def _verdicts(table: LiteralTable, mask: int) -> PostulateReport:
     )
 
 
-@dataclass(frozen=True)
-class ConclusionSet:
+class ConclusionSet(Record):
     """Conclusions of the arguments of one extension, and the verdict of
     each postulate on them."""
 
-    formulas: frozenset[Formula]
-    extension: tuple[int, ...]  # argument ordinals, ascending
-    postulates: PostulateReport
+    _fields = ("formulas", "extension", "postulates")
+
+    def __init__(
+        self,
+        formulas: frozenset[Formula],
+        extension: tuple[int, ...],  # argument ordinals, ascending
+        postulates: PostulateReport,
+    ):
+        self.__dict__.update(formulas=formulas, extension=extension, postulates=postulates)
 
 
-@dataclass(frozen=True)
-class Prepared:
+class Prepared(Record):
     """What depends on the system alone, shared by each of its evaluations.
     Each framework is built the first time it is read."""
 
-    consistent: bool
-    store: ArgumentStore
-    witnesses: AttackWitnesses
+    _fields = ("consistent", "store", "witnesses")
 
-    @cached_property
+    def __init__(self, consistent: bool, store: ArgumentStore, witnesses: AttackWitnesses):
+        self.__dict__.update(consistent=consistent, store=store, witnesses=witnesses)
+
+    @cached_attribute
     def af(self) -> AF:
         return build_aspic_minus_af(self.store, self.witnesses)
 
-    @cached_property
+    @cached_attribute
     def jsbaf(self) -> JSBAF:
         """The JSBAF, sharing the nodes and attacks of ``af``, its strict arguments shielded."""
         return build_da_jsbaf(self.store, self.af)
 
-    @cached_property
+    @cached_attribute
     def flat(self) -> AF:
         return flatten_simplified(self.jsbaf)
 
@@ -172,8 +192,7 @@ def prepare(
     return Prepared(consistent, store, attack_witnesses(store))
 
 
-@dataclass(frozen=True)
-class Evaluation:
+class Evaluation(Record):
     """The result of every stage of one run, and the ``semantics``, ``mode``
     and ``max_nodes`` it ran under (``store.max_arguments`` is its argument
     cap), which its report states.  Extensions are ascending node numbers;
@@ -181,18 +200,32 @@ class Evaluation:
     deductive mode) names them.  Each conclusion set holds its verdicts, and
     ``holds`` sums them up per postulate."""
 
-    semantics: str
-    mode: str
-    max_nodes: int
-    consistent: bool
-    store: ArgumentStore
-    witnesses: AttackWitnesses
-    framework: AF  # the AF in aspic-minus mode, the JSBAF in deductive mode
-    flat: AF | None  # the flattened JSBAF, in deductive mode
-    raw_extensions: tuple[tuple[int, ...], ...]  # of ``flat``, else of ``framework``
-    extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
-    conclusion_sets: tuple[ConclusionSet, ...]  # each with its postulate verdicts
-    holds: tuple[bool, ...]  # per entry of POSTULATES: satisfied on every conclusion set
+    _fields = (
+        "semantics", "mode", "max_nodes", "consistent", "store", "witnesses", "framework",
+        "flat", "raw_extensions", "extensions", "conclusion_sets", "holds",
+    )
+
+    def __init__(
+        self,
+        semantics: str,
+        mode: str,
+        max_nodes: int,
+        consistent: bool,
+        store: ArgumentStore,
+        witnesses: AttackWitnesses,
+        framework: AF,  # the AF in aspic-minus mode, the JSBAF in deductive mode
+        flat: AF | None,  # the flattened JSBAF, in deductive mode
+        raw_extensions: tuple[tuple[int, ...], ...],  # of ``flat``, else of ``framework``
+        extensions: tuple[tuple[int, ...], ...],  # projected onto the arguments
+        conclusion_sets: tuple[ConclusionSet, ...],  # each with its postulate verdicts
+        holds: tuple[bool, ...],  # per entry of POSTULATES: satisfied on every conclusion set
+    ):
+        self.__dict__.update(
+            semantics=semantics, mode=mode, max_nodes=max_nodes, consistent=consistent,
+            store=store, witnesses=witnesses, framework=framework, flat=flat,
+            raw_extensions=raw_extensions, extensions=extensions,
+            conclusion_sets=conclusion_sets, holds=holds,
+        )
 
 
 def evaluate(
@@ -225,33 +258,41 @@ def evaluate(
     store = prepared.store
     args, order, table = store.arguments, store.node_order, store.system.literal_table
     sets = []
+    holds = (True,) * len(POSTULATES)
     for ext in exts:
         ordinals = tuple(sorted([order[p] for p in ext]))
         conclusions = [args[o].conclusion for o in ordinals]
         verdicts = _verdicts(table, table.mask(conclusions))
+        if verdicts is not ALL_HOLD:
+            holds = tuple([h and v.witness is None for h, v in zip(holds, verdicts)])
         sets.append(ConclusionSet(frozenset(conclusions), ordinals, verdicts))
-    holds = tuple(all(cs.postulates[i].satisfied for cs in sets) for i in range(len(POSTULATES)))
     return Evaluation(
         semantics, mode, max_nodes, prepared.consistent, store, prepared.witnesses,
         framework, flat, tuple(raw), tuple(exts), tuple(sets), holds,
     )
 
 
-@dataclass(frozen=True)
-class SystemParams:
+class SystemParams(Record):
     """Shape of randomly generated argumentation systems.
 
     Heads and bodies are drawn uniformly over the literals (atoms and their
     single negations) so that complementary pairs stay reachable.
     """
 
-    n_atoms: int = 4
-    n_strict: int = 3
-    n_defeasible: int = 3
-    max_body: int = 2
-    undercut_density: float = 0.2
+    _fields = ("n_atoms", "n_strict", "n_defeasible", "max_body", "undercut_density")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        n_atoms: int = 4,
+        n_strict: int = 3,
+        n_defeasible: int = 3,
+        max_body: int = 2,
+        undercut_density: float = 0.2,
+    ):
+        self.__dict__.update(
+            n_atoms=n_atoms, n_strict=n_strict, n_defeasible=n_defeasible, max_body=max_body,
+            undercut_density=undercut_density,
+        )
         _check_fields(self)
 
 
@@ -281,15 +322,15 @@ def check_shape(field: str, value: float, name: str) -> None:
 
 
 def _check_fields(params) -> None:
-    for field in fields(params):
-        check_shape(field.name, getattr(params, field.name), field.name)
+    for field in params._fields:
+        check_shape(field, getattr(params, field), field)
 
 
-@dataclass(frozen=True)
-class GeneratedSystem:
-    system: ArgumentationSystem
-    seed: int
-    attempts: int
+class GeneratedSystem(Record):
+    _fields = ("system", "seed", "attempts")
+
+    def __init__(self, system: ArgumentationSystem, seed: int, attempts: int):
+        self.__dict__.update(system=system, seed=seed, attempts=attempts)
 
 
 def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
@@ -335,8 +376,7 @@ def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
     raise GenerationFailedError(seed, GENERATION_RETRIES)
 
 
-@dataclass(frozen=True)
-class JsbafParams:
+class JsbafParams(Record):
     """Shape of randomly generated joint-support frameworks.
 
     ``min_support_size`` defaults to 0, so empty-source supports occur; the
@@ -347,13 +387,20 @@ class JsbafParams:
     least that many.
     """
 
-    max_nodes: int = 10
-    attack_prob: float = 0.15
-    max_supports: int = 4
-    max_support_size: int = 3
-    min_support_size: int = 0
+    _fields = ("max_nodes", "attack_prob", "max_supports", "max_support_size", "min_support_size")
 
-    def __post_init__(self):
+    def __init__(
+        self,
+        max_nodes: int = 10,
+        attack_prob: float = 0.15,
+        max_supports: int = 4,
+        max_support_size: int = 3,
+        min_support_size: int = 0,
+    ):
+        self.__dict__.update(
+            max_nodes=max_nodes, attack_prob=attack_prob, max_supports=max_supports,
+            max_support_size=max_support_size, min_support_size=min_support_size,
+        )
         _check_fields(self)
         low = self.min_support_size
         for name in ("max_support_size", "max_nodes"):

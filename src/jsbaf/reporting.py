@@ -15,8 +15,8 @@ and a limit's message is made of ASCII identifiers, ``~`` and the rule
 language's punctuation (ids, labels, atoms, literals, forms, rule ids,
 semantics and mode names), which JSON does not escape, so the templates
 quote them; the source and the message go through the escaper.  A JSON
-report quotes argument ids once, and every set on which all postulates
-hold shares one verdict block.  A full report reads everything it states
+report quotes argument ids once, and every set whose verdicts are the
+shared ``postulates.ALL_HOLD`` shares one verdict block.  A full report reads everything it states
 from the ``Evaluation``, the run's parameters included.
 
 Both formats are written in pieces of about ``PIECE`` chars.  A JSON list
@@ -38,7 +38,7 @@ from typing import Callable
 
 from .arguments import KINDS
 from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId, is_meta
-from .postulates import POSTULATES, Evaluation, Verdict
+from .postulates import ALL_HOLD, POSTULATES, Evaluation, Verdict
 
 REPORT_FORMATS = ("json", "text")
 
@@ -186,8 +186,10 @@ def _verdict(verdict: Verdict, name: str) -> str:
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
-# The JSON verdicts of a set on which every postulate holds.
-_ALL_HOLD_JSON = ",".join(f'{_NL[4]}"{name}": {_verdict(Verdict(), name)}' for name in POSTULATES)
+# The JSON verdicts of ``ALL_HOLD``.
+_ALL_HOLD_JSON = ",".join(
+    f'{_NL[4]}"{name}": {_verdict(verdict, name)}' for name, verdict in zip(POSTULATES, ALL_HOLD)
+)
 
 
 def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
@@ -195,7 +197,7 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     i3, i4 = _NL[3], _NL[4]
     entries = []
     for cs in ev.conclusion_sets:
-        postulates = _ALL_HOLD_JSON if cs.postulates.all_satisfied else ",".join(
+        postulates = _ALL_HOLD_JSON if cs.postulates is ALL_HOLD else ",".join(
             f'{i4}"{name}": {_verdict(verdict, name)}'
             for name, verdict in zip(POSTULATES, cs.postulates)
         )

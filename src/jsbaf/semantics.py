@@ -42,8 +42,6 @@ brute-force cross-check used by the test suite and ``jsbaf oracle``.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from itertools import chain
 from typing import Iterable, Optional
 
 from .frameworks import AF, JSBAF, NodeId, flatten_simplified, is_meta
@@ -58,8 +56,10 @@ def _grounded(af: AF) -> tuple[int, ...]:
     once every attacker is out, and out once some attacker is in.  Each node
     counts its attackers not yet out; the unattacked nodes start the queue."""
     targets = af.target_ids
-    in_degree = Counter(chain.from_iterable(targets))
-    pending = [in_degree[i] for i in range(len(targets))]
+    pending = [0] * len(targets)
+    for row in targets:
+        for y in row:
+            pending[y] += 1
     queue = [i for i, count in enumerate(pending) if not count]
     accepted, out = [], [False] * len(pending)
     while queue:
@@ -96,28 +96,28 @@ class _DomainSearch:
 
     def __init__(self, af: AF):
         table, rows = af.node_table, af.target_ids
-        self.n = len(table)
+        self.n = n = len(table)
         # order[r] is the node of rank r: arguments before meta-arguments,
         # then most targets, then lowest number.  Nodes are numbered in key
         # order, where arguments come first, so they are the first m nodes;
         # the sort is stable, so ties stay in number order.
         m = bisect_left(table, True, key=is_meta)
         most_targets_first = [-len(row) for row in rows].__getitem__
-        self.order = [
-            *sorted(range(m), key=most_targets_first),
-            *sorted(range(m, self.n), key=most_targets_first),
-        ]
-        rank = [0] * self.n
-        for r, x in enumerate(self.order):
+        self.order = order = sorted(range(m), key=most_targets_first)
+        order += sorted(range(m, n), key=most_targets_first)
+        rank = [0] * n
+        for r, x in enumerate(order):
             rank[x] = r
-        self.attackers = [0] * self.n  # the attackers of each rank, as a mask
-        self.targets: list[int] = []  # the targets of each rank, as a mask
-        for x in self.order:
-            bit, mask = 1 << rank[x], 0
+        attackers = [0] * n  # the attackers of each rank, as a mask
+        targets = []  # the targets of each rank, as a mask
+        for r, x in enumerate(order):
+            bit, mask = 1 << r, 0
             for y in rows[x]:
-                self.attackers[rank[y]] |= bit
-                mask |= 1 << rank[y]
-            self.targets.append(mask)
+                y = rank[y]
+                attackers[y] |= bit
+                mask |= 1 << y
+            targets.append(mask)
+        self.attackers, self.targets = attackers, targets
 
     def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         """In-sets of all complete labellings whose labels lie in ``domain``,
@@ -127,9 +127,11 @@ class _DomainSearch:
         labellings has a larger in-set, and those found that lie inside
         another are left out."""
         every = (1 << self.n) - 1
-        masks = (every if domain & label else 0 for label in (_IN, _OUT, _UNDEC))
         found: list[int] = []  # the in-set of each complete labelling
-        stack = [(*masks, every)]
+        stack = [(
+            every if domain & _IN else 0, every if domain & _OUT else 0,
+            every if domain & _UNDEC else 0, every,
+        )]
         while stack:
             state = self._propagate(*stack.pop())
             if state is None:
@@ -152,8 +154,17 @@ class _DomainSearch:
                 stack.append((can_in, can_out, can_undec ^ bit, dirty))
         if maximal:
             found = [s for s in found if not any(s | t == t != s for t in found)]
-        order = self.order
-        return sorted(tuple(sorted(order[r] for r in _members(s))) for s in found)
+        order, exts = self.order, []
+        for s in found:  # from ranks back to node numbers
+            ext = []
+            while s:
+                low = s & -s
+                ext.append(order[low.bit_length() - 1])
+                s ^= low
+            ext.sort()
+            exts.append(tuple(ext))
+        exts.sort()
+        return exts
 
     def _propagate(
         self, can_in: int, can_out: int, can_undec: int, dirty: int
@@ -252,16 +263,6 @@ class _DomainSearch:
         return True
 
 
-def _members(mask: int) -> tuple[int, ...]:
-    """The bit positions set in ``mask``, ascending."""
-    found = []
-    while mask:
-        low = mask & -mask
-        found.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(found)
-
-
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
     """The extensions of ``af`` under ``semantics``, each as its ascending
     node numbers, in canonical order; grounded yields a one-element list."""
@@ -285,8 +286,8 @@ def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
 def project_ids(raw: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ...]]:
     """Extensions of a flattening restricted to its nodes 0 .. ``size`` - 1,
     the arguments of the JSBAF it flattens, without repeats, in canonical
-    order."""
-    return sorted({tuple(i for i in ext if i < size) for ext in raw})
+    order.  Each extension is ascending, so its arguments are a prefix."""
+    return sorted({ext[:bisect_left(ext, size)] for ext in raw})
 
 
 def jsbaf_extensions(j: JSBAF, semantics: str) -> list[frozenset[NodeId]]:

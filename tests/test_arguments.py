@@ -341,6 +341,62 @@ class TestIndexedAttackWitnesses:
         assert witnesses == pairwise_witnesses(store)
         assert {w.kind for w in witnesses} == {"undercut", "rebut"}
 
+    def test_undercut_names_at_depth_two(self):
+        """A name ``~~a`` is attacked by ``~a`` and by ``~~~a``, not by ``a``
+        or by ``~~a`` itself."""
+        store = construct_arguments(parse_system(
+            "strict s1: -> p\n"
+            "defeasible d1: p => q\n"
+            "defeasible d2: p => ~a\n"
+            "defeasible d3: p => ~~~a\n"
+            "defeasible d4: p => a\n"
+            "defeasible d5: p => ~~a\n"
+            "name d1 = ~~a\n"
+        ))
+        witnesses = list(attack_witnesses(store))
+        assert witnesses == pairwise_witnesses(store)
+        conclusion = {arg.canonical_id: str(arg.conclusion) for arg in store.arguments}
+        undercutters = {conclusion[w.attacker] for w in witnesses if w.kind == "undercut"}
+        assert undercutters == {"~a", "~~~a"}
+
+    def test_a_name_that_is_the_complement_of_its_own_head(self):
+        """An argument whose top rule is named ``~a`` and concludes ``a``
+        undercuts itself, and every argument built on it."""
+        store = construct_arguments(parse_system(
+            "strict s1: -> p\n"
+            "defeasible d1: p => a\n"
+            "strict s2: a -> b\n"
+            "name d1 = ~a\n"
+        ))
+        witnesses = list(attack_witnesses(store))
+        assert witnesses == pairwise_witnesses(store)
+        (own,) = [arg.canonical_id for arg in store.arguments if arg.rule.id == "d1"]
+        (above,) = [arg.canonical_id for arg in store.arguments if arg.rule.id == "s2"]
+        assert witnesses == [
+            AttackWitness(own, own, "undercut", own), AttackWitness(own, above, "undercut", own),
+        ]
+
+    def test_arguments_both_rebuttable_and_undercuttable(self):
+        """``~q`` both undercuts (the name ``~~q``) and rebuts the argument
+        for ``q``, on the same sub-argument: the undercut comes first."""
+        store = construct_arguments(parse_system(
+            "strict s1: -> p\n"
+            "defeasible d1: p => q\n"
+            "defeasible d2: p => ~q\n"
+            "defeasible d3: p => ~n\n"
+            "strict s2: q -> r\n"
+            "defeasible d4: r => n\n"
+            "name d1 = ~~q\n"
+            "name d4 = ~~n\n"
+        ))
+        witnesses = list(attack_witnesses(store))
+        assert witnesses == pairwise_witnesses(store)
+        by_rule = {arg.rule.id: arg.canonical_id for arg in store.arguments}
+        on_q = [(w.kind, w.target) for w in witnesses
+                if w.attacker == by_rule["d2"] and w.on == by_rule["d1"]]
+        assert on_q[:2] == [("undercut", by_rule["d1"]), ("rebut", by_rule["d1"])]
+        assert {w.kind for w in witnesses if w.target == by_rule["d4"]} == {"undercut", "rebut"}
+
     def test_random_systems_with_undercuts(self):
         params = SystemParams(n_atoms=4, n_strict=6, n_defeasible=8, undercut_density=0.6)
         kinds = set()

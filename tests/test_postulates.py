@@ -33,7 +33,7 @@ from jsbaf import (
     strict_closure,
     strict_rule,
 )
-from jsbaf.postulates import GENERATION_RETRIES
+from jsbaf.postulates import ALL_HOLD, GENERATION_RETRIES, _verdicts
 
 
 def formula_strings(formulas):
@@ -285,6 +285,29 @@ class TestLiteralTableAgainstTheDefinitions:
         assert closure == reference.saturate(formulas, system)
         for subset in (formulas, closure):
             assert find_complement_pair(subset) == reference.find_complement_pair(subset)
+
+    @given(st.data(), systems())
+    def test_the_shared_report_is_returned_when_all_hold(self, data, system):
+        """``_verdicts`` returns ``ALL_HOLD`` exactly when all three
+        verdicts hold, and otherwise a report of its own; both equal the
+        definitions."""
+        table = system.literal_table
+        formulas = data.draw(st.frozensets(st.sampled_from(table.literals), max_size=6)
+                             if table.literals else st.just(frozenset()))
+        verdicts = _verdicts(table, table.mask(formulas))
+        assert verdicts == reference.postulate_verdicts(system, formulas)
+        all_hold = all(verdict.satisfied for verdict in verdicts)
+        assert (verdicts is ALL_HOLD) == all_hold
+
+    def test_the_shared_report_equals_a_fresh_one(self):
+        assert ALL_HOLD == PostulateReport(Verdict(), Verdict(), Verdict())
+        assert ALL_HOLD.all_satisfied and type(ALL_HOLD) is PostulateReport
+        system = parse_system("strict s1: a -> b\nstrict s2: -> c\ndefeasible d1: a => ~c\n")
+        table = system.literal_table
+        assert _verdicts(table, table.mask([atom("b"), atom("c")])) is ALL_HOLD
+        for violating in ([atom("a"), atom("c")], [atom("c"), neg("c")]):
+            verdicts = _verdicts(table, table.mask(violating))
+            assert verdicts is not ALL_HOLD and not verdicts.all_satisfied
 
     @given(st.data(), systems())
     def test_random_sets(self, data, system):
