@@ -304,8 +304,8 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
     literal ``(atom, n)`` to the (kind index, ordinal) of every sub-argument
     it attacks: a defeasible argument concluding ``(atom, n ± 1)`` (rebut),
     and an undercuttable one whose top rule is named ``(atom, n ± 1)``
-    (undercut).  ``supers`` lists the ordinals of each sub-argument's
-    super-arguments, itself included.  Hits depend only on the attacker's
+    (undercut).  ``supers`` lists the ordinals of each defeasible
+    sub-argument's super-arguments, itself included.  Hits depend only on the attacker's
     conclusion; each conclusion's hits are looked up, sorted, and stored,
     once.
     """
@@ -319,16 +319,12 @@ def attack_witnesses(store: ArgumentStore) -> AttackWitnesses:
         ordinal = arg.ordinal
         attackable |= 1 << ordinal
         # Only defeasible rules are named, and rule ids are unique.
-        name = names.get(arg.rule.id)
-        if name is not None:
-            atom, n = name.atom, name.negations
-            attacked.setdefault((atom, n + 1), []).append((0, ordinal))
-            if n:
-                attacked.setdefault((atom, n - 1), []).append((0, ordinal))
-        atom, n = arg.conclusion.atom, arg.conclusion.negations
-        attacked.setdefault((atom, n + 1), []).append((1, ordinal))
-        if n:
-            attacked.setdefault((atom, n - 1), []).append((1, ordinal))
+        for kind, phi in ((0, names.get(arg.rule.id)), (1, arg.conclusion)):
+            if phi is not None:
+                atom, n = phi.atom, phi.negations
+                attacked.setdefault((atom, n + 1), []).append((kind, ordinal))
+                if n:
+                    attacked.setdefault((atom, n - 1), []).append((kind, ordinal))
         below = arg.sub_mask & attackable
         while below:
             sub = below.bit_length() - 1

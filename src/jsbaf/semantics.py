@@ -286,8 +286,8 @@ def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
 def project_ids(raw: Iterable[tuple[int, ...]], size: int) -> list[tuple[int, ...]]:
     """Extensions of a flattening restricted to its nodes 0 .. ``size`` - 1,
     the arguments of the JSBAF it flattens, without repeats, in canonical
-    order.  Each extension is ascending, so its arguments are a prefix."""
-    return sorted({ext[:bisect_left(ext, size)] for ext in raw})
+    order."""
+    return sorted({tuple(i for i in ext if i < size) for ext in raw})
 
 
 def jsbaf_extensions(j: JSBAF, semantics: str) -> list[frozenset[NodeId]]:
