@@ -13,7 +13,9 @@ copy by their ``__dict__``, as a frozen dataclass does.
 
 ``cached_attribute`` is ``functools.cached_property`` without its lock:
 the function runs on the first read and its value is stored in the
-instance ``__dict__``, which every later read finds first.
+instance ``__dict__``, which every later read finds first.  Two threads
+that read it first at once may both run the function; the value stored
+last stays.
 """
 
 from __future__ import annotations

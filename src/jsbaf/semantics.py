@@ -96,28 +96,28 @@ class _DomainSearch:
 
     def __init__(self, af: AF):
         table, rows = af.node_table, af.target_ids
-        self.n = n = len(table)
+        self.n = len(table)
         # order[r] is the node of rank r: arguments before meta-arguments,
         # then most targets, then lowest number.  Nodes are numbered in key
         # order, where arguments come first, so they are the first m nodes;
         # the sort is stable, so ties stay in number order.
         m = bisect_left(table, True, key=is_meta)
         most_targets_first = [-len(row) for row in rows].__getitem__
-        self.order = order = sorted(range(m), key=most_targets_first)
-        order += sorted(range(m, n), key=most_targets_first)
-        rank = [0] * n
-        for r, x in enumerate(order):
+        self.order = [
+            *sorted(range(m), key=most_targets_first),
+            *sorted(range(m, self.n), key=most_targets_first),
+        ]
+        rank = [0] * self.n
+        for r, x in enumerate(self.order):
             rank[x] = r
-        attackers = [0] * n  # the attackers of each rank, as a mask
-        targets = []  # the targets of each rank, as a mask
-        for r, x in enumerate(order):
-            bit, mask = 1 << r, 0
+        self.attackers = [0] * self.n  # the attackers of each rank, as a mask
+        self.targets: list[int] = []  # the targets of each rank, as a mask
+        for x in self.order:
+            bit, mask = 1 << rank[x], 0
             for y in rows[x]:
-                y = rank[y]
-                attackers[y] |= bit
-                mask |= 1 << y
-            targets.append(mask)
-        self.attackers, self.targets = attackers, targets
+                self.attackers[rank[y]] |= bit
+                mask |= 1 << rank[y]
+            self.targets.append(mask)
 
     def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
         """In-sets of all complete labellings whose labels lie in ``domain``,

@@ -199,7 +199,8 @@ def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     env = {**os.environ, "PYTHONPATH": src}
     loaded = subprocess.run(
         [sys.executable, "-c",
-         "import sys, jsbaf.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"],
+         "import sys; before = set(sys.modules); import jsbaf.cli; "
+         "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"],
         env=env, capture_output=True, text=True, check=True,
     ).stdout
     assert loaded == "[]\n"
