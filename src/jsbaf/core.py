@@ -53,8 +53,10 @@ class Formula:
     def __new__(cls, atom: str, negations: int = 0) -> "Formula":
         formula = _INTERNED.get((atom, negations))
         if formula is None:
-            if not (atom.isascii() and atom.isidentifier()):
+            if atom.__class__ is not str or not (atom.isascii() and atom.isidentifier()):
                 raise ValidationError(f"atom name {atom!r} is not an identifier")
+            if negations.__class__ is not int:
+                raise ValidationError(f"negation depth must be an int, got {negations!r}")
             if negations < 0:
                 raise ValidationError("negation depth must be non-negative")
             formula = object.__new__(cls)

@@ -18,15 +18,16 @@ feed included, stays inside its line.
 ``parse_system`` reads a text in one pass, by one ``findall`` of
 ``_LINE_RE``, a pattern of the whole line grammar: each match is one line,
 with its rule id, body, head, atoms or name as groups, and each literal's
-text is resolved to its formula once per parse.  A text that has a line
-the pattern rejects, a duplicate rule id or rule, a bad ``name`` line or an
-undeclared atom goes whole to the line walker, ``_walk``, which raises.
+text is resolved to its formula once per parse.  It raises, in file
+order, on a line the pattern rejects or a duplicate rule id or rule as it
+reads each line, then on a bad ``name`` line, and last on an undeclared
+atom.
 
-The walker splits each line into token strings by one ``findall`` of
-``_TOKEN_RE``, and reads that list by index.  Token columns are not kept:
-a diagnostic, or a later check that needs a position (an undeclared atom,
-a ``name`` error, a duplicate rule), scans its one line again with
-``finditer``.  Every diagnostic carries a 1-based line and column.
+Positions are found only on the way to an error.  ``_line_error`` reads a
+rejected line by the grammar of one line, token by token, and names the
+token at fault.  A failed check scans the line it names again with
+``finditer`` for the column.  Every diagnostic carries a 1-based line and
+column.
 """
 
 from __future__ import annotations
@@ -47,8 +48,8 @@ _SINGLE_CHAR_TOKENS = _IDENT_START | frozenset(",:=~")
 # bounds checks; a newline is never a token.
 _END = "\n"
 
-# One line of the grammar, with its line end, as ``_read`` takes it.  The
-# groups: "strict" or empty, then the rule id, the body (literals and
+# One line of the grammar, with its line end, as ``parse_system`` takes it.
+# The groups: "strict" or empty, then the rule id, the body (literals and
 # commas), the head, where a strict rule takes ``->`` and a defeasible one
 # ``=>``; the atoms of an ``atoms`` line; the rule id and the literal of a
 # ``name`` line.  A line that is none of these, nor blank or a comment, is
@@ -89,14 +90,71 @@ def _token_matches(line: str) -> list[re.Match]:
     return matches
 
 
-def _syntax_error(line: str, line_no: int, index: int, expected: str | None) -> ParseError:
-    """The ParseError of a line that failed at token ``index``.
+def _literal_end(tokens: list[str], i: int) -> int:
+    """The index after the literal starting at token ``i``."""
+    while tokens[i] == "~":
+        i += 1
+    if tokens[i][0] not in _IDENT_START:
+        raise _Unexpected(i, "an atom")
+    return i + 1
 
-    The parser checks every token of a line, so a line holding a character
-    that is no token always fails.  That character is reported first,
-    wherever it stands, since the line cannot be tokenized past it.
+
+def _check_line(tokens: list[str]) -> None:
+    """Raise _Unexpected at the first of a line's ``tokens``, which end
+    with ``_END``, that the grammar does not allow where it stands."""
+    keyword, end = tokens[0], len(tokens) - 1
+    if keyword == "strict" or keyword == "defeasible":
+        if tokens[1][0] not in _IDENT_START:
+            raise _Unexpected(1, "a rule id")
+        if tokens[2] != ":":
+            raise _Unexpected(2, "':'")
+        arrow = "->" if keyword == "strict" else "=>"
+        i = 3
+        if tokens[i] != arrow:
+            i = _literal_end(tokens, i)
+            while tokens[i] == ",":
+                i = _literal_end(tokens, i + 1)
+            if tokens[i] != arrow:
+                raise _Unexpected(i, repr(arrow))
+        i = _literal_end(tokens, i + 1)
+    elif keyword == "atoms":
+        if end == 1:
+            raise _Unexpected(1, "an atom name")
+        for i in range(1, end):
+            if tokens[i][0] not in _IDENT_START:
+                raise _Unexpected(i, "an atom name")
+        return
+    elif keyword == "name":
+        if tokens[1][0] not in _IDENT_START:
+            raise _Unexpected(1, "a defeasible rule id")
+        if tokens[2] != "=":
+            raise _Unexpected(2, "'='")
+        i = _literal_end(tokens, 3)
+    elif keyword == _END:  # a blank or comment line
+        return
+    elif keyword[0] in _IDENT_START:
+        raise _Unexpected(0, None)
+    else:
+        raise _Unexpected(0, "a keyword (atoms, strict, defeasible, name)")
+    if i != end:
+        raise _Unexpected(i, None)
+
+
+def _line_error(line: str, line_no: int) -> ParseError:
+    """The ParseError of ``line``, a line ``_LINE_RE`` rejects, at the
+    first token the grammar does not allow.
+
+    A line holding a character that is no token always fails.  That
+    character is reported first, wherever it stands, since the line cannot
+    be tokenized past it.
     """
     matches = _token_matches(line)
+    try:
+        _check_line([m.group() for m in matches] + [_END])
+    except _Unexpected as err:
+        index, expected = err.index, err.expected
+    else:
+        raise AssertionError(f"line {line_no} parses")
     for m in matches:
         text = m.group()
         if len(text) == 1 and text not in _SINGLE_CHAR_TOKENS:
@@ -113,8 +171,16 @@ def _syntax_error(line: str, line_no: int, index: int, expected: str | None) -> 
     return ParseError(message, line_no, matches[index].start() + 1, found)
 
 
-def _column(line: str, index: int) -> int:
-    return _token_matches(line)[index].start() + 1
+def _lines(text: str) -> list[str]:
+    # Lines end only where ``open()`` ends them; ``str.splitlines`` would
+    # also break at form feeds, U+2028 and others, which are whitespace here.
+    return re.split(r"\r\n|\r|\n", text)
+
+
+def _rule_id_error(text: str, line_no: int, problem: str) -> ValidationError:
+    """``problem`` at the rule id, token 1, of line ``line_no`` of ``text``."""
+    column = _token_matches(_lines(text)[line_no - 1])[1].start() + 1
+    return ValidationError(problem, line_no, column)
 
 
 def _undeclared_atom_error(lines: list[str], undeclared: set[str]) -> ValidationError:
@@ -134,18 +200,6 @@ def _undeclared_atom_error(lines: list[str], undeclared: set[str]) -> Validation
     raise AssertionError("no literal has an undeclared atom")
 
 
-def _literal(tokens: list[str], i: int) -> tuple[Formula, int]:
-    """The literal starting at token ``i`` and the index after it."""
-    depth = 0
-    while tokens[i] == "~":
-        depth += 1
-        i += 1
-    atom = tokens[i]
-    if atom[0] not in _IDENT_START:
-        raise _Unexpected(i, "an atom")
-    return Formula(atom, depth), i + 1
-
-
 class _Literals(dict):
     """Each literal's text, as ``_LINE_RE`` matched it, resolved to its
     formula on its first lookup."""
@@ -154,47 +208,6 @@ class _Literals(dict):
         atom = text[text.rfind("~") + 1:].strip()
         formula = self[text] = Formula(atom, text.count("~"))
         return formula
-
-
-def _read(text: str) -> ArgumentationSystem | None:
-    """The system of ``text`` by one ``findall`` of ``_LINE_RE``, or None
-    if a line does not match or a check fails; ``_walk`` then reads it."""
-    strict: list[tuple] = []  # (id, body, head) of each rule, per kind
-    defeasible: list[tuple] = []
-    declared: set[str] = set()  # empty iff there is no ``atoms`` line
-    name_decls: list[tuple[str, Formula]] = []
-    lits = _Literals()
-    get = lits.__getitem__
-    for kind, rule_id, body, head, atoms, target, lit, bad in _LINE_RE.findall(text):
-        if rule_id:
-            # A literal's spaces are dropped, so that its usual spellings share one entry.
-            body = tuple(map(get, body.replace(" ", "").split(","))) if body else ()
-            (strict if kind else defeasible).append((rule_id, body, lits[head]))
-        elif atoms:
-            declared.update(atoms.split())
-        elif target:
-            name_decls.append((target, lits[lit]))
-        elif bad:
-            return None
-    ids = [row[0] for row in strict] + [row[0] for row in defeasible]
-    if len(set(ids)) < len(ids):
-        return None
-    for rows in (strict, defeasible):
-        if len({row[1:] for row in rows}) < len(rows):
-            return None
-    defeasible_ids = set(ids[len(strict):])
-    names: dict[str, Formula] = {}
-    for target, formula in name_decls:
-        if target not in defeasible_ids or target in names:
-            return None
-        names[target] = formula
-    if declared and any(phi.atom not in declared for phi in lits.values()):
-        return None
-    return ArgumentationSystem._make(
-        tuple([StrictRule(*row) for row in strict]),
-        tuple([DefeasibleRule(*row) for row in defeasible]),
-        names,
-    )
 
 
 def parse_system(text: str) -> ArgumentationSystem:
@@ -206,118 +219,57 @@ def parse_system(text: str) -> ArgumentationSystem:
     """
     if text.startswith("\ufeff"):
         text = text[1:]
-    system = _read(text)
-    return _walk(text) if system is None else system
-
-
-def _walk(text: str) -> ArgumentationSystem:
-    """``parse_system`` line by line, token by token: the reader of every
-    text that ``_read`` leaves, and the one that raises."""
-    # Lines end only where ``open()`` ends them; ``str.splitlines`` would
-    # also break at form feeds, U+2028 and others, which are whitespace here.
-    lines = re.split(r"\r\n|\r|\n", text)
-
-    declared: set[str] = set()
-    has_atoms_decl = False
     strict: list[StrictRule] = []
     defeasible: list[DefeasibleRule] = []
-    rule_ids: set[str] = set()
-    # Token text after the colon, per kind: equal iff body and head are.
-    shapes: dict[str, set[str]] = {"strict": set(), "defeasible": set()}
-    name_decls: list[tuple[str, Formula, int]] = []
-    tokenize = _TOKEN_RE.findall
-
-    for line_no, line in enumerate(lines, start=1):
-        tokens = tokenize(line)
-        if not tokens or tokens[0][0] == "#":
-            continue
-        if tokens[-1][0] == "#":
-            tokens[-1] = _END
-        else:
-            tokens.append(_END)
-        end = len(tokens) - 1
-        keyword = tokens[0]
-        try:
-            if keyword == "strict" or keyword == "defeasible":
-                rule_id = tokens[1]
-                if rule_id[0] not in _IDENT_START:
-                    raise _Unexpected(1, "a rule id")
-                if tokens[2] != ":":
-                    raise _Unexpected(2, "':'")
-                arrow = "->" if keyword == "strict" else "=>"
-                body: list[Formula] = []
-                i = 3
-                if tokens[i] != arrow:
-                    lit, i = _literal(tokens, i)
-                    body.append(lit)
-                    while tokens[i] == ",":
-                        lit, i = _literal(tokens, i + 1)
-                        body.append(lit)
-                    if tokens[i] != arrow:
-                        raise _Unexpected(i, repr(arrow))
-                head, i = _literal(tokens, i + 1)
-                if i != end:
-                    raise _Unexpected(i, None)
-                if rule_id in rule_ids:
-                    raise ValidationError(
-                        f"duplicate rule id {rule_id!r}", line_no, _column(line, 1)
-                    )
-                rule_ids.add(rule_id)
-                shape = " ".join(tokens[3:end])
-                if shape in shapes[keyword]:
-                    raise ValidationError(
-                        f"rule {rule_id!r} duplicates an earlier {keyword} rule",
-                        line_no,
-                        _column(line, 1),
-                    )
-                shapes[keyword].add(shape)
-                if keyword == "strict":
-                    strict.append(StrictRule(rule_id, tuple(body), head))
-                else:
-                    defeasible.append(DefeasibleRule(rule_id, tuple(body), head))
-            elif keyword == "atoms":
-                if end == 1:
-                    raise _Unexpected(1, "an atom name")
-                for i in range(1, end):
-                    if tokens[i][0] not in _IDENT_START:
-                        raise _Unexpected(i, "an atom name")
-                has_atoms_decl = True
-                declared.update(tokens[1:end])
-            elif keyword == "name":
-                if tokens[1][0] not in _IDENT_START:
-                    raise _Unexpected(1, "a defeasible rule id")
-                if tokens[2] != "=":
-                    raise _Unexpected(2, "'='")
-                lit, i = _literal(tokens, 3)
-                if i != end:
-                    raise _Unexpected(i, None)
-                name_decls.append((tokens[1], lit, line_no))
-            elif keyword[0] in _IDENT_START:
-                raise _Unexpected(0, None)
+    ids: set[str] = set()
+    shapes: set[tuple] = set()  # (kind, body, head) of each rule
+    declared: set[str] = set()  # empty iff there is no ``atoms`` line
+    name_decls: list[tuple[int, str, Formula]] = []
+    lits = _Literals()
+    get = lits.__getitem__
+    rows = _LINE_RE.findall(text)  # one row per line, so ``line_no`` counts lines
+    for line_no, (kind, rule_id, body, head, atoms, target, lit, bad) in enumerate(rows, 1):
+        if rule_id:
+            # A literal's spaces are dropped, so that its usual spellings share one entry.
+            body = tuple(map(get, body.replace(" ", "").split(","))) if body else ()
+            head = lits[head]
+            shape = (kind, body, head)
+            if rule_id in ids:
+                raise _rule_id_error(text, line_no, f"duplicate rule id {rule_id!r}")
+            if shape in shapes:
+                problem = f"rule {rule_id!r} duplicates an earlier {kind or 'defeasible'} rule"
+                raise _rule_id_error(text, line_no, problem)
+            ids.add(rule_id)
+            shapes.add(shape)
+            if kind:
+                strict.append(StrictRule(rule_id, body, head))
             else:
-                raise _Unexpected(0, "a keyword (atoms, strict, defeasible, name)")
-        except _Unexpected as err:
-            raise _syntax_error(line, line_no, err.index, err.expected) from None
+                defeasible.append(DefeasibleRule(rule_id, body, head))
+        elif atoms:
+            declared.update(atoms.split())
+        elif target:
+            name_decls.append((line_no, target, lits[lit]))
+        elif bad:
+            raise _line_error(bad, line_no)  # ``bad`` is the whole line
 
-    defeasible_ids = {r.id for r in defeasible}
+    defeasible_ids = {rule.id for rule in defeasible}
     names: dict[str, Formula] = {}
-    for target, lit, line_no in name_decls:
-        if target not in rule_ids:
+    for line_no, target, formula in name_decls:
+        if target not in ids:
             problem = f"name refers to undefined rule {target!r}"
         elif target not in defeasible_ids:
             problem = f"name defined on strict rule {target!r}"
         elif target in names:
             problem = f"name redefined for rule {target!r}"
         else:
-            names[target] = lit
+            names[target] = formula
             continue
-        raise ValidationError(problem, line_no, _column(lines[line_no - 1], 1))
+        raise _rule_id_error(text, line_no, problem)
 
-    if has_atoms_decl:
-        used = {lit.atom for rule in (*strict, *defeasible) for lit in (*rule.body, rule.head)}
-        undeclared = used.union(lit.atom for lit in names.values()) - declared
+    if declared:
+        undeclared = {phi.atom for phi in lits.values()} - declared
         if undeclared:
-            raise _undeclared_atom_error(lines, undeclared)
+            raise _undeclared_atom_error(_lines(text), undeclared)
 
     # Every check of ``ArgumentationSystem`` has been made above, with a position.
     return ArgumentationSystem._make(tuple(strict), tuple(defeasible), names)

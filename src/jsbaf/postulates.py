@@ -297,6 +297,7 @@ class SystemParams(Record):
 
 
 # The range of each ``SystemParams`` and ``JsbafParams`` field: (lowest, highest or None).
+# A field with no highest value is a count, and must be an int.
 SHAPE_RANGES = {
     "n_atoms": (1, None),
     "n_strict": (0, None),
@@ -313,8 +314,11 @@ SHAPE_RANGES = {
 
 def check_shape(field: str, value: float, name: str) -> None:
     """Raise ValidationError, calling ``value`` ``name``, unless it lies in
-    the range of the ``SystemParams`` or ``JsbafParams`` field ``field``."""
+    the range of the ``SystemParams`` or ``JsbafParams`` field ``field``
+    and, for a count, is an int."""
     low, high = SHAPE_RANGES[field]
+    if high is None and value.__class__ is not int:
+        raise ValidationError(f"{name} must be an int, got {value!r}")
     if high is None and value < low:
         raise ValidationError(f"{name} must be at least {low}, got {value}")
     if high is not None and not low <= value <= high:

@@ -11,16 +11,18 @@ numbers; the tests assert that both agree.  Besides these, the label-domain
 search as first written, over a list of domains and a set of dirty nodes,
 the sorting complement-pair finder, the postulate verdicts by their
 definitions, and the report writers as first written: the report built as
-a dict and encoded by a generic recursive JSON encoder, and the text report
-read from the same dicts.
+a dict and encoded by a generic recursive JSON encoder, the text report
+read from the same dicts, and the rule-language line walker.
 """
 
 import itertools
+import re
 from json.encoder import encode_basestring as _quote
 from typing import Iterable, Optional
 
 from jsbaf.arguments import Argument
 from jsbaf.core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule, complement
+from jsbaf.errors import ParseError, ValidationError
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
@@ -609,3 +611,213 @@ def write_limit_report(source: str, settings: dict, error: Exception, fmt: str, 
         ))
     else:
         raise ValueError(f"unknown report format {fmt!r}")
+
+
+# The rule-language line walker as first written.  ``jsbaf.dsl`` reads a
+# text by one pattern of the whole line grammar and keeps only the grammar
+# of one line, to name the token at fault; the tests assert that both give
+# the same system or the same error.
+
+_ID = r"[A-Za-z_][A-Za-z0-9_]*"  # an atom, a rule id or a keyword
+# The last alternative takes any other single character, which no line may
+# contain outside a comment.
+_TOKEN_RE = re.compile(rf"->|=>|[,:=~]|{_ID}|#.*|\S")
+# A token is an identifier iff its first character is one of these.
+_IDENT_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_SINGLE_CHAR_TOKENS = _IDENT_START | frozenset(",:=~")
+# Stands after the last token of a line, so the parser looks ahead without
+# bounds checks; a newline is never a token.
+_END = "\n"
+
+
+class _Unexpected(Exception):
+    """Token ``index`` of a line is not what the grammar allows there.
+
+    ``expected`` names what it allows; None means no token is allowed: an
+    unknown keyword at index 0, a trailing token after a complete line.
+    """
+
+    def __init__(self, index: int, expected: str | None):
+        self.index = index
+        self.expected = expected
+
+
+def _token_matches(line: str) -> list[re.Match]:
+    """The tokens of one line before any comment, with their positions."""
+    matches = []
+    for m in _TOKEN_RE.finditer(line):
+        if m.group()[0] == "#":
+            break
+        matches.append(m)
+    return matches
+
+
+def _syntax_error(line: str, line_no: int, index: int, expected: str | None) -> ParseError:
+    """The ParseError of a line that failed at token ``index``.
+
+    The parser checks every token of a line, so a line holding a character
+    that is no token always fails.  That character is reported first,
+    wherever it stands, since the line cannot be tokenized past it.
+    """
+    matches = _token_matches(line)
+    for m in matches:
+        text = m.group()
+        if len(text) == 1 and text not in _SINGLE_CHAR_TOKENS:
+            return ParseError(f"unexpected character {text!r}", line_no, m.start() + 1, text)
+    if index == len(matches):
+        return ParseError(f"expected {expected} at end of line", line_no, matches[-1].end() + 1)
+    found = matches[index].group()
+    if expected is not None:
+        message = f"expected {expected}, found {found!r}"
+    elif index == 0:
+        message = f"unknown keyword {found!r}"
+    else:
+        message = f"unexpected trailing {found!r}"
+    return ParseError(message, line_no, matches[index].start() + 1, found)
+
+
+def _column(line: str, index: int) -> int:
+    return _token_matches(line)[index].start() + 1
+
+
+def _undeclared_atom_error(lines: list[str], undeclared: set[str]) -> ValidationError:
+    """The error for the first literal, in file order, whose atom is in
+    ``undeclared``.  Every line has parsed, so on a ``strict``,
+    ``defeasible`` or ``name`` line the literals start at token 3."""
+    for line_no, line in enumerate(lines, start=1):
+        matches = _token_matches(line)
+        if matches and matches[0].group() != "atoms":
+            for m in matches[3:]:
+                if m.group() in undeclared:
+                    return ValidationError(
+                        f"atom {m.group()!r} is not in the declared vocabulary",
+                        line_no,
+                        m.start() + 1,
+                    )
+    raise AssertionError("no literal has an undeclared atom")
+
+
+def _literal(tokens: list[str], i: int) -> tuple[Formula, int]:
+    """The literal starting at token ``i`` and the index after it."""
+    depth = 0
+    while tokens[i] == "~":
+        depth += 1
+        i += 1
+    atom = tokens[i]
+    if atom[0] not in _IDENT_START:
+        raise _Unexpected(i, "an atom")
+    return Formula(atom, depth), i + 1
+
+
+def walk(text: str) -> ArgumentationSystem:
+    """``parse_system`` line by line, token by token, as first written: it
+    tokenizes every line, and scans a line again for each position an
+    error needs."""
+    # Lines end only where ``open()`` ends them; ``str.splitlines`` would
+    # also break at form feeds, U+2028 and others, which are whitespace here.
+    lines = re.split(r"\r\n|\r|\n", text)
+
+    declared: set[str] = set()
+    has_atoms_decl = False
+    strict: list[StrictRule] = []
+    defeasible: list[DefeasibleRule] = []
+    rule_ids: set[str] = set()
+    # Token text after the colon, per kind: equal iff body and head are.
+    shapes: dict[str, set[str]] = {"strict": set(), "defeasible": set()}
+    name_decls: list[tuple[str, Formula, int]] = []
+    tokenize = _TOKEN_RE.findall
+
+    for line_no, line in enumerate(lines, start=1):
+        tokens = tokenize(line)
+        if not tokens or tokens[0][0] == "#":
+            continue
+        if tokens[-1][0] == "#":
+            tokens[-1] = _END
+        else:
+            tokens.append(_END)
+        end = len(tokens) - 1
+        keyword = tokens[0]
+        try:
+            if keyword == "strict" or keyword == "defeasible":
+                rule_id = tokens[1]
+                if rule_id[0] not in _IDENT_START:
+                    raise _Unexpected(1, "a rule id")
+                if tokens[2] != ":":
+                    raise _Unexpected(2, "':'")
+                arrow = "->" if keyword == "strict" else "=>"
+                body: list[Formula] = []
+                i = 3
+                if tokens[i] != arrow:
+                    lit, i = _literal(tokens, i)
+                    body.append(lit)
+                    while tokens[i] == ",":
+                        lit, i = _literal(tokens, i + 1)
+                        body.append(lit)
+                    if tokens[i] != arrow:
+                        raise _Unexpected(i, repr(arrow))
+                head, i = _literal(tokens, i + 1)
+                if i != end:
+                    raise _Unexpected(i, None)
+                if rule_id in rule_ids:
+                    raise ValidationError(
+                        f"duplicate rule id {rule_id!r}", line_no, _column(line, 1)
+                    )
+                rule_ids.add(rule_id)
+                shape = " ".join(tokens[3:end])
+                if shape in shapes[keyword]:
+                    raise ValidationError(
+                        f"rule {rule_id!r} duplicates an earlier {keyword} rule",
+                        line_no,
+                        _column(line, 1),
+                    )
+                shapes[keyword].add(shape)
+                if keyword == "strict":
+                    strict.append(StrictRule(rule_id, tuple(body), head))
+                else:
+                    defeasible.append(DefeasibleRule(rule_id, tuple(body), head))
+            elif keyword == "atoms":
+                if end == 1:
+                    raise _Unexpected(1, "an atom name")
+                for i in range(1, end):
+                    if tokens[i][0] not in _IDENT_START:
+                        raise _Unexpected(i, "an atom name")
+                has_atoms_decl = True
+                declared.update(tokens[1:end])
+            elif keyword == "name":
+                if tokens[1][0] not in _IDENT_START:
+                    raise _Unexpected(1, "a defeasible rule id")
+                if tokens[2] != "=":
+                    raise _Unexpected(2, "'='")
+                lit, i = _literal(tokens, 3)
+                if i != end:
+                    raise _Unexpected(i, None)
+                name_decls.append((tokens[1], lit, line_no))
+            elif keyword[0] in _IDENT_START:
+                raise _Unexpected(0, None)
+            else:
+                raise _Unexpected(0, "a keyword (atoms, strict, defeasible, name)")
+        except _Unexpected as err:
+            raise _syntax_error(line, line_no, err.index, err.expected) from None
+
+    defeasible_ids = {r.id for r in defeasible}
+    names: dict[str, Formula] = {}
+    for target, lit, line_no in name_decls:
+        if target not in rule_ids:
+            problem = f"name refers to undefined rule {target!r}"
+        elif target not in defeasible_ids:
+            problem = f"name defined on strict rule {target!r}"
+        elif target in names:
+            problem = f"name redefined for rule {target!r}"
+        else:
+            names[target] = lit
+            continue
+        raise ValidationError(problem, line_no, _column(lines[line_no - 1], 1))
+
+    if has_atoms_decl:
+        used = {lit.atom for rule in (*strict, *defeasible) for lit in (*rule.body, rule.head)}
+        undeclared = used.union(lit.atom for lit in names.values()) - declared
+        if undeclared:
+            raise _undeclared_atom_error(lines, undeclared)
+
+    # Every check of ``ArgumentationSystem`` has been made above, with a position.
+    return ArgumentationSystem._make(tuple(strict), tuple(defeasible), names)

@@ -325,6 +325,21 @@ class TestInterning:
         assert len(core._INTERNED) == size
         assert (name, negations) not in core._INTERNED
 
+    @pytest.mark.parametrize(
+        "name, negations", [("zz_float", 1.0), ("zz_bool", True), (5, 0), (b"a", 0)]
+    )
+    def test_a_formula_of_the_wrong_type_is_refused(self, name, negations):
+        """A depth that only equals an int, or an atom that is no ``str``,
+        is refused before it is interned: the pair built next with an int
+        depth is built afresh."""
+        size = len(core._INTERNED)
+        with pytest.raises(ValidationError):
+            Formula(name, negations)
+        assert len(core._INTERNED) == size
+        if name.__class__ is str:
+            phi = Formula(name, 1)
+            assert phi.negations.__class__ is int and str(phi) == "~" + name
+
 
 class TestSystemValidation:
     def test_atoms_are_collected_once(self, monkeypatch):

@@ -1,5 +1,6 @@
 """Rule-language parser and printer."""
 
+import itertools
 import json
 import os
 import re
@@ -23,6 +24,7 @@ from jsbaf import (
 )
 from jsbaf import dsl
 
+import reference
 from conftest import TANDEM_PATH, bench_operations
 
 
@@ -197,6 +199,18 @@ DIAGNOSTICS = [
     ("strict r1: a, b # c !", ParseError, "1:16: expected '->' at end of line", ""),
     ("strict r1: -> a\tb", ParseError, "1:17: unexpected trailing 'b'", "b"),
     ("strict r1: -> a\n\n# c\nstrict r2 -> b", ParseError, "4:11: expected ':', found '->'", "->"),
+    # across lines, the first line's fault comes first; ``name`` lines are
+    # checked after every line has been read, and the vocabulary last
+    ("strict r1: -> a\nname r1 = b\nstrict r2 -> c", ParseError,
+     "3:11: expected ':', found '->'", "->"),
+    ("strict r1: -> a\nstrict r1: -> b\nstrict r2: -> !", ValidationError,
+     "2:8: duplicate rule id 'r1'", None),
+    ("atoms a\nname x = a\nstrict r1: -> zz", ValidationError,
+     "2:6: name refers to undefined rule 'x'", None),
+    ("atoms a\nname d1 = b\ndefeasible d1: => a", ValidationError,
+     "2:11: atom 'b' is not in the declared vocabulary", None),
+    ("defeasible d1: => a\ndefeasible d2: => a\nname d3 = a", ValidationError,
+     "2:12: rule 'd2' duplicates an earlier defeasible rule", None),
     # a form feed is whitespace, not a line end
     ("strict r1: -> a\n\x0cstrict r2: -> b\nstrict r3: -> c x", ParseError,
      "3:17: unexpected trailing 'x'", "x"),
@@ -359,8 +373,8 @@ def test_every_error_points_into_the_text(lines):
         assert 1 <= err.column <= len(lines[err.line - 1]) + 1
 
 
-# The one-pass reader and the line walker.  ``parse_system`` takes a text
-# from ``dsl._read`` when it can, and from ``dsl._walk`` otherwise.
+# ``parse_system`` against ``reference.walk``, the line walker as first
+# written, which reads every line token by token.
 
 SPACES = [" ", "\t", "\x0c", "\u2028", "\u00a0", " \t"]
 LINE_ENDS = ["\n", "\r\n", "\r"]
@@ -438,7 +452,7 @@ def rule_texts(draw):
 def walked(text):
     """What the line walker makes of ``text``: a system, or the error it raises."""
     try:
-        return dsl._walk(text)
+        return reference.walk(text)
     except (ParseError, ValidationError) as err:
         return err
 
@@ -458,19 +472,49 @@ def error_fields(err):
 @example("name d1 = b\ndefeasible d1: => a")
 @example("strict\ufeffr1: -> a")
 def test_the_reader_agrees_with_the_walker(text):
-    """The reader returns the walker's system, and defers to the walker
-    exactly where the walker raises; ``parse_system`` then raises the
-    walker's error."""
+    """``parse_system`` returns the walker's system, and raises exactly
+    where the walker raises, with the walker's error."""
     body = text[1:] if text.startswith("\ufeff") else text
-    read, expected = dsl._read(body), walked(body)
+    expected = walked(body)
     if isinstance(expected, Exception):
-        assert read is None
         with pytest.raises(type(expected)) as err:
             parse_system(text)
         assert error_fields(err.value) == error_fields(expected)
     else:
-        assert read == expected == parse_system(text)
+        read = parse_system(text)
+        assert read == expected
         assert list(read.undercut_names.items()) == list(expected.undercut_names.items())
+
+
+def rejected(line):
+    """Whether ``_LINE_RE`` rejects ``line``, a text of one line, by its last group."""
+    (row, *_) = dsl._LINE_RE.findall(line)
+    return bool(row[-1])
+
+
+one_line_st = st.one_of(
+    lines_st,
+    st.sampled_from(KINDS).flatmap(lambda kind: spelled_line(kind, kind[0] + "1")).flatmap(mutated),
+)
+
+
+@settings(max_examples=300)
+@given(one_line_st)
+@example("strict\ufeffr1: -> a")
+@example("atoms a\u2028b # c !")
+def test_the_line_pattern_rejects_exactly_what_the_walker_refuses(line):
+    """``parse_system`` raises a syntax error only for a line that
+    ``_LINE_RE`` rejects: on one line, the pattern rejects it exactly when
+    the walker raises ParseError."""
+    assert rejected(line) == isinstance(walked(line), ParseError)
+
+
+def test_the_line_pattern_rejects_exactly_what_the_walker_refuses_on_fragment_runs():
+    """The same, on every line of one, two or three ``FRAGMENTS``."""
+    for size in (1, 2, 3):
+        for parts in itertools.product(FRAGMENTS, repeat=size):
+            line = "".join(parts)
+            assert rejected(line) == isinstance(walked(line), ParseError), line
 
 
 def readme_example():
@@ -482,13 +526,15 @@ def readme_example():
 
 def test_the_walker_reads_no_benchmark_demo_or_readme_file(monkeypatch):
     """Every rule file the benchmark writes, the demo files and README's
-    example are read in one pass; the walker is never called."""
+    example are read in one pass, to the walker's system; the grammar of
+    one line and the line split of the error path are never called."""
     texts = {op.instance.text for op in bench_operations()}
     texts |= {path.read_text(encoding="utf-8") for path in TANDEM_PATH.parent.glob("*.rules")}
     texts.add(readme_example())
-    expected = {text: dsl._walk(text) for text in texts}
+    expected = {text: reference.walk(text) for text in texts}
     calls = []
-    monkeypatch.setattr(dsl, "_walk", lambda text: calls.append(text))
+    monkeypatch.setattr(dsl, "_line_error", lambda *args: calls.append(args))
+    monkeypatch.setattr(dsl, "_lines", lambda text: calls.append(text))
     for text in texts:
         assert parse_system(text) == expected[text]
     assert calls == [] and len(texts) > 200
@@ -496,18 +542,19 @@ def test_the_walker_reads_no_benchmark_demo_or_readme_file(monkeypatch):
 
 LONG = 100_000
 
-# Reads a rule file from stdin, and prints whether the reader declined it,
-# the seconds to the walker's error, and the error.
+# Reads a rule file from stdin, and prints whether the line pattern rejects
+# a line of it, the seconds to ``parse_system``'s error, and the error.
 LONG_LINE_CHILD = """
 import json, sys, time
 from jsbaf import ParseError, dsl, parse_system
 text = sys.stdin.read()
 start = time.perf_counter()
-declined = dsl._read(text) is None
 try:
     parse_system(text)
 except ParseError as err:
-    print(json.dumps([declined, time.perf_counter() - start, str(err)]))
+    seconds = time.perf_counter() - start
+    rejected = any(row[-1] for row in dsl._LINE_RE.findall(text))
+    print(json.dumps([rejected, seconds, str(err)]))
 """
 
 
@@ -523,8 +570,8 @@ except ParseError as err:
     ids=["no arrow", "trailing comma", "tilde run", "stray after atoms", "stray after spaces"],
 )
 def test_a_long_bad_line_fails_fast(line, message):
-    """Lines of 100,000 characters that the reader rejects: it declines
-    in linear time, and the walker raises its usual error.  The parse runs
+    """Lines of 100,000 characters that the line pattern rejects:
+    ``parse_system`` raises its usual error in linear time.  The parse runs
     in a child process, so that a pattern that backtracks without end fails
     this test instead of hanging the suite."""
     env = {**os.environ, "PYTHONPATH": str(TANDEM_PATH.parents[1] / "src")}
@@ -533,6 +580,6 @@ def test_a_long_bad_line_fails_fast(line, message):
         capture_output=True, text=True, env=env, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    declined, seconds, error = json.loads(done.stdout)
-    assert declined and seconds < 1.0
+    rejected, seconds, error = json.loads(done.stdout)
+    assert rejected and seconds < 1.0
     assert error.startswith("2:") and error.endswith(": " + message)

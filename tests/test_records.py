@@ -194,6 +194,18 @@ def test_check_shape_messages_are_unchanged(cls, field, value, message):
     assert str(error.value) == message
 
 
+COUNT_FIELDS = [field for field, (_, high) in SHAPE_RANGES.items() if high is None]
+
+
+@pytest.mark.parametrize("field", COUNT_FIELDS)
+@pytest.mark.parametrize("value", [2.5, 3.0, True])
+def test_a_count_that_is_no_int_is_refused(field, value):
+    cls = SystemParams if field in SystemParams._fields else JsbafParams
+    with pytest.raises(ValidationError) as error:
+        cls(**{field: value})
+    assert str(error.value) == f"{field} must be an int, got {value!r}"
+
+
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     src = str(Path(jsbaf.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
