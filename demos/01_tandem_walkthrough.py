@@ -48,7 +48,7 @@ def main():
     aspic = evaluate(prepared, "preferred", "aspic-minus")
     for cs in aspic.conclusion_sets:
         conclusions = "{" + ", ".join(sorted(map(str, cs.formulas))) + "}"
-        closed = cs.postulates.closure.satisfied
+        closed = cs.postulates.closure is None
         verdict = "closed" if closed else "NOT closed under the strict rules"
         print(f"   {conclusions:<42} {verdict}")
 

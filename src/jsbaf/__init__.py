@@ -68,7 +68,6 @@ from .postulates import (
     PostulateReport,
     Prepared,
     SystemParams,
-    Verdict,
     evaluate,
     evaluate_postulates,
     prepare,

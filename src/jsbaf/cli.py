@@ -89,6 +89,17 @@ def _add_common(parser, *, semantics=False, max_nodes=False):
         )
 
 
+# The options of ``random`` and the ``SystemParams`` fields they set; each
+# takes its type and default from ``SystemParams()``.
+_SHAPE_OPTIONS = {
+    "--atoms": "n_atoms",
+    "--strict": "n_strict",
+    "--defeasible": "n_defeasible",
+    "--max-body": "max_body",
+    "--undercut-density": "undercut_density",
+}
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by later calls."""
@@ -121,11 +132,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rand = sub.add_parser("random", help="emit a seeded random consistent system")
     p_rand.add_argument("--seed", type=int, required=True)
-    p_rand.add_argument("--atoms", type=int, default=4)
-    p_rand.add_argument("--strict", type=int, default=3)
-    p_rand.add_argument("--defeasible", type=int, default=3)
-    p_rand.add_argument("--max-body", type=int, default=2)
-    p_rand.add_argument("--undercut-density", type=float, default=0.2)
+    defaults = SystemParams()
+    for option, field in _SHAPE_OPTIONS.items():
+        default = getattr(defaults, field)
+        p_rand.add_argument(option, type=default.__class__, default=default)
 
     p_oracle = sub.add_parser("oracle", help="cross-check the engine against brute force")
     _add_common(p_oracle, semantics=True)
@@ -243,16 +253,6 @@ def _cmd_check_postulates(args) -> int:
     if not prepared.consistent:  # prepare refused it unless --allow-inconsistent
         sys.stdout.write("# note: system is inconsistent; verdicts are out of postulate scope\n")
     return EXIT_VIOLATION if violated else EXIT_OK
-
-
-# The options of ``random`` and the ``SystemParams`` fields they set.
-_SHAPE_OPTIONS = {
-    "--atoms": "n_atoms",
-    "--strict": "n_strict",
-    "--defeasible": "n_defeasible",
-    "--max-body": "max_body",
-    "--undercut-density": "undercut_density",
-}
 
 
 def _cmd_random(args) -> int:

@@ -51,7 +51,10 @@ class Formula:
     __slots__ = ("atom", "negations")
 
     def __new__(cls, atom: str, negations: int = 0) -> "Formula":
-        formula = _INTERNED.get((atom, negations))
+        try:
+            formula = _INTERNED.get((atom, negations))
+        except TypeError:  # an unhashable atom or depth, refused below
+            formula = None
         if formula is None:
             if atom.__class__ is not str or not (atom.isascii() and atom.isidentifier()):
                 raise ValidationError(f"atom name {atom!r} is not an identifier")

@@ -11,15 +11,16 @@ A conclusion set collects the conclusions of one extension's arguments,
 and holds the verdicts of the three postulates on them: closure under the
 strict rules, no complementary pair (direct consistency), and no
 complementary pair in the strict closure (indirect consistency).
-A verdict is the witness of a violation, or None.  ``_verdicts`` is the
-one checker, on a set given as a mask of the system's ``LiteralTable``,
-built once per system: one saturation gives its closure and the closure
-witness, and the least pair of the set and of its closure are a scan of
-the table's pair masks.  Every set on which all three postulates hold gets
-one shared report, ``ALL_HOLD``, which the JSON writer recognises by
-identity.  ``evaluate`` ORs each extension's conclusion bits into that
-mask and sums the verdicts up per postulate as it goes;
-``evaluate_postulates`` turns any set of formulas into one.
+A verdict is its witness, a strict rule or a complementary pair, or None
+when the postulate holds.  ``_verdicts`` is the one checker, on a set
+given as a mask of the system's ``LiteralTable``, built once per system:
+one saturation gives its closure and the closure witness, and the least
+pair of the set and of its closure are a scan of the table's pair masks.
+Every set on which all three postulates hold gets one shared report,
+``ALL_HOLD``, which the JSON writer recognises by identity.  ``evaluate``
+ORs each extension's conclusion bits into that mask and sums the verdicts
+up per postulate as it goes; ``evaluate_postulates`` turns any set of
+formulas into one.
 
 The results, parameters and generated systems are plain frozen records
 (``records.Record``), each set up by one update of its ``__dict__``, and
@@ -66,35 +67,22 @@ DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
 GENERATION_RETRIES = 200  # systems ``random_system`` draws before it gives up
 
 
-class Verdict(Record):
-    """The verdict of one postulate on one set: the witness of its
-    violation, or None when it holds."""
-
-    _fields = ("witness",)
-
-    def __init__(self, witness: object = None):
-        self.__dict__["witness"] = witness
-
-    @property
-    def satisfied(self) -> bool:
-        return self.witness is None
-
-
 class PostulateReport(NamedTuple):
-    """The verdict of each postulate, in the order of ``POSTULATES``."""
+    """The verdict of each postulate, in the order of ``POSTULATES``: the
+    witness of its violation, or None when it holds."""
 
-    closure: Verdict
-    direct_consistency: Verdict
-    indirect_consistency: Verdict
+    closure: StrictRule | None  # the strict rule that fires on the set and adds a head
+    direct_consistency: tuple[Formula, Formula] | None  # a complementary pair of the set
+    indirect_consistency: tuple[Formula, Formula] | None  # one of its strict closure
 
     @property
     def all_satisfied(self) -> bool:
-        return all(verdict.satisfied for verdict in self)
+        return all(witness is None for witness in self)
 
 
 POSTULATES = PostulateReport._fields
 # The one report of every set on which all three postulates hold.
-ALL_HOLD = PostulateReport(Verdict(), Verdict(), Verdict())
+ALL_HOLD = PostulateReport(None, None, None)
 
 
 def evaluate_postulates(
@@ -129,11 +117,8 @@ def _verdicts(table: LiteralTable, mask: int) -> PostulateReport:
     direct = table.least_pair(mask)
     if missing is None and direct is None:
         return ALL_HOLD
-    return PostulateReport(
-        Verdict(missing),
-        Verdict(direct),
-        Verdict(direct if missing is None else table.least_pair(closure)),
-    )
+    indirect = direct if missing is None else table.least_pair(closure)
+    return PostulateReport(missing, direct, indirect)
 
 
 class ConclusionSet(Record):
@@ -185,11 +170,11 @@ def prepare(
 ) -> Prepared:
     """Check consistency, enumerate at most ``max_arguments`` arguments and
     find the attack witnesses of ``system``."""
-    consistent = is_consistent(system)
-    if require_consistent and not consistent:
-        raise InconsistentSystemError(strict_conflict(system))
+    conflict = strict_conflict(system)
+    if require_consistent and conflict is not None:
+        raise InconsistentSystemError(conflict)
     store = construct_arguments(system, max_arguments)
-    return Prepared(consistent, store, attack_witnesses(store))
+    return Prepared(conflict is None, store, attack_witnesses(store))
 
 
 class Evaluation(Record):
@@ -264,7 +249,7 @@ def evaluate(
         conclusions = [args[o].conclusion for o in ordinals]
         verdicts = _verdicts(table, table.mask(conclusions))
         if verdicts is not ALL_HOLD:
-            holds = tuple([h and v.witness is None for h, v in zip(holds, verdicts)])
+            holds = tuple([h and w is None for h, w in zip(holds, verdicts)])
         sets.append(ConclusionSet(frozenset(conclusions), ordinals, verdicts))
     return Evaluation(
         semantics, mode, max_nodes, prepared.consistent, store, prepared.witnesses,
@@ -315,13 +300,16 @@ SHAPE_RANGES = {
 def check_shape(field: str, value: float, name: str) -> None:
     """Raise ValidationError, calling ``value`` ``name``, unless it lies in
     the range of the ``SystemParams`` or ``JsbafParams`` field ``field``
-    and, for a count, is an int."""
+    and is an int, or for a fraction an int or a float."""
     low, high = SHAPE_RANGES[field]
-    if high is None and value.__class__ is not int:
-        raise ValidationError(f"{name} must be an int, got {value!r}")
-    if high is None and value < low:
-        raise ValidationError(f"{name} must be at least {low}, got {value}")
-    if high is not None and not low <= value <= high:
+    if high is None:
+        if value.__class__ is not int:
+            raise ValidationError(f"{name} must be an int, got {value!r}")
+        if value < low:
+            raise ValidationError(f"{name} must be at least {low}, got {value}")
+    elif value.__class__ not in (int, float):
+        raise ValidationError(f"{name} must be an int or a float, got {value!r}")
+    elif not low <= value <= high:
         raise ValidationError(f"{name} must lie in [{low}, {high}], got {value}")
 
 

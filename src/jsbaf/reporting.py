@@ -38,7 +38,7 @@ from typing import Callable
 
 from .arguments import KINDS
 from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId, is_meta
-from .postulates import ALL_HOLD, POSTULATES, Evaluation, Verdict
+from .postulates import ALL_HOLD, POSTULATES, Evaluation
 
 REPORT_FORMATS = ("json", "text")
 
@@ -172,9 +172,9 @@ def _argument_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     return records
 
 
-def _verdict(verdict: Verdict, name: str) -> str:
-    """A verdict: a closure witness is {body, missing_head, rule}, any other {pair}."""
-    witness, i5, i6 = verdict.witness, _NL[5], _NL[6]
+def _verdict(witness, name: str) -> str:
+    """A verdict from its witness: {body, missing_head, rule} for closure, else {pair}."""
+    i5, i6 = _NL[5], _NL[6]
     if witness is None:
         encoded = "null"
     elif name == "closure":
@@ -182,13 +182,13 @@ def _verdict(verdict: Verdict, name: str) -> str:
                    f'"{witness.head}",{i6}"rule": "{witness.id}"{i5}}}')
     else:
         encoded = f'{{{i6}"pair": {_texts(map(str, witness), 6)}{i5}}}'
-    satisfied = "true" if verdict.satisfied else "false"
+    satisfied = "true" if witness is None else "false"
     return f'{{{i5}"satisfied": {satisfied},{i5}"witness": {encoded}{_NL[4]}}}'
 
 
 # The JSON verdicts of ``ALL_HOLD``.
 _ALL_HOLD_JSON = ",".join(
-    f'{_NL[4]}"{name}": {_verdict(verdict, name)}' for name, verdict in zip(POSTULATES, ALL_HOLD)
+    f'{_NL[4]}"{name}": {_verdict(witness, name)}' for name, witness in zip(POSTULATES, ALL_HOLD)
 )
 
 
@@ -198,8 +198,8 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     entries = []
     for cs in ev.conclusion_sets:
         postulates = _ALL_HOLD_JSON if cs.postulates is ALL_HOLD else ",".join(
-            f'{i4}"{name}": {_verdict(verdict, name)}'
-            for name, verdict in zip(POSTULATES, cs.postulates)
+            f'{i4}"{name}": {_verdict(witness, name)}'
+            for name, witness in zip(POSTULATES, cs.postulates)
         )
         entries.append(
             f'{{{i3}"conclusions": {_texts(map(str, cs.formulas), 3)},'
@@ -355,9 +355,9 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     tail += ["", "conclusion sets:"]
     for cs in ev.conclusion_sets:
         tail.append("  {" + ", ".join(sorted(map(str, cs.formulas))) + "}")
-        for name, verdict in zip(POSTULATES, cs.postulates):
-            tail.append(f"    {name}: " + ("satisfied" if verdict.satisfied else (
-                f"VIOLATED ({_witness_text(name, verdict.witness)})")))
+        for name, witness in zip(POSTULATES, cs.postulates):
+            tail.append(f"    {name}: " + ("satisfied" if witness is None else (
+                f"VIOLATED ({_witness_text(name, witness)})")))
     tail += ["", "summary: " + ", ".join(f"{name}={'satisfied' if held else 'violated'}"
                                          for name, held in zip(POSTULATES, ev.holds))]
     if not ev.consistent:

@@ -26,7 +26,7 @@ from jsbaf.errors import ParseError, ValidationError
 from jsbaf.frameworks import (
     AF, JSBAF, ENode, HigherLevelAF, NodeId, bar, e_node, is_meta, sort_nodes,
 )
-from jsbaf.postulates import POSTULATES, PostulateReport, Verdict
+from jsbaf.postulates import POSTULATES, PostulateReport
 from jsbaf.semantics import _IN, _OUT, _UNDEC
 
 
@@ -269,9 +269,9 @@ def postulate_verdicts(
         if set(r.body) <= pool and r.head not in pool
     ]
     return PostulateReport(
-        Verdict(None if closed == pool else fireable[0]),
-        Verdict(find_complement_pair(pool)),
-        Verdict(find_complement_pair(closed)),
+        None if closed == pool else fireable[0],
+        find_complement_pair(pool),
+        find_complement_pair(closed),
     )
 
 
@@ -433,19 +433,19 @@ def _formula_list(formulas) -> list[str]:
     return sorted(str(f) for f in formulas)
 
 
-def _verdict_json(name: str, verdict) -> dict:
-    out: dict = {"satisfied": verdict.satisfied}
-    if verdict.witness is None:
+def _verdict_json(name: str, witness) -> dict:
+    out: dict = {"satisfied": witness is None}
+    if witness is None:
         out["witness"] = None
     elif name == "closure":
-        rule = verdict.witness
+        rule = witness
         out["witness"] = {
             "rule": rule.id,
             "body": _formula_list(rule.body),
             "missing_head": str(rule.head),
         }
     else:
-        out["witness"] = {"pair": _formula_list(verdict.witness)}
+        out["witness"] = {"pair": _formula_list(witness)}
     return out
 
 

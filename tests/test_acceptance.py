@@ -122,19 +122,19 @@ def test_criterion_05_aspic_minus_baseline_contrast(tandem_system):
     violating_conclusions = frozenset(conclusion_of[n.label] for n in violating)
     assert sorted(map(str, violating_conclusions)) == ["ht", "hw", "st", "sw", "tt", "tw"]
     report = evaluate_postulates(tandem_system, violating_conclusions)
-    assert not report.closure.satisfied
-    assert not report.indirect_consistency.satisfied
-    assert report.direct_consistency.satisfied
+    assert report.closure is not None
+    assert report.indirect_consistency is not None
+    assert report.direct_consistency is None
 
     # then the engine must reproduce it
     engine_sets = evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets
     flagged = [
         cs for cs in engine_sets
-        if not evaluate_postulates(tandem_system, cs.formulas).closure.satisfied
+        if evaluate_postulates(tandem_system, cs.formulas).closure is not None
     ]
     assert [cs.formulas for cs in flagged] == [violating_conclusions]
     report = evaluate_postulates(tandem_system, flagged[0].formulas)
-    assert not report.indirect_consistency.satisfied
+    assert report.indirect_consistency is not None
     ok(5, "oracle and engine agree: {ht,hw,st,sw,tt,tw} violates closure and indirect consistency")
 
 

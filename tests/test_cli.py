@@ -268,6 +268,13 @@ class TestRandom:
 
         assert is_consistent(parse_system(first))
 
+    def test_the_shape_defaults_are_those_of_system_params(self, capsys):
+        from jsbaf import SystemParams, print_system, random_system
+
+        generated = random_system(SystemParams(), 12)
+        expected = f"# seed 12, attempt {generated.attempts}\n" + print_system(generated.system)
+        assert run_cli(capsys, "random", "--seed", "12") == (0, expected, "")
+
     def test_generation_failure_exit_code(self, capsys):
         code, _, err = run_cli(
             capsys, "random", "--seed", "0", "--atoms", "1",

@@ -340,6 +340,17 @@ class TestInterning:
             phi = Formula(name, 1)
             assert phi.negations.__class__ is int and str(phi) == "~" + name
 
+    @pytest.mark.parametrize(
+        "name, negations, message",
+        [([1], 0, r"^atom name \[1\] is not an identifier$"),
+         ("a", [1], r"^negation depth must be an int, got \[1\]$")],
+    )
+    def test_an_unhashable_atom_or_depth_is_refused(self, name, negations, message):
+        size = len(core._INTERNED)
+        with pytest.raises(ValidationError, match=message):
+            Formula(name, negations)
+        assert len(core._INTERNED) == size
+
 
 class TestSystemValidation:
     def test_atoms_are_collected_once(self, monkeypatch):

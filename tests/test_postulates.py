@@ -17,7 +17,6 @@ from jsbaf import (
     PostulateReport,
     SystemParams,
     ValidationError,
-    Verdict,
     atom,
     construct_arguments,
     defeasible_rule,
@@ -82,71 +81,70 @@ class TestConclusionSets:
 class TestClosure:
     def test_tandem_deductive_sets_are_closed(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert evaluate_postulates(tandem_system, cs.formulas).closure.satisfied
+            assert evaluate_postulates(tandem_system, cs.formulas).closure is None
 
     def test_all_defeasibles_set_is_not_closed(self, tandem_system):
         pool = frozenset(
             {atom("hw"), atom("sw"), atom("tw"), atom("ht"), atom("st"), atom("tt")}
         )
-        verdict = evaluate_postulates(tandem_system, pool).closure
-        assert not verdict.satisfied
-        rule = verdict.witness
+        rule = evaluate_postulates(tandem_system, pool).closure
+        assert rule is not None
         assert all(b in pool for b in rule.body) and rule.head not in pool
 
     def test_a_closure_is_closed(self, tandem_system):
         closed = strict_closure((), tandem_system.strict_rules)
-        assert evaluate_postulates(tandem_system, closed).closure.satisfied
+        assert evaluate_postulates(tandem_system, closed).closure is None
 
 
 class TestDirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert evaluate_postulates(tandem_system, cs.formulas).direct_consistency.satisfied
+            assert evaluate_postulates(tandem_system, cs.formulas).direct_consistency is None
 
     def test_complementary_pair_is_witnessed(self):
-        verdict = evaluate_postulates(NO_RULES, {atom("a"), neg("a")}).direct_consistency
-        assert not verdict.satisfied and verdict.witness == (atom("a"), neg("a"))
+        witness = evaluate_postulates(NO_RULES, {atom("a"), neg("a")}).direct_consistency
+        assert witness == (atom("a"), neg("a"))
 
     def test_empty_set(self):
-        assert evaluate_postulates(NO_RULES, frozenset()).direct_consistency.satisfied
+        assert evaluate_postulates(NO_RULES, frozenset()).direct_consistency is None
 
 
 class TestIndirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
             report = evaluate_postulates(tandem_system, cs.formulas)
-            assert report.indirect_consistency.satisfied
+            assert report.indirect_consistency is None
 
     def test_closure_smuggles_in_the_complement(self, tandem_system):
         pool = {atom("hw"), atom("sw"), atom("tw"), atom("ht"), atom("st"), atom("tt")}
-        verdict = evaluate_postulates(tandem_system, pool).indirect_consistency
-        assert not verdict.satisfied
-        phi, psi = verdict.witness
+        witness = evaluate_postulates(tandem_system, pool).indirect_consistency
+        assert witness is not None
+        phi, psi = witness
         assert psi == phi.negation()
 
     def test_without_strict_rules_it_reduces_to_direct(self):
         system = ArgumentationSystem((), (defeasible_rule("d1", [], atom("a")),))
         report = evaluate_postulates(system, {atom("a"), atom("b")})
-        assert report.indirect_consistency.satisfied
+        assert report.indirect_consistency is None
 
     def test_closure_and_direct_imply_indirect(self, tandem_system):
         for sem in ("grounded", "preferred", "stable", "complete"):
             for mode in ("aspic-minus", "deductive"):
                 for cs in evaluate(prepare(tandem_system), sem, mode).conclusion_sets:
                     report = evaluate_postulates(tandem_system, cs.formulas)
-                    if report.closure.satisfied and report.direct_consistency.satisfied:
-                        assert report.indirect_consistency.satisfied
+                    if report.closure is None and report.direct_consistency is None:
+                        assert report.indirect_consistency is None
 
 
 class TestWitnessRoundTrip:
     def test_witnesses_reproduce_their_violation(self, tandem_system):
         for cs in evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets:
             report = evaluate_postulates(tandem_system, cs.formulas)
-            if not report.closure.satisfied:
-                rule = report.closure.witness
+            rule = report.closure
+            if rule is not None:
                 assert set(rule.body) <= cs.formulas and rule.head not in cs.formulas
-            if not report.indirect_consistency.satisfied:
-                phi, psi = report.indirect_consistency.witness
+            if report.indirect_consistency is not None:
+                phi, psi = report.indirect_consistency
                 closed = strict_closure(cs.formulas, tandem_system.strict_rules)
                 assert phi in closed and psi in closed
 
@@ -163,17 +161,11 @@ class TestModeContrast:
         )
 
     def test_report_is_the_tuple_of_its_verdicts(self):
-        verdicts = (Verdict(), Verdict("w"), Verdict())
-        report = PostulateReport(*verdicts)
-        assert report == verdicts and tuple(report) == verdicts
-        assert report.direct_consistency == Verdict("w")
+        witnesses = (None, "w", None)
+        report = PostulateReport(*witnesses)
+        assert report == witnesses and tuple(report) == witnesses
+        assert report.direct_consistency == "w"
         assert not report.all_satisfied
-
-    def test_a_verdict_is_its_witness(self):
-        assert Verdict().satisfied and Verdict(None) == Verdict()
-        assert not Verdict("w").satisfied
-        with pytest.raises(TypeError):
-            Verdict(True, "w")
 
     def test_tandem_preferred_contrast(self, tandem_system):
         holds = holds_per_mode(prepare(tandem_system), "preferred")
@@ -296,11 +288,11 @@ class TestLiteralTableAgainstTheDefinitions:
                              if table.literals else st.just(frozenset()))
         verdicts = _verdicts(table, table.mask(formulas))
         assert verdicts == reference.postulate_verdicts(system, formulas)
-        all_hold = all(verdict.satisfied for verdict in verdicts)
+        all_hold = all(witness is None for witness in verdicts)
         assert (verdicts is ALL_HOLD) == all_hold
 
     def test_the_shared_report_equals_a_fresh_one(self):
-        assert ALL_HOLD == PostulateReport(Verdict(), Verdict(), Verdict())
+        assert ALL_HOLD == PostulateReport(None, None, None)
         assert ALL_HOLD.all_satisfied and type(ALL_HOLD) is PostulateReport
         system = parse_system("strict s1: a -> b\nstrict s2: -> c\ndefeasible d1: a => ~c\n")
         table = system.literal_table
@@ -379,7 +371,7 @@ class TestOneClosurePerSet:
                     assert report == evaluate_postulates(system, cs.formulas)
                     violated |= {
                         name for name in ("closure", "indirect_consistency")
-                        if not getattr(report, name).satisfied
+                        if getattr(report, name) is not None
                     }
         assert violated == {"closure", "indirect_consistency"}
 

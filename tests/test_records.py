@@ -24,7 +24,6 @@ from jsbaf import (
     StrictRule,
     SystemParams,
     ValidationError,
-    Verdict,
     atom,
     construct_arguments,
     evaluate,
@@ -60,7 +59,6 @@ FACTORIES = {
     BaseNode: lambda: BaseNode("A1"),
     BarNode: lambda: BarNode(BaseNode("A1")),
     ENode: lambda: ENode((BaseNode("A1"), BarNode(BaseNode("A2")))),
-    Verdict: lambda: Verdict((atom("a"), neg("a"))),
     ConclusionSet: lambda: _evaluation().conclusion_sets[0],
     Prepared: lambda: prepare(_system()),
     Evaluation: _evaluation,
@@ -76,7 +74,7 @@ def fields(record):
 
 
 def test_every_record_class_is_covered():
-    assert len(RECORDS) == 14 and all(issubclass(cls, Record) for cls in RECORDS)
+    assert len(RECORDS) == 13 and all(issubclass(cls, Record) for cls in RECORDS)
 
 
 @pytest.mark.parametrize("cls", RECORDS, ids=lambda cls: cls.__name__)
@@ -156,13 +154,11 @@ def test_repr_is_the_dataclass_text():
     assert repr(ENode((BaseNode("A1"), BarNode(BaseNode("A2"))))) == (
         "ENode(members=(BaseNode(label_text='A1'), BarNode(base=BaseNode(label_text='A2'))))"
     )
-    assert repr(Verdict()) == "Verdict(witness=None)"
 
 
 def test_defaults_are_unchanged():
     assert fields(SystemParams()) == (4, 3, 3, 2, 0.2)
     assert fields(JsbafParams()) == (10, 0.15, 4, 3, 0)
-    assert Verdict().witness is None
     first, second = ArgumentationSystem((), ()), ArgumentationSystem((), ())
     assert first.undercut_names == {} and first.undercut_names is not second.undercut_names
 
@@ -204,6 +200,18 @@ def test_a_count_that_is_no_int_is_refused(field, value):
     with pytest.raises(ValidationError) as error:
         cls(**{field: value})
     assert str(error.value) == f"{field} must be an int, got {value!r}"
+
+
+FRACTION_FIELDS = [field for field, (_, high) in SHAPE_RANGES.items() if high is not None]
+
+
+@pytest.mark.parametrize("field", FRACTION_FIELDS)
+@pytest.mark.parametrize("value", ["x", None, True, [0.5]])
+def test_a_fraction_that_is_no_int_or_float_is_refused(field, value):
+    cls = SystemParams if field in SystemParams._fields else JsbafParams
+    with pytest.raises(ValidationError) as error:
+        cls(**{field: value})
+    assert str(error.value) == f"{field} must be an int or a float, got {value!r}"
 
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():

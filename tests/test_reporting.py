@@ -565,7 +565,7 @@ class TestReferenceWriter:
 # one-step|two-step`` builds them, each by its own function alone: the
 # two-step and simplified flattenings build no one-step framework.
 STAGES = {
-    "core": ("is_consistent",),
+    "core": ("strict_conflict",),
     "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
     "frameworks": ("flatten_one_step", "flatten_two_step", "flatten_simplified"),
     "semantics": ("extension_ids", "extensions"),
@@ -600,7 +600,7 @@ class TestOneEvaluationPass:
         code = main(["eval", "--file", str(TANDEM_PATH), "--mode", mode])
         assert code in (0, 1) and json.loads(capsys.readouterr().out)["status"] == "ok"
         assert stage_calls == {
-            "is_consistent": 1,
+            "strict_conflict": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,
@@ -612,7 +612,7 @@ class TestOneEvaluationPass:
         assert main(["check-postulates", "--file", str(TANDEM_PATH)]) == 1
         assert len(capsys.readouterr().out.splitlines()) == 24
         assert stage_calls == {
-            "is_consistent": 1,
+            "strict_conflict": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,  # the AF and the JSBAF share one attack relation
@@ -633,12 +633,26 @@ class TestOneEvaluationPass:
         assert main(["flatten", "--file", str(TANDEM_PATH), *options]) == 0
         assert capsys.readouterr().out.startswith("digraph framework {")
         assert stage_calls == {
-            "is_consistent": 1,
+            "strict_conflict": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,
             **flattening,
         }
+
+    @pytest.mark.parametrize("allow", (False, True), ids=("refused", "allowed"))
+    def test_an_inconsistent_system_is_checked_once(self, stage_calls, capsys, tmp_path, allow):
+        """``prepare`` reads the strict conflict once, for the check and
+        for the error alike."""
+        rules = tmp_path / "inconsistent.rules"
+        rules.write_text("strict s1: -> p\nstrict s2: -> ~p\n")
+        argv = ["eval", "--file", str(rules), *(["--allow-inconsistent"] if allow else [])]
+        assert main(argv) == (1 if allow else 2)
+        if not allow:
+            assert capsys.readouterr().err == (
+                "error: strict rules derive the complementary pair (p, ~p)\n"
+            )
+        assert stage_calls["strict_conflict"] == 1
 
     def test_flatten_refuses_apx_of_one_step_before_any_stage(self, stage_calls, capsys):
         argv = ["flatten", "--file", str(TANDEM_PATH), "--stage", "one-step", "--emit", "apx"]
@@ -654,7 +668,7 @@ class TestOneEvaluationPass:
         assert main(argv) == 0
         assert capsys.readouterr().out.startswith("stable: OK")
         assert stage_calls == {
-            "is_consistent": 1,
+            "strict_conflict": 1,
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,
