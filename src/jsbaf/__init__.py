@@ -27,10 +27,7 @@ from .core import (
     atom,
     complement,
     defeasible_rule,
-    find_complement_pair,
-    is_consistent,
     neg,
-    strict_closure,
     strict_rule,
 )
 from .dsl import parse_system, print_system
@@ -69,7 +66,6 @@ from .postulates import (
     Prepared,
     SystemParams,
     evaluate,
-    evaluate_postulates,
     prepare,
     random_jsbaf,
     random_system,

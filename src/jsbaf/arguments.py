@@ -104,23 +104,6 @@ class Argument:
             self.form, self.structure = f"{self.canonical_id}: {tail}", f"({tail})"
 
     @property
-    def sub_arguments(self) -> frozenset["Argument"]:
-        """The arguments of the tree, itself included, found by a walk on
-        each read."""
-        found, stack = {self}, [self]
-        while stack:
-            for sub in stack.pop().subs:
-                if sub not in found:
-                    found.add(sub)
-                    stack.append(sub)
-        return frozenset(found)
-
-    @property
-    def branch_conclusions(self) -> frozenset[Formula]:
-        """The conclusions of the tree, those of its sub-arguments, on each read."""
-        return frozenset([sub.conclusion for sub in self.sub_arguments])
-
-    @property
     def top_rule_strict(self) -> bool:
         return isinstance(self.rule, StrictRule)
 

@@ -6,11 +6,12 @@ normalisation is ever performed: ``~~a`` and ``a`` are different formulas,
 and the complement relation below is purely syntactic.
 
 Formulas are interned, one object per (atom, negations) pair, so they hash
-and compare by identity.  Strict closure and the search for a complementary
-pair run on a ``LiteralTable``: the literals numbered once, in formula
-order, each strict rule a body mask and a head bit, each complementary pair
-a pair mask.  A system builds its table once and keeps it, so the closure
-of a set and its least pair are a few int operations per rule and per pair.
+and compare by identity.  Strict closure and the least complementary pair
+are the ``closure`` and ``least_pair`` methods of a ``LiteralTable``, which
+numbers the literals once, in formula order, and holds each strict rule as
+a body mask and a head bit and each complementary pair as a pair mask.  A
+system builds its table once and keeps it, so the closure of a set of its
+literals and its least pair are a few int operations per rule and per pair.
 
 Rules and systems are plain frozen records (``records.Record``), each set
 up by one update of its ``__dict__``; a system's literal table and atoms
@@ -235,7 +236,7 @@ class LiteralTable:
     so the pairs are found without building a formula.
     """
 
-    def __init__(self, rules: Iterable[StrictRule], formulas: Iterable[Formula] = ()):
+    def __init__(self, rules: Iterable[StrictRule], formulas: Iterable[Formula]):
         rules = sorted(rules, key=_BY_ID)
         mentioned = set(formulas)
         for rule in rules:
@@ -263,10 +264,6 @@ class LiteralTable:
             mask |= bits[phi]
         return mask
 
-    def formulas(self, mask: int) -> frozenset[Formula]:
-        """The literals whose bits ``mask`` holds."""
-        return frozenset([phi for i, phi in enumerate(self.literals) if mask >> i & 1])
-
     def closure(self, mask: int) -> tuple[int, StrictRule | None]:
         """The least superset of ``mask`` closed under the strict rules, by
         saturation (empty-body rules always fire), and the first rule by id
@@ -292,23 +289,6 @@ class LiteralTable:
         return None
 
 
-def strict_closure(seed: Iterable[Formula], rules: Iterable[StrictRule]) -> frozenset[Formula]:
-    """Least superset of ``seed`` closed under the strict rules, computed
-    on a literal table of the seed and the rules."""
-    seed = frozenset(seed)
-    table = LiteralTable(rules, seed)
-    return table.formulas(table.closure(table.mask(seed))[0])
-
-
-def find_complement_pair(formulas: Iterable[Formula]) -> tuple[Formula, Formula] | None:
-    """Some pair (phi, ~phi) inside the set, or None.
-
-    Deterministic: the returned pair is minimal in formula order.  It is
-    read off a literal table of the set, so no formula is built.
-    """
-    return LiteralTable((), formulas).least_pair(-1)  # -1 holds every bit
-
-
 def strict_conflict(system: ArgumentationSystem) -> tuple[Formula, Formula] | None:
     """The least complementary pair among the conclusions of strict
     arguments, or None.
@@ -319,12 +299,3 @@ def strict_conflict(system: ArgumentationSystem) -> tuple[Formula, Formula] | No
     """
     table = system.literal_table
     return table.least_pair(table.closure(0)[0])
-
-
-def is_consistent(system: ArgumentationSystem) -> bool:
-    """True iff no two strict arguments have complementary conclusions.
-
-    The equivalence with brute-force strict-argument enumeration is
-    asserted by the test suite.
-    """
-    return strict_conflict(system) is None

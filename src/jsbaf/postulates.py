@@ -19,8 +19,7 @@ pair of the set and of its closure are a scan of the table's pair masks.
 Every set on which all three postulates hold gets one shared report,
 ``ALL_HOLD``, which the JSON writer recognises by identity.  ``evaluate``
 ORs each extension's conclusion bits into that mask and sums the verdicts
-up per postulate as it goes; ``evaluate_postulates`` turns any set of
-formulas into one.
+up per postulate as it goes.
 
 The results, parameters and generated systems are plain frozen records
 (``records.Record``), each set up by one update of its ``__dict__``, and
@@ -35,7 +34,7 @@ which case verdicts are labelled out of scope by the reporting layer.
 from __future__ import annotations
 
 import random
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .arguments import (
     DEFAULT_MAX_ARGUMENTS,
@@ -52,7 +51,6 @@ from .core import (
     Formula,
     LiteralTable,
     StrictRule,
-    is_consistent,
     strict_conflict,
 )
 from .errors import (
@@ -83,22 +81,6 @@ class PostulateReport(NamedTuple):
 POSTULATES = PostulateReport._fields
 # The one report of every set on which all three postulates hold.
 ALL_HOLD = PostulateReport(None, None, None)
-
-
-def evaluate_postulates(
-    system: ArgumentationSystem, formulas: Iterable[Formula]
-) -> PostulateReport:
-    """The three verdicts on the set, from ``_verdicts`` on the system's
-    literal table.  A set holding a formula that the system does not mention
-    is read on a table of the rules and the set."""
-    pool = frozenset(formulas)
-    table = system.literal_table
-    try:
-        mask = table.mask(pool)
-    except KeyError:
-        table = LiteralTable(system.strict_rules, pool.union(table.literals))
-        mask = table.mask(pool)
-    return _verdicts(table, mask)
 
 
 def _verdicts(table: LiteralTable, mask: int) -> PostulateReport:
@@ -363,7 +345,7 @@ def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
             if rng.random() < params.undercut_density
         }
         system = ArgumentationSystem(strict, defeasible, names)
-        if is_consistent(system):
+        if strict_conflict(system) is None:
             return GeneratedSystem(system, seed, attempt)
     raise GenerationFailedError(seed, GENERATION_RETRIES)
 

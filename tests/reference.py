@@ -1,7 +1,7 @@
 """Definitional references for the pipeline.
 
-The argument store by a naive fixpoint, an argument's form and expanded
-structure, the pairwise attack definitions,
+The argument store by a naive fixpoint, an argument's form, expanded
+structure and sub-arguments, the pairwise attack definitions,
 the flattening stages, conflict-freeness, defence and the grounded fixpoint
 as first written, over arguments and sets of ``NodeId``s: they read a
 framework's ``NodeId`` views and build their results through the public
@@ -30,13 +30,25 @@ from jsbaf.postulates import POSTULATES, PostulateReport
 from jsbaf.semantics import _IN, _OUT, _UNDEC
 
 
+def sub_arguments(arg: Argument) -> frozenset[Argument]:
+    """The arguments of ``arg``'s tree, itself included, by a walk over
+    ``subs``."""
+    found, stack = {arg}, [arg]
+    while stack:
+        for sub in stack.pop().subs:
+            if sub not in found:
+                found.add(sub)
+                stack.append(sub)
+    return frozenset(found)
+
+
 def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> tuple[Argument, ...]:
     """Sub-arguments of ``b`` whose defeasible top rule is named, where the
     name's complement is concluded by ``a``.  Empty when no undercut holds."""
     names = system.undercut_names
     hits = [
         sub
-        for sub in b.sub_arguments
+        for sub in sub_arguments(b)
         if isinstance(sub.rule, DefeasibleRule)
         and sub.rule.id in names
         and complement(a.conclusion, names[sub.rule.id])
@@ -53,7 +65,7 @@ def rebuts_unrestricted(a: Argument, b: Argument) -> tuple[Argument, ...]:
     """
     hits = [
         sub
-        for sub in b.sub_arguments
+        for sub in sub_arguments(b)
         if sub.defeasible and complement(a.conclusion, sub.conclusion)
     ]
     return tuple(sorted(hits, key=lambda s: s.ordinal))

@@ -30,9 +30,9 @@ from jsbaf import (
     Formula,
     StrictRule,
     evaluate,
-    is_consistent,
     prepare,
 )
+from jsbaf.core import strict_conflict
 
 LITERALS = (Formula("p"), Formula("p", 1), Formula("q"), Formula("q", 1))  # in formula order
 
@@ -99,7 +99,9 @@ def keys(max_strict: int, max_defeasible: int, max_body: int) -> list:
             for d in range(1, max_defeasible + 1):
                 for defeasible in itertools.combinations(range(n), d):
                     key = (strict, defeasible)
-                    if orbit(key, max_body)[0] == key and is_consistent(build(key, max_body)):
+                    if orbit(key, max_body)[0] != key:
+                        continue
+                    if strict_conflict(build(key, max_body)) is None:
                         found.append(key)
     return found
 

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every expected value here is either read off the tandem worked
-example, computed by the independent brute-force oracle inside the test, or
-derived by hand (commented where so).
+example, computed inside the test by the independent brute-force oracle or
+by the postulate definitions of ``tests/reference.py``, or derived by hand
+(commented where so).
 """
 
 import json
@@ -17,7 +18,6 @@ from jsbaf import (
     brute_force_extensions,
     construct_arguments,
     evaluate,
-    evaluate_postulates,
     extension_ids,
     extensions,
     flatten_simplified,
@@ -32,6 +32,7 @@ from jsbaf import (
 )
 from jsbaf.postulates import JsbafParams, SystemParams
 
+import reference
 from conftest import TANDEM_PATH, labelled_extensions, random_af
 
 
@@ -103,8 +104,8 @@ def test_criterion_04_tandem_conclusions(tandem_system):
         sorted(["hw", "sw", "tw", "~ht", "tt", "st"]),
     ]
     for cs in sets:
-        report = evaluate_postulates(tandem_system, cs.formulas)
-        assert report.all_satisfied
+        assert cs.postulates == reference.postulate_verdicts(tandem_system, cs.formulas)
+        assert cs.postulates.all_satisfied
     ok(4, "three DA- conclusion sets exact, all postulates satisfied")
 
 
@@ -121,20 +122,16 @@ def test_criterion_05_aspic_minus_baseline_contrast(tandem_system):
     assert violating in oracle_preferred
     violating_conclusions = frozenset(conclusion_of[n.label] for n in violating)
     assert sorted(map(str, violating_conclusions)) == ["ht", "hw", "st", "sw", "tt", "tw"]
-    report = evaluate_postulates(tandem_system, violating_conclusions)
+    report = reference.postulate_verdicts(tandem_system, violating_conclusions)
     assert report.closure is not None
     assert report.indirect_consistency is not None
     assert report.direct_consistency is None
 
     # then the engine must reproduce it
     engine_sets = evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets
-    flagged = [
-        cs for cs in engine_sets
-        if evaluate_postulates(tandem_system, cs.formulas).closure is not None
-    ]
+    flagged = [cs for cs in engine_sets if cs.postulates.closure is not None]
     assert [cs.formulas for cs in flagged] == [violating_conclusions]
-    report = evaluate_postulates(tandem_system, flagged[0].formulas)
-    assert report.indirect_consistency is not None
+    assert flagged[0].postulates == report
     ok(5, "oracle and engine agree: {ht,hw,st,sw,tt,tw} violates closure and indirect consistency")
 
 
@@ -185,7 +182,8 @@ def test_criterion_08_theorem_property_suite():
         prepared = prepare(generated.system, 2000)
         for semantics in SEMANTICS:
             for cs in evaluate(prepared, semantics, "deductive", max_nodes=200).conclusion_sets:
-                report = evaluate_postulates(generated.system, cs.formulas)
+                report = reference.postulate_verdicts(generated.system, cs.formulas)
+                assert cs.postulates == report
                 assert report.all_satisfied, (
                     f"seed={seed} semantics={semantics} "
                     f"conclusions={sorted(map(str, cs.formulas))} "

@@ -79,7 +79,7 @@ class TestEnumeration:
     def test_store_closed_under_sub_arguments(self, tandem_store):
         stored = set(tandem_store.arguments)
         for arg in tandem_store.arguments:
-            assert arg.sub_arguments <= stored
+            assert reference.sub_arguments(arg) <= stored
 
     def test_enumeration_is_deterministic(self, tandem_system):
         first = construct_arguments(tandem_system)
@@ -150,21 +150,17 @@ SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
 
 
 class TestMasks:
-    """Each argument's ``branch_mask`` and ``sub_mask`` are the masks of its
-    ``branch_conclusions`` and ``sub_arguments`` views, which are read off
-    the tree."""
+    """Each argument's ``sub_mask`` and ``branch_mask`` are the masks of
+    its sub-arguments and of their conclusions, read off the tree by
+    ``reference.sub_arguments``."""
 
     @staticmethod
     def check(store):
         table = store.system.literal_table
         for arg in store.arguments:
-            subs = arg.sub_arguments
+            subs = reference.sub_arguments(arg)
             assert arg.sub_mask == sum(1 << sub.ordinal for sub in subs), arg
-            assert arg.branch_mask == table.mask(arg.branch_conclusions), arg
-            assert subs == {arg}.union(*(sub.sub_arguments for sub in arg.subs))
-            assert arg.branch_conclusions == {arg.conclusion}.union(
-                *(sub.branch_conclusions for sub in arg.subs)
-            )
+            assert arg.branch_mask == table.mask([sub.conclusion for sub in subs]), arg
 
     def test_tandem(self, tandem_store):
         self.check(tandem_store)

@@ -264,9 +264,10 @@ class TestRandom:
         assert code == 0
         _, second, _ = run_cli(capsys, "random", "--seed", "12")
         assert first == second
-        from jsbaf import parse_system, is_consistent
+        from jsbaf import parse_system
+        from jsbaf.core import strict_conflict
 
-        assert is_consistent(parse_system(first))
+        assert strict_conflict(parse_system(first)) is None
 
     def test_the_shape_defaults_are_those_of_system_params(self, capsys):
         from jsbaf import SystemParams, print_system, random_system

@@ -6,6 +6,7 @@ import random
 import sys
 import threading
 from dataclasses import FrozenInstanceError
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,12 +24,10 @@ from jsbaf import (
     atom,
     complement,
     construct_arguments,
-    find_complement_pair,
-    is_consistent,
     neg,
-    strict_closure,
     strict_rule,
 )
+from jsbaf.core import LiteralTable, strict_conflict
 
 formulas = st.builds(Formula, st.sampled_from("abcd"), st.integers(0, 3))
 
@@ -65,6 +64,16 @@ rule_sets = st.lists(
     )
 )
 formula_sets = st.frozensets(formulas, max_size=5)
+
+
+def strict_closure(seed, rules) -> frozenset:
+    """``LiteralTable.closure`` of ``seed``, on a table of the seed and the
+    rules, after checking it against ``reference.saturate``."""
+    table = LiteralTable(rules, seed)
+    closed = table.closure(table.mask(seed))[0]
+    expected = reference.saturate(seed, SimpleNamespace(strict_rules=rules))  # shapes may repeat
+    assert closed == table.mask(expected)
+    return expected
 
 
 class TestStrictClosure:
@@ -119,17 +128,17 @@ def _random_raw_system(seed: int) -> ArgumentationSystem:
 
 class TestConsistency:
     def test_tandem_consistent(self, tandem_system):
-        assert is_consistent(tandem_system)
+        assert strict_conflict(tandem_system) is None
 
     def test_complementary_axioms_inconsistent(self):
         system = ArgumentationSystem(
             (strict_rule("s1", [], atom("a")), strict_rule("s2", [], neg("a"))), ()
         )
-        assert not is_consistent(system)
+        assert strict_conflict(system) == (atom("a"), neg("a"))
 
     def test_no_strict_rules_always_consistent(self):
         system = ArgumentationSystem((), (DefeasibleRule("d1", (), atom("a")),))
-        assert is_consistent(system)
+        assert strict_conflict(system) is None
 
     @pytest.mark.parametrize("seed", range(200))
     def test_agrees_with_strict_argument_enumeration(self, seed):
@@ -140,7 +149,7 @@ class TestConsistency:
         brute = not any(
             complement(x, y) for x in conclusions for y in conclusions
         )
-        assert is_consistent(system) == brute
+        assert (strict_conflict(system) is None) == brute
 
 
 def _f(text: str) -> Formula:
@@ -154,6 +163,11 @@ def _f(text: str) -> Formula:
 deep_formulas = st.builds(
     Formula, st.sampled_from(["a", "b", "B", "a_1", "ab"]), st.integers(0, 40)
 )
+
+
+def least_pair(formulas) -> tuple | None:
+    """``LiteralTable.least_pair`` of the set, on a table of the set alone."""
+    return LiteralTable((), formulas).least_pair(-1)  # -1 holds every literal
 
 
 class TestFindComplementPair:
@@ -178,15 +192,15 @@ class TestFindComplementPair:
     def test_table(self, texts, expected):
         formulas = [_f(t) for t in texts]
         pair = None if expected is None else (_f(expected[0]), _f(expected[1]))
-        assert find_complement_pair(formulas) == pair
-        assert find_complement_pair(iter(formulas)) == pair
+        assert least_pair(formulas) == pair
+        assert least_pair(iter(formulas)) == pair
         assert reference.find_complement_pair(formulas) == pair
 
     @given(st.lists(deep_formulas, max_size=30))
     def test_agrees_with_the_sorting_definition(self, formulas):
         expected = reference.find_complement_pair(formulas)
-        assert find_complement_pair(formulas) == expected
-        assert find_complement_pair(frozenset(formulas)) == expected
+        assert least_pair(formulas) == expected
+        assert least_pair(frozenset(formulas)) == expected
 
     def test_builds_only_the_pair_it_returns(self):
         # Atoms no other test builds, so that a formula built outside the
@@ -194,18 +208,18 @@ class TestFindComplementPair:
         texts = ("~~only_c", "only_a", "~only_b", "~~only_b", "~~~only_b", "only_c")
         formulas = [_f(t) for t in texts]
         interned = len(core._INTERNED)
-        pair = find_complement_pair(formulas)
+        pair = least_pair(formulas)
         assert pair == (_f("~only_b"), _f("~~only_b"))
         assert pair[0] is formulas[2] and pair[1] is formulas[3]
         assert len(core._INTERNED) == interned  # no formula outside the input
-        assert find_complement_pair(formulas[:2]) is None
+        assert least_pair(formulas[:2]) is None
         assert len(core._INTERNED) == interned
 
     @pytest.mark.parametrize("seed", range(200))
-    def test_is_consistent_is_unchanged(self, seed):
+    def test_strict_conflict_is_the_least_pair_of_the_closure(self, seed):
         system = _random_raw_system(seed)
-        closure = strict_closure((), system.strict_rules)
-        assert is_consistent(system) == (reference.find_complement_pair(closure) is None)
+        closure = reference.saturate((), system)
+        assert strict_conflict(system) == reference.find_complement_pair(closure)
 
 
 class TestInterning:

@@ -1,7 +1,5 @@
 """Conclusion sets, the three postulates, the contrast of the modes, generators."""
 
-import inspect
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -21,22 +19,38 @@ from jsbaf import (
     construct_arguments,
     defeasible_rule,
     evaluate,
-    evaluate_postulates,
-    find_complement_pair,
-    is_consistent,
     neg,
     parse_system,
     prepare,
     random_jsbaf,
     random_system,
-    strict_closure,
     strict_rule,
 )
+from jsbaf.core import LiteralTable, strict_conflict
 from jsbaf.postulates import ALL_HOLD, GENERATION_RETRIES, _verdicts
 
 
 def formula_strings(formulas):
     return sorted(str(f) for f in formulas)
+
+
+def verdicts(system, formulas):
+    """``_verdicts`` on the set, as a mask of a literal table of the system's
+    literals and the set's, after checking it against the definitions."""
+    formulas = frozenset(formulas)
+    table = LiteralTable(system.strict_rules, formulas.union(system.literal_table.literals))
+    report = _verdicts(table, table.mask(formulas))
+    assert report == reference.postulate_verdicts(system, formulas)
+    return report
+
+
+def conclusion_sets(system, semantics, mode):
+    """The conclusion sets of one evaluation, each checked against the
+    postulate definitions."""
+    sets = evaluate(prepare(system), semantics, mode).conclusion_sets
+    for cs in sets:
+        assert cs.postulates == reference.postulate_verdicts(system, cs.formulas)
+    return sets
 
 
 DA_PREFERRED = [
@@ -80,72 +94,71 @@ class TestConclusionSets:
 
 class TestClosure:
     def test_tandem_deductive_sets_are_closed(self, tandem_system):
-        for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert evaluate_postulates(tandem_system, cs.formulas).closure is None
+        for cs in conclusion_sets(tandem_system, "preferred", "deductive"):
+            assert cs.postulates.closure is None
 
     def test_all_defeasibles_set_is_not_closed(self, tandem_system):
         pool = frozenset(
             {atom("hw"), atom("sw"), atom("tw"), atom("ht"), atom("st"), atom("tt")}
         )
-        rule = evaluate_postulates(tandem_system, pool).closure
+        rule = verdicts(tandem_system, pool).closure
         assert rule is not None
         assert all(b in pool for b in rule.body) and rule.head not in pool
 
     def test_a_closure_is_closed(self, tandem_system):
-        closed = strict_closure((), tandem_system.strict_rules)
-        assert evaluate_postulates(tandem_system, closed).closure is None
+        closed = reference.saturate((), tandem_system)
+        assert verdicts(tandem_system, closed).closure is None
 
 
 class TestDirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
-        for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            assert evaluate_postulates(tandem_system, cs.formulas).direct_consistency is None
+        for cs in conclusion_sets(tandem_system, "preferred", "deductive"):
+            assert cs.postulates.direct_consistency is None
 
     def test_complementary_pair_is_witnessed(self):
-        witness = evaluate_postulates(NO_RULES, {atom("a"), neg("a")}).direct_consistency
+        witness = verdicts(NO_RULES, {atom("a"), neg("a")}).direct_consistency
         assert witness == (atom("a"), neg("a"))
 
     def test_empty_set(self):
-        assert evaluate_postulates(NO_RULES, frozenset()).direct_consistency is None
+        assert verdicts(NO_RULES, frozenset()).direct_consistency is None
 
 
 class TestIndirectConsistency:
     def test_tandem_deductive_sets(self, tandem_system):
-        for cs in evaluate(prepare(tandem_system), "preferred", "deductive").conclusion_sets:
-            report = evaluate_postulates(tandem_system, cs.formulas)
-            assert report.indirect_consistency is None
+        for cs in conclusion_sets(tandem_system, "preferred", "deductive"):
+            assert cs.postulates.indirect_consistency is None
 
     def test_closure_smuggles_in_the_complement(self, tandem_system):
         pool = {atom("hw"), atom("sw"), atom("tw"), atom("ht"), atom("st"), atom("tt")}
-        witness = evaluate_postulates(tandem_system, pool).indirect_consistency
+        witness = verdicts(tandem_system, pool).indirect_consistency
         assert witness is not None
         phi, psi = witness
         assert psi == phi.negation()
 
     def test_without_strict_rules_it_reduces_to_direct(self):
         system = ArgumentationSystem((), (defeasible_rule("d1", [], atom("a")),))
-        report = evaluate_postulates(system, {atom("a"), atom("b")})
+        report = verdicts(system, {atom("a"), atom("b")})
         assert report.indirect_consistency is None
 
     def test_closure_and_direct_imply_indirect(self, tandem_system):
         for sem in ("grounded", "preferred", "stable", "complete"):
             for mode in ("aspic-minus", "deductive"):
-                for cs in evaluate(prepare(tandem_system), sem, mode).conclusion_sets:
-                    report = evaluate_postulates(tandem_system, cs.formulas)
+                for cs in conclusion_sets(tandem_system, sem, mode):
+                    report = cs.postulates
                     if report.closure is None and report.direct_consistency is None:
                         assert report.indirect_consistency is None
 
 
 class TestWitnessRoundTrip:
     def test_witnesses_reproduce_their_violation(self, tandem_system):
-        for cs in evaluate(prepare(tandem_system), "preferred", "aspic-minus").conclusion_sets:
-            report = evaluate_postulates(tandem_system, cs.formulas)
+        for cs in conclusion_sets(tandem_system, "preferred", "aspic-minus"):
+            report = cs.postulates
             rule = report.closure
             if rule is not None:
                 assert set(rule.body) <= cs.formulas and rule.head not in cs.formulas
             if report.indirect_consistency is not None:
                 phi, psi = report.indirect_consistency
-                closed = strict_closure(cs.formulas, tandem_system.strict_rules)
+                closed = reference.saturate(cs.formulas, tandem_system)
                 assert phi in closed and psi in closed
 
 
@@ -198,7 +211,7 @@ class TestRandomSystem:
     def test_output_is_consistent_by_construction(self):
         params = SystemParams()
         for seed in range(50):
-            assert is_consistent(random_system(params, seed).system)
+            assert strict_conflict(random_system(params, seed).system) is None
 
     def test_records_its_seed(self):
         generated = random_system(SystemParams(), 17)
@@ -271,12 +284,13 @@ class TestLiteralTableAgainstTheDefinitions:
 
     @staticmethod
     def check(system, formulas):
-        verdicts = evaluate_postulates(system, formulas)
-        assert verdicts == reference.postulate_verdicts(system, formulas)
-        closure = strict_closure(formulas, system.strict_rules)
-        assert closure == reference.saturate(formulas, system)
+        verdicts(system, formulas)
+        table = LiteralTable(system.strict_rules, formulas.union(system.literal_table.literals))
+        mask = table.mask(formulas)
+        closure = reference.saturate(formulas, system)
+        assert table.closure(mask)[0] == table.mask(closure)
         for subset in (formulas, closure):
-            assert find_complement_pair(subset) == reference.find_complement_pair(subset)
+            assert table.least_pair(table.mask(subset)) == reference.find_complement_pair(subset)
 
     @given(st.data(), systems())
     def test_the_shared_report_is_returned_when_all_hold(self, data, system):
@@ -286,10 +300,10 @@ class TestLiteralTableAgainstTheDefinitions:
         table = system.literal_table
         formulas = data.draw(st.frozensets(st.sampled_from(table.literals), max_size=6)
                              if table.literals else st.just(frozenset()))
-        verdicts = _verdicts(table, table.mask(formulas))
-        assert verdicts == reference.postulate_verdicts(system, formulas)
-        all_hold = all(witness is None for witness in verdicts)
-        assert (verdicts is ALL_HOLD) == all_hold
+        report = _verdicts(table, table.mask(formulas))
+        assert report == reference.postulate_verdicts(system, formulas)
+        all_hold = all(witness is None for witness in report)
+        assert (report is ALL_HOLD) == all_hold
 
     def test_the_shared_report_equals_a_fresh_one(self):
         assert ALL_HOLD == PostulateReport(None, None, None)
@@ -298,8 +312,8 @@ class TestLiteralTableAgainstTheDefinitions:
         table = system.literal_table
         assert _verdicts(table, table.mask([atom("b"), atom("c")])) is ALL_HOLD
         for violating in ([atom("a"), atom("c")], [atom("c"), neg("c")]):
-            verdicts = _verdicts(table, table.mask(violating))
-            assert verdicts is not ALL_HOLD and not verdicts.all_satisfied
+            report = _verdicts(table, table.mask(violating))
+            assert report is not ALL_HOLD and not report.all_satisfied
 
     @given(st.data(), systems())
     def test_random_sets(self, data, system):
@@ -307,7 +321,6 @@ class TestLiteralTableAgainstTheDefinitions:
         mentioned = table.literals
         pool = st.sampled_from(mentioned) | formula_st if mentioned else formula_st
         self.check(system, data.draw(st.frozensets(pool, max_size=6)))
-        # A set with formulas the table lacks is read on a table of its own.
         assert system.literal_table is table and table.literals == mentioned
 
     def test_formulas_no_rule_mentions(self):
@@ -321,8 +334,8 @@ class TestLiteralTableAgainstTheDefinitions:
 
 
 class TestOneClosurePerSet:
-    """``evaluate_postulates`` computes the strict closure of each
-    conclusion set once and derives both verdicts that read it from it."""
+    """``evaluate`` computes the strict closure of each conclusion set once
+    and derives both verdicts that read it from it."""
 
     def test_one_closure_per_conclusion_set(self, tandem_system, monkeypatch):
         import jsbaf.core as core
@@ -353,10 +366,6 @@ class TestOneClosurePerSet:
                 assert len(closures) == len(ev.conclusion_sets) > 1
         assert len(tables) == 1  # one table per system, from ``prepare`` on
 
-    def test_it_takes_the_system_and_the_set_alone(self):
-        # no precomputed closure can be handed in
-        assert list(inspect.signature(evaluate_postulates).parameters) == ["system", "formulas"]
-
     def test_verdicts_equal_their_definitions(self):
         params = SystemParams(n_atoms=4, n_strict=4, n_defeasible=4, undercut_density=0.3)
         violated = set()
@@ -368,7 +377,6 @@ class TestOneClosurePerSet:
                 for cs in ev.conclusion_sets:
                     report = cs.postulates
                     assert report == reference.postulate_verdicts(system, cs.formulas)
-                    assert report == evaluate_postulates(system, cs.formulas)
                     violated |= {
                         name for name in ("closure", "indirect_consistency")
                         if getattr(report, name) is not None

@@ -20,7 +20,6 @@ from jsbaf import (
     construct_arguments,
     e_node,
     evaluate,
-    evaluate_postulates,
     extension_ids,
     extensions,
     flatten_simplified,
@@ -370,7 +369,8 @@ class TestRegressionInstances:
             sets = evaluate(prepared, sem, "deductive", max_nodes=bound).conclusion_sets
             assert (len(exts), len(sets)) == (count, count), sem
             for cs in sets:
-                assert evaluate_postulates(system, cs.formulas).all_satisfied, sem
+                assert cs.postulates == reference.postulate_verdicts(system, cs.formulas)
+                assert cs.postulates.all_satisfied, sem
         return flat
 
     def test_tandem_5_3(self):

@@ -1,5 +1,5 @@
 """The exhaustive small-scope suite of ROADMAP item 14, at the scopes
-(S, D, B) = (2, 1, 1) and (3, 1, 1) of ``small_scope``: the number of
+(S, D, B) = (2, 1, 1), (3, 1, 1) and (2, 1, 2) of ``small_scope``: the number of
 systems on which some postulate fails is pinned per mode and semantics, and
 every evaluation agrees with the brute-force oracle and with the postulate
 definitions."""
@@ -17,6 +17,8 @@ from jsbaf import MODES, SEMANTICS, brute_force_extensions, construct_arguments,
 PINNED = {
     (2, 1, 1): (275, {"aspic-minus": (4, 14, 14, 14), "deductive": (0, 0, 0, 0)}),
     (3, 1, 1): (1197, {"aspic-minus": (28, 94, 94, 94), "deductive": (0, 1, 1, 1)}),
+    # The first scope with two-body rules, so with two-source supports.
+    (2, 1, 2): (1447, {"aspic-minus": (7, 27, 27, 27), "deductive": (0, 0, 0, 0)}),
 }
 SCOPES = pytest.mark.parametrize("scope", PINNED, ids="{0[0]}-{0[1]}-{0[2]}".format)
 
