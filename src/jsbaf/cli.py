@@ -27,8 +27,8 @@ from .errors import JsbafError, LimitExceededError, ValidationError
 from .frameworks import flatten_one_step, flatten_two_step
 from .oracle import brute_force_extensions
 from .postulates import (
-    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_shape, evaluate, prepare,
-    random_system,
+    DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_rule_counts, check_shape,
+    evaluate, prepare, random_system,
 )
 from .reporting import (
     REPORT_FORMATS, emit_apx, emit_dot, report_settings, write_limit_report, write_report,
@@ -260,6 +260,7 @@ def _cmd_random(args) -> int:
     for option, field in _SHAPE_OPTIONS.items():
         shape[field] = getattr(args, option[2:].replace("-", "_"))
         check_shape(field, shape[field], option)
+    check_rule_counts(shape, {field: option for option, field in _SHAPE_OPTIONS.items()}.get)
     generated = random_system(SystemParams(**shape), args.seed)
     sys.stdout.write(f"# seed {generated.seed}, attempt {generated.attempts}\n")
     sys.stdout.write(print_system(generated.system))

@@ -34,7 +34,7 @@ which case verdicts are labelled out of scope by the reporting layer.
 from __future__ import annotations
 
 import random
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arguments import (
     DEFAULT_MAX_ARGUMENTS,
@@ -261,6 +261,7 @@ class SystemParams(Record):
             undercut_density=undercut_density,
         )
         _check_fields(self)
+        check_rule_counts(self.__dict__)
 
 
 # The range of each ``SystemParams`` and ``JsbafParams`` field: (lowest, highest or None).
@@ -298,6 +299,28 @@ def check_shape(field: str, value: float, name: str) -> None:
 def _check_fields(params) -> None:
     for field in params._fields:
         check_shape(field, getattr(params, field), field)
+
+
+def check_rule_counts(shape: dict, name: Callable[[str], str] = str) -> None:
+    """Raise ValidationError, calling each field ``name(field)``, unless the
+    ``SystemParams`` fields in ``shape`` ask for at most as many strict and
+    as many defeasible rules as there are distinct rules: ``L * (1 + L +
+    ... + L**max_body)`` with ``L = 2 * n_atoms`` literals.  The sum stops
+    once it reaches the larger count, so a huge ``max_body`` costs a few
+    terms."""
+    most = max(shape["n_strict"], shape["n_defeasible"])
+    literals = term = 2 * shape["n_atoms"]
+    shapes = 0
+    for _ in range(shape["max_body"] + 1):
+        shapes += term
+        if shapes >= most:
+            return
+        term *= literals
+    field = "n_strict" if shape["n_strict"] > shapes else "n_defeasible"
+    raise ValidationError(
+        f"{name(field)} must be at most {shapes}, the distinct rules of {name('n_atoms')} "
+        f"{shape['n_atoms']} and {name('max_body')} {shape['max_body']}, got {shape[field]}"
+    )
 
 
 class GeneratedSystem(Record):

@@ -19,11 +19,12 @@ report quotes argument ids once, and every set whose verdicts are the
 shared ``postulates.ALL_HOLD`` shares one verdict block.  A full report reads everything it states
 from the ``Evaluation``, the run's parameters included.
 
-Both formats are written in pieces of about ``PIECE`` chars.  A JSON list
-that fits the room left in the piece is one part, made by one join, so a
-report shorter than a piece is one write; a longer list is split between
-records (an argument, a conclusion set, an extension, an attack target, a
-witness, a support, a line of text).  Records are held whole, and so are
+Both formats are written in pieces of about ``PIECE`` chars.  Every section
+hands its run of records (an argument, a conclusion set, an extension, an
+attack pair, a witness, a support, a line of text) to ``_Pieces.rows``,
+which makes it one part, by one join, if a bound on its length fits the
+room left in the piece, so a report shorter than a piece is one write, and
+else splits it between records.  Records are held whole, and so are
 the JSON tail from ``input`` to ``status``, whose sorted atom list grows
 with the atoms, and the text header up to the ``run:`` line; a write
 exceeds ``PIECE`` by at most one of these.
@@ -52,10 +53,11 @@ PIECE = 1 << 16  # chars a report holds before it calls ``write``
 
 class _Pieces:
     """Parts of a report, written when they hold ``PIECE`` chars, and at the
-    end by ``flush(last)``.  A section or list that ``fits`` the room left
-    is one part, made by one join; ``join`` splits a longer list between its
-    records to fit.  ``add`` and ``flush`` take a part whole, so a write
-    exceeds ``PIECE`` by at most one record or part."""
+    end by ``flush(last)``.  ``rows`` writes a run of records as one part if
+    its bound fits the room left, else a slice of a group at a time by
+    ``join``, which splits a run between its records to fit.  ``add`` and
+    ``flush`` take a part whole, so a write exceeds ``PIECE`` by at most one
+    record or part."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write, self.parts, self.size = write, [], 0
@@ -79,20 +81,34 @@ class _Pieces:
                 self.flush()
             first, i = sep, i + step
 
-    def fits(self, size: int) -> bool:
-        """Whether a part of ``size`` chars fits in the room left in this
-        piece."""
-        return self.size + size <= PIECE
+    def rows(self, lead: str, groups, end: str, sep: str, count: int, width: int) -> None:
+        """``lead``, then the ``count`` records of ``groups``, pairs (head,
+        list of items) whose records are ``head + item + end``, with ``sep``
+        between records; ``width`` bounds a record and its ``sep``.  Nothing
+        if ``count`` is 0; one part if ``count * width`` fits the room left,
+        else a ``join`` per group."""
+        if not count:
+            return
+        between = end + sep  # between two records, before the second one's head
+        if self.size + len(lead) + count * width <= PIECE:
+            run = between.join([head + (between + head).join(items) for head, items in groups])
+            return self.add(f"{lead}{run}{end}")
+        self.add(lead)
+        first = ""
+        for head, items in groups:
+            self.join(first + head, between + head, items, width)
+            first = between
+        self.add(end)
 
     def json_list(self, lead: str, items: list[str], depth: int) -> None:
         """``lead``, then a JSON list of already encoded ``items``: one part
         if it fits the room left, else a record at a time."""
         part = lead + _list(items, depth)
-        if not items or self.fits(len(part)):
+        if not items or self.size + len(part) <= PIECE:
             return self.add(part)
-        self.add(lead + "[")
         sep = _SEP[depth + 1]
-        self.join(_NL[depth + 1], sep, items, len(sep) + max(map(len, items)))
+        self.rows(lead + "[" + _NL[depth + 1], [("", items)], "", sep, len(items),
+                  len(sep) + max(map(len, items)))
         self.add(_NL[depth] + "]")
 
     def flush(self, last: str = "") -> None:
@@ -113,22 +129,6 @@ def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: in
     flatten = _FLATTEN if mode == "deductive" else None
     return {"semantics": semantics, "mode": mode, "flatten": flatten,
             "max_arguments": max_arguments, "max_nodes": max_nodes}
-
-
-# Nodes are numbers into a framework's node table, and ``names`` holds each
-# node's name (its label, quoted or not), by number.
-
-def _attack_rows(framework: AF, names: list[str]):
-    """The attacks of ``framework`` by source, as (name of the source, names
-    of its targets), in node order: the order of the sorted label pairs."""
-    for s, row in enumerate(framework.target_ids):
-        if row:
-            yield names[s], list(map(names.__getitem__, row))
-
-
-def _support_lists(j: JSBAF, names: list[str]) -> list[tuple[list[str], str]]:
-    """The supports of ``j`` as (source names, target name)."""
-    return [([names[i] for i in src], names[dst]) for src, dst in j.support_ids]
 
 
 # JSON templates: ``depth`` is that of the line a value starts on; ``names``
@@ -210,39 +210,30 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
 
 
 def _attacks_json(out: _Pieces, lead: str, framework: AF, names: list[str]) -> None:
-    """``lead``, then the sorted label pairs of ``framework``'s attacks: one
-    join if they fit the room left, else a row at a time."""
-    i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
+    """``lead``, then the sorted label pairs of ``framework``'s attacks, a
+    row of targets per source; ``names`` are its nodes' quoted labels."""
     pairs = sum(map(len, framework.target_ids))
     if not pairs:
         return out.add(lead + "[]")
+    i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
+    groups = (
+        (f"{i3}[{i4}{names[s]},{i4}", list(map(names.__getitem__, row)))
+        for s, row in enumerate(framework.target_ids) if row
+    )
     width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names))
-    rows = _attack_rows(framework, names)
-    if out.fits(len(lead) + pairs * width):
-        records = []
-        for s, targets in rows:
-            head = f"{i3}[{i4}{s},{i4}"
-            records.append(head + f"{close},{head}".join(targets) + close)
-        return out.add(f"{lead}[{','.join(records)}{_NL[2]}]")
-    out.add(lead)
-    lead = "["
-    for s, targets in rows:
-        head = f"{i3}[{i4}{s},{i4}"
-        out.join(lead + head, f"{close},{head}", targets, width)
-        lead = close + ","
-    out.add(close + _NL[2] + "]")
+    out.rows(lead + "[", groups, close, ",", pairs, width)
+    out.add(_NL[2] + "]")
 
 
 def _witnesses_json(out: _Pieces, lead: str, ev: Evaluation, quoted: list[str]) -> None:
-    """``lead``, then the witness records, attacker by attacker: one join if
-    they fit the room left, else a join per attacker.  Each hits tuple is
-    made into record tails once, and an attacker's records are joins of
-    them."""
+    """``lead``, then the witness records, attacker by attacker.  Each hits
+    tuple is made into record tails once, and an attacker's records are
+    its head before each of them."""
     if not ev.witnesses.groups:
         return out.add(lead + "[]")
     i3, i4 = _NL[3], _NL[4]
     tails_of: dict[int, tuple[list[str], int]] = {}  # id(hits): (tails, longest tail)
-    rows, width = [], 0
+    groups, width = [], 0
     for attacker, hits in ev.witnesses.groups:
         entry = tails_of.get(id(hits))
         if entry is None:
@@ -253,16 +244,9 @@ def _witnesses_json(out: _Pieces, lead: str, ev: Evaluation, quoted: list[str]) 
             ]
             entry = tails_of[id(hits)] = (tails, max(map(len, tails)))
         head = f'{i3}{{{i4}"attacker": {quoted[attacker]},{i4}'
-        rows.append((head, entry[0]))
+        groups.append((head, entry[0]))
         width = max(width, 1 + len(head) + entry[1])
-    if out.fits(len(lead) + len(ev.witnesses) * width):
-        records = ",".join([head + ("," + head).join(tails) for head, tails in rows])
-        return out.add(f"{lead}[{records}{_NL[2]}]")
-    out.add(lead)
-    lead = "["
-    for head, tails in rows:
-        out.join(lead + head, "," + head, tails, width)
-        lead = ","
+    out.rows(lead + "[", groups, "", ",", len(ev.witnesses), width)
     out.add(_NL[2] + "]")
 
 
@@ -330,7 +314,7 @@ def _witness_text(name: str, witness) -> str:
 
 
 def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
-    system, labels = ev.store.system, ev.framework.labels
+    system, framework, labels = ev.store.system, ev.framework, ev.framework.labels
     flatten = "" if ev.flat is None else f", flatten={_FLATTEN}"
     out.add(
         f"source: {source}\n"
@@ -340,14 +324,17 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
         f"\narguments ({len(ev.store)}):"
     )
     forms = [arg.form for arg in ev.store.arguments]
-    out.join("\n  ", "\n  ", forms, 3 + max(map(len, forms), default=0))
+    out.rows("", [("\n  ", forms)], "", "", len(forms), 3 + max(map(len, forms), default=0))
     out.add("\n\nattacks:")
+    groups = (
+        (f"\n  {labels[s]} -> ", list(map(labels.__getitem__, row)))
+        for s, row in enumerate(framework.target_ids) if row
+    )
     longest = max(map(len, labels), default=0)
-    for s, targets in _attack_rows(ev.framework, labels):
-        sep = f"\n  {s} -> "
-        out.join(sep, sep, targets, len(sep) + longest)
+    out.rows("", groups, "", "", sum(map(len, framework.target_ids)), 7 + 2 * longest)
     tail = [] if ev.flat is None else ["supports:", *(
-        f"  {{{','.join(src)}}} => {dst}" for src, dst in _support_lists(ev.framework, labels)
+        f"  {{{','.join([labels[i] for i in src])}}} => {labels[dst]}"
+        for src, dst in framework.support_ids
     ), f"flattened ({_FLATTEN}): {len(ev.flat.node_table)} nodes, "
        f"{sum(map(len, ev.flat.target_ids))} attacks"]
     tail += ["", f"extensions ({ev.semantics}):"]
@@ -362,7 +349,7 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
                                          for name, held in zip(POSTULATES, ev.holds))]
     if not ev.consistent:
         tail.append("note: system is inconsistent; postulate verdicts are out of scope")
-    out.join("\n", "\n", tail, 1 + max(map(len, tail)))
+    out.rows("", [("\n", tail)], "", "", len(tail), 1 + max(map(len, tail)))
     out.flush("\n")
 
 

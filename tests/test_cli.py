@@ -277,11 +277,26 @@ class TestRandom:
         assert run_cli(capsys, "random", "--seed", "12") == (0, expected, "")
 
     def test_generation_failure_exit_code(self, capsys):
+        # ``-> p1`` and ``-> ~p1`` are the only strict rules, and both are drawn
         code, _, err = run_cli(
             capsys, "random", "--seed", "0", "--atoms", "1",
-            "--strict", "8", "--max-body", "0",
+            "--strict", "2", "--defeasible", "0", "--max-body", "0",
         )
         assert code == 2 and "no consistent system" in err
+
+    @pytest.mark.parametrize(
+        "options, message",
+        [
+            (("--atoms", "1", "--strict", "0", "--max-body", "0"),
+             "--defeasible must be at most 2, the distinct rules of --atoms 1 and --max-body 0,"
+             " got 3"),
+            (("--atoms", "1", "--strict", "7", "--max-body", "1"),
+             "--strict must be at most 6, the distinct rules of --atoms 1 and --max-body 1, got 7"),
+        ],
+    )
+    def test_more_rules_than_shapes_is_an_input_error(self, capsys, options, message):
+        code, out, err = run_cli(capsys, "random", "--seed", "0", *options)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
         "option, value, message",

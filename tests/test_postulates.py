@@ -231,12 +231,35 @@ class TestRandomSystem:
         assert str(error.value) == message
 
     def test_generation_failure_is_reported(self):
-        # one atom and empty bodies admit only two distinct strict rules,
-        # so eight can never be drawn
-        impossible = SystemParams(n_atoms=1, n_strict=8, max_body=0)
+        # one atom and empty bodies admit only the strict rules ``-> p1``
+        # and ``-> ~p1``, so every draw of two is inconsistent
+        impossible = SystemParams(n_atoms=1, n_strict=2, n_defeasible=0, max_body=0)
         with pytest.raises(GenerationFailedError) as error:
             random_system(impossible, 0)
         assert error.value.attempts == GENERATION_RETRIES
+
+    @pytest.mark.parametrize(
+        "atoms, max_body, shapes", [(1, 0, 2), (1, 1, 6), (2, 0, 4), (1, 2, 14)],
+    )
+    def test_counts_up_to_the_distinct_rules_are_drawn(self, atoms, max_body, shapes):
+        """``L * (1 + L + ... + L**max_body)`` distinct rules with ``L = 2 *
+        atoms`` literals: as many are drawn, and one more is refused, before
+        any draw, for either kind of rule."""
+        shape = {"n_atoms": atoms, "max_body": max_body, "n_strict": 0}
+        generated = random_system(SystemParams(**shape, n_defeasible=shapes), 1)
+        assert len(generated.system.defeasible_rules) == shapes
+        for field in ("n_strict", "n_defeasible"):
+            counts = {"n_strict": 0, "n_defeasible": 0, field: shapes + 1}
+            with pytest.raises(ValidationError) as error:
+                SystemParams(n_atoms=atoms, max_body=max_body, **counts)
+            assert str(error.value) == (
+                f"{field} must be at most {shapes}, the distinct rules of n_atoms {atoms} "
+                f"and max_body {max_body}, got {shapes + 1}"
+            )
+
+    def test_a_huge_max_body_is_checked_in_a_few_terms(self):
+        # the sum stops after 99 of its 10**18 + 1 terms
+        SystemParams(n_atoms=1, n_strict=10**30, n_defeasible=0, max_body=10**18)
 
 
 class TestRandomJsbaf:

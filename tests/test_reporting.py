@@ -433,6 +433,22 @@ class TestReportBytes:
         assert writes == 1 and len(report) < PIECE
 
     @pytest.mark.parametrize("mode", MODES)
+    def test_a_text_report_whose_runs_fit_is_one_write_of_whole_runs(self, monkeypatch, mode):
+        """The text twin of the test above: the argument lines, the attack
+        rows and the tail of tandem(3,2) preferred each fit the room left,
+        so none is split between its records, and the report is one
+        write."""
+        ev = evaluate(prepare(tandem(3, 2)), "preferred", mode)
+        report, writes = written(write_report, ev, "f.rules", "text")
+
+        def split(*args):
+            raise AssertionError("a run was split between its records")
+
+        monkeypatch.setattr(reporting._Pieces, "join", split)
+        assert written(write_report, ev, "f.rules", "text") == (report, 1)
+        assert writes == 1 and len(report) < PIECE
+
+    @pytest.mark.parametrize("mode", MODES)
     def test_writing_a_large_report_adds_little_memory(self, mode):
         """tandem(7,3): a report of 1.4 MiB (aspic-minus) or 1.9 MiB
         (deductive), which the writer never holds whole."""

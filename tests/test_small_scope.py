@@ -1,8 +1,8 @@
 """The exhaustive small-scope suite of ROADMAP item 14, at the scopes
-(S, D, B) = (2, 1, 1), (3, 1, 1) and (2, 1, 2) of ``small_scope``: the number of
-systems on which some postulate fails is pinned per mode and semantics, and
-every evaluation agrees with the brute-force oracle and with the postulate
-definitions."""
+(S, D, B) = (2, 1, 1), (3, 1, 1), (2, 1, 2) and (2, 2, 1) of
+``small_scope``: the number of systems on which some postulate fails is
+pinned per mode and semantics, and every evaluation agrees with the
+brute-force oracle and with the postulate definitions."""
 
 import functools
 
@@ -19,6 +19,8 @@ PINNED = {
     (3, 1, 1): (1197, {"aspic-minus": (28, 94, 94, 94), "deductive": (0, 1, 1, 1)}),
     # The first scope with two-body rules, so with two-source supports.
     (2, 1, 2): (1447, {"aspic-minus": (7, 27, 27, 27), "deductive": (0, 0, 0, 0)}),
+    # The first scope with two defeasible rules.
+    (2, 2, 1): (2304, {"aspic-minus": (65, 242, 234, 234), "deductive": (0, 1, 1, 1)}),
 }
 SCOPES = pytest.mark.parametrize("scope", PINNED, ids="{0[0]}-{0[1]}-{0[2]}".format)
 
@@ -31,6 +33,17 @@ strict s0: p -> q
 strict s1: p -> ~q
 strict s2: q -> p
 defeasible d0: => p
+"""
+
+# The one deductive failure of scope (2, 2, 1), of item 7's class:
+# ``s0(A2)``, with A2 = ``A1 => p``, is pruned, since its conclusion q is
+# that of A1.
+ITEM_7_TWO_DEFEASIBLE = """\
+atoms p q
+strict s0: p -> q
+strict s1: q -> ~p
+defeasible d0: => q
+defeasible d1: q => p
 """
 
 
@@ -53,17 +66,29 @@ def test_failures_per_mode_and_semantics_are_pinned(scope):
     } == failing
 
 
-def test_the_one_deductive_failure_is_item_7():
-    failing = small_scope.violations(runs((3, 1, 1)))
+def the_one_deductive_failure(scope, printed):
+    """The one system of ``scope`` on which some postulate fails in
+    deductive mode, the same under complete, stable and preferred, after
+    checking that it prints as ``printed`` and that its store is pruned."""
+    failing = small_scope.violations(runs(scope))
     (system,) = failing["deductive", "complete"]
-    assert print_system(system) == ITEM_7
+    assert print_system(system) == printed
     assert construct_arguments(system).acyclicity_pruned
     assert failing["deductive", "stable"] == failing["deductive", "preferred"] == [system]
+    return system
+
+
+def test_the_one_deductive_failure_is_item_7():
+    system = the_one_deductive_failure((3, 1, 1), ITEM_7)
     # closure under s2 and indirect consistency fail, on {q}
     evs = small_scope.evaluations(system)
     assert [evs["deductive", semantics].holds for semantics in SEMANTICS] == [
         (True, True, True), *[(False, True, False)] * 3,
     ]
+
+
+def test_the_one_deductive_failure_with_two_defeasible_rules_is_of_item_7s_class():
+    the_one_deductive_failure((2, 2, 1), ITEM_7_TWO_DEFEASIBLE)
 
 
 @SCOPES
