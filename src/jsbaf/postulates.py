@@ -303,13 +303,19 @@ def _check_fields(params) -> None:
 
 def check_rule_counts(shape: dict, name: Callable[[str], str] = str) -> None:
     """Raise ValidationError, calling each field ``name(field)``, unless the
-    ``SystemParams`` fields in ``shape`` ask for at most as many strict and
-    as many defeasible rules as there are distinct rules: ``L * (1 + L +
-    ... + L**max_body)`` with ``L = 2 * n_atoms`` literals.  The sum stops
-    once it reaches the larger count, so a huge ``max_body`` costs a few
-    terms."""
-    most = max(shape["n_strict"], shape["n_defeasible"])
+    ``SystemParams`` fields in ``shape`` ask for bodies of at most the ``L
+    = 2 * n_atoms`` literals, since a longer one only repeats them and the
+    draw takes time and space in ``max_body``, and for at most as many
+    strict and as many defeasible rules as there are distinct rules: ``L *
+    (1 + L + ... + L**max_body)``.  The sum stops once it reaches the
+    larger count."""
     literals = term = 2 * shape["n_atoms"]
+    if shape["max_body"] > literals:
+        raise ValidationError(
+            f"{name('max_body')} must be at most {literals}, twice {name('n_atoms')} "
+            f"{shape['n_atoms']}, got {shape['max_body']}"
+        )
+    most = max(shape["n_strict"], shape["n_defeasible"])
     shapes = 0
     for _ in range(shape["max_body"] + 1):
         shapes += term

@@ -14,6 +14,9 @@ can still be in, out and undecided; a node's domain is its bit in each.
 The tests on a node's attackers are mask operations on its attacker mask.
 A node that narrows its own domain marks its targets dirty, and itself
 only if it attacks itself, since its pop has just applied all its rules.
+A node whose one label its attackers entail is settled, and no mark
+reaches it unless a narrowing empties it; a node that becomes in makes
+its targets out and settled in one mask step.
 The four admissibility-based semantics are:
 
 * grounded  — least fixpoint of the characteristic function, computed
@@ -85,8 +88,9 @@ class _DomainSearch:
     (``can_out``) and undecided (``can_undec``).  With each node's attacker
     mask, built once per search, they test a node's attackers with a few
     mask operations: every attacker can be out when ``atk & can_out ==
-    atk``, some attacker can be in when ``atk & can_in``.  The dirty nodes are an int too, so a
-    branch state is four ints.  Propagation narrows a node and its
+    atk``, some attacker can be in when ``atk & can_in``.  The dirty nodes
+    and the settled nodes, whose label is entailed, are ints too, so a
+    branch state is five ints.  Propagation narrows a node and its
     attackers until every domain agrees with its attackers' domains under
     the complete-labelling rule; the search then splits the non-singleton
     node of lowest rank, ``split & -split``, into its lowest label against
@@ -130,13 +134,13 @@ class _DomainSearch:
         found: list[int] = []  # the in-set of each complete labelling
         stack = [(
             every if domain & _IN else 0, every if domain & _OUT else 0,
-            every if domain & _UNDEC else 0, every,
+            every if domain & _UNDEC else 0, every, 0,
         )]
         while stack:
             state = self._propagate(*stack.pop())
             if state is None:
                 continue
-            can_in, can_out, can_undec = state
+            can_in, can_out, can_undec, settled = state
             if maximal and not all(can_in | ext != ext for ext in found):
                 continue
             split = (can_in & can_out) | (can_undec & (can_in | can_out))
@@ -145,13 +149,13 @@ class _DomainSearch:
                     found.append(can_in)
                 continue
             bit = split & -split
-            dirty = bit | self.targets[bit.bit_length() - 1]
+            dirty = bit | self.targets[bit.bit_length() - 1] & ~settled
             if can_in & bit:  # in against out or undecided
-                stack.append((can_in ^ bit, can_out, can_undec, dirty))
-                stack.append((can_in, can_out & ~bit, can_undec & ~bit, dirty))
+                stack.append((can_in ^ bit, can_out, can_undec, dirty, settled))
+                stack.append((can_in, can_out & ~bit, can_undec & ~bit, dirty, settled))
             else:  # out against undecided
-                stack.append((can_in, can_out ^ bit, can_undec, dirty))
-                stack.append((can_in, can_out, can_undec ^ bit, dirty))
+                stack.append((can_in, can_out ^ bit, can_undec, dirty, settled))
+                stack.append((can_in, can_out, can_undec ^ bit, dirty, settled))
         if maximal:
             found = [s for s in found if not any(s | t == t != s for t in found)]
         order, exts = self.order, []
@@ -167,21 +171,29 @@ class _DomainSearch:
         return exts
 
     def _propagate(
-        self, can_in: int, can_out: int, can_undec: int, dirty: int
-    ) -> Optional[tuple[int, int, int]]:
-        """Narrow domains until quiescent: the narrowed masks, or None once
-        a domain becomes empty.  Dirty nodes are popped in ascending rank,
-        wrapping round, as a set of small ints pops them: popping the lowest
-        one each time revisits low nodes and pops half as many again on the
-        deductive tandem flattenings.  The order changes the pops, not the
-        fixpoint.
+        self, can_in: int, can_out: int, can_undec: int, dirty: int, settled: int
+    ) -> Optional[tuple[int, int, int, int]]:
+        """Narrow domains until quiescent: the narrowed masks and the
+        settled nodes, or None once a domain becomes empty.  Dirty nodes are
+        popped in ascending rank, wrapping round, as a set of small ints pops
+        them: popping the lowest one each time revisits low nodes and pops
+        half as many again on the deductive tandem flattenings.  The order
+        changes the pops, not the fixpoint.
 
         A node that narrows its own domain marks its ``targets`` dirty, not
         itself (unless it is its own target): its pop then applies every
         rule to the final domain, and a later narrowing of one of its
         attackers marks it again as one of that attacker's targets.  A node
-        narrowed as an attacker, or split, marks itself and its targets.  On
-        one ``tandem-search`` pass this pops 56,635 nodes, not 62,078."""
+        narrowed as an attacker, or split, marks itself and its targets.
+
+        A node is settled once its one label is entailed: in with every
+        attacker out, out with an attacker that is only in, or undecided
+        with no attacker that can be in and one that is only undecided.
+        Its rules then hold until a domain becomes empty, so marks skip it;
+        only a narrowing as an attacker, which empties it, marks it again.
+        A node that becomes in makes its targets out and settled in one
+        step, rather than in one pop each.  On one ``tandem-search`` pass
+        this pops 33,709 nodes, not 56,635."""
         attackers, targets = self.attackers, self.targets
         finger = 1  # the lowest node the next pop looks at first
         while dirty:
@@ -201,37 +213,51 @@ class _DomainSearch:
                     dy = _UNDEC  # none is in, some can be undecided
                 else:
                     can_undec ^= bit
-                    dirty |= targets[y]
+                    dirty |= targets[y] & ~settled
             if can_in & bit:
                 if every_out:
                     dy |= _IN
                 else:
                     can_in ^= bit
-                    dirty |= targets[y]
+                    dirty |= targets[y] & ~settled
             if can_out & bit:
                 if some_in:
                     dy |= _OUT
                 else:
                     can_out ^= bit
-                    dirty |= targets[y]
+                    dirty |= targets[y] & ~settled
             if not dy:
                 return None
             # Narrow the attackers, skipping rules that the masks show to hold.
-            if dy == _IN:  # every attacker out
+            if dy == _IN:  # every attacker out, then every target out
                 hit = atk & (can_in | can_undec)
                 can_in &= ~hit
                 can_undec &= ~hit
                 while hit:
                     low = hit & -hit
                     hit ^= low
-                    dirty |= low | targets[low.bit_length() - 1]
+                    dirty |= low | targets[low.bit_length() - 1] & ~settled
+                out = targets[y]
+                if out & ~can_out:  # a target that cannot be out
+                    return None
+                hit = out & (can_in | can_undec)
+                can_in &= ~out
+                can_undec &= ~out
+                settled |= bit | out
+                dirty &= ~out
+                while hit:
+                    low = hit & -hit
+                    hit ^= low
+                    dirty |= targets[low.bit_length() - 1] & ~settled
             elif dy == _OUT:  # some attacker in
                 hit = atk & can_in
                 if hit and not hit & (hit - 1) and hit & (can_out | can_undec):
                     # the one attacker that can be in
                     can_out &= ~hit
                     can_undec &= ~hit
-                    dirty |= hit | targets[hit.bit_length() - 1]
+                    dirty |= hit | targets[hit.bit_length() - 1] & ~settled
+                if atk & can_in & ~(can_out | can_undec):
+                    settled |= bit
             else:
                 if not dy & _OUT:  # no attacker in
                     hit = atk & can_in
@@ -239,28 +265,38 @@ class _DomainSearch:
                     while hit:
                         low = hit & -hit
                         hit ^= low
-                        dirty |= low | targets[low.bit_length() - 1]
+                        dirty |= low | targets[low.bit_length() - 1] & ~settled
                 if not dy & _IN and every_out:  # some attacker not out
                     hit = atk & (can_in | can_undec)
                     if hit and not hit & (hit - 1) and hit & can_out:
                         # the one attacker that can be not out
                         can_out ^= hit
-                        dirty |= hit | targets[hit.bit_length() - 1]
-        return can_in, can_out, can_undec
+                        dirty |= hit | targets[hit.bit_length() - 1] & ~settled
+                if dy == _UNDEC and atk & can_undec & ~can_out:
+                    settled |= bit
+        return can_in, can_out, can_undec, settled
 
     def _verify(self, is_in: int, is_undec: int) -> bool:
         """Check a full labelling, given by its in and undecided nodes,
-        against the complete-labelling rule."""
-        for y, atk in enumerate(self.attackers):
-            if is_in >> y & 1:
-                if atk & (is_in | is_undec):
-                    return False
-            elif is_undec >> y & 1:
-                if atk & is_in or not atk & is_undec:
-                    return False
-            elif not atk & is_in:
-                return False
-        return True
+        against the complete-labelling rule, through the union of the
+        targets of the in nodes and that of the undecided nodes."""
+        targets = self.targets
+        hit_in = hit_undec = 0  # the targets of the in and of the undecided nodes
+        labelled = is_in | is_undec
+        while labelled:
+            low = labelled & -labelled
+            labelled ^= low
+            if low & is_in:
+                hit_in |= targets[low.bit_length() - 1]
+            else:
+                hit_undec |= targets[low.bit_length() - 1]
+        is_out = (1 << self.n) - 1 & ~(is_in | is_undec)
+        return not (
+            (hit_in | hit_undec) & is_in  # an in node with an in or undecided attacker
+            or is_out & ~hit_in  # an out node with no in attacker
+            or hit_in & is_undec  # an undecided node with an in attacker
+            or is_undec & ~hit_undec  # an undecided node with no undecided attacker
+        )
 
 
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:

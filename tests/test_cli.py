@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,19 @@ class TestRandom:
     def test_more_rules_than_shapes_is_an_input_error(self, capsys, options, message):
         code, out, err = run_cli(capsys, "random", "--seed", "0", *options)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("max_body", ["300000", "99999999999"])
+    def test_a_body_longer_than_the_literals_is_an_input_error(self, capsys, max_body):
+        """Refused before any draw, so a huge ``--max-body`` returns at once."""
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, "random", "--seed", "1", "--atoms", "1", "--strict", "3", "--defeasible", "0",
+            "--max-body", max_body,
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out, err) == (
+            2, "", f"error: --max-body must be at most 2, twice --atoms 1, got {max_body}\n"
+        )
 
     @pytest.mark.parametrize(
         "option, value, message",

@@ -258,8 +258,23 @@ class TestRandomSystem:
             )
 
     def test_a_huge_max_body_is_checked_in_a_few_terms(self):
-        # the sum stops after 99 of its 10**18 + 1 terms
-        SystemParams(n_atoms=1, n_strict=10**30, n_defeasible=0, max_body=10**18)
+        # the sum stops after 4 of its 2 * 10**9 + 1 terms
+        SystemParams(n_atoms=10**9, n_strict=10**30, n_defeasible=0, max_body=2 * 10**9)
+
+    @pytest.mark.parametrize("atoms, max_body", [(1, 3), (1, 10**18), (4, 9)])
+    def test_a_body_longer_than_the_literals_is_refused(self, atoms, max_body):
+        """A body of more than the ``2 * n_atoms`` literals only repeats
+        them, and drawing it takes time in ``max_body``: it is refused
+        before any rule count is summed."""
+        with pytest.raises(ValidationError) as error:
+            SystemParams(n_atoms=atoms, max_body=max_body, n_strict=10**30)
+        assert str(error.value) == (
+            f"max_body must be at most {2 * atoms}, twice n_atoms {atoms}, got {max_body}"
+        )
+
+    def test_a_body_as_long_as_the_literals_is_drawn(self):
+        generated = random_system(SystemParams(n_atoms=1, max_body=2, n_strict=1), 0)
+        assert len(generated.system.strict_rules) == 1
 
 
 class TestRandomJsbaf:

@@ -436,6 +436,9 @@ def _propagation_calls(monkeypatch, system, mode, semantics):
     return _counted_evaluate(monkeypatch, prepare(system), mode, semantics)[0]
 
 
+SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
+
+
 class _CountedReads(list):
     """An attacker-mask list that counts its reads by index.  ``_propagate``
     reads the mask of each node it pops once, and nothing else reads them
@@ -451,15 +454,20 @@ class _CountedReads(list):
 @pytest.mark.parametrize(
     "n, k, semantics, pops",
     [
-        (5, 3, "preferred", 8436),  # 9,344 when a node re-marked itself
-        (3, 2, "complete", 191),  # 235
+        # 8,436 when settled nodes were marked and popped, 9,344 when a
+        # node also re-marked itself
+        (5, 3, "preferred", 5660),
+        (3, 2, "complete", 139),  # 191, 235
     ],
 )
 def test_propagation_pops(monkeypatch, n, k, semantics, pops):
     """Pops of deductive searches on tandem(n, k).  A node that narrows
     itself in its own pop marks its targets dirty, and itself only if it
     attacks itself: that pop has applied all its rules to its final domain,
-    and a later narrowing of an attacker marks it again."""
+    and a later narrowing of an attacker marks it again.  No mark reaches a
+    settled node, whose label is entailed, unless it is narrowed as an
+    attacker; and a node that becomes in makes its targets out and settled
+    without a pop of each."""
     init = semantics_module._DomainSearch.__init__
 
     def counted(self, af):
@@ -474,7 +482,8 @@ def test_propagation_pops(monkeypatch, n, k, semantics, pops):
 
 class TestPropagationReachesAFixpoint:
     """Each state ``_propagate`` returns in a search is a fixpoint: run
-    again from it with every node dirty, it returns the same masks."""
+    again from its masks with every node dirty and none settled, it returns
+    the same masks."""
 
     @pytest.fixture
     def check(self, monkeypatch):
@@ -485,7 +494,8 @@ class TestPropagationReachesAFixpoint:
             narrowed = propagate(self, *state)
             if narrowed is not None:
                 states.append(narrowed)
-                assert propagate(self, *narrowed, (1 << self.n) - 1) == narrowed
+                masks = narrowed[:3]
+                assert propagate(self, *masks, (1 << self.n) - 1, 0)[:3] == masks
             return narrowed
 
         monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", checked)
@@ -512,6 +522,66 @@ class TestPropagationReachesAFixpoint:
     def test_random_frameworks(self, check):
         frameworks = (random_af(3000 + seed, 12, (0.1, 0.25, 0.4)[seed % 3]) for seed in range(150))
         assert check(frameworks) == 1248  # self-attacks too
+
+
+class TestSettledNodesAreEntailed:
+    """In each state ``_propagate`` returns in a search, every settled node
+    has one label, and its attackers' domains entail it: in with every
+    attacker only out, out with an attacker only in, undecided with no
+    attacker that can be in and one only undecided."""
+
+    @pytest.fixture
+    def check(self, monkeypatch):
+        propagate = semantics_module._DomainSearch._propagate
+        counts = collections.Counter()
+
+        def checked(self, *state):
+            narrowed = propagate(self, *state)
+            if narrowed is None:
+                return None
+            can_in, can_out, can_undec, settled = narrowed
+            only_in = can_in & ~(can_out | can_undec)
+            only_out = can_out & ~(can_in | can_undec)
+            only_undec = can_undec & ~(can_in | can_out)
+            for y, atk in enumerate(self.attackers):
+                bit = 1 << y
+                if not settled & bit:
+                    continue
+                if only_in & bit:
+                    assert atk & only_out == atk
+                    counts["in"] += 1
+                elif only_out & bit:
+                    assert atk & only_in
+                    counts["out"] += 1
+                else:
+                    assert only_undec & bit
+                    assert atk & only_undec and not atk & can_in
+                    counts["undec"] += 1
+            return narrowed
+
+        monkeypatch.setattr(semantics_module._DomainSearch, "_propagate", checked)
+
+        def check(frameworks):
+            """Search each framework in every semantics; the settled nodes
+            checked, by label."""
+            for af in frameworks:
+                for sem in ("complete", "stable", "preferred"):
+                    extension_ids(af, sem)
+            return counts
+
+        return check
+
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    def test_tandem_and_seed_38(self, check, mode):
+        systems = [parse_system(tandem_rules(n, k)) for n in range(2, 7) for k in range(1, n)]
+        systems.append(parse_system(SEED38_PATH.read_text()))
+        counts = check(prepare(system).searched(mode) for system in systems)
+        assert counts["in"] and counts["out"]
+
+    def test_random_frameworks(self, check):
+        frameworks = (random_af(3000 + seed, 12, (0.1, 0.25, 0.4)[seed % 3]) for seed in range(150))
+        counts = check(frameworks)  # self-attacks too
+        assert counts["in"] and counts["out"] and counts["undec"]
 
 
 @pytest.mark.parametrize(
@@ -647,9 +717,6 @@ class TestPreferredBoundAgreesWithTheOracle:
             assert extensions(af, "preferred") == brute_force_extensions(af, "preferred")
 
 
-SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
-
-
 class TestReferenceKernel:
     """``_DomainSearch`` against ``reference.DomainSearch``, the same rules
     on a list of domains and a set of dirty nodes: the same extensions from
@@ -750,3 +817,35 @@ def test_verify_checks_every_node_against_its_attackers(attacks, labels, complet
     ref = reference.DomainSearch(af)
     assert ref.order == search.order
     assert ref._verify(doms) is complete
+
+
+def test_verify_agrees_with_the_reference_on_random_labellings():
+    """``_verify`` by unions of target masks gives the verdict of the
+    reference's per-node check on random full labellings of random AFs,
+    with isolated nodes and self-attacks; a labelling drawn from the
+    grounded one is complete now and then."""
+    rng = random.Random(38)
+    verdicts = collections.Counter()
+    for seed in range(300):
+        af = random_af(7000 + seed, 10, (0.1, 0.25, 0.4)[seed % 3])  # self-attacks too
+        af = AF(af.nodes | {base(f"z{i}") for i in range(seed % 3)}, af.attacks)
+        search, ref = semantics_module._DomainSearch(af), reference.DomainSearch(af)
+        for _ in range(20):
+            doms = [rng.choice(tuple(_LABEL_BITS.values())) for _ in range(search.n)]
+            is_in = sum(1 << r for r, d in enumerate(doms) if d == semantics_module._IN)
+            is_undec = sum(1 << r for r, d in enumerate(doms) if d == semantics_module._UNDEC)
+            verdict = ref._verify(doms)
+            assert search._verify(is_in, is_undec) is verdict
+            verdicts[verdict] += 1
+        grounded = {af.node_table.index(n) for n in extensions(af, "grounded")[0]}
+        rank = {x: r for r, x in enumerate(search.order)}
+        is_in = sum(1 << rank[x] for x in grounded)
+        is_out = sum(1 << rank[y] for y in {y for x in grounded for y in af.target_ids[x]})
+        is_undec = (1 << search.n) - 1 & ~(is_in | is_out)
+        doms = [
+            semantics_module._IN if is_in >> r & 1
+            else semantics_module._UNDEC if is_undec >> r & 1 else semantics_module._OUT
+            for r in range(search.n)
+        ]
+        assert search._verify(is_in, is_undec) is ref._verify(doms) is True
+    assert verdicts[True] and verdicts[False]
