@@ -256,7 +256,7 @@ class _DomainSearch:
                     can_out &= ~hit
                     can_undec &= ~hit
                     dirty |= hit | targets[hit.bit_length() - 1] & ~settled
-                if atk & can_in & ~(can_out | can_undec):
+                if atk & can_in & ~(can_out | can_undec):  # an attacker only in
                     settled |= bit
             else:
                 if not dy & _OUT:  # no attacker in
@@ -272,7 +272,7 @@ class _DomainSearch:
                         # the one attacker that can be not out
                         can_out ^= hit
                         dirty |= hit | targets[hit.bit_length() - 1] & ~settled
-                if dy == _UNDEC and atk & can_undec & ~can_out:
+                if dy == _UNDEC and atk & can_undec & ~can_out:  # one only undecided, none in
                     settled |= bit
         return can_in, can_out, can_undec, settled
 

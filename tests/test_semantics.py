@@ -584,6 +584,16 @@ class TestSettledNodesAreEntailed:
         assert counts["in"] and counts["out"] and counts["undec"]
 
 
+def test_a_node_that_becomes_in_fails_on_a_target_that_cannot_be_out():
+    """a attacks b, and only a is dirty.  Once a's pop leaves a in, the call
+    fails when b cannot be out; when b can be, b is made out, and both are
+    settled."""
+    search = semantics_module._DomainSearch(_attacks("ab"))
+    assert search.order == [0, 1]  # a is rank 0, b rank 1
+    assert search._propagate(0b01, 0b01, 0b10, 0b01, 0) is None
+    assert search._propagate(0b01, 0b11, 0b10, 0b01, 0) == (0b01, 0b10, 0, 0b11)
+
+
 @pytest.mark.parametrize(
     "mode, semantics, calls",
     [
@@ -822,30 +832,26 @@ def test_verify_checks_every_node_against_its_attackers(attacks, labels, complet
 def test_verify_agrees_with_the_reference_on_random_labellings():
     """``_verify`` by unions of target masks gives the verdict of the
     reference's per-node check on random full labellings of random AFs,
-    with isolated nodes and self-attacks; a labelling drawn from the
-    grounded one is complete now and then."""
+    with isolated nodes and self-attacks, and on their grounded labellings,
+    which are complete."""
+    in_, out, undec = semantics_module._IN, semantics_module._OUT, semantics_module._UNDEC
     rng = random.Random(38)
     verdicts = collections.Counter()
     for seed in range(300):
         af = random_af(7000 + seed, 10, (0.1, 0.25, 0.4)[seed % 3])  # self-attacks too
         af = AF(af.nodes | {base(f"z{i}") for i in range(seed % 3)}, af.attacks)
         search, ref = semantics_module._DomainSearch(af), reference.DomainSearch(af)
-        for _ in range(20):
-            doms = [rng.choice(tuple(_LABEL_BITS.values())) for _ in range(search.n)]
-            is_in = sum(1 << r for r, d in enumerate(doms) if d == semantics_module._IN)
-            is_undec = sum(1 << r for r, d in enumerate(doms) if d == semantics_module._UNDEC)
+        grounded = set(extension_ids(af, "grounded")[0])
+        attacked = {y for x in grounded for y in af.target_ids[x]}
+        labellings = [[rng.choice((in_, out, undec)) for _ in search.order] for _ in range(20)]
+        labellings.append(
+            [in_ if x in grounded else out if x in attacked else undec for x in search.order]
+        )
+        for doms in labellings:  # by rank
+            is_in = sum(1 << r for r, d in enumerate(doms) if d == in_)
+            is_undec = sum(1 << r for r, d in enumerate(doms) if d == undec)
             verdict = ref._verify(doms)
             assert search._verify(is_in, is_undec) is verdict
             verdicts[verdict] += 1
-        grounded = {af.node_table.index(n) for n in extensions(af, "grounded")[0]}
-        rank = {x: r for r, x in enumerate(search.order)}
-        is_in = sum(1 << rank[x] for x in grounded)
-        is_out = sum(1 << rank[y] for y in {y for x in grounded for y in af.target_ids[x]})
-        is_undec = (1 << search.n) - 1 & ~(is_in | is_out)
-        doms = [
-            semantics_module._IN if is_in >> r & 1
-            else semantics_module._UNDEC if is_undec >> r & 1 else semantics_module._OUT
-            for r in range(search.n)
-        ]
-        assert search._verify(is_in, is_undec) is ref._verify(doms) is True
-    assert verdicts[True] and verdicts[False]
+        assert verdict  # the grounded labelling
+    assert verdicts[False] > verdicts[True] > 300
