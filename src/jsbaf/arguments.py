@@ -121,19 +121,10 @@ class ArgumentStore(Record):
     and closed under sub-arguments, enumerated under the cap
     ``max_arguments``."""
 
-    _fields = ("system", "arguments", "acyclicity_pruned", "max_arguments")
-
-    def __init__(
-        self,
-        system: ArgumentationSystem,
-        arguments: tuple[Argument, ...],
-        acyclicity_pruned: bool,
-        max_arguments: int,
-    ):
-        self.__dict__.update(
-            system=system, arguments=arguments, acyclicity_pruned=acyclicity_pruned,
-            max_arguments=max_arguments,
-        )
+    system: ArgumentationSystem
+    arguments: tuple[Argument, ...]
+    acyclicity_pruned: bool
+    max_arguments: int
 
     @cached_attribute
     def node_order(self) -> tuple[int, ...]:
@@ -167,7 +158,9 @@ def construct_arguments(
     sub ordinals) order; those that join a pool in round d fail its filter.
     A round skips, on conclusion masks, each rule that no argument of the
     last round concludes a body formula of, or that has a body formula no
-    argument concludes: none of its candidates passes the filter.
+    argument concludes: none of its candidates passes the filter.  A rule's
+    pools drop each argument whose branch holds its head, so no candidate is
+    formed to be pruned; only a pool whose branches' union holds it is scanned.
 
     Raises LimitExceededError when the store would exceed ``max_arguments``,
     which signals a combinatorially explosive system rather than a
@@ -181,6 +174,7 @@ def construct_arguments(
     rules.sort()
     arguments: list[Argument] = []
     by_conclusion: dict[Formula, list[Argument]] = {}
+    branches: dict[Formula, int] = {}  # the union of the branch masks of each pool
 
     def create(rule: Rule, subs: tuple[Argument, ...], tail: str, branch_mask: int, depth: int):
         if len(arguments) >= max_arguments:
@@ -188,6 +182,7 @@ def construct_arguments(
         arg = Argument(rule, subs, len(arguments), tail, branch_mask, depth)
         arguments.append(arg)
         by_conclusion.setdefault(rule.head, []).append(arg)
+        branches[rule.head] = branches.get(rule.head, 0) | branch_mask
 
     entries = []  # (rule, arrow, body mask, head bit) of each rule with a body
     concluded = 0  # the conclusions of all arguments
@@ -210,20 +205,23 @@ def construct_arguments(
         for rule, arrow, body, head in entries:
             if not body & last or body & ~concluded:
                 continue
+            pools = []
+            for phi in rule.body:
+                pool = by_conclusion[phi]
+                if branches[phi] & head:  # drop the members whose branch holds the head
+                    pool = [s for s in pool if not s.branch_mask & head]
+                    pruned = True
+                pools.append(pool)
             tail = f"{arrow}{rule.head}"
-            for subs in itertools.product(*[by_conclusion[b] for b in rule.body]):
+            for subs in itertools.product(*pools):
                 below = deepest = 0
                 for s in subs:
                     below |= s.branch_mask
                     if s.depth > deepest:
                         deepest = s.depth
-                if deepest != depth - 1:
-                    continue
-                if below & head:  # a branch would repeat the head
-                    pruned = True
-                    continue
-                create(rule, subs, tail, below | head, depth)
-                fresh |= head
+                if deepest == depth - 1:
+                    create(rule, subs, tail, below | head, depth)
+                    fresh |= head
         concluded |= fresh
         last = fresh
         depth += 1

@@ -117,19 +117,17 @@ class StrictRule(Record):
     The body may be empty, which makes the rule behave like an axiom.
     """
 
-    _fields = ("id", "body", "head")
-
-    def __init__(self, id: str, body: tuple[Formula, ...], head: Formula):
-        self.__dict__.update(id=id, body=body, head=head)
+    id: str
+    body: tuple[Formula, ...]
+    head: Formula
 
 
 class DefeasibleRule(Record):
     """A rule that creates presumptive, attackable conclusions."""
 
-    _fields = ("id", "body", "head")
-
-    def __init__(self, id: str, body: tuple[Formula, ...], head: Formula):
-        self.__dict__.update(id=id, body=body, head=head)
+    id: str
+    body: tuple[Formula, ...]
+    head: Formula
 
 
 Rule = Union[StrictRule, DefeasibleRule]
@@ -152,7 +150,9 @@ class ArgumentationSystem(Record):
     ``undercut_names`` is only defined on defeasible-rule ids.
     """
 
-    _fields = ("strict_rules", "defeasible_rules", "undercut_names")
+    strict_rules: tuple[StrictRule, ...]
+    defeasible_rules: tuple[DefeasibleRule, ...]
+    undercut_names: dict[str, Formula]
 
     def __init__(
         self,
@@ -188,19 +188,11 @@ class ArgumentationSystem(Record):
                 )
 
     @classmethod
-    def _make(
-        cls,
-        strict_rules: tuple[StrictRule, ...],
-        defeasible_rules: tuple[DefeasibleRule, ...],
-        undercut_names: dict[str, Formula],
-    ) -> "ArgumentationSystem":
+    def _make(cls, strict_rules, defeasible_rules, undercut_names) -> ArgumentationSystem:
         """A system from parts that already pass the checks above, as
         ``dsl.parse_system`` builds them, without checking them again."""
         self = cls.__new__(cls)
-        self.__dict__.update(
-            strict_rules=strict_rules, defeasible_rules=defeasible_rules,
-            undercut_names=undercut_names,
-        )
+        self.__dict__.update(zip(cls._fields, (strict_rules, defeasible_rules, undercut_names)))
         return self
 
     @cached_attribute

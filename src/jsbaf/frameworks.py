@@ -58,10 +58,7 @@ from .records import Record, cached_attribute
 class BaseNode(Record):
     """An original argument, identified by its label."""
 
-    _fields = ("label_text",)
-
-    def __init__(self, label_text: str):
-        self.__dict__["label_text"] = label_text
+    label_text: str
 
     def key(self):
         return (0, self.label_text)
@@ -81,10 +78,7 @@ class BarNode(Record):
     the bar of a bar arises when a bar participates in a joint attack.
     """
 
-    _fields = ("base",)
-
-    def __init__(self, base: "NodeId"):
-        self.__dict__["base"] = base
+    base: NodeId
 
     def key(self):
         return (1, self.base.key())
@@ -101,10 +95,7 @@ class ENode(Record):
     """Meta-argument carrying a joint attack; identified by the attacker set
     alone, so two joint attacks with the same source share one e-node."""
 
-    _fields = ("members",)
-
-    def __init__(self, members: tuple["NodeId", ...]):
-        self.__dict__["members"] = members
+    members: tuple[NodeId, ...]
 
     def key(self):
         return (2, tuple(m.key() for m in self.members))

@@ -107,25 +107,18 @@ class ConclusionSet(Record):
     """Conclusions of the arguments of one extension, and the verdict of
     each postulate on them."""
 
-    _fields = ("formulas", "extension", "postulates")
-
-    def __init__(
-        self,
-        formulas: frozenset[Formula],
-        extension: tuple[int, ...],  # argument ordinals, ascending
-        postulates: PostulateReport,
-    ):
-        self.__dict__.update(formulas=formulas, extension=extension, postulates=postulates)
+    formulas: frozenset[Formula]
+    extension: tuple[int, ...]  # argument ordinals, ascending
+    postulates: PostulateReport
 
 
 class Prepared(Record):
     """What depends on the system alone, shared by each of its evaluations.
     Each framework is built the first time it is read."""
 
-    _fields = ("consistent", "store", "witnesses")
-
-    def __init__(self, consistent: bool, store: ArgumentStore, witnesses: AttackWitnesses):
-        self.__dict__.update(consistent=consistent, store=store, witnesses=witnesses)
+    consistent: bool
+    store: ArgumentStore
+    witnesses: AttackWitnesses
 
     @cached_attribute
     def af(self) -> AF:
@@ -167,32 +160,18 @@ class Evaluation(Record):
     deductive mode) names them.  Each conclusion set holds its verdicts, and
     ``holds`` sums them up per postulate."""
 
-    _fields = (
-        "semantics", "mode", "max_nodes", "consistent", "store", "witnesses", "framework",
-        "flat", "raw_extensions", "extensions", "conclusion_sets", "holds",
-    )
-
-    def __init__(
-        self,
-        semantics: str,
-        mode: str,
-        max_nodes: int,
-        consistent: bool,
-        store: ArgumentStore,
-        witnesses: AttackWitnesses,
-        framework: AF,  # the AF in aspic-minus mode, the JSBAF in deductive mode
-        flat: AF | None,  # the flattened JSBAF, in deductive mode
-        raw_extensions: tuple[tuple[int, ...], ...],  # of ``flat``, else of ``framework``
-        extensions: tuple[tuple[int, ...], ...],  # projected onto the arguments
-        conclusion_sets: tuple[ConclusionSet, ...],  # each with its postulate verdicts
-        holds: tuple[bool, ...],  # per entry of POSTULATES: satisfied on every conclusion set
-    ):
-        self.__dict__.update(
-            semantics=semantics, mode=mode, max_nodes=max_nodes, consistent=consistent,
-            store=store, witnesses=witnesses, framework=framework, flat=flat,
-            raw_extensions=raw_extensions, extensions=extensions,
-            conclusion_sets=conclusion_sets, holds=holds,
-        )
+    semantics: str
+    mode: str
+    max_nodes: int
+    consistent: bool
+    store: ArgumentStore
+    witnesses: AttackWitnesses
+    framework: AF  # the AF in aspic-minus mode, the JSBAF in deductive mode
+    flat: AF | None  # the flattened JSBAF, in deductive mode
+    raw_extensions: tuple[tuple[int, ...], ...]  # of ``flat``, else of ``framework``
+    extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
+    conclusion_sets: tuple[ConclusionSet, ...]  # each with its postulate verdicts
+    holds: tuple[bool, ...]  # per entry of POSTULATES: satisfied on every conclusion set
 
 
 def evaluate(
@@ -246,7 +225,11 @@ class SystemParams(Record):
     single negations) so that complementary pairs stay reachable.
     """
 
-    _fields = ("n_atoms", "n_strict", "n_defeasible", "max_body", "undercut_density")
+    n_atoms: int
+    n_strict: int
+    n_defeasible: int
+    max_body: int
+    undercut_density: float
 
     def __init__(
         self,
@@ -330,10 +313,9 @@ def check_rule_counts(shape: dict, name: Callable[[str], str] = str) -> None:
 
 
 class GeneratedSystem(Record):
-    _fields = ("system", "seed", "attempts")
-
-    def __init__(self, system: ArgumentationSystem, seed: int, attempts: int):
-        self.__dict__.update(system=system, seed=seed, attempts=attempts)
+    system: ArgumentationSystem
+    seed: int
+    attempts: int
 
 
 def random_system(params: SystemParams, seed: int) -> GeneratedSystem:
@@ -390,7 +372,11 @@ class JsbafParams(Record):
     least that many.
     """
 
-    _fields = ("max_nodes", "attack_prob", "max_supports", "max_support_size", "min_support_size")
+    max_nodes: int
+    attack_prob: float
+    max_supports: int
+    max_support_size: int
+    min_support_size: int
 
     def __init__(
         self,

@@ -2,14 +2,16 @@
 
 Every record of the pipeline (rules, systems, argument stores, framework
 nodes, generator parameters, evaluation results) is a plain class on
-``Record``.  It names its fields in ``_fields`` and its ``__init__`` sets
-them through the instance ``__dict__``, as one dict update.  ``Record``
-gives what a frozen dataclass gives: equality of class and fields, a hash
-of the fields, the dataclass's ``repr``, and ``FrozenInstanceError`` on
-every assignment or deletion of an attribute.  It is not a dataclass, so
-``dataclasses.fields``, ``replace`` and ``asdict`` do not apply, and
-``dataclasses`` is imported only to raise that error.  Records pickle and
-copy by their ``__dict__``, as a frozen dataclass does.
+``Record``.  Its class annotations, in order, are its fields and their only
+declaration: ``Record`` reads them into ``_fields`` and gives a class that
+defines no ``__init__`` one that stores them through the instance
+``__dict__``.  A class that copies, defaults or checks its values writes its
+own.  ``Record`` gives what a frozen dataclass gives: equality of class and
+fields, a hash of the fields, the dataclass's ``repr``, and
+``FrozenInstanceError`` on every assignment or deletion of an attribute.  It
+is not a dataclass, so ``dataclasses.fields``, ``replace`` and ``asdict`` do
+not apply, and ``dataclasses`` is imported only to raise that error.
+Records pickle and copy by their ``__dict__``, as a frozen dataclass does.
 
 ``cached_attribute`` is ``functools.cached_property`` without its lock:
 the function runs on the first read and its value is stored in the
@@ -28,9 +30,26 @@ def _refuse(verb: str, name: str):
 
 
 class Record:
-    """An immutable record of the fields named in ``_fields``."""
+    """An immutable record of the fields its subclasses annotate, in order.
+    A subclass that defines no ``__init__`` gets one that takes every field,
+    by position or keyword, compiled once, as ``collections.namedtuple``
+    compiles its ``__new__``."""
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = fields = cls._fields + tuple(cls.__annotations__)
+        if "__init__" in cls.__dict__:
+            return
+        if len(fields) == 1:
+            store = f"self.__dict__[{fields[0]!r}] = {fields[0]}"
+        else:
+            store = f"self.__dict__.update({', '.join([f'{name}={name}' for name in fields])})"
+        namespace: dict = {}
+        exec(f"def __init__(self, {', '.join(fields)}):\n    {store}\n", namespace)
+        cls.__init__ = namespace["__init__"]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def _values(self) -> tuple:
         values = self.__dict__

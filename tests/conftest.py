@@ -113,6 +113,19 @@ def wide_join_rules(width: int = 30) -> str:
     return "\n".join(lines) + "\n"
 
 
+def pruned_join_rules(repeats: int) -> str:
+    """28 arguments for ``p``, each with ``q`` on its branch, and a strict
+    rule ``p, ..., p -> q`` with ``repeats`` body formulas: each of its
+    ``28 ** repeats`` candidates would repeat ``q`` on a branch, so none is
+    an argument."""
+    lines = ["strict s0: -> q", "defeasible d0: => q"]
+    for i in range(1, 4):
+        body = ", ".join(["q"] * i)
+        lines += [f"strict s{i}: {body} -> p", f"defeasible d{i}: {body} => p"]
+    lines.append(f"strict s4: {', '.join(['p'] * repeats)} -> q")
+    return "\n".join(lines) + "\n"
+
+
 def assert_sound_extensions(af: AF, semantics: str, extensions_list) -> None:
     """Polynomial self-check of extensions returned by the engine.
 

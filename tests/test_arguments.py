@@ -1,6 +1,10 @@
 """Argument enumeration, attacks, and the two structured frameworks."""
 
 import gc
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -25,7 +29,7 @@ from jsbaf.arguments import Argument
 from jsbaf.cli import main
 
 import reference
-from conftest import tandem_rules, wide_join_rules
+from conftest import pruned_join_rules, tandem_rules, wide_join_rules
 
 TANDEM_FORMS = [
     "A1: -> hw",
@@ -109,6 +113,21 @@ class TestEnumeration:
             construct_arguments(system, 245)
         assert info.value.limit == 245
 
+    def test_pruned_candidates_are_never_built(self, tmp_path):
+        # 28 ** 6 candidates of s4, each repeating q on a branch: pruning
+        # them one by one takes minutes, dropping the pools' members that
+        # hold q takes one filter per pool
+        rules = tmp_path / "pruned.rules"
+        rules.write_text(pruned_join_rules(6))
+        env = {**os.environ, "PYTHONPATH": str(SEED38_PATH.parents[1] / "src")}
+        result = subprocess.run(
+            [sys.executable, "-m", "jsbaf.cli", "eval", "--file", str(rules),
+             "--semantics", "grounded"],
+            env=env, capture_output=True, text=True, timeout=20, check=True,
+        )
+        enumeration = json.loads(result.stdout)["enumeration"]
+        assert (enumeration["count"], enumeration["acyclicity_pruned"]) == (30, True)
+
     def test_ordinals_follow_depth_rule_id_and_sub_ordinals(self):
         # each round creates its arguments in the order it finds them, which
         # must be the (depth, rule id, sub ordinals) order without a sort
@@ -131,6 +150,7 @@ class TestEnumeration:
         systems += [random_system(wide, seed).system for seed in range(40)]
         systems += [parse_system(tandem_rules(n, k)) for n in range(2, 6) for k in range(1, n)]
         systems.append(parse_system(SEED38_PATH.read_text()))
+        systems.append(parse_system(pruned_join_rules(3)))
         for system in systems:
             store = construct_arguments(system)
             structures = [arg.structure for arg in store.arguments]

@@ -253,3 +253,70 @@ class TestCachedAttribute:
         system = _system()
         table = system.literal_table
         assert system.literal_table is table and vars(system)["literal_table"] is table
+
+
+class TestDeclaration:
+    """A record's class annotations are its fields, and a class that
+    defines no ``__init__`` gets one that takes them in order."""
+
+    class Point(Record):
+        """Fields declared out of alphabetical order."""
+
+        y: int
+        x: int
+        label: str  # a comment on the field
+
+    class Single(Record):
+        only: tuple
+
+    class Checked(Record):
+        size: int
+
+        def __init__(self, size: int = 1):
+            if size < 0:
+                raise ValueError("size must be at least 0")
+            self.__dict__["size"] = size
+
+    def test_fields_follow_the_annotations(self):
+        assert self.Point._fields == ("y", "x", "label")
+        assert self.Single._fields == ("only",)
+        assert self.Checked._fields == ("size",)
+        assert Record._fields == ()
+
+    def test_the_init_takes_the_fields_by_position_and_keyword(self):
+        point = self.Point(1, 2, "p")
+        assert vars(point) == {"y": 1, "x": 2, "label": "p"}
+        assert list(vars(point)) == list(self.Point._fields)
+        assert self.Point(label="p", x=2, y=1) == self.Point(1, x=2, label="p") == point
+        assert repr(point) == "TestDeclaration.Point(y=1, x=2, label='p')"
+        assert vars(self.Single(only=())) == {"only": ()}
+
+    def test_the_init_is_named_after_its_class(self):
+        assert self.Point.__init__.__qualname__ == "TestDeclaration.Point.__init__"
+        assert StrictRule.__init__.__qualname__ == "StrictRule.__init__"
+
+    def test_a_missing_or_extra_field_raises_a_type_error_naming_the_class(self):
+        with pytest.raises(TypeError, match=r"Point\.__init__\(\) missing 1 required .*'label'"):
+            self.Point(1, 2)
+        with pytest.raises(TypeError, match=r"StrictRule\.__init__\(\) missing .*'head'"):
+            StrictRule("s1", ())
+        with pytest.raises(TypeError, match=r"Single\.__init__\(\) got an unexpected keyword"):
+            self.Single(only=(), other=1)
+        with pytest.raises(TypeError, match=r"Single\.__init__\(\) takes 2 positional"):
+            self.Single((), ())
+
+    def test_a_class_with_its_own_init_keeps_it(self):
+        assert self.Checked().size == 1
+        with pytest.raises(ValueError, match="size must be at least 0"):
+            self.Checked(-1)
+        for cls in (ArgumentationSystem, SystemParams, JsbafParams):
+            assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
+            assert cls.__init__.__code__.co_filename != "<string>"
+
+    def test_a_subclass_adds_its_annotations_to_the_fields(self):
+        class Labelled(self.Single):
+            label: str
+
+        assert Labelled._fields == ("only", "label")
+        assert vars(Labelled((), "a")) == {"only": (), "label": "a"}
+        assert Labelled((), "a") != self.Single(())
