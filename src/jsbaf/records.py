@@ -46,7 +46,7 @@ class Record:
             store = f"self.__dict__[{fields[0]!r}] = {fields[0]}"
         else:
             store = f"self.__dict__.update({', '.join([f'{name}={name}' for name in fields])})"
-        namespace: dict = {}
+        namespace = {}
         exec(f"def __init__(self, {', '.join(fields)}):\n    {store}\n", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
