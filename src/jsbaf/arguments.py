@@ -13,10 +13,10 @@ rule, pointwise-equal subs) coincides with object identity.  Canonical ids
 A1, A2, ... follow generation order: derivation depth, then rule id, then
 sub ordinals, so two runs over the same system label every argument
 identically.  Later stages name an argument by its ordinal alone; only the
-report writers turn ordinals into ids.  An argument's tree is two ints:
-its conclusions as bits of the system's ``literal_table``, so the branch
-test is one AND with the rule's head bit, and its sub-arguments as bits of
-their ordinals.
+AF's labels and the report writers turn ordinals into ids.  An argument's
+tree is two ints: its conclusions as bits of the system's
+``literal_table``, so the branch test is one AND with the rule's head bit,
+and its sub-arguments as bits of their ordinals.
 
 Attacks are found through two indexes, not by testing every pair of
 arguments: one from each attacking literal ``(atom, n)`` to the defeasible
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from .core import ArgumentationSystem, DefeasibleRule, Formula, Rule, StrictRule
 from .errors import LimitExceededError
-from .frameworks import AF, JSBAF, BaseNode
+from .frameworks import AF, JSBAF
 from .records import Record, cached_attribute
 
 DEFAULT_MAX_ARGUMENTS = 5000  # largest store ``construct_arguments`` builds by default
@@ -345,17 +345,15 @@ def _attack_edges(store: ArgumentStore, witnesses: AttackWitnesses) -> list[tupl
     return rows
 
 
-def _argument_nodes(store: ArgumentStore) -> tuple[BaseNode, ...]:
-    """The node table of the arguments."""
-    args = store.arguments
-    return tuple([BaseNode(args[o].canonical_id) for o in store.node_order])
-
-
 def build_aspic_minus_af(store: ArgumentStore, witnesses: AttackWitnesses) -> AF:
     """The AF whose nodes are all arguments of ``store`` and whose edges are
     exactly the undercut and unrestricted-rebuttal pairs of ``witnesses``,
-    the attack witnesses of ``store``."""
-    return AF._make(_argument_nodes(store), target_ids=_attack_edges(store, witnesses))
+    the attack witnesses of ``store``.  Its labels are the argument ids."""
+    args = store.arguments
+    labels = [args[o].canonical_id for o in store.node_order]
+    return AF._make(
+        labels=labels, argument_count=len(labels), target_ids=_attack_edges(store, witnesses),
+    )
 
 
 def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:
@@ -376,10 +374,10 @@ def build_da_jsbaf(store: ArgumentStore, af: AF) -> JSBAF:
     """The nodes and attacks of ``af``, the ``build_aspic_minus_af`` of
     ``store``, plus the joint support of every strict-top argument by its
     immediate sub-arguments, shielding the strict arguments.  The JSBAF
-    shares the node table and attack relation of ``af``."""
+    shares the labels, attack relation and node table of ``af``."""
     return JSBAF._make(
-        af.node_table, target_ids=af.target_ids, support_ids=support_pairs(store),
-        shielded=strict_argument_nodes(store),
+        labels=af.labels, argument_count=af.argument_count, target_ids=af.target_ids,
+        support_ids=support_pairs(store), shielded=strict_argument_nodes(store), parent=af,
     )
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -291,6 +292,19 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run ``argv``, by default ``sys.argv[1:]``; return the exit code.  A
+    command makes no reference cycle, so the cyclic collector is paused for
+    it, and left as it was found, also when argparse exits."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _run(argv: list[str] | None) -> int:
     args = _read_canonical(sys.argv[1:] if argv is None else argv)
     if args is None:
         args = _build_parser().parse_args(argv)

@@ -21,19 +21,22 @@ build no intermediate framework; the one-step and two-step stages serve
 
 Every framework numbers its nodes 0, 1, ... in canonical order
 (``sort_nodes``) and keeps its relations as ints over those numbers; the
-number is the only record of that order.  The public constructors number
-by key; every flattening numbers by construction.  A node table holds each
-node's ``NodeId`` once; a flattening builds each meta-argument's ``NodeId``
-once, from the objects already in its table, so one node is one object
+number is the only record of that order.  Every framework holds its
+``labels`` by number and its ``argument_count``; its arguments come first.
+The public constructors number by key and build the node table of
+``NodeId``s at once.  Every flattening and builder in ``arguments``
+numbers by construction, writes each label once from the labels of its
+parts, and builds its node table on first read (see ``_Framework``), for
+the oracle, ``jsbaf flatten``, the views and ``__eq__``: the pipeline
+reads only the ints and the labels.  A node table holds each ``NodeId``
+once, built from the objects already in it, so one node is one object
 however many edges it ends.  ``NodeId``s are plain frozen records
 (``records.Record``).  The ``NodeId`` views ``nodes``, ``attacks``,
-``supports`` and ``joint_attacks``, and the ``labels``, are
-``cached_attribute``s, built on first read, for callers and tests; the
-pipeline reads only the ints and the labels.  The public constructors
-check that every endpoint is a node, and number supports and joint
-attacks, both sets of nodes to a node, by one helper; the flattenings and
-the builders in ``arguments`` make frameworks whose ints are right by
-construction, and skip that check.
+``supports`` and ``joint_attacks`` are ``cached_attribute``s, built on
+first read, for callers and tests.  The public constructors check that
+every endpoint is a node, and number supports and joint attacks, both sets
+of nodes to a node, by one helper; the flattenings and the builders make
+frameworks whose ints are right by construction, and skip that check.
 
 Every framework the pipeline builds numbers its nodes in label order too:
 its labels are made of argument ids ``A<n>`` (sorted as text),
@@ -131,12 +134,6 @@ def sort_nodes(nodes: Iterable[NodeId]) -> list[NodeId]:
     return sorted(nodes, key=lambda n: n.key())
 
 
-def _node_table(nodes: Iterable[NodeId]) -> tuple[tuple[NodeId, ...], dict[NodeId, int]]:
-    """The distinct ``nodes`` in canonical order, and the number of each."""
-    table = tuple(n for _, n in sorted((n.key(), n) for n in set(nodes)))
-    return table, {n: i for i, n in enumerate(table)}
-
-
 def _target_rows(size: int, pairs: Iterable[tuple[int, int]]) -> list[list[int]]:
     rows: list[set[int]] = [set() for _ in range(size)]
     for src, dst in pairs:
@@ -157,15 +154,23 @@ def _set_relation(index, pairs, what: str) -> list[tuple[tuple[int, ...], int]]:
 
 
 class _Framework:
-    """Nodes numbered in canonical order: ``node_table[i]`` is node i, and
-    its number is the only record of its place in that order.
-    ``target_ids[i]`` lists, in ascending order, the nodes that node i
-    attacks (in a ``HigherLevelAF``, on its own).  Rows are never changed
-    once built; the AF of an argument store shares one tuple among the
-    attackers with the same conclusion."""
+    """Nodes numbered in canonical order: ``labels[i]`` is node i's label,
+    ``node_table[i]`` its ``NodeId``; the first ``argument_count`` are the
+    arguments.  ``target_ids[i]`` lists, in ascending order, the nodes that
+    node i attacks (in a ``HigherLevelAF``, on its own).  Rows are never
+    changed once built; the AF of an argument store shares one tuple among
+    the attackers with the same conclusion.
 
-    node_table: tuple[NodeId, ...]
+    A framework made by ``_make`` builds its node table on first read, from
+    plain data: ``BaseNode``s of its labels, or the table of ``parent``,
+    whose nodes are its arguments, then per entry of ``meta`` a ``BarNode``
+    of the node an int numbers or an ``ENode`` of those a tuple numbers."""
+
+    labels: list[str]
+    argument_count: int
     target_ids: list[Sequence[int]]
+    parent: _Framework | None = None
+    meta: tuple[int | tuple[int, ...], ...] = ()
 
     def _value(self) -> tuple:
         return self.node_table, tuple(map(tuple, self.target_ids))
@@ -177,21 +182,37 @@ class _Framework:
         return hash(self._value())
 
     @classmethod
-    def _make(cls, node_table, **relations):
-        """A framework whose relations are already ints over ``node_table``."""
+    def _make(cls, **fields):
+        """A framework whose relations are already ints over its nodes."""
         self = cls.__new__(cls)
-        self.node_table = node_table
-        self.__dict__.update(relations)
+        self.__dict__.update(fields)
         return self
+
+    def _number(self, nodes: Iterable[NodeId]) -> dict[NodeId, int]:
+        """Set the node table, labels and argument count of the distinct
+        ``nodes`` in canonical order, and return the number of each."""
+        table = tuple(n for _, n in sorted((n.key(), n) for n in set(nodes)))
+        self.node_table, self.labels = table, [n.label for n in table]
+        self.argument_count = sum(isinstance(n, BaseNode) for n in table)
+        return {n: i for i, n in enumerate(table)}
+
+    @cached_attribute
+    def node_table(self) -> tuple[NodeId, ...]:
+        if self.parent is None:  # every node is an argument
+            return tuple(map(BaseNode, self.labels))
+        if not self.meta:
+            return self.parent.node_table
+        table = list(self.parent.node_table)
+        for part in self.meta:
+            if part.__class__ is int:
+                table.append(BarNode(table[part]))
+            else:
+                table.append(ENode(tuple(map(table.__getitem__, part))))
+        return tuple(table)
 
     @cached_attribute
     def nodes(self) -> frozenset[NodeId]:
         return frozenset(self.node_table)
-
-    @cached_attribute
-    def labels(self) -> list[str]:
-        """The label of each node, by number."""
-        return [n.label for n in self.node_table]
 
     def _pairs(self) -> Iterator[tuple[NodeId, NodeId]]:
         table = self.node_table
@@ -206,7 +227,7 @@ class AF(_Framework):
     """A plain argumentation framework: nodes and a directed attack relation."""
 
     def __init__(self, nodes: Iterable[NodeId], attacks: Iterable[tuple[NodeId, NodeId]]):
-        self.node_table, index = _node_table(nodes)
+        index = self._number(nodes)
         attacks = frozenset(attacks)
         for s, d in attacks:
             if s not in index or d not in index:
@@ -220,7 +241,7 @@ class AF(_Framework):
     @cached_attribute
     def attacker_ids(self) -> list[list[int]]:
         """The attackers of each node, by number, in ascending order."""
-        attackers: list[list[int]] = [[] for _ in self.node_table]
+        attackers: list[list[int]] = [[] for _ in self.target_ids]
         for src, row in enumerate(self.target_ids):
             for dst in row:
                 attackers[dst].append(src)
@@ -254,7 +275,7 @@ class HigherLevelAF(_Framework):
         nodes: Iterable[NodeId],
         joint_attacks: Iterable[tuple[Iterable[NodeId], NodeId]],
     ):
-        self.node_table, index = _node_table(nodes)
+        index = self._number(nodes)
         joint_attacks = [(frozenset(x), b) for x, b in joint_attacks]
         if not all(x for x, _ in joint_attacks):
             raise ValueError("joint attacks must have a nonempty attacker set")
@@ -339,7 +360,8 @@ def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     nodes, since bars sort after the arguments and in the order of their
     bases.  An argument that gains no bar target keeps its row of ``j``.
     """
-    m = len(j.node_table)
+    labels = j.labels
+    m = len(labels)
     barred = sorted({b for _, b in j.support_ids})
     bar_number = {b: m + p for p, b in enumerate(barred)}
     bar_rows: list[list[int]] = [[] for _ in barred]  # bar(b) -> a, for X = {a}
@@ -351,9 +373,9 @@ def flatten_one_step(j: JSBAF) -> HigherLevelAF:
             bar_rows[bar_number[b] - m].append(a)
     rows = [(*r, bar_number[b]) if b in bar_number else r for b, r in enumerate(j.target_ids)]
     return HigherLevelAF._make(
-        (*j.node_table, *(BarNode(j.node_table[b]) for b in barred)),
+        labels=[*labels, *[f"bar({labels[b]})" for b in barred]], argument_count=m,
         target_ids=rows + [sorted(row) for row in bar_rows],
-        joint_attack_ids=sorted(joints),
+        joint_attack_ids=sorted(joints), parent=j, meta=tuple(barred),
     )
 
 
@@ -406,8 +428,8 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
     numbered once, in canonical order: the bars of arguments, in the order
     of their bases, then the double bars, then the e-nodes.
     """
-    table = j.node_table
-    m = len(table)
+    labels = j.labels
+    m = len(labels)
     supported, multi = set(), set()  # the supported nodes, and those of a joint support
     for source, b in j.support_ids:
         supported.add(b)
@@ -429,10 +451,11 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
         barred = sorted(supported - multi | direct.keys() | co_supporters)
         relayed = []
     bar_number = {b: p for p, b in enumerate(barred, m)}
-    bars = [BarNode(table[b]) for b in barred]
-    node_table = [*table, *bars]
-    double_bar_number = {b: p for p, b in enumerate(relayed, len(node_table))}
-    node_table += [BarNode(bars[bar_number[b] - m]) for b in relayed]
+    bar_labels = [f"bar({labels[b]})" for b in barred]
+    flat_labels = [*labels, *bar_labels]
+    double_bar_number = {b: p for p, b in enumerate(relayed, len(flat_labels))}
+    flat_labels += [f"bar({bar_labels[bar_number[b] - m]})" for b in relayed]
+    meta = [*barred, *map(bar_number.__getitem__, relayed)]
 
     # The attacks that flattening adds, by source number.  An argument gains
     # only meta-argument targets, which follow the targets of its row in j.
@@ -442,19 +465,16 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
     for b, p in double_bar_number.items():
         added.setdefault(bar_number[b], set()).add(p)
     if arms:
-        # Members of meta-arguments are numbered x for argument x and m + x
-        # for bar(x).  These numbers sort as the members' keys do, so
-        # e-nodes over them sort in canonical order.
+        # E-node members are numbered as nodes, which sort as their keys
+        # do, so e-nodes over them sort in canonical order.
         arm_members = [
-            rest + (m + b,) if b in bar_number else tuple(sorted(rest + (b,)))
+            rest + (bar_number[b],) if b in bar_number else tuple(sorted(rest + (b,)))
             for rest, b, _ in arms
         ]
         e_members = sorted(set(arm_members))
-        e_number = {members: p for p, members in enumerate(e_members, len(node_table))}
-        node_of = [*table, *[None] * m]
-        for b, node in zip(barred, bars):
-            node_of[m + b] = node
-        node_table += [ENode(tuple(map(node_of.__getitem__, e))) for e in e_members]
+        e_number = {members: p for p, members in enumerate(e_members, len(flat_labels))}
+        flat_labels += ["e(" + ",".join(map(flat_labels.__getitem__, e)) + ")" for e in e_members]
+        meta += e_members
         for (rest, b, a), members in zip(arms, arm_members):
             e = e_number[members]
             added.setdefault(double_bar_number.get(b, b), set()).add(e)
@@ -466,5 +486,7 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
     for i, targets in added.items():
         if i < m:
             rows[i] = (*rows[i], *sorted(targets))
-    rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(node_table))]
-    return AF._make(tuple(node_table), target_ids=rows)
+    rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(flat_labels))]
+    return AF._make(
+        labels=flat_labels, argument_count=m, target_ids=rows, parent=j, meta=tuple(meta),
+    )

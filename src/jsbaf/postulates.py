@@ -156,8 +156,8 @@ class Evaluation(Record):
     """The result of every stage of one run, and the ``semantics``, ``mode``
     and ``max_nodes`` it ran under (``store.max_arguments`` is its argument
     cap), which its report states.  Extensions are ascending node numbers;
-    ``framework.node_table`` (``flat.node_table`` for the raw ones in
-    deductive mode) names them.  Each conclusion set holds its verdicts, and
+    ``framework.labels`` (``flat.labels`` for the raw ones in deductive
+    mode) names them.  Each conclusion set holds its verdicts, and
     ``holds`` sums them up per postulate."""
 
     semantics: str
@@ -193,14 +193,14 @@ def evaluate(
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
     searched = prepared.searched(mode)
-    if semantics != "grounded" and len(searched.node_table) > max_nodes:
-        raise SearchLimitExceededError(len(searched.node_table), max_nodes)
+    if semantics != "grounded" and len(searched.target_ids) > max_nodes:
+        raise SearchLimitExceededError(len(searched.target_ids), max_nodes)
     raw = exts = extension_ids(searched, semantics)
     if mode == "aspic-minus":
         framework, flat = searched, None
     else:
         framework, flat = prepared.jsbaf, searched
-        exts = project_ids(raw, len(framework.node_table))
+        exts = project_ids(raw, len(framework.target_ids))
     store = prepared.store
     args, order, table = store.arguments, store.node_order, store.system.literal_table
     sets = []

@@ -38,7 +38,7 @@ from json.encoder import encode_basestring as _quote  # the C escaper of ensure_
 from typing import Callable
 
 from .arguments import KINDS
-from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId, is_meta
+from .frameworks import AF, JSBAF, BarNode, BaseNode, ENode, HigherLevelAF, NodeId
 from .postulates import ALL_HOLD, POSTULATES, Evaluation
 
 REPORT_FORMATS = ("json", "text")
@@ -209,17 +209,30 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     return entries
 
 
-def _attacks_json(out: _Pieces, lead: str, framework: AF, names: list[str]) -> None:
-    """``lead``, then the sorted label pairs of ``framework``'s attacks, a
-    row of targets per source; ``names`` are its nodes' quoted labels."""
-    pairs = sum(map(len, framework.target_ids))
+def _named_rows(rows, names: list[str], extended=((), ())) -> list[list[str]]:
+    """The ``names`` of each row's targets, naming each distinct row once:
+    the attackers with the same conclusion share one row (see
+    ``frameworks``).  ``extended`` is (rows, their named rows) of the JSBAF
+    whose rows a flattening's argument rows extend: each of those reuses the
+    names of its row there and names only the meta targets after it."""
+    done: dict[int, list[str]] = {}  # id(row): its names
+    for row, before, found in itertools.zip_longest(rows, *extended):
+        if id(row) not in done:
+            if row is not before:
+                found = (found or []) + [names[t] for t in row[len(before or ()):]]
+            done[id(row)] = found
+    return [done[id(row)] for row in rows]
+
+
+def _attacks_json(out: _Pieces, lead: str, rows, names: list[str], named) -> None:
+    """``lead``, then the sorted label pairs of the attacks ``rows``, a row
+    of targets per source; ``names`` are the nodes' quoted labels and
+    ``named`` the ``_named_rows`` of ``rows``."""
+    pairs = sum(map(len, rows))
     if not pairs:
         return out.add(lead + "[]")
     i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
-    groups = (
-        (f"{i3}[{i4}{names[s]},{i4}", list(map(names.__getitem__, row)))
-        for s, row in enumerate(framework.target_ids) if row
-    )
+    groups = ((f"{i3}[{i4}{names[s]},{i4}", named[s]) for s, row in enumerate(rows) if row)
     width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names))
     out.rows(lead + "[", groups, close, ",", pairs, width)
     out.add(_NL[2] + "]")
@@ -263,6 +276,8 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
     quoted = [f'"{arg.canonical_id}"' for arg in store.arguments]
     names = list(map(quoted.__getitem__, store.node_order))  # the framework's quoted labels
+    rows = ev.framework.target_ids
+    named = _named_rows(rows, names)
     out.json_list(f'{{{i1}"arguments": ', _argument_records(ev, quoted), 1)
     out.json_list(f',{i1}"conclusion_sets": ', _conclusion_set_records(ev, quoted), 1)
     pruned = "true" if store.acyclicity_pruned else "false"
@@ -273,14 +288,15 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     )
     lead = f',{i1}"framework": {{{i2}"attack_witnesses": '
     if flat is not None:
-        flat_names = [f'"{label}"' for label in flat.labels]
-        _attacks_json(out, f',{i1}"flattened": {{{i2}"attacks": ', flat, flat_names)
+        flat_names = names + [f'"{label}"' for label in flat.labels[len(names):]]
+        _attacks_json(out, f',{i1}"flattened": {{{i2}"attacks": ', flat.target_ids, flat_names,
+                      _named_rows(flat.target_ids, flat_names, (rows, named)))
         out.json_list(f',{i2}"extensions": ',
                       [_list(map(flat_names.__getitem__, ext), 3) for ext in ev.raw_extensions], 2)
         out.json_list(f',{i2}"mode": "{_FLATTEN}",{i2}"nodes": ', flat_names, 2)
         lead = i1 + "}" + lead
     _witnesses_json(out, lead, ev, quoted)
-    _attacks_json(out, f',{i2}"attacks": ', ev.framework, names)
+    _attacks_json(out, f',{i2}"attacks": ', rows, names, named)
     if flat is not None:
         i3, i4 = _NL[3], _NL[4]
         out.json_list(f',{i2}"supports": ', [
@@ -326,16 +342,16 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     forms = [arg.form for arg in ev.store.arguments]
     out.rows("", [("\n  ", forms)], "", "", len(forms), 3 + max(map(len, forms), default=0))
     out.add("\n\nattacks:")
+    named = _named_rows(framework.target_ids, labels)
     groups = (
-        (f"\n  {labels[s]} -> ", list(map(labels.__getitem__, row)))
-        for s, row in enumerate(framework.target_ids) if row
+        (f"\n  {labels[s]} -> ", named[s]) for s, row in enumerate(framework.target_ids) if row
     )
     longest = max(map(len, labels), default=0)
     out.rows("", groups, "", "", sum(map(len, framework.target_ids)), 7 + 2 * longest)
     tail = [] if ev.flat is None else ["supports:", *(
         f"  {{{','.join([labels[i] for i in src])}}} => {labels[dst]}"
         for src, dst in framework.support_ids
-    ), f"flattened ({_FLATTEN}): {len(ev.flat.node_table)} nodes, "
+    ), f"flattened ({_FLATTEN}): {len(ev.flat.target_ids)} nodes, "
        f"{sum(map(len, ev.flat.target_ids))} attacks"]
     tail += ["", f"extensions ({ev.semantics}):"]
     tail += ["  {" + ",".join(labels[i] for i in e) + "}" for e in ev.extensions]
@@ -396,8 +412,8 @@ def emit_dot(framework: AF | HigherLevelAF) -> str:
     meta-arguments drawn as dashed boxes."""
     names = [_dot_quote(label) for label in framework.labels]
     lines = ["digraph framework {"]
-    for name, node in zip(names, framework.node_table):
-        style = " [shape=box, style=dashed]" if is_meta(node) else ""
+    for i, name in enumerate(names):
+        style = " [shape=box, style=dashed]" if i >= framework.argument_count else ""
         lines.append(f"  {name}{style};")
     for src, row in enumerate(framework.target_ids):
         lines += [f"  {names[src]} -> {names[dst]};" for dst in row]

@@ -44,10 +44,9 @@ brute-force cross-check used by the test suite and ``jsbaf oracle``.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable, Optional
 
-from .frameworks import AF, JSBAF, NodeId, flatten_simplified, is_meta
+from .frameworks import AF, JSBAF, NodeId, flatten_simplified
 
 SEMANTICS = ("grounded", "complete", "stable", "preferred")
 
@@ -82,30 +81,28 @@ class _DomainSearch:
     """Enumerates the complete labellings of a finite AF within given domains.
 
     The nodes are renumbered once per search: ``order[r]`` is the node of
-    rank r, arguments (``is_meta`` false) before meta-arguments, then most
-    targets, then lowest node number.  A node's domain is its bits in three
-    ints over the ranks: the nodes that can still be in (``can_in``), out
-    (``can_out``) and undecided (``can_undec``).  With each node's attacker
-    mask, built once per search, they test a node's attackers with a few
-    mask operations: every attacker can be out when ``atk & can_out ==
-    atk``, some attacker can be in when ``atk & can_in``.  The dirty nodes
-    and the settled nodes, whose label is entailed, are ints too, so a
-    branch state is five ints.  Propagation narrows a node and its
-    attackers until every domain agrees with its attackers' domains under
-    the complete-labelling rule; the search then splits the non-singleton
-    node of lowest rank, ``split & -split``, into its lowest label against
-    the rest.  Every full labelling is re-verified, so propagation only
-    needs to be sound.
+    rank r, arguments, the first ``af.argument_count`` nodes, before
+    meta-arguments, then most targets, then lowest node number.  A node's
+    domain is its bits in three ints over the ranks: the nodes that can
+    still be in (``can_in``), out (``can_out``) and undecided
+    (``can_undec``).  With each node's attacker mask, built once per
+    search, they test a node's attackers with a few mask operations: every
+    attacker can be out when ``atk & can_out == atk``, some attacker can be
+    in when ``atk & can_in``.  The dirty nodes and the settled nodes, whose
+    label is entailed, are ints too, so a branch state is five ints.
+    Propagation narrows a node and its attackers until every domain agrees
+    with its attackers' domains under the complete-labelling rule; the
+    search then splits the non-singleton node of lowest rank, ``split &
+    -split``, into its lowest label against the rest.  Every full labelling
+    is re-verified, so propagation only needs to be sound.
     """
 
     def __init__(self, af: AF):
-        table, rows = af.node_table, af.target_ids
-        self.n = len(table)
-        # order[r] is the node of rank r: arguments before meta-arguments,
-        # then most targets, then lowest number.  Nodes are numbered in key
-        # order, where arguments come first, so they are the first m nodes;
-        # the sort is stable, so ties stay in number order.
-        m = bisect_left(table, True, key=is_meta)
+        rows, m = af.target_ids, af.argument_count
+        self.n = len(rows)
+        # order[r] is the node of rank r: arguments, the first m nodes,
+        # before meta-arguments, then most targets, then lowest number; the
+        # sort is stable, so ties stay in number order.
         most_targets_first = [-len(row) for row in rows].__getitem__
         self.order = [
             *sorted(range(m), key=most_targets_first),

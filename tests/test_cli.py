@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import gc
 import io
 import json
 import os
@@ -716,3 +717,91 @@ class TestCanonicalReading:
         code, out, _ = run_cli(capsys, "eval", "--file", str(TANDEM_PATH), *argv)
         assert (code, len(parsed)) == (0, calls)
         assert json.loads(out)["settings"]["semantics"] == "stable"
+
+
+@pytest.fixture
+def frozen_heap():
+    """The heap as it stands moved out of the collector's reach, so that a
+    collection walks only what the test makes, and back afterwards."""
+    gc.collect()
+    gc.freeze()
+    yield
+    gc.unfreeze()
+
+
+@pytest.fixture
+def collector_state():
+    """Restores the collector's state after the test."""
+    enabled = gc.isenabled()
+    yield
+    (gc.enable if enabled else gc.disable)()
+
+
+def _random_sweep_files():
+    """The first 50 rule files of the benchmark's random-sweep workload."""
+    texts = {}
+    for op in bench_operations():
+        name = op.instance.name
+        if op.instance.workload == "random-sweep" and int(name.split("-")[1]) < 50:
+            texts[name] = op.instance.text
+    return sorted(texts.items())
+
+
+class TestCollectorPause:
+    """``main`` pauses the cyclic collector for a command, which leaves no
+    reference cycle behind, and restores its state afterwards."""
+
+    def _assert_no_garbage(self, capsys, rules):
+        for semantics in ("grounded", "complete", "stable", "preferred"):
+            for mode in ("aspic-minus", "deductive"):
+                gc.collect()
+                argv = ["eval", "--file", str(rules), "--semantics", semantics, "--mode", mode]
+                code = main(argv)
+                assert gc.collect() == 0, (rules.name, semantics, mode, code)
+                assert code in (0, 1, 3) and capsys.readouterr().out
+
+    @pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (7, 3)])
+    def test_a_tandem_eval_leaves_no_garbage(self, capsys, tmp_path, frozen_heap, n, k):
+        rules = tmp_path / f"tandem-{n}-{k}.rules"
+        rules.write_text(tandem_rules(n, k))
+        self._assert_no_garbage(capsys, rules)
+
+    def test_a_random_sweep_eval_leaves_no_garbage(self, capsys, tmp_path, frozen_heap):
+        files = _random_sweep_files()
+        assert len(files) == 50
+        for name, text in files:
+            rules = tmp_path / f"{name}.rules"
+            rules.write_text(text)
+            self._assert_no_garbage(capsys, rules)
+
+    @pytest.mark.parametrize("enabled", (True, False), ids=("enabled", "disabled"))
+    @pytest.mark.parametrize("argv,code", [
+        (["eval", "--file", str(TANDEM_PATH)], 0),
+        (["eval", "--file", str(TANDEM_PATH), "--mode", "aspic-minus"], 1),
+        (["eval", "--file", "no-such-file.rules"], 2),
+        (["eval", "--file", str(TANDEM_PATH), "--max-arguments", "4"], 3),
+        (["eval", "--help"], "SystemExit 0"),
+        (["eval", "--file", str(TANDEM_PATH), "--no-such-option"], "SystemExit 2"),
+    ], ids=("0", "1", "2", "3", "help", "unknown-option"))
+    def test_main_leaves_the_collector_as_it_found_it(
+        self, capsys, collector_state, enabled, argv, code
+    ):
+        (gc.enable if enabled else gc.disable)()
+        seen = []  # whether the collector ran during each command
+        commands = dict(cli._COMMANDS)
+
+        def paused(command):
+            return lambda args: seen.append(gc.isenabled()) or command(args)
+
+        cli._COMMANDS.update((name, paused(command)) for name, command in commands.items())
+        try:
+            try:
+                got = main(argv)
+            except SystemExit as exc:
+                got = f"SystemExit {exc.code}"
+        finally:
+            cli._COMMANDS.update(commands)
+        assert got == code
+        assert gc.isenabled() is enabled
+        assert seen == ([] if isinstance(code, str) else [False])
+        capsys.readouterr()

@@ -10,6 +10,9 @@ The stages run on node numbers; ``TestIntFlatteningMatchesReference``
 compares them with the definitions over NodeId sets in ``reference.py``.
 """
 
+import copy
+import io
+import pickle
 import random
 import re
 from pathlib import Path
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import reference
+import small_scope
 from jsbaf import (
     AF,
     JSBAF,
@@ -40,9 +44,10 @@ from jsbaf import (
     random_jsbaf,
     random_system,
     sort_nodes,
+    write_report,
 )
 from jsbaf.cli import main
-from jsbaf.frameworks import BarNode, ENode
+from jsbaf.frameworks import BarNode, BaseNode, ENode
 from jsbaf.semantics import SEMANTICS, extension_ids
 
 from conftest import TANDEM_PATH, node_labels, tandem_rules
@@ -575,3 +580,89 @@ class TestBoundary:
             assert (j.node_table, j.target_ids) == (af.node_table, af.target_ids)
             assert j != af and af != j
             assert JSBAF(j.nodes, j.attacks, ()) != af
+
+
+def _lazy_table_systems():
+    yield "tandem(3,2)", parse_system(tandem_rules(3, 2))
+    yield "tandem(7,3)", parse_system(tandem_rules(7, 3))
+    yield "seed38", parse_system(SEED38_PATH.read_text())
+
+
+class TestNodeTableOnFirstRead:
+    """The frameworks the pipeline builds hold their labels, ints and
+    argument count, and build their node table only when it is read."""
+
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    @pytest.mark.parametrize("name", ("tandem(3,2)", "tandem(7,3)", "seed38"))
+    def test_evaluate_and_a_json_report_build_no_node_table(self, name, mode):
+        system = dict(_lazy_table_systems())[name]
+        prepared = prepare(system)
+        ev = evaluate(prepared, "grounded", mode)
+        write_report(ev, name, "json", io.StringIO().write)
+        for framework in (prepared.af, prepared.jsbaf, prepared.flat):
+            assert "node_table" not in vars(framework), name
+
+    @pytest.mark.parametrize("mode", ("aspic-minus", "deductive"))
+    def test_a_json_eval_builds_no_node_id(self, monkeypatch, capsys, tmp_path, mode):
+        def refuse(self, *args):
+            raise AssertionError("a NodeId was built")
+
+        for cls in (BaseNode, BarNode, ENode):
+            monkeypatch.setattr(cls, "__init__", refuse)
+        rules = tmp_path / "tandem.rules"
+        rules.write_text(tandem_rules(5, 3))
+        argv = ["eval", "--file", str(rules), "--semantics", "grounded", "--mode", mode]
+        assert main(argv) in (0, 1)
+        assert '"attacks"' in capsys.readouterr().out
+        with pytest.raises(AssertionError, match="a NodeId was built"):
+            prepare(parse_system(rules.read_text())).flat.node_table
+
+    def test_a_table_built_on_first_read_equals_the_eager_reference(self):
+        systems = [random_system(SystemParams(6, 6, 6), seed).system for seed in range(60)]
+        systems += [parse_system(tandem_rules(n, k)) for n in range(2, 6) for k in range(1, n)]
+        systems.append(parse_system(SEED38_PATH.read_text()))
+        for system in systems:
+            prepared = prepare(system)
+            store, j = prepared.store, prepared.jsbaf
+            args = sort_nodes(base(arg.canonical_id) for arg in store.arguments)
+            assert list(prepared.af.node_table) == args
+            assert j.node_table is prepared.af.node_table
+            one_ref = reference.flatten_one_step(j)
+            two_ref = reference.flatten_joint_attacks(one_ref)
+            assert flatten_one_step(j).node_table == one_ref.node_table
+            assert flatten_two_step(j).node_table == two_ref.node_table
+            assert prepared.flat == reference.simplify(j, two_ref)
+
+    def test_labels_and_argument_count_are_those_of_the_node_table(self):
+        def check(framework, name):
+            labels = [n.label for n in framework.node_table]
+            assert framework.labels == labels, name
+            assert framework.argument_count == sum(not is_meta(n) for n in framework.node_table)
+
+        small = JsbafParams(max_nodes=5, attack_prob=0.25, max_supports=3, max_support_size=3)
+        dense = JsbafParams(max_nodes=6, attack_prob=0.2, max_supports=8, max_support_size=5)
+        cases = [(small, seed) for seed in range(200)]
+        cases += [(dense, 70000 + seed) for seed in range(200)]
+        for params, seed in cases:
+            j = random_jsbaf(params, seed)
+            rng = random.Random(seed)
+            shielded = [i for i in range(len(j.node_table)) if rng.random() < 0.5]
+            for chosen in (j, shielding(j, shielded)):
+                for stage in (flatten_one_step, flatten_two_step, flatten_simplified):
+                    check(stage(chosen), seed)
+        for key in small_scope.keys(2, 1, 2):
+            prepared = prepare(small_scope.build(key, 2))
+            for framework in (prepared.af, prepared.jsbaf, prepared.flat):
+                check(framework, key)
+
+    def test_frameworks_pickle_and_copy_before_and_after_the_first_read(self):
+        prepared = prepare(parse_system(tandem_rules(4, 2)))
+        frameworks = [prepared.af, prepared.jsbaf, prepared.flat, flatten_one_step(prepared.jsbaf)]
+        for framework in frameworks:
+            copies = [pickle.loads(pickle.dumps(framework)), copy.deepcopy(framework)]
+            assert all("node_table" not in vars(c) for c in copies)
+            assert all(c.labels == framework.labels for c in copies)
+            assert all(c == framework for c in copies)  # each table built on first read
+            table = framework.node_table
+            assert pickle.loads(pickle.dumps(framework)).node_table == table
+            assert copy.deepcopy(framework).node_table == table
