@@ -351,9 +351,8 @@ def build_aspic_minus_af(store: ArgumentStore, witnesses: AttackWitnesses) -> AF
     the attack witnesses of ``store``.  Its labels are the argument ids."""
     args = store.arguments
     labels = [args[o].canonical_id for o in store.node_order]
-    return AF._make(
-        labels=labels, argument_count=len(labels), target_ids=_attack_edges(store, witnesses),
-    )
+    edges = _attack_edges(store, witnesses)
+    return AF._make(labels=labels, argument_count=len(labels), target_ids=edges)
 
 
 def support_pairs(store: ArgumentStore) -> list[tuple[tuple[int, ...], int]]:

@@ -170,7 +170,7 @@ class _Framework:
     argument_count: int
     target_ids: list[Sequence[int]]
     parent: _Framework | None = None
-    meta: tuple[int | tuple[int, ...], ...] = ()
+    meta: Sequence[int | tuple[int, ...]] = ()
 
     def _value(self) -> tuple:
         return self.node_table, tuple(map(tuple, self.target_ids))
@@ -375,7 +375,7 @@ def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     return HigherLevelAF._make(
         labels=[*labels, *[f"bar({labels[b]})" for b in barred]], argument_count=m,
         target_ids=rows + [sorted(row) for row in bar_rows],
-        joint_attack_ids=sorted(joints), parent=j, meta=tuple(barred),
+        joint_attack_ids=sorted(joints), parent=j, meta=barred,
     )
 
 
@@ -487,6 +487,4 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
         if i < m:
             rows[i] = (*rows[i], *sorted(targets))
     rows += [tuple(sorted(added.get(p, ()))) for p in range(m, len(flat_labels))]
-    return AF._make(
-        labels=flat_labels, argument_count=m, target_ids=rows, parent=j, meta=tuple(meta),
-    )
+    return AF._make(labels=flat_labels, argument_count=m, target_ids=rows, parent=j, meta=meta)

@@ -209,30 +209,37 @@ def _conclusion_set_records(ev: Evaluation, quoted: list[str]) -> list[str]:
     return entries
 
 
-def _named_rows(rows, names: list[str], extended=((), ())) -> list[list[str]]:
-    """The ``names`` of each row's targets, naming each distinct row once:
-    the attackers with the same conclusion share one row (see
-    ``frameworks``).  ``extended`` is (rows, their named rows) of the JSBAF
-    whose rows a flattening's argument rows extend: each of those reuses the
-    names of its row there and names only the meta targets after it."""
-    done: dict[int, list[str]] = {}  # id(row): its names
-    for row, before, found in itertools.zip_longest(rows, *extended):
-        if id(row) not in done:
-            if row is not before:
-                found = (found or []) + [names[t] for t in row[len(before or ()):]]
-            done[id(row)] = found
-    return [done[id(row)] for row in rows]
+def _named_rows(rows, names: list[str], done: dict, base=()):
+    """(source number, the names of its targets) for each row of ``rows``
+    that is not empty.  ``done`` maps the id of each row the report has
+    named to its names, so each distinct row is named once: the attackers
+    with the same conclusion share one row (see ``frameworks``).  ``base``
+    holds the JSBAF rows that a flattening's argument rows extend: such a
+    row takes the names of its row there and names only the targets after."""
+    name, m = names.__getitem__, len(base)
+    for s, row in enumerate(rows):
+        if row:
+            found = done.get(id(row))
+            if found is None:
+                before = base[s] if s < m and base[s] is not row else ()
+                found = done[id(row)] = list(map(name, row[len(before):]))
+                if before:  # its row in the JSBAF comes first, named once
+                    prefix = done[id(before)] = done.get(id(before)) or list(map(name, before))
+                    found[:0] = prefix
+            yield s, found
 
 
-def _attacks_json(out: _Pieces, lead: str, rows, names: list[str], named) -> None:
+def _attacks_json(out: _Pieces, lead: str, rows, names: list[str], done: dict, base=()) -> None:
     """``lead``, then the sorted label pairs of the attacks ``rows``, a row
-    of targets per source; ``names`` are the nodes' quoted labels and
-    ``named`` the ``_named_rows`` of ``rows``."""
+    of targets per source, named by ``_named_rows``; ``names`` are the
+    nodes' quoted labels."""
     pairs = sum(map(len, rows))
     if not pairs:
         return out.add(lead + "[]")
     i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
-    groups = ((f"{i3}[{i4}{names[s]},{i4}", named[s]) for s, row in enumerate(rows) if row)
+    groups = (
+        (f"{i3}[{i4}{names[s]},{i4}", found) for s, found in _named_rows(rows, names, done, base)
+    )
     width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names))
     out.rows(lead + "[", groups, close, ",", pairs, width)
     out.add(_NL[2] + "]")
@@ -276,8 +283,7 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     store, system, flat, i1, i2 = ev.store, ev.store.system, ev.flat, _NL[1], _NL[2]
     quoted = [f'"{arg.canonical_id}"' for arg in store.arguments]
     names = list(map(quoted.__getitem__, store.node_order))  # the framework's quoted labels
-    rows = ev.framework.target_ids
-    named = _named_rows(rows, names)
+    rows, done = ev.framework.target_ids, {}  # done: the names of each row, by id
     out.json_list(f'{{{i1}"arguments": ', _argument_records(ev, quoted), 1)
     out.json_list(f',{i1}"conclusion_sets": ', _conclusion_set_records(ev, quoted), 1)
     pruned = "true" if store.acyclicity_pruned else "false"
@@ -290,13 +296,13 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     if flat is not None:
         flat_names = names + [f'"{label}"' for label in flat.labels[len(names):]]
         _attacks_json(out, f',{i1}"flattened": {{{i2}"attacks": ', flat.target_ids, flat_names,
-                      _named_rows(flat.target_ids, flat_names, (rows, named)))
+                      done, rows)
         out.json_list(f',{i2}"extensions": ',
                       [_list(map(flat_names.__getitem__, ext), 3) for ext in ev.raw_extensions], 2)
         out.json_list(f',{i2}"mode": "{_FLATTEN}",{i2}"nodes": ', flat_names, 2)
         lead = i1 + "}" + lead
     _witnesses_json(out, lead, ev, quoted)
-    _attacks_json(out, f',{i2}"attacks": ', rows, names, named)
+    _attacks_json(out, f',{i2}"attacks": ', rows, names, done)
     if flat is not None:
         i3, i4 = _NL[3], _NL[4]
         out.json_list(f',{i2}"supports": ', [
@@ -342,9 +348,9 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
     forms = [arg.form for arg in ev.store.arguments]
     out.rows("", [("\n  ", forms)], "", "", len(forms), 3 + max(map(len, forms), default=0))
     out.add("\n\nattacks:")
-    named = _named_rows(framework.target_ids, labels)
     groups = (
-        (f"\n  {labels[s]} -> ", named[s]) for s, row in enumerate(framework.target_ids) if row
+        (f"\n  {labels[s]} -> ", found)
+        for s, found in _named_rows(framework.target_ids, labels, {})
     )
     longest = max(map(len, labels), default=0)
     out.rows("", groups, "", "", sum(map(len, framework.target_ids)), 7 + 2 * longest)

@@ -730,54 +730,60 @@ class TestNamedRows:
     flattened section's argument rows reuse the names of the JSBAF rows
     they extend."""
 
-    @pytest.mark.parametrize("name", ["tandem(3,2)", "tandem(6,3)", "tandem(7,3)", "random 4"])
+    @pytest.mark.parametrize("name", ["tandem(3,2)", "tandem(6,3)", "tandem(7,3)", "random 11"])
     def test_shared_rows_share_one_list_of_names(self, name):
-        if name == "random 4":  # 10 of its 14 argument rows are kept by the flattening
-            system = random_system(SystemParams(6, 6, 6), 4).system
+        if name == "random 11":  # the flattening keeps 6 of its 11 attacking rows
+            system = random_system(SystemParams(6, 6, 6), 11).system
         else:
             system = parse_system(tandem_rules(*map(int, name[7:-1].split(","))))
         prepared = prepare(system)
         af, flat = prepared.af, prepared.flat
         names = [f'"{label}"' for label in af.labels]
         flat_names = names + [f'"{label}"' for label in flat.labels[len(names):]]
-        named = reporting._named_rows(af.target_ids, names)
-        flat_named = reporting._named_rows(flat.target_ids, flat_names, (af.target_ids, named))
+        done = {}  # the flattened section comes first in a report
+        flat_named = dict(reporting._named_rows(flat.target_ids, flat_names, done, af.target_ids))
+        named = dict(reporting._named_rows(af.target_ids, names, done))
         for rows, by_number, got in (
             (af.target_ids, names, named), (flat.target_ids, flat_names, flat_named),
         ):
-            assert got == [[by_number[t] for t in row] for row in rows]
+            assert got == {s: [by_number[t] for t in row] for s, row in enumerate(rows) if row}
             first = {}
-            for row, row_names in zip(rows, got):
-                assert first.setdefault(id(row), row_names) is row_names
+            for s, row_names in got.items():
+                assert first.setdefault(id(rows[s]), row_names) is row_names
         assert len({id(row) for row in af.target_ids}) < len(af.target_ids)
-        kept = [i for i, row in enumerate(af.target_ids) if flat.target_ids[i] is row]
-        assert all(flat_named[i] is named[i] for i in kept)  # a kept row keeps its names
-        assert len(kept) == (10 if name == "random 4" else 0)
+        kept = [s for s, row in enumerate(af.target_ids) if row and flat.target_ids[s] is row]
+        assert all(flat_named[s] is named[s] for s in kept)  # a kept row keeps its names
+        assert len(kept) == (6 if name == "random 11" else 0)
 
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
-    @pytest.mark.parametrize("n,k", [(3, 2), (6, 3)])
-    def test_each_target_is_named_once_per_distinct_row(self, monkeypatch, n, k, fmt):
-        prepared = prepare(parse_system(tandem_rules(n, k)))
-        ev = evaluate(prepared, "grounded", "deductive")
-        lookups = []
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("name", ["tandem(3,2)", "tandem(6,3)", "random 11"])
+    def test_each_target_is_named_once_per_distinct_row(self, monkeypatch, name, mode, fmt):
+        if name == "random 11":
+            system = random_system(SystemParams(6, 6, 6), 11).system
+        else:
+            system = parse_system(tandem_rules(*map(int, name[7:-1].split(","))))
+        prepared = prepare(system)
+        ev = evaluate(prepared, "grounded", mode)
+        lookups = 0
 
         class Counting(list):
             def __getitem__(self, i):
-                lookups[-1] += 1
+                nonlocal lookups
+                lookups += 1
                 return super().__getitem__(i)
 
-        def named_rows(rows, names, extended=((), ())):
-            lookups.append(0)
-            return named_rows_of(rows, Counting(names), extended)
+        def named_rows(rows, names, done, base=()):
+            return named_rows_of(rows, Counting(names), done, base)
 
         named_rows_of = reporting._named_rows
         monkeypatch.setattr(reporting, "_named_rows", named_rows)
         written(write_report, ev, "tandem", fmt)
-        af_rows, flat_rows = prepared.af.target_ids, prepared.flat.target_ids
-        expected = [sum(len(row) for row in {id(row): row for row in af_rows}.values())]
-        if fmt == "json":
-            added = {id(row): len(row[len(af_rows[i]):]) for i, row in enumerate(flat_rows)
-                     if i < len(af_rows)}
-            added.update((id(row), len(row)) for row in flat_rows[len(af_rows):])
-            expected.append(sum(added.values()))
+        af_rows = prepared.af.target_ids
+        expected = sum(len(row) for row in {id(row): row for row in af_rows}.values())
+        if fmt == "json" and mode == "deductive":
+            flat_rows, m = prepared.flat.target_ids, len(af_rows)
+            added = {id(row): len(row) - len(af_rows[s]) for s, row in enumerate(flat_rows[:m])}
+            added.update((id(row), len(row)) for row in flat_rows[m:])
+            expected += sum(added.values())
         assert lookups == expected
