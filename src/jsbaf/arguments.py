@@ -10,13 +10,13 @@ duplicate's subtree in place of the shallower one).
 
 Arguments are interned: within one store, structural equality (same top
 rule, pointwise-equal subs) coincides with object identity.  Canonical ids
-A1, A2, ... follow generation order: derivation depth, then rule id, then
-sub ordinals, so two runs over the same system label every argument
-identically.  Later stages name an argument by its ordinal alone; only the
-AF's labels and the report writers turn ordinals into ids.  An argument's
-tree is two ints: its conclusions as bits of the system's
-``literal_table``, so the branch test is one AND with the rule's head bit,
-and its sub-arguments as bits of their ordinals.
+A1, A2, ... follow generation order: enumeration round (an argument's
+derivation depth), then rule id, then sub ordinals, so two runs over the
+same system label every argument identically.  Later stages name an
+argument by its ordinal alone; only the AF's labels and the report writers
+turn ordinals into ids.  An argument's tree is two ints: its conclusions
+as bits of the system's ``literal_table``, so the branch test is one AND
+with the rule's head bit, and its sub-arguments as bits of their ordinals.
 
 Attacks are found through two indexes, not by testing every pair of
 arguments: one from each attacking literal ``(atom, n)`` to the defeasible
@@ -55,10 +55,8 @@ class Argument:
     Two ints describe the tree: ``branch_mask``, its conclusions as bits of
     the system's ``literal_table`` (given, since the store tests it before
     it creates an argument), and ``sub_mask``, its sub-arguments, itself
-    included, as bits ``1 << ordinal``, ORed from the subs'.  ``depth`` is
-    given too: it is the enumeration round that creates the argument.  No
-    argument refers to itself, so dropping a store frees its arguments at
-    once."""
+    included, as bits ``1 << ordinal``, ORed from the subs'.  No argument
+    refers to itself, so dropping a store frees its arguments at once."""
 
     __slots__ = (
         "rule",
@@ -67,7 +65,6 @@ class Argument:
         "canonical_id",
         "conclusion",
         "defeasible",
-        "depth",
         "branch_mask",
         "sub_mask",
         "form",
@@ -81,14 +78,12 @@ class Argument:
         ordinal: int,
         tail: str,
         branch_mask: int,
-        depth: int,
     ):
         self.rule = rule
         self.subs = subs
         self.ordinal = ordinal
         self.canonical_id = f"A{ordinal + 1}"
         self.conclusion: Formula = rule.head
-        self.depth = depth
         self.branch_mask = branch_mask
         defeasible = isinstance(rule, DefeasibleRule)
         sub_mask = 1 << ordinal
@@ -151,59 +146,57 @@ def construct_arguments(
 ) -> ArgumentStore:
     """Enumerate the argument store of ``system``.
 
-    Round d combines each rule only with sub-arguments whose deepest has
-    depth d - 1, so every (rule, subs) pair comes up in one round, once, and
-    needs no duplicate check.  Rules are visited in id order and each pool
-    in ordinal order, so arguments are created as found, in (depth, rule id,
-    sub ordinals) order; those that join a pool in round d fail its filter.
-    A round skips, on conclusion masks, each rule that no argument of the
-    last round concludes a body formula of, or that has a body formula no
-    argument concludes: none of its candidates passes the filter.  A rule's
-    pools drop each argument whose branch holds its head, so no candidate is
-    formed to be pruned; only a pool whose branches' union holds it is scanned.
+    Enumeration runs in rounds, and pools grow only between them.  The
+    first round applies the rules with an empty body; each later one
+    combines each rule's pools, the arguments of earlier rounds, and keeps
+    a candidate iff one of its sub-arguments is of the last round, so every
+    (rule, subs) pair comes up once and needs no duplicate check.  Rules
+    are visited in id order and pools in ordinal order, so arguments are
+    created as found, in (round, rule id, sub ordinals) order.  A round
+    skips, on conclusion masks, each rule with no body formula concluded in
+    the last round or with one that no argument concludes: none of its
+    candidates would be kept.  A rule's pools drop each argument whose
+    branch holds its head, so no candidate is formed to be pruned; only a
+    pool whose branches' union holds it is scanned.
 
     Raises LimitExceededError when the store would exceed ``max_arguments``,
     which signals a combinatorially explosive system rather than a
     recoverable condition.
     """
     bits = system.literal_table.bits
+    empty = 1 << len(bits)  # the empty body's bit: only the first round's ``last`` holds it
     # Each rule as (id, rule, arrow), in id order: ids are unique, so the
     # sort compares ids alone.
     rules = [(r.id, r, "-> ") for r in system.strict_rules]
     rules += [(r.id, r, "=> ") for r in system.defeasible_rules]
     rules.sort()
+    entries = []  # (rule, arrow, body mask, head bit) of each rule
+    for _, rule, arrow in rules:
+        body = 0
+        for phi in rule.body:
+            body |= bits[phi]
+        entries.append((rule, arrow, body or empty, bits[rule.head]))
+
     arguments: list[Argument] = []
     by_conclusion: dict[Formula, list[Argument]] = {}
     branches: dict[Formula, int] = {}  # the union of the branch masks of each pool
 
-    def create(rule: Rule, subs: tuple[Argument, ...], tail: str, branch_mask: int, depth: int):
+    def create(rule: Rule, subs: tuple[Argument, ...], tail: str, branch_mask: int):
         if len(arguments) >= max_arguments:
             raise LimitExceededError(max_arguments)
-        arg = Argument(rule, subs, len(arguments), tail, branch_mask, depth)
-        arguments.append(arg)
-        by_conclusion.setdefault(rule.head, []).append(arg)
-        branches[rule.head] = branches.get(rule.head, 0) | branch_mask
-
-    entries = []  # (rule, arrow, body mask, head bit) of each rule with a body
-    concluded = 0  # the conclusions of all arguments
-    for _, rule, arrow in rules:
-        head = bits[rule.head]
-        if rule.body:
-            body = 0
-            for phi in rule.body:
-                body |= bits[phi]
-            entries.append((rule, arrow, body, head))
-        else:
-            create(rule, (), f"{arrow}{rule.head}", head, 1)
-            concluded |= head
+        arguments.append(Argument(rule, subs, len(arguments), tail, branch_mask))
 
     pruned = False
-    last = concluded  # the conclusions of the arguments of the last round
-    depth = 2
+    concluded = last = empty  # the conclusions of the arguments of all rounds, and of the last
+    start = 0  # the first ordinal of the last round
     while last:
-        fresh = 0
+        first = len(arguments)  # the first ordinal of this round
         for rule, arrow, body, head in entries:
             if not body & last or body & ~concluded:
+                continue
+            tail = f"{arrow}{rule.head}"
+            if body == empty:  # the rule's one argument, made in the first round
+                create(rule, (), tail, head)
                 continue
             pools = []
             for phi in rule.body:
@@ -212,19 +205,23 @@ def construct_arguments(
                     pool = [s for s in pool if not s.branch_mask & head]
                     pruned = True
                 pools.append(pool)
-            tail = f"{arrow}{rule.head}"
             for subs in itertools.product(*pools):
-                below = deepest = 0
+                below, recent = 0, False
                 for s in subs:
                     below |= s.branch_mask
-                    if s.depth > deepest:
-                        deepest = s.depth
-                if deepest == depth - 1:
-                    create(rule, subs, tail, below | head, depth)
-                    fresh |= head
-        concluded |= fresh
-        last = fresh
-        depth += 1
+                    if s.ordinal >= start:
+                        recent = True
+                if recent:
+                    create(rule, subs, tail, below | head)
+        # Between rounds, this round's arguments join their pools.
+        last = 0
+        for arg in arguments[first:]:
+            phi = arg.conclusion
+            by_conclusion.setdefault(phi, []).append(arg)
+            branches[phi] = branches.get(phi, 0) | arg.branch_mask
+            last |= bits[phi]
+        concluded |= last
+        start = first
 
     return ArgumentStore(system, tuple(arguments), pruned, max_arguments)
 

@@ -22,7 +22,7 @@ def brute_force_extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:
     ``ORACLE_NODE_CAP`` nodes is refused with ValidationError."""
     if semantics not in SEMANTICS:
         raise ValueError(f"unknown semantics {semantics!r}")
-    n = len(af.node_table)
+    n = len(af.target_ids)  # a refused framework builds no node table
     if n > ORACLE_NODE_CAP:
         raise ValidationError(f"framework has {n} nodes, above the oracle cap {ORACLE_NODE_CAP}")
     attack_mask = [0] * n

@@ -17,7 +17,9 @@ semantics and mode names), which JSON does not escape, so the templates
 quote them; the source and the message go through the escaper.  A JSON
 report quotes argument ids once, and every set whose verdicts are the
 shared ``postulates.ALL_HOLD`` shares one verdict block.  A full report reads everything it states
-from the ``Evaluation``, the run's parameters included.
+from the ``Evaluation``, the run's parameters included.  A JSON limit
+report is that ``json.dumps`` of its dict, by template too: the indented
+``json`` encoder leaves reference cycles, and a command pauses the collector.
 
 Both formats are written in pieces of about ``PIECE`` chars.  Every section
 hands its run of records (an argument, a conclusion set, an extension, an

@@ -42,6 +42,12 @@ def sub_arguments(arg: Argument) -> frozenset[Argument]:
     return frozenset(found)
 
 
+def depth(arg: Argument) -> int:
+    """The height of ``arg``'s tree: 1 for an argument with no subs, else
+    one more than its deepest sub's."""
+    return 1 + max((depth(sub) for sub in arg.subs), default=0)
+
+
 def undercuts(a: Argument, b: Argument, system: ArgumentationSystem) -> tuple[Argument, ...]:
     """Sub-arguments of ``b`` whose defeasible top rule is named, where the
     name's complement is concluded by ``a``.  Empty when no undercut holds."""

@@ -1,11 +1,13 @@
 """Argument enumeration, attacks, and the two structured frameworks."""
 
 import gc
+import itertools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,6 +27,7 @@ from jsbaf import (
     random_system,
     strict_rule,
 )
+from jsbaf import arguments as arguments_module
 from jsbaf.arguments import Argument
 from jsbaf.cli import main
 
@@ -113,6 +116,28 @@ class TestEnumeration:
             construct_arguments(system, 245)
         assert info.value.limit == 245
 
+    def test_a_round_forms_no_candidate_of_its_own_arguments(self, monkeypatch):
+        # round 2 makes 40 more arguments for p; had they joined p's pool in
+        # that round, c would form 41 ** 4 = 2,825,761 candidates there and
+        # keep one.  Round 3 forms 4,920, the last of which meets the cap.
+        lines = ["strict a: -> p"]
+        for i in range(1, 41):
+            lines += [f"strict y{i}: -> q{i}", f"strict b{i}: q{i} -> p"]
+        lines.append("strict c: p, p, p, p -> w")
+        system = parse_system("\n".join(lines) + "\n")
+        formed = 0
+
+        def product(*pools):
+            nonlocal formed
+            for subs in itertools.product(*pools):
+                formed += 1
+                yield subs
+
+        monkeypatch.setattr(arguments_module, "itertools", SimpleNamespace(product=product))
+        with pytest.raises(LimitExceededError):
+            construct_arguments(system)
+        assert formed < 5000
+
     def test_pruned_candidates_are_never_built(self, tmp_path):
         # 28 ** 6 candidates of s4, each repeating q on a branch: pruning
         # them one by one takes minutes, dropping the pools' members that
@@ -129,15 +154,16 @@ class TestEnumeration:
         assert (enumeration["count"], enumeration["acyclicity_pruned"]) == (30, True)
 
     def test_ordinals_follow_depth_rule_id_and_sub_ordinals(self):
-        # each round creates its arguments in the order it finds them, which
-        # must be the (depth, rule id, sub ordinals) order without a sort
+        # round d creates the arguments of depth d in the order it finds
+        # them, which must be the (depth, rule id, sub ordinals) order
+        # without a sort
         wide = SystemParams(8, 10, 10, max_body=3, undercut_density=0.4)
         systems = [random_system(SystemParams(6, 6, 6), seed).system for seed in range(200)]
         systems += [random_system(wide, seed).system for seed in range(100)]
         systems += [parse_system(tandem_rules(n, k)) for n in range(2, 8) for k in range(1, n)]
         for system in systems:
             keys = [
-                (a.depth, a.rule.id, tuple(s.ordinal for s in a.subs))
+                (reference.depth(a), a.rule.id, tuple(s.ordinal for s in a.subs))
                 for a in construct_arguments(system).arguments
             ]
             assert all(a < b for a, b in zip(keys, keys[1:])), print_system(system)
@@ -210,17 +236,15 @@ class TestMasks:
             gc.enable()
 
 
-def test_depth_and_defeasibility_follow_their_definitions(tandem_store):
-    """``depth``, given by the round that creates an argument, and
-    ``defeasible``, gathered with the sub masks, equal their recursive
-    definitions."""
+def test_defeasibility_follows_its_definition(tandem_store):
+    """``defeasible``, gathered with the sub masks, equals its recursive
+    definition."""
     stores = [tandem_store, construct_arguments(parse_system(SEED38_PATH.read_text()))]
     stores += [
         construct_arguments(random_system(SystemParams(6, 6, 6), seed).system) for seed in range(200)
     ]
     for store in stores:
         for arg in store.arguments:
-            assert arg.depth == 1 + max((sub.depth for sub in arg.subs), default=0), arg
             weak = not arg.top_rule_strict or any(sub.defeasible for sub in arg.subs)
             assert arg.defeasible == weak, arg
 

@@ -353,6 +353,15 @@ class TestBeyondOracleCap:
             brute_force_extensions(above, "preferred")
         assert str(error.value) == "framework has 22 nodes, above the oracle cap 21"
 
+    def test_a_refused_framework_builds_no_node_table(self):
+        # the cap is checked on the rows, so seed 38's 143-node flattening
+        # is refused before a single ``NodeId`` is built
+        prepared = prepare(parse_system(SEED38_PATH.read_text()))
+        with pytest.raises(ValidationError) as error:
+            brute_force_extensions(prepared.flat, "grounded")
+        assert str(error.value) == "framework has 143 nodes, above the oracle cap 21"
+        assert "node_table" not in prepared.flat.__dict__
+
 
 class TestRegressionInstances:
     """The two search regression instances: deductive tandem(5, 3) and the
