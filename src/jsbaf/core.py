@@ -13,16 +13,16 @@ a body mask and a head bit and each complementary pair as a pair mask.  A
 system builds its table once and keeps it, so the closure of a set of its
 literals and its least pair are a few int operations per rule and per pair.
 
-Rules and systems are plain frozen records (``records.Record``), each set
-up by one update of its ``__dict__``; a system's literal table and atoms
-are ``cached_attribute``s, built on the first read and kept.
+Rules and systems are plain frozen records (``records.Record``); a system
+copies and checks its fields in ``__post_init__``, and its literal table and
+atoms are ``cached_attribute``s, built on the first read and kept.
 """
 
 from __future__ import annotations
 
 from functools import total_ordering
 from operator import attrgetter
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Union
 
 from .errors import ValidationError
 from .records import Record, cached_attribute
@@ -145,24 +145,20 @@ class ArgumentationSystem(Record):
     """Strict rules, defeasible rules, and a partial naming of defeasible
     rules that makes them undercuttable.
 
-    Validated on construction: rule ids are identifiers, unique across both
+    On construction the rules are copied into tuples and the names into a
+    dict, then validated: rule ids are identifiers, unique across both
     lists, no two rules of the same kind share body and head, and
     ``undercut_names`` is only defined on defeasible-rule ids.
     """
 
     strict_rules: tuple[StrictRule, ...]
     defeasible_rules: tuple[DefeasibleRule, ...]
-    undercut_names: dict[str, Formula]
+    undercut_names: dict[str, Formula] = {}  # copied, so never changed
 
-    def __init__(
-        self,
-        strict_rules: Iterable[StrictRule],
-        defeasible_rules: Iterable[DefeasibleRule],
-        undercut_names: Mapping[str, Formula] = {},  # copied, so never changed
-    ):
+    def __post_init__(self):
         self.__dict__.update(
-            strict_rules=tuple(strict_rules), defeasible_rules=tuple(defeasible_rules),
-            undercut_names=dict(undercut_names),
+            strict_rules=tuple(self.strict_rules), defeasible_rules=tuple(self.defeasible_rules),
+            undercut_names=dict(self.undercut_names),
         )
         seen_ids: set[str] = set()
         for rule in self.strict_rules + self.defeasible_rules:

@@ -15,7 +15,7 @@ starts a comment, and one leading byte-order mark is ignored.  Lines end
 at ``\n``, ``\r\n`` or ``\r``; any other whitespace, U+2028 and the form
 feed included, stays inside its line.
 
-``parse_system`` reads a text in one pass, by one ``findall`` of
+``parse_system`` reads a text in one pass, by one ``finditer`` of
 ``_LINE_RE``, a pattern of the whole line grammar: each match is one line,
 with its rule id, body, head, atoms or name as groups, and each literal's
 text is resolved to its formula once per parse.  It raises, in file
@@ -25,9 +25,10 @@ atom.
 
 Positions are found only on the way to an error.  ``_line_error`` reads a
 rejected line by the grammar of one line, token by token, and names the
-token at fault.  A failed check scans the line it names again with
-``finditer`` for the column.  Every diagnostic carries a 1-based line and
-column.
+token at fault.  A failed check takes its column from the match of the
+line it names, where the group at fault starts; an undeclared atom is
+looked for only inside the literal groups of each match.  Every diagnostic
+carries a 1-based line and column.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .core import ArgumentationSystem, DefeasibleRule, Formula, StrictRule
 from .errors import ParseError, ValidationError
 
 _ID = r"[A-Za-z_][A-Za-z0-9_]*"  # an atom, a rule id or a keyword
+_ID_RE = re.compile(_ID)
 # The last alternative takes any other single character, which no line may
 # contain outside a comment.
 _TOKEN_RE = re.compile(rf"->|=>|[,:=~]|{_ID}|#.*|\S")
@@ -171,31 +173,19 @@ def _line_error(line: str, line_no: int) -> ParseError:
     return ParseError(message, line_no, matches[index].start() + 1, found)
 
 
-def _lines(text: str) -> list[str]:
-    # Lines end only where ``open()`` ends them; ``str.splitlines`` would
-    # also break at form feeds, U+2028 and others, which are whitespace here.
-    return re.split(r"\r\n|\r|\n", text)
-
-
-def _rule_id_error(text: str, line_no: int, problem: str) -> ValidationError:
-    """``problem`` at the rule id, token 1, of line ``line_no`` of ``text``."""
-    column = _token_matches(_lines(text)[line_no - 1])[1].start() + 1
-    return ValidationError(problem, line_no, column)
-
-
-def _undeclared_atom_error(lines: list[str], undeclared: set[str]) -> ValidationError:
+def _undeclared_atom_error(lines: list[re.Match], undeclared: set[str]) -> ValidationError:
     """The error for the first literal, in file order, whose atom is in
-    ``undeclared``.  Every line has parsed, so on a ``strict``,
-    ``defeasible`` or ``name`` line the literals start at token 3."""
+    ``undeclared``, among ``lines``, the ``_LINE_RE`` match of each line.
+    A line's literals are its body, head and named literal, groups 3, 4
+    and 7; a group that took no part spans (-1, -1), where none is found."""
     for line_no, line in enumerate(lines, start=1):
-        matches = _token_matches(line)
-        if matches and matches[0].group() != "atoms":
-            for m in matches[3:]:
+        for group in (3, 4, 7):
+            for m in _ID_RE.finditer(line.string, *line.span(group)):
                 if m.group() in undeclared:
                     return ValidationError(
                         f"atom {m.group()!r} is not in the declared vocabulary",
                         line_no,
-                        m.start() + 1,
+                        m.start() - line.start() + 1,
                     )
     raise AssertionError("no literal has an undeclared atom")
 
@@ -224,21 +214,23 @@ def parse_system(text: str) -> ArgumentationSystem:
     ids: set[str] = set()
     shapes: set[tuple] = set()  # (kind, body, head) of each rule
     declared: set[str] = set()  # empty iff there is no ``atoms`` line
-    name_decls: list[tuple[int, str, Formula]] = []
+    name_decls: list[tuple[int, re.Match, Formula]] = []
     lits = _Literals()
     get = lits.__getitem__
-    rows = _LINE_RE.findall(text)  # one row per line, so ``line_no`` counts lines
-    for line_no, (kind, rule_id, body, head, atoms, target, lit, bad) in enumerate(rows, 1):
+    lines = list(_LINE_RE.finditer(text))  # one match per line, so ``line_no`` counts lines
+    for line_no, m in enumerate(lines, 1):
+        kind, rule_id, body, head, atoms, target, lit, bad = m.groups()
         if rule_id:
             # A literal's spaces are dropped, so that its usual spellings share one entry.
             body = tuple(map(get, body.replace(" ", "").split(","))) if body else ()
             head = lits[head]
             shape = (kind, body, head)
             if rule_id in ids:
-                raise _rule_id_error(text, line_no, f"duplicate rule id {rule_id!r}")
+                problem = f"duplicate rule id {rule_id!r}"
+                raise ValidationError(problem, line_no, m.start(2) - m.start() + 1)
             if shape in shapes:
                 problem = f"rule {rule_id!r} duplicates an earlier {kind or 'defeasible'} rule"
-                raise _rule_id_error(text, line_no, problem)
+                raise ValidationError(problem, line_no, m.start(2) - m.start() + 1)
             ids.add(rule_id)
             shapes.add(shape)
             if kind:
@@ -248,13 +240,14 @@ def parse_system(text: str) -> ArgumentationSystem:
         elif atoms:
             declared.update(atoms.split())
         elif target:
-            name_decls.append((line_no, target, lits[lit]))
+            name_decls.append((line_no, m, lits[lit]))
         elif bad:
             raise _line_error(bad, line_no)  # ``bad`` is the whole line
 
     defeasible_ids = {rule.id for rule in defeasible}
     names: dict[str, Formula] = {}
-    for line_no, target, formula in name_decls:
+    for line_no, m, formula in name_decls:
+        target = m[6]
         if target not in ids:
             problem = f"name refers to undefined rule {target!r}"
         elif target not in defeasible_ids:
@@ -264,12 +257,12 @@ def parse_system(text: str) -> ArgumentationSystem:
         else:
             names[target] = formula
             continue
-        raise _rule_id_error(text, line_no, problem)
+        raise ValidationError(problem, line_no, m.start(6) - m.start() + 1)
 
     if declared:
         undeclared = {phi.atom for phi in lits.values()} - declared
         if undeclared:
-            raise _undeclared_atom_error(_lines(text), undeclared)
+            raise _undeclared_atom_error(lines, undeclared)
 
     # Every check of ``ArgumentationSystem`` has been made above, with a position.
     return ArgumentationSystem._make(tuple(strict), tuple(defeasible), names)

@@ -225,24 +225,13 @@ class SystemParams(Record):
     single negations) so that complementary pairs stay reachable.
     """
 
-    n_atoms: int
-    n_strict: int
-    n_defeasible: int
-    max_body: int
-    undercut_density: float
+    n_atoms: int = 4
+    n_strict: int = 3
+    n_defeasible: int = 3
+    max_body: int = 2
+    undercut_density: float = 0.2
 
-    def __init__(
-        self,
-        n_atoms: int = 4,
-        n_strict: int = 3,
-        n_defeasible: int = 3,
-        max_body: int = 2,
-        undercut_density: float = 0.2,
-    ):
-        self.__dict__.update(
-            n_atoms=n_atoms, n_strict=n_strict, n_defeasible=n_defeasible, max_body=max_body,
-            undercut_density=undercut_density,
-        )
+    def __post_init__(self):
         _check_fields(self)
         check_rule_counts(self.__dict__)
 
@@ -372,24 +361,13 @@ class JsbafParams(Record):
     least that many.
     """
 
-    max_nodes: int
-    attack_prob: float
-    max_supports: int
-    max_support_size: int
-    min_support_size: int
+    max_nodes: int = 10
+    attack_prob: float = 0.15
+    max_supports: int = 4
+    max_support_size: int = 3
+    min_support_size: int = 0
 
-    def __init__(
-        self,
-        max_nodes: int = 10,
-        attack_prob: float = 0.15,
-        max_supports: int = 4,
-        max_support_size: int = 3,
-        min_support_size: int = 0,
-    ):
-        self.__dict__.update(
-            max_nodes=max_nodes, attack_prob=attack_prob, max_supports=max_supports,
-            max_support_size=max_support_size, min_support_size=min_support_size,
-        )
+    def __post_init__(self):
         _check_fields(self)
         low = self.min_support_size
         for name in ("max_support_size", "max_nodes"):

@@ -5,8 +5,9 @@ nodes, generator parameters, evaluation results) is a plain class on
 ``Record``.  Its class annotations, in order, are its fields and their only
 declaration: ``Record`` reads them into ``_fields`` and gives a class that
 defines no ``__init__`` one that stores them through the instance
-``__dict__``.  A class that copies, defaults or checks its values writes its
-own.  ``Record`` gives what a frozen dataclass gives: equality of class and
+``__dict__``.  A value given to a field in the class body is its default,
+and a ``__post_init__``, run after the fields are stored, copies or checks
+them.  ``Record`` gives what a frozen dataclass gives: equality of class and
 fields, a hash of the fields, the dataclass's ``repr``, and
 ``FrozenInstanceError`` on every assignment or deletion of an attribute.  It
 is not a dataclass, so ``dataclasses.fields``, ``replace`` and ``asdict`` do
@@ -33,7 +34,9 @@ class Record:
     """An immutable record of the fields its subclasses annotate, in order.
     A subclass that defines no ``__init__`` gets one that takes every field,
     by position or keyword, compiled once, as ``collections.namedtuple``
-    compiles its ``__new__``."""
+    compiles its ``__new__``.  A field with a value in the class body takes
+    it as its default, and the ``__init__`` ends by calling the class's
+    ``__post_init__``, if it has one, as a dataclass's does."""
 
     _fields: tuple[str, ...] = ()
 
@@ -46,8 +49,12 @@ class Record:
             store = f"self.__dict__[{fields[0]!r}] = {fields[0]}"
         else:
             store = f"self.__dict__.update({', '.join([f'{name}={name}' for name in fields])})"
-        namespace = {}
-        exec(f"def __init__(self, {', '.join(fields)}):\n    {store}\n", namespace)
+        if hasattr(cls, "__post_init__"):
+            store += "\n    self.__post_init__()"
+        # A field with a value on the class, or on a base, takes it as its default.
+        params = [f"{name}=cls.{name}" if hasattr(cls, name) else name for name in fields]
+        namespace = {"cls": cls}
+        exec(f"def __init__(self, {', '.join(params)}):\n    {store}\n", namespace)
         cls.__init__ = namespace["__init__"]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 

