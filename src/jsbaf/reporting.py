@@ -21,15 +21,15 @@ from the ``Evaluation``, the run's parameters included.  A JSON limit
 report is that ``json.dumps`` of its dict, by template too: the indented
 ``json`` encoder leaves reference cycles, and a command pauses the collector.
 
-Both formats are written in pieces of about ``PIECE`` chars.  Every section
-hands its run of records (an argument, a conclusion set, an extension, an
-attack pair, a witness, a support, a line of text) to ``_Pieces.rows``,
-which makes it one part, by one join, if a bound on its length fits the
-room left in the piece, so a report shorter than a piece is one write, and
-else splits it between records.  Records are held whole, and so are
-the JSON tail from ``input`` to ``status``, whose sorted atom list grows
+Both formats are written in pieces of about ``PIECE`` chars, each the
+parts a report holds once they reach that size, so a report shorter than a
+piece is one write.  A part is never split: a JSON list (the arguments, the
+conclusion sets, the extensions, the nodes, the supports) is one part, and
+so is each group of records handed to ``_Pieces.rows``: one source's row of
+attack pairs, one attacker's witness records, one run of text lines.  So
+are the JSON tail from ``input`` to ``status``, whose sorted atom list grows
 with the atoms, and the text header up to the ``run:`` line; a write
-exceeds ``PIECE`` by at most one of these.
+exceeds ``PIECE`` by at most one part.
 """
 
 from __future__ import annotations
@@ -55,11 +55,9 @@ PIECE = 1 << 16  # chars a report holds before it calls ``write``
 
 class _Pieces:
     """Parts of a report, written when they hold ``PIECE`` chars, and at the
-    end by ``flush(last)``.  ``rows`` writes a run of records as one part if
-    its bound fits the room left, else a slice of a group at a time by
-    ``join``, which splits a run between its records to fit.  ``add`` and
-    ``flush`` take a part whole, so a write exceeds ``PIECE`` by at most one
-    record or part."""
+    end by ``flush(last)``.  ``add`` and ``flush`` take a part whole, and
+    ``rows`` makes a part of each group of records, so a write exceeds
+    ``PIECE`` by at most one part."""
 
     def __init__(self, write: Callable[[str], object]):
         self.write, self.parts, self.size = write, [], 0
@@ -70,48 +68,16 @@ class _Pieces:
         if self.size >= PIECE:
             self.flush()
 
-    def join(self, first: str, sep: str, items: list[str], width: int) -> None:
-        """``first + sep.join(items)``, where ``sep`` and any one item take
-        at most ``width`` chars, and ``first`` no more than ``sep``."""
-        i, n = 0, len(items)
-        while i < n:
-            step = (PIECE - self.size) // width or 1  # the items the room holds
-            part = sep.join(items[i:i + step] if i or step < n else items)
-            self.parts += (first, part)
-            self.size += len(first) + len(part)
-            if self.size >= PIECE:
-                self.flush()
-            first, i = sep, i + step
-
-    def rows(self, lead: str, groups, end: str, sep: str, count: int, width: int) -> None:
-        """``lead``, then the ``count`` records of ``groups``, pairs (head,
-        list of items) whose records are ``head + item + end``, with ``sep``
-        between records; ``width`` bounds a record and its ``sep``.  Nothing
-        if ``count`` is 0; one part if ``count * width`` fits the room left,
-        else a ``join`` per group."""
-        if not count:
-            return
+    def rows(self, lead: str, groups, end: str, sep: str) -> None:
+        """``lead``, then the records of ``groups``, pairs (head, list of
+        items) whose records are ``head + item + end``, with ``sep`` between
+        records: a part per group, the first behind ``lead``.  Nothing if no
+        group has an item."""
         between = end + sep  # between two records, before the second one's head
-        if self.size + len(lead) + count * width <= PIECE:
-            run = between.join([head + (between + head).join(items) for head, items in groups])
-            return self.add(f"{lead}{run}{end}")
-        self.add(lead)
-        first = ""
         for head, items in groups:
-            self.join(first + head, between + head, items, width)
-            first = between
-        self.add(end)
-
-    def json_list(self, lead: str, items: list[str], depth: int) -> None:
-        """``lead``, then a JSON list of already encoded ``items``: one part
-        if it fits the room left, else a record at a time."""
-        part = lead + _list(items, depth)
-        if not items or self.size + len(part) <= PIECE:
-            return self.add(part)
-        sep = _SEP[depth + 1]
-        self.rows(lead + "[" + _NL[depth + 1], [("", items)], "", sep, len(items),
-                  len(sep) + max(map(len, items)))
-        self.add(_NL[depth] + "]")
+            if items:
+                self.add(f"{lead}{head}{(between + head).join(items)}{end}")
+                lead = sep
 
     def flush(self, last: str = "") -> None:
         self.parts.append(last)
@@ -125,9 +91,10 @@ _FLATTEN = "literal"
 
 
 def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> dict:
-    """The ``settings`` block of a report: the parameters its run was given.
-    A full report passes those its ``Evaluation`` ran under; a limit
-    report, which has no run to read, those of the stopped run."""
+    """The ``settings`` block of a limit report, which has no run to read:
+    the parameters the stopped run was given.  A full report writes the
+    same keys from its ``Evaluation`` by its own template, which is faster
+    than encoding this dict."""
     flatten = _FLATTEN if mode == "deductive" else None
     return {"semantics": semantics, "mode": mode, "flatten": flatten,
             "max_arguments": max_arguments, "max_nodes": max_nodes}
@@ -235,15 +202,13 @@ def _attacks_json(out: _Pieces, lead: str, rows, names: list[str], done: dict, b
     """``lead``, then the sorted label pairs of the attacks ``rows``, a row
     of targets per source, named by ``_named_rows``; ``names`` are the
     nodes' quoted labels."""
-    pairs = sum(map(len, rows))
-    if not pairs:
+    if not any(rows):
         return out.add(lead + "[]")
-    i3, i4, close = _NL[3], _NL[4], _NL[3] + "]"
+    i3, i4 = _NL[3], _NL[4]
     groups = (
         (f"{i3}[{i4}{names[s]},{i4}", found) for s, found in _named_rows(rows, names, done, base)
     )
-    width = len(f"{close},{i3}[{i4},{i4}") + 2 * max(map(len, names))
-    out.rows(lead + "[", groups, close, ",", pairs, width)
+    out.rows(lead + "[", groups, i3 + "]", ",")
     out.add(_NL[2] + "]")
 
 
@@ -254,21 +219,18 @@ def _witnesses_json(out: _Pieces, lead: str, ev: Evaluation, quoted: list[str]) 
     if not ev.witnesses.groups:
         return out.add(lead + "[]")
     i3, i4 = _NL[3], _NL[4]
-    tails_of: dict[int, tuple[list[str], int]] = {}  # id(hits): (tails, longest tail)
-    groups, width = [], 0
+    tails_of: dict[int, list[str]] = {}  # id(hits): its record tails
+    groups = []
     for attacker, hits in ev.witnesses.groups:
-        entry = tails_of.get(id(hits))
-        if entry is None:
-            tails = [
+        tails = tails_of.get(id(hits))
+        if tails is None:
+            tails = tails_of[id(hits)] = [
                 f'"kind": "{KINDS[kind]}",{i4}"on": {quoted[on]},'
                 f'{i4}"target": {quoted[target]}{i3}}}'
                 for target, kind, on in hits
             ]
-            entry = tails_of[id(hits)] = (tails, max(map(len, tails)))
-        head = f'{i3}{{{i4}"attacker": {quoted[attacker]},{i4}'
-        groups.append((head, entry[0]))
-        width = max(width, 1 + len(head) + entry[1])
-    out.rows(lead + "[", groups, "", ",", len(ev.witnesses), width)
+        groups.append((f'{i3}{{{i4}"attacker": {quoted[attacker]},{i4}', tails))
+    out.rows(lead + "[", groups, "", ",")
     out.add(_NL[2] + "]")
 
 
@@ -286,31 +248,31 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     quoted = [f'"{arg.canonical_id}"' for arg in store.arguments]
     names = list(map(quoted.__getitem__, store.node_order))  # the framework's quoted labels
     rows, done = ev.framework.target_ids, {}  # done: the names of each row, by id
-    out.json_list(f'{{{i1}"arguments": ', _argument_records(ev, quoted), 1)
-    out.json_list(f',{i1}"conclusion_sets": ', _conclusion_set_records(ev, quoted), 1)
+    out.add(f'{{{i1}"arguments": {_list(_argument_records(ev, quoted), 1)}')
+    out.add(f',{i1}"conclusion_sets": {_list(_conclusion_set_records(ev, quoted), 1)}')
     pruned = "true" if store.acyclicity_pruned else "false"
-    out.json_list(
+    extensions = _list([_list(map(names.__getitem__, ext), 2) for ext in ev.extensions], 1)
+    out.add(
         f',{i1}"enumeration": {{{i2}"acyclicity_pruned": {pruned},{i2}"count": {len(store)}'
-        f'{i1}}},{i1}"extensions": ',
-        [_list(map(names.__getitem__, ext), 2) for ext in ev.extensions], 1,
+        f'{i1}}},{i1}"extensions": {extensions}'
     )
     lead = f',{i1}"framework": {{{i2}"attack_witnesses": '
     if flat is not None:
         flat_names = names + [f'"{label}"' for label in flat.labels[len(names):]]
         _attacks_json(out, f',{i1}"flattened": {{{i2}"attacks": ', flat.target_ids, flat_names,
                       done, rows)
-        out.json_list(f',{i2}"extensions": ',
-                      [_list(map(flat_names.__getitem__, ext), 3) for ext in ev.raw_extensions], 2)
-        out.json_list(f',{i2}"mode": "{_FLATTEN}",{i2}"nodes": ', flat_names, 2)
+        raw = [_list(map(flat_names.__getitem__, ext), 3) for ext in ev.raw_extensions]
+        out.add(f',{i2}"extensions": {_list(raw, 2)}')
+        out.add(f',{i2}"mode": "{_FLATTEN}",{i2}"nodes": {_list(flat_names, 2)}')
         lead = i1 + "}" + lead
     _witnesses_json(out, lead, ev, quoted)
     _attacks_json(out, f',{i2}"attacks": ', rows, names, done)
     if flat is not None:
         i3, i4 = _NL[3], _NL[4]
-        out.json_list(f',{i2}"supports": ', [
+        out.add(f',{i2}"supports": ' + _list([
             f"[{i4}{_list(map(names.__getitem__, src), 4)},{i4}{names[dst]}{i3}]"
             for src, dst in ev.framework.support_ids
-        ], 2)
+        ], 2))
     consistent = "true" if ev.consistent else "false"
     # ``system.atoms`` would build a frozenset that nothing else reads.
     atoms = {phi.atom for phi in system.literal_table.literals}
@@ -348,14 +310,13 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
         f"\narguments ({len(ev.store)}):"
     )
     forms = [arg.form for arg in ev.store.arguments]
-    out.rows("", [("\n  ", forms)], "", "", len(forms), 3 + max(map(len, forms), default=0))
+    out.rows("", [("\n  ", forms)], "", "")
     out.add("\n\nattacks:")
     groups = (
         (f"\n  {labels[s]} -> ", found)
         for s, found in _named_rows(framework.target_ids, labels, {})
     )
-    longest = max(map(len, labels), default=0)
-    out.rows("", groups, "", "", sum(map(len, framework.target_ids)), 7 + 2 * longest)
+    out.rows("", groups, "", "")
     tail = [] if ev.flat is None else ["supports:", *(
         f"  {{{','.join([labels[i] for i in src])}}} => {labels[dst]}"
         for src, dst in framework.support_ids
@@ -373,7 +334,7 @@ def _write_text(ev: Evaluation, source: str, out: _Pieces) -> None:
                                          for name, held in zip(POSTULATES, ev.holds))]
     if not ev.consistent:
         tail.append("note: system is inconsistent; postulate verdicts are out of scope")
-    out.rows("", [("\n", tail)], "", "", len(tail), 1 + max(map(len, tail)))
+    out.rows("", [("\n", tail)], "", "")
     out.flush("\n")
 
 

@@ -1,8 +1,10 @@
 """Report assembly, DOT, and APX emission."""
 
+import bisect
 import collections
 import importlib
 import inspect
+import itertools
 import json
 import os
 import subprocess
@@ -131,24 +133,6 @@ def preferred_report(system, mode):
 def sorted_pairs(framework):
     """The attacks of ``framework`` as label pairs, sorted."""
     return sorted([s.label, d.label] for s, d in framework.attacks)
-
-
-def longest_record(report, fmt):
-    """The length of the longest record of ``report`` as it is written,
-    with the separator before it: a line of a text report, or an item of a
-    list in a JSON report."""
-    if fmt == "text":
-        return 1 + max(map(len, report.splitlines()))
-
-    def lengths(value, depth):
-        is_list = isinstance(value, list)
-        for child in value if is_list else value.values() if isinstance(value, dict) else ():
-            if is_list:
-                text = json.dumps(child, indent=2, sort_keys=True, ensure_ascii=False)
-                yield 2 + 2 * (depth + 1) * (1 + text.count("\n")) + len(text)
-            yield from lengths(child, depth + 1)
-
-    return max(lengths(json.loads(report), 0))
 
 
 def assert_canonical(out):
@@ -289,12 +273,47 @@ GOLDEN = [
     ("tandem-max-nodes-5.txt", ["--max-nodes", "5", "--report", "text"], 3),
 ]
 
+# Reports of `jsbaf eval --file atoms-p.rules`, a system of no rule and so of
+# no argument, recorded at d3437a7.
+NO_ARGUMENT = [
+    (f"atoms-p-{mode}.{ext}", ["--mode", mode, "--report", fmt])
+    for mode in MODES for fmt, ext in (("json", "json"), ("text", "txt"))
+]
+
+
+def record_text(value, depth):
+    """``value`` as a JSON report writes it as an item of a list whose items
+    start on lines at ``depth``, with the line break and indent before it."""
+    indent = "\n" + "  " * depth
+    text = json.dumps(value, indent=2, sort_keys=True, ensure_ascii=False)
+    return indent + text.replace("\n", indent)
+
+
+def assert_groups_whole(report, writes, start, groups, sep):
+    """From ``start`` on, ``report`` holds the texts ``groups`` with ``sep``
+    between them, and no group is split between two of ``writes``."""
+    ends = list(itertools.accumulate(map(len, writes)))
+    for text in groups:
+        assert report.startswith(text, start)
+        end = start + len(text)
+        assert bisect.bisect_right(ends, start) == bisect.bisect_right(ends, end - 1)
+        start = end + len(sep)
+
 
 class TestReportBytes:
     @pytest.mark.parametrize("name, argv, code", GOLDEN, ids=[g[0] for g in GOLDEN])
     def test_golden_report(self, capsys, monkeypatch, name, argv, code):
         monkeypatch.chdir(TANDEM_PATH.parent)
         assert main(["eval", "--file", TANDEM_PATH.name, *argv]) == code
+        assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("name, argv", NO_ARGUMENT, ids=[g[0] for g in NO_ARGUMENT])
+    def test_report_of_a_system_with_no_argument(self, capsys, monkeypatch, tmp_path, name, argv):
+        """Every list of arguments, attacks and witnesses is empty, and the
+        one extension and conclusion set are empty too."""
+        (tmp_path / "atoms-p.rules").write_text("atoms p\n")
+        monkeypatch.chdir(tmp_path)
+        assert main(["eval", "--file", "atoms-p.rules", *argv]) == 0
         assert capsys.readouterr().out == (DATA / name).read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("semantics", SEMANTICS)
@@ -365,10 +384,12 @@ class TestReportBytes:
         assert not lines[end].startswith("  ")
 
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
-    def test_writes_are_bounded_pieces(self, fmt):
+    def test_writes_are_bounded_pieces(self, monkeypatch, fmt):
         """Small and large reports, violated postulates, no extension at
-        all: no write is longer than a piece and one record, and the writes
-        grow with the bytes, so a report shorter than a piece is one write."""
+        all: every write but the last holds a full piece, and none is longer
+        than a piece and the longest part, a write made with pieces of one
+        char.  So the writes grow with the bytes, and a report shorter than
+        a piece is one write."""
         cases = [
             (tandem_rules(3, 2), "grounded"),
             (tandem_rules(7, 3), "grounded"),
@@ -384,8 +405,14 @@ class TestReportBytes:
                 chunks = []
                 verdicts.add(write_report(ev, "f.rules", fmt, chunks.append))
                 report = "".join(chunks)
-                assert max(map(len, chunks)) <= PIECE + longest_record(report, fmt)
-                assert len(chunks) >= max(1, len(report) // PIECE)
+                monkeypatch.setattr(reporting, "PIECE", 1)
+                parts = []
+                write_report(ev, "f.rules", fmt, parts.append)
+                monkeypatch.undo()
+                longest = max(map(len, parts))
+                assert all(len(chunk) >= PIECE for chunk in chunks[:-1])
+                assert max(map(len, chunks)) <= PIECE + longest
+                assert len(chunks) >= max(1, len(report) // (PIECE + longest))
                 assert len(chunks) == 1 or len(report) >= PIECE
                 pieces.add(len(chunks) > 1)
                 empty.add(not ev.extensions)
@@ -394,11 +421,11 @@ class TestReportBytes:
     @pytest.mark.parametrize("piece", (16, 256))
     @pytest.mark.parametrize("fmt", REPORT_FORMATS)
     def test_small_pieces_join_to_the_same_report(self, monkeypatch, fmt, piece):
-        """With pieces of a few chars, ``add`` flushes as well as ``join``:
+        """With pieces of a few chars, ``add`` flushes after most parts:
         the writes join to the report written whole, every write but the
         last holds a full piece, and none exceeds the piece plus the longest
-        write made with pieces of one char, each of which is one record or
-        one part that ``add`` takes (some hold several lines)."""
+        write made with pieces of one char, each of which is one part (a
+        group of records, a whole list, a fixed block)."""
         cases = [(tandem_rules(3, 2), "preferred"), (tandem_rules(5, 2), "grounded")]
         for text, semantics in cases:
             prepared = prepare(parse_system(text))
@@ -417,36 +444,58 @@ class TestReportBytes:
                 assert max(map(len, chunks)) <= piece + max(map(len, parts))
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_a_report_whose_lists_fit_is_one_write_of_whole_lists(self, monkeypatch, mode):
+    def test_a_report_whose_lists_fit_is_one_write_of_whole_lists(self, mode):
         """tandem(3,2) preferred, far below a piece (in aspic-minus mode
-        with violated verdicts): every list of the JSON report fits the
-        room left, so none is split between its records, and the report is
-        one write."""
+        with violated verdicts): the JSON report is one write."""
         ev = evaluate(prepare(tandem(3, 2)), "preferred", mode)
         report, writes = written(write_report, ev, "f.rules", "json")
-
-        def split(*args):
-            raise AssertionError("a list was split between its records")
-
-        monkeypatch.setattr(reporting._Pieces, "join", split)
-        assert written(write_report, ev, "f.rules", "json") == (report, 1)
         assert writes == 1 and len(report) < PIECE
 
     @pytest.mark.parametrize("mode", MODES)
-    def test_a_text_report_whose_runs_fit_is_one_write_of_whole_runs(self, monkeypatch, mode):
-        """The text twin of the test above: the argument lines, the attack
-        rows and the tail of tandem(3,2) preferred each fit the room left,
-        so none is split between its records, and the report is one
-        write."""
+    def test_a_text_report_whose_runs_fit_is_one_write_of_whole_runs(self, mode):
+        """The text twin of the test above: the text report of tandem(3,2)
+        preferred is one write."""
         ev = evaluate(prepare(tandem(3, 2)), "preferred", mode)
         report, writes = written(write_report, ev, "f.rules", "text")
-
-        def split(*args):
-            raise AssertionError("a run was split between its records")
-
-        monkeypatch.setattr(reporting._Pieces, "join", split)
-        assert written(write_report, ev, "f.rules", "text") == (report, 1)
         assert writes == 1 and len(report) < PIECE
+
+    @pytest.mark.parametrize("fmt", REPORT_FORMATS)
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_record_group_is_split_between_writes(self, monkeypatch, mode, fmt):
+        """tandem(7,3) grounded, with pieces of one char: each source's
+        attack row (in the AF and in the flattening) and each attacker's
+        witness records arrive in one write."""
+        ev = evaluate(prepare(tandem(7, 3)), "grounded", mode)
+        monkeypatch.setattr(reporting, "PIECE", 1)
+        writes = []
+        write_report(ev, "f.rules", fmt, writes.append)
+        report = "".join(writes)
+
+        def after(marker, start=0):
+            return report.index(marker, start) + len(marker)
+
+        if fmt == "text":
+            start = after("\nattacks:")
+            lines = report[start:].split("\n\n")[0].splitlines()[1:]
+            rows = itertools.groupby(lines, key=lambda line: line.split(" -> ")[0])
+            groups = ["".join("\n" + line for line in row) for _, row in rows]
+            assert len(groups) > 1 and sum(map(len, groups)) > 10_000
+            return assert_groups_whole(report, writes, start, groups, "")
+        parsed = json.loads(report)
+        sections = [
+            (after('"attack_witnesses": ['), parsed["framework"]["attack_witnesses"],
+             lambda witness: witness["attacker"]),
+            (after('"attacks": [', after('"framework": {')), parsed["framework"]["attacks"],
+             lambda pair: pair[0]),
+        ]
+        if ev.flat is not None:
+            sections.append((after('"attacks": [', after('"flattened": {')),
+                             parsed["flattened"]["attacks"], lambda pair: pair[0]))
+        for start, records, key in sections:
+            groups = [",".join(record_text(record, 3) for record in group)
+                      for _, group in itertools.groupby(records, key)]
+            assert len(groups) > 1
+            assert_groups_whole(report, writes, start, groups, ",")
 
     @pytest.mark.parametrize("mode", MODES)
     def test_writing_a_large_report_adds_little_memory(self, mode):
