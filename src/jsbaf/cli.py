@@ -31,9 +31,7 @@ from .postulates import (
     DEFAULT_NODE_BOUND, MODES, POSTULATES, Prepared, SystemParams, check_rule_counts, check_shape,
     evaluate, prepare, random_system,
 )
-from .reporting import (
-    REPORT_FORMATS, emit_apx, emit_dot, report_settings, write_limit_report, write_report,
-)
+from .reporting import REPORT_FORMATS, emit_apx, emit_dot, write_limit_report, write_report
 from .semantics import SEMANTICS, extensions
 
 EXIT_OK = 0
@@ -205,8 +203,8 @@ def _cmd_eval(args) -> int:
         prepared = _prepare(args, not args.allow_inconsistent)
         ev = evaluate(prepared, args.semantics, args.mode, args.max_nodes)
     except LimitExceededError as exc:
-        settings = report_settings(args.semantics, args.mode, args.max_arguments, args.max_nodes)
-        write_limit_report(source, settings, exc, args.report, sys.stdout.write)
+        write_limit_report(source, args.semantics, args.mode, args.max_arguments, args.max_nodes,
+                           exc, args.report, sys.stdout.write)
         return EXIT_LIMIT
     if write_report(ev, source, args.report, sys.stdout.write):
         return EXIT_OK

@@ -8,18 +8,20 @@ that ``json.dumps(report, indent=2, sort_keys=True, ensure_ascii=False)``
 gives for it, plus a newline, written straight from the ``Evaluation`` by
 fixed templates of its sections: no report dict, no generic encoder.  The
 fixed parts are templates too: each section's keys and brackets are one
-f-string with the list that follows them, the ``settings`` block is one
-f-string in key order, and the ``postulate_summary`` block is one of the
-strings made at import.  Every text a report states but the source path
-and a limit's message is made of ASCII identifiers, ``~`` and the rule
-language's punctuation (ids, labels, atoms, literals, forms, rule ids,
-semantics and mode names), which JSON does not escape, so the templates
-quote them; the source and the message go through the escaper.  A JSON
-report quotes argument ids once, and every set whose verdicts are the
-shared ``postulates.ALL_HOLD`` shares one verdict block.  A full report reads everything it states
-from the ``Evaluation``, the run's parameters included.  A JSON limit
-report is that ``json.dumps`` of its dict, by template too: the indented
-``json`` encoder leaves reference cycles, and a command pauses the collector.
+f-string with the list that follows them, the ``settings`` block is the
+f-string of ``_settings``, and the ``postulate_summary`` block is one of
+the strings made at import.  Every text a report states but the source
+path and a limit's message is made of ASCII identifiers, ``~`` and the
+rule language's punctuation (ids, labels, atoms, literals, forms, rule
+ids, semantics and mode names), which JSON does not escape, so the
+templates quote them; the source and the message go through the escaper.
+A JSON report quotes argument ids once, and every set whose verdicts are
+the shared ``postulates.ALL_HOLD`` shares one verdict block.  A full
+report reads everything it states from the ``Evaluation``, the run's
+parameters included; a limit report, which has none, states those its
+stopped run was given, by the same ``_settings``.  No report goes through
+``json``: its indented encoder leaves reference cycles, and a command
+pauses the collector.
 
 Both formats are written in pieces of about ``PIECE`` chars, each the
 parts a report holds once they reach that size, so a report shorter than a
@@ -90,16 +92,6 @@ class _Pieces:
 _FLATTEN = "literal"
 
 
-def report_settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> dict:
-    """The ``settings`` block of a limit report, which has no run to read:
-    the parameters the stopped run was given.  A full report writes the
-    same keys from its ``Evaluation`` by its own template, which is faster
-    than encoding this dict."""
-    flatten = _FLATTEN if mode == "deductive" else None
-    return {"semantics": semantics, "mode": mode, "flatten": flatten,
-            "max_arguments": max_arguments, "max_nodes": max_nodes}
-
-
 # JSON templates: ``depth`` is that of the line a value starts on; ``names``
 # are a framework's quoted labels by node number, ``quoted`` the ids by ordinal.
 
@@ -117,12 +109,21 @@ def _texts(texts, depth: int) -> str:
 
 
 def _flat_object(fields: dict, depth: int) -> str:
-    """A JSON object of str, int and None values (no bool), keys sorted."""
+    """A JSON object of str and int values (no bool), keys sorted: a limit
+    report's ``error``, which always has a ``type`` and a ``message``."""
     return "{" + ",".join(
-        f"{_NL[depth + 1]}{_quote(key)}: "
-        + (_quote(value) if isinstance(value, str) else "null" if value is None else str(value))
+        f"{_NL[depth + 1]}{_quote(key)}: {_quote(value) if isinstance(value, str) else value}"
         for key, value in sorted(fields.items())
-    ) + (_NL[depth] + "}" if fields else "}")
+    ) + _NL[depth] + "}"
+
+
+def _settings(semantics: str, mode: str, max_arguments: int, max_nodes: int) -> str:
+    """The JSON ``settings`` block at depth 1: the parameters a run was
+    given, and the flattening its mode searches (null in aspic-minus)."""
+    i2, flatten = _NL[2], f'"{_FLATTEN}"' if mode == "deductive" else "null"
+    return (f'{{{i2}"flatten": {flatten},{i2}"max_arguments": {max_arguments},'
+            f'{i2}"max_nodes": {max_nodes},{i2}"mode": "{mode}",'
+            f'{i2}"semantics": "{semantics}"{_NL[1]}}}')
 
 
 def _argument_records(ev: Evaluation, quoted: list[str]) -> list[str]:
@@ -276,7 +277,6 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
     consistent = "true" if ev.consistent else "false"
     # ``system.atoms`` would build a frozenset that nothing else reads.
     atoms = {phi.atom for phi in system.literal_table.literals}
-    flatten = "null" if flat is None else f'"{_FLATTEN}"'
     out.flush(
         f'{i1}}},{i1}"input": {{{i2}"atoms": {_texts(atoms, 2)},'
         f'{i2}"consistent": {consistent},{i2}"defeasible_rules": {len(system.defeasible_rules)},'
@@ -284,9 +284,8 @@ def _write_json(ev: Evaluation, source: str, out: _Pieces) -> None:
         f'{i2}"undercut_names": {len(system.undercut_names)}{i1}}},'
         f'{i1}"postulate_summary": {_SUMMARY_JSON[ev.holds]},'
         f'{i1}"postulates_in_scope": {consistent},'
-        f'{i1}"settings": {{{i2}"flatten": {flatten},{i2}"max_arguments": {store.max_arguments},'
-        f'{i2}"max_nodes": {ev.max_nodes},{i2}"mode": "{ev.mode}",'
-        f'{i2}"semantics": "{ev.semantics}"{i1}}},{i1}"status": "ok"\n}}\n'
+        f'{i1}"settings": {_settings(ev.semantics, ev.mode, store.max_arguments, ev.max_nodes)},'
+        f'{i1}"status": "ok"\n}}\n'
     )
 
 
@@ -351,11 +350,12 @@ def write_report(ev: Evaluation, source: str, fmt: str, write: Callable[[str], o
 
 
 def write_limit_report(
-    source: str, settings: dict, error: Exception, fmt: str, write: Callable[[str], object]
+    source: str, semantics: str, mode: str, max_arguments: int, max_nodes: int,
+    error: Exception, fmt: str, write: Callable[[str], object],
 ) -> None:
     """Write the minimal report of a run stopped by an enumeration or search
-    limit, in one call of ``write``; ``settings`` is the ``report_settings``
-    block of the parameters that run was given."""
+    limit, in one call of ``write``; its ``settings`` block states the
+    parameters that run was given, as a full report's does."""
     detail = {"type": type(error).__name__, "message": str(error)}
     detail.update((a, getattr(error, a)) for a in ("limit", "bound", "nodes") if hasattr(error, a))
     if fmt == "json":
@@ -363,7 +363,8 @@ def write_limit_report(
         write(
             f'{{{i1}"error": {_flat_object(detail, 1)},'
             f'{i1}"input": {{{_NL[2]}"source": {_quote(source)}{i1}}},'
-            f'{i1}"settings": {_flat_object(settings, 1)},{i1}"status": "limit-exceeded"\n}}\n'
+            f'{i1}"settings": {_settings(semantics, mode, max_arguments, max_nodes)},'
+            f'{i1}"status": "limit-exceeded"\n}}\n'
         )
     elif fmt == "text":
         write(f"source: {source}\nstatus: limit-exceeded ({detail['type']}: {detail['message']})\n")

@@ -68,6 +68,7 @@ TANDEM_SUPPORTS = {
 class TestEnumeration:
     def test_tandem_yields_the_nine_arguments(self, tandem_store):
         assert [a.form for a in tandem_store.arguments] == TANDEM_FORMS
+        assert [repr(a) for a in tandem_store.arguments] == [f"<{f}>" for f in TANDEM_FORMS]
         assert not tandem_store.acyclicity_pruned
 
     def test_empty_system_yields_nothing(self):

@@ -257,6 +257,16 @@ class TestRandomSystem:
                 f"and max_body {max_body}, got {shapes + 1}"
             )
 
+    def test_an_exhausted_rule_draw_starts_a_new_attempt(self):
+        """The 14 distinct rules of one atom and ``max_body`` 2 can outlast
+        a rule's 50 tries.  With no strict rule every system is consistent,
+        so only such a draw makes a second attempt; seed 3 makes one."""
+        shape = {"n_atoms": 1, "max_body": 2, "n_strict": 0, "undercut_density": 0}
+        generated = random_system(SystemParams(**shape, n_defeasible=14), 3)
+        assert generated.attempts == 2
+        rules = generated.system.defeasible_rules
+        assert len({(rule.body, rule.head) for rule in rules}) == len(rules) == 14
+
     def test_a_huge_max_body_is_checked_in_a_few_terms(self):
         # the sum stops after 4 of its 2 * 10**9 + 1 terms
         SystemParams(n_atoms=10**9, n_strict=10**30, n_defeasible=0, max_body=2 * 10**9)

@@ -35,7 +35,7 @@ from jsbaf import (
 from jsbaf import reporting
 from jsbaf.arguments import DEFAULT_MAX_ARGUMENTS
 from jsbaf.cli import main
-from jsbaf.reporting import PIECE, REPORT_FORMATS, report_settings, write_limit_report
+from jsbaf.reporting import PIECE, REPORT_FORMATS, write_limit_report
 
 import reference
 from conftest import TANDEM_PATH, tandem_rules
@@ -185,11 +185,14 @@ class TestReports:
         cases = ((LimitExceededError(3), {"limit": 3}), (info.value, {"bound": 5, "nodes": 21}))
         for exc, detail in cases:
             rendered, calls = written(
-                write_limit_report, "f.rules", {"semantics": "preferred"}, exc, "json"
+                write_limit_report, "f.rules", "preferred", "deductive", 5000, 5, exc, "json"
             )
             report = json.loads(rendered)
             assert report["status"] == "limit-exceeded"
             assert report["error"] == {"type": type(exc).__name__, "message": str(exc), **detail}
+            assert report["settings"] == {"flatten": "literal", "max_arguments": 5000,
+                                          "max_nodes": 5, "mode": "deductive",
+                                          "semantics": "preferred"}
             assert_canonical(rendered)
             assert calls == 1
 
@@ -205,9 +208,9 @@ class TestReports:
         ev = evaluate(prepare(tandem_system), "grounded", "deductive")
         with pytest.raises(ValueError, match="unknown report format 'yaml'"):
             write_report(ev, "tandem", "yaml", print)
-        settings = report_settings("grounded", "deductive", 5000, DEFAULT_NODE_BOUND)
         with pytest.raises(ValueError, match="unknown report format 'yaml'"):
-            write_limit_report("tandem", settings, LimitExceededError(3), "yaml", print)
+            write_limit_report("tandem", "grounded", "deductive", 5000, DEFAULT_NODE_BOUND,
+                               LimitExceededError(3), "yaml", print)
 
 
 class TestReportStatesItsRun:
@@ -332,8 +335,8 @@ class TestReportBytes:
                     try:
                         ev = evaluate(prepared, semantics, mode)
                     except SearchLimitExceededError as exc:
-                        settings = report_settings(semantics, mode, 5000, DEFAULT_NODE_BOUND)
-                        out = written(write_limit_report, str(seed), settings, exc, "json")[0]
+                        out = written(write_limit_report, str(seed), semantics, mode, 5000,
+                                      DEFAULT_NODE_BOUND, exc, "json")[0]
                     else:
                         out = written(write_report, ev, str(seed), "json")[0]
                     assert_canonical(out)
@@ -576,8 +579,8 @@ def assert_as_reference(
                     assert output(write_report, ev, source, fmt) == expected
                 else:
                     expected = output(reference.write_limit_report, source, settings, error, fmt)
-                    limit = report_settings(name, mode, max_arguments, max_nodes)
-                    assert output(write_limit_report, source, limit, error, fmt) == expected
+                    params = (name, mode, max_arguments, max_nodes)
+                    assert output(write_limit_report, source, *params, error, fmt) == expected
 
 
 def tandem(n, k):
