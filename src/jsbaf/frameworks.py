@@ -14,10 +14,11 @@ participant and one "e" meta-argument per attacker set.
 ``flatten_simplified`` is the two-step flattening without the bar pairs
 that merely relay a supported node's status through a double negation.  It
 is the one flattening that deductive mode searches, and it keeps every
-other bar, including those that attack nothing.  Both plain flattenings
-are built by one builder, in one pass from the supports of the JSBAF, and
-build no intermediate framework; the one-step and two-step stages serve
-``jsbaf flatten --stage one-step|two-step``.
+other bar, including those that attack nothing.  All three stages read
+one classification of the JSBAF's supports (``_support_arms``); both plain
+flattenings are built from it by one builder, with no intermediate
+framework.  The one-step and two-step stages serve ``jsbaf flatten
+--stage one-step|two-step``.
 
 Every framework numbers its nodes 0, 1, ... in canonical order
 (``sort_nodes``) and keeps its relations as ints over those numbers; the
@@ -337,23 +338,40 @@ class JSBAF(AF):
         return frozenset(self._sets(self.support_ids))
 
 
-def _support_arms(j: JSBAF) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """(Y, b, a) for each support (X, b) of ``j`` and each supporter a in X
-    that ``j`` does not shield, with Y = X - {a}: the arm of the support
-    that rejects a, in support order.  A shielded supporter can never be
-    rejected, so it gets no arm; Y is empty for a singleton support."""
+def _support_arms(
+    j: JSBAF,
+) -> tuple[set[int], set[int], dict[int, list[int]], list[tuple[tuple[int, ...], int, int]]]:
+    """The supports of ``j`` as every flattening reads them, in one pass:
+    the supported nodes, each of which gets bar(b); those of them with a
+    joint support (X, b), |X| > 1; ``direct``, each b mapped to its
+    unshielded singleton supporters, ascending, which bar(b) attacks; and
+    ``arms``, in support order, the (Y, b, a) of each supporter a of a joint
+    support (X, b) that ``j`` does not shield, with Y = X - {a}: the arm
+    that rejects a.  A shielded supporter can never be rejected, so it gets
+    neither; a node whose joint supporters are all shielded has no arm."""
+    supported, multi = set(), set()
+    direct: dict[int, list[int]] = {}
+    arms: list[tuple[tuple[int, ...], int, int]] = []
     for source, b in j.support_ids:
-        for k, a in enumerate(source):
-            if a not in j.shielded:
-                yield source[:k] + source[k + 1:], b, a
+        supported.add(b)
+        if len(source) > 1:
+            multi.add(b)
+            arms += (
+                (source[:k] + source[k + 1:], b, a)
+                for k, a in enumerate(source) if a not in j.shielded
+            )
+        elif source and source[0] not in j.shielded:
+            direct.setdefault(b, []).append(source[0])
+    return supported, multi, direct, arms
 
 
 def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     """Replace joint supports by joint attacks through bar meta-arguments.
 
-    For every support (X, b): a fresh node bar(b) attacked by b, and, for
-    each supporter a in X that ``j`` does not shield, the joint attack
-    (X - {a}) | {bar(b)} against a.  Attacks become singleton joint attacks.
+    Each supported node b gets a fresh node bar(b), attacked by b; bar(b)
+    attacks each supporter in ``direct[b]``, and each arm (Y, b, a) of
+    ``_support_arms`` is the joint attack Y | {bar(b)} against a.  Attacks
+    become singleton joint attacks.
 
     The nodes are numbered by construction: the arguments keep their
     numbers 0 .. m-1, and bar(b) is m plus the rank of b among the supported
@@ -362,27 +380,22 @@ def flatten_one_step(j: JSBAF) -> HigherLevelAF:
     """
     labels = j.labels
     m = len(labels)
-    barred = sorted({b for _, b in j.support_ids})
+    supported, _, direct, arms = _support_arms(j)
+    barred = sorted(supported)
     bar_number = {b: m + p for p, b in enumerate(barred)}
-    bar_rows: list[list[int]] = [[] for _ in barred]  # bar(b) -> a, for X = {a}
-    joints = []
-    for rest, b, a in _support_arms(j):
-        if rest:
-            joints.append((rest + (bar_number[b],), a))
-        else:
-            bar_rows[bar_number[b] - m].append(a)
+    joints = sorted((rest + (bar_number[b],), a) for rest, b, a in arms)
     rows = [(*r, bar_number[b]) if b in bar_number else r for b, r in enumerate(j.target_ids)]
     return HigherLevelAF._make(
         labels=[*labels, *[f"bar({labels[b]})" for b in barred]], argument_count=m,
-        target_ids=rows + [sorted(row) for row in bar_rows],
-        joint_attack_ids=sorted(joints), parent=j, meta=barred,
+        target_ids=rows + [direct.get(b, []) for b in barred],
+        joint_attack_ids=joints, parent=j, meta=barred,
     )
 
 
 def flatten_two_step(j: JSBAF) -> AF:
     """The composition of ``flatten_one_step`` with the step that turns
-    joint attacks into plain attacks, built in one pass from the supports
-    of ``j`` (see ``_flatten``).
+    joint attacks into plain attacks, built by ``_flatten`` without the
+    one-step framework.
 
     A joint attack from a single node is a direct edge.  One from a set Z
     of size > 1 is carried by e(Z) -> its target, with z -> bar(z) -> e(Z)
@@ -395,7 +408,7 @@ def flatten_two_step(j: JSBAF) -> AF:
 
 def flatten_simplified(j: JSBAF) -> AF:
     """The two-step flattening without its redundant double-negation bars,
-    built in one pass from the supports of ``j`` (see ``_flatten``).
+    built by ``_flatten``.
 
     In the two-step flattening, a node b supported by a set of size > 1
     ("multi") relays its status to each e-node of its support arms through
@@ -413,15 +426,15 @@ def flatten_simplified(j: JSBAF) -> AF:
 
 
 def _flatten(j: JSBAF, two_step: bool) -> AF:
-    """The two-step flattening of ``j``, or its simplified form.  With
-    "unshielded" meaning not in ``j.shielded``, each support (X, b) gives:
+    """The two-step flattening of ``j``, or its simplified form, from the
+    supports as ``_support_arms`` reads them:
 
-    * b -> bar(b), when bar(b) exists;
-    * for X = {a}, a unshielded: bar(b) -> a;
-    * for |X| > 1 and each unshielded a in X, with Y = X - {a}: the e-node e
-      over Y plus bar(b) (or b, when bar(b) is left out), with e -> a,
-      y -> bar(y) -> e for every y in Y, and bar(b) -> bar(bar(b)) -> e in
-      the two-step flattening, b -> e in the simplified one.
+    * b -> bar(b), when bar(b) exists, and bar(b) -> a for each a in
+      ``direct[b]``;
+    * for each arm (Y, b, a): the e-node e over Y plus bar(b) (or b, when
+      bar(b) is left out), with e -> a, y -> bar(y) -> e for every y in Y,
+      and bar(b) -> bar(bar(b)) -> e in the two-step flattening, b -> e in
+      the simplified one.
 
     The arguments keep their numbers 0 .. m-1, and an argument that attacks
     no meta-argument keeps its row of ``j``.  The meta-arguments are
@@ -430,20 +443,8 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
     """
     labels = j.labels
     m = len(labels)
-    supported, multi = set(), set()  # the supported nodes, and those of a joint support
-    for source, b in j.support_ids:
-        supported.add(b)
-        if len(source) > 1:
-            multi.add(b)
-    direct: dict[int, list[int]] = {}  # b -> its unshielded singleton supporters
-    arms = []  # the arms of the supports (X, b) with |X| > 1
-    co_supporters: set[int] = set()
-    for rest, b, a in _support_arms(j):
-        if rest:
-            arms.append((rest, b, a))
-            co_supporters.update(rest)
-        else:
-            direct.setdefault(b, []).append(a)
+    supported, multi, direct, arms = _support_arms(j)
+    co_supporters = {y for rest, _, _ in arms for y in rest}
     if two_step:
         barred = sorted(supported | co_supporters)
         relayed = sorted({b for _, b, _ in arms})  # the bases of the double bars
@@ -455,7 +456,6 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
     flat_labels = [*labels, *bar_labels]
     double_bar_number = {b: p for p, b in enumerate(relayed, len(flat_labels))}
     flat_labels += [f"bar({bar_labels[bar_number[b] - m]})" for b in relayed]
-    meta = [*barred, *map(bar_number.__getitem__, relayed)]
 
     # The attacks that flattening adds, by source number.  An argument gains
     # only meta-argument targets, which follow the targets of its row in j.
@@ -464,23 +464,22 @@ def _flatten(j: JSBAF, two_step: bool) -> AF:
         added[bar_number[b]] = set(supporters)
     for b, p in double_bar_number.items():
         added.setdefault(bar_number[b], set()).add(p)
-    if arms:
-        # E-node members are numbered as nodes, which sort as their keys
-        # do, so e-nodes over them sort in canonical order.
-        arm_members = [
-            rest + (bar_number[b],) if b in bar_number else tuple(sorted(rest + (b,)))
-            for rest, b, _ in arms
-        ]
-        e_members = sorted(set(arm_members))
-        e_number = {members: p for p, members in enumerate(e_members, len(flat_labels))}
-        flat_labels += ["e(" + ",".join(map(flat_labels.__getitem__, e)) + ")" for e in e_members]
-        meta += e_members
-        for (rest, b, a), members in zip(arms, arm_members):
-            e = e_number[members]
-            added.setdefault(double_bar_number.get(b, b), set()).add(e)
-            added.setdefault(e, set()).add(a)
-            for y in rest:
-                added.setdefault(bar_number[y], set()).add(e)
+    # E-node members are numbered as nodes, which sort as their keys do, so
+    # e-nodes over them sort in canonical order.
+    arm_members = [
+        rest + (bar_number[b],) if b in bar_number else tuple(sorted(rest + (b,)))
+        for rest, b, _ in arms
+    ]
+    e_members = sorted(set(arm_members))
+    e_number = {members: p for p, members in enumerate(e_members, len(flat_labels))}
+    flat_labels += ["e(" + ",".join(map(flat_labels.__getitem__, e)) + ")" for e in e_members]
+    meta = [*barred, *map(bar_number.__getitem__, relayed), *e_members]
+    for (rest, b, a), members in zip(arms, arm_members):
+        e = e_number[members]
+        added.setdefault(double_bar_number.get(b, b), set()).add(e)
+        added.setdefault(e, set()).add(a)
+        for y in rest:
+            added.setdefault(bar_number[y], set()).add(e)
 
     rows: list[Sequence[int]] = list(j.target_ids)
     for i, targets in added.items():

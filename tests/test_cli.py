@@ -204,6 +204,11 @@ class TestArguments:
             "(((-> sw) => st),((-> tw) => tt) -> ~ht)"
         )
 
+    def test_tandem_lines_are_the_golden(self, capsys):
+        code, out, err = run_cli(capsys, "arguments", "--file", str(TANDEM_PATH))
+        assert (code, err) == (0, "")
+        assert out == (DATA / "arguments-tandem.txt").read_text(encoding="utf-8")
+
 
 class TestCheckPostulates:
     def test_tandem_reports_the_aspic_violations(self, capsys):
@@ -342,6 +347,11 @@ class TestOracle:
             capsys, "oracle", "--file", str(TANDEM_PATH), "--semantics", "stable",
         )
         assert code == 0 and out.startswith("stable: OK")
+
+    def test_tandem_default_is_the_golden(self, capsys):
+        code, out, err = run_cli(capsys, "oracle", "--file", str(TANDEM_PATH))
+        assert (code, err) == (0, "")
+        assert out == (DATA / "oracle-tandem.txt").read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("semantics", cli.SEMANTICS)
     def test_framework_above_the_oracle_cap_is_refused_before_any_search(

@@ -279,6 +279,30 @@ class TestSimplifiedFlattening:
             rhs = project_ids(extension_ids(two, sem), len(j.node_table))
             assert lhs == rhs
 
+    def test_fully_shielded_joint_support_has_no_arm(self):
+        # c is jointly supported by {a, b}, but both supporters are shielded:
+        # c has a joint support and no arm, so bar(c) joins no e-node and the
+        # simplified flattening drops it; d's empty support keeps its bar
+        a, b, c, d, q = (base(n) for n in "abcdq")
+        j = JSBAF(
+            {a, b, c, d, q}, {(q, c)},
+            {(frozenset({a, b}), c), (frozenset(), d)}, shielded={a, b},
+        )
+        edges = {("q", "c"), ("c", "bar(c)"), ("d", "bar(d)")}
+        one, two = flatten_one_step(j), flatten_two_step(j)
+        assert one.joint_attack_ids == []
+        assert {(next(iter(x)).label, t.label) for x, t in one.joint_attacks} == edges
+        assert edge_labels(two) == edges
+        for plain in (one, two):
+            assert node_labels(plain.nodes) == ["a", "b", "bar(c)", "bar(d)", "c", "d", "q"]
+        af = flatten_simplified(j)
+        assert node_labels(af.nodes) == ["a", "b", "bar(d)", "c", "d", "q"]
+        assert edge_labels(af) == {("q", "c"), ("d", "bar(d)")}
+        accepted = [numbers(j, {"a", "b", "d", "q"})]
+        for sem in SEMANTICS:
+            assert project_ids(extension_ids(af, sem), len(j.node_table)) == accepted, sem
+            assert project_ids(extension_ids(two, sem), len(j.node_table)) == accepted, sem
+
 
 class TestFlatteningInvariants:
     def test_original_nodes_survive(self, j1, j2, j3):

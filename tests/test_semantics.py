@@ -45,6 +45,7 @@ from conftest import (
     random_af,
     tandem_rules,
 )
+from ilp import ilp_extension_ids
 
 
 def chain(*labels):
@@ -341,6 +342,22 @@ class TestBeyondOracleCap:
             complete = extensions(flat, "complete")
             assert extensions(flat, "stable") == _stable_by_filter(flat, complete), seed
         assert checked == 24
+
+    def test_a_second_solver_finds_the_same_extensions(self):
+        # completeness above the cap: the 0/1 programs of ``ilp`` find
+        # exactly the extensions of the search, on the 24 flattenings above
+        # and on seed 38 in both modes
+        afs = []
+        for seed in range(40):
+            flat = _deductive_flattening(random_system(SystemParams(10, 12, 12), seed).system)
+            if len(flat.target_ids) > ORACLE_NODE_CAP:
+                afs.append(flat)
+        prepared = prepare(parse_system(SEED38_PATH.read_text()))
+        afs += [prepared.af, prepared.flat]
+        assert (len(afs), len(prepared.af.target_ids), len(prepared.flat.target_ids)) == (26, 61, 143)
+        for af in afs:
+            for sem in SEMANTICS:
+                assert ilp_extension_ids(af, sem) == sorted(extension_ids(af, sem)), sem
 
     def test_the_oracle_refuses_a_framework_above_its_cap(self):
         # Self-attacking nodes leave only the empty set conflict-free, so the
