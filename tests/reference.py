@@ -303,8 +303,11 @@ class DomainSearch:
     nodes, which reads the distinct domains of a node's attackers through a
     fresh set on every pop.  Both are indexed by rank: ``order[r]`` is the
     node of rank r, arguments before meta-arguments, then most targets, then
-    lowest number.  ``jsbaf.semantics._DomainSearch`` applies the same rules
-    on rank masks, so it splits the same nodes and calls ``_propagate`` as
+    lowest number.  The pivot is the first node whose domain holds all
+    three labels, split into in against the rest; once there is none, the
+    first node whose domain holds two, split into its lowest label against
+    the other.  ``jsbaf.semantics._DomainSearch`` applies the same rules on
+    rank masks, so it splits the same nodes and calls ``_propagate`` as
     often."""
 
     def __init__(self, af: AF):
@@ -329,7 +332,9 @@ class DomainSearch:
                 can_in = int.from_bytes(bytes(doms).translate(_CAN_IN), "little")
                 if not all(can_in & outside for outside in found):
                     continue
-            pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
+            pivot = next((i for i, d in enumerate(doms) if d == _IN | _OUT | _UNDEC), None)
+            if pivot is None:
+                pivot = next((i for i, d in enumerate(doms) if d & (d - 1)), None)
             if pivot is None:
                 if self._verify(doms):
                     ranks = (r for r, d in enumerate(doms) if d == _IN)

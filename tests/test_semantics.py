@@ -454,7 +454,7 @@ def _counted_evaluate(monkeypatch, prepared, mode, semantics):
 
     with monkeypatch.context() as patch:
         patch.setattr(semantics_module._DomainSearch, "_propagate", counted)
-        evaluation = evaluate(prepared, semantics, mode, max_nodes=1000)
+        evaluation = evaluate(prepared, semantics, mode, max_nodes=1500)
     return len(calls), evaluation
 
 
@@ -480,10 +480,11 @@ class _CountedReads(list):
 @pytest.mark.parametrize(
     "n, k, semantics, pops",
     [
-        # 8,436 when settled nodes were marked and popped, 9,344 when a
-        # node also re-marked itself
-        (5, 3, "preferred", 5660),
-        (3, 2, "complete", 139),  # 191, 235
+        # 5,660 when each node was split fully before the next, 8,436 when
+        # settled nodes were also marked and popped, 9,344 when a node also
+        # re-marked itself
+        (5, 3, "preferred", 3430),
+        (3, 2, "complete", 127),  # 139, 191, 235
     ],
 )
 def test_propagation_pops(monkeypatch, n, k, semantics, pops):
@@ -535,19 +536,23 @@ class TestPropagationReachesAFixpoint:
 
         return check
 
-    @pytest.mark.parametrize("mode, states", [("aspic-minus", 10717), ("deductive", 2749)])
+    # The inputs are wide enough that each guard checks at least as many
+    # states as it did when the search split each node fully before the
+    # next: 10,717 and 2,749, 1,096 and 1,035, and 1,248.
+    @pytest.mark.parametrize("mode, states", [("aspic-minus", 12184), ("deductive", 2785)])
     def test_tandem(self, check, mode, states):
-        systems = (parse_system(tandem_rules(n, k)) for n in range(2, 7) for k in range(1, n))
+        shapes = [(n, k) for n in range(2, 7) for k in range(1, n)] + [(7, 4), (7, 5), (7, 6)]
+        systems = (parse_system(tandem_rules(n, k)) for n, k in shapes)
         assert check(prepare(system).searched(mode) for system in systems) == states
 
-    @pytest.mark.parametrize("mode, states", [("aspic-minus", 1096), ("deductive", 1035)])
+    @pytest.mark.parametrize("mode, states", [("aspic-minus", 1219), ("deductive", 1151)])
     def test_random_systems(self, check, mode, states):
-        systems = (random_system(SystemParams(6, 6, 6), seed).system for seed in range(200))
+        systems = (random_system(SystemParams(6, 6, 6), seed).system for seed in range(220))
         assert check(prepare(system).searched(mode) for system in systems) == states
 
     def test_random_frameworks(self, check):
-        frameworks = (random_af(3000 + seed, 12, (0.1, 0.25, 0.4)[seed % 3]) for seed in range(150))
-        assert check(frameworks) == 1248  # self-attacks too
+        frameworks = (random_af(3000 + seed, 12, (0.1, 0.25, 0.4)[seed % 3]) for seed in range(160))
+        assert check(frameworks) == 1264  # self-attacks too
 
 
 class TestSettledNodesAreEntailed:
@@ -623,17 +628,24 @@ def test_a_node_that_becomes_in_fails_on_a_target_that_cannot_be_out():
 @pytest.mark.parametrize(
     "mode, semantics, calls",
     [
-        ("deductive", "complete", 121),  # 199 splitting the lowest node number
-        ("deductive", "stable", 43),  # 65
-        ("aspic-minus", "complete", 209),  # 273
-        ("aspic-minus", "stable", 43),  # 61
+        # splitting each node fully before the next: 121, 43, 209, 43;
+        # splitting the lowest node number: 199, 65, 273, 61
+        ("deductive", "complete", 73),
+        ("deductive", "stable", 43),
+        ("aspic-minus", "complete", 133),
+        ("aspic-minus", "stable", 43),
     ],
 )
 def test_search_splits_arguments_with_most_targets_first(monkeypatch, mode, semantics, calls):
     """Propagation calls on tandem(5, 3): the search splits arguments
     before meta-arguments, then the nodes with most targets, then the
-    lowest node number.  The comments give the calls when it split the
-    lowest node number first."""
+    lowest node number.  It splits in against not-in on the first node
+    that can still be in, out and undecided, and only once there is none
+    the first node that still holds two labels.  Stable search holds no
+    undecided label, so the first rule never applies to it.  The comments
+    give the calls when the search split each node fully, in against out
+    or undecided and then out against undecided, before the next, and
+    when it split the lowest node number first."""
     system = parse_system(tandem_rules(5, 3))
     assert _propagation_calls(monkeypatch, system, mode, semantics) == calls
 
@@ -679,12 +691,12 @@ def test_split_order_equals_the_keyed_sort():
 @pytest.mark.parametrize(
     "mode, n, k, calls",
     [
-        ("aspic-minus", 8, 7, 33),  # complete 527; before 33
-        ("aspic-minus", 5, 3, 91),  # complete 209; before 175
-        ("deductive", 5, 3, 121),  # complete 121; before 199
-        ("deductive", 8, 7, 31),  # complete 31; before 943
-        ("aspic-minus", 6, 3, 521),  # complete 1457; before 3777
-        ("deductive", 6, 3, 641),  # complete 641; before 3089
+        ("aspic-minus", 8, 7, 33),  # complete 527; was 33; before 33
+        ("aspic-minus", 5, 3, 81),  # complete 133; was 91; before 175
+        ("deductive", 5, 3, 73),  # complete 73; was 121; before 199
+        ("deductive", 8, 7, 29),  # complete 29; was 31; before 943
+        ("aspic-minus", 6, 3, 371),  # complete 743; was 521; before 3777
+        ("deductive", 6, 3, 237),  # complete 237; was 641; before 3089
     ],
 )
 def test_preferred_search_drops_branches_inside_an_extension_found(
@@ -693,23 +705,28 @@ def test_preferred_search_drops_branches_inside_an_extension_found(
     """Once an extension is found, preferred search drops every branch
     whose nodes that can still be in lie inside one already found.  The
     comments give the calls of complete search, which lists every complete
-    labelling, and (before) of preferred search when it split the lowest
-    node number first."""
+    labelling, and of preferred search when it split each node fully before
+    the next (was) and when it split the lowest node number first
+    (before)."""
     system = parse_system(tandem_rules(n, k))
     assert _propagation_calls(monkeypatch, system, mode, "preferred") == calls
 
 
 @pytest.mark.parametrize(
-    "mode, calls, count",
+    "n, mode, calls, count",
     [
-        ("deductive", 2693, 35),  # 24,205 calls splitting the lowest node number
-        ("aspic-minus", 1283, 64),  # 23,975
+        # 2,693, 1,283 and 14,359 calls splitting each node fully before
+        # the next; 24,205 and 23,975 splitting the lowest node number
+        (7, "deductive", 491, 35),
+        (7, "aspic-minus", 681, 64),
+        (8, "deductive", 1275, 70),
     ],
 )
-def test_tandem_7_4_preferred(monkeypatch, mode, calls, count):
-    """A search regression instance: preferred search on tandem(7, 4), 119
-    arguments and, in deductive mode, 553 flattened nodes."""
-    prepared = prepare(parse_system(tandem_rules(7, 4)))
+def test_tandem_n_4_preferred(monkeypatch, n, mode, calls, count):
+    """Search regression instances: preferred search on tandem(7, 4), 119
+    arguments and, in deductive mode, 553 flattened nodes, and on deductive
+    tandem(8, 4), 296 arguments and 1,432 flattened nodes."""
+    prepared = prepare(parse_system(tandem_rules(n, 4)))
     made, evaluation = _counted_evaluate(monkeypatch, prepared, mode, "preferred")
     assert (made, len(evaluation.raw_extensions)) == (calls, count)
     af = prepared.searched(mode)
