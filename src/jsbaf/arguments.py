@@ -1,12 +1,15 @@
 """Argument enumeration and the attack / joint-support relations.
 
 An argument is a tree of rule applications: its top rule's body formulas are
-concluded, in order, by its immediate sub-arguments.  Enumeration follows
-the recursive definition, restricted so that no root-to-leaf branch repeats
-a conclusion; that keeps the store finite on cyclic rule sets while
-preserving every non-redundant argument (anything pruned has a shorter
-argument with the same conclusion, obtained by grafting the deeper
-duplicate's subtree in place of the shallower one).
+concluded, in order, by its immediate sub-arguments.  Enumeration follows the
+recursive definition, restricted so that no root-to-leaf branch repeats a
+conclusion; that keeps the store finite on cyclic rule sets while preserving
+every non-redundant argument (anything pruned has a shorter argument with the
+same conclusion, obtained by grafting the deeper duplicate's subtree in place
+of the shallower one).  It does drop the joint support ``subs => r(subs)`` of
+each pruned strict application, so deductive closure can fail on a pruned
+store (ROADMAP item 7), as with the strict rules ``p -> q``, ``p -> ~q`` and
+``q -> p`` and the defeasible ``=> p``.
 
 Arguments are interned: within one store, structural equality (same top
 rule, pointwise-equal subs) coincides with object identity.  Canonical ids

@@ -58,7 +58,7 @@ from .errors import (
 )
 from .frameworks import AF, JSBAF, base, flatten_simplified
 from .records import Record, cached_attribute
-from .semantics import SEMANTICS, extension_ids, project_ids
+from .semantics import SEMANTICS, extension_search, project_ids
 
 MODES = ("aspic-minus", "deductive")
 DEFAULT_NODE_BOUND = 24  # largest framework ``evaluate`` searches by default
@@ -156,9 +156,10 @@ class Evaluation(Record):
     """The result of every stage of one run, and the ``semantics``, ``mode``
     and ``max_nodes`` it ran under (``store.max_arguments`` is its argument
     cap), which its report states.  Extensions are ascending node numbers;
-    ``framework.labels`` (``flat.labels`` for the raw ones in deductive
-    mode) names them.  Each conclusion set holds its verdicts, and
-    ``holds`` sums them up per postulate."""
+    ``framework.labels`` (``flat.labels`` for the raw ones in deductive mode)
+    names them.  Each conclusion set holds its verdicts, and ``holds`` sums
+    them up per postulate.  ``search_calls``, not reported, is the search's
+    own count of its propagation calls."""
 
     semantics: str
     mode: str
@@ -172,6 +173,7 @@ class Evaluation(Record):
     extensions: tuple[tuple[int, ...], ...]  # projected onto the arguments
     conclusion_sets: tuple[ConclusionSet, ...]  # each with its postulate verdicts
     holds: tuple[bool, ...]  # per entry of POSTULATES: satisfied on every conclusion set
+    search_calls: int  # 0 for grounded, which searches nothing
 
 
 def evaluate(
@@ -195,9 +197,9 @@ def evaluate(
     searched = prepared.searched(mode)
     if semantics != "grounded" and len(searched.target_ids) > max_nodes:
         raise SearchLimitExceededError(len(searched.target_ids), max_nodes)
-    raw = exts = extension_ids(searched, semantics)
+    raw, calls = extension_search(searched, semantics)
     if mode == "aspic-minus":
-        framework, flat = searched, None
+        framework, flat, exts = searched, None, raw
     else:
         framework, flat = prepared.jsbaf, searched
         exts = project_ids(raw, len(framework.target_ids))
@@ -214,7 +216,7 @@ def evaluate(
         sets.append(ConclusionSet(frozenset(conclusions), ordinals, verdicts))
     return Evaluation(
         semantics, mode, max_nodes, prepared.consistent, store, prepared.witnesses,
-        framework, flat, tuple(raw), tuple(exts), tuple(sets), holds,
+        framework, flat, tuple(raw), tuple(exts), tuple(sets), holds, calls,
     )
 
 

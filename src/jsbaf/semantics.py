@@ -31,23 +31,25 @@ The four admissibility-based semantics are:
               with every branch dropped whose possible in-set lies inside
               an extension already found.
 
-The engine reads the framework's node numbers and int adjacency lists and
-maps each extension back from ranks to node numbers: canonical order is
-ascending node number.  ``extension_ids`` returns extensions as sorted
-number tuples, which is what the evaluation pass reads; ``extensions``
-turns them into sets of ``NodeId``s for library callers and ``jsbaf
-oracle``.  A JSBAF is searched through its one flattening,
-``frameworks.flatten_simplified``; ``project_ids`` restricts the extensions
-of that flattening to its arguments, for ``postulates.evaluate`` and
-``jsbaf_extensions`` alike.  The functions here search whatever framework
-they are given; the node-count bound on the exponential searches is checked
-once, by ``postulates.evaluate``.  ``oracle.py`` provides the independent
+The one search loop, ``_DomainSearch.labellings``, runs from given start
+masks, yields the in-set of each complete labelling it finds and counts its
+own propagation calls.  ``extension_search`` maps the in-sets from ranks to
+ascending node numbers, the canonical order, and returns them with that
+count, which ``postulates.evaluate`` keeps on ``Evaluation.search_calls``;
+``extension_ids`` returns them alone, and ``extensions`` as sets of
+``NodeId``s for library callers and ``jsbaf oracle``.  A JSBAF is searched
+through its one flattening, ``frameworks.flatten_simplified``;
+``project_ids`` restricts the extensions of that flattening to its
+arguments, for ``postulates.evaluate`` and ``jsbaf_extensions`` alike.  The
+functions here search whatever framework they are given; the node-count
+bound on the exponential searches is checked once, by
+``postulates.evaluate``.  ``oracle.py`` provides the independent
 brute-force cross-check used by the test suite and ``jsbaf oracle``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .frameworks import AF, JSBAF, NodeId, flatten_simplified
 
@@ -128,21 +130,20 @@ class _DomainSearch:
                 self.attackers[rank[y]] |= bit
                 mask |= 1 << rank[y]
             self.targets.append(mask)
+        self.calls = 0  # the ``_propagate`` calls of ``labellings``
 
-    def run(self, domain: int, maximal: bool = False) -> list[tuple[int, ...]]:
-        """In-sets of all complete labellings whose labels lie in ``domain``,
-        as node numbers in canonical order.  With ``maximal``, only the
-        subset-maximal ones: a branch is dropped once the nodes that can
-        still be in lie inside an in-set already found, since none of its
-        labellings has a larger in-set, and those found that lie inside
-        another are left out."""
-        every = (1 << self.n) - 1
+    def labellings(
+        self, can_in: int, can_out: int, can_undec: int, maximal: bool = False
+    ) -> Iterator[int]:
+        """The in-set, as a rank mask, of each complete labelling within the
+        start masks, the nodes that can be in, out and undecided; each
+        ``_propagate`` call adds one to ``calls``.  With ``maximal``, a branch
+        is dropped once its nodes that can be in lie inside an in-set found,
+        as none of its in-sets is larger; an in-set may lie inside a later one."""
         found: list[int] = []  # the in-set of each complete labelling
-        stack = [(
-            every if domain & _IN else 0, every if domain & _OUT else 0,
-            every if domain & _UNDEC else 0, every, 0,
-        )]
+        stack = [(can_in, can_out, can_undec, (1 << self.n) - 1, 0)]
         while stack:
+            self.calls += 1
             state = self._propagate(*stack.pop())
             if state is None:
                 continue
@@ -156,6 +157,7 @@ class _DomainSearch:
             if not split:
                 if self._verify(can_in, can_undec):
                     found.append(can_in)
+                    yield can_in
                 continue
             bit = split & -split
             dirty = bit | self.targets[bit.bit_length() - 1] & ~settled
@@ -165,19 +167,6 @@ class _DomainSearch:
             else:  # out against undecided
                 stack.append((can_in, can_out ^ bit, can_undec, dirty, settled))
                 stack.append((can_in, can_out, can_undec ^ bit, dirty, settled))
-        if maximal:
-            found = [s for s in found if not any(s | t == t != s for t in found)]
-        order, exts = self.order, []
-        for s in found:  # from ranks back to node numbers
-            ext = []
-            while s:
-                low = s & -s
-                ext.append(order[low.bit_length() - 1])
-                s ^= low
-            ext.sort()
-            exts.append(tuple(ext))
-        exts.sort()
-        return exts
 
     def _propagate(
         self, can_in: int, can_out: int, can_undec: int, dirty: int, settled: int
@@ -311,15 +300,31 @@ class _DomainSearch:
 def extension_ids(af: AF, semantics: str) -> list[tuple[int, ...]]:
     """The extensions of ``af`` under ``semantics``, each as its ascending
     node numbers, in canonical order; grounded yields a one-element list."""
+    return extension_search(af, semantics)[0]
+
+
+def extension_search(af: AF, semantics: str) -> tuple[list[tuple[int, ...]], int]:
+    """``extension_ids`` and the propagation calls of its search, 0 for
+    grounded.  Stable search starts with no node that can be undecided."""
     if semantics == "grounded":
-        return [_grounded(af)]
-    if semantics == "complete":
-        return _DomainSearch(af).run(_IN | _OUT | _UNDEC)
-    if semantics == "stable":
-        return _DomainSearch(af).run(_IN | _OUT)
-    if semantics == "preferred":
-        return _DomainSearch(af).run(_IN | _OUT | _UNDEC, maximal=True)
-    raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
+        return [_grounded(af)], 0
+    if semantics not in SEMANTICS:
+        raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
+    search = _DomainSearch(af)
+    every = (1 << search.n) - 1
+    maximal = semantics == "preferred"
+    found = list(search.labellings(every, every, 0 if semantics == "stable" else every, maximal))
+    if maximal:
+        found = [s for s in found if not any(s | t == t != s for t in found)]
+    order, exts = search.order, []
+    for s in found:  # from ranks back to node numbers
+        ext = []
+        while s:
+            low = s & -s
+            ext.append(order[low.bit_length() - 1])
+            s ^= low
+        exts.append(tuple(sorted(ext)))
+    return sorted(exts), search.calls
 
 
 def extensions(af: AF, semantics: str) -> list[frozenset[NodeId]]:

@@ -3,10 +3,10 @@
 For each mode and each searched semantics, the framework that ``evaluate``
 searches (the attack framework in aspic-minus mode, the simplified
 flattening in deductive mode) is searched once, and the table gives the
-calls of ``_DomainSearch._propagate`` and the number of extensions that
-search returns.  Both counts are fixed by the search tree alone, so a
-change to the split rule or to propagation shows in them, and no time is
-printed.
+propagation calls, as the search counts them itself, and the number of
+extensions that search returns.  Both counts are fixed by the search tree
+alone, so a change to the split rule or to propagation shows in them, and
+no time is printed.
 
 Run as a script, ``PYTHONPATH=src python tests/search_counts.py N K``
 prints the table for tandem(N, K).
@@ -24,26 +24,12 @@ SEARCHED = ("complete", "stable", "preferred")
 def counts(prepared: Prepared) -> dict[tuple[str, str], tuple[int, int]]:
     """(propagation calls, extensions) by (mode, semantics) of a prepared
     system."""
-    search = semantics_module._DomainSearch
-    propagate = search._propagate
-    calls = 0
-
-    def counted(self, *state):
-        nonlocal calls
-        calls += 1
-        return propagate(self, *state)
-
     table = {}
-    search._propagate = counted
-    try:
-        for mode in MODES:
-            af = prepared.searched(mode)
-            for semantics in SEARCHED:
-                calls = 0
-                found = semantics_module.extension_ids(af, semantics)
-                table[mode, semantics] = calls, len(found)
-    finally:
-        search._propagate = propagate
+    for mode in MODES:
+        af = prepared.searched(mode)
+        for semantics in SEARCHED:
+            found, calls = semantics_module.extension_search(af, semantics)
+            table[mode, semantics] = calls, len(found)
     return table
 
 

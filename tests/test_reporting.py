@@ -636,7 +636,7 @@ STAGES = {
     "core": ("strict_conflict",),
     "arguments": ("construct_arguments", "attack_witnesses", "_attack_edges"),
     "frameworks": ("flatten_one_step", "flatten_two_step", "flatten_simplified"),
-    "semantics": ("extension_ids", "extensions"),
+    "semantics": ("extension_search", "extensions"),
 }
 
 
@@ -672,7 +672,7 @@ class TestOneEvaluationPass:
             "construct_arguments": 1,
             "attack_witnesses": 1,
             "_attack_edges": 1,
-            "extension_ids": 1,
+            "extension_search": 1,
             **({"flatten_simplified": 1} if mode == "deductive" else {}),
         }
 
@@ -685,7 +685,7 @@ class TestOneEvaluationPass:
             "attack_witnesses": 1,
             "_attack_edges": 1,  # the AF and the JSBAF share one attack relation
             "flatten_simplified": 1,
-            "extension_ids": 8,  # 4 semantics x 2 modes
+            "extension_search": 8,  # 4 semantics x 2 modes
         }
 
     @pytest.mark.parametrize(
@@ -741,7 +741,7 @@ class TestOneEvaluationPass:
             "attack_witnesses": 1,
             "_attack_edges": 1,
             "extensions": 1,
-            "extension_ids": 1,
+            "extension_search": 1,
             **({"flatten_simplified": 1} if mode == "deductive" else {}),
         }
 

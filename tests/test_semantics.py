@@ -180,7 +180,7 @@ class TestSearchLimit:
                     "SearchLimitExceededError", nodes, 5
                 )
             ev = evaluate(prepare(tandem_system), "grounded", mode, max_nodes=5)
-            assert len(ev.extensions) == 1
+            assert (len(ev.extensions), ev.search_calls) == (1, 0)
             assert main([*argv, "--semantics", "grounded"]) in (0, 1)
             assert json.loads(capsys.readouterr().out)["status"] == "ok"
 
@@ -197,7 +197,7 @@ class TestSearchLimit:
         def no_search(*args):
             raise AssertionError("searched under an unknown name")
 
-        monkeypatch.setattr(postulates_module, "extension_ids", no_search)
+        monkeypatch.setattr(postulates_module, "extension_search", no_search)
         with pytest.raises(ValueError, match=message):
             evaluate(prepare(tandem_system), semantics, mode, max_nodes=5)
 
@@ -442,24 +442,8 @@ class TestLinearGrounded:
             assert extensions(af, "grounded")[0] == reference.grounded_extension(af)
 
 
-def _counted_evaluate(monkeypatch, prepared, mode, semantics):
-    """``evaluate`` with a count of its propagation calls: the count and
-    the evaluation."""
-    calls = []
-    propagate = semantics_module._DomainSearch._propagate
-
-    def counted(self, *state):
-        calls.append(1)
-        return propagate(self, *state)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(semantics_module._DomainSearch, "_propagate", counted)
-        evaluation = evaluate(prepared, semantics, mode, max_nodes=1500)
-    return len(calls), evaluation
-
-
-def _propagation_calls(monkeypatch, system, mode, semantics):
-    return _counted_evaluate(monkeypatch, prepare(system), mode, semantics)[0]
+def _propagation_calls(system, mode, semantics):
+    return evaluate(prepare(system), semantics, mode, max_nodes=1500).search_calls
 
 
 SEED38_PATH = Path(__file__).resolve().parents[1] / "bench" / "seed38.rules"
@@ -615,6 +599,38 @@ class TestSettledNodesAreEntailed:
         assert counts["in"] and counts["out"] and counts["undec"]
 
 
+@pytest.mark.parametrize(
+    "path, mode, nodes",
+    [(TANDEM_PATH, "deductive", 21), (SEED38_PATH, "aspic-minus", 61)],
+    ids=["tandem-deductive", "seed-38-aspic-minus"],
+)
+def test_start_masks_narrow_the_complete_search(path, mode, nodes):
+    """``labellings`` from narrowed start masks yields exactly the in-sets
+    of the unnarrowed complete search that the narrowing admits: with an
+    argument forced in, its out and undecided bits cleared, those that hold
+    it; with no node that can be undecided, those that attack every node
+    outside them, the stable ones."""
+    af = prepare(parse_system(path.read_text())).searched(mode)
+    search = semantics_module._DomainSearch(af)
+    assert search.n == nodes
+    every = (1 << nodes) - 1
+    complete = sorted(search.labellings(every, every, every))
+    for x in range(af.argument_count):
+        bit = 1 << search.order.index(x)
+        forced = sorted(search.labellings(every, every & ~bit, every & ~bit))
+        assert forced == [s for s in complete if s & bit], af.labels[x]
+
+    def attacked(s):
+        hit = 0
+        for r in range(nodes):
+            if s >> r & 1:
+                hit |= search.targets[r]
+        return hit
+
+    stable = [s for s in complete if s | attacked(s) == every]
+    assert stable and sorted(search.labellings(every, every, 0)) == stable
+
+
 def test_a_node_that_becomes_in_fails_on_a_target_that_cannot_be_out():
     """a attacks b, and only a is dirty.  Once a's pop leaves a in, the call
     fails when b cannot be out; when b can be, b is made out, and both are
@@ -636,7 +652,7 @@ def test_a_node_that_becomes_in_fails_on_a_target_that_cannot_be_out():
         ("aspic-minus", "stable", 43),
     ],
 )
-def test_search_splits_arguments_with_most_targets_first(monkeypatch, mode, semantics, calls):
+def test_search_splits_arguments_with_most_targets_first(mode, semantics, calls):
     """Propagation calls on tandem(5, 3): the search splits arguments
     before meta-arguments, then the nodes with most targets, then the
     lowest node number.  It splits in against not-in on the first node
@@ -647,7 +663,7 @@ def test_search_splits_arguments_with_most_targets_first(monkeypatch, mode, sema
     or undecided and then out against undecided, before the next, and
     when it split the lowest node number first."""
     system = parse_system(tandem_rules(5, 3))
-    assert _propagation_calls(monkeypatch, system, mode, semantics) == calls
+    assert _propagation_calls(system, mode, semantics) == calls
 
 
 def test_split_order_of_the_tandem_flattening():
@@ -699,9 +715,7 @@ def test_split_order_equals_the_keyed_sort():
         ("deductive", 6, 3, 237),  # complete 237; was 641; before 3089
     ],
 )
-def test_preferred_search_drops_branches_inside_an_extension_found(
-    monkeypatch, mode, n, k, calls
-):
+def test_preferred_search_drops_branches_inside_an_extension_found(mode, n, k, calls):
     """Once an extension is found, preferred search drops every branch
     whose nodes that can still be in lie inside one already found.  The
     comments give the calls of complete search, which lists every complete
@@ -709,7 +723,7 @@ def test_preferred_search_drops_branches_inside_an_extension_found(
     the next (was) and when it split the lowest node number first
     (before)."""
     system = parse_system(tandem_rules(n, k))
-    assert _propagation_calls(monkeypatch, system, mode, "preferred") == calls
+    assert _propagation_calls(system, mode, "preferred") == calls
 
 
 @pytest.mark.parametrize(
@@ -722,13 +736,13 @@ def test_preferred_search_drops_branches_inside_an_extension_found(
         (8, "deductive", 1275, 70),
     ],
 )
-def test_tandem_n_4_preferred(monkeypatch, n, mode, calls, count):
+def test_tandem_n_4_preferred(n, mode, calls, count):
     """Search regression instances: preferred search on tandem(7, 4), 119
     arguments and, in deductive mode, 553 flattened nodes, and on deductive
     tandem(8, 4), 296 arguments and 1,432 flattened nodes."""
     prepared = prepare(parse_system(tandem_rules(n, 4)))
-    made, evaluation = _counted_evaluate(monkeypatch, prepared, mode, "preferred")
-    assert (made, len(evaluation.raw_extensions)) == (calls, count)
+    evaluation = evaluate(prepared, "preferred", mode, max_nodes=1500)
+    assert (evaluation.search_calls, len(evaluation.raw_extensions)) == (calls, count)
     af = prepared.searched(mode)
     table = af.node_table
     exts = [frozenset(table[i] for i in ext) for ext in evaluation.raw_extensions]
@@ -774,27 +788,27 @@ class TestReferenceKernel:
     """``_DomainSearch`` against ``reference.DomainSearch``, the same rules
     on a list of domains and a set of dirty nodes: the same extensions from
     the same number of propagation calls, that is the same search tree.
+    The engine counts its own calls; the reference's are counted here.
     The tandem systems are every tandem(n, k) with n <= 6, and (7, 6); the
     others with n = 7 would take the reference about 40 s in all."""
 
     @pytest.fixture
     def check(self, monkeypatch):
-        calls = collections.Counter()
-        for kernel in (semantics_module._DomainSearch, reference.DomainSearch):
-            propagate = kernel._propagate
+        calls = []
+        propagate = reference.DomainSearch._propagate
 
-            def counted(self, *state, _kernel=kernel, _propagate=propagate):
-                calls[_kernel] += 1
-                return _propagate(self, *state)
+        def counted(self, *state):
+            calls.append(1)
+            return propagate(self, *state)
 
-            monkeypatch.setattr(kernel, "_propagate", counted)
+        monkeypatch.setattr(reference.DomainSearch, "_propagate", counted)
 
         def check(af):
             for sem in ("complete", "stable", "preferred"):
                 calls.clear()
-                got = extension_ids(af, sem)
+                got, made = semantics_module.extension_search(af, sem)
                 assert got == reference.search_extension_ids(af, sem), sem
-                assert calls[semantics_module._DomainSearch] == calls[reference.DomainSearch], sem
+                assert made == len(calls), sem
                 table = af.node_table
                 assert_sound_extensions(af, sem, [frozenset(table[i] for i in e) for e in got])
 
