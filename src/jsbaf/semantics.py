@@ -27,9 +27,9 @@ The four admissibility-based semantics are:
 * complete  — in-sets of all complete labellings,
 * stable    — the same search with every domain starting as {in, out}, so
               it finds the complete labellings with no undecided node,
-* preferred — subset-maximal complete extensions, from the complete search
-              with every branch dropped whose possible in-set lies inside
-              an extension already found.
+* preferred — the complete search, in branch first, dropping each branch
+              whose possible in-set lies inside an extension found: each
+              in-set it yields is maximal, and none is filtered after it.
 
 The one search loop, ``_DomainSearch.labellings``, runs from given start
 masks, yields the in-set of each complete labelling it finds and counts its
@@ -111,9 +111,7 @@ class _DomainSearch:
     def __init__(self, af: AF):
         rows, m = af.target_ids, af.argument_count
         self.n = len(rows)
-        # order[r] is the node of rank r: arguments, the first m nodes,
-        # before meta-arguments, then most targets, then lowest number; the
-        # sort is stable, so ties stay in number order.
+        # the arguments are the first m nodes; a stable sort keeps ties in number order
         most_targets_first = [-len(row) for row in rows].__getitem__
         self.order = [
             *sorted(range(m), key=most_targets_first),
@@ -139,7 +137,11 @@ class _DomainSearch:
         start masks, the nodes that can be in, out and undecided; each
         ``_propagate`` call adds one to ``calls``.  With ``maximal``, a branch
         is dropped once its nodes that can be in lie inside an in-set found,
-        as none of its in-sets is larger; an in-set may lie inside a later one."""
+        as none of its in-sets is larger.  The in branch, and the out branch
+        against undecided, is pushed last, so popped first: a later in-set
+        lacks a node in the earlier one, or leaves undecided a node that an
+        in node of the earlier one attacks, so it does not hold the earlier
+        one.  With ``maximal`` each in-set yielded is therefore maximal."""
         found: list[int] = []  # the in-set of each complete labelling
         stack = [(can_in, can_out, can_undec, (1 << self.n) - 1, 0)]
         while stack:
@@ -312,13 +314,10 @@ def extension_search(af: AF, semantics: str) -> tuple[list[tuple[int, ...]], int
         raise ValueError(f"unknown semantics {semantics!r}; expected one of {SEMANTICS}")
     search = _DomainSearch(af)
     every = (1 << search.n) - 1
-    maximal = semantics == "preferred"
-    found = list(search.labellings(every, every, 0 if semantics == "stable" else every, maximal))
-    if maximal:
-        found = [s for s in found if not any(s | t == t != s for t in found)]
+    undec = 0 if semantics == "stable" else every
     order, exts = search.order, []
-    for s in found:  # from ranks back to node numbers
-        ext = []
+    for s in search.labellings(every, every, undec, semantics == "preferred"):
+        ext = []  # from ranks back to node numbers
         while s:
             low = s & -s
             ext.append(order[low.bit_length() - 1])

@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import itertools
 import random
@@ -62,13 +63,20 @@ def j3():
     return JSBAF({a, b, c, d}, set(), {(frozenset({a, b, c}), d)})
 
 
-def bench_operations():
-    """Every operation of the benchmark's workloads, timed or not."""
+@functools.cache
+def bench_workloads():
+    """The benchmark's ``bench/workloads.py``, loaded once."""
     path = TANDEM_PATH.parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = workloads  # where its dataclasses look up their types
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def bench_operations():
+    """Every operation of the benchmark's workloads, timed or not."""
+    workloads = bench_workloads()
     for workload in workloads.WORKLOADS:
         yield from workloads.operations(workload, 0)
         yield from workloads.check_operations(workload)

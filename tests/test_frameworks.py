@@ -363,6 +363,24 @@ class TestProjection:
         (projected,) = project_ids([ext], len(j.node_table))
         assert [j.labels[i] for i in projected] == ["A1", "A2", "A3", "A4", "A5", "A9"]
 
+    def test_extensions_that_project_alike_are_kept_once(self):
+        """n1 supports itself, so its flattening is n1 and bar(n1)
+        attacking each other; of its complete extensions, {} and {bar(n1)}
+        both project onto {}.  This is ``random_jsbaf(JsbafParams(6, 0.3,
+        6, 3), 32)``."""
+        n1 = base("n1")
+        j = JSBAF({n1}, set(), {(frozenset({n1}), n1)})
+        drawn = random_jsbaf(JsbafParams(6, 0.3, 6, 3), 32)
+        assert (drawn.node_table, drawn.target_ids, drawn.support_ids) == (
+            j.node_table, j.target_ids, j.support_ids
+        )
+        flat = flatten_simplified(j)
+        assert flat.labels == ["n1", "bar(n1)"] and flat.target_ids == [(1,), (0,)]
+        raw = extension_ids(flat, "complete")
+        assert raw == [(), (0,), (1,)]
+        assert project_ids(raw, 1) == [(), (0,)]
+        assert jsbaf_extensions(j, "complete") == [frozenset(), frozenset({n1})]
+
 
 def assert_canonical(framework):
     """Node numbers follow the canonical order, and every target row is

@@ -772,16 +772,38 @@ class TestPreferredBoundAgreesWithTheOracle:
                 attacks.add((a, a))
         return AF(frozenset(nodes), frozenset(attacks))
 
+    @staticmethod
+    def _tandem_afs():
+        for n, k in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 4), (6, 5)):
+            yield prepare(parse_system(tandem_rules(n, k))).af
+
     @pytest.mark.parametrize("seed", range(80))
     def test_mutual_attack_frameworks(self, seed):
         af = self._mutual_af(seed)
         assert extensions(af, "preferred") == brute_force_extensions(af, "preferred")
 
     def test_tandem_attack_frameworks(self):
-        for n, k in ((3, 1), (3, 2), (4, 1), (4, 2), (4, 3), (5, 4), (6, 5)):
-            af = prepare(parse_system(tandem_rules(n, k))).af
+        for af in self._tandem_afs():
             assert len(af.node_table) <= ORACLE_NODE_CAP
             assert extensions(af, "preferred") == brute_force_extensions(af, "preferred")
+
+    def test_no_in_set_holds_one_found_before_it(self):
+        """The search pops the in branch first, and the out branch before
+        undecided, so no in-set of complete search holds one it found
+        before, though many lie inside an earlier one, as the bound finds.
+        So preferred search yields exactly the maximal complete in-sets, in
+        the order complete search finds them, with no filter after it."""
+        inside_earlier = 0
+        for af in [*map(self._mutual_af, range(80)), *self._tandem_afs()]:
+            search = semantics_module._DomainSearch(af)
+            every = (1 << search.n) - 1
+            complete = list(search.labellings(every, every, every))
+            for i, s in enumerate(complete):
+                assert not any(s | t == s for t in complete[:i])
+                inside_earlier += any(s | t == t for t in complete[:i])
+            maximal = [s for s in complete if not any(s | t == t != s for t in complete)]
+            assert list(search.labellings(every, every, every, maximal=True)) == maximal
+        assert inside_earlier
 
 
 class TestReferenceKernel:
